@@ -6,17 +6,17 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DomainError, IndefiniteCovarianceError,
                      UnsupportedModelError, WeplabError)
 from .weights import (DyadicSum, IntegralVerdict, WeightSpec, dyadic_sum,
-                      integral_condition, parse_weight, validate_monotonicity, weight_eval)
+                      integral_condition, parse_weight, validate_monotonicity)
 from .transforms import (ContinuousDF, DistFn, MixedDF, StepDF, check_order_properties,
                          copula_indicator_identity, dist_transform, normal_df,
                          point_mass, uniform_atom_mixture, uniform_df, uniformity_test)
-from .models import (PathBatch, ProcessModel, TimeGrid, envelope_statistics, joint_cdf,
-                     parse_model, rho_metric, sample_paths)
+from .models import (ProcessModel, TimeGrid, envelope_statistics, joint_cdf,
+                     map_path_blocks, parse_model, rho_metric)
 from .limits import (LimitModel, MetricSpec, build_limit_model, check_distance_monotone,
                      combined_metric, dg0_upper_bound_check, export_covariance_csv,
                      sample_limit_field, weight_drift_check, weighted_wiener_distance)
 from .engine import (EmpiricalField, MomentAccumulator, empirical_covariance,
-                     evaluate_field, export_field_csv, sup_statistic)
+                     evaluate_field_streaming, export_field_csv, sup_statistic)
 from .numerics import (bvn_cdf, ks_statistic_one_sample, ks_statistic_two_sample,
                        singular_quadrature, std_normal_cdf, std_normal_pdf,
                        std_normal_quantile)

@@ -24,10 +24,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, parallel
-from .engine import evaluate_field, export_field_csv
-from .errors import ConfigError, DomainError, WeplabError
+from .engine import evaluate_field_streaming, export_field_csv
+from .errors import ConfigError, DomainError, UnsupportedModelError, WeplabError
 from .limits import check_distance_monotone, dg0_upper_bound_check, weight_drift_check
-from .models import ProcessModel, TimeGrid, parse_model, sample_paths
+from .models import ProcessModel, TimeGrid, parse_model
 from .verifiers import (BoundReport, ProbeResult, borell_check, chaining_ab_check,
                         clt_covariance_convergence, clt_marginal_test, clt_sup_comparison,
                         envelope_check, feller_sandwich, l_condition_estimate,
@@ -228,8 +228,7 @@ def _run_dg0_upper(cfg: RunConfig) -> BoundReport:
 def _run_d1_or_d2(cfg: RunConfig, event: str) -> BoundReport:
     full = prop_d1_d2_check(n=cfg.n, seed=cfg.seed, grid=cfg.grid(),
                             workers=cfg.resolved_workers())
-    rows = [p for p in full.probes
-            if p.coords.get("event") in (event, None) or "stat" in p.coords]
+    rows = [p for p in full.probes if p.coords.get("event") in (event, None)]
     return BoundReport(event, tuple(rows), full.n, full.seed, full.wall_ms)
 
 
@@ -399,11 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(cfg: RunConfig, out: str, manifest: Optional[str]) -> int:
     if cfg.model is None:
         raise ConfigError("--model is required for simulate")
-    grid = cfg.grid()
-    w = cfg.weight_spec()
-    batch = sample_paths(cfg.model_spec(), grid, cfg.n, cfg.seed, cfg.resolved_workers())
     levels = np.linspace(cfg.clip, 1.0 - cfg.clip, cfg.level_points)
-    field = evaluate_field(batch, levels, w, clip=cfg.clip, workers=cfg.resolved_workers())
+    field = evaluate_field_streaming(cfg.model_spec(), cfg.grid(), levels, cfg.weight_spec(),
+                                     cfg.n, cfg.seed, clip=cfg.clip,
+                                     workers=cfg.resolved_workers())
     export_field_csv(field, out)
     if manifest:
         write_manifest(manifest, "simulate", None, cfg, {"out": out})
@@ -466,7 +464,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "clt":
             return _cmd_clt(args.mode, cfg, args.out, args.csv, args.manifest)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, UnsupportedModelError) as exc:
         print(f"weplab: error: {exc}", file=sys.stderr)
         return 2
     except WeplabError as exc:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import parallel
 from .errors import DomainError
-from .models import PathBatch, ProcessModel, TimeGrid, map_path_blocks
+from .models import ProcessModel, TimeGrid, map_path_blocks
 from .weights import WeightSpec
 
 DEFAULT_CLIP = 1e-3
@@ -48,70 +48,27 @@ class EmpiricalField:
 class MomentAccumulator:
     """Mergeable per-path accumulation on a designated cell subset.
 
-    Carries the path count, per-cell indicator counts and optional
-    per-cell-pair joint indicator counts.  All fields are integers, so
-    merging is exact and associative; the field and its sup derive from the
-    merged counts without any floating-point reduction over paths.
+    Carries the path count, per-cell indicator counts and per-cell-pair
+    joint indicator counts.  All fields are integers, so merging is exact
+    and associative; the field and its sup derive from the merged counts
+    without any floating-point reduction over paths.
     """
 
     count: int
-    cell_counts: np.ndarray              # int64, per cell
-    pair_counts: Optional[np.ndarray]    # int64, cells x cells, or None
+    cell_counts: np.ndarray     # int64, per cell
+    pair_counts: np.ndarray     # int64, cells x cells
 
     @classmethod
-    def zero(cls, k: int, pairs: bool) -> "MomentAccumulator":
-        return cls(0, np.zeros(k, dtype=np.int64),
-                   np.zeros((k, k), dtype=np.int64) if pairs else None)
-
-    @classmethod
-    def from_indicators(cls, ind: np.ndarray, pairs: bool) -> "MomentAccumulator":
+    def from_indicators(cls, ind: np.ndarray) -> "MomentAccumulator":
         """ind: boolean (paths x cells) indicator matrix for one block."""
-        counts = ind.sum(axis=0, dtype=np.int64)
-        cross = None
-        if pairs:
-            f = ind.astype(np.float64)
-            cross = np.rint(f.T @ f).astype(np.int64)
-        return cls(int(ind.shape[0]), counts, cross)
+        f = ind.astype(np.float64)
+        return cls(int(ind.shape[0]), ind.sum(axis=0, dtype=np.int64),
+                   np.rint(f.T @ f).astype(np.int64))
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        if (self.pair_counts is None) != (other.pair_counts is None):
-            raise DomainError("cannot merge accumulators with different shapes")
-        pairs = None
-        if self.pair_counts is not None:
-            pairs = self.pair_counts + other.pair_counts
         return MomentAccumulator(self.count + other.count,
-                                 self.cell_counts + other.cell_counts, pairs)
-
-
-def evaluate_field(batch: PathBatch, levels: Sequence[float], w: WeightSpec,
-                   clip: float = DEFAULT_CLIP, workers: int = 1) -> EmpiricalField:
-    """Evaluate the field from a sampled batch in one pass over paths."""
-    levels = np.asarray(levels, dtype=float)
-    if levels.size == 0:
-        raise DomainError("need at least one level")
-    if np.any(levels < clip) or np.any(levels > 1.0 - clip):
-        raise DomainError(f"levels must lie inside the clip range [{clip}, {1 - clip}]")
-    counts = _level_counts(batch.values, levels, workers)
-    return _field_from_counts(batch.grid, levels, counts, batch.n, w,
-                              {"model": batch.model.describe(), "seed": batch.seed})
-
-
-def _level_counts(values: np.ndarray, levels: np.ndarray, workers: int = 1) -> np.ndarray:
-    n = values.shape[0]
-
-    def job(idx, start, stop):
-        block = values[start:stop]
-        return (block[:, :, None] <= levels[None, None, :]).sum(axis=0, dtype=np.int64)
-
-    parts = parallel.map_blocks(job, n, workers)
-    return parallel.tree_reduce(parts, np.add)
-
-
-def _field_from_counts(grid: TimeGrid, levels: np.ndarray, counts: np.ndarray,
-                       n: int, w: WeightSpec, provenance: dict) -> EmpiricalField:
-    wv = np.asarray(w(levels), dtype=float)
-    nu = wv[None, :] * (counts - n * levels[None, :]) / math.sqrt(n)
-    return EmpiricalField(grid, levels, nu, n, w, provenance)
+                                 self.cell_counts + other.cell_counts,
+                                 self.pair_counts + other.pair_counts)
 
 
 def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequence[float],
@@ -119,8 +76,14 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
                              workers: int = 1,
                              extra_key: tuple[int, ...] = (),
                              stream: int = parallel.STREAM_PATHS) -> EmpiricalField:
-    """Evaluate the field without materializing the path batch."""
+    """Evaluate the field on the (grid x levels) lattice from n streamed paths.
+
+    Per block, counts of X_i(t) <= y are taken for every cell and merged as
+    integers in block order.
+    """
     levels = np.asarray(levels, dtype=float)
+    if levels.size == 0:
+        raise DomainError("need at least one level")
     if np.any(levels < clip) or np.any(levels > 1.0 - clip):
         raise DomainError(f"levels must lie inside the clip range [{clip}, {1 - clip}]")
 
@@ -130,8 +93,9 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
     parts = map_path_blocks(model, grid, n, seed, block_counts, workers,
                             stream=stream, extra_key=extra_key)
     counts = parallel.tree_reduce(parts, np.add)
-    return _field_from_counts(grid, levels, counts, n, w,
-                              {"model": model.describe(), "seed": seed})
+    wv = np.asarray(w(levels), dtype=float)
+    nu = wv[None, :] * (counts - n * levels[None, :]) / math.sqrt(n)
+    return EmpiricalField(grid, levels, nu, n, w, {"model": model.describe(), "seed": seed})
 
 
 def sup_statistic(field: EmpiricalField) -> float:
@@ -143,15 +107,14 @@ def sup_statistic(field: EmpiricalField) -> float:
 
 def accumulate_cell_moments(model: ProcessModel, cells: Sequence[tuple[float, float]],
                             grid: TimeGrid, n: int, seed: int, workers: int = 1,
-                            pairs: bool = True,
                             extra_key: tuple[int, ...] = ()) -> MomentAccumulator:
-    """Accumulate indicator counts (and joint counts) on probe cells."""
+    """Accumulate indicator counts and joint counts on probe cells."""
     idx = np.array([grid.index_of(t) for t, _ in cells])
     ys = np.array([y for _, y in cells])
 
     def block_fn(vals):
         ind = vals[:, idx] <= ys[None, :]
-        return MomentAccumulator.from_indicators(ind, pairs)
+        return MomentAccumulator.from_indicators(ind)
 
     parts = map_path_blocks(model, grid, n, seed, block_fn, workers, extra_key=extra_key)
     return parallel.tree_reduce(parts, lambda a, b: a.merge(b))
@@ -164,11 +127,19 @@ def covariance_from_moments(acc: MomentAccumulator, cells: Sequence[tuple[float,
     Estimates w(x) w(y) [P(X_s <= x, X_t <= y) - xy] with the exactly known
     marginals plugged in; unbiased for every path count.
     """
-    if acc.pair_counts is None:
-        raise DomainError("accumulator carries no pair counts")
+    return covariance_from_joint(acc.pair_counts / acc.count, cells, w, centered)
+
+
+def covariance_from_joint(joint: np.ndarray, cells: Sequence[tuple[float, float]],
+                          w: WeightSpec, centered: bool = True) -> np.ndarray:
+    """Symmetrized w(x) w(y) [J - xy] on the cells.
+
+    ``joint[i, j]`` is P(X_s <= x, X_t <= y) for cells i = (s, x) and
+    j = (t, y); ``centered=False`` drops the xy term.  Both the empirical
+    estimate and the limit model assemble their covariance here.
+    """
     ys = np.array([y for _, y in cells])
     wv = np.array([float(w(y)) for _, y in cells])
-    joint = acc.pair_counts.astype(float) / acc.count
     cov = np.outer(wv, wv) * joint
     if centered:
         cov = cov - np.outer(wv * ys, wv * ys)

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import parallel
 from .errors import DomainError, IndefiniteCovarianceError
-from .models import PathBatch, ProcessModel, has_joint_cdf, joint_cdf, rho_metric
+from .engine import MomentAccumulator, covariance_from_joint
+from .models import ProcessModel, has_joint_cdf, joint_cdf, rho_metric
 from .weights import WeightSpec
 
 # Diagonal jitter ladder used when a covariance estimate is slightly
@@ -151,23 +152,15 @@ def _factor_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
         "suspect a covariance bug or a too-coarse Monte Carlo estimate")
 
 
-def _estimated_joint(calibration: PathBatch, cells) -> np.ndarray:
-    """Joint indicator frequencies P(X_s <= x, X_t <= y) from a batch."""
-    grid = calibration.grid
-    cols = np.empty((calibration.n, len(cells)))
-    for j, (t, y) in enumerate(cells):
-        cols[:, j] = calibration.values[:, grid.index_of(t)] <= y
-    return (cols.T @ cols) / calibration.n
-
-
 def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
                       w: WeightSpec, centered: bool = True,
-                      calibration: Optional[PathBatch] = None) -> LimitModel:
+                      calibration: Optional[MomentAccumulator] = None) -> LimitModel:
     """Assemble and factor the limit covariance on the given cells.
 
     Uses the closed-form joint CDF when the model has one; otherwise the
-    joint frequencies come from an independent calibration batch, recorded
-    in the provenance.
+    joint frequencies are the pooled pair counts of ``calibration``, which
+    ``accumulate_cell_moments`` streams on the same cells from an independent
+    seed.  Its path count is recorded in the provenance.
     """
     cells = tuple((float(t), float(y)) for t, y in cells)
     if not cells:
@@ -176,8 +169,6 @@ def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
         if not (0.0 < y < 1.0):
             raise DomainError("cell levels must lie strictly inside (0, 1)")
     k = len(cells)
-    wv = np.array([float(w(y)) for _, y in cells])
-    ys = np.array([y for _, y in cells])
     if has_joint_cdf(model):
         joint = np.empty((k, k))
         for i, (s, x) in enumerate(cells):
@@ -187,14 +178,13 @@ def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
         provenance = {"joint": "closed-form", "model": model.describe()}
     else:
         if calibration is None:
-            raise DomainError(f"model {model.kind} needs a calibration batch")
-        joint = _estimated_joint(calibration, cells)
-        provenance = {"joint": "calibration-batch", "model": model.describe(),
-                      "calibration_n": calibration.n, "calibration_seed": calibration.seed}
-    cov = np.outer(wv, wv) * joint
-    if centered:
-        cov = cov - np.outer(wv * ys, wv * ys)
-    cov = 0.5 * (cov + cov.T)
+            raise DomainError(f"model {model.kind} needs calibration moments")
+        if calibration.pair_counts.shape != (k, k):
+            raise DomainError("calibration moments must be accumulated on the cells")
+        joint = calibration.pair_counts / calibration.count
+        provenance = {"joint": "calibration", "model": model.describe(),
+                      "calibration_n": calibration.count}
+    cov = covariance_from_joint(joint, cells, w, centered)
     factor, jitter = _factor_with_jitter(cov)
     provenance["jitter_ladder"] = [f"{j:g}" for j in JITTER_LADDER]
     return LimitModel(cells, cov, factor, jitter, centered, provenance)

@@ -127,24 +127,6 @@ def parse_model(text: str) -> ProcessModel:
     raise DomainError(f"unrecognized model spec {text!r}")
 
 
-@dataclass(frozen=True)
-class PathBatch:
-    """n sampled paths on a grid; deterministic in (model, grid, n, seed)."""
-
-    model: ProcessModel
-    grid: TimeGrid
-    n: int
-    seed: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n, len(self.grid)):
-            raise DomainError("value matrix shape must be (n, grid size)")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-
 def _brownian_block(grid: TimeGrid, count: int, rng: np.random.Generator) -> np.ndarray:
     pts = grid.points
     dt = np.diff(np.concatenate([[0.0], pts]))
@@ -174,29 +156,20 @@ def _sample_block(model: ProcessModel, grid: TimeGrid, count: int, seed: int,
     return np.repeat(np.asarray(u)[:, None], m, axis=1)
 
 
-def sample_paths(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
-                 workers: int = 1) -> PathBatch:
-    """Sample n paths; block-seeded, so identical for every worker count."""
-    if n < 1:
-        raise DomainError("need n >= 1 paths")
-    values = np.empty((n, len(grid)), dtype=float)
-
-    def job(idx, start, stop):
-        values[start:stop] = _sample_block(model, grid, stop - start, seed,
-                                           parallel.STREAM_PATHS, (idx,))
-
-    parallel.map_blocks(job, n, workers)
-    return PathBatch(model, grid, n, seed, values)
-
-
 def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
                     fn: Callable[[np.ndarray], object], workers: int = 1,
                     stream: int = parallel.STREAM_PATHS,
                     extra_key: tuple[int, ...] = ()) -> list:
-    """Stream path blocks through ``fn`` without materializing the batch.
+    """Stream blocks of n sampled paths through ``fn``; the only path sampler.
 
-    Returns the per-block results ordered by block index.
+    Paths are never held all at once: each block is sampled, handed to
+    ``fn`` and dropped.  Block j draws from the substream
+    (seed, stream, *extra_key, j), so the values, and the per-block results
+    returned in block order, are identical for every worker count.
     """
+    if n < 1:
+        raise DomainError("need n >= 1 paths")
+
     def job(idx, start, stop):
         vals = _sample_block(model, grid, stop - start, seed, stream, extra_key + (idx,))
         return fn(vals)
@@ -208,7 +181,16 @@ def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
                         fn: Callable[[np.ndarray], object], workers: int = 1,
                         stream: int = parallel.STREAM_PATHS,
                         extra_key: tuple[int, ...] = ()) -> list:
-    """Stream raw Brownian path blocks (values B_t at grid times)."""
+    """Stream raw Brownian path blocks (values B_t at grid times).
+
+    Seeded like ``map_path_blocks``, so with equal keys its blocks are the
+    Brownian paths behind the bm-copula blocks.  It exists because some
+    consumers need B_t itself, and B_t cannot be recovered bit-for-bit from
+    the clipped, rounded Phi(B_t / sqrt(t)).
+    """
+    if n < 1:
+        raise DomainError("need n >= 1 paths")
+
     def job(idx, start, stop):
         rng = parallel.derive_rng(seed, stream, *extra_key, idx)
         return fn(_brownian_block(grid, stop - start, rng))

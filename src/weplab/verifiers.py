@@ -263,6 +263,9 @@ def l_condition_estimate(model: ProcessModel, theta: float,
 
     if prepared:
         if model.kind == BM_COPULA:
+            # the probe transforms B_s with the probe time's scale, Phi(B_s / sqrt(t)),
+            # which cannot be recovered bit-for-bit from the path values
+            # Phi(B_s / sqrt(s)); so raw Brownian blocks are streamed instead
             def block_fn(b):
                 counts = np.zeros(len(prepared), dtype=np.int64)
                 for j, (t, eps, it, ball) in enumerate(prepared):
@@ -833,7 +836,7 @@ def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
     dists = []
     for i, n in enumerate(n_list):
         acc = accumulate_cell_moments(model, cells, grid, n * reps, seed,
-                                      workers=workers, pairs=True, extra_key=(i,))
+                                      workers=workers, extra_key=(i,))
         est = covariance_from_moments(acc, cells, w, centered=True)
         dists.append(float(np.linalg.norm(est - target)))
     return CovarianceCltResult(tuple(cells), tuple(n_list), tuple(dists), threshold,

@@ -105,15 +105,18 @@ class WeightSpec:
 
     # -- evaluation ------------------------------------------------------
 
+    def _slowly_varying(self, u: np.ndarray) -> np.ndarray:
+        """The slowly varying factor at u, without folding about 1/2."""
+        if self.sv_kind == SV_CONST:
+            return np.full(u.shape, float(self.sv_param))
+        if self.sv_kind == SV_LOGPOW:
+            return (1.0 + np.log(1.0 / u)) ** self.sv_param
+        return np.exp(self.sv_param * np.sqrt(np.log(1.0 / u)))
+
     def _base(self, u: np.ndarray) -> np.ndarray:
         """w on arguments already folded into (0, 1/2]."""
         u = np.asarray(u, dtype=float)
-        if self.sv_kind == SV_CONST:
-            sv = np.full(u.shape, float(self.sv_param))
-        elif self.sv_kind == SV_LOGPOW:
-            sv = (1.0 + np.log(1.0 / u)) ** self.sv_param
-        else:
-            sv = np.exp(self.sv_param * np.sqrt(np.log(1.0 / u)))
+        sv = self._slowly_varying(u)
         if self.alpha == 0.0:
             return sv
         return u ** (-self.alpha) * sv
@@ -136,22 +139,12 @@ class WeightSpec:
         return f"pow:{self.alpha:g}:{tag}:{self.sv_param:g}"
 
 
-def weight_eval(w: WeightSpec, x):
-    """Evaluate w(x), reflecting x > 1/2."""
-    return w(x)
-
-
 def slowly_varying_eval(w: WeightSpec, x):
     """The slowly varying factor L(x) alone, on (0, 1)."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise DomainError("argument must lie strictly inside (0, 1)")
-    if w.sv_kind == SV_CONST:
-        out = np.full_like(x, w.sv_param)
-    elif w.sv_kind == SV_LOGPOW:
-        out = (1.0 + np.log(1.0 / x)) ** w.sv_param
-    else:
-        out = np.exp(w.sv_param * np.sqrt(np.log(1.0 / x)))
+    out = w._slowly_varying(x)
     return float(out) if out.ndim == 0 else out
 
 

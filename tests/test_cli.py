@@ -56,6 +56,17 @@ class TestExitCodes:
                        "--out", str(tmp_path / "r.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "envelope", "--model", "bm-copula", "--n", "0"),
+        ("verify", "borell", "--n", "0"),
+        ("clt", "cov", "--model", "atomic:0.3@0.5", "--reps", "4", "--n-list", "100,200"),
+        ("simulate", "--model", "bm-copula", "--n", "0"),
+        ("simulate", "--model", "bm-copula", "--level-points", "0"),
+    ])
+    def test_bad_input_is_two(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        assert "weplab: error:" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_csv_shape_and_closed_form(self, tmp_path):
@@ -92,6 +103,13 @@ class TestVerifyReports:
         assert set(payload) == {"check", "probes", "n", "seed", "wall_ms"}
         for probe in payload["probes"]:
             assert set(probe) == {"coords", "estimate", "stderr", "bound", "c_hat", "pass"}
+
+    def test_d1_report_carries_no_d2_rows(self, tmp_path):
+        out = tmp_path / "r.json"
+        run_cli("verify", "d1", "--n", "2000", "--seed", "1", "--out", str(out))
+        events = [p["coords"].get("event") for p in json.loads(out.read_text())["probes"]]
+        assert "d1" in events
+        assert "d2" not in events
 
     def test_wl_dependent_zero(self, tmp_path):
         out = tmp_path / "r.json"

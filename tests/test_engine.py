@@ -7,10 +7,9 @@ import pytest
 
 from weplab.engine import (MomentAccumulator, accumulate_cell_moments,
                            covariance_from_moments, empirical_covariance,
-                           evaluate_field, evaluate_field_streaming, export_field_csv,
-                           sup_statistic)
+                           evaluate_field_streaming, export_field_csv, sup_statistic)
 from weplab.errors import DomainError
-from weplab.models import PathBatch, TimeGrid, parse_model, sample_paths
+from weplab.models import TimeGrid, map_path_blocks, parse_model
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -19,47 +18,49 @@ w_const = parse_weight("const:1")
 w_two = parse_weight("const:2")
 
 
-def single_path_batch(value: float) -> PathBatch:
-    grid = TimeGrid.uniform(1, 2, 3)
-    return PathBatch(parse_model("dependent"), grid, 1, 7, np.full((1, 3), value))
+SINGLE_MODEL = parse_model("dependent")
+SINGLE_GRID = TimeGrid.uniform(1, 2, 3)
+
+
+def single_path_value() -> float:
+    """The shared uniform draw of the one dependent path at seed 7."""
+    return float(map_path_blocks(SINGLE_MODEL, SINGLE_GRID, 1, 7, lambda v: v)[0][0, 0])
+
+
+def single_path_field(levels, **kwargs):
+    return evaluate_field_streaming(SINGLE_MODEL, SINGLE_GRID, levels, w_const, 1, 7, **kwargs)
 
 
 class TestEvaluateField:
     def test_single_path_closed_form(self):
-        batch = single_path_batch(0.4)
-        field = evaluate_field(batch, [0.5], w_const)
-        assert field.values[0, 0] == pytest.approx(0.5, abs=1e-15)
-        field = evaluate_field(batch, [0.3], w_const)
-        assert field.values[0, 0] == pytest.approx(-0.3, abs=1e-15)
+        u = single_path_value()
+        below, above = u / 2.0, (1.0 + u) / 2.0
+        field = single_path_field([below, above])
+        assert np.all(np.abs(field.values[:, 0] + below) <= 1e-15)
+        assert np.all(np.abs(field.values[:, 1] - (1.0 - above)) <= 1e-15)
 
     def test_weight_linearity_exact(self):
-        batch = sample_paths(parse_model("bm-copula"), TimeGrid.uniform(1, 2, 9), 500, 3)
+        model, grid = parse_model("bm-copula"), TimeGrid.uniform(1, 2, 9)
         levels = [0.2, 0.5, 0.8]
-        base = evaluate_field(batch, levels, w_const)
-        doubled = evaluate_field(batch, levels, w_two)
+        base = evaluate_field_streaming(model, grid, levels, w_const, 500, 3)
+        doubled = evaluate_field_streaming(model, grid, levels, w_two, 500, 3)
         assert np.array_equal(doubled.values, 2.0 * base.values)
 
     def test_clip_enforced(self):
-        batch = single_path_batch(0.4)
         with pytest.raises(DomainError):
-            evaluate_field(batch, [1e-5], w_const, clip=1e-3)
+            single_path_field([1e-5], clip=1e-3)
+
+    def test_needs_levels(self):
+        with pytest.raises(DomainError):
+            single_path_field([])
 
     def test_boundary_magnitude_bound(self):
-        batch = sample_paths(parse_model("iid-time"), TimeGrid.uniform(1, 2, 5), 2000, 5)
-        clip = 1e-3
-        field = evaluate_field(batch, [clip, 1.0 - clip], w_const, clip=clip)
+        clip, n = 1e-3, 2000
+        field = evaluate_field_streaming(parse_model("iid-time"), TimeGrid.uniform(1, 2, 5),
+                                         [clip, 1.0 - clip], w_const, n, 5, clip=clip)
         for j, y in enumerate([clip, 1.0 - clip]):
-            cap = math.sqrt(batch.n) * max(y, 1.0 - y)
+            cap = math.sqrt(n) * max(y, 1.0 - y)
             assert np.all(np.abs(field.values[:, j]) <= cap + 1e-12)
-
-    def test_streaming_matches_batch(self):
-        model = parse_model("bm-copula")
-        grid = TimeGrid.uniform(1, 2, 17)
-        levels = [0.2, 0.5, 0.8]
-        batch = sample_paths(model, grid, 3000, 11)
-        a = evaluate_field(batch, levels, w_const)
-        b = evaluate_field_streaming(model, grid, levels, w_const, 3000, 11)
-        assert np.array_equal(a.values, b.values)
 
     def test_partition_invariance_bit_for_bit(self):
         model = parse_model("bm-copula")
@@ -85,22 +86,22 @@ class TestEvaluateField:
 
 class TestSupStatistic:
     def test_zero_field(self):
-        batch = single_path_batch(0.4)
-        field = evaluate_field(batch, [0.5], w_const)
+        field = single_path_field([0.5])
         zeroed = type(field)(field.grid, field.levels, np.zeros_like(field.values),
                              field.n, field.weight, field.provenance)
         assert sup_statistic(zeroed) == 0.0
 
     def test_single_cell(self):
-        field = evaluate_field(single_path_batch(0.4), [0.5], w_const)
-        assert sup_statistic(field) == pytest.approx(0.5, abs=1e-15)
+        above = (1.0 + single_path_value()) / 2.0
+        field = single_path_field([above])
+        assert sup_statistic(field) == pytest.approx(1.0 - above, abs=1e-15)
 
 
 class TestMomentAccumulator:
     def test_merge_exact_and_commutative(self):
         rng = np.random.default_rng(1)
-        a = MomentAccumulator.from_indicators(rng.random((100, 4)) < 0.5, True)
-        b = MomentAccumulator.from_indicators(rng.random((37, 4)) < 0.5, True)
+        a = MomentAccumulator.from_indicators(rng.random((100, 4)) < 0.5)
+        b = MomentAccumulator.from_indicators(rng.random((37, 4)) < 0.5)
         ab = a.merge(b)
         ba = b.merge(a)
         assert ab.count == ba.count == 137
@@ -110,7 +111,7 @@ class TestMomentAccumulator:
     def test_pair_counts_match_brute_force(self):
         rng = np.random.default_rng(2)
         ind = rng.random((50, 3)) < 0.4
-        acc = MomentAccumulator.from_indicators(ind, True)
+        acc = MomentAccumulator.from_indicators(ind)
         brute = np.zeros((3, 3), dtype=np.int64)
         for row in ind:
             brute += np.outer(row, row).astype(np.int64)
@@ -174,8 +175,8 @@ class TestEmpiricalCovariance:
 
 class TestFieldCsv:
     def test_header_and_rows(self, tmp_path):
-        batch = sample_paths(parse_model("dependent"), TimeGrid.uniform(1, 2, 3), 10, 7)
-        field = evaluate_field(batch, [0.3, 0.5], w_const)
+        field = evaluate_field_streaming(parse_model("dependent"), TimeGrid.uniform(1, 2, 3),
+                                         [0.3, 0.5], w_const, 10, 7)
         path = tmp_path / "field.csv"
         export_field_csv(field, str(path))
         text = path.read_text(encoding="utf-8")

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weplab.engine import accumulate_cell_moments
 from weplab.errors import DomainError, IndefiniteCovarianceError
 from weplab.limits import (MetricSpec, _factor_with_jitter, build_limit_model,
                            check_distance_monotone, combined_metric,
                            dg0_upper_bound_check, export_covariance_csv,
                            sample_limit_field, weight_drift_check,
                            weighted_wiener_distance)
-from weplab.models import TimeGrid, parse_model, rho_metric, sample_paths
+from weplab.models import TimeGrid, parse_model, rho_metric
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -151,16 +152,24 @@ class TestLimitModel:
     def test_calibration_batch_route(self):
         model = parse_model("atomic:0.5@0.5")
         grid = TimeGrid.uniform(1, 2, 5)
-        calib = sample_paths(model, grid, 50_000, 999)
         cells = [(1.0, 0.3), (2.0, 0.6)]
+        calib = accumulate_cell_moments(model, cells, grid, 50_000, 999)
         lm = build_limit_model(model, cells, w_const, calibration=calib)
-        assert lm.provenance["joint"] == "calibration-batch"
+        assert lm.provenance["joint"] == "calibration"
+        assert lm.provenance["calibration_n"] == 50_000
         # the atomic model is time-constant, so the joint law is comonotone
         assert lm.covariance[0, 1] == pytest.approx(0.3 - 0.18, abs=0.02)
 
     def test_calibration_required_when_no_closed_form(self):
         with pytest.raises(DomainError):
             build_limit_model(parse_model("atomic:0.5@0.5"), [(1.0, 0.3)], w_const)
+
+    def test_calibration_must_cover_the_cells(self):
+        model = parse_model("atomic:0.5@0.5")
+        grid = TimeGrid.uniform(1, 2, 5)
+        calib = accumulate_cell_moments(model, [(1.0, 0.3)], grid, 1000, 999)
+        with pytest.raises(DomainError):
+            build_limit_model(model, [(1.0, 0.3), (2.0, 0.6)], w_const, calibration=calib)
 
     def test_worker_invariance(self):
         lm = build_limit_model(parse_model("bm-copula"),

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from weplab.errors import DomainError, UnsupportedModelError
-from weplab.models import (TimeGrid, envelope_statistics, joint_cdf, parse_model,
-                           rho_metric, sample_paths)
-from weplab.numerics import ks_statistic_one_sample
+from weplab.models import (TimeGrid, envelope_statistics, joint_cdf, map_brownian_blocks,
+                           map_path_blocks, parse_model, rho_metric)
+from weplab.numerics import ks_statistic_one_sample, std_normal_cdf
 
 PINNED_SEED = 20260810
 
 uniform_cdf = lambda u: np.clip(u, 0.0, 1.0)
+
+
+def sample(spec, grid, n, seed, workers=1):
+    """All n paths as an (n x grid) matrix, stacked from the streamed blocks."""
+    return np.vstack(map_path_blocks(parse_model(spec), grid, n, seed, lambda v: v, workers))
 
 
 class TestTimeGrid:
@@ -60,49 +65,48 @@ class TestSampling:
                                       "atomic:0.5@0.5"])
     def test_marginal_uniformity(self, spec):
         grid = TimeGrid.uniform(1, 2, 17)
-        batch = sample_paths(parse_model(spec), grid, 100_000, PINNED_SEED)
+        values = sample(spec, grid, 100_000, PINNED_SEED)
         for col in (0, 8, 16):
-            d = ks_statistic_one_sample(batch.values[:, col], uniform_cdf)
-            assert d < 1.63 / math.sqrt(batch.n), (spec, col, d)
+            d = ks_statistic_one_sample(values[:, col], uniform_cdf)
+            assert d < 1.63 / math.sqrt(values.shape[0]), (spec, col, d)
 
     def test_values_strictly_inside_unit_interval(self):
         grid = TimeGrid.uniform(1, 2, 9)
-        batch = sample_paths(parse_model("bm-copula"), grid, 20_000, 3)
-        assert np.all(batch.values > 0.0)
-        assert np.all(batch.values < 1.0)
+        values = sample("bm-copula", grid, 20_000, 3)
+        assert np.all(values > 0.0)
+        assert np.all(values < 1.0)
 
     def test_dependent_constant_in_time(self):
-        batch = sample_paths(parse_model("dependent"), TimeGrid.uniform(1, 2, 9), 100, 7)
-        assert np.all(batch.values == batch.values[:, :1])
+        values = sample("dependent", TimeGrid.uniform(1, 2, 9), 100, 7)
+        assert np.all(values == values[:, :1])
 
     def test_worker_partition_invariance(self):
         grid = TimeGrid.uniform(1, 2, 33)
         for spec in ("bm-copula", "iid-time", "atomic:0.5@0.5"):
-            one = sample_paths(parse_model(spec), grid, 10_000, 11, workers=1)
-            eight = sample_paths(parse_model(spec), grid, 10_000, 11, workers=8)
-            assert np.array_equal(one.values, eight.values), spec
+            one = sample(spec, grid, 10_000, 11, workers=1)
+            eight = sample(spec, grid, 10_000, 11, workers=8)
+            assert np.array_equal(one, eight), spec
 
     def test_deterministic_across_runs(self):
         grid = TimeGrid.uniform(1, 2, 9)
-        a = sample_paths(parse_model("bm-copula"), grid, 5000, 5)
-        b = sample_paths(parse_model("bm-copula"), grid, 5000, 5)
-        assert np.array_equal(a.values, b.values)
+        a = sample("bm-copula", grid, 5000, 5)
+        b = sample("bm-copula", grid, 5000, 5)
+        assert np.array_equal(a, b)
 
     def test_needs_paths(self):
         with pytest.raises(DomainError):
-            sample_paths(parse_model("dependent"), TimeGrid.uniform(), 0, 1)
+            map_path_blocks(parse_model("dependent"), TimeGrid.uniform(), 0, 1, lambda v: v)
+        with pytest.raises(DomainError):
+            map_brownian_blocks(TimeGrid.uniform(), 0, 1, lambda b: b)
 
     def test_bm_copula_is_transformed_brownian(self):
         # path values are exactly the normal cdf of the scaled Brownian path
-        from weplab.models import map_brownian_blocks
-        from weplab.numerics import std_normal_cdf
         grid = TimeGrid.uniform(1, 2, 9)
-        batch = sample_paths(parse_model("bm-copula"), grid, 3000, 13)
-        blocks = map_brownian_blocks(grid, 3000, 13, lambda b: b)
-        b = np.vstack(blocks)
+        values = sample("bm-copula", grid, 3000, 13)
+        b = np.vstack(map_brownian_blocks(grid, 3000, 13, lambda b: b))
         x = np.clip(std_normal_cdf(b / np.sqrt(grid.points)), 5e-324,
                     np.nextafter(1.0, 0.0))
-        assert np.array_equal(batch.values, x)
+        assert np.array_equal(values, x)
 
 
 class TestJointCdf:
@@ -133,14 +137,13 @@ class TestJointCdf:
         times = (1.0, 1.4, 2.0)
         grid = TimeGrid(np.array(times))
         n = 100_000
-        batch = sample_paths(m, grid, n, PINNED_SEED)
+        values = sample("bm-copula", grid, n, PINNED_SEED)
         levels = (0.2, 0.5, 0.8)
         for i, s in enumerate(times):
             for j, t in enumerate(times):
                 for x in levels:
                     for y in levels:
-                        p_hat = float(np.mean((batch.values[:, i] <= x)
-                                              & (batch.values[:, j] <= y)))
+                        p_hat = float(np.mean((values[:, i] <= x) & (values[:, j] <= y)))
                         p = joint_cdf(m, s, t, x, y)
                         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
                         assert abs(p_hat - p) <= 4 * se, (s, t, x, y)

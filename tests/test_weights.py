@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from weplab.errors import DomainError
 from weplab.weights import (WeightSpec, dyadic_sum, integral_condition, parse_weight,
-                            validate_monotonicity, weight_eval)
+                            validate_monotonicity)
 
 mp.mp.dps = 30
 
@@ -24,12 +24,12 @@ def geometric_ratio(alpha, terms):
 class TestEvaluation:
     def test_constant(self):
         w = parse_weight("const:1")
-        assert weight_eval(w, 0.3) == 1.0
+        assert w(0.3) == 1.0
 
     def test_power_examples(self):
         w = parse_weight("pow:0.25")
-        assert weight_eval(w, 0.0001) == pytest.approx(10.0, rel=1e-12)
-        assert weight_eval(w, 0.9999) == pytest.approx(10.0, rel=1e-12)
+        assert w(0.0001) == pytest.approx(10.0, rel=1e-12)
+        assert w(0.9999) == pytest.approx(10.0, rel=1e-12)
 
     def test_symmetry(self):
         w = parse_weight("pow:0.3:logpow:0.5")
