@@ -398,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(cfg: RunConfig, out: str, manifest: Optional[str]) -> int:
     if cfg.model is None:
         raise ConfigError("--model is required for simulate")
+    if not 0.0 < cfg.clip < 0.5:
+        raise ConfigError("--clip must lie in (0, 0.5)")
     levels = np.linspace(cfg.clip, 1.0 - cfg.clip, cfg.level_points)
     field = evaluate_field_streaming(cfg.model_spec(), cfg.grid(), levels, cfg.weight_spec(),
                                      cfg.n, cfg.seed, clip=cfg.clip,

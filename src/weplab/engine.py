@@ -79,16 +79,23 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
     """Evaluate the field on the (grid x levels) lattice from n streamed paths.
 
     Per block, counts of X_i(t) <= y are taken for every cell and merged as
-    integers in block order.
+    integers in block order.  A block is counted by sorting each time column
+    in place and searching the levels in it.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
         raise DomainError("need at least one level")
+    if not (np.all(np.isfinite(levels)) and math.isfinite(clip)):
+        raise DomainError("levels and clip must be finite")
     if np.any(levels < clip) or np.any(levels > 1.0 - clip):
         raise DomainError(f"levels must lie inside the clip range [{clip}, {1 - clip}]")
 
     def block_counts(vals):
-        return (vals[:, :, None] <= levels[None, None, :]).sum(axis=0, dtype=np.int64)
+        vals.sort(axis=0)
+        counts = np.empty((vals.shape[1], levels.size), dtype=np.int64)
+        for j in range(vals.shape[1]):
+            counts[j] = np.searchsorted(vals[:, j], levels, side="right")
+        return counts
 
     parts = map_path_blocks(model, grid, n, seed, block_counts, workers,
                             stream=stream, extra_key=extra_key)

@@ -19,7 +19,7 @@ import numpy as np
 from . import parallel
 from .errors import DomainError, IndefiniteCovarianceError
 from .engine import MomentAccumulator, covariance_from_joint
-from .models import ProcessModel, has_joint_cdf, joint_cdf, rho_metric
+from .models import ProcessModel, has_joint_cdf, joint_cdf, joint_cdf_matrix, rho_metric
 from .weights import WeightSpec
 
 # Diagonal jitter ladder used when a covariance estimate is slightly
@@ -40,7 +40,7 @@ class MetricSpec:
     def __post_init__(self):
         if not (0.0 < self.clip < 0.5):
             raise DomainError("clip must lie in (0, 0.5)")
-        if self.theta <= 4.0:
+        if not self.theta > 4.0:
             raise DomainError("theta must exceed 4")
 
 
@@ -129,9 +129,10 @@ class LimitModel:
     provenance: dict
 
     def __post_init__(self):
-        for arr in (self.covariance, self.factor):
-            a = np.asarray(arr, dtype=float)
-            a.flags.writeable = False
+        for name in ("covariance", "factor"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
@@ -168,18 +169,13 @@ def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
     for t, y in cells:
         if not (0.0 < y < 1.0):
             raise DomainError("cell levels must lie strictly inside (0, 1)")
-    k = len(cells)
     if has_joint_cdf(model):
-        joint = np.empty((k, k))
-        for i, (s, x) in enumerate(cells):
-            for j in range(i, k):
-                t, y = cells[j]
-                joint[i, j] = joint[j, i] = joint_cdf(model, s, t, x, y)
+        joint = joint_cdf_matrix(model, cells)
         provenance = {"joint": "closed-form", "model": model.describe()}
     else:
         if calibration is None:
             raise DomainError(f"model {model.kind} needs calibration moments")
-        if calibration.pair_counts.shape != (k, k):
+        if calibration.pair_counts.shape != (len(cells), len(cells)):
             raise DomainError("calibration moments must be accumulated on the cells")
         joint = calibration.pair_counts / calibration.count
         provenance = {"joint": "calibration", "model": model.describe(),

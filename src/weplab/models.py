@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
 from . import parallel
 from .errors import DomainError, UnsupportedModelError
-from .numerics import bvn_cdf, std_normal_cdf
+from .numerics import bvn_cdf, std_normal_quantile
 from .transforms import dist_transform, uniform_atom_mixture
 
 BM_COPULA = "bm-copula"
@@ -46,6 +47,8 @@ class TimeGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise DomainError("grid needs at least one time point")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("grid times must be finite")
         if pts[0] <= 0.0:
             raise DomainError("grid must start strictly above 0")
         if np.any(np.diff(pts) <= 0.0):
@@ -131,7 +134,8 @@ def _brownian_block(grid: TimeGrid, count: int, rng: np.random.Generator) -> np.
     pts = grid.points
     dt = np.diff(np.concatenate([[0.0], pts]))
     z = rng.standard_normal((count, pts.size))
-    return np.cumsum(z * np.sqrt(dt), axis=1)
+    z *= np.sqrt(dt)
+    return np.cumsum(z, axis=1, out=z)
 
 
 def _sample_block(model: ProcessModel, grid: TimeGrid, count: int, seed: int,
@@ -140,8 +144,9 @@ def _sample_block(model: ProcessModel, grid: TimeGrid, count: int, seed: int,
     m = len(grid)
     if model.kind == BM_COPULA:
         b = _brownian_block(grid, count, rng)
-        x = std_normal_cdf(b / np.sqrt(grid.points))
-        return np.clip(x, _OPEN_LO, _OPEN_HI)
+        b /= np.sqrt(grid.points)
+        special.ndtr(b, out=b)
+        return np.clip(b, _OPEN_LO, _OPEN_HI, out=b)
     if model.kind == DEPENDENT:
         u = rng.random(count)
         return np.repeat(u[:, None], m, axis=1)
@@ -163,7 +168,8 @@ def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
     """Stream blocks of n sampled paths through ``fn``; the only path sampler.
 
     Paths are never held all at once: each block is sampled, handed to
-    ``fn`` and dropped.  Block j draws from the substream
+    ``fn`` and dropped.  A block goes to exactly one ``fn`` call, which may
+    modify it in place.  Block j draws from the substream
     (seed, stream, *extra_key, j), so the values, and the per-block results
     returned in block order, are identical for every worker count.
     """
@@ -200,21 +206,62 @@ def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
 
 def joint_cdf(model: ProcessModel, s: float, t: float, x: float, y: float) -> float:
     """P(X_s <= x, X_t <= y) in closed form, when the model has one."""
-    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
+    return float(joint_cdf_matrix(model, ((s, x), (t, y)))[0, 1])
+
+
+# Upper-triangle pairs per batch in joint_cdf_matrix (a batch holds whole
+# rows, so at least one).  It bounds the (pairs x 20 quadrature nodes)
+# temporaries of bvn_cdf, 160 KB at 1024 pairs, while spreading numpy's
+# per-call overhead over enough pairs.
+_PAIR_BATCH = 1024
+
+
+def _upper_triangle_batches(k: int):
+    """Index arrays (i, j), i <= j, of whole upper-triangle rows, about _PAIR_BATCH pairs each."""
+    start = 0
+    while start < k:
+        stop, size = start, 0
+        while stop < k and size < _PAIR_BATCH:
+            size += k - stop
+            stop += 1
+        rows = np.arange(start, stop)
+        yield np.repeat(rows, k - rows), np.concatenate([np.arange(r, k) for r in rows])
+        start = stop
+
+
+def joint_cdf_matrix(model: ProcessModel, cells: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Symmetric matrix of P(X_s <= x, X_t <= y) over cells i = (s, x), j = (t, y).
+
+    Entry (i, j), i <= j, equals ``joint_cdf(model, s, t, x, y)`` bit for
+    bit: the bm-copula quantile is taken once per distinct level and the
+    correlation once per time pair, and ``bvn_cdf`` runs on batches of pairs.
+    """
+    ts = np.array([t for t, _ in cells], dtype=float)
+    ys = np.array([y for _, y in cells], dtype=float)
+    if not np.all((ys > 0.0) & (ys < 1.0)):
         raise DomainError("levels must lie strictly inside (0, 1)")
-    if s <= 0.0 or t <= 0.0:
+    if not np.all(ts > 0.0):
         raise DomainError("times must be positive")
-    if model.kind == DEPENDENT:
-        return min(x, y)
-    if model.kind == IID_TIME:
-        return min(x, y) if s == t else x * y
+    if not has_joint_cdf(model):
+        raise UnsupportedModelError(f"no closed-form joint CDF for {model.kind}")
     if model.kind == BM_COPULA:
-        if s == t:
-            return min(x, y)
-        from .numerics import std_normal_quantile
-        rho = math.sqrt(min(s, t) / max(s, t))
-        return bvn_cdf(std_normal_quantile(x), std_normal_quantile(y), rho)
-    raise UnsupportedModelError(f"no closed-form joint CDF for {model.kind}")
+        levels, level_idx = np.unique(ys, return_inverse=True)
+        q = std_normal_quantile(levels)[level_idx]
+        times, time_idx = np.unique(ts, return_inverse=True)
+        rho = np.sqrt(np.minimum.outer(times, times) / np.maximum.outer(times, times))
+    k = ys.size
+    out = np.empty((k, k))
+    for i, j in _upper_triangle_batches(k):
+        vals = np.minimum(ys[i], ys[j])
+        apart = ts[i] != ts[j]
+        if model.kind == IID_TIME:
+            vals = np.where(apart, ys[i] * ys[j], vals)
+        elif model.kind == BM_COPULA and apart.any():
+            a, b = i[apart], j[apart]
+            vals[apart] = bvn_cdf(q[a], q[b], rho[time_idx[a], time_idx[b]])
+        out[i, j] = vals
+        out[j, i] = vals
+    return out
 
 
 def has_joint_cdf(model: ProcessModel) -> bool:
@@ -223,7 +270,7 @@ def has_joint_cdf(model: ProcessModel) -> bool:
 
 def rho_metric(s, t, theta: float):
     """|s - t|^(1/theta); requires theta > 4."""
-    if theta <= 4.0:
+    if not theta > 4.0:
         raise DomainError("theta must exceed 4")
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)

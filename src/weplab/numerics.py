@@ -1,9 +1,9 @@
-"""Shared scalar numerics.
+"""Shared numerics.
 
-Standard normal density/CDF/quantile, a bivariate normal CDF built on the
-Drezner-Wesolowsky single-integral reduction with Gauss-Legendre nodes, an
-adaptive quadrature for integrands with an endpoint singularity at zero, and
-Kolmogorov-Smirnov statistics.
+Standard normal density/CDF/quantile, an array-valued bivariate normal CDF
+built on the Drezner-Wesolowsky single-integral reduction with
+Gauss-Legendre nodes, an adaptive quadrature for integrands with an endpoint
+singularity at zero, and Kolmogorov-Smirnov statistics.
 
 All functions are pure and reentrant.
 """
@@ -40,8 +40,8 @@ def std_normal_cdf(y):
 def std_normal_quantile(p):
     """Inverse of Phi.
 
-    Rational initial approximation polished by two Newton steps on the CDF,
-    which keeps |Phi(result) - p| at the 1e-12-relative level without tail
+    ``scipy.special.ndtri`` polished by two Newton steps on the CDF, which
+    keeps |Phi(result) - p| at the 1e-12-relative level without tail
     cancellation.
     """
     arr = np.asarray(p, dtype=float)
@@ -67,83 +67,126 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[order]
 
 
-def bvn_cdf(h: float, k: float, rho: float) -> float:
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each element as a Python float.
+
+    ``math.exp``, ``math.asin`` and ``float ** 2`` call the C library, and
+    numpy's vector exp, arcsin and square differ from it in the last bit on
+    some arguments; going through Python floats keeps those bits.
+    """
+    return np.array(list(map(fn, values.tolist())), dtype=float)
+
+
+def _square(v: float) -> float:
+    return v ** 2
+
+
+def _exp_where(live: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """``math.exp`` of ``arg`` where ``live``, 0 elsewhere (the skipped terms)."""
+    out = np.zeros(arg.shape)
+    out[live] = _libm(math.exp, arg[live])
+    return out
+
+
+def bvn_cdf(h, k, rho):
     """P(X <= h, Y <= k) for standard bivariate normal with correlation rho.
 
-    Absolute error below 5e-8.  The degenerate cases rho = +-1 are returned
-    exactly as Phi(min(h, k)) and max(0, Phi(h) + Phi(k) - 1).
+    Array-valued: h, k and rho broadcast against each other, and each
+    element goes through the same floating-point operations as a scalar
+    call, so a value does not depend on what it is batched with.  Scalar
+    arguments give a float.  Absolute error below 5e-8.  The degenerate
+    cases rho = +-1 are returned exactly as Phi(min(h, k)) and
+    max(0, Phi(h) + Phi(k) - 1).
     """
-    h = float(h)
-    k = float(k)
-    rho = float(rho)
-    if not (math.isfinite(h) and math.isfinite(k)):
+    h, k, rho = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float),
+                                    np.asarray(rho, dtype=float))
+    shape = h.shape
+    h, k, rho = h.ravel(), k.ravel(), rho.ravel()
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(k))):
         raise DomainError("bvn_cdf requires finite h and k")
-    if not math.isfinite(rho) or abs(rho) > 1.0:
+    if not np.all(np.abs(rho) <= 1.0):
         raise DomainError("correlation must lie in [-1, 1]")
-    if rho == 1.0:
-        return float(special.ndtr(min(h, k)))
-    if rho == -1.0:
-        return max(0.0, float(special.ndtr(h)) + float(special.ndtr(k)) - 1.0)
-    p = _bvn_upper(-h, -k, rho)
-    return min(1.0, max(0.0, p))
+    out = np.empty(h.shape)
+    one = rho == 1.0
+    out[one] = special.ndtr(np.minimum(h[one], k[one]))
+    minus = rho == -1.0
+    p = special.ndtr(h[minus]) + special.ndtr(k[minus]) - 1.0
+    out[minus] = np.where(p > 0.0, p, 0.0)
+    rest = ~(one | minus)
+    p = _bvn_upper(-h[rest], -k[rest], rho[rest])
+    p = np.where(p > 0.0, p, 0.0)
+    out[rest] = np.where(p < 1.0, p, 1.0)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def _bvn_upper(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk); Drezner-Wesolowsky reduction, Genz's refinement."""
-    phid = lambda v: float(special.ndtr(v))
-    h, k = dh, dk
-    hk = h * k
-    if r == 0.0:
-        return phid(-h) * phid(-k)
-    if abs(r) < 0.3:
-        order = 6
-    elif abs(r) < 0.75:
-        order = 12
-    else:
-        order = 20
+def _bvn_upper(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """P(X > h, Y > k) elementwise; Drezner-Wesolowsky reduction, Genz's refinement."""
+    out = np.empty(h.shape)
+    ar = np.abs(r)
+    zero = r == 0.0
+    out[zero] = special.ndtr(-h[zero]) * special.ndtr(-k[zero])
+    for lo, hi, order in ((0.0, 0.3, 6), (0.3, 0.75, 12), (0.75, 0.925, 20)):
+        sel = ~zero & (ar >= lo) & (ar < hi)
+        if sel.any():
+            out[sel] = _bvn_upper_moderate(h[sel], k[sel], r[sel], order)
+    sel = ar >= 0.925
+    if sel.any():
+        out[sel] = _bvn_upper_near_diagonal(h[sel], k[sel], r[sel])
+    return out
+
+
+def _bvn_upper_moderate(h, k, r, order: int) -> np.ndarray:
+    """0 < |r| < 0.925: Gauss-Legendre on the arcsine-substituted integral."""
     x, w = _leggauss(order)
-    bvn = 0.0
-    if abs(r) < 0.925:
-        hs = (h * h + k * k) / 2.0
-        asr = math.asin(r)
-        sn = np.sin(asr * (1.0 + x) / 2.0)
-        bvn = float(np.sum(w * np.exp((sn * hk - hs) / (1.0 - sn * sn))))
-        bvn = bvn * asr / (2.0 * _TWO_PI) + phid(-h) * phid(-k)
-        return bvn
-    # |r| >= 0.925: integrate the complementary variable near the diagonal
-    if r < 0.0:
-        k = -k
-        hk = -hk
+    hk = h * k
+    hs = (h * h + k * k) / 2.0
+    asr = _libm(math.asin, r)
+    sn = np.sin(asr[:, None] * (1.0 + x) / 2.0)
+    # a row sum adds each element's nodes in the same order as a 1-d np.sum
+    bvn = np.sum(w * np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn)), axis=1)
+    return bvn * asr / (2.0 * _TWO_PI) + special.ndtr(-h) * special.ndtr(-k)
+
+
+def _bvn_upper_near_diagonal(h, k, r) -> np.ndarray:
+    """|r| >= 0.925: integrate the complementary variable near the diagonal.
+
+    A term the scalar scheme skips is masked with ``np.where``; its
+    exponential is never evaluated, so it cannot overflow.
+    """
+    hk = h * k
+    neg = r < 0.0
+    k = np.where(neg, -k, k)
+    hk = np.where(neg, -hk, hk)
     a_sq = (1.0 - r) * (1.0 + r)
-    a = math.sqrt(a_sq)
-    bs = (h - k) ** 2
+    a = np.sqrt(a_sq)
+    bs = _libm(_square, h - k)
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
     asr = -(bs / a_sq + hk) / 2.0
-    if asr > -100.0:
-        bvn = a * math.exp(asr) * (1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
-                                   + c * d * a_sq * a_sq / 5.0)
-    if -hk < 100.0:
-        b = math.sqrt(bs)
-        sp = math.sqrt(_TWO_PI) * phid(-b / a)
-        bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
-    a /= 2.0
+    live = asr > -100.0
+    bvn = np.where(live, a * _exp_where(live, asr)
+                   * (1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
+                      + c * d * a_sq * a_sq / 5.0), 0.0)
+    live = -hk < 100.0
+    b = np.sqrt(bs)
+    sp = math.sqrt(_TWO_PI) * special.ndtr(-b / a)
+    bvn = np.where(live, bvn - _exp_where(live, -hk / 2.0) * sp * b
+                   * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0), bvn)
+    a = a / 2.0
+    # a node's xs and rs depend on r alone: square once per distinct r
+    _, first, same_r = np.unique(r, return_index=True, return_inverse=True)
+    x, w = _leggauss(20)
     for xi, wi in zip(x, w):
-        xs = (a * (xi + 1.0)) ** 2
-        rs = math.sqrt(1.0 - xs)
+        xs = _libm(_square, a[first] * (xi + 1.0))[same_r]
+        rs = np.sqrt(1.0 - xs)
         asr = -(bs / xs + hk) / 2.0
-        if asr > -100.0:
-            sp = 1.0 + c * xs * (1.0 + d * xs)
-            ep = math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-            bvn += a * wi * math.exp(asr) * (ep - sp)
+        live = asr > -100.0
+        sp = 1.0 + c * xs * (1.0 + d * xs)
+        ep = _exp_where(live, -hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+        bvn = np.where(live, bvn + a * wi * _exp_where(live, asr) * (ep - sp), bvn)
     bvn = -bvn / _TWO_PI
-    if r > 0.0:
-        bvn += phid(-max(h, k))
-    else:
-        bvn = -bvn
-        if k > h:
-            bvn += phid(k) - phid(h)
-    return bvn
+    below = np.where(k > h, -bvn + (special.ndtr(k) - special.ndtr(h)), -bvn)
+    return np.where(r > 0.0, bvn + special.ndtr(-np.maximum(h, k)), below)
 
 
 @dataclass(frozen=True)

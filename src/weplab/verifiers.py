@@ -23,8 +23,8 @@ from .engine import (accumulate_cell_moments, covariance_from_moments,
                      evaluate_field_streaming, sup_statistic)
 from .errors import DomainError
 from .limits import build_limit_model, sample_limit_field
-from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics, joint_cdf,
-                     map_brownian_blocks, map_path_blocks)
+from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics,
+                     joint_cdf_matrix, map_brownian_blocks, map_path_blocks)
 from .numerics import (ks_critical_one_sample, ks_critical_two_sample,
                        ks_statistic_one_sample, ks_statistic_two_sample,
                        std_normal_cdf, std_normal_pdf, std_normal_quantile)
@@ -214,7 +214,7 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
     rho = |s - t|^(1/theta); singleton balls are skipped with a warning.
     The sweep is repeated on the density-doubled grid as a refinement study.
     """
-    if theta <= 4.0:
+    if not theta > 4.0:
         raise DomainError("theta must exceed 4")
     grid = grid or TimeGrid.uniform()
     probes = list(probes) if probes is not None else default_wl_probes()
@@ -245,7 +245,7 @@ def l_condition_estimate(model: ProcessModel, theta: float,
     moves the time-t transformed value by more than eps^2; the implied
     constant is frequency / eps^2.
     """
-    if theta <= 4.0:
+    if not theta > 4.0:
         raise DomainError("theta must exceed 4")
     grid = grid or TimeGrid.uniform()
     t0 = time.monotonic()
@@ -766,6 +766,8 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
     """KS of replicated one-cell field values against the limiting normal."""
     if reps < 500:
         raise DomainError("need at least 500 replications")
+    if not 0.0 < y < 1.0:
+        raise DomainError("probe level must lie strictly inside (0, 1)")
     grid = TimeGrid(np.array([float(t)]))
     wy = float(w(y))
     sigma = wy * math.sqrt(y * (1.0 - y))
@@ -844,14 +846,14 @@ def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
 
 
 def _covariance_target(model: ProcessModel, cells, w: WeightSpec) -> np.ndarray:
-    k = len(cells)
-    out = np.empty((k, k))
-    for i, (s, x) in enumerate(cells):
-        for j in range(i, k):
-            t, y = cells[j]
-            wx, wy = float(w(x)), float(w(y))
-            out[i, j] = out[j, i] = wx * wy * (joint_cdf(model, s, t, x, y) - x * y)
-    return out
+    """wx * wy * (J - x * y) on the cells, with scalar weights.
+
+    It rounds differently from ``covariance_from_joint``, which symmetrizes
+    and subtracts products of weighted levels.
+    """
+    ys = np.array([y for _, y in cells])
+    wv = np.array([float(w(y)) for _, y in cells])
+    return np.outer(wv, wv) * (joint_cdf_matrix(model, cells) - np.outer(ys, ys))
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,14 @@ class TestExitCodes:
         ("clt", "cov", "--model", "atomic:0.3@0.5", "--reps", "4", "--n-list", "100,200"),
         ("simulate", "--model", "bm-copula", "--n", "0"),
         ("simulate", "--model", "bm-copula", "--level-points", "0"),
+        ("simulate", "--model", "bm-copula", "--n", "10", "--clip", "nan"),
+        ("simulate", "--model", "bm-copula", "--n", "10", "--clip", "0.5"),
+        ("clt", "marginal", "--model", "bm-copula", "--n", "10", "--reps", "500",
+         "--y", "nan"),
+        ("clt", "marginal", "--model", "bm-copula", "--n", "10", "--reps", "500",
+         "--t", "nan"),
+        ("verify", "wl", "--model", "bm-copula", "--n", "100", "--theta", "nan"),
+        ("verify", "l-cond", "--model", "bm-copula", "--n", "100", "--theta", "nan"),
     ])
     def test_bad_input_is_two(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2

@@ -1,4 +1,4 @@
-"""Pinned output bytes: SHA-256 digests of simulate CSVs and a calibration covariance.
+"""Pinned output bytes: SHA-256 digests of simulate CSVs, clt sup outputs and covariances.
 
 The digests were recorded once and must never change: any change to the
 sampler, the seeding, the counting kernel or the covariance assembly that
@@ -6,13 +6,15 @@ moves a single output bit fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from weplab.cli import main
+from weplab.cli import RunConfig, main
 from weplab.engine import accumulate_cell_moments
 from weplab.limits import build_limit_model, export_covariance_csv
 from weplab.models import TimeGrid, parse_model
+from weplab.verifiers import _covariance_target
 from weplab.weights import parse_weight
 
 SIMULATE_DIGESTS = {
@@ -49,3 +51,49 @@ def test_calibration_covariance_digest(tmp_path):
     out = tmp_path / "cov.csv"
     export_covariance_csv(lm, str(out))
     assert sha256_of(out) == CALIBRATION_COV_DIGEST
+
+
+# clt sup on the 5x3 lattice and the benchmark's 17x9 lattice (k = 153 cells)
+CLT_SUP_LATTICES = {
+    "5x3": ("1,1.25,1.5,1.75,2", "0.1,0.5,0.9"),
+    "17x9": (",".join(repr(1.0 + i / 16.0) for i in range(17)),
+             ",".join(f"{i / 10:g}" for i in range(1, 10))),
+}
+
+CLT_SUP_DIGESTS = {
+    "5x3": ("7256ad74a12d51dfc0370c38dc841ff680d14768a6cd77e151be060ea410f606",
+            "ea1738dc3632068a10c0425d0ecee2183ed0706ab07cc2e7461addfc73ed3b20"),
+    "17x9": ("e9205ceb51edc8aa9d5f3ab9f33738ed55a70609157391d8fa7387aedf4e6772",
+             "06bc8eee517cb347e83fbec0761c7f33c3743a4454013346448e8612e36ca113"),
+}
+
+COVARIANCE_TARGET_DIGESTS = {
+    "bm-copula": "f2a53a3bee4d2766b86c5388f3b94c88fb115301aea2a70468c5fb921f44b34f",
+    "dependent": "8517133bccdbd443857ea8f9c12340e415993a57075afc91033c709c2b29a676",
+    "iid-time": "c3ab6c3fc047076be416729d45abba8377db7107375fa9169451909a8b6bc1e1",
+}
+
+
+def report_digest(path) -> str:
+    """Digest of a JSON report with its timing field dropped."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload.pop("wall_ms", None)
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("lattice", sorted(CLT_SUP_LATTICES))
+def test_clt_sup_digest(tmp_path, lattice):
+    times, levels = CLT_SUP_LATTICES[lattice]
+    report, csv = tmp_path / "sup.json", tmp_path / "sup.csv"
+    assert main(["clt", "sup", "--model", "bm-copula", "--weight", "pow:0.25", "--seed", "3",
+                 "--times", times, "--levels", levels, "--n", "300", "--reps", "60",
+                 "--workers", "1", "--out", str(report), "--csv", str(csv)]) in (0, 1)
+    assert (report_digest(report), sha256_of(csv)) == CLT_SUP_DIGESTS[lattice]
+
+
+@pytest.mark.parametrize("spec", sorted(COVARIANCE_TARGET_DIGESTS))
+def test_clt_cov_target_digest(spec):
+    cfg = RunConfig(weight="pow:0.25")
+    cells = [(t, y) for t in cfg.float_list("times") for y in cfg.float_list("levels")]
+    target = _covariance_target(parse_model(spec), cells, cfg.weight_spec())
+    assert hashlib.sha256(target.tobytes()).hexdigest() == COVARIANCE_TARGET_DIGESTS[spec]

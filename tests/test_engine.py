@@ -50,6 +50,27 @@ class TestEvaluateField:
         with pytest.raises(DomainError):
             single_path_field([1e-5], clip=1e-3)
 
+    @pytest.mark.parametrize("levels, clip", [([float("nan")], 1e-3), ([0.5], float("nan")),
+                                              ([0.5, float("inf")], 1e-3)])
+    def test_rejects_non_finite_levels_and_clip(self, levels, clip):
+        # a NaN level would count every path under a sort-and-search kernel
+        with pytest.raises(DomainError):
+            single_path_field(levels, clip=clip)
+
+    @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time"])
+    def test_counts_match_broadcast_reference(self, spec):
+        model, grid, n, seed = parse_model(spec), TimeGrid.uniform(1, 2, 7), 5000, 11
+        paths = np.vstack(map_path_blocks(model, grid, n, seed, lambda v: v))
+        # levels that equal sampled values exactly, one of them repeated
+        ordered = np.sort(paths[:, 3])
+        levels = np.array([ordered[100], 0.25, ordered[2500], ordered[2500], 0.75,
+                           ordered[4800]])
+        assert np.any(paths == levels[0])
+        counts = (paths[:, :, None] <= levels[None, None, :]).sum(axis=0, dtype=np.int64)
+        expected = w_const(levels)[None, :] * (counts - n * levels[None, :]) / math.sqrt(n)
+        field = evaluate_field_streaming(model, grid, levels, w_const, n, seed)
+        np.testing.assert_array_equal(field.values, expected)
+
     def test_needs_levels(self):
         with pytest.raises(DomainError):
             single_path_field([])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from weplab.engine import accumulate_cell_moments
 from weplab.errors import DomainError, IndefiniteCovarianceError
-from weplab.limits import (MetricSpec, _factor_with_jitter, build_limit_model,
+from weplab.limits import (LimitModel, MetricSpec, _factor_with_jitter, build_limit_model,
                            check_distance_monotone, combined_metric,
                            dg0_upper_bound_check, export_covariance_csv,
                            sample_limit_field, weight_drift_check,
@@ -45,7 +45,7 @@ class TestDistance:
     @given(st.floats(min_value=0.001, max_value=0.999),
            st.floats(min_value=0.001, max_value=0.999),
            st.floats(min_value=0.001, max_value=0.999))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_triangle_inequality(self, x, y, z):
         d = lambda a, b: weighted_wiener_distance(w_quarter, a, b)
         assert d(x, z) <= d(x, y) + d(y, z) + 1e-9
@@ -96,6 +96,8 @@ class TestCombinedMetric:
     def test_clip_domain(self):
         with pytest.raises(DomainError):
             MetricSpec(w_quarter, clip=0.6)
+        with pytest.raises(DomainError):
+            MetricSpec(w_quarter, theta=float("nan"))
 
 
 class TestLimitModel:
@@ -159,6 +161,14 @@ class TestLimitModel:
         assert lm.provenance["calibration_n"] == 50_000
         # the atomic model is time-constant, so the joint law is comonotone
         assert lm.covariance[0, 1] == pytest.approx(0.3 - 0.18, abs=0.02)
+
+    def test_stored_arrays_are_frozen_float64(self):
+        cov = np.eye(2, dtype=np.float32)
+        lm = LimitModel(((1.0, 0.3), (1.5, 0.3)), cov, cov, 0.0, True, {})
+        for arr in (lm.covariance, lm.factor):
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError):
+                arr[0, 0] = 2.0
 
     def test_calibration_required_when_no_closed_form(self):
         with pytest.raises(DomainError):

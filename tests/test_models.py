@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weplab.errors import DomainError, UnsupportedModelError
-from weplab.models import (TimeGrid, envelope_statistics, joint_cdf, map_brownian_blocks,
-                           map_path_blocks, parse_model, rho_metric)
-from weplab.numerics import ks_statistic_one_sample, std_normal_cdf
+from weplab.models import (TimeGrid, envelope_statistics, joint_cdf, joint_cdf_matrix,
+                           map_brownian_blocks, map_path_blocks, parse_model, rho_metric)
+from weplab.numerics import (bvn_cdf, ks_statistic_one_sample, std_normal_cdf,
+                             std_normal_quantile)
 
 PINNED_SEED = 20260810
 
@@ -149,6 +152,69 @@ class TestJointCdf:
                         assert abs(p_hat - p) <= 4 * se, (s, t, x, y)
 
 
+def scalar_joint(kind, s, t, x, y):
+    """The per-pair closed form, one scalar quantile and bvn_cdf call per pair."""
+    if kind == "dependent":
+        return min(x, y)
+    if kind == "iid-time":
+        return min(x, y) if s == t else x * y
+    if s == t:
+        return min(x, y)
+    rho = math.sqrt(min(s, t) / max(s, t))
+    return bvn_cdf(std_normal_quantile(x), std_normal_quantile(y), rho)
+
+
+def scalar_joint_matrix(kind, cells):
+    k = len(cells)
+    out = np.empty((k, k))
+    for i, (s, x) in enumerate(cells):
+        for j in range(i, k):
+            t, y = cells[j]
+            out[i, j] = out[j, i] = scalar_joint(kind, s, t, x, y)
+    return out
+
+
+# sqrt(s/t) over these times falls below 0.3, in [0.3, 0.75), in [0.75, 0.925)
+# and at or above 0.925
+SWEEP_TIMES = (0.05, 0.5, 0.7, 1.0, 1.1, 2.0)
+SWEEP_LEVELS = (0.001, 0.1, 0.3, 0.5, 0.97, 0.999)
+CLOSED_FORM_KINDS = ("bm-copula", "dependent", "iid-time")
+
+
+class TestJointCdfMatrix:
+    @given(st.sampled_from(CLOSED_FORM_KINDS),
+           st.lists(st.tuples(st.sampled_from(SWEEP_TIMES) | st.floats(0.01, 4.0),
+                              st.sampled_from(SWEEP_LEVELS) | st.floats(1e-4, 1 - 1e-4)),
+                    min_size=1, max_size=14))
+    @settings(max_examples=150)
+    def test_matches_scalar_double_loop_bits(self, kind, cells):
+        m = parse_model(kind)
+        expected = scalar_joint_matrix(kind, cells)
+        np.testing.assert_array_equal(joint_cdf_matrix(m, cells), expected)
+        (s, x), (t, y) = cells[0], cells[-1]
+        assert joint_cdf(m, s, t, x, y) == expected[0, -1]
+
+    @pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+    def test_every_band_and_repeated_levels(self, kind):
+        # 30 x 30 pairs span several 256-pair batches
+        cells = [(t, y) for t in SWEEP_TIMES for y in SWEEP_LEVELS[:4] + (0.3,)]
+        rhos = {math.sqrt(s / t) for s in SWEEP_TIMES for t in SWEEP_TIMES if s < t}
+        assert min(rhos) < 0.3 and max(rhos) >= 0.925
+        assert any(0.3 <= r < 0.75 for r in rhos) and any(0.75 <= r < 0.925 for r in rhos)
+        got = joint_cdf_matrix(parse_model(kind), cells)
+        np.testing.assert_array_equal(got, scalar_joint_matrix(kind, cells))
+        np.testing.assert_array_equal(got, got.T)
+
+    def test_domain(self):
+        m = parse_model("bm-copula")
+        with pytest.raises(DomainError):
+            joint_cdf_matrix(m, [(1.0, 0.5), (1.5, 1.0)])
+        with pytest.raises(DomainError):
+            joint_cdf_matrix(m, [(0.0, 0.5)])
+        with pytest.raises(UnsupportedModelError):
+            joint_cdf_matrix(parse_model("atomic:0.5@0.5"), [(1.0, 0.5)])
+
+
 class TestRhoMetric:
     def test_examples(self):
         assert rho_metric(1.3, 1.3, 5.0) == 0.0
@@ -156,8 +222,9 @@ class TestRhoMetric:
         assert rho_metric(1.0, 1.01, 5.0) == pytest.approx(0.01 ** 0.2, rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            rho_metric(1.0, 1.5, 4.0)
+        for theta in (4.0, float("nan")):
+            with pytest.raises(DomainError):
+                rho_metric(1.0, 1.5, theta)
 
 
 class TestEnvelopeStatistics:

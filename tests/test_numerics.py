@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from weplab.errors import DomainError
 from weplab.numerics import (bvn_cdf, ks_critical_one_sample, ks_statistic_one_sample,
@@ -25,6 +25,81 @@ def mp_quantile(p):
     return float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1))
 
 
+# The scalar bivariate normal CDF as it stood before bvn_cdf became
+# array-valued, kept verbatim as the bit-for-bit reference.
+_TWO_PI = 2.0 * math.pi
+
+
+def reference_bvn_cdf(h: float, k: float, rho: float) -> float:
+    if rho == 1.0:
+        return float(special.ndtr(min(h, k)))
+    if rho == -1.0:
+        return max(0.0, float(special.ndtr(h)) + float(special.ndtr(k)) - 1.0)
+    p = _reference_bvn_upper(-h, -k, rho)
+    return min(1.0, max(0.0, p))
+
+
+def _reference_bvn_upper(dh: float, dk: float, r: float) -> float:
+    phid = lambda v: float(special.ndtr(v))
+    h, k = dh, dk
+    hk = h * k
+    if r == 0.0:
+        return phid(-h) * phid(-k)
+    if abs(r) < 0.3:
+        order = 6
+    elif abs(r) < 0.75:
+        order = 12
+    else:
+        order = 20
+    x, w = np.polynomial.legendre.leggauss(order)
+    bvn = 0.0
+    if abs(r) < 0.925:
+        hs = (h * h + k * k) / 2.0
+        asr = math.asin(r)
+        sn = np.sin(asr * (1.0 + x) / 2.0)
+        bvn = float(np.sum(w * np.exp((sn * hk - hs) / (1.0 - sn * sn))))
+        bvn = bvn * asr / (2.0 * _TWO_PI) + phid(-h) * phid(-k)
+        return bvn
+    if r < 0.0:
+        k = -k
+        hk = -hk
+    a_sq = (1.0 - r) * (1.0 + r)
+    a = math.sqrt(a_sq)
+    bs = (h - k) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 16.0
+    asr = -(bs / a_sq + hk) / 2.0
+    if asr > -100.0:
+        bvn = a * math.exp(asr) * (1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
+                                   + c * d * a_sq * a_sq / 5.0)
+    if -hk < 100.0:
+        b = math.sqrt(bs)
+        sp = math.sqrt(_TWO_PI) * phid(-b / a)
+        bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
+    a /= 2.0
+    for xi, wi in zip(x, w):
+        xs = (a * (xi + 1.0)) ** 2
+        rs = math.sqrt(1.0 - xs)
+        asr = -(bs / xs + hk) / 2.0
+        if asr > -100.0:
+            sp = 1.0 + c * xs * (1.0 + d * xs)
+            ep = math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+            bvn += a * wi * math.exp(asr) * (ep - sp)
+    bvn = -bvn / _TWO_PI
+    if r > 0.0:
+        bvn += phid(-max(h, k))
+    else:
+        bvn = -bvn
+        if k > h:
+            bvn += phid(k) - phid(h)
+    return bvn
+
+
+# each Gauss-Legendre order, both signs, both sides of 0.925 and the exact +-1
+BAND_RHOS = (-1.0, -0.9999, -0.95, -0.925, -0.8, -0.5, -0.3, -0.1, 0.0,
+             0.1, 0.3, 0.5, 0.75, 0.8, 0.924, 0.925, 0.95, 0.9999, 1.0)
+
+
 class TestNormalKernel:
     def test_cdf_against_high_precision(self):
         for y in np.concatenate([np.linspace(-8, 8, 81), [-37.0, 12.0]]):
@@ -36,7 +111,7 @@ class TestNormalKernel:
         assert 0.0 < 1.0 - std_normal_cdf(8.0) < 1e-15
 
     @given(st.floats(min_value=-8, max_value=8))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_cdf_symmetry(self, y):
         assert abs(std_normal_cdf(-y) + std_normal_cdf(y) - 1.0) <= 1e-14
 
@@ -124,6 +199,34 @@ class TestBvn:
             bvn_cdf(0.0, 0.0, 1.5)
         with pytest.raises(DomainError):
             bvn_cdf(float("inf"), 0.0, 0.5)
+        with pytest.raises(DomainError):
+            bvn_cdf([0.0, 1.0], [0.0, 1.0], [0.5, float("nan")])
+
+    @given(st.lists(st.tuples(st.floats(min_value=-9, max_value=9),
+                              st.floats(min_value=-9, max_value=9),
+                              st.sampled_from(BAND_RHOS) | st.floats(min_value=-1, max_value=1)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_array_matches_scalar_reference_bits(self, triples):
+        h, k, rho = (np.array(v) for v in zip(*triples))
+        expected = np.array([reference_bvn_cdf(*t) for t in zip(h.tolist(), k.tolist(),
+                                                                  rho.tolist())])
+        np.testing.assert_array_equal(bvn_cdf(h, k, rho), expected)
+
+    def test_band_grid_matches_scalar_reference_bits(self):
+        h, k, rho = np.meshgrid(np.linspace(-8.5, 8.5, 35), np.linspace(-6, 7, 14), BAND_RHOS,
+                                indexing="ij")
+        expected = np.vectorize(reference_bvn_cdf)(h, k, rho)
+        got = bvn_cdf(h, k, rho)
+        assert got.shape == h.shape
+        np.testing.assert_array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        # at the last one, squaring h - k by multiplication instead of the C
+        # library's pow changes the result
+        for t in [(0.3, -1.2, -0.95), (2.0, 2.0, 1.0), (0.5, -0.5, -1.0),
+                  (0.819101, 0.0, 0.9489)]:
+            assert bvn_cdf(*t) == reference_bvn_cdf(*t)
+            assert isinstance(bvn_cdf(*t), float)
 
 
 class TestSingularQuadrature:

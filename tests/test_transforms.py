@@ -65,7 +65,7 @@ class TestOrderProperties:
            st.lists(st.floats(min_value=0.01, max_value=1), min_size=1, max_size=5),
            st.floats(min_value=0, max_value=1),
            st.floats(min_value=-6, max_value=6), st.floats(min_value=-6, max_value=6))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_transform_monotone_random_step_df(self, locs, masses, v, x, y):
         locs = sorted(locs)
         total = sum(masses[:len(locs)]) or 1.0

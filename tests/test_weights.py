@@ -184,7 +184,7 @@ class TestDyadicSum:
 
     @given(st.floats(min_value=0.05, max_value=0.45),
            st.floats(min_value=1e-4, max_value=0.02))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_pure_power_ratio_weight_independent(self, alpha, theta):
         # the ratio of a pure power weight depends only on alpha and terms
         w = parse_weight(f"pow:{alpha}")
