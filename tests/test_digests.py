@@ -1,4 +1,4 @@
-"""Pinned output bytes: SHA-256 digests of simulate CSVs, clt sup outputs and covariances.
+"""Pinned output bytes: SHA-256 digests of simulate CSVs, verify and clt outputs and covariances.
 
 The digests were recorded once and must never change: any change to the
 sampler, the seeding, the counting kernel or the covariance assembly that
@@ -97,3 +97,77 @@ def test_clt_cov_target_digest(spec):
     cells = [(t, y) for t in cfg.float_list("times") for y in cfg.float_list("levels")]
     target = _covariance_target(parse_model(spec), cells, cfg.weight_spec())
     assert hashlib.sha256(target.tobytes()).hexdigest() == COVARIANCE_TARGET_DIGESTS[spec]
+
+
+# every verify check at small n on a 17-point grid: (exit code, report digest)
+VERIFY_ARGS = ("--n", "2000", "--seed", "5", "--time-points", "17", "--workers", "1")
+
+VERIFY_CASES = {
+    "wl": ("--model", "bm-copula", "--weight", "pow:0.25"),
+    "l-cond": ("--model", "bm-copula"),
+    "integral": ("--weight", "pow:0.25"),
+    "dyadic": ("--weight", "pow:0.25"),
+    "envelope": ("--model", "bm-copula", "--weight", "pow:0.25"),
+    "feller": (),
+    "borell": (),
+    "slowly-varying": ("--weight", "pow:0.25:expsqrt:1"),
+    "lemma-y": (),
+    "lemma-m": (),
+    "lemma-l": (),
+    "d1": (),
+    "d2": (),
+    "chaining-ab": ("--model", "bm-copula", "--weight", "pow:0.25"),
+    "monotone-d": ("--weight", "pow:0.25"),
+    "dg0-upper": ("--model", "bm-copula", "--weight", "pow:0.25"),
+    "weight-drift": ("--weight", "pow:0.25"),
+}
+
+VERIFY_DIGESTS = {
+    "wl": (0, "9ed9a4e52238d81139258d7f4afe1fa845c8794addcc031cafc3ca893e2ec7b2"),
+    "l-cond": (0, "16791c453daffcdde3e650dc9a7ab13ceb6cee62d699198802c04fc2861aa0ae"),
+    "integral": (0, "4663eac85da976c9611dbb7e2d630f8a8678a2f936ee95d4ae4dd8154cdace4d"),
+    "dyadic": (0, "9a5d401eb24dbb0781cc65fcb2f60b0129696e6442dc86da027e000a466d1fb4"),
+    "envelope": (0, "4b309fc2a15834c75ecb81e1c19aabefd491495872819ac75ac0984478dbb32b"),
+    "feller": (0, "de49450fb29bb5e54d7d71466e049ab52c2c7c1da5a8b313813038b843df716c"),
+    "borell": (0, "07cc51ea2e7172e83dcfd0eb912399b1dcf388f238ad1f180db3818fe2c15f93"),
+    "slowly-varying": (0, "bea1258015e6fe5a05608df19203fce62440c7c1e6c388cd94b4f006e4810de0"),
+    "lemma-y": (0, "138486a41ecaf1adcccb66b91ea7bc95e8611f830c8b0f0eb49df9acab754797"),
+    "lemma-m": (0, "28028012036636eed01933d19eb516a80d8f59d5364e5234d78ce2a59c6457d3"),
+    "lemma-l": (0, "17ea3fc975ebf0f40a073e680b48cdad0c30c6f56d5f309a5db282cf67d17d49"),
+    "d1": (1, "f32e1b2e0b68d9a41fdfda492e8dd1ba12b059733d8feb2f5b60ac6b837bfd0b"),
+    "d2": (1, "56a0fc79add802a04ef949ec6c33e4a7c63b0c251086a70f86760c52ca5e0c3d"),
+    "chaining-ab": (0, "9452d923c17214f4b58ade9ac5e309395ea034f55595ea1881d9ed52f8f8ee44"),
+    "monotone-d": (0, "618592977c1e322bc8069245908e3e90b8257530dfe1fe669867a1837294713e"),
+    "dg0-upper": (0, "08b9b5bb0f6ad9721dbf5cbd201c965cfd2525853468395250b585fbb2a4e05f"),
+    "weight-drift": (0, "cce6303a11257c81d752f53855e42f7a53a0f85f0b8ca34e3f229e47bfc9d744"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*skipped")
+@pytest.mark.parametrize("check", sorted(VERIFY_CASES))
+def test_verify_report_digest(tmp_path, check):
+    out = tmp_path / "r.json"
+    code = main(["verify", check, *VERIFY_CASES[check], *VERIFY_ARGS, "--out", str(out)])
+    assert (code, report_digest(out)) == VERIFY_DIGESTS[check]
+
+
+# clt marginal and cov at small sizes: (exit code, report digest, CSV digest)
+CLT_CASES = {
+    "marginal": ("--t", "1.5", "--y", "0.3", "--n", "200", "--reps", "500"),
+    "cov": ("--reps", "4", "--n-list", "100,500"),
+}
+
+CLT_DIGESTS = {
+    "marginal": (1, "5f6cd86ce92e5c088dec8b63458d855fab5f82ccffa0c6da4b5d35004caacd7d",
+                 "46228f720ddf1698d2c2210dbee4702a9bdf53bc997ad93556ab53ed76728de9"),
+    "cov": (1, "6f216bc2436433b64fa928ccc64dc306ea8e5c32d21e55618423b04d29715a0e",
+            "d14ff03da7d75917c783a174afc0c67532ce1edaf958c4ad6056c282cacab210"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CLT_CASES))
+def test_clt_report_digest(tmp_path, mode):
+    report, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    code = main(["clt", mode, "--model", "bm-copula", "--weight", "pow:0.25", "--seed", "5",
+                 "--workers", "1", *CLT_CASES[mode], "--out", str(report), "--csv", str(csv)])
+    assert (code, report_digest(report), sha256_of(csv)) == CLT_DIGESTS[mode]
