@@ -2,9 +2,13 @@
 
 Three commands: ``simulate`` writes an empirical-field CSV, ``verify``
 runs one named checker and writes a JSON report, ``clt`` runs a convergence
-harness.  Every run can emit a manifest echoing the fully resolved
-configuration; ``rerun`` replays a manifest and reproduces the reports
-(timing field aside) byte-for-byte.
+harness and writes a JSON report and a per-replication CSV.  Checks and CLT
+modes are dispatched from one table each (``CHECKS``, ``CLT``), and every
+command, typed or replayed, runs through ``run_command``.  Library reports
+carry no clock: the JSON written here adds ``wall_ms``, the wall time of the
+whole command.  Every run can emit a manifest echoing the fully resolved
+configuration; ``rerun`` replays a manifest and reproduces the outputs
+byte-for-byte apart from ``wall_ms``.
 
 Configuration: flat key-value files with sections (INI style), overridden
 by flags; flags win.  Exit codes: 0 all checks passed, 1 a check failed,
@@ -18,6 +22,7 @@ import configparser
 import dataclasses
 import json
 import sys
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,12 +39,6 @@ from .verifiers import (BoundReport, ProbeResult, borell_check, chaining_ab_chec
                         lemma_l_check, lemma_m_check, lemma_y_check,
                         prop_d1_d2_check, slowly_varying_check, wl_estimate)
 from .weights import WeightSpec, dyadic_sum, integral_condition, parse_weight
-
-CHECK_NAMES = ("wl", "l-cond", "integral", "dyadic", "envelope", "feller", "borell",
-               "slowly-varying", "lemma-y", "lemma-m", "lemma-l", "d1", "d2",
-               "chaining-ab", "monotone-d", "dg0-upper", "weight-drift")
-
-CLT_MODES = ("marginal", "cov", "sup")
 
 
 @dataclass
@@ -89,7 +88,10 @@ class RunConfig:
             raise ConfigError(f"bad numeric list for {name}: {raw!r}") from exc
 
     def int_list(self, name: str) -> list[int]:
-        return [int(v) for v in self.float_list(name)]
+        values = self.float_list(name)
+        if not all(v.is_integer() for v in values):
+            raise ConfigError(f"bad integer list for {name}: {getattr(self, name)!r}")
+        return [int(v) for v in values]
 
 
 _BOOL_FIELDS = {"unchecked"}
@@ -151,22 +153,27 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# verify dispatch
+# dispatch tables
 # ---------------------------------------------------------------------------
 
-def _wrap_rows(check: str, rows, n: int, seed: int) -> BoundReport:
-    return BoundReport(check, tuple(rows), n, seed, 0)
+def _sampling(cfg: RunConfig) -> dict:
+    """Keyword arguments shared by the Monte Carlo checks."""
+    return {"n": cfg.n, "seed": cfg.seed, "grid": cfg.grid(),
+            "workers": cfg.resolved_workers()}
 
 
-def _run_integral(cfg: RunConfig) -> BoundReport:
-    w = cfg.weight_spec()
-    verdict = integral_condition(w, cfg.float_list("c_values"))
-    rows = [ProbeResult({"c": e.c}, e.value, e.error, None, None, e.finite)
-            for e in verdict.entries]
-    return _wrap_rows("integral", rows, 0, cfg.seed)
+def _cli_report(cfg: RunConfig, rows, n: int = 0) -> BoundReport:
+    """A report of rows built here; ``run_check`` names it after its table key."""
+    return BoundReport("", tuple(rows), n, cfg.seed)
 
 
-def _run_dyadic(cfg: RunConfig) -> BoundReport:
+def _integral(cfg: RunConfig) -> BoundReport:
+    verdict = integral_condition(cfg.weight_spec(), cfg.float_list("c_values"))
+    return _cli_report(cfg, [ProbeResult({"c": e.c}, e.value, e.error, None, None, e.finite)
+                             for e in verdict.entries])
+
+
+def _dyadic(cfg: RunConfig) -> BoundReport:
     w = cfg.weight_spec()
     rows = []
     for theta in (1e-4, 1e-2, 0.2 * w.gamma):
@@ -186,35 +193,26 @@ def _run_dyadic(cfg: RunConfig) -> BoundReport:
             rows.append(ProbeResult({"theta": theta, "terms": 200, "part": "limit"},
                                     full.ratio, None, limit, None,
                                     abs(full.ratio - limit) <= 1e-10))
-    return _wrap_rows("dyadic", rows, 0, cfg.seed)
+    return _cli_report(cfg, rows)
 
 
-def _run_monotone_d(cfg: RunConfig) -> BoundReport:
+def _sampled_violation(cfg: RunConfig, check, label: str, stream: int, width: int,
+                       ordered: bool) -> BoundReport:
+    """One row: ``check`` on 1000 draws of ``width`` points in the weight's window."""
     w = cfg.weight_spec()
-    rng = parallel.derive_rng(cfg.seed, 97)
-    triples = np.sort(rng.uniform(1e-6, w.gamma, size=(1000, 3)), axis=1)
-    report = check_distance_monotone(w, [tuple(t) for t in triples])
-    row = ProbeResult({"triples": 1000, "violation": report.violation}, None, None, None,
-                      None, report.passed)
-    return _wrap_rows("monotone-d", [row], 0, cfg.seed)
+    draws = parallel.derive_rng(cfg.seed, stream).uniform(1e-6, w.gamma, size=(1000, width))
+    if ordered:
+        draws = np.sort(draws, axis=1)
+    report = check(w, [tuple(d) for d in draws])
+    row = ProbeResult({label: 1000, "violation": report.violation}, None, None, None, None,
+                      report.passed)
+    return _cli_report(cfg, [row])
 
 
-def _run_weight_drift(cfg: RunConfig) -> BoundReport:
-    w = cfg.weight_spec()
-    rng = parallel.derive_rng(cfg.seed, 98)
-    pairs = rng.uniform(1e-6, w.gamma, size=(1000, 2))
-    report = weight_drift_check(w, [tuple(p) for p in pairs])
-    row = ProbeResult({"pairs": 1000, "violation": report.violation}, None, None, None,
-                      None, report.passed)
-    return _wrap_rows("weight-drift", [row], 0, cfg.seed)
-
-
-def _run_dg0_upper(cfg: RunConfig) -> BoundReport:
+def _dg0_upper(cfg: RunConfig) -> BoundReport:
     model = cfg.model_spec()
     w = cfg.weight_spec()
-    grid = cfg.grid()
-    wl = wl_estimate(model, w, cfg.theta, n=cfg.n, seed=cfg.seed, grid=grid,
-                     workers=cfg.resolved_workers())
+    wl = wl_estimate(model, w, cfg.theta, **_sampling(cfg))
     ts = np.linspace(cfg.a, cfg.b, 5)
     xs = (0.2, 0.5, 0.8)
     probes = [(s, x, t, y) for s in ts for t in ts for x in xs for y in xs]
@@ -222,83 +220,82 @@ def _run_dg0_upper(cfg: RunConfig) -> BoundReport:
     rows = [ProbeResult({"stat": "l_hat"}, wl.l_hat, None, None, None, True),
             ProbeResult({"probes": len(probes), "violation": report.violation},
                         None, None, None, None, report.passed)]
-    return _wrap_rows("dg0-upper", rows, cfg.n, cfg.seed)
+    return _cli_report(cfg, rows, cfg.n)
 
 
-def _run_d1_or_d2(cfg: RunConfig, event: str) -> BoundReport:
-    full = prop_d1_d2_check(n=cfg.n, seed=cfg.seed, grid=cfg.grid(),
-                            workers=cfg.resolved_workers())
-    rows = [p for p in full.probes if p.coords.get("event") in (event, None)]
-    return BoundReport(event, tuple(rows), full.n, full.seed, full.wall_ms)
+def _event(cfg: RunConfig, event: str) -> BoundReport:
+    """The d1/d2 sweep keeping the rows of one event and the shared ones."""
+    full = prop_d1_d2_check(**_sampling(cfg))
+    return dataclasses.replace(full, probes=tuple(
+        p for p in full.probes if p.coords.get("event") in (event, None)))
+
+
+CHECKS = {
+    "wl": lambda cfg: wl_estimate(cfg.model_spec(), cfg.weight_spec(), cfg.theta,
+                                  **_sampling(cfg)).to_bound_report(),
+    "l-cond": lambda cfg: l_condition_estimate(cfg.model_spec(), cfg.theta,
+                                               [(cfg.t, e) for e in (0.55, 0.7, 1.1)],
+                                               **_sampling(cfg)),
+    "integral": _integral,
+    "dyadic": _dyadic,
+    "envelope": lambda cfg: envelope_check(cfg.model_spec(), cfg.weight_spec(),
+                                           **_sampling(cfg)),
+    "feller": lambda cfg: feller_sandwich(),
+    "borell": lambda cfg: borell_check(**_sampling(cfg)),
+    "slowly-varying": lambda cfg: slowly_varying_check(cfg.weight_spec()),
+    "lemma-y": lambda cfg: lemma_y_check(),
+    "lemma-m": lambda cfg: lemma_m_check(n=max(cfg.n, 1000), seed=cfg.seed, grid=cfg.grid(),
+                                         workers=cfg.resolved_workers()),
+    "lemma-l": lambda cfg: lemma_l_check(**_sampling(cfg)),
+    "d1": lambda cfg: _event(cfg, "d1"),
+    "d2": lambda cfg: _event(cfg, "d2"),
+    "chaining-ab": lambda cfg: chaining_ab_check(cfg.model_spec(), cfg.weight_spec(),
+                                                 cfg.theta, **_sampling(cfg)),
+    "monotone-d": lambda cfg: _sampled_violation(cfg, check_distance_monotone, "triples",
+                                                 97, 3, ordered=True),
+    "dg0-upper": _dg0_upper,
+    "weight-drift": lambda cfg: _sampled_violation(cfg, weight_drift_check, "pairs",
+                                                   98, 2, ordered=False),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run_check(check: str, cfg: RunConfig) -> BoundReport:
-    workers = cfg.resolved_workers()
-    if check == "wl":
-        return wl_estimate(cfg.model_spec(), cfg.weight_spec(), cfg.theta, n=cfg.n,
-                           seed=cfg.seed, grid=cfg.grid(), workers=workers).to_bound_report()
-    if check == "l-cond":
-        probes = [(cfg.t, e) for e in (0.55, 0.7, 1.1)]
-        return l_condition_estimate(cfg.model_spec(), cfg.theta, probes, n=cfg.n,
-                                    seed=cfg.seed, grid=cfg.grid(), workers=workers)
-    if check == "integral":
-        return _run_integral(cfg)
-    if check == "dyadic":
-        return _run_dyadic(cfg)
-    if check == "envelope":
-        return envelope_check(cfg.model_spec(), cfg.weight_spec(), n=cfg.n, seed=cfg.seed,
-                              grid=cfg.grid(), workers=workers)
-    if check == "feller":
-        return feller_sandwich()
-    if check == "borell":
-        return borell_check(n=cfg.n, seed=cfg.seed, grid=cfg.grid(), workers=workers)
-    if check == "slowly-varying":
-        return slowly_varying_check(cfg.weight_spec())
-    if check == "lemma-y":
-        return lemma_y_check()
-    if check == "lemma-m":
-        return lemma_m_check(n=max(cfg.n, 1000), seed=cfg.seed, grid=cfg.grid(),
-                             workers=workers)
-    if check == "lemma-l":
-        return lemma_l_check(n=cfg.n, seed=cfg.seed, grid=cfg.grid(), workers=workers)
-    if check == "d1":
-        return _run_d1_or_d2(cfg, "d1")
-    if check == "d2":
-        return _run_d1_or_d2(cfg, "d2")
-    if check == "chaining-ab":
-        return chaining_ab_check(cfg.model_spec(), cfg.weight_spec(), cfg.theta, n=cfg.n,
-                                 seed=cfg.seed, grid=cfg.grid(), workers=workers)
-    if check == "monotone-d":
-        return _run_monotone_d(cfg)
-    if check == "dg0-upper":
-        return _run_dg0_upper(cfg)
-    if check == "weight-drift":
-        return _run_weight_drift(cfg)
-    raise ConfigError(f"unknown check {check!r}")
+    if check not in CHECKS:
+        raise ConfigError(f"unknown check {check!r}")
+    return dataclasses.replace(CHECKS[check](cfg), check=check)
+
+
+def _clt_marginal(cfg: RunConfig, model: ProcessModel, w: WeightSpec):
+    res = clt_marginal_test(model, w, cfg.t, cfg.y, cfg.n, cfg.reps, cfg.seed,
+                            cfg.resolved_workers())
+    return res.to_bound_report(), [(r, float(v)) for r, v in enumerate(res.values)], "rep,nu"
+
+
+def _clt_cov(cfg: RunConfig, model: ProcessModel, w: WeightSpec):
+    cells = [(t, y) for t in cfg.float_list("times") for y in cfg.float_list("levels")]
+    res = clt_covariance_convergence(model, w, cells, cfg.int_list("n_list"), cfg.reps,
+                                     cfg.seed, workers=cfg.resolved_workers())
+    return res.to_bound_report(), list(zip(res.n_list, res.distances)), "n,frobenius_distance"
+
+
+def _clt_sup(cfg: RunConfig, model: ProcessModel, w: WeightSpec):
+    res = clt_sup_comparison(model, w, cfg.float_list("times"), cfg.float_list("levels"),
+                             cfg.n, cfg.reps, cfg.seed, cfg.resolved_workers())
+    rows = [(r, float(e), float(l)) for r, (e, l) in
+            enumerate(zip(res.empirical_sups, res.limit_sups))]
+    return res.to_bound_report(), rows, "rep,empirical_sup,limit_sup"
+
+
+CLT = {"marginal": _clt_marginal, "cov": _clt_cov, "sup": _clt_sup}
+CLT_MODES = tuple(CLT)
 
 
 def run_clt(mode: str, cfg: RunConfig):
     """Returns (BoundReport, csv_rows, csv_header)."""
-    workers = cfg.resolved_workers()
-    model = cfg.model_spec()
-    w = cfg.weight_spec()
-    if mode == "marginal":
-        res = clt_marginal_test(model, w, cfg.t, cfg.y, cfg.n, cfg.reps, cfg.seed, workers)
-        rows = [(r, float(v)) for r, v in enumerate(res.values)]
-        return res.to_bound_report(), rows, "rep,nu"
-    if mode == "cov":
-        cells = [(t, y) for t in cfg.float_list("times") for y in cfg.float_list("levels")]
-        res = clt_covariance_convergence(model, w, cells, cfg.int_list("n_list"),
-                                         cfg.reps, cfg.seed, workers=workers)
-        rows = list(zip(res.n_list, res.distances))
-        return res.to_bound_report(), rows, "n,frobenius_distance"
-    if mode == "sup":
-        res = clt_sup_comparison(model, w, cfg.float_list("times"), cfg.float_list("levels"),
-                                 cfg.n, cfg.reps, cfg.seed, workers)
-        rows = [(r, float(e), float(l)) for r, (e, l) in
-                enumerate(zip(res.empirical_sups, res.limit_sups))]
-        return res.to_bound_report(), rows, "rep,empirical_sup,limit_sup"
-    raise ConfigError(f"unknown clt mode {mode!r}")
+    if mode not in CLT:
+        raise ConfigError(f"unknown clt mode {mode!r}")
+    return CLT[mode](cfg, cfg.model_spec(), cfg.weight_spec())
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_simulate(cfg: RunConfig, out: str, manifest: Optional[str]) -> int:
-    if cfg.model is None:
-        raise ConfigError("--model is required for simulate")
+def _simulate(cfg: RunConfig, out: str) -> int:
     if not 0.0 < cfg.clip < 0.5:
         raise ConfigError("--clip must lie in (0, 0.5)")
     levels = np.linspace(cfg.clip, 1.0 - cfg.clip, cfg.level_points)
@@ -405,32 +400,33 @@ def _cmd_simulate(cfg: RunConfig, out: str, manifest: Optional[str]) -> int:
                                      cfg.n, cfg.seed, clip=cfg.clip,
                                      workers=cfg.resolved_workers())
     export_field_csv(field, out)
-    if manifest:
-        write_manifest(manifest, "simulate", None, cfg, {"out": out})
     return 0
 
 
-def _cmd_verify(check: str, cfg: RunConfig, out: Optional[str],
-                manifest: Optional[str]) -> int:
-    report = run_check(check, cfg)
-    write_json(report.to_json(), out)
-    if manifest:
-        write_manifest(manifest, "verify", check, cfg, {"out": out})
+def run_command(command: str, sub: Optional[str], cfg: RunConfig, outputs: dict) -> int:
+    """Run one command and write its outputs; returns the exit code.
+
+    ``verify`` and ``clt`` write the report JSON, stamped with the command's
+    wall time in ``wall_ms``; ``clt`` also writes the per-replication CSV.
+    """
+    t0 = time.monotonic()
+    if command == "simulate":
+        return _simulate(cfg, outputs.get("out", "field.csv"))
+    if command == "verify":
+        report, rows, header = run_check(sub, cfg), None, None
+    elif command == "clt":
+        report, rows, header = run_clt(sub, cfg)
+    else:
+        raise ConfigError(f"unknown command {command!r}")
+    payload = report.to_json()
+    payload["wall_ms"] = int((time.monotonic() - t0) * 1000.0)
+    write_json(payload, outputs.get("out"))
+    if rows is not None and outputs.get("csv"):
+        write_csv(rows, header, outputs["csv"])
     return 0 if report.passed else 1
 
 
-def _cmd_clt(mode: str, cfg: RunConfig, out: Optional[str], csv: Optional[str],
-             manifest: Optional[str]) -> int:
-    report, rows, header = run_clt(mode, cfg)
-    write_json(report.to_json(), out)
-    if csv:
-        write_csv(rows, header, csv)
-    if manifest:
-        write_manifest(manifest, "clt", mode, cfg, {"out": out, "csv": csv})
-    return 0 if report.passed else 1
-
-
-def _cmd_rerun(manifest_path: str) -> int:
+def _rerun(manifest_path: str) -> int:
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -443,36 +439,27 @@ def _cmd_rerun(manifest_path: str) -> int:
         outputs = manifest.get("outputs", {})
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed manifest {manifest_path}: {exc}") from exc
-    if command == "simulate":
-        return _cmd_simulate(cfg, outputs.get("out", "field.csv"), None)
-    if command == "verify":
-        return _cmd_verify(sub, cfg, outputs.get("out"), None)
-    if command == "clt":
-        return _cmd_clt(sub, cfg, outputs.get("out"), outputs.get("csv"), None)
-    raise ConfigError(f"manifest carries unknown command {command!r}")
+    return run_command(command, sub, cfg, outputs)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "rerun":
-            return _cmd_rerun(args.manifest)
+            return _rerun(args.manifest)
         cfg = resolve_config(args)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, args.out, args.manifest)
-        if args.command == "verify":
-            return _cmd_verify(args.check, cfg, args.out, args.manifest)
-        if args.command == "clt":
-            return _cmd_clt(args.mode, cfg, args.out, args.csv, args.manifest)
-        parser.error(f"unknown command {args.command!r}")
+        sub = getattr(args, "check", None) or getattr(args, "mode", None)
+        outputs = {k: getattr(args, k) for k in ("out", "csv") if hasattr(args, k)}
+        code = run_command(args.command, sub, cfg, outputs)
+        if args.manifest:
+            write_manifest(args.manifest, args.command, sub, cfg, outputs)
+        return code
     except (ConfigError, DomainError, UnsupportedModelError) as exc:
         print(f"weplab: error: {exc}", file=sys.stderr)
         return 2
     except WeplabError as exc:
         print(f"weplab: error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -96,6 +96,11 @@ class TimeGrid:
         r = radius * (1.0 + 1e-9) + 1e-15
         return np.flatnonzero(np.abs(self.points - t) <= r)
 
+    def forward_indices(self, t: float, eps: float) -> np.ndarray:
+        """Grid indices with t < s <= t + eps, with a relative slack guard."""
+        pts = self.points
+        return np.flatnonzero((pts > t) & (pts <= t + eps * (1.0 + 1e-9)))
+
 
 @dataclass(frozen=True)
 class ProcessModel:
@@ -312,14 +317,12 @@ def envelope_statistics(grid: TimeGrid, n: int, seed: int,
     """Estimate forward-increment suprema means and the scaled-path sup mean."""
     if n < 1000:
         raise DomainError("envelope statistics need n >= 1000")
-    pts = grid.points
-    sqrt_pts = np.sqrt(pts)
+    sqrt_pts = np.sqrt(grid.points)
     windows = []
     for t in t_values:
         it = grid.index_of(t)
         for eps in eps_values:
-            sel = np.flatnonzero((pts > t) & (pts <= t + eps * (1.0 + 1e-9)))
-            windows.append((float(t), float(eps), it, sel))
+            windows.append((float(t), float(eps), it, grid.forward_indices(t, eps)))
 
     def block_stats(b: np.ndarray):
         scaled = b / sqrt_pts

@@ -1,17 +1,20 @@
 """Monte Carlo and closed-form certification of the testable bounds.
 
 Existential constants are never hard-coded: each probability verifier
-reports the implied constant (estimate divided by the bound shape) and
-checks shape stability across its probe sweep.  One-sided Monte Carlo
-tolerance is fixed at three standard errors throughout; determinism comes
-from the block-seeded samplers, so a report is reproducible byte-for-byte
-at a pinned seed for any worker count.
+reports the implied constant (estimate divided by the bound shape); the
+d1/d2 verifier also checks its stability across eps.  One-sided Monte Carlo
+tolerance is fixed at three standard errors throughout.
+
+Every checker returns a ``BoundReport`` (the CLT harnesses a result with a
+``to_bound_report``).  Reports carry no clock and determinism comes from the
+block-seeded samplers, so ``to_json()`` is byte-identical across reruns and
+worker counts at a pinned seed; timing is the caller's business.  A sweep
+that evaluates none of its probes adds a failing ``evaluated_probes`` row.
 """
 
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -69,7 +72,6 @@ class BoundReport:
     probes: tuple[ProbeResult, ...]
     n: int
     seed: int
-    wall_ms: int
 
     @property
     def passed(self) -> bool:
@@ -77,15 +79,22 @@ class BoundReport:
 
     def to_json(self) -> dict:
         return {"check": self.check, "probes": [p.to_json() for p in self.probes],
-                "n": self.n, "seed": self.seed, "wall_ms": self.wall_ms}
+                "n": self.n, "seed": self.seed}
 
 
 def _freq_stderr(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _report(check: str, probes: Sequence[ProbeResult], n: int, seed: int, t0: float) -> BoundReport:
-    return BoundReport(check, tuple(probes), n, seed, int((time.monotonic() - t0) * 1000.0))
+def _implied_constant(p: float, shape: float) -> float:
+    """Frequency over bound shape; a zero shape implies 0 for p = 0, else inf."""
+    return p / shape if shape > 0.0 else (0.0 if p == 0.0 else math.inf)
+
+
+def _fail_if_none_evaluated(rows: list, evaluated: int) -> None:
+    """A report that evaluates no probe does not pass: add one failing row."""
+    if evaluated == 0:
+        rows.append(ProbeResult({"stat": "evaluated_probes"}, 0, None, 1, None, False))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +144,6 @@ class WLReport:
     theta: float
     model: str
     weight: str
-    wall_ms: int
 
     @property
     def refinement_ratio(self) -> float:
@@ -157,7 +165,8 @@ class WLReport:
                             ("refinement_ratio", self.refinement_ratio)):
             rows.append(ProbeResult({"stat": name}, value if math.isfinite(value) else None,
                                     None, None, None, True))
-        return BoundReport("wl", tuple(rows), self.n, self.seed, self.wall_ms)
+        _fail_if_none_evaluated(rows, len(self.probes_coarse) + len(self.probes_fine))
+        return BoundReport("wl", tuple(rows), self.n, self.seed)
 
 
 def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, workers,
@@ -218,7 +227,6 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
         raise DomainError("theta must exceed 4")
     grid = grid or TimeGrid.uniform()
     probes = list(probes) if probes is not None else default_wl_probes()
-    t0 = time.monotonic()
     coarse, skipped = _wl_sweep(model, w, theta, probes, grid, n, seed, workers, (0,))
     fine, skipped_f = _wl_sweep(model, w, theta, probes, grid.refined(), n, seed, workers, (1,))
     l_hat = max((p.l_contrib for p in coarse), default=0.0)
@@ -227,8 +235,7 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
     l_st = max((p.freq_st * float(w(p.x)) ** 2 / p.eps ** 2 for p in coarse), default=0.0)
     return WLReport(tuple(coarse), tuple(fine), l_hat, l_fine, l_ts, l_st,
                     tuple(skipped) + tuple(skipped_f), n, seed, theta,
-                    model.describe(), w.describe(),
-                    int((time.monotonic() - t0) * 1000.0))
+                    model.describe(), w.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +255,6 @@ def l_condition_estimate(model: ProcessModel, theta: float,
     if not theta > 4.0:
         raise DomainError("theta must exceed 4")
     grid = grid or TimeGrid.uniform()
-    t0 = time.monotonic()
     prepared = []
     rows = []
     for t, eps in probes:
@@ -289,7 +295,8 @@ def l_condition_estimate(model: ProcessModel, theta: float,
             p = c / n
             rows.append(ProbeResult({"t": t, "eps": eps, "ball_points": int(ball.size)},
                                     p, _freq_stderr(p, n), None, p / eps ** 2, True))
-    return _report("l-cond", rows, n, seed, t0)
+    _fail_if_none_evaluated(rows, len(prepared))
+    return BoundReport("l-cond", tuple(rows), n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +320,6 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
     lams = sorted(float(v) for v in lambdas)
     if len(lams) < 3:
         raise DomainError("need at least three lambda values")
-    t0 = time.monotonic()
     want_cross = model.kind == BM_COPULA and w.alpha > 0.0
 
     def block_fn(vals):
@@ -350,7 +356,7 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
                                  "d_env": stats.d_env},
                                 est, se, bound, est / bound if bound > 0 else None,
                                 est <= bound + MC_SIGMA * se))
-    return _report("envelope", rows, n, seed, t0)
+    return BoundReport("envelope", tuple(rows), n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +368,6 @@ DEFAULT_FELLER_Y = (1.5, 2.0, 3.0, 4.0, 5.0)
 
 def feller_sandwich(y_values: Sequence[float] = DEFAULT_FELLER_Y) -> BoundReport:
     """Tail sandwich for the normal df: deterministic, no sampling."""
-    t0 = time.monotonic()
     rows = []
     for y in y_values:
         y = float(y)
@@ -383,7 +388,7 @@ def feller_sandwich(y_values: Sequence[float] = DEFAULT_FELLER_Y) -> BoundReport
             gap = (upper - lower) / tail
             rows.append(ProbeResult({"y": y, "part": "relative-gap"}, gap, None,
                                     4.0 / (y * y), None, gap < 4.0 / (y * y)))
-    return _report("feller", rows, 0, 0, t0)
+    return BoundReport("feller", tuple(rows), 0, 0)
 
 
 DEFAULT_LEMMA_Y_X = (0.01, 0.05, 0.1, 0.2, 0.2499)
@@ -393,7 +398,6 @@ DEFAULT_LEMMA_Y_C = (0.0, 0.5, 1.0)
 def lemma_y_check(x_values: Sequence[float] = DEFAULT_LEMMA_Y_X,
                   c_values: Sequence[float] = DEFAULT_LEMMA_Y_C) -> BoundReport:
     """Quantile-versus-log bound and the shifted-density bound, pointwise."""
-    t0 = time.monotonic()
     rows = []
     for x in x_values:
         x = float(x)
@@ -410,7 +414,7 @@ def lemma_y_check(x_values: Sequence[float] = DEFAULT_LEMMA_Y_X,
             bound = 2.0 ** 1.5 * x * math.sqrt(math.log(1.0 / x))
             rows.append(ProbeResult({"x": x, "c": c, "part": "shifted-density"},
                                     val, None, bound, val / bound, val <= bound))
-    return _report("lemma-y", rows, 0, 0, t0)
+    return BoundReport("lemma-y", tuple(rows), 0, 0)
 
 
 DEFAULT_SLOWLY_VARYING_LAMBDAS = (0.5, 2.0, 10.0)
@@ -433,7 +437,6 @@ def slowly_varying_check(w: WeightSpec,
     sequence and land within a per-lambda cap; x^gamma L(x) must decrease to
     below the tail cap.  Caps are configuration, documented above.
     """
-    t0 = time.monotonic()
     xs = sorted((float(v) for v in x_values), reverse=True)  # marching toward 0
     rows = []
     for lam in lambdas:
@@ -458,7 +461,7 @@ def slowly_varying_check(w: WeightSpec,
     rows.append(ProbeResult({"gamma": gamma_exp, "part": "tail-limit"}, tail[-1], None,
                             SLOWLY_VARYING_TAIL_TOL, None,
                             monotone and tail[-1] <= SLOWLY_VARYING_TAIL_TOL))
-    return _report("slowly-varying", rows, 0, 0, t0)
+    return BoundReport("slowly-varying", tuple(rows), 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +480,6 @@ def borell_check(r_values: Sequence[float] = DEFAULT_BORELL_R, n: int = 100_000,
     variance constant is 1 on any grid inside [1, 2].
     """
     grid = grid or TimeGrid.uniform()
-    t0 = time.monotonic()
     sqrt_pts = np.sqrt(grid.points)
 
     def sup_sums(b):
@@ -506,7 +508,7 @@ def borell_check(r_values: Sequence[float] = DEFAULT_BORELL_R, n: int = 100_000,
         bound = math.exp(-r * r / 2.0)
         rows.append(ProbeResult({"r": r}, p, se, bound, p / bound,
                                 p <= bound + MC_SIGMA * se))
-    return _report("borell", rows, n, seed, t0)
+    return BoundReport("borell", tuple(rows), n, seed)
 
 
 DEFAULT_LEMMA_M_T = (1.0, 1.5, 2.0)
@@ -519,7 +521,6 @@ def lemma_m_check(n: int = 20_000, seed: int = 0, grid: Optional[TimeGrid] = Non
                   workers: int = 1) -> BoundReport:
     """Forward-increment sup means against 2 sqrt(2/pi) sqrt(eps)."""
     grid = grid or TimeGrid.uniform()
-    t0 = time.monotonic()
     stats = envelope_statistics(grid, n, seed, t_values, eps_values, workers)
     rows = []
     for (t, eps), (m_hat, se, pts) in sorted(stats.m_table.items()):
@@ -531,7 +532,7 @@ def lemma_m_check(n: int = 20_000, seed: int = 0, grid: Optional[TimeGrid] = Non
     rows.append(ProbeResult({"stat": "m0_hat"}, stats.m0_hat, None, None, None, True))
     rows.append(ProbeResult({"stat": "d_env"}, stats.d_env, stats.d_env_stderr, None, None,
                             stats.d_env > MC_SIGMA * stats.d_env_stderr))
-    return _report("lemma-m", rows, n, seed, t0)
+    return BoundReport("lemma-m", tuple(rows), n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +571,6 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
             raise DomainError("x must lie in (0, 1/4)")
         if not (0.0 <= eps <= 0.5):
             raise DomainError("eps must lie in [0, 1/2]")
-    t0 = time.monotonic()
     if m0_hat is None:
         m0_hat = _m0_default(grid, seed, workers)
 
@@ -590,7 +590,7 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
                  ** (t / (t + eps)))
         for name, c in (("d1", c_d1), ("d2", c_d2)):
             p = c / n
-            c_hat = p / shape if shape > 0.0 else (0.0 if p == 0.0 else math.inf)
+            c_hat = _implied_constant(p, shape)
             rows.append(ProbeResult({"event": name, "t": t, "eps": eps, "x": x},
                                     p, _freq_stderr(p, n), shape, c_hat, math.isfinite(c_hat)))
             c_hats.setdefault((name, x), {})[eps] = c_hat
@@ -606,7 +606,7 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
                                 ratio if math.isfinite(ratio) else None, None,
                                 stability_threshold, None, ratio < stability_threshold))
     rows.append(ProbeResult({"stat": "m0_hat"}, m0_hat, None, None, None, True))
-    return _report("d1-d2", rows, n, seed, t0)
+    return BoundReport("d1-d2", tuple(rows), n, seed)
 
 
 DEFAULT_LEMMA_L_PROBES = ((1.0, 0.25, 1.5), (1.5, 0.25, 1.5), (1.0, 0.1, 1.2),
@@ -622,19 +622,13 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
     shape is sqrt(eps) phi(l - m0)^((t+eps)/(t+2 eps)).
     """
     grid = grid or TimeGrid.uniform()
-    t0 = time.monotonic()
     if m0_hat is None:
         m0_hat = _m0_default(grid, seed, workers)
     for _t, _e, l in probes:
         if l <= m0_hat:
             raise DomainError(f"level {l} must exceed the measured mean {m0_hat:.4f}")
-    pts = grid.points
-    sqrt_pts = np.sqrt(pts)
-    prepared = []
-    for t, eps, l in probes:
-        it = grid.index_of(t)
-        window = np.flatnonzero((pts > t) & (pts <= t + eps * (1.0 + 1e-9)))
-        prepared.append((it, window, l))
+    sqrt_pts = np.sqrt(grid.points)
+    prepared = [(grid.index_of(t), grid.forward_indices(t, eps), l) for t, eps, l in probes]
 
     def block_fn(b):
         scaled = b / sqrt_pts
@@ -652,10 +646,10 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
     for (t, eps, l), c in zip(probes, counts):
         p = c / n
         shape = math.sqrt(eps) * std_normal_pdf(l - m0_hat) ** ((t + eps) / (t + 2.0 * eps))
-        c_hat = p / shape if shape > 0.0 else (0.0 if p == 0.0 else math.inf)
+        c_hat = _implied_constant(p, shape)
         rows.append(ProbeResult({"t": t, "eps": eps, "l": l}, p, _freq_stderr(p, n),
                                 shape, c_hat, math.isfinite(c_hat)))
-    return _report("lemma-l", rows, n, seed, t0)
+    return BoundReport("lemma-l", tuple(rows), n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +676,6 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
     for _t, _e, a, b in probes:
         if not (0.0 < a < b < w.gamma):
             raise DomainError("need 0 < a < b < gamma for every probe")
-    t0 = time.monotonic()
     if l_hat is None:
         l_hat = wl_estimate(model, w, theta, n=n, seed=seed, grid=grid, workers=workers).l_hat
 
@@ -716,7 +709,7 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
         bound = ratio * l_hat * eps ** 2 / (wb * wb) + (b - a)
         rows.append(ProbeResult({"t": t, "eps": eps, "a": a, "b": b, "dyadic_ratio": ratio},
                                 p, se, bound, None, p <= bound + MC_SIGMA * se))
-    return _report("chaining-ab", rows, n, seed, t0)
+    return BoundReport("chaining-ab", tuple(rows), n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +729,6 @@ class MarginalCltResult:
     n: int
     reps: int
     seed: int
-    wall_ms: int
 
     @property
     def ks_passed(self) -> bool:
@@ -758,7 +750,7 @@ class MarginalCltResult:
             ProbeResult({"stat": "mean"}, self.rep_mean, self.rep_mean_stderr, 0.0, None,
                         abs(self.rep_mean) <= 4.0 * self.rep_mean_stderr),
         ]
-        return BoundReport("clt-marginal", tuple(rows), self.n, self.seed, self.wall_ms)
+        return BoundReport("clt-marginal", tuple(rows), self.n, self.seed)
 
 
 def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
@@ -771,7 +763,6 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
     grid = TimeGrid(np.array([float(t)]))
     wy = float(w(y))
     sigma = wy * math.sqrt(y * (1.0 - y))
-    t0 = time.monotonic()
     values = np.empty(reps)
 
     def rep_job(idx, start, stop):
@@ -792,8 +783,7 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
     loo = (np.sum((values - mean) ** 2) - (values - mean) ** 2 * reps / (reps - 1.0)) / (reps - 2.0)
     var_se = float(math.sqrt((reps - 1.0) / reps * np.sum((loo - np.mean(loo)) ** 2)))
     return MarginalCltResult(ks, ks_critical_one_sample(reps), mean, mean_se, var, var_se,
-                             sigma * sigma, values, n, reps, seed,
-                             int((time.monotonic() - t0) * 1000.0))
+                             sigma * sigma, values, n, reps, seed)
 
 
 @dataclass(frozen=True)
@@ -804,7 +794,6 @@ class CovarianceCltResult:
     threshold: float
     reps: int
     seed: int
-    wall_ms: int
 
     @property
     def passed(self) -> bool:
@@ -816,7 +805,7 @@ class CovarianceCltResult:
                 for n, d in zip(self.n_list, self.distances)]
         rows.append(ProbeResult({"stat": "final-distance"}, self.distances[-1], None,
                                 self.threshold, None, self.passed))
-        return BoundReport("clt-cov", tuple(rows), self.n_list[-1], self.seed, self.wall_ms)
+        return BoundReport("clt-cov", tuple(rows), self.n_list[-1], self.seed)
 
 
 def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
@@ -831,10 +820,11 @@ def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
     """
     cells = [(float(t), float(y)) for t, y in cells]
     n_list = sorted(int(v) for v in n_list)
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise DomainError("n_list must hold at least one sample size, with no repeats")
     times = sorted({t for t, _ in cells})
     grid = TimeGrid(np.array(times))
     target = _covariance_target(model, cells, w)
-    t0 = time.monotonic()
     dists = []
     for i, n in enumerate(n_list):
         acc = accumulate_cell_moments(model, cells, grid, n * reps, seed,
@@ -842,7 +832,7 @@ def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
         est = covariance_from_moments(acc, cells, w, centered=True)
         dists.append(float(np.linalg.norm(est - target)))
     return CovarianceCltResult(tuple(cells), tuple(n_list), tuple(dists), threshold,
-                               reps, seed, int((time.monotonic() - t0) * 1000.0))
+                               reps, seed)
 
 
 def _covariance_target(model: ProcessModel, cells, w: WeightSpec) -> np.ndarray:
@@ -865,7 +855,6 @@ class SupCltResult:
     n: int
     reps: int
     seed: int
-    wall_ms: int
 
     @property
     def passed(self) -> bool:
@@ -874,7 +863,7 @@ class SupCltResult:
     def to_bound_report(self) -> BoundReport:
         rows = [ProbeResult({"stat": "two-sample-ks"}, self.ks, None, self.ks_critical,
                             None, self.passed)]
-        return BoundReport("clt-sup", tuple(rows), self.n, self.seed, self.wall_ms)
+        return BoundReport("clt-sup", tuple(rows), self.n, self.seed)
 
 
 def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float],
@@ -885,7 +874,6 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
     levels = np.asarray(sorted(levels), dtype=float)
     cells = [(float(t), float(y)) for t in grid.points for y in levels]
     limit = build_limit_model(model, cells, w, centered=True)
-    t0 = time.monotonic()
     emp = np.empty(reps)
     clip = min(float(levels[0]), 1.0 - float(levels[-1]))
 
@@ -900,5 +888,4 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
     lim_draws = sample_limit_field(limit, reps, seed, workers=workers)
     lim = np.max(np.abs(lim_draws), axis=1)
     ks = ks_statistic_two_sample(emp, lim)
-    return SupCltResult(ks, ks_critical_two_sample(reps, reps), emp, lim, n, reps, seed,
-                        int((time.monotonic() - t0) * 1000.0))
+    return SupCltResult(ks, ks_critical_two_sample(reps, reps), emp, lim, n, reps, seed)

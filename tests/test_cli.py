@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from weplab.cli import main
+from weplab.verifiers import feller_sandwich
 
 PINNED_SEED = 20260810
 
@@ -70,10 +71,28 @@ class TestExitCodes:
          "--t", "nan"),
         ("verify", "wl", "--model", "bm-copula", "--n", "100", "--theta", "nan"),
         ("verify", "l-cond", "--model", "bm-copula", "--n", "100", "--theta", "nan"),
+        ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", "nan"),
+        ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", ","),
+        ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", "100,100"),
     ])
     def test_bad_input_is_two(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
         assert "weplab: error:" in capsys.readouterr().err
+
+
+    @pytest.mark.filterwarnings("ignore:.*skipped")
+    @pytest.mark.parametrize("argv", [
+        # theta = 1000 shrinks every time ball of the 36 WL probes to its centre
+        ("wl", "--theta", "1000"),
+        # on the grid {1.5, 100} no l-cond ball (radius at most 1.1^5) holds a second time
+        ("l-cond", "--a", "1.5", "--b", "100", "--time-points", "2", "--t", "1.5"),
+    ])
+    def test_no_evaluated_probe_is_one(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        assert run_cli("verify", *argv, "--model", "bm-copula", "--n", "200",
+                       "--out", str(out)) == 1
+        failed = [p for p in load_without_timing(out)["probes"] if not p["pass"]]
+        assert [p["coords"] for p in failed] == [{"stat": "evaluated_probes"}]
 
 
 class TestSimulate:
@@ -111,6 +130,15 @@ class TestVerifyReports:
         assert set(payload) == {"check", "probes", "n", "seed", "wall_ms"}
         for probe in payload["probes"]:
             assert set(probe) == {"coords", "estimate", "stderr", "bound", "c_hat", "pass"}
+
+    def test_only_the_cli_stamps_wall_ms(self, tmp_path):
+        assert "wall_ms" not in feller_sandwich().to_json()
+        out = tmp_path / "r.json"
+        assert run_cli("verify", "dg0-upper", "--model", "bm-copula", "--weight", "pow:0.25",
+                       "--n", "2000", "--seed", "1", "--out", str(out)) == 0
+        wall_ms = json.loads(out.read_text())["wall_ms"]
+        # the command runs a full WL sweep, so its wall time is not 0 ms
+        assert isinstance(wall_ms, int) and wall_ms >= 1
 
     def test_d1_report_carries_no_d2_rows(self, tmp_path):
         out = tmp_path / "r.json"
@@ -167,6 +195,17 @@ class TestManifests:
         assert payload["command"] == "verify"
         assert payload["subcommand"] == "feller"
         assert payload["config"]["seed"] == 9
+
+    @pytest.mark.parametrize("key", ["command", "subcommand"])
+    def test_unknown_name_in_manifest_is_two(self, tmp_path, capsys, key):
+        manifest = tmp_path / "m.json"
+        assert run_cli("verify", "feller", "--out", str(tmp_path / "r.json"),
+                       "--manifest", str(manifest)) == 0
+        payload = json.loads(manifest.read_text())
+        payload[key] = "not-a-name"
+        manifest.write_text(json.dumps(payload))
+        assert run_cli("rerun", "--manifest", str(manifest)) == 2
+        assert "not-a-name" in capsys.readouterr().err
 
     def test_simulate_manifest_round_trip(self, tmp_path):
         out = tmp_path / "f.csv"
