@@ -18,7 +18,7 @@ import numpy as np
 
 from . import parallel
 from .errors import DomainError
-from .models import ProcessModel, TimeGrid, map_path_blocks
+from .models import ProcessModel, TimeGrid, level_kernel, map_path_blocks
 from .weights import WeightSpec
 
 DEFAULT_CLIP = 1e-3
@@ -79,8 +79,9 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
     """Evaluate the field on the (grid x levels) lattice from n streamed paths.
 
     Per block, counts of X_i(t) <= y are taken for every cell and merged as
-    integers in block order.  A block is counted by sorting each time column
-    in place and searching the levels in it.
+    integers in block order.  A block is counted on its native scale by
+    sorting each time column in place and searching it for the level bands
+    of ``level_kernel``.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
@@ -90,12 +91,11 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
     if np.any(levels < clip) or np.any(levels > 1.0 - clip):
         raise DomainError(f"levels must lie inside the clip range [{clip}, {1 - clip}]")
 
+    kernel = level_kernel(model, levels)
+
     def block_counts(vals):
         vals.sort(axis=0)
-        counts = np.empty((vals.shape[1], levels.size), dtype=np.int64)
-        for j in range(vals.shape[1]):
-            counts[j] = np.searchsorted(vals[:, j], levels, side="right")
-        return counts
+        return kernel.count_sorted(vals)
 
     parts = map_path_blocks(model, grid, n, seed, block_counts, workers,
                             stream=stream, extra_key=extra_key)
@@ -117,11 +117,10 @@ def accumulate_cell_moments(model: ProcessModel, cells: Sequence[tuple[float, fl
                             extra_key: tuple[int, ...] = ()) -> MomentAccumulator:
     """Accumulate indicator counts and joint counts on probe cells."""
     idx = np.array([grid.index_of(t) for t, _ in cells])
-    ys = np.array([y for _, y in cells])
+    kernel = level_kernel(model, [y for _, y in cells])
 
     def block_fn(vals):
-        ind = vals[:, idx] <= ys[None, :]
-        return MomentAccumulator.from_indicators(ind)
+        return MomentAccumulator.from_indicators(kernel.leq(vals[:, idx]))
 
     parts = map_path_blocks(model, grid, n, seed, block_fn, workers, extra_key=extra_key)
     return parallel.tree_reduce(parts, lambda a, b: a.merge(b))

@@ -14,6 +14,7 @@ approximation quantified by the refinement studies in the verifiers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -135,23 +136,26 @@ def parse_model(text: str) -> ProcessModel:
     raise DomainError(f"unrecognized model spec {text!r}")
 
 
-def _brownian_block(grid: TimeGrid, count: int, rng: np.random.Generator) -> np.ndarray:
-    pts = grid.points
-    dt = np.diff(np.concatenate([[0.0], pts]))
-    z = rng.standard_normal((count, pts.size))
-    z *= np.sqrt(dt)
+def _brownian_block(sqrt_dt: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Brownian paths at the grid times, from sqrt of the grid increments."""
+    z = rng.standard_normal((count, sqrt_dt.size))
+    z *= sqrt_dt
     return np.cumsum(z, axis=1, out=z)
 
 
-def _sample_block(model: ProcessModel, grid: TimeGrid, count: int, seed: int,
-                  stream: int, key: tuple[int, ...]) -> np.ndarray:
+def _sqrt_increments(grid: TimeGrid) -> np.ndarray:
+    return np.sqrt(np.diff(np.concatenate([[0.0], grid.points])))
+
+
+def _sample_block(model: ProcessModel, sqrt_dt: np.ndarray, sqrt_t: np.ndarray, count: int,
+                  seed: int, stream: int, key: tuple[int, ...]) -> np.ndarray:
+    """One native block: scores B_t / sqrt(t) for the bm-copula, uniforms otherwise."""
     rng = parallel.derive_rng(seed, stream, *key)
-    m = len(grid)
+    m = sqrt_t.size
     if model.kind == BM_COPULA:
-        b = _brownian_block(grid, count, rng)
-        b /= np.sqrt(grid.points)
-        special.ndtr(b, out=b)
-        return np.clip(b, _OPEN_LO, _OPEN_HI, out=b)
+        b = _brownian_block(sqrt_dt, count, rng)
+        b /= sqrt_t
+        return b
     if model.kind == DEPENDENT:
         u = rng.random(count)
         return np.repeat(u[:, None], m, axis=1)
@@ -166,12 +170,30 @@ def _sample_block(model: ProcessModel, grid: TimeGrid, count: int, seed: int,
     return np.repeat(np.asarray(u)[:, None], m, axis=1)
 
 
+def to_uniform(model: ProcessModel, block: np.ndarray) -> np.ndarray:
+    """The uniform values X_t of a native block, computed in place.
+
+    For the bm-copula this is X_t = clip(Phi(score)) with the clip keeping
+    values strictly inside (0, 1); for the other kinds the block already
+    holds the uniforms and is returned unchanged.  The only home of the
+    Phi transform of sampled paths.
+    """
+    if model.kind != BM_COPULA:
+        return block
+    special.ndtr(block, out=block)
+    return np.clip(block, _OPEN_LO, _OPEN_HI, out=block)
+
+
 def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
                     fn: Callable[[np.ndarray], object], workers: int = 1,
                     stream: int = parallel.STREAM_PATHS,
                     extra_key: tuple[int, ...] = ()) -> list:
     """Stream blocks of n sampled paths through ``fn``; the only path sampler.
 
+    ``fn`` gets each block on the model's native scale: the scores
+    B_t / sqrt(t) for the bm-copula, the uniforms X_t for the other kinds.
+    ``to_uniform`` turns a native block into uniforms; ``level_kernel``
+    compares native values with uniform levels without that transform.
     Paths are never held all at once: each block is sampled, handed to
     ``fn`` and dropped.  A block goes to exactly one ``fn`` call, which may
     modify it in place.  Block j draws from the substream
@@ -180,10 +202,11 @@ def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")
+    sqrt_dt, sqrt_t = _sqrt_increments(grid), np.sqrt(grid.points)
 
     def job(idx, start, stop):
-        vals = _sample_block(model, grid, stop - start, seed, stream, extra_key + (idx,))
-        return fn(vals)
+        return fn(_sample_block(model, sqrt_dt, sqrt_t, stop - start, seed, stream,
+                                extra_key + (idx,)))
 
     return parallel.map_blocks(job, n, workers)
 
@@ -197,16 +220,112 @@ def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
     Seeded like ``map_path_blocks``, so with equal keys its blocks are the
     Brownian paths behind the bm-copula blocks.  It exists because some
     consumers need B_t itself, and B_t cannot be recovered bit-for-bit from
-    the clipped, rounded Phi(B_t / sqrt(t)).
+    the score B_t / sqrt(t).
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")
+    sqrt_dt = _sqrt_increments(grid)
 
     def job(idx, start, stop):
         rng = parallel.derive_rng(seed, stream, *extra_key, idx)
-        return fn(_brownian_block(grid, stop - start, rng))
+        return fn(_brownian_block(sqrt_dt, stop - start, rng))
 
     return parallel.map_blocks(job, n, workers)
+
+
+# Half-width of a bm-copula level's score band, relative in u.  scipy's ndtr
+# and ndtri are accurate to far better than this (about 1e-13 relative above
+# _BAND_FLOOR, about 1e-16 absolute near 1), so a score outside the band
+# cannot compare differently after clip(ndtr(score)).  Below _BAND_FLOOR,
+# where subnormal spacing erodes relative accuracy, the band reaches -inf.
+_BAND_REL = 1e-9
+_BAND_FLOOR = 1e-300
+
+
+@dataclass(frozen=True)
+class LevelKernel:
+    """Exact decisions of X_t <= y on a model's native block values.
+
+    Per level y it holds a band [lo, hi] of native values: a value below lo
+    has X_t <= y, one above hi has X_t > y, and only a value inside the band
+    goes through ``to_uniform`` and is compared with y.  For the bm-copula
+    the band is the scores whose u = clip(ndtr(score)) lies within
+    ``_BAND_REL`` of y (wider near 0 and 1), so nothing assumes that the
+    floating-point ndtr is monotone; for the other kinds lo = hi = y.
+    Every decision equals ``to_uniform(model, values) <= y`` bit for bit.
+    """
+
+    model: ProcessModel
+    levels: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def leq(self, vals: np.ndarray, which=slice(None)) -> np.ndarray:
+        """X_t <= y elementwise; the last axis of ``vals`` runs over ``levels[which]``."""
+        out = vals < self.lo[which]
+        band = vals <= self.hi[which]
+        band ^= out
+        if band.any():
+            y = np.broadcast_to(self.levels[which], vals.shape)[band]
+            out[band] = to_uniform(self.model, vals[band]) <= y
+        return out
+
+    def count(self, vals: np.ndarray) -> np.ndarray:
+        """Per level, the rows of ``vals`` (paths x levels) with X_t <= y."""
+        return np.count_nonzero(self.leq(vals), axis=0)
+
+    @functools.cached_property
+    def _edges(self) -> np.ndarray:
+        # searching nextafter(hi) on the left finds the values <= hi
+        return np.concatenate([self.lo, np.nextafter(self.hi, np.inf)])
+
+    def count_sorted(self, vals: np.ndarray) -> np.ndarray:
+        """(columns x levels) counts of X_t <= y in a block sorted along axis 0.
+
+        Each column is searched for lo and hi; only the slice between them
+        is decided by ``leq``.
+        """
+        k = self.levels.size
+        pos = np.empty((vals.shape[1], 2 * k), dtype=np.int64)
+        for j in range(vals.shape[1]):
+            pos[j] = np.searchsorted(vals[:, j], self._edges)
+        below, upto = pos[:, :k], pos[:, k:]
+        unsure = upto > below
+        if unsure.any():
+            for j, i in zip(*np.nonzero(unsure)):
+                below[j, i] += np.count_nonzero(self.leq(vals[below[j, i]:upto[j, i], j], i))
+        return below
+
+    def any_leq(self, rows: np.ndarray, low: np.ndarray, i: int) -> np.ndarray:
+        """Per row, whether some value has X_t <= levels[i], given the row minima ``low``."""
+        out = low < self.lo[i]
+        unsure = low <= self.hi[i]
+        unsure ^= out
+        if unsure.any():
+            out[unsure] = self.leq(rows[unsure], i).any(axis=1)
+        return out
+
+    def any_gt(self, rows: np.ndarray, high: np.ndarray, i: int) -> np.ndarray:
+        """Per row, whether some value has X_t > levels[i], given the row maxima ``high``."""
+        out = high > self.hi[i]
+        unsure = high >= self.lo[i]
+        unsure ^= out
+        if unsure.any():
+            out[unsure] = ~self.leq(rows[unsure], i).all(axis=1)
+        return out
+
+
+def level_kernel(model: ProcessModel, levels: Sequence[float]) -> LevelKernel:
+    """The ``LevelKernel`` of a model for uniform levels y."""
+    ys = np.array(levels, dtype=float).reshape(-1)
+    if model.kind != BM_COPULA:
+        return LevelKernel(model, ys, ys, ys)
+    u_lo = ys * (1.0 - _BAND_REL)
+    u_hi = ys * (1.0 + _BAND_REL)
+    lo = np.where(u_lo > _BAND_FLOOR, special.ndtri(np.clip(u_lo, _BAND_FLOOR, _OPEN_HI)),
+                  -np.inf)
+    hi = np.where(u_hi < 1.0, special.ndtri(np.clip(u_hi, _BAND_FLOOR, _OPEN_HI)), np.inf)
+    return LevelKernel(model, ys, lo, hi)
 
 
 def joint_cdf(model: ProcessModel, s: float, t: float, x: float, y: float) -> float:

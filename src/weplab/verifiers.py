@@ -27,7 +27,8 @@ from .engine import (accumulate_cell_moments, covariance_from_moments,
 from .errors import DomainError
 from .limits import build_limit_model, sample_limit_field
 from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics,
-                     joint_cdf_matrix, map_brownian_blocks, map_path_blocks)
+                     joint_cdf_matrix, level_kernel, map_brownian_blocks, map_path_blocks,
+                     to_uniform)
 from .numerics import (ks_critical_one_sample, ks_critical_two_sample,
                        ks_statistic_one_sample, ks_statistic_two_sample,
                        std_normal_cdf, std_normal_pdf, std_normal_quantile)
@@ -171,15 +172,25 @@ class WLReport:
 
 def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, workers,
                      extra_key=()):
-    """Counts of the two crossing events for every prepared probe."""
+    """Counts of the two crossing events for every prepared probe.
+
+    The events are X_t <= x < max over the ball of X_s, and
+    min over the ball of X_s <= x < X_t, decided on the native scale.
+    """
+    kernel = level_kernel(model, [x for _it, _ball, x in probe_cells])
+    balls = {}      # probes sharing a time and a ball share its row extrema
+    for j, (it, ball, _x) in enumerate(probe_cells):
+        balls.setdefault((it, ball.tobytes()), (it, ball, []))[2].append(j)
 
     def block_fn(vals):
         counts = np.zeros((len(probe_cells), 2), dtype=np.int64)
-        for j, (it, ball, x) in enumerate(probe_cells):
-            xt = vals[:, it]
+        for it, ball, probes in balls.values():
             sub = vals[:, ball]
-            counts[j, 0] = np.count_nonzero((xt <= x) & (sub.max(axis=1) > x))
-            counts[j, 1] = np.count_nonzero((sub.min(axis=1) <= x) & (xt > x))
+            low, high = sub.min(axis=1), sub.max(axis=1)
+            for j in probes:
+                at = kernel.leq(vals[:, it], j)
+                counts[j, 0] = np.count_nonzero(at & kernel.any_gt(sub, high, j))
+                counts[j, 1] = np.count_nonzero(kernel.any_leq(sub, low, j) & ~at)
         return counts
 
     parts = map_path_blocks(model, grid, n, seed, block_fn, workers, extra_key=extra_key)
@@ -323,6 +334,7 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
     want_cross = model.kind == BM_COPULA and w.alpha > 0.0
 
     def block_fn(vals):
+        vals = to_uniform(model, vals)
         wvals = w(vals)
         sup = wvals.max(axis=1)
         counts = np.array([np.count_nonzero(sup > lam) for lam in lams], dtype=np.int64)
@@ -687,6 +699,7 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
         prepared.append((it, ball, levels))
 
     def block_fn(vals):
+        vals = to_uniform(model, vals)
         counts = np.zeros(len(prepared), dtype=np.int64)
         for j, (it, ball, levels) in enumerate(prepared):
             xt = vals[:, it]
@@ -764,14 +777,13 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
     wy = float(w(y))
     sigma = wy * math.sqrt(y * (1.0 - y))
     values = np.empty(reps)
+    kernel = level_kernel(model, [y])
 
     def rep_job(idx, start, stop):
         for r in range(start, stop):
-            parts = map_path_blocks(model, grid, n, seed,
-                                    lambda v: np.int64(np.count_nonzero(v[:, 0] <= y)),
-                                    workers=1, stream=parallel.STREAM_REPLICATION,
-                                    extra_key=(r,))
-            count = int(parallel.tree_reduce(parts, np.add))
+            parts = map_path_blocks(model, grid, n, seed, kernel.count, workers=1,
+                                    stream=parallel.STREAM_REPLICATION, extra_key=(r,))
+            count = int(parallel.tree_reduce(parts, np.add)[0])
             values[r] = wy * (count - n * y) / math.sqrt(n)
 
     parallel.map_blocks(rep_job, reps, workers, block_size=64)

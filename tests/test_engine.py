@@ -9,7 +9,7 @@ from weplab.engine import (MomentAccumulator, accumulate_cell_moments,
                            covariance_from_moments, empirical_covariance,
                            evaluate_field_streaming, export_field_csv, sup_statistic)
 from weplab.errors import DomainError
-from weplab.models import TimeGrid, map_path_blocks, parse_model
+from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -60,7 +60,7 @@ class TestEvaluateField:
     @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time"])
     def test_counts_match_broadcast_reference(self, spec):
         model, grid, n, seed = parse_model(spec), TimeGrid.uniform(1, 2, 7), 5000, 11
-        paths = np.vstack(map_path_blocks(model, grid, n, seed, lambda v: v))
+        paths = np.vstack(map_path_blocks(model, grid, n, seed, lambda v: to_uniform(model, v)))
         # levels that equal sampled values exactly, one of them repeated
         ordered = np.sort(paths[:, 3])
         levels = np.array([ordered[100], 0.25, ordered[2500], ordered[2500], 0.75,

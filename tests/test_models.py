@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from weplab.errors import DomainError, UnsupportedModelError
 from weplab.models import (TimeGrid, envelope_statistics, joint_cdf, joint_cdf_matrix,
-                           map_brownian_blocks, map_path_blocks, parse_model, rho_metric)
+                           map_brownian_blocks, map_path_blocks, parse_model, rho_metric,
+                           to_uniform)
 from weplab.numerics import (bvn_cdf, ks_statistic_one_sample, std_normal_cdf,
                              std_normal_quantile)
 
@@ -19,8 +20,10 @@ uniform_cdf = lambda u: np.clip(u, 0.0, 1.0)
 
 
 def sample(spec, grid, n, seed, workers=1):
-    """All n paths as an (n x grid) matrix, stacked from the streamed blocks."""
-    return np.vstack(map_path_blocks(parse_model(spec), grid, n, seed, lambda v: v, workers))
+    """All n uniform paths as an (n x grid) matrix, stacked from the streamed blocks."""
+    model = parse_model(spec)
+    return np.vstack(map_path_blocks(model, grid, n, seed, lambda v: to_uniform(model, v),
+                                     workers))
 
 
 class TestTimeGrid:
@@ -110,6 +113,18 @@ class TestSampling:
         x = np.clip(std_normal_cdf(b / np.sqrt(grid.points)), 5e-324,
                     np.nextafter(1.0, 0.0))
         assert np.array_equal(values, x)
+
+    def test_bm_copula_native_block_is_the_score(self):
+        grid = TimeGrid.uniform(1, 2, 9)
+        scores = np.vstack(map_path_blocks(parse_model("bm-copula"), grid, 5000, 13,
+                                           lambda v: v))
+        b = np.vstack(map_brownian_blocks(grid, 5000, 13, lambda b: b))
+        assert np.array_equal(scores, b / np.sqrt(grid.points))
+
+    @pytest.mark.parametrize("spec", ["dependent", "iid-time", "atomic:0.5@0.5"])
+    def test_to_uniform_is_the_identity_off_the_bm_copula(self, spec):
+        block = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+        assert to_uniform(parse_model(spec), block) is block
 
 
 class TestJointCdf:
