@@ -420,8 +420,8 @@ class EnvelopeStatistics:
 
     @property
     def m0_hat(self) -> float:
-        """Largest forward-increment mean over the configured table."""
-        return max((v[0] for v in self.m_table.values()), default=0.0)
+        """Largest forward-increment mean over the table's non-empty windows."""
+        return max((v[0] for v in self.m_table.values() if v[2] > 0), default=0.0)
 
 
 DEFAULT_ENVELOPE_T = (1.0, 1.5, 2.0)

@@ -92,6 +92,14 @@ def _implied_constant(p: float, shape: float) -> float:
     return p / shape if shape > 0.0 else (0.0 if p == 0.0 else math.inf)
 
 
+def _skipped_window(coords: dict) -> ProbeResult:
+    """The row of a probe whose forward window holds no grid time: not evaluated."""
+    where = ", ".join(f"{k}={v}" for k, v in coords.items())
+    warnings.warn(f"probe ({where}) skipped: empty forward window")
+    return ProbeResult({**coords, "skipped": "empty forward window"},
+                       None, None, None, None, True)
+
+
 def _fail_if_none_evaluated(rows: list, evaluated: int) -> None:
     """A report that evaluates no probe does not pass: add one failing row."""
     if evaluated == 0:
@@ -531,19 +539,28 @@ def lemma_m_check(n: int = 20_000, seed: int = 0, grid: Optional[TimeGrid] = Non
                   t_values: Sequence[float] = DEFAULT_LEMMA_M_T,
                   eps_values: Sequence[float] = DEFAULT_LEMMA_M_EPS,
                   workers: int = 1) -> BoundReport:
-    """Forward-increment sup means against 2 sqrt(2/pi) sqrt(eps)."""
+    """Forward-increment sup means against 2 sqrt(2/pi) sqrt(eps).
+
+    A window that holds no grid time is skipped, not evaluated.
+    """
     grid = grid or TimeGrid.uniform()
     stats = envelope_statistics(grid, n, seed, t_values, eps_values, workers)
     rows = []
+    evaluated = 0
     for (t, eps), (m_hat, se, pts) in sorted(stats.m_table.items()):
+        coords = {"t": t, "eps": eps, "window_points": pts}
+        if pts == 0:
+            rows.append(_skipped_window(coords))
+            continue
+        evaluated += 1
         bound = 2.0 * math.sqrt(2.0 / math.pi) * math.sqrt(eps)
-        rows.append(ProbeResult({"t": t, "eps": eps, "window_points": pts},
-                                m_hat, se, bound,
+        rows.append(ProbeResult(coords, m_hat, se, bound,
                                 m_hat / bound if bound > 0 else None,
                                 m_hat <= bound + MC_SIGMA * se))
     rows.append(ProbeResult({"stat": "m0_hat"}, stats.m0_hat, None, None, None, True))
     rows.append(ProbeResult({"stat": "d_env"}, stats.d_env, stats.d_env_stderr, None, None,
                             stats.d_env > MC_SIGMA * stats.d_env_stderr))
+    _fail_if_none_evaluated(rows, evaluated)
     return BoundReport("lemma-m", tuple(rows), n, seed)
 
 
@@ -631,7 +648,8 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
     """One-sided scaled-path crossing frequency against its bound shape.
 
     Probes are (t, eps, l) with l above the measured increment mean; the
-    shape is sqrt(eps) phi(l - m0)^((t+eps)/(t+2 eps)).
+    shape is sqrt(eps) phi(l - m0)^((t+eps)/(t+2 eps)).  A probe whose
+    forward window (t, t + eps] holds no grid time is skipped, not evaluated.
     """
     grid = grid or TimeGrid.uniform()
     if m0_hat is None:
@@ -655,12 +673,18 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
     counts = parallel.tree_reduce(
         map_brownian_blocks(grid, n, seed, block_fn, workers), np.add)
     rows = [ProbeResult({"stat": "m0_hat"}, m0_hat, None, None, None, True)]
-    for (t, eps, l), c in zip(probes, counts):
+    evaluated = 0
+    for (t, eps, l), (_it, window, _l), c in zip(probes, prepared, counts):
+        if window.size == 0:
+            rows.append(_skipped_window({"t": t, "eps": eps, "l": l}))
+            continue
+        evaluated += 1
         p = c / n
         shape = math.sqrt(eps) * std_normal_pdf(l - m0_hat) ** ((t + eps) / (t + 2.0 * eps))
         c_hat = _implied_constant(p, shape)
         rows.append(ProbeResult({"t": t, "eps": eps, "l": l}, p, _freq_stderr(p, n),
                                 shape, c_hat, math.isfinite(c_hat)))
+    _fail_if_none_evaluated(rows, evaluated)
     return BoundReport("lemma-l", tuple(rows), n, seed)
 
 

@@ -94,6 +94,19 @@ class TestExitCodes:
         failed = [p for p in load_without_timing(out)["probes"] if not p["pass"]]
         assert [p["coords"] for p in failed] == [{"stat": "evaluated_probes"}]
 
+    @pytest.mark.filterwarnings("ignore:.*skipped")
+    @pytest.mark.parametrize("check", ["lemma-l", "lemma-m"])
+    def test_every_window_empty_is_one(self, tmp_path, check):
+        # on the grid {1, 1.5, 2} no forward window (t, t + eps], eps <= 0.25, holds a time
+        out = tmp_path / "r.json"
+        assert run_cli("verify", check, "--time-points", "3", "--n", "1000",
+                       "--out", str(out)) == 1
+        probes = load_without_timing(out)["probes"]
+        skipped = [p for p in probes if "skipped" in p["coords"]]
+        assert skipped and all(p["estimate"] is None for p in skipped)
+        failed = [p for p in probes if not p["pass"]]
+        assert [p["coords"] for p in failed] == [{"stat": "evaluated_probes"}]
+
 
 class TestSimulate:
     def test_csv_shape_and_closed_form(self, tmp_path):

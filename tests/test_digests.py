@@ -132,8 +132,8 @@ VERIFY_DIGESTS = {
     "borell": (0, "07cc51ea2e7172e83dcfd0eb912399b1dcf388f238ad1f180db3818fe2c15f93"),
     "slowly-varying": (0, "bea1258015e6fe5a05608df19203fce62440c7c1e6c388cd94b4f006e4810de0"),
     "lemma-y": (0, "138486a41ecaf1adcccb66b91ea7bc95e8611f830c8b0f0eb49df9acab754797"),
-    "lemma-m": (0, "28028012036636eed01933d19eb516a80d8f59d5364e5234d78ce2a59c6457d3"),
-    "lemma-l": (0, "17ea3fc975ebf0f40a073e680b48cdad0c30c6f56d5f309a5db282cf67d17d49"),
+    "lemma-m": (0, "0d1b9d57fe7b2a220998df79bafea9a48bf19246f95d3021a851e132ad62c3ba"),
+    "lemma-l": (0, "fb00de79362c3444586ccc26a41b211416280dffd61aedf4bd6223cc384c75c4"),
     "d1": (1, "f32e1b2e0b68d9a41fdfda492e8dd1ba12b059733d8feb2f5b60ac6b837bfd0b"),
     "d2": (1, "56a0fc79add802a04ef949ec6c33e4a7c63b0c251086a70f86760c52ca5e0c3d"),
     "chaining-ab": (0, "9452d923c17214f4b58ade9ac5e309395ea034f55595ea1881d9ed52f8f8ee44"),

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from weplab.errors import DomainError
@@ -220,6 +221,7 @@ class TestLemmaY:
 
 
 class TestLemmaM:
+    @pytest.mark.filterwarnings("ignore:.*skipped")
     def test_bounds_hold(self):
         rep = lemma_m_check(n=5000, seed=PINNED_SEED)
         assert rep.passed
@@ -255,11 +257,12 @@ class TestD1D2:
 
 
 class TestLemmaL:
+    @pytest.mark.filterwarnings("ignore:.*skipped")
     def test_implied_constants_finite(self):
         rep = lemma_l_check(n=50_000, seed=PINNED_SEED)
         assert rep.passed
         for p in rep.probes:
-            if "l" in p.coords:
+            if "l" in p.coords and "skipped" not in p.coords:
                 assert p.c_hat is not None and math.isfinite(p.c_hat)
 
     def test_vacuous_at_large_level(self):
@@ -267,8 +270,27 @@ class TestLemmaL:
         assert rows_by(rep, l=6.0)[0].estimate == 0.0
 
     def test_small_window_rare(self):
-        rep = lemma_l_check(probes=((1.5, 0.001, 1.5),), n=50_000, seed=PINNED_SEED)
-        assert rows_by(rep, l=1.5)[0].estimate <= 10.0 / 50_000
+        # the window (1.5, 1.501] holds the one grid time 1.5005
+        grid = TimeGrid(np.array([1.0, 1.25, 1.5, 1.5005, 1.75, 2.0]))
+        rep = lemma_l_check(probes=((1.5, 0.001, 1.5),), n=50_000, seed=PINNED_SEED, grid=grid)
+        row = rows_by(rep, l=1.5)[0]
+        assert 0.0 < row.estimate <= 0.01
+        assert row.estimate <= row.bound
+
+    @pytest.mark.filterwarnings("ignore:.*skipped")
+    @pytest.mark.parametrize("check", [
+        lambda grid: lemma_l_check(probes=((1.5, 0.001, 1.5),), n=2000, seed=1, grid=grid),
+        lambda grid: lemma_m_check(n=1000, seed=1, grid=grid, t_values=(1.5,),
+                                   eps_values=(0.001,)),
+    ])
+    def test_empty_window_is_skipped_not_passed(self, check):
+        # on the default grid (spacing 1/128) the window (1.5, 1.501] holds no time
+        rep = check(TimeGrid.uniform())
+        skipped = [p for p in rep.probes if "skipped" in p.coords]
+        assert [p.coords["skipped"] for p in skipped] == ["empty forward window"]
+        assert skipped[0].estimate is None and skipped[0].bound is None
+        assert not rep.passed
+        assert [p.coords for p in rep.probes if not p.passed] == [{"stat": "evaluated_probes"}]
 
     def test_level_below_mean_rejected(self):
         with pytest.raises(DomainError):
@@ -341,6 +363,7 @@ class TestCltSup:
 
 
 class TestReportJson:
+    @pytest.mark.filterwarnings("ignore:.*skipped")
     def test_all_reports_serializable(self):
         reports = [feller_sandwich(), lemma_y_check(),
                    slowly_varying_check(w_quarter),
