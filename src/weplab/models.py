@@ -10,6 +10,10 @@ Brownian paths use exact N(0, dt) increments at the grid times only; every
 implemented functional is grid-measurable, so no bridge infill is done.
 Suprema over time are therefore maxima over grid points, a declared
 approximation quantified by the refinement studies in the verifiers.
+
+Paths are streamed on each kind's native scale: the Brownian copula as
+scores B_t / sqrt(t), the other kinds as their uniforms.  ``to_uniform``
+applies the Phi transform; ``level_kernel`` counts levels without it.
 """
 
 from __future__ import annotations
