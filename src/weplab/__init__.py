@@ -10,7 +10,7 @@ from .weights import (DyadicSum, IntegralVerdict, WeightSpec, dyadic_sum,
 from .transforms import (ContinuousDF, DistFn, MixedDF, StepDF, check_order_properties,
                          copula_indicator_identity, dist_transform, normal_df,
                          point_mass, uniform_atom_mixture, uniform_df, uniformity_test)
-from .models import (LevelKernel, ProcessModel, TimeGrid, envelope_statistics, joint_cdf,
+from .models import (ProcessModel, TimeGrid, envelope_statistics, joint_cdf,
                      joint_cdf_matrix, level_kernel, map_path_blocks, parse_model,
                      rho_metric, to_uniform)
 from .limits import (LimitModel, MetricSpec, build_limit_model, check_distance_monotone,

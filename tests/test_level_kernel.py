@@ -152,12 +152,11 @@ def old_crossing_counts(probe_cells):
     return block_fn
 
 
-def old_on_uniforms(model, grid, n, seed, fn, workers, **kwargs):
+def old_on_uniforms(model, grid, n, seed, fn, workers, op=np.add, **kwargs):
     """Reduce ``fn`` over the uniform blocks of a run."""
     parts = map_path_blocks(model, grid, n, seed, lambda v: fn(to_uniform(model, v)),
                             workers, **kwargs)
-    return parallel.tree_reduce(parts, lambda a, b: a.merge(b) if hasattr(a, "merge")
-                                else np.add(a, b))
+    return parallel.tree_reduce(parts, op)
 
 
 def sampled_levels(model, grid, n, seed, column, picks):
@@ -191,7 +190,8 @@ class TestConsumersMatchTheUniformKernels:
         cells = [(float(GRID.points[j]), y) for j in (2, 6) for y in ys]
         idx = np.array([GRID.index_of(t) for t, _ in cells])
         old = old_on_uniforms(model, GRID, N, 4,
-                              old_cell_moments(idx, np.array([y for _, y in cells])), workers)
+                              old_cell_moments(idx, np.array([y for _, y in cells])), workers,
+                              op=lambda a, b: a.merge(b))
         new = accumulate_cell_moments(model, cells, GRID, N, 4, workers=workers)
         assert old.count == new.count == N
         assert np.array_equal(old.cell_counts, new.cell_counts)
