@@ -238,9 +238,9 @@ def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
 
 
 # Half-width of a bm-copula level's score band, relative in u.  scipy's ndtr
-# and ndtri are accurate to far better than this (about 1e-13 relative above
-# _BAND_FLOOR, about 1e-16 absolute near 1), so a score outside the band
-# cannot compare differently after clip(ndtr(score)).  Below _BAND_FLOOR,
+# and ndtri are accurate to far better than this (within 4e-13 relative above
+# _BAND_FLOOR and 1.4e-16 absolute near 1, against mpmath), so a score outside
+# the band cannot compare differently after clip(ndtr(score)).  Below _BAND_FLOOR,
 # where subnormal spacing erodes relative accuracy, the band reaches -inf.
 _BAND_REL = 1e-9
 _BAND_FLOOR = 1e-300

@@ -7,6 +7,7 @@ replaced check every moved consumer on multi-block runs.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,20 @@ class TestOracle:
         assert np.all(kernel.lo < q) and np.all(q < kernel.hi)
         width = special.ndtr(kernel.hi) - special.ndtr(kernel.lo)
         np.testing.assert_allclose(width, 2e-9 * ys, rtol=1e-4)
+
+    def test_band_rests_on_ndtr_accuracy(self):
+        # the band's half-width is 1e-9 in u; ndtr and ndtri must be far better
+        rng = np.random.default_rng(20260810)
+        ps = np.concatenate([10.0 ** rng.uniform(-300, -0.31, 200),
+                             1.0 - 10.0 ** rng.uniform(-15.9, -0.31, 100)])
+        with mp.workdps(40):
+            for z in rng.uniform(-37.5, 8.3, 300):
+                exact = mp.ncdf(mp.mpf(float(z)))
+                err = abs(mp.mpf(float(special.ndtr(z))) - exact)
+                assert err <= (1e-15 if exact > 0.5 else 1e-11 * exact)
+            for p in ps:
+                err = abs(mp.ncdf(mp.mpf(float(special.ndtri(p)))) - mp.mpf(float(p)))
+                assert err <= (1e-15 if p >= 0.5 else 1e-11 * p)
 
     def test_band_widens_to_infinity_at_the_clip_bounds(self):
         kernel = level_kernel(BM, [OPEN_LO, OPEN_HI])
