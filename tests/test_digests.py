@@ -171,3 +171,28 @@ def test_clt_report_digest(tmp_path, mode):
     code = main(["clt", mode, "--model", "bm-copula", "--weight", "pow:0.25", "--seed", "5",
                  "--workers", "1", *CLT_CASES[mode], "--out", str(report), "--csv", str(csv)])
     assert (code, report_digest(report), sha256_of(csv)) == CLT_DIGESTS[mode]
+
+
+# replications of n = 4500 paths span two seeding blocks each:
+# (exit code, report digest, CSV digest), the same at one and two workers
+CLT_MULTIBLOCK_CASES = {
+    "sup": ("--n", "4500", "--reps", "40"),
+    "marginal": ("--t", "1.5", "--y", "0.3", "--n", "4500", "--reps", "500"),
+}
+
+CLT_MULTIBLOCK_DIGESTS = {
+    "sup": (0, "9e10c1159b309aa8539dcc0853b52d9ca8431d09975908ab6283175ce4159b11",
+            "335016e0b5cd21705cfdc3dd0450889d45fb39715f49f7320696044f80460314"),
+    "marginal": (0, "63b962dbb01a1fe1514f13a214ad14a326a9ee3908b9e7b05f61581afd707768",
+                 "57693e739dc7eedab9286477b3ea600c8e1a60b38463649f49a85a550b6ac526"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("mode", sorted(CLT_MULTIBLOCK_CASES))
+def test_clt_multiblock_digest(tmp_path, mode, workers):
+    report, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    code = main(["clt", mode, "--model", "bm-copula", "--weight", "pow:0.25", "--seed", "5",
+                 "--workers", workers, *CLT_MULTIBLOCK_CASES[mode],
+                 "--out", str(report), "--csv", str(csv)])
+    assert (code, report_digest(report), sha256_of(csv)) == CLT_MULTIBLOCK_DIGESTS[mode]
