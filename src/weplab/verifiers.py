@@ -92,12 +92,11 @@ def _implied_constant(p: float, shape: float) -> float:
     return p / shape if shape > 0.0 else (0.0 if p == 0.0 else math.inf)
 
 
-def _skipped_window(coords: dict) -> ProbeResult:
-    """The row of a probe whose forward window holds no grid time: not evaluated."""
+def _skipped(coords: dict, reason: str) -> ProbeResult:
+    """The row of a probe that is not evaluated, naming the reason."""
     where = ", ".join(f"{k}={v}" for k, v in coords.items())
-    warnings.warn(f"probe ({where}) skipped: empty forward window")
-    return ProbeResult({**coords, "skipped": "empty forward window"},
-                       None, None, None, None, True)
+    warnings.warn(f"probe ({where}) skipped: {reason}")
+    return ProbeResult({**coords, "skipped": reason}, None, None, None, None, True)
 
 
 def _fail_if_none_evaluated(rows: list, evaluated: int) -> None:
@@ -280,9 +279,8 @@ def l_condition_estimate(model: ProcessModel, theta: float,
         it = grid.index_of(t)
         ball = grid.ball_indices(t, eps ** theta)
         if ball.size <= 1:
-            warnings.warn(f"probe (t={t}, eps={eps}) skipped: singleton time ball")
-            rows.append(ProbeResult({"t": t, "eps": eps, "ball_points": int(ball.size)},
-                                    None, None, None, None, True))
+            rows.append(_skipped({"t": t, "eps": eps, "ball_points": int(ball.size)},
+                                 "singleton time ball"))
             continue
         prepared.append((t, eps, it, ball))
 
@@ -550,7 +548,7 @@ def lemma_m_check(n: int = 20_000, seed: int = 0, grid: Optional[TimeGrid] = Non
     for (t, eps), (m_hat, se, pts) in sorted(stats.m_table.items()):
         coords = {"t": t, "eps": eps, "window_points": pts}
         if pts == 0:
-            rows.append(_skipped_window(coords))
+            rows.append(_skipped(coords, "empty forward window"))
             continue
         evaluated += 1
         bound = 2.0 * math.sqrt(2.0 / math.pi) * math.sqrt(eps)
@@ -676,7 +674,7 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
     evaluated = 0
     for (t, eps, l), (_it, window, _l), c in zip(probes, prepared, counts):
         if window.size == 0:
-            rows.append(_skipped_window({"t": t, "eps": eps, "l": l}))
+            rows.append(_skipped({"t": t, "eps": eps, "l": l}, "empty forward window"))
             continue
         evaluated += 1
         p = c / n

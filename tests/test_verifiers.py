@@ -93,6 +93,17 @@ class TestLCondition:
         row = rows_by(rep, t=1.5, eps=0.7)[0]
         assert row.c_hat is not None and math.isfinite(row.c_hat)
 
+    def test_singleton_ball_row_names_its_reason(self):
+        # on 17 grid times the ball of radius 0.55^5 around 1.5 holds 1.5 only
+        with pytest.warns(UserWarning, match="singleton time ball"):
+            rep = l_condition_estimate(bm, 5.0, [(1.5, 0.55), (1.5, 0.7)], n=2000,
+                                       seed=PINNED_SEED, grid=TimeGrid.uniform(1, 2, 17))
+        row = rows_by(rep, t=1.5, eps=0.55)[0]
+        assert row.coords == {"t": 1.5, "eps": 0.55, "ball_points": 1,
+                              "skipped": "singleton time ball"}
+        assert row.estimate is None and row.c_hat is None
+        assert "skipped" not in rows_by(rep, t=1.5, eps=0.7)[0].coords
+
 
 class TestEnvelope:
     def test_bounded_weight_exact_zero(self):
