@@ -11,8 +11,8 @@ from .transforms import (ContinuousDF, DistFn, MixedDF, StepDF, check_order_prop
                          copula_indicator_identity, dist_transform, normal_df,
                          point_mass, uniform_atom_mixture, uniform_df, uniformity_test)
 from .models import (ProcessModel, TimeGrid, envelope_statistics, joint_cdf,
-                     joint_cdf_matrix, level_kernel, map_path_blocks, parse_model,
-                     rho_metric, to_uniform)
+                     joint_cdf_matrix, level_kernel, map_path_blocks, map_replications,
+                     parse_model, rho_metric, to_uniform)
 from .limits import (LimitModel, MetricSpec, build_limit_model, check_distance_monotone,
                      combined_metric, dg0_upper_bound_check, export_covariance_csv,
                      sample_limit_field, weight_drift_check, weighted_wiener_distance)

@@ -18,15 +18,13 @@ import numpy as np
 
 from . import parallel
 from .errors import DomainError, IndefiniteCovarianceError
-from .engine import MomentAccumulator, covariance_from_joint
+from .engine import DEFAULT_CLIP, MomentAccumulator, covariance_from_joint
 from .models import ProcessModel, has_joint_cdf, joint_cdf, joint_cdf_matrix, rho_metric
 from .weights import WeightSpec
 
 # Diagonal jitter ladder used when a covariance estimate is slightly
 # indefinite; the value actually applied is recorded on the model.
 JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
-
-DEFAULT_CLIP = 1e-3
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ approximation quantified by the refinement studies in the verifiers.
 
 Paths are streamed on each kind's native scale: the Brownian copula as
 scores B_t / sqrt(t), the other kinds as their uniforms.  ``to_uniform``
-applies the Phi transform; ``level_kernel`` counts levels without it.
+applies the Phi transform; ``level_kernel`` compares native values with
+uniform levels without it.  ``map_path_blocks`` streams the paths of one
+run, ``map_replications`` those of many replications, a batch at a time.
 """
 
 from __future__ import annotations
@@ -84,8 +86,6 @@ class TimeGrid:
     def refined(self) -> "TimeGrid":
         """Grid with midpoints inserted (doubled density, same endpoints)."""
         pts = self.points
-        if pts.size < 2:
-            return self
         mids = 0.5 * (pts[:-1] + pts[1:])
         return TimeGrid(np.sort(np.concatenate([pts, mids])))
 
@@ -140,38 +140,53 @@ def parse_model(text: str) -> ProcessModel:
     raise DomainError(f"unrecognized model spec {text!r}")
 
 
-def _brownian_block(sqrt_dt: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Brownian paths at the grid times, from sqrt of the grid increments."""
-    z = rng.standard_normal((count, sqrt_dt.size))
+def _brownian_paths(z: np.ndarray, sqrt_dt: np.ndarray) -> np.ndarray:
+    """Brownian paths at the grid times from standard normals z (... x times), in place.
+
+    The cumulative sum is a loop over time columns: the same additions as
+    ``np.cumsum``, and much faster on narrow rows.
+    """
     z *= sqrt_dt
-    return np.cumsum(z, axis=1, out=z)
+    for j in range(1, sqrt_dt.size):
+        z[..., j] += z[..., j - 1]
+    return z
 
 
 def _sqrt_increments(grid: TimeGrid) -> np.ndarray:
     return np.sqrt(np.diff(np.concatenate([[0.0], grid.points])))
 
 
-def _sample_block(model: ProcessModel, sqrt_dt: np.ndarray, sqrt_t: np.ndarray, count: int,
-                  seed: int, stream: int, key: tuple[int, ...]) -> np.ndarray:
-    """One native block: scores B_t / sqrt(t) for the bm-copula, uniforms otherwise."""
+def _draw(model: ProcessModel, rows: np.ndarray, seed: int, stream: int,
+          key: tuple[int, ...]) -> np.ndarray:
+    """Fill ``rows`` (paths x times) with one block's draws from its substream.
+
+    The draws are standard normals for the bm-copula, which ``_to_native``
+    turns into scores, and the uniforms X_t for the other kinds.
+    """
     rng = parallel.derive_rng(seed, stream, *key)
-    m = sqrt_t.size
     if model.kind == BM_COPULA:
-        b = _brownian_block(sqrt_dt, count, rng)
-        b /= sqrt_t
-        return b
+        return rng.standard_normal(out=rows)
+    if model.kind == IID_TIME:
+        return rng.random(out=rows)
+    count = rows.shape[0]
     if model.kind == DEPENDENT:
         u = rng.random(count)
-        return np.repeat(u[:, None], m, axis=1)
-    if model.kind == IID_TIME:
-        return rng.random((count, m))
-    # atomic: one transformed draw per path, constant in time
-    df = uniform_atom_mixture(model.atom_mass, model.atom_loc)
-    y = df.sample(count, rng)
-    rng_v = parallel.derive_rng(seed, parallel.STREAM_RANDOMIZER, *key)
-    v = rng_v.random(count)
-    u = np.clip(dist_transform(df, y, v), _OPEN_LO, _OPEN_HI)
-    return np.repeat(np.asarray(u)[:, None], m, axis=1)
+    else:
+        # atomic: one transformed draw per path, constant in time
+        df = uniform_atom_mixture(model.atom_mass, model.atom_loc)
+        v = parallel.derive_rng(seed, parallel.STREAM_RANDOMIZER, *key).random(count)
+        u = np.clip(dist_transform(df, df.sample(count, rng), v), _OPEN_LO, _OPEN_HI)
+    rows[...] = u[:, None]
+    return rows
+
+
+def _to_native(model: ProcessModel, draws: np.ndarray, sqrt_dt: np.ndarray,
+               sqrt_t: np.ndarray) -> np.ndarray:
+    """Draws (... x times) on the native scale, in place: scores B_t / sqrt(t) for the bm-copula."""
+    if model.kind == BM_COPULA:
+        _brownian_paths(draws, sqrt_dt)
+        draws /= sqrt_t
+    return draws
 
 
 def to_uniform(model: ProcessModel, block: np.ndarray) -> np.ndarray:
@@ -192,27 +207,55 @@ def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
                     fn: Callable[[np.ndarray], object], workers: int = 1,
                     stream: int = parallel.STREAM_PATHS,
                     extra_key: tuple[int, ...] = ()) -> list:
-    """Stream blocks of n sampled paths through ``fn``; the only path sampler.
+    """Stream blocks of n sampled paths through ``fn``: the path sampler of one run.
 
-    ``fn`` gets each block on the model's native scale: the scores
-    B_t / sqrt(t) for the bm-copula, the uniforms X_t for the other kinds.
-    ``to_uniform`` turns a native block into uniforms; ``level_kernel``
-    compares native values with uniform levels without that transform.
-    Paths are never held all at once: each block is sampled, handed to
-    ``fn`` and dropped.  A block goes to exactly one ``fn`` call, which may
-    modify it in place.  Block j draws from the substream
-    (seed, stream, *extra_key, j), so the values, and the per-block results
-    returned in block order, are identical for every worker count.
+    ``fn`` gets each block on the model's native scale.  Paths are never held
+    all at once: each block is sampled, handed to ``fn`` and dropped.  A
+    block goes to exactly one ``fn`` call, which may modify it in place.
+    Block j draws from the substream (seed, stream, *extra_key, j), so the
+    values, and the per-block results returned in block order, are
+    identical for every worker count.
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")
     sqrt_dt, sqrt_t = _sqrt_increments(grid), np.sqrt(grid.points)
 
     def job(idx, start, stop):
-        return fn(_sample_block(model, sqrt_dt, sqrt_t, stop - start, seed, stream,
-                                extra_key + (idx,)))
+        block = _draw(model, np.empty((stop - start, len(grid))), seed, stream,
+                      extra_key + (idx,))
+        return fn(_to_native(model, block, sqrt_dt, sqrt_t))
 
     return parallel.map_blocks(job, n, workers)
+
+
+# Values per batch of map_replications: about 2 MiB of float64.  Pure
+# scheduling, like the worker count: it cannot change a sampled value.
+_REP_BATCH_VALUES = 1 << 18
+
+
+def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, seed: int,
+                     fn: Callable[[np.ndarray], object], workers: int = 1) -> list:
+    """Stream ``reps`` replications of n sampled paths through ``fn``, in batches.
+
+    ``fn`` gets a native (batch x n x times) array, which it may modify in
+    place; its results come back in replication order.  Block j of
+    replication r draws from (seed, STREAM_REPLICATION, r, j), as the blocks
+    of ``map_path_blocks`` with ``extra_key=(r,)`` do, whatever the batch.
+    """
+    if n < 1 or reps < 1:
+        raise DomainError("need n >= 1 paths and reps >= 1")
+    sqrt_dt, sqrt_t = _sqrt_increments(grid), np.sqrt(grid.points)
+    blocks = parallel.iter_blocks(n)
+
+    def job(_idx, first, stop):
+        buf = np.empty((stop - first, n, len(grid)))
+        for r in range(first, stop):
+            for j, start, end in blocks:
+                _draw(model, buf[r - first, start:end], seed, parallel.STREAM_REPLICATION, (r, j))
+        return fn(_to_native(model, buf, sqrt_dt, sqrt_t))
+
+    batch = max(1, _REP_BATCH_VALUES // (n * len(grid)))
+    return parallel.map_blocks(job, reps, workers, block_size=batch)
 
 
 def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
@@ -232,7 +275,7 @@ def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
 
     def job(idx, start, stop):
         rng = parallel.derive_rng(seed, stream, *extra_key, idx)
-        return fn(_brownian_block(sqrt_dt, stop - start, rng))
+        return fn(_brownian_paths(rng.standard_normal((stop - start, sqrt_dt.size)), sqrt_dt))
 
     return parallel.map_blocks(job, n, workers)
 
@@ -275,8 +318,8 @@ class LevelKernel:
         return out
 
     def count(self, vals: np.ndarray) -> np.ndarray:
-        """Per level, the rows of ``vals`` (paths x levels) with X_t <= y."""
-        return np.count_nonzero(self.leq(vals), axis=0)
+        """Per level, the rows of ``vals`` (... x paths x levels) with X_t <= y."""
+        return np.count_nonzero(self.leq(vals), axis=-2)
 
     @functools.cached_property
     def _edges(self) -> np.ndarray:
@@ -449,12 +492,10 @@ def envelope_statistics(grid: TimeGrid, n: int, seed: int,
 
     def block_stats(b: np.ndarray):
         scaled = b / sqrt_pts
-        sums = np.empty(len(windows) + 1)
-        sqs = np.empty(len(windows) + 1)
+        sums = np.zeros(len(windows) + 1)
+        sqs = np.zeros(len(windows) + 1)
         for j, (_t, _e, it, sel) in enumerate(windows):
             if sel.size == 0:
-                sums[j] = 0.0
-                sqs[j] = 0.0
                 continue
             d = np.max((b[:, sel] - b[:, it][:, None]) / sqrt_pts[sel], axis=1)
             sums[j] = np.sum(d)

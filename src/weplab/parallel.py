@@ -49,15 +49,8 @@ def iter_blocks(n: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int, in
     """Partition range(n) into (block_index, start, stop) triples."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = []
-    start = 0
-    index = 0
-    while start < n:
-        stop = min(start + block_size, n)
-        out.append((index, start, stop))
-        index += 1
-        start = stop
-    return out
+    return [(index, start, min(start + block_size, n))
+            for index, start in enumerate(range(0, n, block_size))]
 
 
 def map_blocks(fn: Callable[[int, int, int], object], n: int, workers: int = 1,
@@ -85,9 +78,7 @@ def tree_reduce(items: Sequence, op: Callable) -> object:
         raise ValueError("cannot reduce an empty sequence")
     level = list(items)
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(op(level[i], level[i + 1]))
+        nxt = [op(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt

@@ -22,13 +22,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import parallel
-from .engine import (accumulate_cell_moments, covariance_from_moments,
-                     evaluate_field_streaming, sup_statistic)
+from .engine import accumulate_cell_moments, covariance_from_moments
 from .errors import DomainError
 from .limits import build_limit_model, sample_limit_field
 from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics,
                      joint_cdf_matrix, level_kernel, map_brownian_blocks, map_path_blocks,
-                     to_uniform)
+                     map_replications, to_uniform)
 from .numerics import (ks_critical_one_sample, ks_critical_two_sample,
                        ks_statistic_one_sample, ks_statistic_two_sample,
                        std_normal_cdf, std_normal_pdf, std_normal_quantile)
@@ -205,9 +204,7 @@ def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, 
 
 
 def _wl_sweep(model, w, theta, probes, grid, n, seed, workers, extra_key):
-    cells = []
-    kept = []
-    skipped = []
+    cells, kept, skipped = [], [], []
     for (t, x, eps) in probes:
         it = grid.index_of(t)
         ball = grid.ball_indices(t, eps ** theta)
@@ -285,28 +282,24 @@ def l_condition_estimate(model: ProcessModel, theta: float,
         prepared.append((t, eps, it, ball))
 
     if prepared:
-        if model.kind == BM_COPULA:
-            # the probe transforms B_s with the probe time's scale, Phi(B_s / sqrt(t)),
-            # which cannot be recovered bit-for-bit from the path values
-            # Phi(B_s / sqrt(s)); so raw Brownian blocks are streamed instead
-            def block_fn(b):
-                counts = np.zeros(len(prepared), dtype=np.int64)
-                for j, (t, eps, it, ball) in enumerate(prepared):
-                    u = std_normal_cdf(b[:, ball] / math.sqrt(t))
-                    ut = std_normal_cdf(b[:, it] / math.sqrt(t))
-                    osc = np.max(np.abs(u - ut[:, None]), axis=1)
-                    counts[j] = np.count_nonzero(osc > eps ** 2)
-                return counts
-            parts = map_brownian_blocks(grid, n, seed, block_fn, workers)
-        else:
-            # uniform-native kinds: the transformed value is the path value
-            def block_fn(vals):
-                counts = np.zeros(len(prepared), dtype=np.int64)
-                for j, (t, eps, it, ball) in enumerate(prepared):
-                    osc = np.max(np.abs(vals[:, ball] - vals[:, it][:, None]), axis=1)
-                    counts[j] = np.count_nonzero(osc > eps ** 2)
-                return counts
-            parts = map_path_blocks(model, grid, n, seed, block_fn, workers)
+        # the bm-copula probe transforms B_s with the probe time's scale,
+        # Phi(B_s / sqrt(t)), which cannot be recovered bit-for-bit from the
+        # path values Phi(B_s / sqrt(s)); so raw Brownian blocks are streamed.
+        # For the other kinds the transformed value is the path value.
+        brownian = model.kind == BM_COPULA
+
+        def block_fn(vals):
+            counts = np.zeros(len(prepared), dtype=np.int64)
+            for j, (t, eps, it, ball) in enumerate(prepared):
+                u, ut = vals[:, ball], vals[:, it]
+                if brownian:
+                    u, ut = std_normal_cdf(u / math.sqrt(t)), std_normal_cdf(ut / math.sqrt(t))
+                osc = np.max(np.abs(u - ut[:, None]), axis=1)
+                counts[j] = np.count_nonzero(osc > eps ** 2)
+            return counts
+
+        parts = (map_brownian_blocks(grid, n, seed, block_fn, workers) if brownian
+                 else map_path_blocks(model, grid, n, seed, block_fn, workers))
         counts = parallel.tree_reduce(parts, np.add)
         for (t, eps, it, ball), c in zip(prepared, counts):
             p = c / n
@@ -349,8 +342,7 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
 
     parts = map_path_blocks(model, grid, n, seed, block_fn, workers)
     counts = parallel.tree_reduce(parts, np.add)
-    rows = []
-    values = []
+    rows, values = [], []
     for lam, c in zip(lams, counts[:-1]):
         p = c / n
         se = _freq_stderr(p, n)
@@ -602,11 +594,7 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
         m0_hat = _m0_default(grid, seed, workers)
 
     model = ProcessModel(BM_COPULA)
-    prepared = []
-    for t, eps, x in probes:
-        it = grid.index_of(t)
-        ball = grid.ball_indices(t, eps)
-        prepared.append((it, ball, x))
+    prepared = [(grid.index_of(t), grid.ball_indices(t, eps), x) for t, eps, x in probes]
     counts = _crossing_counts(model, grid, prepared, n, seed, workers)
 
     rows = []
@@ -625,10 +613,7 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
         vals = [v for v in per_eps.values() if v > 0.0]
         if len(per_eps) < 2:
             continue
-        if len(vals) < len(per_eps):
-            ratio = math.inf
-        else:
-            ratio = max(vals) / min(vals)
+        ratio = max(vals) / min(vals) if len(vals) == len(per_eps) else math.inf
         rows.append(ProbeResult({"event": name, "x": x, "stat": "eps-stability"},
                                 ratio if math.isfinite(ratio) else None, None,
                                 stability_threshold, None, ratio < stability_threshold))
@@ -798,17 +783,12 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
     grid = TimeGrid(np.array([float(t)]))
     wy = float(w(y))
     sigma = wy * math.sqrt(y * (1.0 - y))
-    values = np.empty(reps)
     kernel = level_kernel(model, [y])
 
-    def rep_job(idx, start, stop):
-        for r in range(start, stop):
-            parts = map_path_blocks(model, grid, n, seed, kernel.count, workers=1,
-                                    stream=parallel.STREAM_REPLICATION, extra_key=(r,))
-            count = int(parallel.tree_reduce(parts, np.add)[0])
-            values[r] = wy * (count - n * y) / math.sqrt(n)
+    def batch_values(paths):
+        return wy * (kernel.count(paths)[:, 0] - n * y) / math.sqrt(n)
 
-    parallel.map_blocks(rep_job, reps, workers, block_size=64)
+    values = np.concatenate(map_replications(model, grid, n, reps, seed, batch_values, workers))
     ks = ks_statistic_one_sample(values, lambda v: std_normal_cdf(v / sigma))
     mean = float(np.mean(values))
     mean_se = float(np.std(values, ddof=1) / math.sqrt(reps))
@@ -908,17 +888,16 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
     levels = np.asarray(sorted(levels), dtype=float)
     cells = [(float(t), float(y)) for t in grid.points for y in levels]
     limit = build_limit_model(model, cells, w, centered=True)
-    emp = np.empty(reps)
-    clip = min(float(levels[0]), 1.0 - float(levels[-1]))
+    kernel = level_kernel(model, levels)
+    wv = np.asarray(w(levels), dtype=float)
 
-    def rep_job(b_idx, start, stop):
-        for r in range(start, stop):
-            field = evaluate_field_streaming(model, grid, levels, w, n, seed, clip=clip,
-                                             stream=parallel.STREAM_REPLICATION,
-                                             extra_key=(r,))
-            emp[r] = sup_statistic(field)
+    def batch_sups(paths):
+        # the counts and field of evaluate_field_streaming, per replication
+        paths.sort(axis=1)
+        return [np.max(np.abs(wv[None, :] * (kernel.count_sorted(vals) - n * levels[None, :])
+                              / math.sqrt(n))) for vals in paths]
 
-    parallel.map_blocks(rep_job, reps, workers, block_size=64)
+    emp = np.concatenate(map_replications(model, grid, n, reps, seed, batch_sups, workers))
     lim_draws = sample_limit_field(limit, reps, seed, workers=workers)
     lim = np.max(np.abs(lim_draws), axis=1)
     ks = ks_statistic_two_sample(emp, lim)

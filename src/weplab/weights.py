@@ -91,10 +91,8 @@ class WeightSpec:
             if self.sv_kind == SV_EXPSQRT and self.sv_param <= 0.0:
                 raise DomainError("exp-sqrt-log coefficient must be positive")
         if self.gamma is None:
-            if self.unchecked:
-                object.__setattr__(self, "gamma", 0.25)
-            else:
-                object.__setattr__(self, "gamma", _auto_gamma(self.alpha, self.sv_kind, self.sv_param))
+            object.__setattr__(self, "gamma", 0.25 if self.unchecked else
+                               _auto_gamma(self.alpha, self.sv_kind, self.sv_param))
         if not (0.0 < self.gamma <= 0.5):
             raise DomainError("gamma must lie in (0, 1/2]")
         if not self.unchecked:
@@ -180,12 +178,6 @@ class IntegralEntry:
 @dataclass(frozen=True)
 class IntegralVerdict:
     entries: tuple[IntegralEntry, ...]
-
-    def finite_for(self, c: float) -> bool:
-        for e in self.entries:
-            if e.c == c:
-                return e.finite
-        raise KeyError(c)
 
 
 def integral_condition(w: WeightSpec, c_values: Sequence[float], tol: float = 1e-9) -> IntegralVerdict:

@@ -74,6 +74,7 @@ class TestExitCodes:
         ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", "nan"),
         ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", ","),
         ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", "100,100"),
+        ("clt", "sup", "--model", "bm-copula", "--n", "10", "--reps", "-3"),
     ])
     def test_bad_input_is_two(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2

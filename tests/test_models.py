@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weplab import models, parallel
 from weplab.errors import DomainError, UnsupportedModelError
 from weplab.models import (TimeGrid, envelope_statistics, joint_cdf, joint_cdf_matrix,
-                           map_brownian_blocks, map_path_blocks, parse_model, rho_metric,
-                           to_uniform)
+                           map_brownian_blocks, map_path_blocks, map_replications,
+                           parse_model, rho_metric, to_uniform)
 from weplab.numerics import (bvn_cdf, ks_statistic_one_sample, std_normal_cdf,
                              std_normal_quantile)
 
@@ -125,6 +126,63 @@ class TestSampling:
     def test_to_uniform_is_the_identity_off_the_bm_copula(self, spec):
         block = np.linspace(0.1, 0.9, 6).reshape(2, 3)
         assert to_uniform(parse_model(spec), block) is block
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 17, 129])
+    def test_brownian_cumsum_is_numpy_cumsum(self, width):
+        grid = TimeGrid(np.linspace(1.0, 2.0, width)) if width > 1 else TimeGrid(np.array([1.5]))
+        sqrt_dt = models._sqrt_increments(grid)
+        z = np.random.default_rng(width).standard_normal((4097, width))
+        expected = np.cumsum(z * sqrt_dt, axis=1)
+        assert np.array_equal(models._brownian_paths(z.copy(), sqrt_dt), expected)
+        # and on a stack of replications, along the last axis
+        stack = z.reshape(1, 4097, width).repeat(3, axis=0)
+        assert np.array_equal(models._brownian_paths(stack, sqrt_dt), np.stack([expected] * 3))
+
+
+ALL_KINDS = ["bm-copula", "dependent", "iid-time", "atomic:0.5@0.5"]
+
+
+def replications_by_block(model, grid, n, reps, seed):
+    """(reps x n x times): replication r as ``map_path_blocks`` streams it with key (r,)."""
+    return np.stack([np.vstack(map_path_blocks(model, grid, n, seed, lambda v: v,
+                                               stream=parallel.STREAM_REPLICATION,
+                                               extra_key=(r,)))
+                     for r in range(reps)])
+
+
+class TestMapReplications:
+    @pytest.mark.parametrize("batch_values", [None, 1, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n,times", [(1, (1.5,)), (1, (1.0, 1.5, 2.0)),
+                                         (4096, (1.0, 1.5, 2.0)),
+                                         (4097, (1.0, 1.25, 1.5, 1.75, 2.0))])
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    def test_replication_equals_its_blocks(self, monkeypatch, spec, n, times, workers,
+                                           batch_values):
+        if batch_values is not None:
+            monkeypatch.setattr(models, "_REP_BATCH_VALUES", batch_values)
+        model, grid = parse_model(spec), TimeGrid(np.array(times))
+        batch = max(1, models._REP_BATCH_VALUES // (n * len(grid)))
+        # two batches and a part, or one part of a batch when batches are huge
+        reps = 2 * batch + 1 if batch <= 32 else 7
+        batches = map_replications(model, grid, n, reps, 17, lambda paths: paths, workers)
+        assert [len(b) for b in batches] == [min(batch, reps - i) for i in range(0, reps, batch)]
+        got = np.concatenate(batches)
+        assert np.array_equal(got, replications_by_block(model, grid, n, reps, 17))
+
+    def test_batch_holds_at_most_the_cap(self):
+        grid = TimeGrid.uniform(1, 2, 4)
+        sizes = map_replications(parse_model("bm-copula"), grid, 5000, 40, 3,
+                                 lambda paths: paths.size)
+        # 2^18 values hold 13 replications of 5000 x 4
+        assert sizes == [13 * 5000 * 4] * 3 + [5000 * 4]
+        assert max(sizes) <= models._REP_BATCH_VALUES
+
+    def test_needs_paths_and_replications(self):
+        model, grid = parse_model("bm-copula"), TimeGrid.uniform(1, 2, 4)
+        for n, reps in ((0, 5), (5, 0), (5, -3)):
+            with pytest.raises(DomainError):
+                map_replications(model, grid, n, reps, 1, lambda paths: paths)
 
 
 class TestJointCdf:

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+from weplab import models, parallel
+from weplab.engine import evaluate_field_streaming, sup_statistic
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, parse_model
 from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
@@ -371,6 +373,25 @@ class TestCltSup:
                                  (0.2, 0.4, 0.5, 0.8), n=2000, reps=800,
                                  seed=PINNED_SEED)
         assert res.passed
+
+    @pytest.mark.parametrize("batch_values", [None, 1])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time"])
+    def test_sups_equal_the_per_replication_field(self, monkeypatch, spec, workers,
+                                                  batch_values):
+        # n = 4500 spans two seeding blocks; 31 replications fill two batches and a part
+        if batch_values is not None:
+            monkeypatch.setattr(models, "_REP_BATCH_VALUES", batch_values)
+        model, n, reps = parse_model(spec), 4500, 31
+        times, levels = (2.0, 1.0, 1.5), (0.8, 0.2, 0.5)
+        grid = TimeGrid(np.array(sorted(times)))
+        ys = np.array(sorted(levels))
+        old = [sup_statistic(evaluate_field_streaming(model, grid, ys, w_quarter, n, 9, clip=0.2,
+                                                      stream=parallel.STREAM_REPLICATION,
+                                                      extra_key=(r,)))
+               for r in range(reps)]
+        res = clt_sup_comparison(model, w_quarter, times, levels, n, reps, 9, workers=workers)
+        assert np.array_equal(res.empirical_sups, np.array(old))
 
 
 class TestReportJson:
