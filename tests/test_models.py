@@ -129,8 +129,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("width", [1, 2, 4, 17, 129])
     def test_brownian_cumsum_is_numpy_cumsum(self, width):
-        grid = TimeGrid(np.linspace(1.0, 2.0, width)) if width > 1 else TimeGrid(np.array([1.5]))
-        sqrt_dt = models._sqrt_increments(grid)
+        sqrt_dt = models._sqrt_increments(TimeGrid(np.linspace(1.0, 2.0, width)))
         z = np.random.default_rng(width).standard_normal((4097, width))
         expected = np.cumsum(z * sqrt_dt, axis=1)
         assert np.array_equal(models._brownian_paths(z.copy(), sqrt_dt), expected)
