@@ -196,3 +196,40 @@ def test_clt_multiblock_digest(tmp_path, mode, workers):
                  "--workers", workers, *CLT_MULTIBLOCK_CASES[mode],
                  "--out", str(report), "--csv", str(csv)])
     assert (code, report_digest(report), sha256_of(csv)) == CLT_MULTIBLOCK_DIGESTS[mode]
+
+
+# 4096 x 300 and, for verify wl, the refined grid's 4096 x 257 values exceed
+# the 2^20-value cap on what one path-block call hands its consumer, so these
+# runs reach their consumers in row slices: (exit code and) digest, the same
+# at one and two workers
+WIDE_SIMULATE_DIGESTS = {
+    "bm-copula": "0d7e2f790b67c9b20fc91a8ffe59847e07d5273aa397c9240ccab591205c4c96",
+    "dependent": "d75655d59f32ce5095f1042f45c85ad115aa43404e27c155134cee5054b897e0",
+    "iid-time": "3db91e3758f4581bc9aee010eb005080f43c731296d414d5c6a542b3987a74de",
+    "atomic:0.5@0.5": "ef70f18e35c220ac8b15f60738e302257b525440e8764d65a02e93640727cf36",
+}
+
+WIDE_WL_DIGESTS = {
+    "bm-copula": (0, "3595965340f72082fba34bd19d16a17f54f144015678cb5792ad5e6014355d0a"),
+    "dependent": (0, "d2bb07bcf30a8f9dda683b52412af40da26d31076043e8729d3d45333bc6a42a"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("spec", sorted(WIDE_SIMULATE_DIGESTS))
+def test_wide_simulate_csv_digest(tmp_path, spec, workers):
+    out = tmp_path / "field.csv"
+    assert main(["simulate", "--model", spec, "--weight", "pow:0.25", "--n", "5000",
+                 "--seed", "7", "--time-points", "300", "--level-points", "9",
+                 "--workers", workers, "--out", str(out)]) == 0
+    assert sha256_of(out) == WIDE_SIMULATE_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("spec", sorted(WIDE_WL_DIGESTS))
+def test_wide_wl_report_digest(tmp_path, spec, workers):
+    # the default 129-point grid; the refinement study runs on 257 points
+    out = tmp_path / "r.json"
+    code = main(["verify", "wl", "--model", spec, "--weight", "pow:0.25", "--n", "5000",
+                 "--seed", "5", "--workers", workers, "--out", str(out)])
+    assert (code, report_digest(out)) == WIDE_WL_DIGESTS[spec]
