@@ -116,8 +116,9 @@ class ProcessModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise DomainError(f"unknown model kind {self.kind!r}")
-        if self.kind == ATOMIC and not (0.0 < self.atom_mass < 1.0):
-            raise DomainError("atom mass must lie in (0, 1)")
+        if self.kind == ATOMIC and not (0.0 < self.atom_mass < 1.0
+                                        and math.isfinite(self.atom_loc)):
+            raise DomainError("atom mass must lie in (0, 1) and its location be finite")
 
     def describe(self) -> str:
         if self.kind == ATOMIC:
@@ -156,19 +157,20 @@ def _sqrt_increments(grid: TimeGrid) -> np.ndarray:
     return np.sqrt(np.diff(np.concatenate([[0.0], grid.points])))
 
 
-def _draw(model: ProcessModel, rows: np.ndarray, seed: int, stream: int,
-          key: tuple[int, ...]) -> np.ndarray:
-    """Fill ``rows`` (paths x times) with one block's draws from its substream.
+def _filler(model: ProcessModel, count: int, seed: int, stream: int,
+            key: tuple[int, ...]) -> Callable[[np.ndarray, int], np.ndarray]:
+    """``fill(rows, start)`` writes rows start: of one block's draws (paths x times).
 
     The draws are standard normals for the bm-copula, which ``_to_native``
-    turns into scores, and the uniforms X_t for the other kinds.
+    turns into scores, and the uniforms X_t for the other kinds.  Filling
+    slices in row order gives the whole-block values: the per-path uniforms
+    of the other kinds are drawn once (``MixedDF.sample`` interleaves draws).
     """
     rng = parallel.derive_rng(seed, stream, *key)
     if model.kind == BM_COPULA:
-        return rng.standard_normal(out=rows)
+        return lambda rows, _start: rng.standard_normal(out=rows)
     if model.kind == IID_TIME:
-        return rng.random(out=rows)
-    count = rows.shape[0]
+        return lambda rows, _start: rng.random(out=rows)
     if model.kind == DEPENDENT:
         u = rng.random(count)
     else:
@@ -176,8 +178,11 @@ def _draw(model: ProcessModel, rows: np.ndarray, seed: int, stream: int,
         df = uniform_atom_mixture(model.atom_mass, model.atom_loc)
         v = parallel.derive_rng(seed, parallel.STREAM_RANDOMIZER, *key).random(count)
         u = np.clip(dist_transform(df, df.sample(count, rng), v), _OPEN_LO, _OPEN_HI)
-    rows[...] = u[:, None]
-    return rows
+
+    def fill(rows, start):
+        rows[...] = u[start:start + rows.shape[0], None]
+        return rows
+    return fill
 
 
 def _to_native(model: ProcessModel, draws: np.ndarray, sqrt_dt: np.ndarray,
@@ -203,29 +208,37 @@ def to_uniform(model: ProcessModel, block: np.ndarray) -> np.ndarray:
     return np.clip(block, _OPEN_LO, _OPEN_HI, out=block)
 
 
+# Values per fn call of map_path_blocks (8 MiB of float64): wider blocks
+# reach fn in even row slices.  Pure scheduling, like the worker count.
+_SLICE_VALUES = 1 << 20
+
+
 def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
                     fn: Callable[[np.ndarray], object], workers: int = 1,
                     stream: int = parallel.STREAM_PATHS,
                     extra_key: tuple[int, ...] = ()) -> list:
     """Stream blocks of n sampled paths through ``fn``: the path sampler of one run.
 
-    ``fn`` gets each block on the model's native scale.  Paths are never held
-    all at once: each block is sampled, handed to ``fn`` and dropped.  A
-    block goes to exactly one ``fn`` call, which may modify it in place.
-    Block j draws from the substream (seed, stream, *extra_key, j), so the
-    values, and the per-block results returned in block order, are
-    identical for every worker count.
+    ``fn`` gets rows of paths on the model's native scale, which it may
+    modify in place.  A block may reach ``fn`` in several row slices of at
+    most ``_SLICE_VALUES`` values, and results must be exact under any row
+    partition.  Block j draws from the substream (seed, stream, *extra_key,
+    j), so the values, and the results returned in row order, are identical
+    for every worker count.
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")
-    sqrt_dt, sqrt_t = _sqrt_increments(grid), np.sqrt(grid.points)
+    sqrt_dt, sqrt_t, m = _sqrt_increments(grid), np.sqrt(grid.points), len(grid)
 
     def job(idx, start, stop):
-        block = _draw(model, np.empty((stop - start, len(grid))), seed, stream,
-                      extra_key + (idx,))
-        return fn(_to_native(model, block, sqrt_dt, sqrt_t))
+        rows = stop - start
+        fill = _filler(model, rows, seed, stream, extra_key + (idx,))
+        pieces = -(-rows // max(1, _SLICE_VALUES // m))
+        cuts = [rows * i // pieces for i in range(pieces + 1)]
+        return [fn(_to_native(model, fill(np.empty((b - a, m)), a), sqrt_dt, sqrt_t))
+                for a, b in zip(cuts, cuts[1:])]
 
-    return parallel.map_blocks(job, n, workers)
+    return [r for part in parallel.map_blocks(job, n, workers) for r in part]
 
 
 # Values per batch of map_replications: about 2 MiB of float64.  Pure
@@ -251,7 +264,8 @@ def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, see
         buf = np.empty((stop - first, n, len(grid)))
         for r in range(first, stop):
             for j, start, end in blocks:
-                _draw(model, buf[r - first, start:end], seed, parallel.STREAM_REPLICATION, (r, j))
+                _filler(model, end - start, seed, parallel.STREAM_REPLICATION,
+                        (r, j))(buf[r - first, start:end], 0)
         return fn(_to_native(model, buf, sqrt_dt, sqrt_t))
 
     batch = max(1, _REP_BATCH_VALUES // (n * len(grid)))

@@ -184,19 +184,24 @@ def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, 
     min over the ball of X_s <= x < X_t, decided on the native scale.
     """
     kernel = level_kernel(model, [x for _it, _ball, x in probe_cells])
-    balls = {}      # probes sharing a time and a ball share its row extrema
+    # balls around one time are nested index ranges: their row extrema grow outward
+    around = {}
     for j, (it, ball, _x) in enumerate(probe_cells):
-        balls.setdefault((it, ball.tobytes()), (it, ball, []))[2].append(j)
+        around.setdefault(it, []).append((ball.size, int(ball[0]), int(ball[-1]) + 1, j))
 
     def block_fn(vals):
         counts = np.zeros((len(probe_cells), 2), dtype=np.int64)
-        for it, ball, probes in balls.values():
-            sub = vals[:, ball]
-            low, high = sub.min(axis=1), sub.max(axis=1)
-            for j in probes:
+        for it, balls in around.items():
+            low, high = vals[:, it].copy(), vals[:, it].copy()
+            done_a, done_b = it, it + 1
+            for _size, a, b, j in sorted(balls):
+                for c in [*range(a, done_a), *range(done_b, b)]:
+                    np.minimum(low, vals[:, c], out=low)
+                    np.maximum(high, vals[:, c], out=high)
+                done_a, done_b = a, b
                 at = kernel.leq(vals[:, it], j)
-                counts[j, 0] = np.count_nonzero(at & kernel.any_gt(sub, high, j))
-                counts[j, 1] = np.count_nonzero(kernel.any_leq(sub, low, j) & ~at)
+                counts[j, 0] = np.count_nonzero(at & kernel.any_gt(vals[:, a:b], high, j))
+                counts[j, 1] = np.count_nonzero(kernel.any_leq(vals[:, a:b], low, j) & ~at)
         return counts
 
     parts = map_path_blocks(model, grid, n, seed, block_fn, workers, extra_key=extra_key)

@@ -62,7 +62,8 @@ class TestModelParsing:
         assert m.atom_mass == 0.3 and m.atom_loc == 0.6
 
     def test_rejects_garbage(self):
-        for bad in ("", "bm", "atomic:", "atomic:2@0.5"):
+        for bad in ("", "bm", "atomic:", "atomic:2@0.5", "atomic:0.5@nan", "atomic:0.5@inf",
+                    "atomic:nan@0.5"):
             with pytest.raises(DomainError):
                 parse_model(bad)
 
@@ -139,6 +140,38 @@ class TestSampling:
 
 
 ALL_KINDS = ["bm-copula", "dependent", "iid-time", "atomic:0.5@0.5"]
+
+
+class TestPathSlices:
+    @pytest.mark.parametrize("slice_values", [1, 7, 12, 1 << 20])
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    def test_slices_hold_the_block_values(self, monkeypatch, spec, slice_values):
+        model, grid = parse_model(spec), TimeGrid.uniform(1, 2, 5)
+        whole = np.vstack(map_path_blocks(model, grid, 5000, 4, lambda v: v))
+        monkeypatch.setattr(models, "_SLICE_VALUES", slice_values)
+        for workers in (1, 2):
+            sliced = map_path_blocks(model, grid, 5000, 4, lambda v: v, workers)
+            assert np.array_equal(np.vstack(sliced), whole)
+            assert max(len(v) for v in sliced) == min(4096, max(1, slice_values // 5))
+
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    def test_wide_blocks_reach_fn_in_slices_under_the_cap(self, monkeypatch, spec):
+        # 4096 x 513 and a partial last block of 2100 x 513 both exceed 2^20 values
+        model, grid = parse_model(spec), TimeGrid.uniform(1, 2, 513)
+        row_sums = lambda v: (v.shape, v.sum(axis=1))
+        got = map_path_blocks(model, grid, 6196, 9, row_sums)
+        assert [shape for shape, _ in got] == [(r, 513) for r in (1365, 1365, 1366, 1050, 1050)]
+        assert max(r * c for (r, c), _ in got) <= models._SLICE_VALUES
+        monkeypatch.setattr(models, "_SLICE_VALUES", 1 << 30)
+        whole = map_path_blocks(model, grid, 6196, 9, row_sums)
+        assert [shape for shape, _ in whole] == [(4096, 513), (2100, 513)]
+        assert np.array_equal(np.concatenate([s for _, s in got]),
+                              np.concatenate([s for _, s in whole]))
+
+    def test_129_point_block_arrives_whole(self):
+        shapes = map_path_blocks(parse_model("bm-copula"), TimeGrid.uniform(), 5000, 1,
+                                 lambda v: v.shape)
+        assert shapes == [(4096, 129), (904, 129)]
 
 
 def replications_by_block(model, grid, n, reps, seed):
