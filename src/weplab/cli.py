@@ -21,6 +21,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -66,6 +67,13 @@ class RunConfig:
     levels: str = "0.2,0.4,0.5,0.8"
     c_values: str = "0.25,1,4"
 
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite")
+        if self.workers < 0 or self.reps < 1 or not 0.0 < self.clip < 0.5:
+            raise ConfigError("need --workers >= 0, --reps >= 1 and --clip in (0, 0.5)")
+
     def resolved_workers(self) -> int:
         return self.workers if self.workers > 0 else parallel.default_workers()
 
@@ -83,9 +91,12 @@ class RunConfig:
     def float_list(self, name: str) -> list[float]:
         raw = getattr(self, name)
         try:
-            return [float(v) for v in str(raw).split(",") if v.strip()]
+            values = [float(v) for v in str(raw).split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad numeric list for {name}: {raw!r}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"non-finite value in {name}: {raw!r}")
+        return values
 
     def int_list(self, name: str) -> list[int]:
         values = self.float_list(name)
@@ -393,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _simulate(cfg: RunConfig, out: str) -> int:
-    if not 0.0 < cfg.clip < 0.5:
-        raise ConfigError("--clip must lie in (0, 0.5)")
     levels = np.linspace(cfg.clip, 1.0 - cfg.clip, cfg.level_points)
     field = evaluate_field_streaming(cfg.model_spec(), cfg.grid(), levels, cfg.weight_spec(),
                                      cfg.n, cfg.seed, clip=cfg.clip,

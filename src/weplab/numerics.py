@@ -248,7 +248,7 @@ def _adaptive_panel(f, lo: float, hi: float, tol: float, depth: int = 0) -> tupl
     left = _gl_panel(f, lo, mid)
     right = _gl_panel(f, mid, hi)
     err = abs(whole - (left + right))
-    if err <= tol or depth >= 24:
+    if err <= tol or depth >= 24 or not math.isfinite(err):  # NaN never meets tol
         return left + right, err
     lv, le = _adaptive_panel(f, lo, mid, tol / 2.0, depth + 1)
     rv, re = _adaptive_panel(f, mid, hi, tol / 2.0, depth + 1)

@@ -81,6 +81,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.sv_kind not in SV_KINDS:
             raise DomainError(f"unknown slowly varying kind {self.sv_kind!r}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.sv_param)):
+            raise DomainError("weight parameters must be finite")
         if not self.unchecked:
             if not (0.0 <= self.alpha < 0.5):
                 raise DomainError("exponent must lie in [0, 1/2)")
@@ -191,8 +193,8 @@ def integral_condition(w: WeightSpec, c_values: Sequence[float], tol: float = 1e
     entries = []
     for c in c_values:
         c = float(c)
-        if c <= 0.0:
-            raise DomainError("c values must be positive")
+        if not (0.0 < c < math.inf):
+            raise DomainError("c values must be positive and finite")
 
         def integrand(s, _c=c):
             s = np.asarray(s, dtype=float)

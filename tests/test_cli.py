@@ -75,10 +75,41 @@ class TestExitCodes:
         ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", ","),
         ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", "100,100"),
         ("clt", "sup", "--model", "bm-copula", "--n", "10", "--reps", "-3"),
+        # non-finite input: these hung, exited 0 or exited 1 before being rejected
+        ("verify", "integral", "--c-values", "nan"),
+        ("verify", "integral", "--c-values", "1,inf"),
+        ("verify", "integral", "--weight", "const:nan"),
+        ("simulate", "--model", "bm-copula", "--n", "10", "--weight", "const:nan"),
+        ("verify", "slowly-varying", "--weight", "pow:0.25:logpow:nan"),
+        ("verify", "integral", "--weight", "pow:inf", "--unchecked"),
+        ("simulate", "--model", "atomic:0.5@nan", "--n", "10"),
+        ("simulate", "--model", "atomic:0.5@inf", "--n", "10"),
+        ("clt", "sup", "--model", "bm-copula", "--n", "10", "--reps", "40", "--times", "1,nan"),
+        ("verify", "wl", "--model", "bm-copula", "--n", "10", "--b", "inf"),
     ])
     def test_bad_input_is_two(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
         assert "weplab: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,named", [
+        (("simulate", "--model", "bm-copula", "--n", "10", "--workers", "-3"), "--workers"),
+        (("clt", "cov", "--model", "bm-copula", "--reps", "0"), "--reps"),
+        (("verify", "feller", "--theta", "nan"), "--theta"),
+        (("verify", "feller", "--gamma", "inf"), "--gamma"),
+    ])
+    def test_config_out_of_range_names_the_flag(self, tmp_path, capsys, argv, named):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        assert named in capsys.readouterr().err
+
+    def test_rerun_rejects_a_non_finite_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        assert run_cli("verify", "feller", "--out", str(tmp_path / "r.json"),
+                       "--manifest", str(manifest)) == 0
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        payload["config"]["y"] = float("nan")
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("rerun", "--manifest", str(manifest)) == 2
+        assert "--y must be finite" in capsys.readouterr().err
 
 
     @pytest.mark.filterwarnings("ignore:.*skipped")

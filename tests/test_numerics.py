@@ -1,6 +1,7 @@
 """Numeric kernel against independent high-precision oracles."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -253,6 +254,15 @@ class TestSingularQuadrature:
         a = singular_quadrature(lambda s: np.exp(-1.0 / s) / s, 0.5, tol)
         b = singular_quadrature(lambda s: np.exp(-1.0 / s) / s, 0.5, tol, initial_splits=4)
         assert abs(a.value - b.value) <= 10 * tol
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_integrand_returns_promptly(self, bad):
+        # a non-finite panel error never meets the tolerance; it must not
+        # refine 24 levels deep (about 2^24 panels)
+        start = time.perf_counter()
+        res = singular_quadrature(lambda s: np.where(s < 0.1, bad, 1.0), 0.5, 1e-9)
+        assert time.perf_counter() - start < 1.0
+        assert not res.converged
 
     def test_domain(self):
         with pytest.raises(DomainError):

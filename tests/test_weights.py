@@ -79,6 +79,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             WeightSpec(alpha=-0.1)
 
+    @pytest.mark.parametrize("unchecked", [False, True])
+    @pytest.mark.parametrize("fields", [{"alpha": math.nan}, {"alpha": math.inf},
+                                        {"sv_param": math.nan},
+                                        {"sv_kind": "logpow", "sv_param": math.nan},
+                                        {"sv_kind": "expsqrt", "sv_param": math.inf}])
+    def test_construction_rejects_non_finite_parameters(self, fields, unchecked):
+        with pytest.raises(DomainError, match="finite"):
+            WeightSpec(**fields, unchecked=unchecked)
+
     def test_unchecked_escape_hatch(self):
         w = WeightSpec(alpha=0.5, unchecked=True)
         assert w(0.25) == pytest.approx(2.0)
@@ -137,6 +146,11 @@ class TestIntegralCondition:
     def test_needs_c_values(self):
         with pytest.raises(DomainError):
             integral_condition(parse_weight("const:1"), [])
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_c_values_out_of_range(self, c):
+        with pytest.raises(DomainError, match="positive and finite"):
+            integral_condition(parse_weight("const:1"), [1.0, c])
 
 
 class TestDyadicSum:
