@@ -75,7 +75,7 @@ class TestExitCodes:
         ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", ","),
         ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", "100,100"),
         ("clt", "sup", "--model", "bm-copula", "--n", "10", "--reps", "-3"),
-        # non-finite input: these hung, exited 0 or exited 1 before being rejected
+        # a non-finite number in a list, a weight, a model spec or a flag
         ("verify", "integral", "--c-values", "nan"),
         ("verify", "integral", "--c-values", "1,inf"),
         ("verify", "integral", "--weight", "const:nan"),
