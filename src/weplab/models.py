@@ -187,7 +187,11 @@ def _filler(model: ProcessModel, count: int, seed: int, stream: int,
 
 def _to_native(model: ProcessModel, draws: np.ndarray, sqrt_dt: np.ndarray,
                sqrt_t: np.ndarray) -> np.ndarray:
-    """Draws (... x times) on the native scale, in place: scores B_t / sqrt(t) for the bm-copula."""
+    """Draws (... x times) on the native scale, in place: scores B_t / sqrt(t) for the bm-copula.
+
+    ``draws`` may be a strided view, such as a time-major batch with its last
+    two axes swapped; the elementwise operations, and so the bits, are the same.
+    """
     if model.kind == BM_COPULA:
         _brownian_paths(draws, sqrt_dt)
         draws /= sqrt_t
@@ -250,10 +254,13 @@ def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, see
                      fn: Callable[[np.ndarray], object], workers: int = 1) -> list:
     """Stream ``reps`` replications of n sampled paths through ``fn``, in batches.
 
-    ``fn`` gets a native (batch x n x times) array, which it may modify in
-    place; its results come back in replication order.  Block j of
-    replication r draws from (seed, STREAM_REPLICATION, r, j), as the blocks
-    of ``map_path_blocks`` with ``extra_key=(r,)`` do, whatever the batch.
+    ``fn`` gets a native time-major (batch x times x n) array, which it may
+    modify in place; its results come back in replication order.  Block j
+    of replication r draws from (seed, STREAM_REPLICATION, r, j), as the
+    blocks of ``map_path_blocks`` with ``extra_key=(r,)`` do, whatever the
+    batch: a batch holds exactly those paths x times values, transposed, so
+    the per-time work of ``fn`` and of the Brownian cumsum runs on
+    contiguous rows.
     """
     if n < 1 or reps < 1:
         raise DomainError("need n >= 1 paths and reps >= 1")
@@ -261,12 +268,15 @@ def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, see
     blocks = parallel.iter_blocks(n)
 
     def job(_idx, first, stop):
-        buf = np.empty((stop - first, n, len(grid)))
+        buf = np.empty((stop - first, len(grid), n))
+        # out= takes no transposed view: draw each block paths x times, then copy it over
+        draws = np.empty((min(n, parallel.BLOCK_SIZE), len(grid)))
         for r in range(first, stop):
             for j, start, end in blocks:
-                _filler(model, end - start, seed, parallel.STREAM_REPLICATION,
-                        (r, j))(buf[r - first, start:end], 0)
-        return fn(_to_native(model, buf, sqrt_dt, sqrt_t))
+                fill = _filler(model, end - start, seed, parallel.STREAM_REPLICATION, (r, j))
+                buf[r - first, :, start:end] = fill(draws[:end - start], 0).T
+        _to_native(model, np.swapaxes(buf, 1, 2), sqrt_dt, sqrt_t)
+        return fn(buf)
 
     batch = max(1, _REP_BATCH_VALUES // (n * len(grid)))
     return parallel.map_blocks(job, reps, workers, block_size=batch)

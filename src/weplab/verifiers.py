@@ -791,7 +791,7 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
     kernel = level_kernel(model, [y])
 
     def batch_values(paths):
-        return wy * (kernel.count(paths)[:, 0] - n * y) / math.sqrt(n)
+        return wy * (kernel.count(np.swapaxes(paths, 1, 2))[:, 0] - n * y) / math.sqrt(n)
 
     values = np.concatenate(map_replications(model, grid, n, reps, seed, batch_values, workers))
     ks = ks_statistic_one_sample(values, lambda v: std_normal_cdf(v / sigma))
@@ -898,9 +898,9 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
 
     def batch_sups(paths):
         # the counts and field of evaluate_field_streaming, per replication
-        paths.sort(axis=1)
-        return [np.max(np.abs(wv[None, :] * (kernel.count_sorted(vals) - n * levels[None, :])
-                              / math.sqrt(n))) for vals in paths]
+        paths.sort(axis=-1)
+        counts = np.stack([kernel.count_sorted(rows.T) for rows in paths])
+        return np.max(np.abs(wv * (counts - n * levels) / math.sqrt(n)), axis=(1, 2))
 
     emp = np.concatenate(map_replications(model, grid, n, reps, seed, batch_sups, workers))
     lim_draws = sample_limit_field(limit, reps, seed, workers=workers)

@@ -245,13 +245,17 @@ def parse_weight(text: str, gamma: Optional[float] = None, unchecked: bool = Fal
     ``pow:<alpha>:logpow:<beta>``, ``pow:<alpha>:expsqrt:<c>``.
     """
     parts = [p.strip() for p in text.strip().lower().split(":")]
+    args = None
     try:
         if parts[0] == "const" and len(parts) == 2:
-            return WeightSpec(0.0, SV_CONST, float(parts[1]), gamma, unchecked)
-        if parts[0] == "pow" and len(parts) == 2:
-            return WeightSpec(float(parts[1]), SV_CONST, 1.0, gamma, unchecked)
-        if parts[0] == "pow" and len(parts) == 4 and parts[2] in (SV_LOGPOW, SV_EXPSQRT):
-            return WeightSpec(float(parts[1]), parts[2], float(parts[3]), gamma, unchecked)
+            args = (0.0, SV_CONST, float(parts[1]))
+        elif parts[0] == "pow" and len(parts) == 2:
+            args = (float(parts[1]), SV_CONST, 1.0)
+        elif parts[0] == "pow" and len(parts) == 4 and parts[2] in (SV_LOGPOW, SV_EXPSQRT):
+            args = (float(parts[1]), parts[2], float(parts[3]))
     except ValueError as exc:
         raise DomainError(f"bad numeric field in weight spec {text!r}: {exc}") from exc
-    raise DomainError(f"unrecognized weight spec {text!r}")
+    if args is None:
+        raise DomainError(f"unrecognized weight spec {text!r}")
+    # built outside the try, so its own DomainError (a ValueError) names the real problem
+    return WeightSpec(*args, gamma, unchecked)

@@ -101,6 +101,18 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,named", [
+        (("--weight", "pow:0.25", "--gamma", "0.9"), "gamma must lie in (0, 1/2]"),
+        (("--weight", "pow:0.6"), "exponent must lie in [0, 1/2)"),
+        (("--weight", "pow:abc"), "bad numeric field in weight spec 'pow:abc'"),
+    ])
+    def test_weight_error_names_the_real_problem(self, tmp_path, capsys, argv, named):
+        assert run_cli("verify", "integral", *argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        # only a field that is not a number is blamed on the spec's numbers
+        assert ("bad numeric field" in err) == ("abc" in argv[1])
+
     def test_rerun_rejects_a_non_finite_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         assert run_cli("verify", "feller", "--out", str(tmp_path / "r.json"),

@@ -220,7 +220,10 @@ class TestConsumersMatchTheUniformKernels:
         new = _crossing_counts(model, GRID, probe_cells, N, 5, workers)
         assert np.array_equal(old, new)
 
-    def test_marginal(self, spec, workers):
+    @pytest.mark.parametrize("batch_values", [None, 1])
+    def test_marginal(self, monkeypatch, spec, workers, batch_values):
+        if batch_values is not None:
+            monkeypatch.setattr(models, "_REP_BATCH_VALUES", batch_values)
         model, n, reps, t = parse_model(spec), 5000, 500, 1.5
         grid = TimeGrid(np.array([t]))
         # a uniform sampled by replication 0, so at least that replication hits the band

@@ -200,7 +200,10 @@ class TestMapReplications:
         batches = map_replications(model, grid, n, reps, 17, lambda paths: paths, workers)
         assert [len(b) for b in batches] == [min(batch, reps - i) for i in range(0, reps, batch)]
         got = np.concatenate(batches)
-        assert np.array_equal(got, replications_by_block(model, grid, n, reps, 17))
+        # batches are time-major: the same values, transposed
+        assert got.shape == (reps, len(grid), n)
+        assert np.array_equal(got, np.swapaxes(replications_by_block(model, grid, n, reps, 17),
+                                               1, 2))
 
     def test_batch_holds_at_most_the_cap(self):
         grid = TimeGrid.uniform(1, 2, 4)

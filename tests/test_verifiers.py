@@ -10,7 +10,7 @@ import pytest
 from weplab import models, parallel
 from weplab.engine import evaluate_field_streaming, sup_statistic
 from weplab.errors import DomainError
-from weplab.models import TimeGrid, parse_model
+from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
 from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
                               clt_marginal_test, clt_sup_comparison, envelope_check,
                               feller_sandwich, l_condition_estimate, lemma_l_check,
@@ -376,20 +376,31 @@ class TestCltSup:
 
     @pytest.mark.parametrize("batch_values", [None, 1])
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time"])
-    def test_sups_equal_the_per_replication_field(self, monkeypatch, spec, workers,
-                                                  batch_values):
+    @pytest.mark.parametrize("spec,sampled_level", [("bm-copula", False), ("bm-copula", True),
+                                                    ("dependent", False), ("iid-time", False)])
+    def test_sups_equal_the_per_replication_field(self, monkeypatch, spec, sampled_level,
+                                                  workers, batch_values):
         # n = 4500 spans two seeding blocks; 31 replications fill two batches and a part
         if batch_values is not None:
             monkeypatch.setattr(models, "_REP_BATCH_VALUES", batch_values)
         model, n, reps = parse_model(spec), 4500, 31
         times, levels = (2.0, 1.0, 1.5), (0.8, 0.2, 0.5)
         grid = TimeGrid(np.array(sorted(times)))
+        if sampled_level:
+            # a uniform that replication 0 sampled in its second block (0.58 at t = 2):
+            # count_sorted decides an in-band slice of a time-major row in that cell
+            first = np.vstack(map_path_blocks(model, grid, n, 9, lambda v: to_uniform(model, v),
+                                              stream=parallel.STREAM_REPLICATION,
+                                              extra_key=(0,)))
+            levels = (0.8, 0.2, float(first[4158, 2]))
         ys = np.array(sorted(levels))
-        old = [sup_statistic(evaluate_field_streaming(model, grid, ys, w_quarter, n, 9, clip=0.2,
-                                                      stream=parallel.STREAM_REPLICATION,
-                                                      extra_key=(r,)))
-               for r in range(reps)]
+        fields = [evaluate_field_streaming(model, grid, ys, w_quarter, n, 9, clip=0.2,
+                                           stream=parallel.STREAM_REPLICATION, extra_key=(r,))
+                  for r in range(reps)]
+        if sampled_level:
+            # and replication 0 takes its sup there, so a wrong decision moves that sup
+            assert np.argmax(np.abs(fields[0].values)) == 2 * len(ys) + 1
+        old = [sup_statistic(field) for field in fields]
         res = clt_sup_comparison(model, w_quarter, times, levels, n, reps, 9, workers=workers)
         assert np.array_equal(res.empirical_sups, np.array(old))
 
