@@ -16,8 +16,8 @@ from .models import (ProcessModel, TimeGrid, envelope_statistics, joint_cdf,
 from .limits import (LimitModel, MetricSpec, build_limit_model, check_distance_monotone,
                      combined_metric, dg0_upper_bound_check, export_covariance_csv,
                      sample_limit_field, weight_drift_check, weighted_wiener_distance)
-from .engine import (EmpiricalField, MomentAccumulator, empirical_covariance,
-                     evaluate_field_streaming, export_field_csv, sup_statistic)
+from .engine import (EmpiricalField, empirical_covariance, evaluate_field_streaming,
+                     export_field_csv, sup_statistic)
 from .numerics import (bvn_cdf, ks_statistic_one_sample, ks_statistic_two_sample,
                        singular_quadrature, std_normal_cdf, std_normal_pdf,
                        std_normal_quantile)

@@ -71,8 +71,12 @@ class RunConfig:
         for name, value in dataclasses.asdict(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{name.replace('_', '-')} must be finite")
-        if self.workers < 0 or self.reps < 1 or not 0.0 < self.clip < 0.5:
-            raise ConfigError("need --workers >= 0, --reps >= 1 and --clip in (0, 0.5)")
+        if (self.n < 1 or self.time_points < 2 or self.level_points < 1 or self.reps < 1
+                or self.workers < 0 or not 0.0 < self.clip < 0.5):
+            raise ConfigError("need --n >= 1, --time-points >= 2, --level-points >= 1, "
+                              "--reps >= 1, --workers >= 0 and --clip in (0, 0.5)")
+        if self.workers == 0:
+            parallel.default_workers()
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers > 0 else parallel.default_workers()

@@ -1,11 +1,11 @@
 """The weighted empirical field on (time x level) grids.
 
 Per cell, the field is w(y) (count(X_i(t) <= y) - n y) / sqrt(n).  Indicator
-counts are accumulated as integers per block and merged in fixed order, so
-every field value is exact in the counts and bit-for-bit reproducible across
-worker counts and path partitions.  Indicator ties are resolved by <=
-exactly as written; implemented models produce continuous values almost
-surely.
+counts are taken as integers per block and added by the sampler in fixed
+order, so every field value is exact in the counts and bit-for-bit
+reproducible across worker counts and path partitions.  Indicator ties are
+resolved by <= exactly as written; implemented models produce continuous
+values almost surely.
 """
 
 from __future__ import annotations
@@ -44,33 +44,6 @@ class EmpiricalField:
             raise DomainError("field shape must be (grid size, level count)")
 
 
-@dataclass
-class MomentAccumulator:
-    """Mergeable per-path accumulation on a designated cell subset.
-
-    Carries the path count, per-cell indicator counts and per-cell-pair
-    joint indicator counts.  All fields are integers, so merging is exact
-    and associative; the field and its sup derive from the merged counts
-    without any floating-point reduction over paths.
-    """
-
-    count: int
-    cell_counts: np.ndarray     # int64, per cell
-    pair_counts: np.ndarray     # int64, cells x cells
-
-    @classmethod
-    def from_indicators(cls, ind: np.ndarray) -> "MomentAccumulator":
-        """ind: boolean (paths x cells) indicator matrix for one block."""
-        f = ind.astype(np.float64)
-        return cls(int(ind.shape[0]), ind.sum(axis=0, dtype=np.int64),
-                   np.rint(f.T @ f).astype(np.int64))
-
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        return MomentAccumulator(self.count + other.count,
-                                 self.cell_counts + other.cell_counts,
-                                 self.pair_counts + other.pair_counts)
-
-
 def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequence[float],
                              w: WeightSpec, n: int, seed: int, clip: float = DEFAULT_CLIP,
                              workers: int = 1,
@@ -78,10 +51,10 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
                              stream: int = parallel.STREAM_PATHS) -> EmpiricalField:
     """Evaluate the field on the (grid x levels) lattice from n streamed paths.
 
-    Per block, counts of X_i(t) <= y are taken for every cell and merged as
-    integers in block order.  A block is counted on its native scale by
-    sorting each time column in place and searching it for the level bands
-    of ``level_kernel``.
+    Per block, counts of X_i(t) <= y are taken for every cell as integers,
+    which the sampler adds in block order.  A block is counted on its native
+    scale by sorting each time column in place and searching it for the
+    level bands of ``level_kernel``.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
@@ -97,9 +70,8 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
         vals.sort(axis=0)
         return kernel.count_sorted(vals)
 
-    parts = map_path_blocks(model, grid, n, seed, block_counts, workers,
-                            stream=stream, extra_key=extra_key)
-    counts = parallel.tree_reduce(parts, np.add)
+    counts = map_path_blocks(model, grid, n, seed, block_counts, workers,
+                             stream=stream, extra_key=extra_key)
     wv = np.asarray(w(levels), dtype=float)
     nu = wv[None, :] * (counts - n * levels[None, :]) / math.sqrt(n)
     return EmpiricalField(grid, levels, nu, n, w, {"model": model.describe(), "seed": seed})
@@ -114,41 +86,33 @@ def sup_statistic(field: EmpiricalField) -> float:
 
 def accumulate_cell_moments(model: ProcessModel, cells: Sequence[tuple[float, float]],
                             grid: TimeGrid, n: int, seed: int, workers: int = 1,
-                            extra_key: tuple[int, ...] = ()) -> MomentAccumulator:
-    """Accumulate indicator counts and joint counts on probe cells."""
+                            extra_key: tuple[int, ...] = ()) -> np.ndarray:
+    """Joint frequencies P(X_s <= x, X_t <= y) over pairs of probe cells, from n paths.
+
+    Per block the joint indicator counts are integers, which the sampler
+    adds in block order; the total is divided by n once.
+    """
     idx = np.array([grid.index_of(t) for t, _ in cells])
     kernel = level_kernel(model, [y for _, y in cells])
 
-    def block_fn(vals):
-        return MomentAccumulator.from_indicators(kernel.leq(vals[:, idx]))
+    def pair_counts(vals):
+        f = kernel.leq(vals[:, idx]).astype(np.float64)
+        return np.rint(f.T @ f).astype(np.int64)
 
-    parts = map_path_blocks(model, grid, n, seed, block_fn, workers, extra_key=extra_key)
-    return parallel.tree_reduce(parts, lambda a, b: a.merge(b))
-
-
-def covariance_from_moments(acc: MomentAccumulator, cells: Sequence[tuple[float, float]],
-                            w: WeightSpec, centered: bool = True) -> np.ndarray:
-    """Limit-covariance estimate from pooled per-path joint frequencies.
-
-    Estimates w(x) w(y) [P(X_s <= x, X_t <= y) - xy] with the exactly known
-    marginals plugged in; unbiased for every path count.
-    """
-    return covariance_from_joint(acc.pair_counts / acc.count, cells, w, centered)
+    return map_path_blocks(model, grid, n, seed, pair_counts, workers, extra_key=extra_key) / n
 
 
 def covariance_from_joint(joint: np.ndarray, cells: Sequence[tuple[float, float]],
-                          w: WeightSpec, centered: bool = True) -> np.ndarray:
+                          w: WeightSpec) -> np.ndarray:
     """Symmetrized w(x) w(y) [J - xy] on the cells.
 
     ``joint[i, j]`` is P(X_s <= x, X_t <= y) for cells i = (s, x) and
-    j = (t, y); ``centered=False`` drops the xy term.  Both the empirical
-    estimate and the limit model assemble their covariance here.
+    j = (t, y).  Both the empirical estimate and the limit model assemble
+    their covariance here.
     """
     ys = np.array([y for _, y in cells])
     wv = np.array([float(w(y)) for _, y in cells])
-    cov = np.outer(wv, wv) * joint
-    if centered:
-        cov = cov - np.outer(wv * ys, wv * ys)
+    cov = np.outer(wv, wv) * joint - np.outer(wv * ys, wv * ys)
     return 0.5 * (cov + cov.T)
 
 

@@ -3,9 +3,8 @@
 The distance d(x, y) is the L2 distance of the weighted Wiener process
 w(x) W(x); combined with a time pseudometric rho it gives the max-metric on
 time-level pairs.  The limit model assembles the covariance
-w(x) w(y) [P(X_s <= x, X_t <= y) - xy] (or its uncentered variant) on a
-finite set of cells, factors it, and samples mean-zero Gaussian vectors
-deterministically.
+w(x) w(y) [P(X_s <= x, X_t <= y) - xy] on a finite set of cells, factors
+it, and samples mean-zero Gaussian vectors deterministically.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import parallel
 from .errors import DomainError, IndefiniteCovarianceError
-from .engine import DEFAULT_CLIP, MomentAccumulator, covariance_from_joint
+from .engine import DEFAULT_CLIP, covariance_from_joint
 from .models import ProcessModel, has_joint_cdf, joint_cdf, joint_cdf_matrix, rho_metric
 from .weights import WeightSpec
 
@@ -119,7 +118,6 @@ class LimitModel:
     covariance: np.ndarray
     factor: np.ndarray
     jitter: float
-    centered: bool
     provenance: dict
 
     def __post_init__(self):
@@ -148,14 +146,13 @@ def _factor_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
-                      w: WeightSpec, centered: bool = True,
-                      calibration: Optional[MomentAccumulator] = None) -> LimitModel:
+                      w: WeightSpec, calibration: Optional[np.ndarray] = None) -> LimitModel:
     """Assemble and factor the limit covariance on the given cells.
 
     Uses the closed-form joint CDF when the model has one; otherwise the
-    joint frequencies are the pooled pair counts of ``calibration``, which
-    ``accumulate_cell_moments`` streams on the same cells from an independent
-    seed.  Its path count is recorded in the provenance.
+    joint frequencies are ``calibration``, the matrix that
+    ``accumulate_cell_moments`` streams on the same cells from an
+    independent seed.
     """
     cells = tuple((float(t), float(y)) for t, y in cells)
     if not cells:
@@ -169,15 +166,13 @@ def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
     else:
         if calibration is None:
             raise DomainError(f"model {model.kind} needs calibration moments")
-        if calibration.pair_counts.shape != (len(cells), len(cells)):
+        if calibration.shape != (len(cells), len(cells)):
             raise DomainError("calibration moments must be accumulated on the cells")
-        joint = calibration.pair_counts / calibration.count
-        provenance = {"joint": "calibration", "model": model.describe(),
-                      "calibration_n": calibration.count}
-    cov = covariance_from_joint(joint, cells, w, centered)
+        joint, provenance = calibration, {"joint": "calibration", "model": model.describe()}
+    cov = covariance_from_joint(joint, cells, w)
     factor, jitter = _factor_with_jitter(cov)
     provenance["jitter_ladder"] = [f"{j:g}" for j in JITTER_LADDER]
-    return LimitModel(cells, cov, factor, jitter, centered, provenance)
+    return LimitModel(cells, cov, factor, jitter, provenance)
 
 
 def sample_limit_field(limit: LimitModel, reps: int, seed: int, workers: int = 1) -> np.ndarray:
@@ -226,7 +221,7 @@ def export_covariance_csv(limit: LimitModel, path: str) -> None:
     """Row-major CSV of the covariance with a header naming the grid pairs."""
     header = ",".join(f"({t:g};{y:g})" for t, y in limit.cells)
     lines = ["# weplab covariance v1",
-             f"# centered={limit.centered} jitter={limit.jitter:g}",
+             f"# centered=True jitter={limit.jitter:g}",
              header]
     for row in limit.covariance:
         lines.append(",".join(repr(float(v)) for v in row))

@@ -14,14 +14,18 @@ approximation quantified by the refinement studies in the verifiers.
 Paths are streamed on each kind's native scale: the Brownian copula as
 scores B_t / sqrt(t), the other kinds as their uniforms.  ``to_uniform``
 applies the Phi transform; ``level_kernel`` compares native values with
-uniform levels without it.  ``map_path_blocks`` streams the paths of one
-run, ``map_replications`` those of many replications, a batch at a time.
+uniform levels without it.  The samplers hand back finished results:
+``map_path_blocks`` streams the paths of one run (``map_brownian_blocks``
+their raw B_t) and adds its consumer's per-block results with ``+`` in fixed
+tree order; ``map_replications`` streams many replications, a batch at a
+time, and concatenates the per-batch results in replication order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -220,15 +224,16 @@ _SLICE_VALUES = 1 << 20
 def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
                     fn: Callable[[np.ndarray], object], workers: int = 1,
                     stream: int = parallel.STREAM_PATHS,
-                    extra_key: tuple[int, ...] = ()) -> list:
+                    extra_key: tuple[int, ...] = ()):
     """Stream blocks of n sampled paths through ``fn``: the path sampler of one run.
 
     ``fn`` gets rows of paths on the model's native scale, which it may
     modify in place.  A block may reach ``fn`` in several row slices of at
     most ``_SLICE_VALUES`` values, and results must be exact under any row
     partition.  Block j draws from the substream (seed, stream, *extra_key,
-    j), so the values, and the results returned in row order, are identical
-    for every worker count.
+    j), so the values are identical for every worker count, and so is the
+    sum of ``fn``'s results, added in fixed tree order over the slices in
+    row order.
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")
@@ -242,7 +247,8 @@ def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
         return [fn(_to_native(model, fill(np.empty((b - a, m)), a), sqrt_dt, sqrt_t))
                 for a, b in zip(cuts, cuts[1:])]
 
-    return [r for part in parallel.map_blocks(job, n, workers) for r in part]
+    parts = [r for part in parallel.map_blocks(job, n, workers) for r in part]
+    return parallel.tree_reduce(parts, operator.add)
 
 
 # Values per batch of map_replications: about 2 MiB of float64.  Pure
@@ -251,16 +257,16 @@ _REP_BATCH_VALUES = 1 << 18
 
 
 def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, seed: int,
-                     fn: Callable[[np.ndarray], object], workers: int = 1) -> list:
+                     fn: Callable[[np.ndarray], np.ndarray], workers: int = 1) -> np.ndarray:
     """Stream ``reps`` replications of n sampled paths through ``fn``, in batches.
 
     ``fn`` gets a native time-major (batch x times x n) array, which it may
-    modify in place; its results come back in replication order.  Block j
-    of replication r draws from (seed, STREAM_REPLICATION, r, j), as the
-    blocks of ``map_path_blocks`` with ``extra_key=(r,)`` do, whatever the
-    batch: a batch holds exactly those paths x times values, transposed, so
-    the per-time work of ``fn`` and of the Brownian cumsum runs on
-    contiguous rows.
+    modify in place; its per-batch results come back concatenated in
+    replication order.  Block j of replication r draws from (seed,
+    STREAM_REPLICATION, r, j), as the blocks of ``map_path_blocks`` with
+    ``extra_key=(r,)`` do, whatever the batch: a batch holds exactly those
+    paths x times values, transposed, so the per-time work of ``fn`` and of
+    the Brownian cumsum runs on contiguous rows.
     """
     if n < 1 or reps < 1:
         raise DomainError("need n >= 1 paths and reps >= 1")
@@ -279,19 +285,20 @@ def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, see
         return fn(buf)
 
     batch = max(1, _REP_BATCH_VALUES // (n * len(grid)))
-    return parallel.map_blocks(job, reps, workers, block_size=batch)
+    return np.concatenate(parallel.map_blocks(job, reps, workers, block_size=batch))
 
 
 def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
                         fn: Callable[[np.ndarray], object], workers: int = 1,
                         stream: int = parallel.STREAM_PATHS,
-                        extra_key: tuple[int, ...] = ()) -> list:
+                        extra_key: tuple[int, ...] = ()):
     """Stream raw Brownian path blocks (values B_t at grid times).
 
     Seeded like ``map_path_blocks``, so with equal keys its blocks are the
-    Brownian paths behind the bm-copula blocks.  It exists because some
-    consumers need B_t itself, and B_t cannot be recovered bit-for-bit from
-    the score B_t / sqrt(t).
+    Brownian paths behind the bm-copula blocks, and adds ``fn``'s results in
+    the same fixed tree order.  It exists because some consumers need B_t
+    itself, and B_t cannot be recovered bit-for-bit from the score
+    B_t / sqrt(t).
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")
@@ -301,7 +308,7 @@ def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
         rng = parallel.derive_rng(seed, stream, *extra_key, idx)
         return fn(_brownian_paths(rng.standard_normal((stop - start, sqrt_dt.size)), sqrt_dt))
 
-    return parallel.map_blocks(job, n, workers)
+    return parallel.tree_reduce(parallel.map_blocks(job, n, workers), operator.add)
 
 
 # Half-width of a bm-copula level's score band, relative in u.  scipy's ndtr
@@ -515,23 +522,18 @@ def envelope_statistics(grid: TimeGrid, n: int, seed: int,
             windows.append((float(t), float(eps), it, grid.forward_indices(t, eps)))
 
     def block_stats(b: np.ndarray):
-        scaled = b / sqrt_pts
-        sums = np.zeros(len(windows) + 1)
-        sqs = np.zeros(len(windows) + 1)
+        # row 0 sums, row 1 sums of squares; the last column is the scaled-path sup
+        stats = np.zeros((2, len(windows) + 1))
         for j, (_t, _e, it, sel) in enumerate(windows):
             if sel.size == 0:
                 continue
             d = np.max((b[:, sel] - b[:, it][:, None]) / sqrt_pts[sel], axis=1)
-            sums[j] = np.sum(d)
-            sqs[j] = np.sum(d * d)
-        sup = np.max(scaled, axis=1)
-        sums[-1] = np.sum(sup)
-        sqs[-1] = np.sum(sup * sup)
-        return sums, sqs
+            stats[:, j] = np.sum(d), np.sum(d * d)
+        sup = np.max(b / sqrt_pts, axis=1)
+        stats[:, -1] = np.sum(sup), np.sum(sup * sup)
+        return stats
 
-    parts = map_brownian_blocks(grid, n, seed, block_stats, workers, stream=stream)
-    sums = parallel.tree_reduce([p[0] for p in parts], np.add)
-    sqs = parallel.tree_reduce([p[1] for p in parts], np.add)
+    sums, sqs = map_brownian_blocks(grid, n, seed, block_stats, workers, stream=stream)
 
     def mean_stderr(s, sq):
         mean = s / n

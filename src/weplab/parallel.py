@@ -17,6 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Paths per seeding block.  Fixed: changing it changes the sampled values.
 BLOCK_SIZE = 4096
 
@@ -31,13 +33,11 @@ _ENV_WORKERS = "WEPLAB_WORKERS"
 
 
 def default_workers() -> int:
-    """Worker count from the environment, defaulting to 1."""
+    """Worker count from the environment, defaulting to 1; it must be a positive integer."""
     raw = os.environ.get(_ENV_WORKERS, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"{_ENV_WORKERS} must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import parallel
-from .engine import accumulate_cell_moments, covariance_from_moments
+from .engine import accumulate_cell_moments, covariance_from_joint
 from .errors import DomainError
 from .limits import build_limit_model, sample_limit_field
 from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics,
@@ -204,8 +204,7 @@ def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, 
                 counts[j, 1] = np.count_nonzero(kernel.any_leq(vals[:, a:b], low, j) & ~at)
         return counts
 
-    parts = map_path_blocks(model, grid, n, seed, block_fn, workers, extra_key=extra_key)
-    return parallel.tree_reduce(parts, np.add)
+    return map_path_blocks(model, grid, n, seed, block_fn, workers, extra_key=extra_key)
 
 
 def _wl_sweep(model, w, theta, probes, grid, n, seed, workers, extra_key):
@@ -303,9 +302,8 @@ def l_condition_estimate(model: ProcessModel, theta: float,
                 counts[j] = np.count_nonzero(osc > eps ** 2)
             return counts
 
-        parts = (map_brownian_blocks(grid, n, seed, block_fn, workers) if brownian
-                 else map_path_blocks(model, grid, n, seed, block_fn, workers))
-        counts = parallel.tree_reduce(parts, np.add)
+        counts = (map_brownian_blocks(grid, n, seed, block_fn, workers) if brownian
+                  else map_path_blocks(model, grid, n, seed, block_fn, workers))
         for (t, eps, it, ball), c in zip(prepared, counts):
             p = c / n
             rows.append(ProbeResult({"t": t, "eps": eps, "ball_points": int(ball.size)},
@@ -345,8 +343,7 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
         lo = np.count_nonzero(vals.min(axis=1) <= cross_check_x0) if want_cross else 0
         return np.concatenate([counts, [lo]])
 
-    parts = map_path_blocks(model, grid, n, seed, block_fn, workers)
-    counts = parallel.tree_reduce(parts, np.add)
+    counts = map_path_blocks(model, grid, n, seed, block_fn, workers)
     rows, values = [], []
     for lam, c in zip(lams, counts[:-1]):
         p = c / n
@@ -501,9 +498,8 @@ def borell_check(r_values: Sequence[float] = DEFAULT_BORELL_R, n: int = 100_000,
         sup = np.max(-b / sqrt_pts, axis=1)
         return np.array([np.sum(sup), float(len(sup))])
 
-    cal = parallel.tree_reduce(
-        map_brownian_blocks(grid, n, seed, sup_sums, workers,
-                            stream=parallel.STREAM_CALIBRATION), np.add)
+    cal = map_brownian_blocks(grid, n, seed, sup_sums, workers,
+                              stream=parallel.STREAM_CALIBRATION)
     m_hat = float(cal[0] / cal[1])
 
     rs = [float(r) for r in r_values]
@@ -514,8 +510,7 @@ def borell_check(r_values: Sequence[float] = DEFAULT_BORELL_R, n: int = 100_000,
         sup = np.max(-b / sqrt_pts, axis=1)
         return np.array([np.count_nonzero(sup >= m_hat + r) for r in rs], dtype=np.int64)
 
-    counts = parallel.tree_reduce(
-        map_brownian_blocks(grid, n, seed, exceed_counts, workers), np.add)
+    counts = map_brownian_blocks(grid, n, seed, exceed_counts, workers)
     rows = [ProbeResult({"stat": "sup_mean"}, m_hat, None, None, None, True)]
     for r, c in zip(rs, counts):
         p = c / n
@@ -658,8 +653,7 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
                                          & (np.max(scaled[:, window], axis=1) >= l))
         return counts
 
-    counts = parallel.tree_reduce(
-        map_brownian_blocks(grid, n, seed, block_fn, workers), np.add)
+    counts = map_brownian_blocks(grid, n, seed, block_fn, workers)
     rows = [ProbeResult({"stat": "m0_hat"}, m0_hat, None, None, None, True)]
     evaluated = 0
     for (t, eps, l), (_it, window, _l), c in zip(probes, prepared, counts):
@@ -723,8 +717,7 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
             counts[j] = np.count_nonzero(has & (mn <= hi))
         return counts
 
-    counts = parallel.tree_reduce(
-        map_path_blocks(model, grid, n, seed, block_fn, workers), np.add)
+    counts = map_path_blocks(model, grid, n, seed, block_fn, workers)
     rows = [ProbeResult({"stat": "l_hat"}, l_hat, None, None, None, True)]
     for (t, eps, a, b), c in zip(probes, counts):
         ratio = dyadic_sum(w, b, 200).ratio
@@ -793,7 +786,7 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
     def batch_values(paths):
         return wy * (kernel.count(np.swapaxes(paths, 1, 2))[:, 0] - n * y) / math.sqrt(n)
 
-    values = np.concatenate(map_replications(model, grid, n, reps, seed, batch_values, workers))
+    values = map_replications(model, grid, n, reps, seed, batch_values, workers)
     ks = ks_statistic_one_sample(values, lambda v: std_normal_cdf(v / sigma))
     mean = float(np.mean(values))
     mean_se = float(np.std(values, ddof=1) / math.sqrt(reps))
@@ -846,9 +839,9 @@ def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
     target = _covariance_target(model, cells, w)
     dists = []
     for i, n in enumerate(n_list):
-        acc = accumulate_cell_moments(model, cells, grid, n * reps, seed,
-                                      workers=workers, extra_key=(i,))
-        est = covariance_from_moments(acc, cells, w, centered=True)
+        joint = accumulate_cell_moments(model, cells, grid, n * reps, seed,
+                                        workers=workers, extra_key=(i,))
+        est = covariance_from_joint(joint, cells, w)
         dists.append(float(np.linalg.norm(est - target)))
     return CovarianceCltResult(tuple(cells), tuple(n_list), tuple(dists), threshold,
                                reps, seed)
@@ -892,7 +885,7 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
     grid = TimeGrid(np.asarray(sorted(times), dtype=float))
     levels = np.asarray(sorted(levels), dtype=float)
     cells = [(float(t), float(y)) for t in grid.points for y in levels]
-    limit = build_limit_model(model, cells, w, centered=True)
+    limit = build_limit_model(model, cells, w)
     kernel = level_kernel(model, levels)
     wv = np.asarray(w(levels), dtype=float)
 
@@ -902,7 +895,7 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
         counts = np.stack([kernel.count_sorted(rows.T) for rows in paths])
         return np.max(np.abs(wv * (counts - n * levels) / math.sqrt(n)), axis=(1, 2))
 
-    emp = np.concatenate(map_replications(model, grid, n, reps, seed, batch_sups, workers))
+    emp = map_replications(model, grid, n, reps, seed, batch_sups, workers)
     lim_draws = sample_limit_field(limit, reps, seed, workers=workers)
     lim = np.max(np.abs(lim_draws), axis=1)
     ks = ks_statistic_two_sample(emp, lim)

@@ -86,6 +86,10 @@ class TestExitCodes:
         ("simulate", "--model", "atomic:0.5@inf", "--n", "10"),
         ("clt", "sup", "--model", "bm-copula", "--n", "10", "--reps", "40", "--times", "1,nan"),
         ("verify", "wl", "--model", "bm-copula", "--n", "10", "--b", "inf"),
+        # sizes are checked once, also where a command clamps or ignores them
+        ("verify", "lemma-m", "--n", "-1", "--time-points", "17"),
+        ("verify", "feller", "--n", "0"),
+        ("verify", "feller", "--time-points", "1"),
     ])
     def test_bad_input_is_two(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
@@ -287,6 +291,20 @@ class TestWorkerEnvVar:
         monkeypatch.delenv("WEPLAB_WORKERS")
         assert run_cli(*args, "--workers", "1", "--out", str(flag_out)) == 0
         assert env_out.read_bytes() == flag_out.read_bytes()
+
+    @pytest.mark.parametrize("raw,code", [("abc", 2), ("0", 2), ("-3", 2), ("1.5", 2),
+                                          ("2", 0)])
+    def test_environment_worker_count_is_checked(self, tmp_path, monkeypatch, capsys, raw,
+                                                 code):
+        # feller never resolves its workers: the configuration checks the variable
+        monkeypatch.setenv("WEPLAB_WORKERS", raw)
+        assert run_cli("verify", "feller", "--out", str(tmp_path / "r.json")) == code
+        assert ("WEPLAB_WORKERS" in capsys.readouterr().err) == (code == 2)
+
+    def test_worker_flag_wins_over_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WEPLAB_WORKERS", "abc")
+        assert run_cli("verify", "feller", "--workers", "1",
+                       "--out", str(tmp_path / "r.json")) == 0
 
 
 class TestConfigFile:

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from weplab.engine import (MomentAccumulator, accumulate_cell_moments,
-                           covariance_from_moments, empirical_covariance,
+from weplab.engine import (accumulate_cell_moments, covariance_from_joint, empirical_covariance,
                            evaluate_field_streaming, export_field_csv, sup_statistic)
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
@@ -24,7 +23,7 @@ SINGLE_GRID = TimeGrid.uniform(1, 2, 3)
 
 def single_path_value() -> float:
     """The shared uniform draw of the one dependent path at seed 7."""
-    return float(map_path_blocks(SINGLE_MODEL, SINGLE_GRID, 1, 7, lambda v: v)[0][0, 0])
+    return float(map_path_blocks(SINGLE_MODEL, SINGLE_GRID, 1, 7, lambda v: [v])[0][0, 0])
 
 
 def single_path_field(levels, **kwargs):
@@ -60,7 +59,7 @@ class TestEvaluateField:
     @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time"])
     def test_counts_match_broadcast_reference(self, spec):
         model, grid, n, seed = parse_model(spec), TimeGrid.uniform(1, 2, 7), 5000, 11
-        paths = np.vstack(map_path_blocks(model, grid, n, seed, lambda v: to_uniform(model, v)))
+        paths = np.vstack(map_path_blocks(model, grid, n, seed, lambda v: [to_uniform(model, v)]))
         # levels that equal sampled values exactly, one of them repeated
         ordered = np.sort(paths[:, 3])
         levels = np.array([ordered[100], 0.25, ordered[2500], ordered[2500], 0.75,
@@ -118,40 +117,21 @@ class TestSupStatistic:
         assert sup_statistic(field) == pytest.approx(1.0 - above, abs=1e-15)
 
 
-class TestMomentAccumulator:
-    def test_merge_exact_and_commutative(self):
-        rng = np.random.default_rng(1)
-        a = MomentAccumulator.from_indicators(rng.random((100, 4)) < 0.5)
-        b = MomentAccumulator.from_indicators(rng.random((37, 4)) < 0.5)
-        ab = a.merge(b)
-        ba = b.merge(a)
-        assert ab.count == ba.count == 137
-        assert np.array_equal(ab.cell_counts, ba.cell_counts)
-        assert np.array_equal(ab.pair_counts, ba.pair_counts)
-
-    def test_pair_counts_match_brute_force(self):
-        rng = np.random.default_rng(2)
-        ind = rng.random((50, 3)) < 0.4
-        acc = MomentAccumulator.from_indicators(ind)
-        brute = np.zeros((3, 3), dtype=np.int64)
-        for row in ind:
-            brute += np.outer(row, row).astype(np.int64)
-        assert np.array_equal(acc.pair_counts, brute)
-
+class TestCellMoments:
     def test_accumulate_worker_invariance(self):
         model = parse_model("bm-copula")
         grid = TimeGrid(np.array([1.0, 2.0]))
         cells = [(1.0, 0.5), (2.0, 0.5)]
         a = accumulate_cell_moments(model, cells, grid, 20_000, 9, workers=1)
         b = accumulate_cell_moments(model, cells, grid, 20_000, 9, workers=8)
-        assert np.array_equal(a.pair_counts, b.pair_counts)
+        assert np.array_equal(a, b)
 
-    def test_covariance_from_moments_target(self):
+    def test_covariance_from_joint_target(self):
         model = parse_model("bm-copula")
         grid = TimeGrid(np.array([1.0, 2.0]))
         cells = [(1.0, 0.5), (2.0, 0.5)]
-        acc = accumulate_cell_moments(model, cells, grid, 200_000, PINNED_SEED)
-        cov = covariance_from_moments(acc, cells, w_const)
+        joint = accumulate_cell_moments(model, cells, grid, 200_000, PINNED_SEED)
+        cov = covariance_from_joint(joint, cells, w_const)
         assert cov[0, 1] == pytest.approx(0.125, abs=0.005)
         assert cov[0, 0] == pytest.approx(0.25, abs=0.005)
 

@@ -17,7 +17,7 @@ from scipy import special
 
 from weplab import models, parallel
 from weplab.cli import main
-from weplab.engine import MomentAccumulator, accumulate_cell_moments, evaluate_field_streaming
+from weplab.engine import accumulate_cell_moments, evaluate_field_streaming
 from weplab.models import TimeGrid, level_kernel, map_path_blocks, parse_model, to_uniform
 from weplab.verifiers import (DEFAULT_D1D2_X, DEFAULT_WL_X, _crossing_counts,
                               clt_marginal_test)
@@ -152,7 +152,10 @@ def old_field_counts(levels):
 
 
 def old_cell_moments(idx, ys):
-    return lambda vals: MomentAccumulator.from_indicators(vals[:, idx] <= ys[None, :])
+    def pair_counts(vals):
+        ind = (vals[:, idx] <= ys[None, :]).astype(np.int64)
+        return np.einsum("pi,pj->ij", ind, ind)
+    return pair_counts
 
 
 def old_crossing_counts(probe_cells):
@@ -167,16 +170,15 @@ def old_crossing_counts(probe_cells):
     return block_fn
 
 
-def old_on_uniforms(model, grid, n, seed, fn, workers, op=np.add, **kwargs):
-    """Reduce ``fn`` over the uniform blocks of a run."""
-    parts = map_path_blocks(model, grid, n, seed, lambda v: fn(to_uniform(model, v)),
-                            workers, **kwargs)
-    return parallel.tree_reduce(parts, op)
+def old_on_uniforms(model, grid, n, seed, fn, workers, **kwargs):
+    """The sum of ``fn`` over the uniform blocks of a run."""
+    return map_path_blocks(model, grid, n, seed, lambda v: fn(to_uniform(model, v)),
+                           workers, **kwargs)
 
 
 def sampled_levels(model, grid, n, seed, column, picks):
     """Uniform values that the run itself samples, so scores fall inside the bands."""
-    u = np.vstack(map_path_blocks(model, grid, n, seed, lambda v: to_uniform(model, v)))
+    u = np.vstack(map_path_blocks(model, grid, n, seed, lambda v: [to_uniform(model, v)]))
     ordered = np.sort(u[:, column])
     return [float(ordered[p]) for p in picks]
 
@@ -205,12 +207,9 @@ class TestConsumersMatchTheUniformKernels:
         cells = [(float(GRID.points[j]), y) for j in (2, 6) for y in ys]
         idx = np.array([GRID.index_of(t) for t, _ in cells])
         old = old_on_uniforms(model, GRID, N, 4,
-                              old_cell_moments(idx, np.array([y for _, y in cells])), workers,
-                              op=lambda a, b: a.merge(b))
+                              old_cell_moments(idx, np.array([y for _, y in cells])), workers)
         new = accumulate_cell_moments(model, cells, GRID, N, 4, workers=workers)
-        assert old.count == new.count == N
-        assert np.array_equal(old.cell_counts, new.cell_counts)
-        assert np.array_equal(old.pair_counts, new.pair_counts)
+        assert np.array_equal(new, old / N)
 
     def test_crossing_counts(self, spec, workers):
         model = parse_model(spec)
@@ -227,7 +226,7 @@ class TestConsumersMatchTheUniformKernels:
         model, n, reps, t = parse_model(spec), 5000, 500, 1.5
         grid = TimeGrid(np.array([t]))
         # a uniform sampled by replication 0, so at least that replication hits the band
-        first = np.vstack(map_path_blocks(model, grid, n, 6, lambda v: to_uniform(model, v),
+        first = np.vstack(map_path_blocks(model, grid, n, 6, lambda v: [to_uniform(model, v)],
                                           stream=parallel.STREAM_REPLICATION,
                                           extra_key=(0,)))
         y = float(first[123, 0])
@@ -292,7 +291,7 @@ def test_ndtr_runs_only_on_in_band_scores(tmp_path, monkeypatch, path):
 def test_the_recorder_sees_in_band_scores(monkeypatch):
     # a level equal to a sampled uniform puts that path's score inside its band
     grid = TimeGrid(np.array([1.5]))
-    scores = np.vstack(map_path_blocks(BM, grid, 100, 1, lambda v: v))
+    scores = np.vstack(map_path_blocks(BM, grid, 100, 1, lambda v: [v]))
     y = float(np.clip(special.ndtr(scores[7, 0]), OPEN_LO, OPEN_HI))
     recorder = RecordingSpecial()
     monkeypatch.setattr(models, "special", recorder)

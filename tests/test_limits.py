@@ -113,15 +113,6 @@ class TestLimitModel:
         lm = build_limit_model(parse_model("bm-copula"), [(1.0, 0.5), (2.0, 0.5)], w_const)
         assert lm.covariance[0, 1] == pytest.approx(0.125, abs=1e-8)
 
-    def test_centered_equals_uncentered_minus_product(self):
-        cells = [(1.0, 0.2), (1.5, 0.5), (2.0, 0.8)]
-        centered = build_limit_model(parse_model("bm-copula"), cells, w_quarter, True)
-        raw = build_limit_model(parse_model("bm-copula"), cells, w_quarter, False)
-        ys = np.array([y for _, y in cells])
-        wv = np.array([float(w_quarter(y)) for _, y in cells])
-        assert np.allclose(centered.covariance,
-                           raw.covariance - np.outer(wv * ys, wv * ys), atol=1e-14)
-
     def test_factor_residual(self):
         cells = [(t, y) for t in (1.0, 1.5, 2.0) for y in (0.2, 0.5, 0.8)]
         lm = build_limit_model(parse_model("bm-copula"), cells, w_quarter)
@@ -158,13 +149,12 @@ class TestLimitModel:
         calib = accumulate_cell_moments(model, cells, grid, 50_000, 999)
         lm = build_limit_model(model, cells, w_const, calibration=calib)
         assert lm.provenance["joint"] == "calibration"
-        assert lm.provenance["calibration_n"] == 50_000
         # the atomic model is time-constant, so the joint law is comonotone
         assert lm.covariance[0, 1] == pytest.approx(0.3 - 0.18, abs=0.02)
 
     def test_stored_arrays_are_frozen_float64(self):
         cov = np.eye(2, dtype=np.float32)
-        lm = LimitModel(((1.0, 0.3), (1.5, 0.3)), cov, cov, 0.0, True, {})
+        lm = LimitModel(((1.0, 0.3), (1.5, 0.3)), cov, cov, 0.0, {})
         for arr in (lm.covariance, lm.factor):
             assert arr.dtype == np.float64
             with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ uniform_cdf = lambda u: np.clip(u, 0.0, 1.0)
 def sample(spec, grid, n, seed, workers=1):
     """All n uniform paths as an (n x grid) matrix, stacked from the streamed blocks."""
     model = parse_model(spec)
-    return np.vstack(map_path_blocks(model, grid, n, seed, lambda v: to_uniform(model, v),
+    return np.vstack(map_path_blocks(model, grid, n, seed, lambda v: [to_uniform(model, v)],
                                      workers))
 
 
@@ -111,7 +111,7 @@ class TestSampling:
         # path values are exactly the normal cdf of the scaled Brownian path
         grid = TimeGrid.uniform(1, 2, 9)
         values = sample("bm-copula", grid, 3000, 13)
-        b = np.vstack(map_brownian_blocks(grid, 3000, 13, lambda b: b))
+        b = np.vstack(map_brownian_blocks(grid, 3000, 13, lambda b: [b]))
         x = np.clip(std_normal_cdf(b / np.sqrt(grid.points)), 5e-324,
                     np.nextafter(1.0, 0.0))
         assert np.array_equal(values, x)
@@ -119,8 +119,8 @@ class TestSampling:
     def test_bm_copula_native_block_is_the_score(self):
         grid = TimeGrid.uniform(1, 2, 9)
         scores = np.vstack(map_path_blocks(parse_model("bm-copula"), grid, 5000, 13,
-                                           lambda v: v))
-        b = np.vstack(map_brownian_blocks(grid, 5000, 13, lambda b: b))
+                                           lambda v: [v]))
+        b = np.vstack(map_brownian_blocks(grid, 5000, 13, lambda b: [b]))
         assert np.array_equal(scores, b / np.sqrt(grid.points))
 
     @pytest.mark.parametrize("spec", ["dependent", "iid-time", "atomic:0.5@0.5"])
@@ -147,10 +147,10 @@ class TestPathSlices:
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_slices_hold_the_block_values(self, monkeypatch, spec, slice_values):
         model, grid = parse_model(spec), TimeGrid.uniform(1, 2, 5)
-        whole = np.vstack(map_path_blocks(model, grid, 5000, 4, lambda v: v))
+        whole = np.vstack(map_path_blocks(model, grid, 5000, 4, lambda v: [v]))
         monkeypatch.setattr(models, "_SLICE_VALUES", slice_values)
         for workers in (1, 2):
-            sliced = map_path_blocks(model, grid, 5000, 4, lambda v: v, workers)
+            sliced = map_path_blocks(model, grid, 5000, 4, lambda v: [v], workers)
             assert np.array_equal(np.vstack(sliced), whole)
             assert max(len(v) for v in sliced) == min(4096, max(1, slice_values // 5))
 
@@ -158,7 +158,7 @@ class TestPathSlices:
     def test_wide_blocks_reach_fn_in_slices_under_the_cap(self, monkeypatch, spec):
         # 4096 x 513 and a partial last block of 2100 x 513 both exceed 2^20 values
         model, grid = parse_model(spec), TimeGrid.uniform(1, 2, 513)
-        row_sums = lambda v: (v.shape, v.sum(axis=1))
+        row_sums = lambda v: [(v.shape, v.sum(axis=1))]
         got = map_path_blocks(model, grid, 6196, 9, row_sums)
         assert [shape for shape, _ in got] == [(r, 513) for r in (1365, 1365, 1366, 1050, 1050)]
         assert max(r * c for (r, c), _ in got) <= models._SLICE_VALUES
@@ -170,13 +170,25 @@ class TestPathSlices:
 
     def test_129_point_block_arrives_whole(self):
         shapes = map_path_blocks(parse_model("bm-copula"), TimeGrid.uniform(), 5000, 1,
-                                 lambda v: v.shape)
+                                 lambda v: [v.shape])
         assert shapes == [(4096, 129), (904, 129)]
+
+
+class TestMergeOrder:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_results_are_added_in_tree_order(self, workers):
+        # five blocks make an unbalanced tree, which a left fold adds in another order,
+        # rounding these float column sums differently; digests pin them on 17 points only
+        grid, n = TimeGrid.uniform(1, 2, 9), 4 * parallel.BLOCK_SIZE + 17
+        got = map_brownian_blocks(grid, n, 5, lambda b: b.sum(axis=0), workers)
+        parts = map_brownian_blocks(grid, n, 5, lambda b: [b.sum(axis=0)], workers)
+        assert len(parts) == 5
+        assert np.array_equal(got, parallel.tree_reduce(parts, np.add))
 
 
 def replications_by_block(model, grid, n, reps, seed):
     """(reps x n x times): replication r as ``map_path_blocks`` streams it with key (r,)."""
-    return np.stack([np.vstack(map_path_blocks(model, grid, n, seed, lambda v: v,
+    return np.stack([np.vstack(map_path_blocks(model, grid, n, seed, lambda v: [v],
                                                stream=parallel.STREAM_REPLICATION,
                                                extra_key=(r,)))
                      for r in range(reps)])
@@ -197,9 +209,9 @@ class TestMapReplications:
         batch = max(1, models._REP_BATCH_VALUES // (n * len(grid)))
         # two batches and a part, or one part of a batch when batches are huge
         reps = 2 * batch + 1 if batch <= 32 else 7
-        batches = map_replications(model, grid, n, reps, 17, lambda paths: paths, workers)
-        assert [len(b) for b in batches] == [min(batch, reps - i) for i in range(0, reps, batch)]
-        got = np.concatenate(batches)
+        sizes = map_replications(model, grid, n, reps, 17, lambda paths: [len(paths)], workers)
+        assert list(sizes) == [min(batch, reps - i) for i in range(0, reps, batch)]
+        got = map_replications(model, grid, n, reps, 17, lambda paths: paths, workers)
         # batches are time-major: the same values, transposed
         assert got.shape == (reps, len(grid), n)
         assert np.array_equal(got, np.swapaxes(replications_by_block(model, grid, n, reps, 17),
@@ -208,9 +220,9 @@ class TestMapReplications:
     def test_batch_holds_at_most_the_cap(self):
         grid = TimeGrid.uniform(1, 2, 4)
         sizes = map_replications(parse_model("bm-copula"), grid, 5000, 40, 3,
-                                 lambda paths: paths.size)
+                                 lambda paths: [paths.size])
         # 2^18 values hold 13 replications of 5000 x 4
-        assert sizes == [13 * 5000 * 4] * 3 + [5000 * 4]
+        assert list(sizes) == [13 * 5000 * 4] * 3 + [5000 * 4]
         assert max(sizes) <= models._REP_BATCH_VALUES
 
     def test_needs_paths_and_replications(self):

@@ -389,7 +389,8 @@ class TestCltSup:
         if sampled_level:
             # a uniform that replication 0 sampled in its second block (0.58 at t = 2):
             # count_sorted decides an in-band slice of a time-major row in that cell
-            first = np.vstack(map_path_blocks(model, grid, n, 9, lambda v: to_uniform(model, v),
+            first = np.vstack(map_path_blocks(model, grid, n, 9,
+                                              lambda v: [to_uniform(model, v)],
                                               stream=parallel.STREAM_REPLICATION,
                                               extra_key=(0,)))
             levels = (0.8, 0.2, float(first[4158, 2]))
