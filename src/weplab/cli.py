@@ -34,7 +34,7 @@ from .engine import evaluate_field_streaming, export_field_csv
 from .errors import ConfigError, DomainError, UnsupportedModelError, WeplabError
 from .limits import check_distance_monotone, dg0_upper_bound_check, weight_drift_check
 from .models import ProcessModel, TimeGrid, parse_model
-from .verifiers import (BoundReport, ProbeResult, borell_check, chaining_ab_check,
+from .verifiers import (BoundReport, ProbeResult, _coarse_wl, borell_check, chaining_ab_check,
                         clt_covariance_convergence, clt_marginal_test, clt_sup_comparison,
                         envelope_check, feller_sandwich, l_condition_estimate,
                         lemma_l_check, lemma_m_check, lemma_y_check,
@@ -68,13 +68,15 @@ class RunConfig:
     c_values: str = "0.25,1,4"
 
     def __post_init__(self):
-        for name, value in dataclasses.asdict(self).items():
+        for name, raw in dataclasses.asdict(self).items():
+            value = _coerce(name, raw)
+            setattr(self, name, value)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{name.replace('_', '-')} must be finite")
         if (self.n < 1 or self.time_points < 2 or self.level_points < 1 or self.reps < 1
-                or self.workers < 0 or not 0.0 < self.clip < 0.5):
+                or self.workers < 0 or self.seed < 0 or not 0.0 < self.clip < 0.5):
             raise ConfigError("need --n >= 1, --time-points >= 2, --level-points >= 1, "
-                              "--reps >= 1, --workers >= 0 and --clip in (0, 0.5)")
+                              "--reps >= 1, --workers >= 0, --seed >= 0 and --clip in (0, 0.5)")
         if self.workers == 0:
             parallel.default_workers()
 
@@ -109,7 +111,6 @@ class RunConfig:
         return [int(v) for v in values]
 
 
-_BOOL_FIELDS = {"unchecked"}
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
@@ -136,34 +137,32 @@ def load_config_file(path: str) -> dict:
 
 
 def _coerce(name: str, raw):
-    field = _CONFIG_FIELDS[name]
+    """``raw`` from a flag, a config file or a manifest as the field's declared type."""
+    kind = _CONFIG_FIELDS[name].type
+    flag = f"--{name.replace('_', '-')}"
     if raw is None:
-        return None
-    if name in _BOOL_FIELDS:
-        if isinstance(raw, bool):
-            return raw
-        return str(raw).strip().lower() in ("1", "true", "yes", "on")
-    base = field.type
+        if kind.startswith("Optional"):
+            return None
+        raise ConfigError(f"{flag} needs a value")
     try:
-        if base in ("int", int):
-            return int(str(raw))
-        if base in ("float", float) or base == "Optional[float]":
+        if kind == "bool":
+            return configparser.ConfigParser.BOOLEAN_STATES[str(raw).strip().lower()]
+        if kind == "int":
+            return int(raw) if isinstance(raw, float) and raw.is_integer() else int(str(raw))
+        if kind in ("float", "Optional[float]"):
             return float(str(raw))
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {name}: {raw!r}") from exc
-    return str(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad value for {flag}: {raw!r}") from exc
+    if not isinstance(raw, str):
+        raise ConfigError(f"{flag} must be text, not {raw!r}")
+    return raw
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < config file < explicit flags."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        for key, raw in load_config_file(args.config).items():
-            values[key] = _coerce(key, raw)
-    for name in _CONFIG_FIELDS:
-        flag_val = getattr(args, name, None)
-        if flag_val is not None:
-            values[name] = _coerce(name, flag_val)
+    """defaults < config file < explicit flags; ``RunConfig`` coerces them all."""
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update((name, getattr(args, name)) for name in _CONFIG_FIELDS
+                  if getattr(args, name, None) is not None)
     return RunConfig(**values)
 
 
@@ -227,12 +226,12 @@ def _sampled_violation(cfg: RunConfig, check, label: str, stream: int, width: in
 def _dg0_upper(cfg: RunConfig) -> BoundReport:
     model = cfg.model_spec()
     w = cfg.weight_spec()
-    wl = wl_estimate(model, w, cfg.theta, **_sampling(cfg))
+    l_hat = _coarse_wl(model, w, cfg.theta, **_sampling(cfg))[2]
     ts = np.linspace(cfg.a, cfg.b, 5)
     xs = (0.2, 0.5, 0.8)
     probes = [(s, x, t, y) for s in ts for t in ts for x in xs for y in xs]
-    report = dg0_upper_bound_check(model, w, wl.l_hat, probes, theta=cfg.theta)
-    rows = [ProbeResult({"stat": "l_hat"}, wl.l_hat, None, None, None, True),
+    report = dg0_upper_bound_check(model, w, l_hat, probes, theta=cfg.theta)
+    rows = [ProbeResult({"stat": "l_hat"}, l_hat, None, None, None, True),
             ProbeResult({"probes": len(probes), "violation": report.violation},
                         None, None, None, None, report.passed)]
     return _cli_report(cfg, rows, cfg.n)
@@ -259,8 +258,7 @@ CHECKS = {
     "borell": lambda cfg: borell_check(**_sampling(cfg)),
     "slowly-varying": lambda cfg: slowly_varying_check(cfg.weight_spec()),
     "lemma-y": lambda cfg: lemma_y_check(),
-    "lemma-m": lambda cfg: lemma_m_check(n=max(cfg.n, 1000), seed=cfg.seed, grid=cfg.grid(),
-                                         workers=cfg.resolved_workers()),
+    "lemma-m": lambda cfg: lemma_m_check(**_sampling(cfg)),
     "lemma-l": lambda cfg: lemma_l_check(**_sampling(cfg)),
     "d1": lambda cfg: _event(cfg, "d1"),
     "d2": lambda cfg: _event(cfg, "d2"),

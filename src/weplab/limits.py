@@ -171,7 +171,6 @@ def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
         joint, provenance = calibration, {"joint": "calibration", "model": model.describe()}
     cov = covariance_from_joint(joint, cells, w)
     factor, jitter = _factor_with_jitter(cov)
-    provenance["jitter_ladder"] = [f"{j:g}" for j in JITTER_LADDER]
     return LimitModel(cells, cov, factor, jitter, provenance)
 
 

@@ -168,7 +168,7 @@ def _filler(model: ProcessModel, count: int, seed: int, stream: int,
     The draws are standard normals for the bm-copula, which ``_to_native``
     turns into scores, and the uniforms X_t for the other kinds.  Filling
     slices in row order gives the whole-block values: the per-path uniforms
-    of the other kinds are drawn once (``MixedDF.sample`` interleaves draws).
+    of the other kinds are drawn once (``DistFn.sample`` interleaves draws).
     """
     rng = parallel.derive_rng(seed, stream, *key)
     if model.kind == BM_COPULA:
@@ -290,8 +290,7 @@ def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, see
 
 def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
                         fn: Callable[[np.ndarray], object], workers: int = 1,
-                        stream: int = parallel.STREAM_PATHS,
-                        extra_key: tuple[int, ...] = ()):
+                        stream: int = parallel.STREAM_PATHS):
     """Stream raw Brownian path blocks (values B_t at grid times).
 
     Seeded like ``map_path_blocks``, so with equal keys its blocks are the
@@ -305,7 +304,7 @@ def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
     sqrt_dt = _sqrt_increments(grid)
 
     def job(idx, start, stop):
-        rng = parallel.derive_rng(seed, stream, *extra_key, idx)
+        rng = parallel.derive_rng(seed, stream, idx)
         return fn(_brownian_paths(rng.standard_normal((stop - start, sqrt_dt.size)), sqrt_dt))
 
     return parallel.tree_reduce(parallel.map_blocks(job, n, workers), operator.add)

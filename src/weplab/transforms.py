@@ -10,7 +10,7 @@ hold exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,157 +23,103 @@ from .numerics import ks_statistic_one_sample
 UNIFORMITY_KS_COEFF = 1.63
 
 
+@dataclass(frozen=True)
 class DistFn:
-    """A distribution function supporting F(x) and F(x-)."""
+    """``1 - sum(atom_masses)`` times the continuous df ``cdf_fn``, plus atoms.
 
-    strictly_increasing: bool = False
+    A df without atoms is continuous, F(x-) = F(x); the continuous part is
+    absent (``cdf_fn`` is None) exactly when the atom masses sum to 1.
+    ``sampler`` draws from the continuous part.
+    """
 
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def cdf_left(self, x):
-        raise NotImplementedError
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise UnsupportedModelError(f"{type(self).__name__} cannot be sampled")
-
-
-@dataclass(frozen=True)
-class ContinuousDF(DistFn):
-    """Analytic continuous df; F(x-) = F(x)."""
-
-    cdf_fn: Callable[[np.ndarray], np.ndarray]
+    cdf_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sampler: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None
-    strictly_increasing: bool = True
-    name: str = "continuous"
-
-    def cdf(self, x):
-        return np.asarray(self.cdf_fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def cdf_left(self, x):
-        return self.cdf(x)
-
-    def sample(self, n, rng):
-        if self.sampler is None:
-            raise UnsupportedModelError(f"df {self.name!r} has no sampler")
-        return np.asarray(self.sampler(n, rng), dtype=float)
-
-
-@dataclass(frozen=True)
-class StepDF(DistFn):
-    """Purely atomic df: sorted locations with masses summing to one."""
-
-    locations: tuple[float, ...]
-    masses: tuple[float, ...]
-    strictly_increasing: bool = field(default=False, init=False)
-
-    def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float)
-        mass = np.asarray(self.masses, dtype=float)
-        if locs.size == 0 or locs.size != mass.size:
-            raise DomainError("need matching, non-empty locations and masses")
-        if np.any(np.diff(locs) <= 0):
-            raise DomainError("atom locations must be strictly increasing")
-        if np.any(mass <= 0) or abs(float(np.sum(mass)) - 1.0) > 1e-12:
-            raise DomainError("atom masses must be positive and sum to 1")
-
-    def _cum(self):
-        return np.cumsum(np.asarray(self.masses, dtype=float))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.locations, x, side="right")
-        cum = np.concatenate([[0.0], self._cum()])
-        return cum[idx]
-
-    def cdf_left(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.locations, x, side="left")
-        cum = np.concatenate([[0.0], self._cum()])
-        return cum[idx]
-
-    def sample(self, n, rng):
-        return rng.choice(np.asarray(self.locations), size=n, p=np.asarray(self.masses))
-
-
-@dataclass(frozen=True)
-class MixedDF(DistFn):
-    """Continuous part with weight 1 - sum(masses) plus finitely many atoms."""
-
-    continuous: ContinuousDF
-    atom_locations: tuple[float, ...]
-    atom_masses: tuple[float, ...]
-    strictly_increasing: bool = field(default=False, init=False)
+    atom_locations: tuple[float, ...] = ()
+    atom_masses: tuple[float, ...] = ()
+    name: str = "df"
 
     def __post_init__(self):
         locs = np.asarray(self.atom_locations, dtype=float)
         mass = np.asarray(self.atom_masses, dtype=float)
-        if locs.size != mass.size or locs.size == 0:
-            raise DomainError("need matching, non-empty atom locations and masses")
+        if locs.size != mass.size:
+            raise DomainError("need matching atom locations and masses")
         if np.any(np.diff(locs) <= 0):
             raise DomainError("atom locations must be strictly increasing")
-        if np.any(mass <= 0) or float(np.sum(mass)) > 1.0 - 1e-12:
-            raise DomainError("atom masses must be positive with sum below 1")
+        total = float(np.sum(mass))
+        if np.any(mass <= 0) or total > 1.0 + 1e-12:
+            raise DomainError("atom masses must be positive with sum at most 1")
+        if (self.cdf_fn is None) != (abs(total - 1.0) <= 1e-12):
+            raise DomainError("need a continuous part exactly when atom masses sum below 1")
+
+    @property
+    def strictly_increasing(self) -> bool:
+        return not self.atom_masses
 
     @property
     def continuous_weight(self) -> float:
         return 1.0 - float(np.sum(self.atom_masses))
 
-    def _step(self, x, side):
-        idx = np.searchsorted(self.atom_locations, x, side=side)
-        cum = np.concatenate([[0.0], np.cumsum(np.asarray(self.atom_masses, dtype=float))])
-        return cum[idx]
+    def _cuts(self) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(np.asarray(self.atom_masses, dtype=float))])
+
+    def _value(self, x, side: str):
+        x = np.asarray(x, dtype=float)
+        if not self.atom_masses:
+            return np.asarray(self.cdf_fn(x), dtype=float)
+        step = self._cuts()[np.searchsorted(self.atom_locations, x, side=side)]
+        if self.cdf_fn is None:
+            return step
+        return self.continuous_weight * np.asarray(self.cdf_fn(x), dtype=float) + step
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.continuous_weight * self.continuous.cdf(x) + self._step(x, "right")
+        return self._value(x, "right")
 
     def cdf_left(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.continuous_weight * self.continuous.cdf(x) + self._step(x, "left")
+        return self._value(x, "left")
 
     def sample(self, n, rng):
-        # one selector draw, one value draw, fixed order for determinism
-        sel = rng.random(n)
-        cont = self.continuous.sample(n, rng)
-        out = cont.copy()
-        cuts = np.concatenate([[0.0], np.cumsum(np.asarray(self.atom_masses, dtype=float))])
+        """Draws; with atoms one selector draw comes first, then the continuous values."""
+        sel = rng.random(n) if self.atom_masses else None
+        if self.cdf_fn is None:
+            out = np.empty(n)
+        elif self.sampler is None:
+            raise UnsupportedModelError(f"df {self.name!r} has no sampler")
+        else:
+            out = np.array(self.sampler(n, rng), dtype=float)
+        if sel is None:
+            return out
+        cuts = self._cuts()
+        if self.cdf_fn is None:
+            cuts[-1] = 1.0  # a pure-atom df puts every selector on an atom
         for j, loc in enumerate(self.atom_locations):
-            hit = (sel >= cuts[j]) & (sel < cuts[j + 1])
-            out[hit] = loc
+            out[(sel >= cuts[j]) & (sel < cuts[j + 1])] = loc
         return out
 
 
-def uniform_df() -> ContinuousDF:
+def uniform_df() -> DistFn:
     """U(0, 1) distribution function."""
-    return ContinuousDF(
-        cdf_fn=lambda x: np.clip(x, 0.0, 1.0),
-        sampler=lambda n, rng: rng.random(n),
-        name="uniform",
-    )
+    return DistFn(lambda x: np.clip(x, 0.0, 1.0), lambda n, rng: rng.random(n), name="uniform")
 
 
-def normal_df(scale: float = 1.0) -> ContinuousDF:
+def normal_df(scale: float = 1.0) -> DistFn:
     """N(0, scale^2) distribution function, i.e. Phi(x / scale)."""
     from .numerics import std_normal_cdf
     if scale <= 0:
         raise DomainError("scale must be positive")
-    return ContinuousDF(
-        cdf_fn=lambda x: std_normal_cdf(np.asarray(x, dtype=float) / scale),
-        sampler=lambda n, rng: scale * rng.standard_normal(n),
-        name=f"normal({scale:g})",
-    )
+    return DistFn(lambda x: std_normal_cdf(np.asarray(x, dtype=float) / scale),
+                  lambda n, rng: scale * rng.standard_normal(n), name=f"normal({scale:g})")
 
 
-def point_mass(loc: float) -> StepDF:
-    return StepDF((float(loc),), (1.0,))
+def point_mass(loc: float) -> DistFn:
+    return DistFn(atom_locations=(float(loc),), atom_masses=(1.0,), name="point")
 
 
-def uniform_atom_mixture(mass: float, loc: float) -> MixedDF:
+def uniform_atom_mixture(mass: float, loc: float) -> DistFn:
     """(1 - mass) U(0,1) plus an atom of the given mass at loc."""
     if not (0.0 < mass < 1.0):
         raise DomainError("atom mass must lie in (0, 1)")
-    return MixedDF(uniform_df(), (float(loc),), (float(mass),))
+    return replace(uniform_df(), atom_locations=(float(loc),), atom_masses=(float(mass),),
+                   name=f"uniform+atom({mass:g}@{loc:g})")
 
 
 def dist_transform(F: DistFn, x, v):

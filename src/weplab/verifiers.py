@@ -148,9 +148,6 @@ class WLReport:
     skipped: tuple[tuple[float, float, float], ...]
     n: int
     seed: int
-    theta: float
-    model: str
-    weight: str
 
     @property
     def refinement_ratio(self) -> float:
@@ -232,6 +229,19 @@ def _wl_sweep(model, w, theta, probes, grid, n, seed, workers, extra_key):
     return out, skipped
 
 
+def _coarse_wl(model, w, theta, n, seed, grid, workers, probes=None):
+    """The WL sweep on ``grid`` itself: its probes, the skipped ones and ``l_hat``.
+
+    ``l_hat`` reads this sweep only, so a caller that needs no more than
+    ``l_hat`` skips ``wl_estimate``'s refined sweep.
+    """
+    if not theta > 4.0:
+        raise DomainError("theta must exceed 4")
+    probes = default_wl_probes() if probes is None else probes
+    coarse, skipped = _wl_sweep(model, w, theta, probes, grid, n, seed, workers, (0,))
+    return coarse, skipped, max((p.l_contrib for p in coarse), default=0.0)
+
+
 def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
                 probes: Optional[Sequence[tuple[float, float, float]]] = None,
                 n: int = 100_000, seed: int = 0, grid: Optional[TimeGrid] = None,
@@ -242,19 +252,15 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
     rho = |s - t|^(1/theta); singleton balls are skipped with a warning.
     The sweep is repeated on the density-doubled grid as a refinement study.
     """
-    if not theta > 4.0:
-        raise DomainError("theta must exceed 4")
     grid = grid or TimeGrid.uniform()
     probes = list(probes) if probes is not None else default_wl_probes()
-    coarse, skipped = _wl_sweep(model, w, theta, probes, grid, n, seed, workers, (0,))
+    coarse, skipped, l_hat = _coarse_wl(model, w, theta, n, seed, grid, workers, probes)
     fine, skipped_f = _wl_sweep(model, w, theta, probes, grid.refined(), n, seed, workers, (1,))
-    l_hat = max((p.l_contrib for p in coarse), default=0.0)
     l_fine = max((p.l_contrib for p in fine), default=0.0)
     l_ts = max((p.freq_ts * float(w(p.x)) ** 2 / p.eps ** 2 for p in coarse), default=0.0)
     l_st = max((p.freq_st * float(w(p.x)) ** 2 / p.eps ** 2 for p in coarse), default=0.0)
     return WLReport(tuple(coarse), tuple(fine), l_hat, l_fine, l_ts, l_st,
-                    tuple(skipped) + tuple(skipped_f), n, seed, theta,
-                    model.describe(), w.describe())
+                    tuple(skipped) + tuple(skipped_f), n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +701,7 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
         if not (0.0 < a < b < w.gamma):
             raise DomainError("need 0 < a < b < gamma for every probe")
     if l_hat is None:
-        l_hat = wl_estimate(model, w, theta, n=n, seed=seed, grid=grid, workers=workers).l_hat
+        l_hat = _coarse_wl(model, w, theta, n, seed, grid, workers)[2]
 
     prepared = []
     for t, eps, a, b in probes:

@@ -1,12 +1,16 @@
 """Command-line behavior: exit codes, determinism, manifests, config files."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weplab.cli import main
+from weplab.cli import RunConfig, main
+from weplab.errors import ConfigError
 from weplab.verifiers import feller_sandwich
 
 PINNED_SEED = 20260810
@@ -45,11 +49,18 @@ class TestExitCodes:
         assert run_cli("simulate") == 2
         assert "--model" in capsys.readouterr().err
 
-    def test_bad_config_file_is_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line,named", [
+        ("not_a_key = 1", "not_a_key"),
+        ("unchecked = banana", "bad value for --unchecked"),
+        ("n = 3000.5", "bad value for --n"),
+        ("seed = 1e3", "bad value for --seed"),
+    ])
+    def test_bad_config_file_is_two(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[run]\nnot_a_key = 1\n")
-        assert run_cli("verify", "feller", "--config", str(cfg)) == 2
-        assert "not_a_key" in capsys.readouterr().err
+        cfg.write_text(f"[run]\n{line}\n")
+        assert run_cli("verify", "feller", "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json")) == 2
+        assert named in capsys.readouterr().err
 
     def test_clt_negative_control_is_one(self, tmp_path):
         code = run_cli("clt", "marginal", "--model", "bm-copula", "--weight", "const:1",
@@ -88,8 +99,10 @@ class TestExitCodes:
         ("verify", "wl", "--model", "bm-copula", "--n", "10", "--b", "inf"),
         # sizes are checked once, also where a command clamps or ignores them
         ("verify", "lemma-m", "--n", "-1", "--time-points", "17"),
+        ("verify", "lemma-m", "--n", "500", "--time-points", "17", "--workers", "1"),
         ("verify", "feller", "--n", "0"),
         ("verify", "feller", "--time-points", "1"),
+        ("simulate", "--model", "bm-copula", "--n", "10", "--seed", "-1"),
     ])
     def test_bad_input_is_two(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
@@ -117,16 +130,20 @@ class TestExitCodes:
         # only a field that is not a number is blamed on the spec's numbers
         assert ("bad numeric field" in err) == ("abc" in argv[1])
 
-    def test_rerun_rejects_a_non_finite_manifest(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key,value,named", [
+        ("y", float("nan"), "--y must be finite"),
+        ("n", 3000.5, "bad value for --n"),
+        ("unchecked", "banana", "bad value for --unchecked"),
+    ])
+    def test_rerun_rejects_a_non_finite_manifest(self, tmp_path, capsys, key, value, named):
         manifest = tmp_path / "m.json"
         assert run_cli("verify", "feller", "--out", str(tmp_path / "r.json"),
                        "--manifest", str(manifest)) == 0
         payload = json.loads(manifest.read_text(encoding="utf-8"))
-        payload["config"]["y"] = float("nan")
+        payload["config"][key] = value
         manifest.write_text(json.dumps(payload), encoding="utf-8")
         assert run_cli("rerun", "--manifest", str(manifest)) == 2
-        assert "--y must be finite" in capsys.readouterr().err
-
+        assert named in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:.*skipped")
     @pytest.mark.parametrize("argv", [
@@ -317,6 +334,28 @@ class TestConfigFile:
                        "--out", str(out)) == 0
         header = out.read_text().split("\n")[1]
         assert "n=7" in header and "model=dependent" in header
+
+
+CONFIG_FIELDS = dataclasses.fields(RunConfig)
+DECLARED = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+class TestConfigSpace:
+    @given(st.dictionaries(st.sampled_from([f.name for f in CONFIG_FIELDS]),
+                           st.one_of(st.integers(), st.floats(), st.text(), st.booleans(),
+                                     st.none()), max_size=3))
+    @settings(max_examples=300)
+    def test_every_value_is_typed_or_a_config_error(self, values):
+        # the values a flag, a config file or a replayed manifest can hand over
+        try:
+            cfg = RunConfig(**values)
+        except ConfigError:
+            return
+        for f in CONFIG_FIELDS:
+            value = getattr(cfg, f.name)
+            optional = f.type.startswith("Optional[")
+            declared = DECLARED[f.type.removeprefix("Optional[").removesuffix("]")]
+            assert (optional and value is None) or type(value) is declared, (f.name, value)
 
 
 class TestCltCommand:

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from weplab import parallel
 from weplab.errors import DomainError, UnsupportedModelError
-from weplab.transforms import (ContinuousDF, MixedDF, StepDF, check_order_properties,
+from weplab.transforms import (DistFn, check_order_properties,
                                copula_indicator_identity, dist_transform, normal_df,
                                point_mass, uniform_atom_mixture, uniform_df,
                                uniformity_test)
 
 PINNED_SEED = 20260810
 
-bernoulli_half = StepDF((0.0, 1.0), (0.5, 0.5))
+bernoulli_half = DistFn(atom_locations=(0.0, 1.0), atom_masses=(0.5, 0.5))
 
 
 class TestDistTransform:
@@ -79,7 +79,7 @@ class TestOrderProperties:
         masses = tuple(m / sum(masses) for m in masses)
         if abs(sum(masses) - 1.0) > 1e-12:
             return
-        F = StepDF(locs, masses)
+        F = DistFn(atom_locations=locs, atom_masses=masses)
         lo, hi = min(x, y), max(x, y)
         assert dist_transform(F, lo, v) <= dist_transform(F, hi, v) + 1e-12
 
@@ -103,7 +103,7 @@ class TestUniformity:
         assert result.threshold == pytest.approx(1.63 / 100.0)
 
     def test_requires_sampler(self):
-        F = ContinuousDF(cdf_fn=lambda x: np.clip(x, 0, 1))
+        F = DistFn(cdf_fn=lambda x: np.clip(x, 0, 1))
         with pytest.raises(UnsupportedModelError):
             uniformity_test(F, 1000, 1)
 
@@ -137,13 +137,13 @@ class TestIndicatorIdentity:
 class TestDfValidation:
     def test_step_df_invariants(self):
         with pytest.raises(DomainError):
-            StepDF((1.0, 0.5), (0.5, 0.5))
+            DistFn(atom_locations=(1.0, 0.5), atom_masses=(0.5, 0.5))
         with pytest.raises(DomainError):
-            StepDF((0.0, 1.0), (0.6, 0.6))
+            DistFn(atom_locations=(0.0, 1.0), atom_masses=(0.6, 0.6))
 
     def test_mixed_df_invariants(self):
         with pytest.raises(DomainError):
-            MixedDF(uniform_df(), (0.5,), (1.0,))
+            DistFn(uniform_df().cdf_fn, uniform_df().sampler, (0.5,), (1.0,))
 
     def test_cdf_monotone_right_continuous(self):
         F = uniform_atom_mixture(0.3, 0.4)
@@ -153,3 +153,23 @@ class TestDfValidation:
         assert float(F.cdf(-1.0)) == 0.0
         assert float(F.cdf(2.0)) == pytest.approx(1.0)
         assert np.all(np.asarray(F.cdf_left(xs)) <= vals + 1e-15)
+
+    def test_pure_atom_df_samples_only_its_atoms(self):
+        F = DistFn(atom_locations=(-1.0, 0.5, 2.0), atom_masses=(0.2, 0.3, 0.5))
+        x = F.sample(10_000, parallel.derive_rng(PINNED_SEED, 0))
+        assert set(np.unique(x)) == {-1.0, 0.5, 2.0}
+        assert np.mean(x == 2.0) == pytest.approx(0.5, abs=0.03)
+
+    def test_atoms_without_sampler_cannot_be_sampled(self):
+        F = DistFn(cdf_fn=lambda x: np.clip(x, 0, 1), atom_locations=(0.5,),
+                   atom_masses=(0.5,))
+        with pytest.raises(UnsupportedModelError):
+            F.sample(10, parallel.derive_rng(PINNED_SEED, 0))
+
+    @pytest.mark.parametrize("F,has_atoms", [
+        (uniform_df(), False), (normal_df(), False), (point_mass(1.0), True),
+        (bernoulli_half, True), (uniform_atom_mixture(0.3, 0.4), True)])
+    def test_strictly_increasing_is_having_no_atoms(self, F, has_atoms):
+        assert F.strictly_increasing == (not has_atoms) == (not F.atom_masses)
+        with pytest.raises(AttributeError):
+            F.strictly_increasing = has_atoms
