@@ -185,9 +185,11 @@ def sample_limit_field(limit: LimitModel, reps: int, seed: int, workers: int = 1
     k = limit.size
     out = np.empty((reps, k))
     Lt = limit.factor.T.copy()
+    words = parallel.seed_words(
+        seed, [(parallel.STREAM_LIMIT, j) for j in range(len(parallel.iter_blocks(reps)))])
 
     def job(idx, start, stop):
-        rng = parallel.derive_rng(seed, parallel.STREAM_LIMIT, idx)
+        rng = parallel.rng_from_words(words[idx])
         z = rng.standard_normal((stop - start, k))
         out[start:stop] = z @ Lt
 

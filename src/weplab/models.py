@@ -161,16 +161,24 @@ def _sqrt_increments(grid: TimeGrid) -> np.ndarray:
     return np.sqrt(np.diff(np.concatenate([[0.0], grid.points])))
 
 
-def _filler(model: ProcessModel, count: int, seed: int, stream: int,
-            key: tuple[int, ...]) -> Callable[[np.ndarray, int], np.ndarray]:
-    """``fill(rows, start)`` writes rows start: of one block's draws (paths x times).
+def _block_seeds(model: ProcessModel, seed: int, stream: int, keys) -> np.ndarray:
+    """Seed words (keys x substreams x 4) of (seed, stream, *key), and for the atomic
+    model of its randomizer substream (seed, STREAM_RANDOMIZER, *key), per key row."""
+    streams = (stream, parallel.STREAM_RANDOMIZER) if model.kind == ATOMIC else (stream,)
+    return np.stack([parallel.seed_words(seed, np.column_stack([np.full(len(keys), s), keys]))
+                     for s in streams], axis=1)
+
+
+def _filler(model: ProcessModel, count: int,
+            words: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
+    """``fill(rows, start)`` writes rows start: of the draws (paths x times) seeded by ``words``.
 
     The draws are standard normals for the bm-copula, which ``_to_native``
     turns into scores, and the uniforms X_t for the other kinds.  Filling
     slices in row order gives the whole-block values: the per-path uniforms
     of the other kinds are drawn once (``DistFn.sample`` interleaves draws).
     """
-    rng = parallel.derive_rng(seed, stream, *key)
+    rng = parallel.rng_from_words(words[0])
     if model.kind == BM_COPULA:
         return lambda rows, _start: rng.standard_normal(out=rows)
     if model.kind == IID_TIME:
@@ -180,7 +188,7 @@ def _filler(model: ProcessModel, count: int, seed: int, stream: int,
     else:
         # atomic: one transformed draw per path, constant in time
         df = uniform_atom_mixture(model.atom_mass, model.atom_loc)
-        v = parallel.derive_rng(seed, parallel.STREAM_RANDOMIZER, *key).random(count)
+        v = parallel.rng_from_words(words[1]).random(count)
         u = np.clip(dist_transform(df, df.sample(count, rng), v), _OPEN_LO, _OPEN_HI)
 
     def fill(rows, start):
@@ -238,10 +246,12 @@ def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
     if n < 1:
         raise DomainError("need n >= 1 paths")
     sqrt_dt, sqrt_t, m = _sqrt_increments(grid), np.sqrt(grid.points), len(grid)
+    words = _block_seeds(model, seed, stream,
+                         [(*extra_key, j) for j in range(len(parallel.iter_blocks(n)))])
 
     def job(idx, start, stop):
         rows = stop - start
-        fill = _filler(model, rows, seed, stream, extra_key + (idx,))
+        fill = _filler(model, rows, words[idx])
         pieces = -(-rows // max(1, _SLICE_VALUES // m))
         cuts = [rows * i // pieces for i in range(pieces + 1)]
         return [fn(_to_native(model, fill(np.empty((b - a, m)), a), sqrt_dt, sqrt_t))
@@ -272,6 +282,8 @@ def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, see
         raise DomainError("need n >= 1 paths and reps >= 1")
     sqrt_dt, sqrt_t = _sqrt_increments(grid), np.sqrt(grid.points)
     blocks = parallel.iter_blocks(n)
+    words = _block_seeds(model, seed, parallel.STREAM_REPLICATION,
+                         np.indices((reps, len(blocks))).reshape(2, -1).T)
 
     def job(_idx, first, stop):
         buf = np.empty((stop - first, len(grid), n))
@@ -279,7 +291,7 @@ def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, see
         draws = np.empty((min(n, parallel.BLOCK_SIZE), len(grid)))
         for r in range(first, stop):
             for j, start, end in blocks:
-                fill = _filler(model, end - start, seed, parallel.STREAM_REPLICATION, (r, j))
+                fill = _filler(model, end - start, words[r * len(blocks) + j])
                 buf[r - first, :, start:end] = fill(draws[:end - start], 0).T
         _to_native(model, np.swapaxes(buf, 1, 2), sqrt_dt, sqrt_t)
         return fn(buf)
@@ -302,9 +314,10 @@ def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
     if n < 1:
         raise DomainError("need n >= 1 paths")
     sqrt_dt = _sqrt_increments(grid)
+    words = parallel.seed_words(seed, [(stream, j) for j in range(len(parallel.iter_blocks(n)))])
 
     def job(idx, start, stop):
-        rng = parallel.derive_rng(seed, stream, idx)
+        rng = parallel.rng_from_words(words[idx])
         return fn(_brownian_paths(rng.standard_normal((stop - start, sqrt_dt.size)), sqrt_dt))
 
     return parallel.tree_reduce(parallel.map_blocks(job, n, workers), operator.add)
@@ -357,21 +370,22 @@ class LevelKernel:
         return np.concatenate([self.lo, np.nextafter(self.hi, np.inf)])
 
     def count_sorted(self, vals: np.ndarray) -> np.ndarray:
-        """(columns x levels) counts of X_t <= y in a block sorted along axis 0.
+        """(... x columns x levels) counts of X_t <= y in blocks (... x paths x columns).
 
+        The blocks must be sorted along axis -2; leading axes are a batch.
         Each column is searched for lo and hi; only the slice between them
         is decided by ``leq``.
         """
         k = self.levels.size
-        pos = np.empty((vals.shape[1], 2 * k), dtype=np.int64)
-        for j in range(vals.shape[1]):
-            pos[j] = np.searchsorted(vals[:, j], self._edges)
+        cols = np.moveaxis(vals, -2, -1)
+        flat = cols.reshape(-1, cols.shape[-1])
+        pos = np.array([np.searchsorted(col, self._edges) for col in flat])
         below, upto = pos[:, :k], pos[:, k:]
         unsure = upto > below
         if unsure.any():
             for j, i in zip(*np.nonzero(unsure)):
-                below[j, i] += np.count_nonzero(self.leq(vals[below[j, i]:upto[j, i], j], i))
-        return below
+                below[j, i] += np.count_nonzero(self.leq(flat[j, below[j, i]:upto[j, i]], i))
+        return below.reshape(cols.shape[:-1] + (k,))
 
     def any_leq(self, rows: np.ndarray, low: np.ndarray, i: int) -> np.ndarray:
         """Per row, whether some value has X_t <= levels[i], given the row minima ``low``."""

@@ -1,10 +1,11 @@
 """Deterministic block partitioning for Monte Carlo work.
 
 Every sampling run is split into fixed-size blocks of paths (or
-replications).  Block ``j`` of a run draws from its own generator seeded by
-``SeedSequence((seed, stream, *key, j))``, so the values produced for a given
-block depend only on the run seed and the block index, never on which worker
-executed it or how many workers ran.  Partial results are merged in fixed
+replications).  Block ``j`` of a run draws from its own PCG64 generator
+seeded as by ``SeedSequence((seed, stream, *key, j))``, with the words of all
+of a sampler's blocks derived in one vectorized pass (``seed_words``).  So the
+values of a block depend only on the run seed and the block index, never on
+which worker ran it or how many did.  Partial results are merged in fixed
 pairwise-tree order over the block index, which makes every reduction
 bit-for-bit reproducible across worker counts.
 """
@@ -40,9 +41,67 @@ def default_workers() -> int:
     return int(raw)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(values: np.ndarray, init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """numpy's ``hashmix`` calls first .. first + count - 1 (constants init * mult**i), by row."""
+    c = np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(first, first + count + 1)],
+                 dtype=np.uint32)[:, None]
+    out = (values ^ c[:-1]) * c[1:]
+    return out ^ (out >> 16)
+
+
+def seed_words(seed: int, keys) -> np.ndarray:
+    """(N x 4) uint64 words, row i ``SeedSequence((seed, *keys[i])).generate_state(4, np.uint64)``.
+
+    numpy's pool mixing and output hash, run on all N keys at once: the seed
+    is any non-negative integer, the keys have equal lengths and components
+    in [0, 2^32).
+    """
+    seed, keys = int(seed), np.asarray(keys)
+    if seed < 0 or keys.ndim != 2 or (keys.size and (keys.min() < 0 or keys.max() > _MASK32)):
+        raise ValueError("need a non-negative seed and equal-length keys in [0, 2^32)")
+    head = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # one entropy column per key; zero rows pad the 4-word pool as numpy's hashmix(0) does
+    entropy = np.zeros((max(len(head) + keys.shape[1], 4), len(keys)), dtype=np.uint32)
+    entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head):len(head) + keys.shape[1]] = keys.T
+    a = (0x43B0D7E5, 0x931E8875)
+    with np.errstate(over="ignore"):
+        pool, at = _hashmix(entropy[:4], *a, 0, 4), 4
+        # mix each pool word into the others, then each further entropy word into all
+        for src in range(len(entropy)):
+            dst = [d for d in range(4) if d != src]
+            mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(
+                pool[src] if src < 4 else entropy[src], *a, at, len(dst))
+            pool[dst] = mixed ^ (mixed >> 16)
+            at += len(dst)
+        # generate_state: 8 uint32 words cycling the pool, read as 4 little-endian uint64
+        state = _hashmix(np.concatenate([pool, pool]), 0x8B51F9DD, 0x58F38DED, 0, 8)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """One row of ``seed_words``, in numpy's interface for seeding PCG64 (4 uint64 words)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.ascontiguousarray(self.words, dtype=np.uint64)
+
+
+def rng_from_words(words: np.ndarray) -> np.random.Generator:
+    """PCG64 generator seeded with one row of ``seed_words``."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for the substream identified by (seed, *key)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key))))
+    return rng_from_words(seed_words(seed, [key])[0])
 
 
 def iter_blocks(n: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int, int]]:

@@ -888,6 +888,8 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
                        levels: Sequence[float], n: int, reps: int, seed: int,
                        workers: int = 1) -> SupCltResult:
     """Two-sample KS between replicated field sups and limit-field sups."""
+    if reps < 1 or ks_critical_two_sample(reps, reps) >= 1.0:  # a KS statistic is at most 1
+        raise DomainError(f"need at least 4 replications for a KS bound below 1, not {reps}")
     grid = TimeGrid(np.asarray(sorted(times), dtype=float))
     levels = np.asarray(sorted(levels), dtype=float)
     cells = [(float(t), float(y)) for t in grid.points for y in levels]
@@ -898,7 +900,7 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
     def batch_sups(paths):
         # the counts and field of evaluate_field_streaming, per replication
         paths.sort(axis=-1)
-        counts = np.stack([kernel.count_sorted(rows.T) for rows in paths])
+        counts = kernel.count_sorted(np.swapaxes(paths, 1, 2))
         return np.max(np.abs(wv * (counts - n * levels) / math.sqrt(n)), axis=(1, 2))
 
     emp = map_replications(model, grid, n, reps, seed, batch_sups, workers)

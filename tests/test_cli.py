@@ -62,6 +62,15 @@ class TestExitCodes:
                        "--out", str(tmp_path / "r.json")) == 2
         assert named in capsys.readouterr().err
 
+    def test_clt_sup_needs_a_ks_bound_below_one(self, tmp_path, capsys):
+        # the two-sample KS statistic is at most 1, and its bound is below 1
+        # only from 4 replications on: with fewer the check could not fail
+        argv = ("clt", "sup", "--model", "bm-copula", "--n", "200",
+                "--out", str(tmp_path / "r.json"))
+        assert run_cli(*argv, "--reps", "3") == 2
+        assert "at least 4 replications" in capsys.readouterr().err
+        assert run_cli(*argv, "--reps", "4") in (0, 1)
+
     def test_clt_negative_control_is_one(self, tmp_path):
         code = run_cli("clt", "marginal", "--model", "bm-copula", "--weight", "const:1",
                        "--n", "1", "--reps", "500", "--seed", str(PINNED_SEED),

@@ -86,6 +86,10 @@ class TestOracle:
         expected = np.array([[np.count_nonzero(uniform_leq(col, y)) for y in ys]
                              for col in block.T])
         assert np.array_equal(kernel.count_sorted(block.copy()), expected)
+        # a batch of sorted blocks, time-major as in clt sup, counts as its slices do
+        batch = np.stack([block, block[:, ::-1], np.sort(-block, axis=0)])
+        counts = kernel.count_sorted(np.swapaxes(np.swapaxes(batch, 1, 2).copy(), 1, 2))
+        assert np.array_equal(counts, np.stack([kernel.count_sorted(b) for b in batch]))
         assert np.array_equal(kernel.count(np.repeat(z[:, None], len(ys), axis=1)),
                               expected[0])
         rows = z[: (z.size // 3) * 3].reshape(-1, 3)
