@@ -23,6 +23,9 @@ from .weights import WeightSpec
 
 DEFAULT_CLIP = 1e-3
 
+# Indicators per F @ F.T in accumulate_cell_moments: 1 MiB, sums exact in float32.
+_PAIR_VALUES = 1 << 18
+
 
 @dataclass(frozen=True)
 class EmpiricalField:
@@ -51,10 +54,10 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
                              stream: int = parallel.STREAM_PATHS) -> EmpiricalField:
     """Evaluate the field on the (grid x levels) lattice from n streamed paths.
 
-    Per block, counts of X_i(t) <= y are taken for every cell as integers,
-    which the sampler adds in block order.  A block is counted on its native
-    scale by sorting each time column in place and searching it for the
-    level bands of ``level_kernel``.
+    Per batch, counts of X_i(t) <= y are taken for every cell as integers,
+    which the sampler adds in batch order.  A batch is counted on its native
+    scale by sorting each time row in place and searching it for the level
+    bands of ``level_kernel``.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
@@ -67,7 +70,7 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
     kernel = level_kernel(model, levels)
 
     def block_counts(vals):
-        vals.sort(axis=0)
+        vals.sort(axis=-1)
         return kernel.count_sorted(vals)
 
     counts = map_path_blocks(model, grid, n, seed, block_counts, workers,
@@ -89,15 +92,23 @@ def accumulate_cell_moments(model: ProcessModel, cells: Sequence[tuple[float, fl
                             extra_key: tuple[int, ...] = ()) -> np.ndarray:
     """Joint frequencies P(X_s <= x, X_t <= y) over pairs of probe cells, from n paths.
 
-    Per block the joint indicator counts are integers, which the sampler
-    adds in block order; the total is divided by n once.
+    Per batch the joint indicator counts are integers, which the sampler
+    adds in batch order; the total is divided by n once.  Each path chunk
+    fills a (cells x paths) float32 indicator matrix F by rows and adds F @ F.T.
     """
-    idx = np.array([grid.index_of(t) for t, _ in cells])
+    idx = [grid.index_of(t) for t, _ in cells]
     kernel = level_kernel(model, [y for _, y in cells])
+    step = max(1, _PAIR_VALUES // max(1, len(idx)))
 
     def pair_counts(vals):
-        f = kernel.leq(vals[:, idx]).astype(np.float64)
-        return np.rint(f.T @ f).astype(np.int64)
+        total = np.zeros((len(idx), len(idx)), dtype=np.int64)
+        f = np.empty((len(idx), min(step, vals.shape[-1])), dtype=np.float32)
+        for a in range(0, vals.shape[-1], step):
+            chunk = f[:, :vals.shape[-1] - a]
+            for i, it in enumerate(idx):
+                chunk[i] = kernel.leq(vals[it, a:a + step], i)
+            total += np.rint(chunk @ chunk.T).astype(np.int64)
+        return total
 
     return map_path_blocks(model, grid, n, seed, pair_counts, workers, extra_key=extra_key) / n
 

@@ -11,14 +11,15 @@ implemented functional is grid-measurable, so no bridge infill is done.
 Suprema over time are therefore maxima over grid points, a declared
 approximation quantified by the refinement studies in the verifiers.
 
-Paths are streamed on each kind's native scale: the Brownian copula as
+Paths are streamed time-major, times x paths, so each time's paths form one
+contiguous row, and on each kind's native scale: the Brownian copula as
 scores B_t / sqrt(t), the other kinds as their uniforms.  ``to_uniform``
-applies the Phi transform; ``level_kernel`` compares native values with
-uniform levels without it.  The samplers hand back finished results:
-``map_path_blocks`` streams the paths of one run (``map_brownian_blocks``
-their raw B_t) and adds its consumer's per-block results with ``+`` in fixed
-tree order; ``map_replications`` streams many replications, a batch at a
-time, and concatenates the per-batch results in replication order.
+applies the Phi transform; ``level_kernel`` decides X_t <= y on native rows
+without it.  The samplers share one block filler and hand back finished
+results: ``map_path_blocks`` streams the paths of one run
+(``map_brownian_blocks`` their raw B_t) and adds its consumer's per-batch
+results with ``+`` in fixed tree order; ``map_replications`` streams many
+replications and concatenates the per-batch results in replication order.
 """
 
 from __future__ import annotations
@@ -145,20 +146,13 @@ def parse_model(text: str) -> ProcessModel:
     raise DomainError(f"unrecognized model spec {text!r}")
 
 
-def _brownian_paths(z: np.ndarray, sqrt_dt: np.ndarray) -> np.ndarray:
-    """Brownian paths at the grid times from standard normals z (... x times), in place.
-
-    The cumulative sum is a loop over time columns: the same additions as
-    ``np.cumsum``, and much faster on narrow rows.
-    """
-    z *= sqrt_dt
-    for j in range(1, sqrt_dt.size):
-        z[..., j] += z[..., j - 1]
+def _brownian_paths(z: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Brownian paths at the grid times from standard normals z (... x times x paths), in place,
+    by adding each time row into the next: the additions of ``np.cumsum`` along time."""
+    z *= np.sqrt(np.diff(grid.points, prepend=0.0))[:, None]
+    for j in range(1, len(grid)):
+        z[..., j, :] += z[..., j - 1, :]
     return z
-
-
-def _sqrt_increments(grid: TimeGrid) -> np.ndarray:
-    return np.sqrt(np.diff(np.concatenate([[0.0], grid.points])))
 
 
 def _block_seeds(model: ProcessModel, seed: int, stream: int, keys) -> np.ndarray:
@@ -169,20 +163,37 @@ def _block_seeds(model: ProcessModel, seed: int, stream: int, keys) -> np.ndarra
                      for s in streams], axis=1)
 
 
+# Values per fn call: about 2^18 (2 MiB) in a batch of whole seeding blocks or
+# replications, at most 2^20 (8 MiB) in a path slice of a wider block; _filler
+# draws through a scratch of at most 2^14.  Pure scheduling, like the workers.
+_BATCH_VALUES = 1 << 18
+_SLICE_VALUES = 1 << 20
+_SCRATCH_VALUES = 1 << 14
+
+
 def _filler(model: ProcessModel, count: int,
             words: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
-    """``fill(rows, start)`` writes rows start: of the draws (paths x times) seeded by ``words``.
+    """``fill(out, start)`` writes paths start: of the draws seeded by ``words`` into ``out``.
 
-    The draws are standard normals for the bm-copula, which ``_to_native``
-    turns into scores, and the uniforms X_t for the other kinds.  Filling
-    slices in row order gives the whole-block values: the per-path uniforms
-    of the other kinds are drawn once (``DistFn.sample`` interleaves draws).
+    ``out`` is a time-major (times x paths) slice of a batch.  The draws are
+    standard normals for the bm-copula, which ``_to_native`` turns into
+    scores, and the uniforms X_t for the other kinds.  Normals and time-iid
+    uniforms are drawn path-major into a scratch (numpy draws only into a
+    C-contiguous target) and copied over transposed; the per-path uniforms of
+    the other kinds are drawn once (``DistFn.sample`` interleaves draws).  So
+    slices filled in path order hold the whole-block values.
     """
     rng = parallel.rng_from_words(words[0])
-    if model.kind == BM_COPULA:
-        return lambda rows, _start: rng.standard_normal(out=rows)
-    if model.kind == IID_TIME:
-        return lambda rows, _start: rng.random(out=rows)
+    if model.kind in (BM_COPULA, IID_TIME):
+        draw = rng.standard_normal if model.kind == BM_COPULA else rng.random
+
+        def fill_draws(out, _start):
+            step = max(1, _SCRATCH_VALUES // len(out))
+            scratch = np.empty((min(step, out.shape[1]), len(out)))
+            for a in range(0, out.shape[1], step):
+                out[:, a:a + step] = draw(out=scratch[:out.shape[1] - a]).T
+            return out
+        return fill_draws
     if model.kind == DEPENDENT:
         u = rng.random(count)
     else:
@@ -191,22 +202,17 @@ def _filler(model: ProcessModel, count: int,
         v = parallel.rng_from_words(words[1]).random(count)
         u = np.clip(dist_transform(df, df.sample(count, rng), v), _OPEN_LO, _OPEN_HI)
 
-    def fill(rows, start):
-        rows[...] = u[start:start + rows.shape[0], None]
-        return rows
+    def fill(out, start):
+        out[...] = u[start:start + out.shape[1]]
+        return out
     return fill
 
 
-def _to_native(model: ProcessModel, draws: np.ndarray, sqrt_dt: np.ndarray,
-               sqrt_t: np.ndarray) -> np.ndarray:
-    """Draws (... x times) on the native scale, in place: scores B_t / sqrt(t) for the bm-copula.
-
-    ``draws`` may be a strided view, such as a time-major batch with its last
-    two axes swapped; the elementwise operations, and so the bits, are the same.
-    """
+def _to_native(model: ProcessModel, draws: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Draws (... x times x paths) on the native scale, in place: the bm-copula's B_t / sqrt(t)."""
     if model.kind == BM_COPULA:
-        _brownian_paths(draws, sqrt_dt)
-        draws /= sqrt_t
+        _brownian_paths(draws, grid)
+        draws /= np.sqrt(grid.points)[:, None]
     return draws
 
 
@@ -224,101 +230,89 @@ def to_uniform(model: ProcessModel, block: np.ndarray) -> np.ndarray:
     return np.clip(block, _OPEN_LO, _OPEN_HI, out=block)
 
 
-# Values per fn call of map_path_blocks (8 MiB of float64): wider blocks
-# reach fn in even row slices.  Pure scheduling, like the worker count.
-_SLICE_VALUES = 1 << 20
-
-
 def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
                     fn: Callable[[np.ndarray], object], workers: int = 1,
                     stream: int = parallel.STREAM_PATHS,
                     extra_key: tuple[int, ...] = ()):
-    """Stream blocks of n sampled paths through ``fn``: the path sampler of one run.
+    """Stream n sampled paths through ``fn``: the path sampler of one run.
 
-    ``fn`` gets rows of paths on the model's native scale, which it may
-    modify in place.  A block may reach ``fn`` in several row slices of at
-    most ``_SLICE_VALUES`` values, and results must be exact under any row
-    partition.  Block j draws from the substream (seed, stream, *extra_key,
-    j), so the values are identical for every worker count, and so is the
-    sum of ``fn``'s results, added in fixed tree order over the slices in
-    row order.
+    ``fn`` gets time-major (times x paths) native arrays, which it may modify
+    in place: batches of whole seeding blocks, or path slices of a block wider
+    than ``_SLICE_VALUES``.  Block j draws from (seed, stream, *extra_key, j),
+    so the values are the same for every worker count, and so is the sum of
+    ``fn``'s results in fixed tree order, if they are exact under any path
+    partition.
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")
-    sqrt_dt, sqrt_t, m = _sqrt_increments(grid), np.sqrt(grid.points), len(grid)
-    words = _block_seeds(model, seed, stream,
-                         [(*extra_key, j) for j in range(len(parallel.iter_blocks(n)))])
+    m, size, blocks = len(grid), parallel.BLOCK_SIZE, parallel.iter_blocks(n)
+    words = _block_seeds(model, seed, stream, [(*extra_key, j) for j in range(len(blocks))])
 
-    def job(idx, start, stop):
-        rows = stop - start
-        fill = _filler(model, rows, words[idx])
-        pieces = -(-rows // max(1, _SLICE_VALUES // m))
-        cuts = [rows * i // pieces for i in range(pieces + 1)]
-        return [fn(_to_native(model, fill(np.empty((b - a, m)), a), sqrt_dt, sqrt_t))
-                for a, b in zip(cuts, cuts[1:])]
+    def job(_idx, first, stop):
+        fills = [(start, end, _filler(model, end - start, words[j]))
+                 for j, start, end in blocks[first // size:-(-stop // size)]]
 
-    parts = [r for part in parallel.map_blocks(job, n, workers) for r in part]
+        def paths(a, b):
+            out = np.empty((m, b - a))
+            for start, end, fill in fills:
+                lo, hi = max(a, start), min(b, end)
+                if lo < hi:
+                    fill(out[:, lo - a:hi - a], lo - start)
+            return _to_native(model, out, grid)
+
+        pieces = -(-(stop - first) // max(1, _SLICE_VALUES // m))
+        cuts = [first + (stop - first) * i // pieces for i in range(pieces + 1)]
+        return [fn(paths(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+    batch = size * max(1, _BATCH_VALUES // (size * m))
+    parts = [r for part in parallel.map_blocks(job, n, workers, block_size=batch) for r in part]
     return parallel.tree_reduce(parts, operator.add)
-
-
-# Values per batch of map_replications: about 2 MiB of float64.  Pure
-# scheduling, like the worker count: it cannot change a sampled value.
-_REP_BATCH_VALUES = 1 << 18
 
 
 def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, seed: int,
                      fn: Callable[[np.ndarray], np.ndarray], workers: int = 1) -> np.ndarray:
     """Stream ``reps`` replications of n sampled paths through ``fn``, in batches.
 
-    ``fn`` gets a native time-major (batch x times x n) array, which it may
-    modify in place; its per-batch results come back concatenated in
-    replication order.  Block j of replication r draws from (seed,
-    STREAM_REPLICATION, r, j), as the blocks of ``map_path_blocks`` with
-    ``extra_key=(r,)`` do, whatever the batch: a batch holds exactly those
-    paths x times values, transposed, so the per-time work of ``fn`` and of
-    the Brownian cumsum runs on contiguous rows.
+    ``fn`` gets a native (batch x times x n) array, which it may modify in
+    place; its per-batch results come back concatenated in replication
+    order.  Replication r holds exactly what ``map_path_blocks`` streams with
+    ``stream=STREAM_REPLICATION, extra_key=(r,)``, whatever the batch.
     """
     if n < 1 or reps < 1:
         raise DomainError("need n >= 1 paths and reps >= 1")
-    sqrt_dt, sqrt_t = _sqrt_increments(grid), np.sqrt(grid.points)
     blocks = parallel.iter_blocks(n)
     words = _block_seeds(model, seed, parallel.STREAM_REPLICATION,
                          np.indices((reps, len(blocks))).reshape(2, -1).T)
 
     def job(_idx, first, stop):
         buf = np.empty((stop - first, len(grid), n))
-        # out= takes no transposed view: draw each block paths x times, then copy it over
-        draws = np.empty((min(n, parallel.BLOCK_SIZE), len(grid)))
         for r in range(first, stop):
             for j, start, end in blocks:
                 fill = _filler(model, end - start, words[r * len(blocks) + j])
-                buf[r - first, :, start:end] = fill(draws[:end - start], 0).T
-        _to_native(model, np.swapaxes(buf, 1, 2), sqrt_dt, sqrt_t)
-        return fn(buf)
+                fill(buf[r - first, :, start:end], 0)
+        return fn(_to_native(model, buf, grid))
 
-    batch = max(1, _REP_BATCH_VALUES // (n * len(grid)))
+    batch = max(1, _BATCH_VALUES // (n * len(grid)))
     return np.concatenate(parallel.map_blocks(job, reps, workers, block_size=batch))
 
 
 def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
                         fn: Callable[[np.ndarray], object], workers: int = 1,
                         stream: int = parallel.STREAM_PATHS):
-    """Stream raw Brownian path blocks (values B_t at grid times).
+    """Stream raw Brownian path blocks (times x paths values B_t), one whole seeding block a call.
 
     Seeded like ``map_path_blocks``, so with equal keys its blocks are the
-    Brownian paths behind the bm-copula blocks, and adds ``fn``'s results in
-    the same fixed tree order.  It exists because some consumers need B_t
-    itself, and B_t cannot be recovered bit-for-bit from the score
-    B_t / sqrt(t).
+    Brownian paths behind the bm-copula ones, added in fixed tree order.  Its
+    consumers need B_t, which the score does not give back bit for bit, and
+    sum floats, which another path partition would round differently.
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")
-    sqrt_dt = _sqrt_increments(grid)
     words = parallel.seed_words(seed, [(stream, j) for j in range(len(parallel.iter_blocks(n)))])
 
     def job(idx, start, stop):
-        rng = parallel.rng_from_words(words[idx])
-        return fn(_brownian_paths(rng.standard_normal((stop - start, sqrt_dt.size)), sqrt_dt))
+        fill = _filler(ProcessModel(BM_COPULA), stop - start, words[idx, None])
+        return fn(_brownian_paths(fill(np.empty((len(grid), stop - start)), 0), grid))
 
     return parallel.tree_reduce(parallel.map_blocks(job, n, workers), operator.add)
 
@@ -350,19 +344,19 @@ class LevelKernel:
     lo: np.ndarray
     hi: np.ndarray
 
-    def leq(self, vals: np.ndarray, which=slice(None)) -> np.ndarray:
-        """X_t <= y elementwise; the last axis of ``vals`` runs over ``levels[which]``."""
-        out = vals < self.lo[which]
-        band = vals <= self.hi[which]
+    def leq(self, vals: np.ndarray, i: int) -> np.ndarray:
+        """X_t <= levels[i], elementwise."""
+        out = vals < self.lo[i]
+        band = vals <= self.hi[i]
         band ^= out
         if band.any():
-            y = np.broadcast_to(self.levels[which], vals.shape)[band]
-            out[band] = to_uniform(self.model, vals[band]) <= y
+            out[band] = to_uniform(self.model, vals[band]) <= self.levels[i]
         return out
 
     def count(self, vals: np.ndarray) -> np.ndarray:
-        """Per level, the rows of ``vals`` (... x paths x levels) with X_t <= y."""
-        return np.count_nonzero(self.leq(vals), axis=-2)
+        """Per level i, the paths in row i of ``vals`` (... x levels x paths) with X_t <= y."""
+        return np.stack([np.count_nonzero(self.leq(vals[..., i, :], i), axis=-1)
+                         for i in range(self.levels.size)], axis=-1)
 
     @functools.cached_property
     def _edges(self) -> np.ndarray:
@@ -370,39 +364,38 @@ class LevelKernel:
         return np.concatenate([self.lo, np.nextafter(self.hi, np.inf)])
 
     def count_sorted(self, vals: np.ndarray) -> np.ndarray:
-        """(... x columns x levels) counts of X_t <= y in blocks (... x paths x columns).
+        """(... x times x levels) counts of X_t <= y in time-major rows (... x times x paths).
 
-        The blocks must be sorted along axis -2; leading axes are a batch.
-        Each column is searched for lo and hi; only the slice between them
-        is decided by ``leq``.
+        The rows must be sorted; leading axes are a batch.  Each row is
+        searched for lo and hi; only the slice between them is decided by
+        ``leq``.
         """
         k = self.levels.size
-        cols = np.moveaxis(vals, -2, -1)
-        flat = cols.reshape(-1, cols.shape[-1])
-        pos = np.array([np.searchsorted(col, self._edges) for col in flat])
+        flat = vals.reshape(-1, vals.shape[-1])
+        pos = np.array([np.searchsorted(row, self._edges) for row in flat])
         below, upto = pos[:, :k], pos[:, k:]
         unsure = upto > below
         if unsure.any():
             for j, i in zip(*np.nonzero(unsure)):
                 below[j, i] += np.count_nonzero(self.leq(flat[j, below[j, i]:upto[j, i]], i))
-        return below.reshape(cols.shape[:-1] + (k,))
+        return below.reshape(vals.shape[:-1] + (k,))
 
     def any_leq(self, rows: np.ndarray, low: np.ndarray, i: int) -> np.ndarray:
-        """Per row, whether some value has X_t <= levels[i], given the row minima ``low``."""
+        """Per path (column), whether some row has X_t <= levels[i], given the path minima."""
         out = low < self.lo[i]
         unsure = low <= self.hi[i]
         unsure ^= out
         if unsure.any():
-            out[unsure] = self.leq(rows[unsure], i).any(axis=1)
+            out[unsure] = self.leq(rows[:, unsure], i).any(axis=0)
         return out
 
     def any_gt(self, rows: np.ndarray, high: np.ndarray, i: int) -> np.ndarray:
-        """Per row, whether some value has X_t > levels[i], given the row maxima ``high``."""
+        """Per path (column), whether some row has X_t > levels[i], given the path maxima."""
         out = high > self.hi[i]
         unsure = high >= self.lo[i]
         unsure ^= out
         if unsure.any():
-            out[unsure] = ~self.leq(rows[unsure], i).all(axis=1)
+            out[unsure] = ~self.leq(rows[:, unsure], i).all(axis=0)
         return out
 
 
@@ -527,7 +520,7 @@ def envelope_statistics(grid: TimeGrid, n: int, seed: int,
     """Estimate forward-increment suprema means and the scaled-path sup mean."""
     if n < 1000:
         raise DomainError("envelope statistics need n >= 1000")
-    sqrt_pts = np.sqrt(grid.points)
+    sqrt_pts = np.sqrt(grid.points)[:, None]
     windows = []
     for t in t_values:
         it = grid.index_of(t)
@@ -540,9 +533,9 @@ def envelope_statistics(grid: TimeGrid, n: int, seed: int,
         for j, (_t, _e, it, sel) in enumerate(windows):
             if sel.size == 0:
                 continue
-            d = np.max((b[:, sel] - b[:, it][:, None]) / sqrt_pts[sel], axis=1)
+            d = np.max((b[sel] - b[it]) / sqrt_pts[sel], axis=0)
             stats[:, j] = np.sum(d), np.sum(d * d)
-        sup = np.max(b / sqrt_pts, axis=1)
+        sup = np.max(b / sqrt_pts, axis=0)
         stats[:, -1] = np.sum(sup), np.sum(sup * sup)
         return stats
 

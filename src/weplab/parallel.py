@@ -12,6 +12,7 @@ bit-for-bit reproducible across worker counts.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
@@ -46,10 +47,17 @@ _MASK32 = 0xFFFFFFFF
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _hashmix(values: np.ndarray, init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """numpy's ``hashmix`` calls first .. first + count - 1 (constants init * mult**i), by row."""
-    c = np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(first, first + count + 1)],
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """Read-only uint32 column of init * mult**i mod 2^32, i < count; built once per process."""
+    c = np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(count)],
                  dtype=np.uint32)[:, None]
+    c.flags.writeable = False
+    return c
+
+
+def _hashmix(values: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """numpy's ``hashmix`` by row: row i xor-ed with constant c[i], times c[i + 1]."""
     out = (values ^ c[:-1]) * c[1:]
     return out ^ (out >> 16)
 
@@ -69,18 +77,18 @@ def seed_words(seed: int, keys) -> np.ndarray:
     entropy = np.zeros((max(len(head) + keys.shape[1], 4), len(keys)), dtype=np.uint32)
     entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
     entropy[len(head):len(head) + keys.shape[1]] = keys.T
-    a = (0x43B0D7E5, 0x931E8875)
+    c = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * len(entropy) + 1)
     with np.errstate(over="ignore"):
-        pool, at = _hashmix(entropy[:4], *a, 0, 4), 4
+        pool, at = _hashmix(entropy[:4], c[:5]), 4  # 4 hashmix calls per entropy word
         # mix each pool word into the others, then each further entropy word into all
         for src in range(len(entropy)):
             dst = [d for d in range(4) if d != src]
             mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(
-                pool[src] if src < 4 else entropy[src], *a, at, len(dst))
+                pool[src] if src < 4 else entropy[src], c[at:at + len(dst) + 1])
             pool[dst] = mixed ^ (mixed >> 16)
             at += len(dst)
         # generate_state: 8 uint32 words cycling the pool, read as 4 little-endian uint64
-        state = _hashmix(np.concatenate([pool, pool]), 0x8B51F9DD, 0x58F38DED, 0, 8)
+        state = _hashmix(np.concatenate([pool, pool]), _hash_constants(0x8B51F9DD, 0x58F38DED, 9))
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 

@@ -179,9 +179,11 @@ def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, 
 
     The events are X_t <= x < max over the ball of X_s, and
     min over the ball of X_s <= x < X_t, decided on the native scale.
+    X_t <= x is decided once per (time, level) and shared by its balls.
     """
-    kernel = level_kernel(model, [x for _it, _ball, x in probe_cells])
-    # balls around one time are nested index ranges: their row extrema grow outward
+    xs = [x for _it, _ball, x in probe_cells]
+    kernel = level_kernel(model, xs)
+    # balls around one time are nested index ranges: their path extrema grow outward
     around = {}
     for j, (it, ball, _x) in enumerate(probe_cells):
         around.setdefault(it, []).append((ball.size, int(ball[0]), int(ball[-1]) + 1, j))
@@ -189,16 +191,17 @@ def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, 
     def block_fn(vals):
         counts = np.zeros((len(probe_cells), 2), dtype=np.int64)
         for it, balls in around.items():
-            low, high = vals[:, it].copy(), vals[:, it].copy()
+            low, high, at = vals[it].copy(), vals[it].copy(), {}
             done_a, done_b = it, it + 1
             for _size, a, b, j in sorted(balls):
                 for c in [*range(a, done_a), *range(done_b, b)]:
-                    np.minimum(low, vals[:, c], out=low)
-                    np.maximum(high, vals[:, c], out=high)
+                    np.minimum(low, vals[c], out=low)
+                    np.maximum(high, vals[c], out=high)
                 done_a, done_b = a, b
-                at = kernel.leq(vals[:, it], j)
-                counts[j, 0] = np.count_nonzero(at & kernel.any_gt(vals[:, a:b], high, j))
-                counts[j, 1] = np.count_nonzero(kernel.any_leq(vals[:, a:b], low, j) & ~at)
+                if xs[j] not in at:
+                    at[xs[j]] = kernel.leq(vals[it], j)
+                counts[j, 0] = np.count_nonzero(at[xs[j]] & kernel.any_gt(vals[a:b], high, j))
+                counts[j, 1] = np.count_nonzero(kernel.any_leq(vals[a:b], low, j) & ~at[xs[j]])
         return counts
 
     return map_path_blocks(model, grid, n, seed, block_fn, workers, extra_key=extra_key)
@@ -301,10 +304,10 @@ def l_condition_estimate(model: ProcessModel, theta: float,
         def block_fn(vals):
             counts = np.zeros(len(prepared), dtype=np.int64)
             for j, (t, eps, it, ball) in enumerate(prepared):
-                u, ut = vals[:, ball], vals[:, it]
+                u, ut = vals[ball], vals[it]
                 if brownian:
                     u, ut = std_normal_cdf(u / math.sqrt(t)), std_normal_cdf(ut / math.sqrt(t))
-                osc = np.max(np.abs(u - ut[:, None]), axis=1)
+                osc = np.max(np.abs(u - ut), axis=0)
                 counts[j] = np.count_nonzero(osc > eps ** 2)
             return counts
 
@@ -344,9 +347,9 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
     def block_fn(vals):
         vals = to_uniform(model, vals)
         wvals = w(vals)
-        sup = wvals.max(axis=1)
+        sup = wvals.max(axis=0)
         counts = np.array([np.count_nonzero(sup > lam) for lam in lams], dtype=np.int64)
-        lo = np.count_nonzero(vals.min(axis=1) <= cross_check_x0) if want_cross else 0
+        lo = np.count_nonzero(vals.min(axis=0) <= cross_check_x0) if want_cross else 0
         return np.concatenate([counts, [lo]])
 
     counts = map_path_blocks(model, grid, n, seed, block_fn, workers)
@@ -498,10 +501,10 @@ def borell_check(r_values: Sequence[float] = DEFAULT_BORELL_R, n: int = 100_000,
     variance constant is 1 on any grid inside [1, 2].
     """
     grid = grid or TimeGrid.uniform()
-    sqrt_pts = np.sqrt(grid.points)
+    sqrt_pts = np.sqrt(grid.points)[:, None]
 
     def sup_sums(b):
-        sup = np.max(-b / sqrt_pts, axis=1)
+        sup = np.max(-b / sqrt_pts, axis=0)
         return np.array([np.sum(sup), float(len(sup))])
 
     cal = map_brownian_blocks(grid, n, seed, sup_sums, workers,
@@ -513,7 +516,7 @@ def borell_check(r_values: Sequence[float] = DEFAULT_BORELL_R, n: int = 100_000,
         raise DomainError("r values must be positive")
 
     def exceed_counts(b):
-        sup = np.max(-b / sqrt_pts, axis=1)
+        sup = np.max(-b / sqrt_pts, axis=0)
         return np.array([np.count_nonzero(sup >= m_hat + r) for r in rs], dtype=np.int64)
 
     counts = map_brownian_blocks(grid, n, seed, exceed_counts, workers)
@@ -646,7 +649,7 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
     for _t, _e, l in probes:
         if l <= m0_hat:
             raise DomainError(f"level {l} must exceed the measured mean {m0_hat:.4f}")
-    sqrt_pts = np.sqrt(grid.points)
+    sqrt_pts = np.sqrt(grid.points)[:, None]
     prepared = [(grid.index_of(t), grid.forward_indices(t, eps), l) for t, eps, l in probes]
 
     def block_fn(b):
@@ -655,8 +658,8 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
         for j, (it, window, l) in enumerate(prepared):
             if window.size == 0:
                 continue
-            counts[j] = np.count_nonzero((scaled[:, it] < l)
-                                         & (np.max(scaled[:, window], axis=1) >= l))
+            counts[j] = np.count_nonzero((scaled[it] < l)
+                                         & (np.max(scaled[window], axis=0) >= l))
         return counts
 
     counts = map_brownian_blocks(grid, n, seed, block_fn, workers)
@@ -714,13 +717,10 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
         vals = to_uniform(model, vals)
         counts = np.zeros(len(prepared), dtype=np.int64)
         for j, (it, ball, levels) in enumerate(prepared):
-            xt = vals[:, it]
-            mn = vals[:, ball].min(axis=1)
             # largest probe level strictly below X_t, if any
-            pos = np.searchsorted(levels, xt, side="left") - 1
-            has = pos >= 0
-            hi = np.where(has, levels[np.clip(pos, 0, len(levels) - 1)], -np.inf)
-            counts[j] = np.count_nonzero(has & (mn <= hi))
+            pos = np.searchsorted(levels, vals[it], side="left") - 1
+            below = levels[np.maximum(pos, 0)]
+            counts[j] = np.count_nonzero((pos >= 0) & (vals[ball].min(axis=0) <= below))
         return counts
 
     counts = map_path_blocks(model, grid, n, seed, block_fn, workers)
@@ -790,7 +790,7 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
     kernel = level_kernel(model, [y])
 
     def batch_values(paths):
-        return wy * (kernel.count(np.swapaxes(paths, 1, 2))[:, 0] - n * y) / math.sqrt(n)
+        return wy * (kernel.count(paths)[:, 0] - n * y) / math.sqrt(n)
 
     values = map_replications(model, grid, n, reps, seed, batch_values, workers)
     ks = ks_statistic_one_sample(values, lambda v: std_normal_cdf(v / sigma))
@@ -900,7 +900,7 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
     def batch_sups(paths):
         # the counts and field of evaluate_field_streaming, per replication
         paths.sort(axis=-1)
-        counts = kernel.count_sorted(np.swapaxes(paths, 1, 2))
+        counts = kernel.count_sorted(paths)
         return np.max(np.abs(wv * (counts - n * levels) / math.sqrt(n)), axis=(1, 2))
 
     emp = map_replications(model, grid, n, reps, seed, batch_sups, workers)

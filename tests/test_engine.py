@@ -26,6 +26,11 @@ def single_path_value() -> float:
     return float(map_path_blocks(SINGLE_MODEL, SINGLE_GRID, 1, 7, lambda v: [v])[0][0, 0])
 
 
+def uniform_paths(model, grid, n, seed):
+    """The run's uniform paths as one (n x grid) matrix."""
+    return np.hstack(map_path_blocks(model, grid, n, seed, lambda v: [to_uniform(model, v)])).T
+
+
 def single_path_field(levels, **kwargs):
     return evaluate_field_streaming(SINGLE_MODEL, SINGLE_GRID, levels, w_const, 1, 7, **kwargs)
 
@@ -59,7 +64,7 @@ class TestEvaluateField:
     @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time"])
     def test_counts_match_broadcast_reference(self, spec):
         model, grid, n, seed = parse_model(spec), TimeGrid.uniform(1, 2, 7), 5000, 11
-        paths = np.vstack(map_path_blocks(model, grid, n, seed, lambda v: [to_uniform(model, v)]))
+        paths = uniform_paths(model, grid, n, seed)
         # levels that equal sampled values exactly, one of them repeated
         ordered = np.sort(paths[:, 3])
         levels = np.array([ordered[100], 0.25, ordered[2500], ordered[2500], 0.75,
@@ -125,6 +130,20 @@ class TestCellMoments:
         a = accumulate_cell_moments(model, cells, grid, 20_000, 9, workers=1)
         b = accumulate_cell_moments(model, cells, grid, 20_000, 9, workers=8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time", "atomic:0.5@0.5"])
+    def test_pair_counts_are_the_brute_force_counts(self, spec, workers):
+        # two batches of whole blocks on 3 times, each taken in several F chunks
+        model, grid, n, seed = parse_model(spec), TimeGrid(np.array([1.0, 1.5, 2.0])), 100_000, 4
+        u = uniform_paths(model, grid, n, seed)
+        # a sampled uniform as a level puts that path's score inside its band
+        y_in_band = float(u[4321, 2])
+        # unsorted cells, times 2.0 and 1.0 repeated, time 1.5 with one level
+        cells = [(2.0, 0.7), (1.0, 0.3), (2.0, y_in_band), (1.5, 0.5), (2.0, 0.2), (1.0, 0.9)]
+        f = np.column_stack([u[:, grid.index_of(t)] <= y for t, y in cells]).astype(np.int64)
+        got = accumulate_cell_moments(model, cells, grid, n, seed, workers=workers)
+        assert np.array_equal(got, (f.T @ f) / n)
 
     def test_covariance_from_joint_target(self):
         model = parse_model("bm-copula")

@@ -72,8 +72,10 @@ class TestOracle:
         z = with_band_edges(scores, kernel)
         for i, y in enumerate(ys):
             assert np.array_equal(kernel.leq(z, i), uniform_leq(z, y))
-        grid = np.repeat(z[:, None], len(ys), axis=1)
-        assert np.array_equal(kernel.leq(grid), uniform_leq(grid, np.array(ys)))
+        # row i of a time-major block against level i
+        rows = np.repeat(z[None, :], len(ys), axis=0)
+        assert np.array_equal(kernel.count(rows),
+                              np.count_nonzero(uniform_leq(rows, np.array(ys)[:, None]), axis=1))
 
     @given(scores=score_arrays, data=st.data())
     @settings(max_examples=200)
@@ -82,23 +84,25 @@ class TestOracle:
         kernel = level_kernel(BM, ys)
         z = with_band_edges(scores, kernel)
         u = np.clip(special.ndtr(z), OPEN_LO, OPEN_HI)
-        block = np.sort(np.stack([z, z[::-1]], axis=1), axis=0)
-        expected = np.array([[np.count_nonzero(uniform_leq(col, y)) for y in ys]
-                             for col in block.T])
+        # a time-major block: two sorted time rows
+        block = np.sort(np.stack([z, z[::-1]]), axis=1)
+        expected = np.array([[np.count_nonzero(uniform_leq(row, y)) for y in ys]
+                             for row in block])
         assert np.array_equal(kernel.count_sorted(block.copy()), expected)
-        # a batch of sorted blocks, time-major as in clt sup, counts as its slices do
-        batch = np.stack([block, block[:, ::-1], np.sort(-block, axis=0)])
-        counts = kernel.count_sorted(np.swapaxes(np.swapaxes(batch, 1, 2).copy(), 1, 2))
+        # a batch of sorted blocks, as in clt sup, counts as its slices do
+        batch = np.stack([block, block[::-1], np.sort(-block, axis=1)])
+        counts = kernel.count_sorted(batch.copy())
         assert np.array_equal(counts, np.stack([kernel.count_sorted(b) for b in batch]))
-        assert np.array_equal(kernel.count(np.repeat(z[:, None], len(ys), axis=1)),
+        assert np.array_equal(kernel.count(np.repeat(z[None, :], len(ys), axis=0)),
                               expected[0])
-        rows = z[: (z.size // 3) * 3].reshape(-1, 3)
-        urows = u[: rows.size].reshape(-1, 3)
+        # balls of three times (rows) over the paths (columns)
+        rows = z[: (z.size // 3) * 3].reshape(-1, 3).T
+        urows = u[: rows.size].reshape(-1, 3).T
         for i, y in enumerate(ys):
-            assert np.array_equal(kernel.any_leq(rows, rows.min(axis=1), i),
-                                  urows.min(axis=1) <= y)
-            assert np.array_equal(kernel.any_gt(rows, rows.max(axis=1), i),
-                                  urows.max(axis=1) > y)
+            assert np.array_equal(kernel.any_leq(rows, rows.min(axis=0), i),
+                                  urows.min(axis=0) <= y)
+            assert np.array_equal(kernel.any_gt(rows, rows.max(axis=0), i),
+                                  urows.max(axis=0) > y)
 
     def test_scores_at_the_band_edges(self):
         ys = [OPEN_LO, 1e-300, 1e-12, 0.3, 0.5, 1.0 - 1e-12, OPEN_HI]
@@ -138,8 +142,9 @@ class TestOracle:
         ys = np.array([0.2, 0.5])
         kernel = level_kernel(parse_model(spec), ys)
         assert np.array_equal(kernel.lo, ys) and np.array_equal(kernel.hi, ys)
-        vals = np.array([[0.1, 0.5], [0.2, np.nextafter(0.5, 1.0)], [0.3, 0.7]])
-        assert np.array_equal(kernel.leq(vals), vals <= ys)
+        vals = np.array([0.1, 0.2, 0.5, np.nextafter(0.5, 1.0), 0.7])
+        for i, y in enumerate(ys):
+            assert np.array_equal(kernel.leq(vals, i), vals <= y)
 
 
 # -- frozen copies of the uniform-space consumer kernels replaced by the level kernel
@@ -175,14 +180,14 @@ def old_crossing_counts(probe_cells):
 
 
 def old_on_uniforms(model, grid, n, seed, fn, workers, **kwargs):
-    """The sum of ``fn`` over the uniform blocks of a run."""
-    return map_path_blocks(model, grid, n, seed, lambda v: fn(to_uniform(model, v)),
+    """The sum of ``fn`` over the uniform blocks of a run, each seen paths x times."""
+    return map_path_blocks(model, grid, n, seed, lambda v: fn(to_uniform(model, v).T),
                            workers, **kwargs)
 
 
 def sampled_levels(model, grid, n, seed, column, picks):
     """Uniform values that the run itself samples, so scores fall inside the bands."""
-    u = np.vstack(map_path_blocks(model, grid, n, seed, lambda v: [to_uniform(model, v)]))
+    u = np.hstack(map_path_blocks(model, grid, n, seed, lambda v: [to_uniform(model, v)])).T
     ordered = np.sort(u[:, column])
     return [float(ordered[p]) for p in picks]
 
@@ -226,13 +231,13 @@ class TestConsumersMatchTheUniformKernels:
     @pytest.mark.parametrize("batch_values", [None, 1])
     def test_marginal(self, monkeypatch, spec, workers, batch_values):
         if batch_values is not None:
-            monkeypatch.setattr(models, "_REP_BATCH_VALUES", batch_values)
+            monkeypatch.setattr(models, "_BATCH_VALUES", batch_values)
         model, n, reps, t = parse_model(spec), 5000, 500, 1.5
         grid = TimeGrid(np.array([t]))
         # a uniform sampled by replication 0, so at least that replication hits the band
-        first = np.vstack(map_path_blocks(model, grid, n, 6, lambda v: [to_uniform(model, v)],
+        first = np.hstack(map_path_blocks(model, grid, n, 6, lambda v: [to_uniform(model, v)],
                                           stream=parallel.STREAM_REPLICATION,
-                                          extra_key=(0,)))
+                                          extra_key=(0,))).T
         y = float(first[123, 0])
         old = np.empty(reps)
         for r in range(reps):
@@ -295,11 +300,11 @@ def test_ndtr_runs_only_on_in_band_scores(tmp_path, monkeypatch, path):
 def test_the_recorder_sees_in_band_scores(monkeypatch):
     # a level equal to a sampled uniform puts that path's score inside its band
     grid = TimeGrid(np.array([1.5]))
-    scores = np.vstack(map_path_blocks(BM, grid, 100, 1, lambda v: [v]))
-    y = float(np.clip(special.ndtr(scores[7, 0]), OPEN_LO, OPEN_HI))
+    scores = np.hstack(map_path_blocks(BM, grid, 100, 1, lambda v: [v]))
+    y = float(np.clip(special.ndtr(scores[0, 7]), OPEN_LO, OPEN_HI))
     recorder = RecordingSpecial()
     monkeypatch.setattr(models, "special", recorder)
     kernel = level_kernel(BM, [y])
     assert kernel.count(scores)[0] == np.count_nonzero(uniform_leq(scores, y))
     seen = np.concatenate(recorder.seen)
-    assert scores[7, 0] in seen and in_some_band(seen, [y])
+    assert scores[0, 7] in seen and in_some_band(seen, [y])

@@ -14,6 +14,7 @@ from weplab.models import (TimeGrid, envelope_statistics, joint_cdf, joint_cdf_m
                            parse_model, rho_metric, to_uniform)
 from weplab.numerics import (bvn_cdf, ks_statistic_one_sample, std_normal_cdf,
                              std_normal_quantile)
+from weplab.transforms import dist_transform, uniform_atom_mixture
 
 PINNED_SEED = 20260810
 
@@ -21,10 +22,10 @@ uniform_cdf = lambda u: np.clip(u, 0.0, 1.0)
 
 
 def sample(spec, grid, n, seed, workers=1):
-    """All n uniform paths as an (n x grid) matrix, stacked from the streamed blocks."""
+    """All n uniform paths as an (n x grid) matrix, from the streamed time-major batches."""
     model = parse_model(spec)
-    return np.vstack(map_path_blocks(model, grid, n, seed, lambda v: [to_uniform(model, v)],
-                                     workers))
+    return np.hstack(map_path_blocks(model, grid, n, seed, lambda v: [to_uniform(model, v)],
+                                     workers)).T
 
 
 class TestTimeGrid:
@@ -111,17 +112,17 @@ class TestSampling:
         # path values are exactly the normal cdf of the scaled Brownian path
         grid = TimeGrid.uniform(1, 2, 9)
         values = sample("bm-copula", grid, 3000, 13)
-        b = np.vstack(map_brownian_blocks(grid, 3000, 13, lambda b: [b]))
+        b = np.hstack(map_brownian_blocks(grid, 3000, 13, lambda b: [b])).T
         x = np.clip(std_normal_cdf(b / np.sqrt(grid.points)), 5e-324,
                     np.nextafter(1.0, 0.0))
         assert np.array_equal(values, x)
 
     def test_bm_copula_native_block_is_the_score(self):
         grid = TimeGrid.uniform(1, 2, 9)
-        scores = np.vstack(map_path_blocks(parse_model("bm-copula"), grid, 5000, 13,
+        scores = np.hstack(map_path_blocks(parse_model("bm-copula"), grid, 5000, 13,
                                            lambda v: [v]))
-        b = np.vstack(map_brownian_blocks(grid, 5000, 13, lambda b: [b]))
-        assert np.array_equal(scores, b / np.sqrt(grid.points))
+        b = np.hstack(map_brownian_blocks(grid, 5000, 13, lambda b: [b]))
+        assert np.array_equal(scores, b / np.sqrt(grid.points)[:, None])
 
     @pytest.mark.parametrize("spec", ["dependent", "iid-time", "atomic:0.5@0.5"])
     def test_to_uniform_is_the_identity_off_the_bm_copula(self, spec):
@@ -130,13 +131,14 @@ class TestSampling:
 
     @pytest.mark.parametrize("width", [1, 2, 4, 17, 129])
     def test_brownian_cumsum_is_numpy_cumsum(self, width):
-        sqrt_dt = models._sqrt_increments(TimeGrid(np.linspace(1.0, 2.0, width)))
-        z = np.random.default_rng(width).standard_normal((4097, width))
-        expected = np.cumsum(z * sqrt_dt, axis=1)
-        assert np.array_equal(models._brownian_paths(z.copy(), sqrt_dt), expected)
-        # and on a stack of replications, along the last axis
-        stack = z.reshape(1, 4097, width).repeat(3, axis=0)
-        assert np.array_equal(models._brownian_paths(stack, sqrt_dt), np.stack([expected] * 3))
+        grid = TimeGrid(np.linspace(1.0, 2.0, width))
+        sqrt_dt = np.sqrt(np.diff(np.concatenate([[0.0], grid.points])))
+        z = np.random.default_rng(width).standard_normal((width, 4097))
+        expected = np.cumsum(z * sqrt_dt[:, None], axis=0)
+        assert np.array_equal(models._brownian_paths(z.copy(), grid), expected)
+        # and on a stack of replications, along the time axis
+        stack = z.reshape(1, width, 4097).repeat(3, axis=0)
+        assert np.array_equal(models._brownian_paths(stack, grid), np.stack([expected] * 3))
 
 
 ALL_KINDS = ["bm-copula", "dependent", "iid-time", "atomic:0.5@0.5"]
@@ -146,32 +148,101 @@ class TestPathSlices:
     @pytest.mark.parametrize("slice_values", [1, 7, 12, 1 << 20])
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_slices_hold_the_block_values(self, monkeypatch, spec, slice_values):
+        # both blocks of 5000 paths on 5 times fit one batch; small caps slice it,
+        # across the block boundary too
         model, grid = parse_model(spec), TimeGrid.uniform(1, 2, 5)
-        whole = np.vstack(map_path_blocks(model, grid, 5000, 4, lambda v: [v]))
+        whole = np.hstack(map_path_blocks(model, grid, 5000, 4, lambda v: [v]))
         monkeypatch.setattr(models, "_SLICE_VALUES", slice_values)
         for workers in (1, 2):
             sliced = map_path_blocks(model, grid, 5000, 4, lambda v: [v], workers)
-            assert np.array_equal(np.vstack(sliced), whole)
-            assert max(len(v) for v in sliced) == min(4096, max(1, slice_values // 5))
+            assert np.array_equal(np.hstack(sliced), whole)
+            assert max(v.shape[1] for v in sliced) == min(5000, max(1, slice_values // 5))
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_wide_blocks_reach_fn_in_slices_under_the_cap(self, monkeypatch, spec):
-        # 4096 x 513 and a partial last block of 2100 x 513 both exceed 2^20 values
+        # 513 x 4096 and a partial last block of 513 x 2100 both exceed 2^20 values
         model, grid = parse_model(spec), TimeGrid.uniform(1, 2, 513)
-        row_sums = lambda v: [(v.shape, v.sum(axis=1))]
-        got = map_path_blocks(model, grid, 6196, 9, row_sums)
-        assert [shape for shape, _ in got] == [(r, 513) for r in (1365, 1365, 1366, 1050, 1050)]
+        col_sums = lambda v: [(v.shape, v.sum(axis=0))]
+        got = map_path_blocks(model, grid, 6196, 9, col_sums)
+        assert [shape for shape, _ in got] == [(513, r) for r in (1365, 1365, 1366, 1050, 1050)]
         assert max(r * c for (r, c), _ in got) <= models._SLICE_VALUES
         monkeypatch.setattr(models, "_SLICE_VALUES", 1 << 30)
-        whole = map_path_blocks(model, grid, 6196, 9, row_sums)
-        assert [shape for shape, _ in whole] == [(4096, 513), (2100, 513)]
+        whole = map_path_blocks(model, grid, 6196, 9, col_sums)
+        assert [shape for shape, _ in whole] == [(513, 4096), (513, 2100)]
         assert np.array_equal(np.concatenate([s for _, s in got]),
                               np.concatenate([s for _, s in whole]))
 
     def test_129_point_block_arrives_whole(self):
         shapes = map_path_blocks(parse_model("bm-copula"), TimeGrid.uniform(), 5000, 1,
                                  lambda v: [v.shape])
-        assert shapes == [(4096, 129), (904, 129)]
+        assert shapes == [(129, 4096), (129, 904)]
+
+    @pytest.mark.parametrize("blocks_per_batch", [None, 2])
+    def test_narrow_grids_batch_whole_blocks(self, monkeypatch, blocks_per_batch):
+        grid = TimeGrid.uniform(1, 2, 4)
+        if blocks_per_batch is not None:
+            monkeypatch.setattr(models, "_BATCH_VALUES", blocks_per_batch * 4096 * 4)
+        shapes = map_path_blocks(parse_model("bm-copula"), grid, 3 * 4096 + 17, 1,
+                                 lambda v: [v.shape])
+        # 2^18 values hold 16 blocks of 4096 x 4
+        assert shapes == ([(4, 3 * 4096 + 17)] if blocks_per_batch is None
+                          else [(4, 2 * 4096), (4, 4096 + 17)])
+
+
+def path_major_reference(model, grid, n, seed, stream=parallel.STREAM_PATHS, brownian=False):
+    """(n x times) native paths, drawn block by block straight from the block generators."""
+    sqrt_dt = np.sqrt(np.diff(np.concatenate([[0.0], grid.points])))
+    sqrt_t = np.sqrt(grid.points)
+    rows = []
+    for j, start, stop in parallel.iter_blocks(n):
+        rng = parallel.rng_from_words(parallel.seed_words(seed, [(stream, j)])[0])
+        count = stop - start
+        if brownian or model.kind == "bm-copula":
+            b = np.cumsum(rng.standard_normal((count, len(grid))) * sqrt_dt, axis=1)
+            rows.append(b if brownian else b / sqrt_t)
+        elif model.kind == "iid-time":
+            rows.append(rng.random((count, len(grid))))
+        else:
+            if model.kind == "dependent":
+                u = rng.random(count)
+            else:
+                df = uniform_atom_mixture(model.atom_mass, model.atom_loc)
+                v = parallel.rng_from_words(
+                    parallel.seed_words(seed, [(parallel.STREAM_RANDOMIZER, j)])[0]).random(count)
+                u = np.clip(dist_transform(df, df.sample(count, rng), v),
+                            5e-324, np.nextafter(1.0, 0.0))
+            rows.append(np.repeat(u[:, None], len(grid), axis=1))
+    return np.vstack(rows)
+
+
+class TestTimeMajorLayout:
+    """Every sampler hands ``fn`` time-major arrays holding the path-major block draws."""
+
+    N = 3 * parallel.BLOCK_SIZE + 17
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [TimeGrid.uniform(1, 2, 4), TimeGrid.uniform().refined()],
+                             ids=["4-times", "257-times"])
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    def test_path_blocks_are_the_block_draws_transposed(self, spec, grid, workers):
+        model = parse_model(spec)
+        got = map_path_blocks(model, grid, self.N, 8, lambda v: [v], workers)
+        # one batch of four blocks on 4 times; two path slices per full block on 257
+        assert len(got) == (1 if len(grid) == 4 else 7)
+        assert all(v.shape[0] == len(grid) and v.flags.c_contiguous for v in got)
+        assert np.array_equal(np.hstack(got), path_major_reference(model, grid, self.N, 8).T)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [TimeGrid.uniform(1, 2, 4), TimeGrid.uniform().refined()],
+                             ids=["4-times", "257-times"])
+    def test_brownian_blocks_are_the_block_draws_transposed(self, grid, workers):
+        got = map_brownian_blocks(grid, self.N, 8, lambda b: [b], workers,
+                                  stream=parallel.STREAM_CALIBRATION)
+        # exactly one whole seeding block per call
+        assert [b.shape for b in got] == [(len(grid), 4096)] * 3 + [(len(grid), 17)]
+        reference = path_major_reference(parse_model("bm-copula"), grid, self.N, 8,
+                                         stream=parallel.STREAM_CALIBRATION, brownian=True)
+        assert np.array_equal(np.hstack(got), reference.T)
 
 
 class TestMergeOrder:
@@ -180,15 +251,15 @@ class TestMergeOrder:
         # five blocks make an unbalanced tree, which a left fold adds in another order,
         # rounding these float column sums differently; digests pin them on 17 points only
         grid, n = TimeGrid.uniform(1, 2, 9), 4 * parallel.BLOCK_SIZE + 17
-        got = map_brownian_blocks(grid, n, 5, lambda b: b.sum(axis=0), workers)
-        parts = map_brownian_blocks(grid, n, 5, lambda b: [b.sum(axis=0)], workers)
+        got = map_brownian_blocks(grid, n, 5, lambda b: b.sum(axis=1), workers)
+        parts = map_brownian_blocks(grid, n, 5, lambda b: [b.sum(axis=1)], workers)
         assert len(parts) == 5
         assert np.array_equal(got, parallel.tree_reduce(parts, np.add))
 
 
 def replications_by_block(model, grid, n, reps, seed):
-    """(reps x n x times): replication r as ``map_path_blocks`` streams it with key (r,)."""
-    return np.stack([np.vstack(map_path_blocks(model, grid, n, seed, lambda v: [v],
+    """(reps x times x n): replication r as ``map_path_blocks`` streams it with key (r,)."""
+    return np.stack([np.hstack(map_path_blocks(model, grid, n, seed, lambda v: [v],
                                                stream=parallel.STREAM_REPLICATION,
                                                extra_key=(r,)))
                      for r in range(reps)])
@@ -204,18 +275,17 @@ class TestMapReplications:
     def test_replication_equals_its_blocks(self, monkeypatch, spec, n, times, workers,
                                            batch_values):
         if batch_values is not None:
-            monkeypatch.setattr(models, "_REP_BATCH_VALUES", batch_values)
+            monkeypatch.setattr(models, "_BATCH_VALUES", batch_values)
         model, grid = parse_model(spec), TimeGrid(np.array(times))
-        batch = max(1, models._REP_BATCH_VALUES // (n * len(grid)))
+        batch = max(1, models._BATCH_VALUES // (n * len(grid)))
         # two batches and a part, or one part of a batch when batches are huge
         reps = 2 * batch + 1 if batch <= 32 else 7
         sizes = map_replications(model, grid, n, reps, 17, lambda paths: [len(paths)], workers)
         assert list(sizes) == [min(batch, reps - i) for i in range(0, reps, batch)]
         got = map_replications(model, grid, n, reps, 17, lambda paths: paths, workers)
-        # batches are time-major: the same values, transposed
+        # batches are time-major, as the path blocks are
         assert got.shape == (reps, len(grid), n)
-        assert np.array_equal(got, np.swapaxes(replications_by_block(model, grid, n, reps, 17),
-                                               1, 2))
+        assert np.array_equal(got, replications_by_block(model, grid, n, reps, 17))
 
     def test_batch_holds_at_most_the_cap(self):
         grid = TimeGrid.uniform(1, 2, 4)
@@ -223,7 +293,7 @@ class TestMapReplications:
                                  lambda paths: [paths.size])
         # 2^18 values hold 13 replications of 5000 x 4
         assert list(sizes) == [13 * 5000 * 4] * 3 + [5000 * 4]
-        assert max(sizes) <= models._REP_BATCH_VALUES
+        assert max(sizes) <= models._BATCH_VALUES
 
     def test_needs_paths_and_replications(self):
         model, grid = parse_model("bm-copula"), TimeGrid.uniform(1, 2, 4)

@@ -382,17 +382,17 @@ class TestCltSup:
                                                   workers, batch_values):
         # n = 4500 spans two seeding blocks; 31 replications fill two batches and a part
         if batch_values is not None:
-            monkeypatch.setattr(models, "_REP_BATCH_VALUES", batch_values)
+            monkeypatch.setattr(models, "_BATCH_VALUES", batch_values)
         model, n, reps = parse_model(spec), 4500, 31
         times, levels = (2.0, 1.0, 1.5), (0.8, 0.2, 0.5)
         grid = TimeGrid(np.array(sorted(times)))
         if sampled_level:
             # a uniform that replication 0 sampled in its second block (0.58 at t = 2):
             # count_sorted decides an in-band slice of a time-major row in that cell
-            first = np.vstack(map_path_blocks(model, grid, n, 9,
+            first = np.hstack(map_path_blocks(model, grid, n, 9,
                                               lambda v: [to_uniform(model, v)],
                                               stream=parallel.STREAM_REPLICATION,
-                                              extra_key=(0,)))
+                                              extra_key=(0,))).T
             levels = (0.8, 0.2, float(first[4158, 2]))
         ys = np.array(sorted(levels))
         fields = [evaluate_field_streaming(model, grid, ys, w_quarter, n, 9, clip=0.2,
