@@ -2,13 +2,14 @@
 
 Three commands: ``simulate`` writes an empirical-field CSV, ``verify``
 runs one named checker and writes a JSON report, ``clt`` runs a convergence
-harness and writes a JSON report and a per-replication CSV.  Checks and CLT
-modes are dispatched from one table each (``CHECKS``, ``CLT``), and every
-command, typed or replayed, runs through ``run_command``.  Library reports
-carry no clock: the JSON written here adds ``wall_ms``, the wall time of the
-whole command.  Every run can emit a manifest echoing the fully resolved
-configuration; ``rerun`` replays a manifest and reproduces the outputs
-byte-for-byte apart from ``wall_ms``.
+harness and writes a JSON report and a per-replication CSV.  This module
+only parses, dispatches and writes: every report is built in ``verifiers``.
+Checks and CLT modes are dispatched from one table each (``CHECKS``,
+``CLT``), and every command, typed or replayed, runs through
+``run_command``.  Library reports carry no clock: the JSON written here adds
+``wall_ms``, the wall time of the whole command.  Every run can emit a
+manifest echoing the fully resolved configuration; ``rerun`` replays a
+manifest and reproduces the outputs byte-for-byte apart from ``wall_ms``.
 
 Configuration: flat key-value files with sections (INI style), overridden
 by flags; flags win.  Exit codes: 0 all checks passed, 1 a check failed,
@@ -32,14 +33,14 @@ import numpy as np
 from . import __version__, parallel
 from .engine import evaluate_field_streaming, export_field_csv
 from .errors import ConfigError, DomainError, UnsupportedModelError, WeplabError
-from .limits import check_distance_monotone, dg0_upper_bound_check, weight_drift_check
 from .models import ProcessModel, TimeGrid, parse_model
-from .verifiers import (BoundReport, ProbeResult, _coarse_wl, borell_check, chaining_ab_check,
-                        clt_covariance_convergence, clt_marginal_test, clt_sup_comparison,
-                        envelope_check, feller_sandwich, l_condition_estimate,
-                        lemma_l_check, lemma_m_check, lemma_y_check,
-                        prop_d1_d2_check, slowly_varying_check, wl_estimate)
-from .weights import WeightSpec, dyadic_sum, integral_condition, parse_weight
+from .verifiers import (BoundReport, borell_check, chaining_ab_check, clt_covariance_convergence,
+                        clt_marginal_test, clt_sup_comparison, dg0_upper_check, dyadic_check,
+                        envelope_check, feller_sandwich, integral_check, l_condition_estimate,
+                        lemma_l_check, lemma_m_check, lemma_y_check, monotone_d_check,
+                        prop_d1_d2_check, slowly_varying_check, weight_drift_sampled_check,
+                        wl_estimate)
+from .weights import WeightSpec, parse_weight
 
 
 @dataclass
@@ -176,82 +177,15 @@ def _sampling(cfg: RunConfig) -> dict:
             "workers": cfg.resolved_workers()}
 
 
-def _cli_report(cfg: RunConfig, rows, n: int = 0) -> BoundReport:
-    """A report of rows built here; ``run_check`` names it after its table key."""
-    return BoundReport("", tuple(rows), n, cfg.seed)
-
-
-def _integral(cfg: RunConfig) -> BoundReport:
-    verdict = integral_condition(cfg.weight_spec(), cfg.float_list("c_values"))
-    return _cli_report(cfg, [ProbeResult({"c": e.c}, e.value, e.error, None, None, e.finite)
-                             for e in verdict.entries])
-
-
-def _dyadic(cfg: RunConfig) -> BoundReport:
-    w = cfg.weight_spec()
-    rows = []
-    for theta in (1e-4, 1e-2, 0.2 * w.gamma):
-        short = dyadic_sum(w, theta, 60)
-        full = dyadic_sum(w, theta, 200)
-        settled = full.ratio - short.ratio <= 0.01 * full.ratio
-        rows.append(ProbeResult({"theta": theta, "terms": 200}, full.ratio, None,
-                                None, None, settled and full.ratio >= short.ratio))
-        if w.sv_kind == "const" and w.sv_param == 1.0:
-            # pure power: geometric series in closed form, partial and limit
-            r = 4.0 ** (-w.alpha)
-            partial = (1.0 - r ** 60) / (1.0 - r)
-            limit = 1.0 / (1.0 - r)
-            rows.append(ProbeResult({"theta": theta, "terms": 60, "part": "closed-form"},
-                                    short.ratio, None, partial, None,
-                                    abs(short.ratio - partial) <= 1e-10))
-            rows.append(ProbeResult({"theta": theta, "terms": 200, "part": "limit"},
-                                    full.ratio, None, limit, None,
-                                    abs(full.ratio - limit) <= 1e-10))
-    return _cli_report(cfg, rows)
-
-
-def _sampled_violation(cfg: RunConfig, check, label: str, stream: int, width: int,
-                       ordered: bool) -> BoundReport:
-    """One row: ``check`` on 1000 draws of ``width`` points in the weight's window."""
-    w = cfg.weight_spec()
-    draws = parallel.derive_rng(cfg.seed, stream).uniform(1e-6, w.gamma, size=(1000, width))
-    if ordered:
-        draws = np.sort(draws, axis=1)
-    report = check(w, [tuple(d) for d in draws])
-    row = ProbeResult({label: 1000, "violation": report.violation}, None, None, None, None,
-                      report.passed)
-    return _cli_report(cfg, [row])
-
-
-def _dg0_upper(cfg: RunConfig) -> BoundReport:
-    model = cfg.model_spec()
-    w = cfg.weight_spec()
-    l_hat = _coarse_wl(model, w, cfg.theta, **_sampling(cfg))[2]
-    ts = np.linspace(cfg.a, cfg.b, 5)
-    xs = (0.2, 0.5, 0.8)
-    probes = [(s, x, t, y) for s in ts for t in ts for x in xs for y in xs]
-    report = dg0_upper_bound_check(model, w, l_hat, probes, theta=cfg.theta)
-    rows = [ProbeResult({"stat": "l_hat"}, l_hat, None, None, None, True),
-            ProbeResult({"probes": len(probes), "violation": report.violation},
-                        None, None, None, None, report.passed)]
-    return _cli_report(cfg, rows, cfg.n)
-
-
-def _event(cfg: RunConfig, event: str) -> BoundReport:
-    """The d1/d2 sweep keeping the rows of one event and the shared ones."""
-    full = prop_d1_d2_check(**_sampling(cfg))
-    return dataclasses.replace(full, probes=tuple(
-        p for p in full.probes if p.coords.get("event") in (event, None)))
-
-
 CHECKS = {
     "wl": lambda cfg: wl_estimate(cfg.model_spec(), cfg.weight_spec(), cfg.theta,
                                   **_sampling(cfg)).to_bound_report(),
     "l-cond": lambda cfg: l_condition_estimate(cfg.model_spec(), cfg.theta,
                                                [(cfg.t, e) for e in (0.55, 0.7, 1.1)],
                                                **_sampling(cfg)),
-    "integral": _integral,
-    "dyadic": _dyadic,
+    "integral": lambda cfg: integral_check(cfg.weight_spec(), cfg.float_list("c_values"),
+                                           cfg.seed),
+    "dyadic": lambda cfg: dyadic_check(cfg.weight_spec(), cfg.seed),
     "envelope": lambda cfg: envelope_check(cfg.model_spec(), cfg.weight_spec(),
                                            **_sampling(cfg)),
     "feller": lambda cfg: feller_sandwich(),
@@ -260,23 +194,21 @@ CHECKS = {
     "lemma-y": lambda cfg: lemma_y_check(),
     "lemma-m": lambda cfg: lemma_m_check(**_sampling(cfg)),
     "lemma-l": lambda cfg: lemma_l_check(**_sampling(cfg)),
-    "d1": lambda cfg: _event(cfg, "d1"),
-    "d2": lambda cfg: _event(cfg, "d2"),
+    "d1": lambda cfg: prop_d1_d2_check(events=("d1",), **_sampling(cfg)),
+    "d2": lambda cfg: prop_d1_d2_check(events=("d2",), **_sampling(cfg)),
     "chaining-ab": lambda cfg: chaining_ab_check(cfg.model_spec(), cfg.weight_spec(),
                                                  cfg.theta, **_sampling(cfg)),
-    "monotone-d": lambda cfg: _sampled_violation(cfg, check_distance_monotone, "triples",
-                                                 97, 3, ordered=True),
-    "dg0-upper": _dg0_upper,
-    "weight-drift": lambda cfg: _sampled_violation(cfg, weight_drift_check, "pairs",
-                                                   98, 2, ordered=False),
+    "monotone-d": lambda cfg: monotone_d_check(cfg.weight_spec(), cfg.seed),
+    "dg0-upper": lambda cfg: dg0_upper_check(cfg.model_spec(), cfg.weight_spec(), cfg.theta,
+                                             **_sampling(cfg)),
+    "weight-drift": lambda cfg: weight_drift_sampled_check(cfg.weight_spec(), cfg.seed),
 }
-CHECK_NAMES = tuple(CHECKS)
 
 
 def run_check(check: str, cfg: RunConfig) -> BoundReport:
     if check not in CHECKS:
         raise ConfigError(f"unknown check {check!r}")
-    return dataclasses.replace(CHECKS[check](cfg), check=check)
+    return CHECKS[check](cfg)
 
 
 def _clt_marginal(cfg: RunConfig, model: ProcessModel, w: WeightSpec):
@@ -301,7 +233,6 @@ def _clt_sup(cfg: RunConfig, model: ProcessModel, w: WeightSpec):
 
 
 CLT = {"marginal": _clt_marginal, "cov": _clt_cov, "sup": _clt_sup}
-CLT_MODES = tuple(CLT)
 
 
 def run_clt(mode: str, cfg: RunConfig):
@@ -388,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--manifest", help="manifest JSON path")
 
     ver = sub.add_parser("verify", help="run one verifier and write a JSON report")
-    ver.add_argument("check", choices=CHECK_NAMES)
+    ver.add_argument("check", choices=CHECKS)
     _add_config_flags(ver)
     ver.add_argument("--out", help="report JSON path (default: stdout)")
     ver.add_argument("--manifest", help="manifest JSON path")
 
     clt = sub.add_parser("clt", help="run a CLT harness")
-    clt.add_argument("mode", choices=CLT_MODES)
+    clt.add_argument("mode", choices=CLT)
     _add_config_flags(clt)
     clt.add_argument("--out", help="report JSON path (default: stdout)")
     clt.add_argument("--csv", help="per-replication CSV path")

@@ -127,26 +127,6 @@ def covariance_from_joint(joint: np.ndarray, cells: Sequence[tuple[float, float]
     return 0.5 * (cov + cov.T)
 
 
-def empirical_covariance(rep_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-moment covariance of replicated field vectors, with stderrs.
-
-    ``rep_values`` has one row per replication.  The estimator is the plain
-    cross moment (the field is mean zero by construction, so this is
-    unbiased); standard errors are delete-one jackknife.
-    """
-    v = np.asarray(rep_values, dtype=float)
-    if v.ndim != 2 or v.shape[0] < 30:
-        raise DomainError("need at least 30 replications")
-    r = v.shape[0]
-    prods = v[:, :, None] * v[:, None, :]
-    total = prods.sum(axis=0)
-    cov = total / r
-    # delete-one jackknife: leave-out means are (total - prods_i) / (r - 1)
-    loo = (total[None, :, :] - prods) / (r - 1)
-    se = np.sqrt((r - 1) / r * np.sum((loo - cov[None, :, :]) ** 2, axis=0))
-    return cov, se
-
-
 def export_field_csv(field: EmpiricalField, path: str) -> None:
     """CSV rows t,y,nu with a header comment recording the provenance."""
     prov = field.provenance

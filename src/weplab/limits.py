@@ -60,31 +60,24 @@ def combined_metric(spec: MetricSpec, s, x, t, y):
                       rho_metric(s, t, spec.theta))
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    """Verdict of a pointwise inequality check: the first violating probe, if any."""
-
-    passed: bool
-    violation: Optional[tuple[float, ...]] = None
-
-
-def check_distance_monotone(w: WeightSpec, triples: Sequence[tuple[float, float, float]]) -> ViolationReport:
-    """Assert d(x, y) <= d(x, z) for ordered triples inside the window."""
+def check_distance_monotone(w: WeightSpec,
+                            triples: Sequence[tuple[float, float, float]]) -> Optional[tuple]:
+    """The first ordered triple inside the window with d(x, y) > d(x, z), or None."""
     for x, y, z in triples:
         if not (0.0 < x <= y <= z <= w.gamma):
             raise DomainError(f"triple {(x, y, z)} is not ordered inside (0, gamma]")
         if weighted_wiener_distance(w, x, y) > weighted_wiener_distance(w, x, z) + 1e-12:
-            return ViolationReport(False, (x, y, z))
-    return ViolationReport(True)
+            return (x, y, z)
+    return None
 
 
-def weight_drift_check(w: WeightSpec, pairs: Sequence[tuple[float, float]]) -> ViolationReport:
-    """Assert |x w(x) - y w(y)| <= sqrt(2) d(x, y) on the probe pairs."""
+def weight_drift_check(w: WeightSpec, pairs: Sequence[tuple[float, float]]) -> Optional[tuple]:
+    """The first pair with |x w(x) - y w(y)| > sqrt(2) d(x, y), or None."""
     for x, y in pairs:
         lhs = abs(x * float(w(x)) - y * float(w(y)))
         if lhs > math.sqrt(2.0) * weighted_wiener_distance(w, x, y) + 1e-12:
-            return ViolationReport(False, (x, y))
-    return ViolationReport(True)
+            return (x, y)
+    return None
 
 
 def _semidefinite_cholesky(cov: np.ndarray, rel_tol: float = 1e-10) -> Optional[np.ndarray]:
@@ -199,8 +192,8 @@ def sample_limit_field(limit: LimitModel, reps: int, seed: int, workers: int = 1
 
 def dg0_upper_bound_check(model: ProcessModel, w: WeightSpec, l_hat: float,
                           probes: Sequence[tuple[float, float, float, float]],
-                          theta: float = 5.0, tol: float = 1e-6) -> ViolationReport:
-    """Check d_{G0}^2 <= 2 d^2(x, y) + 4 L rho^2 at probes (s, x, t, y).
+                          theta: float = 5.0, tol: float = 1e-6) -> Optional[tuple]:
+    """(s, x) of the first probe (s, x, t, y) with d_{G0}^2 > 2 d^2(x, y) + 4 L rho^2, or None.
 
     d_{G0}^2 is computed from the closed-form joint CDF; the inequality is
     conditional on the supplied measured constant.
@@ -214,8 +207,8 @@ def dg0_upper_bound_check(model: ProcessModel, w: WeightSpec, l_hat: float,
         d = weighted_wiener_distance(w, x, y)
         rho = rho_metric(s, t, theta)
         if dg0_sq > 2.0 * d * d + 4.0 * l_hat * rho * rho + tol:
-            return ViolationReport(False, (float(s), float(x)))
-    return ViolationReport(True)
+            return (float(s), float(x))
+    return None
 
 
 def export_covariance_csv(limit: LimitModel, path: str) -> None:

@@ -5,11 +5,12 @@ reports the implied constant (estimate divided by the bound shape); the
 d1/d2 verifier also checks its stability across eps.  One-sided Monte Carlo
 tolerance is fixed at three standard errors throughout.
 
-Every checker returns a ``BoundReport`` (the CLT harnesses a result with a
-``to_bound_report``).  Reports carry no clock and determinism comes from the
-block-seeded samplers, so ``to_json()`` is byte-identical across reruns and
-worker counts at a pinned seed; timing is the caller's business.  A sweep
-that evaluates none of its probes adds a failing ``evaluated_probes`` row.
+Every checker returns a ``BoundReport`` named after its ``weplab verify``
+check (the CLT harnesses a result with a ``to_bound_report``).  Reports
+carry no clock and determinism comes from the block-seeded samplers, so
+``to_json()`` is byte-identical across reruns and worker counts at a pinned
+seed; timing is the caller's business.  A sweep that evaluates none of its
+probes adds a failing ``evaluated_probes`` row.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ import numpy as np
 from . import parallel
 from .engine import accumulate_cell_moments, covariance_from_joint
 from .errors import DomainError
-from .limits import build_limit_model, sample_limit_field
+from .limits import (build_limit_model, check_distance_monotone, dg0_upper_bound_check,
+                     sample_limit_field, weight_drift_check)
 from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics,
                      joint_cdf_matrix, level_kernel, map_brownian_blocks, map_path_blocks,
                      map_replications, to_uniform)
 from .numerics import (ks_critical_one_sample, ks_critical_two_sample,
                        ks_statistic_one_sample, ks_statistic_two_sample,
                        std_normal_cdf, std_normal_pdf, std_normal_quantile)
-from .weights import WeightSpec, dyadic_sum, slowly_varying_eval
+from .weights import WeightSpec, dyadic_sum, integral_condition, slowly_varying_eval
 
 MC_SIGMA = 3.0  # one-sided Monte Carlo allowance, in standard errors
 
@@ -438,6 +440,64 @@ def lemma_y_check(x_values: Sequence[float] = DEFAULT_LEMMA_Y_X,
     return BoundReport("lemma-y", tuple(rows), 0, 0)
 
 
+# ---------------------------------------------------------------------------
+# Weight and metric conditions
+# ---------------------------------------------------------------------------
+
+def integral_check(w: WeightSpec, c_values: Sequence[float], seed: int = 0) -> BoundReport:
+    """The tail integral of the weight, one row per constant c: it must be finite."""
+    rows = [ProbeResult({"c": e.c}, e.value, e.error, None, None, e.finite)
+            for e in integral_condition(w, c_values).entries]
+    return BoundReport("integral", tuple(rows), 0, seed)
+
+
+def dyadic_check(w: WeightSpec, seed: int = 0) -> BoundReport:
+    """Dyadic sums of 1/w^2 must settle; a pure power must match its geometric series."""
+    rows = []
+    for theta in (1e-4, 1e-2, 0.2 * w.gamma):
+        short = dyadic_sum(w, theta, 60)
+        full = dyadic_sum(w, theta, 200)
+        settled = full.ratio - short.ratio <= 0.01 * full.ratio
+        rows.append(ProbeResult({"theta": theta, "terms": 200}, full.ratio, None,
+                                None, None, settled and full.ratio >= short.ratio))
+        if w.sv_kind == "const" and w.sv_param == 1.0:
+            # pure power: geometric series in closed form, partial and limit
+            r = 4.0 ** (-w.alpha)
+            partial = (1.0 - r ** 60) / (1.0 - r)
+            limit = 1.0 / (1.0 - r)
+            rows.append(ProbeResult({"theta": theta, "terms": 60, "part": "closed-form"},
+                                    short.ratio, None, partial, None,
+                                    abs(short.ratio - partial) <= 1e-10))
+            rows.append(ProbeResult({"theta": theta, "terms": 200, "part": "limit"},
+                                    full.ratio, None, limit, None,
+                                    abs(full.ratio - limit) <= 1e-10))
+    return BoundReport("dyadic", tuple(rows), 0, seed)
+
+
+def _sampled_violation(name: str, w: WeightSpec, seed: int, check, label: str,
+                       stream: int, width: int, ordered: bool) -> BoundReport:
+    """One row: ``check`` on 1000 draws of ``width`` points in the weight's window."""
+    draws = parallel.derive_rng(seed, stream).uniform(1e-6, w.gamma, size=(1000, width))
+    if ordered:
+        draws = np.sort(draws, axis=1)
+    violation = check(w, [tuple(d) for d in draws])
+    row = ProbeResult({label: 1000, "violation": violation}, None, None, None, None,
+                      violation is None)
+    return BoundReport(name, (row,), 0, seed)
+
+
+def monotone_d_check(w: WeightSpec, seed: int = 0) -> BoundReport:
+    """d(x, y) <= d(x, z) on 1000 sampled ordered triples in the weight's window."""
+    return _sampled_violation("monotone-d", w, seed, check_distance_monotone, "triples",
+                              parallel.STREAM_MONOTONE_D, 3, ordered=True)
+
+
+def weight_drift_sampled_check(w: WeightSpec, seed: int = 0) -> BoundReport:
+    """|x w(x) - y w(y)| <= sqrt(2) d(x, y) on 1000 sampled pairs in the weight's window."""
+    return _sampled_violation("weight-drift", w, seed, weight_drift_check, "pairs",
+                              parallel.STREAM_WEIGHT_DRIFT, 2, ordered=False)
+
+
 DEFAULT_SLOWLY_VARYING_LAMBDAS = (0.5, 2.0, 10.0)
 DEFAULT_SLOWLY_VARYING_X = (1e-8, 1e-16, 1e-30)
 # |ratio - 1| caps at the final probe: the exp-sqrt-log family approaches 1
@@ -582,14 +642,18 @@ def _m0_default(grid, seed, workers) -> float:
 def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = None,
                      n: int = 100_000, seed: int = 0, grid: Optional[TimeGrid] = None,
                      m0_hat: Optional[float] = None, workers: int = 1,
-                     stability_threshold: float = D1D2_STABILITY_THRESHOLD) -> BoundReport:
+                     stability_threshold: float = D1D2_STABILITY_THRESHOLD,
+                     events: tuple[str, ...] = ("d1", "d2")) -> BoundReport:
     """Two-sided level-crossing frequencies against their bound shapes.
 
     Probes are (t, eps, x) with eps the time radius of the ball.  Each event
     frequency is divided by the shape sqrt(eps) (x ln(1/x)) +
     sqrt(eps) phi(-quantile(x) - m0)^(t/(t+eps)); the implied constants must
-    stay within the stability threshold across eps at fixed x.
+    stay within the stability threshold across eps at fixed x.  The report
+    keeps the rows of ``events`` and is named after them ("d1", "d2", "d1-d2").
     """
+    if not events or any(e not in ("d1", "d2") for e in events):
+        raise DomainError(f"events must be d1 and/or d2, not {events!r}")
     grid = grid or TimeGrid.uniform()
     if probes is None:
         probes = [(t, e, x) for t in DEFAULT_D1D2_T for e in DEFAULT_D1D2_EPS
@@ -613,6 +677,8 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
                  + math.sqrt(eps) * std_normal_pdf(-std_normal_quantile(x) - m0_hat)
                  ** (t / (t + eps)))
         for name, c in (("d1", c_d1), ("d2", c_d2)):
+            if name not in events:
+                continue
             p = c / n
             c_hat = _implied_constant(p, shape)
             rows.append(ProbeResult({"event": name, "t": t, "eps": eps, "x": x},
@@ -627,7 +693,7 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
                                 ratio if math.isfinite(ratio) else None, None,
                                 stability_threshold, None, ratio < stability_threshold))
     rows.append(ProbeResult({"stat": "m0_hat"}, m0_hat, None, None, None, True))
-    return BoundReport("d1-d2", tuple(rows), n, seed)
+    return BoundReport("-".join(events), tuple(rows), n, seed)
 
 
 DEFAULT_LEMMA_L_PROBES = ((1.0, 0.25, 1.5), (1.5, 0.25, 1.5), (1.0, 0.1, 1.2),
@@ -696,6 +762,8 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
     Probes are (t, eps, a, b) with b inside the weight's monotone window.
     The bound is (measured dyadic ratio) l_hat eps^2 / w(b)^2 + (b - a),
     with the crossing constant measured by the WL sweep when not supplied.
+    A probe whose time ball is a single grid point is skipped; the report
+    fails when no probe, or no probe of that WL sweep, is evaluated.
     """
     grid = grid or TimeGrid.uniform()
     if w.alpha <= 0.0:
@@ -703,15 +771,13 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
     for _t, _e, a, b in probes:
         if not (0.0 < a < b < w.gamma):
             raise DomainError("need 0 < a < b < gamma for every probe")
+    balls = [(grid.index_of(t), grid.ball_indices(t, eps ** theta)) for t, eps, _a, _b in probes]
+    prepared = [(it, ball, np.linspace(a, b, level_count + 1)[1:])  # grid levels in (a, b]
+                for (it, ball), (_t, _e, a, b) in zip(balls, probes) if ball.size > 1]
+    evaluated = len(prepared)
     if l_hat is None:
-        l_hat = _coarse_wl(model, w, theta, n, seed, grid, workers)[2]
-
-    prepared = []
-    for t, eps, a, b in probes:
-        it = grid.index_of(t)
-        ball = grid.ball_indices(t, eps ** theta)
-        levels = np.linspace(a, b, level_count + 1)[1:]  # grid levels in (a, b]
-        prepared.append((it, ball, levels))
+        coarse, _, l_hat = _coarse_wl(model, w, theta, n, seed, grid, workers)
+        evaluated = min(evaluated, len(coarse))
 
     def block_fn(vals):
         vals = to_uniform(model, vals)
@@ -723,17 +789,43 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
             counts[j] = np.count_nonzero((pos >= 0) & (vals[ball].min(axis=0) <= below))
         return counts
 
-    counts = map_path_blocks(model, grid, n, seed, block_fn, workers)
+    counts = iter(map_path_blocks(model, grid, n, seed, block_fn, workers) if prepared else ())
     rows = [ProbeResult({"stat": "l_hat"}, l_hat, None, None, None, True)]
-    for (t, eps, a, b), c in zip(probes, counts):
+    for (t, eps, a, b), (_it, ball) in zip(probes, balls):
+        if ball.size <= 1:
+            rows.append(_skipped({"t": t, "eps": eps, "a": a, "b": b,
+                                  "ball_points": int(ball.size)}, "singleton time ball"))
+            continue
         ratio = dyadic_sum(w, b, 200).ratio
-        p = c / n
+        p = next(counts) / n
         se = _freq_stderr(p, n)
         wb = float(w(b))
         bound = ratio * l_hat * eps ** 2 / (wb * wb) + (b - a)
         rows.append(ProbeResult({"t": t, "eps": eps, "a": a, "b": b, "dyadic_ratio": ratio},
                                 p, se, bound, None, p <= bound + MC_SIGMA * se))
+    _fail_if_none_evaluated(rows, evaluated)
     return BoundReport("chaining-ab", tuple(rows), n, seed)
+
+
+def dg0_upper_check(model: ProcessModel, w: WeightSpec, theta: float, n: int = 100_000,
+                    seed: int = 0, grid: Optional[TimeGrid] = None,
+                    workers: int = 1) -> BoundReport:
+    """d_G0^2 <= 2 d^2(x, y) + 4 l_hat rho^2 at five times spanning the grid, three levels.
+
+    ``l_hat`` is the crossing constant of the WL sweep on ``grid``; the
+    report fails when that sweep evaluates no probe.
+    """
+    grid = grid or TimeGrid.uniform()
+    coarse, _, l_hat = _coarse_wl(model, w, theta, n, seed, grid, workers)
+    ts = np.linspace(grid.a, grid.b, 5)
+    xs = (0.2, 0.5, 0.8)
+    probes = [(s, x, t, y) for s in ts for t in ts for x in xs for y in xs]
+    violation = dg0_upper_bound_check(model, w, l_hat, probes, theta=theta)
+    rows = [ProbeResult({"stat": "l_hat"}, l_hat, None, None, None, True),
+            ProbeResult({"probes": len(probes), "violation": violation},
+                        None, None, None, None, violation is None)]
+    _fail_if_none_evaluated(rows, len(coarse))
+    return BoundReport("dg0-upper", tuple(rows), n, seed)
 
 
 # ---------------------------------------------------------------------------

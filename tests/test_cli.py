@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,10 @@ from hypothesis import strategies as st
 
 from weplab.cli import RunConfig, main
 from weplab.errors import ConfigError
-from weplab.verifiers import feller_sandwich
+from weplab.models import TimeGrid, parse_model
+from weplab.verifiers import (dg0_upper_check, dyadic_check, feller_sandwich, integral_check,
+                              monotone_d_check, prop_d1_d2_check, weight_drift_sampled_check)
+from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
 
@@ -263,6 +268,48 @@ class TestVerifyReports:
         assert outs[0] == outs[1] == outs[2]
 
 
+# the arguments of tests/test_digests.py, as flags and as library arguments
+DIGEST_FLAGS = ("--n", "2000", "--seed", "5", "--time-points", "17", "--workers", "1")
+DIGEST_SAMPLING = {"n": 2000, "seed": 5, "grid": TimeGrid.uniform(1.0, 2.0, 17), "workers": 1}
+BM, W_QUARTER = parse_model("bm-copula"), parse_weight("pow:0.25")
+MODEL_WEIGHT = ("--model", "bm-copula", "--weight", "pow:0.25")
+
+LIBRARY_CALLS = {
+    "integral": (("--weight", "pow:0.25"),
+                 lambda: integral_check(W_QUARTER, [0.25, 1.0, 4.0], seed=5)),
+    "dyadic": (("--weight", "pow:0.25"), lambda: dyadic_check(W_QUARTER, seed=5)),
+    "monotone-d": (("--weight", "pow:0.25"), lambda: monotone_d_check(W_QUARTER, seed=5)),
+    "weight-drift": (("--weight", "pow:0.25"),
+                     lambda: weight_drift_sampled_check(W_QUARTER, seed=5)),
+    "dg0-upper": (MODEL_WEIGHT, lambda: dg0_upper_check(BM, W_QUARTER, 5.0, **DIGEST_SAMPLING)),
+    "d1": ((), lambda: prop_d1_d2_check(events=("d1",), **DIGEST_SAMPLING)),
+    "d2": ((), lambda: prop_d1_d2_check(events=("d2",), **DIGEST_SAMPLING)),
+}
+
+
+class TestLibraryChecks:
+    @pytest.mark.filterwarnings("ignore:.*skipped")
+    @pytest.mark.parametrize("check", sorted(LIBRARY_CALLS))
+    def test_library_call_equals_cli_report(self, tmp_path, check):
+        flags, call = LIBRARY_CALLS[check]
+        out = tmp_path / "r.json"
+        run_cli("verify", check, *flags, *DIGEST_FLAGS, "--out", str(out))
+        assert call().to_json() == load_without_timing(out)
+
+    @pytest.mark.filterwarnings("ignore:.*skipped")
+    @pytest.mark.parametrize("check", ["chaining-ab", "dg0-upper"])
+    def test_wl_sweep_that_evaluates_nothing_fails(self, tmp_path, check):
+        # on 5 points (spacing 1/4) every WL and chaining time ball is one grid point
+        out = tmp_path / "r.json"
+        assert run_cli("verify", check, *MODEL_WEIGHT, "--n", "1000", "--time-points", "5",
+                       "--out", str(out)) == 1
+        probes = load_without_timing(out)["probes"]
+        assert {"stat": "evaluated_probes"} in [p["coords"] for p in probes if not p["pass"]]
+        if check == "chaining-ab":
+            skipped = [p["coords"]["skipped"] for p in probes if "skipped" in p["coords"]]
+            assert skipped == ["singleton time ball"] * 2
+
+
 class TestManifests:
     def test_round_trip_reproduces_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -389,7 +436,11 @@ class TestCltCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the checkout's package, whether or not it is installed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "weplab.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "weplab" in proc.stdout

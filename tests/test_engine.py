@@ -1,11 +1,11 @@
-"""Empirical field evaluation, accumulators, replication covariance."""
+"""Empirical field evaluation, joint-frequency accumulation, covariance assembly."""
 
 import math
 
 import numpy as np
 import pytest
 
-from weplab.engine import (accumulate_cell_moments, covariance_from_joint, empirical_covariance,
+from weplab.engine import (accumulate_cell_moments, covariance_from_joint,
                            evaluate_field_streaming, export_field_csv, sup_statistic)
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
@@ -153,44 +153,6 @@ class TestCellMoments:
         cov = covariance_from_joint(joint, cells, w_const)
         assert cov[0, 1] == pytest.approx(0.125, abs=0.005)
         assert cov[0, 0] == pytest.approx(0.25, abs=0.005)
-
-
-class TestEmpiricalCovariance:
-    def _replicated(self, model_spec, cells, reps, n, seed):
-        model = parse_model(model_spec)
-        times = sorted({t for t, _ in cells})
-        grid = TimeGrid(np.array(times))
-        out = np.empty((reps, len(cells)))
-        for r in range(reps):
-            vals = []
-            for (t, y) in cells:
-                f = evaluate_field_streaming(model, grid, [y], parse_weight("const:1"),
-                                             n, seed, extra_key=(r,))
-                vals.append(f.values[grid.index_of(t), 0])
-            out[r] = vals
-        return out
-
-    def test_comonotone_offdiagonal(self):
-        cells = [(1.5, 0.2), (1.5, 0.4)]
-        vals = self._replicated("dependent", cells, 200, 500, PINNED_SEED)
-        cov, se = empirical_covariance(vals)
-        assert abs(cov[0, 1] - 0.12) <= 4 * se[0, 1]
-
-    def test_iid_cross_time_zero(self):
-        cells = [(1.0, 0.3), (2.0, 0.3)]
-        vals = self._replicated("iid-time", cells, 200, 500, PINNED_SEED)
-        cov, se = empirical_covariance(vals)
-        assert abs(cov[0, 1]) <= 4 * se[0, 1]
-
-    def test_bm_cross_time_sheppard(self):
-        cells = [(1.0, 0.5), (2.0, 0.5)]
-        vals = self._replicated("bm-copula", cells, 300, 500, PINNED_SEED)
-        cov, se = empirical_covariance(vals)
-        assert abs(cov[0, 1] - 0.125) <= 4 * se[0, 1]
-
-    def test_requires_replications(self):
-        with pytest.raises(DomainError):
-            empirical_covariance(np.zeros((10, 3)))
 
 
 class TestFieldCsv:

@@ -54,12 +54,12 @@ class TestDistance:
 class TestDistanceMonotone:
     def test_constant_weight(self):
         triples = [(0.01, 0.05, 0.2), (0.1, 0.1, 0.3), (0.02, 0.02, 0.02)]
-        assert check_distance_monotone(w_const, triples).passed
+        assert check_distance_monotone(w_const, triples) is None
 
     def test_power_weight_random_triples(self):
         rng = np.random.default_rng(PINNED_SEED)
         triples = np.sort(rng.uniform(1e-5, w_quarter.gamma, (1000, 3)), axis=1)
-        assert check_distance_monotone(w_quarter, [tuple(t) for t in triples]).passed
+        assert check_distance_monotone(w_quarter, [tuple(t) for t in triples]) is None
 
     def test_rejects_unordered(self):
         with pytest.raises(DomainError):
@@ -68,16 +68,16 @@ class TestDistanceMonotone:
 
 class TestWeightDrift:
     def test_degenerate(self):
-        assert weight_drift_check(w_const, [(0.2, 0.2)]).passed
+        assert weight_drift_check(w_const, [(0.2, 0.2)]) is None
 
     def test_constant_weight_direct(self):
         # |0.2 - 0.3| <= sqrt(2) sqrt(0.1)
-        assert weight_drift_check(w_const, [(0.2, 0.3)]).passed
+        assert weight_drift_check(w_const, [(0.2, 0.3)]) is None
 
     def test_power_weight_random_pairs(self):
         rng = np.random.default_rng(PINNED_SEED)
         pairs = rng.uniform(1e-5, w_quarter.gamma, (1000, 2))
-        assert weight_drift_check(w_quarter, [tuple(p) for p in pairs]).passed
+        assert weight_drift_check(w_quarter, [tuple(p) for p in pairs]) is None
 
 
 class TestCombinedMetric:
@@ -182,19 +182,27 @@ class TestLimitModel:
 class TestDg0Upper:
     def test_coincident_points(self):
         assert dg0_upper_bound_check(parse_model("bm-copula"), w_const, 0.0,
-                                     [(1.5, 0.3, 1.5, 0.3)]).passed
+                                     [(1.5, 0.3, 1.5, 0.3)]) is None
 
     def test_equal_times_factor_two_slack(self):
         # at s = t the squared distance equals d^2 exactly, below 2 d^2
         probes = [(1.5, x, 1.5, y) for x in (0.1, 0.4) for y in (0.2, 0.7)]
-        assert dg0_upper_bound_check(parse_model("bm-copula"), w_const, 0.0, probes).passed
+        assert dg0_upper_bound_check(parse_model("bm-copula"), w_const, 0.0, probes) is None
 
     def test_bm_probe_grid(self):
         ts = np.linspace(1, 2, 5)
         probes = [(s, x, t, y) for s in ts for t in ts
                   for x in (0.2, 0.5, 0.8) for y in (0.2, 0.5, 0.8)]
         # measured constant from the acceptance-scale sweep is ~0.46
-        assert dg0_upper_bound_check(parse_model("bm-copula"), w_const, 0.5, probes).passed
+        assert dg0_upper_bound_check(parse_model("bm-copula"), w_const, 0.5, probes) is None
+
+    def test_returns_first_violating_probe(self):
+        # with no crossing constant the bound fails at the first pair of distinct times
+        ts = np.linspace(1, 2, 5)
+        probes = [(s, x, t, y) for s in ts for t in ts
+                  for x in (0.2, 0.5, 0.8) for y in (0.2, 0.5, 0.8)]
+        assert dg0_upper_bound_check(parse_model("bm-copula"), w_quarter, 0.0,
+                                     probes) == (1.0, 0.2)
 
 
 class TestCsvExport:

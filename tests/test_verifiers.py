@@ -268,6 +268,10 @@ class TestD1D2:
         with pytest.raises(DomainError):
             prop_d1_d2_check(probes=[(1.5, 0.6, 0.1)], n=100, seed=1)
 
+    def test_unknown_event_rejected(self):
+        with pytest.raises(DomainError):
+            prop_d1_d2_check(n=100, seed=1, events=("d3",))
+
 
 class TestLemmaL:
     @pytest.mark.filterwarnings("ignore:.*skipped")
