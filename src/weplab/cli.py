@@ -5,11 +5,12 @@ runs one named checker and writes a JSON report, ``clt`` runs a convergence
 harness and writes a JSON report and a per-replication CSV.  This module
 only parses, dispatches and writes: every report is built in ``verifiers``.
 Checks and CLT modes are dispatched from one table each (``CHECKS``,
-``CLT``), and every command, typed or replayed, runs through
-``run_command``.  Library reports carry no clock: the JSON written here adds
-``wall_ms``, the wall time of the whole command.  Every run can emit a
-manifest echoing the fully resolved configuration; ``rerun`` replays a
-manifest and reproduces the outputs byte-for-byte apart from ``wall_ms``.
+``CLT``) of direct library calls, and every command, typed or replayed,
+runs through ``run_command``.  Library reports carry no clock: the JSON
+written here adds ``wall_ms``, the wall time of the whole command.  Every
+run can emit a manifest echoing the fully resolved configuration; ``rerun``
+replays a manifest and reproduces the outputs byte-for-byte apart from
+``wall_ms``.
 
 Configuration: flat key-value files with sections (INI style), overridden
 by flags; flags win.  Exit codes: 0 all checks passed, 1 a check failed,
@@ -34,7 +35,7 @@ from . import __version__, parallel
 from .engine import evaluate_field_streaming, export_field_csv
 from .errors import ConfigError, DomainError, UnsupportedModelError, WeplabError
 from .models import ProcessModel, TimeGrid, parse_model
-from .verifiers import (BoundReport, borell_check, chaining_ab_check, clt_covariance_convergence,
+from .verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
                         clt_marginal_test, clt_sup_comparison, dg0_upper_check, dyadic_check,
                         envelope_check, feller_sandwich, integral_check, l_condition_estimate,
                         lemma_l_check, lemma_m_check, lemma_y_check, monotone_d_check,
@@ -205,41 +206,17 @@ CHECKS = {
 }
 
 
-def run_check(check: str, cfg: RunConfig) -> BoundReport:
-    if check not in CHECKS:
-        raise ConfigError(f"unknown check {check!r}")
-    return CHECKS[check](cfg)
-
-
-def _clt_marginal(cfg: RunConfig, model: ProcessModel, w: WeightSpec):
-    res = clt_marginal_test(model, w, cfg.t, cfg.y, cfg.n, cfg.reps, cfg.seed,
-                            cfg.resolved_workers())
-    return res.to_bound_report(), [(r, float(v)) for r, v in enumerate(res.values)], "rep,nu"
-
-
-def _clt_cov(cfg: RunConfig, model: ProcessModel, w: WeightSpec):
-    cells = [(t, y) for t in cfg.float_list("times") for y in cfg.float_list("levels")]
-    res = clt_covariance_convergence(model, w, cells, cfg.int_list("n_list"), cfg.reps,
-                                     cfg.seed, workers=cfg.resolved_workers())
-    return res.to_bound_report(), list(zip(res.n_list, res.distances)), "n,frobenius_distance"
-
-
-def _clt_sup(cfg: RunConfig, model: ProcessModel, w: WeightSpec):
-    res = clt_sup_comparison(model, w, cfg.float_list("times"), cfg.float_list("levels"),
-                             cfg.n, cfg.reps, cfg.seed, cfg.resolved_workers())
-    rows = [(r, float(e), float(l)) for r, (e, l) in
-            enumerate(zip(res.empirical_sups, res.limit_sups))]
-    return res.to_bound_report(), rows, "rep,empirical_sup,limit_sup"
-
-
-CLT = {"marginal": _clt_marginal, "cov": _clt_cov, "sup": _clt_sup}
-
-
-def run_clt(mode: str, cfg: RunConfig):
-    """Returns (BoundReport, csv_rows, csv_header)."""
-    if mode not in CLT:
-        raise ConfigError(f"unknown clt mode {mode!r}")
-    return CLT[mode](cfg, cfg.model_spec(), cfg.weight_spec())
+CLT = {
+    "marginal": lambda cfg: clt_marginal_test(cfg.model_spec(), cfg.weight_spec(), cfg.t, cfg.y,
+                                              cfg.n, cfg.reps, cfg.seed, cfg.resolved_workers()),
+    "cov": lambda cfg: clt_covariance_convergence(
+        cfg.model_spec(), cfg.weight_spec(),
+        [(t, y) for t in cfg.float_list("times") for y in cfg.float_list("levels")],
+        cfg.int_list("n_list"), cfg.reps, cfg.seed, workers=cfg.resolved_workers()),
+    "sup": lambda cfg: clt_sup_comparison(cfg.model_spec(), cfg.weight_spec(),
+                                          cfg.float_list("times"), cfg.float_list("levels"),
+                                          cfg.n, cfg.reps, cfg.seed, cfg.resolved_workers()),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +232,11 @@ def write_json(obj: dict, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def write_csv(rows, header: str, path: str) -> None:
-    lines = [f"# weplab clt v{__version__}", header]
+def write_csv(columns: dict, path: str) -> None:
+    """One row per entry of the columns, under a header of their names."""
+    lines = [f"# weplab clt v{__version__}", ",".join(columns)]
     lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
+              for row in zip(*columns.values())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -354,17 +332,17 @@ def run_command(command: str, sub: Optional[str], cfg: RunConfig, outputs: dict)
     t0 = time.monotonic()
     if command == "simulate":
         return _simulate(cfg, outputs.get("out", "field.csv"))
-    if command == "verify":
-        report, rows, header = run_check(sub, cfg), None, None
-    elif command == "clt":
-        report, rows, header = run_clt(sub, cfg)
+    if command == "verify" and sub in CHECKS:
+        report, columns = CHECKS[sub](cfg), None
+    elif command == "clt" and sub in CLT:
+        report, columns = CLT[sub](cfg)
     else:
-        raise ConfigError(f"unknown command {command!r}")
+        raise ConfigError(f"unknown command {command!r} {sub!r}")
     payload = report.to_json()
     payload["wall_ms"] = int((time.monotonic() - t0) * 1000.0)
     write_json(payload, outputs.get("out"))
-    if rows is not None and outputs.get("csv"):
-        write_csv(rows, header, outputs["csv"])
+    if columns is not None and outputs.get("csv"):
+        write_csv(columns, outputs["csv"])
     return 0 if report.passed else 1
 
 

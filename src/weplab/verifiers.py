@@ -6,7 +6,7 @@ d1/d2 verifier also checks its stability across eps.  One-sided Monte Carlo
 tolerance is fixed at three standard errors throughout.
 
 Every checker returns a ``BoundReport`` named after its ``weplab verify``
-check (the CLT harnesses a result with a ``to_bound_report``).  Reports
+check; each CLT harness returns its report with its CSV columns.  Reports
 carry no clock and determinism comes from the block-seeded samplers, so
 ``to_json()`` is byte-identical across reruns and worker counts at a pinned
 seed; timing is the caller's business.  A sweep that evaluates none of its
@@ -171,7 +171,7 @@ class WLReport:
                             ("refinement_ratio", self.refinement_ratio)):
             rows.append(ProbeResult({"stat": name}, value if math.isfinite(value) else None,
                                     None, None, None, True))
-        _fail_if_none_evaluated(rows, len(self.probes_coarse) + len(self.probes_fine))
+        _fail_if_none_evaluated(rows, len(self.probes_coarse))  # l_hat reads only these
         return BoundReport("wl", tuple(rows), self.n, self.seed)
 
 
@@ -831,47 +831,18 @@ def dg0_upper_check(model: ProcessModel, w: WeightSpec, theta: float, n: int = 1
 # ---------------------------------------------------------------------------
 # CLT harnesses
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MarginalCltResult:
-    ks: float
-    ks_critical: float
-    rep_mean: float
-    rep_mean_stderr: float
-    rep_variance: float
-    rep_variance_stderr: float
-    target_variance: float
-    values: np.ndarray
-    n: int
-    reps: int
-    seed: int
-
-    @property
-    def ks_passed(self) -> bool:
-        return self.ks < self.ks_critical
-
-    @property
-    def variance_passed(self) -> bool:
-        return abs(self.rep_variance - self.target_variance) <= 4.0 * self.rep_variance_stderr
-
-    @property
-    def passed(self) -> bool:
-        return self.ks_passed and self.variance_passed
-
-    def to_bound_report(self) -> BoundReport:
-        rows = [
-            ProbeResult({"stat": "ks"}, self.ks, None, self.ks_critical, None, self.ks_passed),
-            ProbeResult({"stat": "variance"}, self.rep_variance, self.rep_variance_stderr,
-                        self.target_variance, None, self.variance_passed),
-            ProbeResult({"stat": "mean"}, self.rep_mean, self.rep_mean_stderr, 0.0, None,
-                        abs(self.rep_mean) <= 4.0 * self.rep_mean_stderr),
-        ]
-        return BoundReport("clt-marginal", tuple(rows), self.n, self.seed)
-
+# Each returns its report and its CSV columns: an ordered mapping from column
+# name to the column's values, one per replication (per sample size for cov).
 
 def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
-                      n: int, reps: int, seed: int, workers: int = 1) -> MarginalCltResult:
-    """KS of replicated one-cell field values against the limiting normal."""
+                      n: int, reps: int, seed: int,
+                      workers: int = 1) -> tuple[BoundReport, dict]:
+    """KS of replicated one-cell field values against the limiting normal.
+
+    The rows check the KS statistic, the variance against sigma^2 and the
+    mean against 0, the last two within four standard errors; the columns
+    are ``rep,nu``.
+    """
     if reps < 500:
         raise DomainError("need at least 500 replications")
     if not 0.0 < y < 1.0:
@@ -892,41 +863,27 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
     # delete-one jackknife for the variance stderr
     loo = (np.sum((values - mean) ** 2) - (values - mean) ** 2 * reps / (reps - 1.0)) / (reps - 2.0)
     var_se = float(math.sqrt((reps - 1.0) / reps * np.sum((loo - np.mean(loo)) ** 2)))
-    return MarginalCltResult(ks, ks_critical_one_sample(reps), mean, mean_se, var, var_se,
-                             sigma * sigma, values, n, reps, seed)
-
-
-@dataclass(frozen=True)
-class CovarianceCltResult:
-    cells: tuple[tuple[float, float], ...]
-    n_list: tuple[int, ...]
-    distances: tuple[float, ...]
-    threshold: float
-    reps: int
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        mono = all(b < a for a, b in zip(self.distances, self.distances[1:]))
-        return mono and self.distances[-1] < self.threshold
-
-    def to_bound_report(self) -> BoundReport:
-        rows = [ProbeResult({"n": n}, d, None, self.threshold, None, True)
-                for n, d in zip(self.n_list, self.distances)]
-        rows.append(ProbeResult({"stat": "final-distance"}, self.distances[-1], None,
-                                self.threshold, None, self.passed))
-        return BoundReport("clt-cov", tuple(rows), self.n_list[-1], self.seed)
+    ks_critical, target = ks_critical_one_sample(reps), sigma * sigma
+    rows = (ProbeResult({"stat": "ks"}, ks, None, ks_critical, None, ks < ks_critical),
+            ProbeResult({"stat": "variance"}, var, var_se, target, None,
+                        abs(var - target) <= 4.0 * var_se),
+            ProbeResult({"stat": "mean"}, mean, mean_se, 0.0, None,
+                        abs(mean) <= 4.0 * mean_se))
+    return BoundReport("clt-marginal", rows, n, seed), {"rep": range(reps), "nu": values}
 
 
 def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
                                cells: Sequence[tuple[float, float]],
                                n_list: Sequence[int], reps: int, seed: int,
-                               threshold: float = 0.01, workers: int = 1) -> CovarianceCltResult:
+                               threshold: float = 0.01,
+                               workers: int = 1) -> tuple[BoundReport, dict]:
     """Frobenius distance of the pooled covariance estimate to its target.
 
     Per sample size the estimate pools the per-path joint indicator
     frequencies over all replications (reps times n paths), so the distance
-    shrinks like (n reps)^(-1/2) and must decrease along ``n_list``.
+    shrinks like (n reps)^(-1/2).  The ``final-distance`` row passes when
+    the distance decreases along ``n_list`` and ends below ``threshold``;
+    the columns are ``n,frobenius_distance``.
     """
     cells = [(float(t), float(y)) for t, y in cells]
     n_list = sorted(int(v) for v in n_list)
@@ -941,8 +898,12 @@ def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
                                         workers=workers, extra_key=(i,))
         est = covariance_from_joint(joint, cells, w)
         dists.append(float(np.linalg.norm(est - target)))
-    return CovarianceCltResult(tuple(cells), tuple(n_list), tuple(dists), threshold,
-                               reps, seed)
+    shrinks = all(b < a for a, b in zip(dists, dists[1:]))
+    rows = [ProbeResult({"n": n}, d, None, threshold, None, True) for n, d in zip(n_list, dists)]
+    rows.append(ProbeResult({"stat": "final-distance"}, dists[-1], None, threshold, None,
+                            shrinks and dists[-1] < threshold))
+    return (BoundReport("clt-cov", tuple(rows), n_list[-1], seed),
+            {"n": n_list, "frobenius_distance": dists})
 
 
 def _covariance_target(model: ProcessModel, cells, w: WeightSpec) -> np.ndarray:
@@ -956,30 +917,13 @@ def _covariance_target(model: ProcessModel, cells, w: WeightSpec) -> np.ndarray:
     return np.outer(wv, wv) * (joint_cdf_matrix(model, cells) - np.outer(ys, ys))
 
 
-@dataclass(frozen=True)
-class SupCltResult:
-    ks: float
-    ks_critical: float
-    empirical_sups: np.ndarray
-    limit_sups: np.ndarray
-    n: int
-    reps: int
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return self.ks < self.ks_critical
-
-    def to_bound_report(self) -> BoundReport:
-        rows = [ProbeResult({"stat": "two-sample-ks"}, self.ks, None, self.ks_critical,
-                            None, self.passed)]
-        return BoundReport("clt-sup", tuple(rows), self.n, self.seed)
-
-
 def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float],
                        levels: Sequence[float], n: int, reps: int, seed: int,
-                       workers: int = 1) -> SupCltResult:
-    """Two-sample KS between replicated field sups and limit-field sups."""
+                       workers: int = 1) -> tuple[BoundReport, dict]:
+    """Two-sample KS between replicated field sups and limit-field sups.
+
+    The columns are ``rep,empirical_sup,limit_sup``.
+    """
     if reps < 1 or ks_critical_two_sample(reps, reps) >= 1.0:  # a KS statistic is at most 1
         raise DomainError(f"need at least 4 replications for a KS bound below 1, not {reps}")
     grid = TimeGrid(np.asarray(sorted(times), dtype=float))
@@ -998,5 +942,7 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
     emp = map_replications(model, grid, n, reps, seed, batch_sups, workers)
     lim_draws = sample_limit_field(limit, reps, seed, workers=workers)
     lim = np.max(np.abs(lim_draws), axis=1)
-    ks = ks_statistic_two_sample(emp, lim)
-    return SupCltResult(ks, ks_critical_two_sample(reps, reps), emp, lim, n, reps, seed)
+    ks, ks_critical = ks_statistic_two_sample(emp, lim), ks_critical_two_sample(reps, reps)
+    rows = (ProbeResult({"stat": "two-sample-ks"}, ks, None, ks_critical, None, ks < ks_critical),)
+    return (BoundReport("clt-sup", rows, n, seed),
+            {"rep": range(reps), "empirical_sup": emp, "limit_sup": lim})

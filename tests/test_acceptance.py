@@ -198,26 +198,32 @@ def test_criterion_5_indicator_identity():
         assert violations == 0
 
 
+def stat_row(report, stat):
+    return next(p for p in report.probes if p.coords.get("stat") == stat)
+
+
 def test_criterion_6_marginal_clt(marginal_result):
     with criterion(6, "marginal CLT against the limit normal"):
-        res = marginal_result
-        assert res.ks < res.ks_critical
-        assert abs(res.rep_variance - 0.21) <= 4.0 * res.rep_variance_stderr
+        report, _columns = marginal_result
+        ks, variance = stat_row(report, "ks"), stat_row(report, "variance")
+        assert ks.estimate < ks.bound
+        assert abs(variance.estimate - 0.21) <= 4.0 * variance.stderr
 
 
 def test_criterion_7_covariance_convergence(covariance_result):
     with criterion(7, "covariance convergence to the closed-form target"):
-        res = covariance_result
+        distances = covariance_result[1]["frobenius_distance"]
         # the oracle target includes the cross-time value 1/8
         assert joint_cdf(parse_model("bm-copula"), 1.0, 2.0, 0.5, 0.5) - 0.25 \
             == pytest.approx(0.125, abs=1e-8)
-        assert res.distances[-1] < 0.01
-        assert res.distances[-1] < res.distances[0]
+        assert distances[-1] < 0.01
+        assert distances[-1] < distances[0]
 
 
 def test_criterion_8_sup_functional(sup_result):
     with criterion(8, "sup-functional agreement with the limit field"):
-        assert sup_result.ks < sup_result.ks_critical
+        ks = stat_row(sup_result[0], "two-sample-ks")
+        assert ks.estimate < ks.bound
 
 
 def test_criterion_9_borell(borell_result):
@@ -281,9 +287,10 @@ def test_clip_refinement_study(sup_result):
     verdicts = []
     for clip in (1e-3, 5e-4, 2.5e-4):
         levels = sorted([clip, 1.0 - clip] + list(p["levels"]))
-        res = clt_sup_comparison(parse_model("bm-copula"), parse_weight("const:1"),
-                                 p["times"], levels, 2000, 500, SEED)
-        verdicts.append(res.passed)
+        report, _columns = clt_sup_comparison(parse_model("bm-copula"),
+                                              parse_weight("const:1"),
+                                              p["times"], levels, 2000, 500, SEED)
+        verdicts.append(report.passed)
     assert verdicts[0] and len(set(verdicts)) == 1
 
 
@@ -296,16 +303,16 @@ def test_criterion_13_determinism(marginal_result, covariance_result, sup_result
         n = MANIFEST["uniformity"]["n"]
         assert uniformity_test(df, n, SEED) == uniformity_test(df, n, SEED)
 
-        redo = run_marginal(workers=8)
-        assert np.array_equal(redo.values, marginal_result.values)
-        assert redo.to_bound_report().to_json() == \
-            marginal_result.to_bound_report().to_json()
+        redo, redo_columns = run_marginal(workers=8)
+        assert np.array_equal(redo_columns["nu"], marginal_result[1]["nu"])
+        assert redo.to_json() == marginal_result[0].to_json()
 
-        assert run_covariance(workers=8).distances == covariance_result.distances
+        assert run_covariance(workers=8)[1]["frobenius_distance"] == \
+            covariance_result[1]["frobenius_distance"]
 
-        redo_sup = run_sup(workers=8)
-        assert np.array_equal(redo_sup.empirical_sups, sup_result.empirical_sups)
-        assert np.array_equal(redo_sup.limit_sups, sup_result.limit_sups)
+        _report, redo_sup = run_sup(workers=8)
+        assert np.array_equal(redo_sup["empirical_sup"], sup_result[1]["empirical_sup"])
+        assert np.array_equal(redo_sup["limit_sup"], sup_result[1]["limit_sup"])
 
         assert run_borell(workers=8).to_json() == borell_result.to_json()
         assert run_lemma_m(workers=8).to_json() == lemma_m_result.to_json()

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weplab.cli import RunConfig, main
+from weplab.cli import RunConfig, main, write_csv
 from weplab.errors import ConfigError
 from weplab.models import TimeGrid, parse_model
-from weplab.verifiers import (dg0_upper_check, dyadic_check, feller_sandwich, integral_check,
+from weplab.verifiers import (clt_covariance_convergence, clt_marginal_test, clt_sup_comparison,
+                              dg0_upper_check, dyadic_check, feller_sandwich, integral_check,
                               monotone_d_check, prop_d1_d2_check, weight_drift_sampled_check)
 from weplab.weights import parse_weight
 
@@ -286,20 +287,46 @@ LIBRARY_CALLS = {
     "d2": ((), lambda: prop_d1_d2_check(events=("d2",), **DIGEST_SAMPLING)),
 }
 
+# the clt arguments of tests/test_digests.py; each harness returns (report, columns)
+SUP_TIMES, SUP_LEVELS = "1,1.25,1.5,1.75,2", "0.1,0.5,0.9"
+COV_CELLS = [(t, y) for t in (1.0, 1.25, 1.5, 2.0) for y in (0.2, 0.4, 0.5, 0.8)]
+CLT_CALLS = {
+    "clt-marginal": (("marginal", "--seed", "5", "--t", "1.5", "--y", "0.3", "--n", "200",
+                      "--reps", "500"),
+                     lambda: clt_marginal_test(BM, W_QUARTER, 1.5, 0.3, 200, 500, 5)),
+    "clt-cov": (("cov", "--seed", "5", "--reps", "4", "--n-list", "100,500"),
+                lambda: clt_covariance_convergence(BM, W_QUARTER, COV_CELLS, [100, 500], 4, 5)),
+    "clt-sup": (("sup", "--seed", "3", "--times", SUP_TIMES, "--levels", SUP_LEVELS,
+                 "--n", "300", "--reps", "60"),
+                lambda: clt_sup_comparison(BM, W_QUARTER, [1.0, 1.25, 1.5, 1.75, 2.0],
+                                           [0.1, 0.5, 0.9], 300, 60, 3)),
+}
+
 
 class TestLibraryChecks:
     @pytest.mark.filterwarnings("ignore:.*skipped")
-    @pytest.mark.parametrize("check", sorted(LIBRARY_CALLS))
+    @pytest.mark.parametrize("check", sorted(LIBRARY_CALLS) + sorted(CLT_CALLS))
     def test_library_call_equals_cli_report(self, tmp_path, check):
-        flags, call = LIBRARY_CALLS[check]
-        out = tmp_path / "r.json"
-        run_cli("verify", check, *flags, *DIGEST_FLAGS, "--out", str(out))
-        assert call().to_json() == load_without_timing(out)
+        out, csv, library_csv = tmp_path / "r.json", tmp_path / "r.csv", tmp_path / "lib.csv"
+        if check in CLT_CALLS:
+            args, call = CLT_CALLS[check]
+            code = run_cli("clt", *args, *MODEL_WEIGHT, "--workers", "1", "--out", str(out),
+                           "--csv", str(csv))
+            report, columns = call()
+            write_csv(columns, str(library_csv))
+            assert library_csv.read_bytes() == csv.read_bytes()
+        else:
+            flags, call = LIBRARY_CALLS[check]
+            code = run_cli("verify", check, *flags, *DIGEST_FLAGS, "--out", str(out))
+            report = call()
+        assert report.to_json() == load_without_timing(out)
+        assert code == (0 if report.passed else 1)
 
     @pytest.mark.filterwarnings("ignore:.*skipped")
-    @pytest.mark.parametrize("check", ["chaining-ab", "dg0-upper"])
+    @pytest.mark.parametrize("check", ["chaining-ab", "dg0-upper", "wl"])
     def test_wl_sweep_that_evaluates_nothing_fails(self, tmp_path, check):
-        # on 5 points (spacing 1/4) every WL and chaining time ball is one grid point
+        # on 5 points (spacing 1/4) every WL and chaining time ball is one grid point;
+        # wl's refined 9-point sweep evaluates probes, but l_hat reads only the coarse one
         out = tmp_path / "r.json"
         assert run_cli("verify", check, *MODEL_WEIGHT, "--n", "1000", "--time-points", "5",
                        "--out", str(out)) == 1

@@ -331,18 +331,22 @@ class TestChaining:
 
 class TestCltMarginal:
     def test_normal_limit(self):
-        res = clt_marginal_test(bm, w_const, 1.5, 0.3, n=2000, reps=800, seed=PINNED_SEED)
-        assert res.ks_passed
-        assert res.variance_passed
+        report, _columns = clt_marginal_test(bm, w_const, 1.5, 0.3, n=2000, reps=800,
+                                             seed=PINNED_SEED)
+        assert rows_by(report, stat="ks")[0].passed
+        assert rows_by(report, stat="variance")[0].passed
 
     def test_single_path_negative_control(self):
-        res = clt_marginal_test(bm, w_const, 1.5, 0.3, n=1, reps=500, seed=PINNED_SEED)
-        assert not res.ks_passed
+        report, _columns = clt_marginal_test(bm, w_const, 1.5, 0.3, n=1, reps=500,
+                                             seed=PINNED_SEED)
+        assert not rows_by(report, stat="ks")[0].passed
 
     def test_clip_edge_variance_target(self):
         clip = 1e-3
-        res = clt_marginal_test(bm, w_const, 1.5, clip, n=100, reps=500, seed=PINNED_SEED)
-        assert res.target_variance == pytest.approx(clip * (1.0 - clip), rel=1e-12)
+        report, _columns = clt_marginal_test(bm, w_const, 1.5, clip, n=100, reps=500,
+                                             seed=PINNED_SEED)
+        assert rows_by(report, stat="variance")[0].bound == \
+            pytest.approx(clip * (1.0 - clip), rel=1e-12)
 
     def test_needs_reps(self):
         with pytest.raises(DomainError):
@@ -351,32 +355,34 @@ class TestCltMarginal:
 
 class TestCltCovariance:
     def test_comonotone_two_cells(self):
-        res = clt_covariance_convergence(dependent, w_const, [(1.5, 0.2), (1.5, 0.4)],
-                                         [200, 5000], reps=50, seed=PINNED_SEED)
-        assert res.passed
+        report, _columns = clt_covariance_convergence(dependent, w_const,
+                                                      [(1.5, 0.2), (1.5, 0.4)],
+                                                      [200, 5000], reps=50, seed=PINNED_SEED)
+        assert report.passed
 
     def test_iid_cross_time(self):
-        res = clt_covariance_convergence(iid, w_const, [(1.0, 0.3), (2.0, 0.3)],
-                                         [200, 5000], reps=50, seed=PINNED_SEED)
-        assert res.distances[-1] < 0.01
+        _report, columns = clt_covariance_convergence(iid, w_const, [(1.0, 0.3), (2.0, 0.3)],
+                                                      [200, 5000], reps=50, seed=PINNED_SEED)
+        assert columns["frobenius_distance"][-1] < 0.01
 
     def test_distances_shrink(self):
-        res = clt_covariance_convergence(bm, w_const, [(1.0, 0.5), (2.0, 0.5)],
-                                         [100, 10_000], reps=50, seed=PINNED_SEED)
-        assert res.distances[1] < res.distances[0]
+        _report, columns = clt_covariance_convergence(bm, w_const, [(1.0, 0.5), (2.0, 0.5)],
+                                                      [100, 10_000], reps=50, seed=PINNED_SEED)
+        distances = columns["frobenius_distance"]
+        assert distances[1] < distances[0]
 
 
 class TestCltSup:
     def test_single_cell_reduces_to_marginal(self):
-        res = clt_sup_comparison(bm, w_const, (1.5,), (0.3,), n=2000, reps=800,
-                                 seed=PINNED_SEED)
-        assert res.passed
+        report, _columns = clt_sup_comparison(bm, w_const, (1.5,), (0.3,), n=2000, reps=800,
+                                              seed=PINNED_SEED)
+        assert report.passed
 
     def test_comonotone_grid(self):
-        res = clt_sup_comparison(dependent, w_const, (1.0, 1.25, 1.5, 2.0),
-                                 (0.2, 0.4, 0.5, 0.8), n=2000, reps=800,
-                                 seed=PINNED_SEED)
-        assert res.passed
+        report, _columns = clt_sup_comparison(dependent, w_const, (1.0, 1.25, 1.5, 2.0),
+                                              (0.2, 0.4, 0.5, 0.8), n=2000, reps=800,
+                                              seed=PINNED_SEED)
+        assert report.passed
 
     @pytest.mark.parametrize("batch_values", [None, 1])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -406,8 +412,9 @@ class TestCltSup:
             # and replication 0 takes its sup there, so a wrong decision moves that sup
             assert np.argmax(np.abs(fields[0].values)) == 2 * len(ys) + 1
         old = [sup_statistic(field) for field in fields]
-        res = clt_sup_comparison(model, w_quarter, times, levels, n, reps, 9, workers=workers)
-        assert np.array_equal(res.empirical_sups, np.array(old))
+        _report, columns = clt_sup_comparison(model, w_quarter, times, levels, n, reps, 9,
+                                              workers=workers)
+        assert np.array_equal(columns["empirical_sup"], np.array(old))
 
 
 class TestReportJson:
