@@ -378,6 +378,18 @@ class TestCltSup:
                                               seed=PINNED_SEED)
         assert report.passed
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("weight", [w_const, w_quarter])
+    @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time"])
+    def test_one_cell_sup_is_the_marginal_magnitude(self, spec, weight, workers):
+        # n = 4500 spans two seeding blocks
+        model, n, reps = parse_model(spec), 4500, 500
+        _report, marginal = clt_marginal_test(model, weight, 1.5, 0.3, n, reps, 9,
+                                              workers=workers)
+        _report, sup = clt_sup_comparison(model, weight, (1.5,), (0.3,), n, reps, 9,
+                                          workers=workers)
+        assert np.array_equal(np.abs(marginal["nu"]), sup["empirical_sup"])
+
     def test_comonotone_grid(self):
         report, _columns = clt_sup_comparison(dependent, w_const, (1.0, 1.25, 1.5, 2.0),
                                               (0.2, 0.4, 0.5, 0.8), n=2000, reps=800,
