@@ -1,11 +1,11 @@
 """The weighted empirical field on (time x level) grids.
 
-Per cell, the field is w(y) (count(X_i(t) <= y) - n y) / sqrt(n).  Indicator
-counts are taken as integers per block and added by the sampler in fixed
-order, so every field value is exact in the counts and bit-for-bit
-reproducible across worker counts and path partitions.  Indicator ties are
-resolved by <= exactly as written; implemented models produce continuous
-values almost surely.
+Per cell, the field is w(y) (count(X_i(t) <= y) - n y) / sqrt(n), formed by
+``field_values`` alone, for one run and for each CLT replication.  Indicator
+counts are integers per block, added by the sampler in fixed order, so every
+field value is exact in the counts and bit-for-bit reproducible across worker
+counts and path partitions.  Indicator ties are resolved by <= exactly as
+written; implemented models produce continuous values almost surely.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import parallel
 from .errors import DomainError
-from .models import ProcessModel, TimeGrid, level_kernel, map_path_blocks
+from .models import ProcessModel, TimeGrid, level_kernel, map_path_blocks, map_replications
 from .weights import WeightSpec
 
 DEFAULT_CLIP = 1e-3
@@ -47,17 +46,18 @@ class EmpiricalField:
             raise DomainError("field shape must be (grid size, level count)")
 
 
+def field_values(counts: np.ndarray, levels: np.ndarray, w: WeightSpec, n: int) -> np.ndarray:
+    """w(y) (count - n y) / sqrt(n): the field of n paths from their counts, levels last."""
+    return np.asarray(w(levels), dtype=float) * (counts - n * levels) / math.sqrt(n)
+
+
 def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequence[float],
                              w: WeightSpec, n: int, seed: int, clip: float = DEFAULT_CLIP,
-                             workers: int = 1,
-                             extra_key: tuple[int, ...] = (),
-                             stream: int = parallel.STREAM_PATHS) -> EmpiricalField:
+                             workers: int = 1) -> EmpiricalField:
     """Evaluate the field on the (grid x levels) lattice from n streamed paths.
 
-    Per batch, counts of X_i(t) <= y are taken for every cell as integers,
-    which the sampler adds in batch order.  A batch is counted on its native
-    scale by sorting each time row in place and searching it for the level
-    bands of ``level_kernel``.
+    Per batch, ``level_kernel`` counts X_t <= y for every cell as integers,
+    which the sampler adds in batch order.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
@@ -69,15 +69,24 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
 
     kernel = level_kernel(model, levels)
 
-    def block_counts(vals):
-        vals.sort(axis=-1)
-        return kernel.count_sorted(vals)
+    def block_counts(vals):  # defined here, so a trace books the counting to the engine
+        return kernel.count(vals)
 
-    counts = map_path_blocks(model, grid, n, seed, block_counts, workers,
-                             stream=stream, extra_key=extra_key)
-    wv = np.asarray(w(levels), dtype=float)
-    nu = wv[None, :] * (counts - n * levels[None, :]) / math.sqrt(n)
-    return EmpiricalField(grid, levels, nu, n, w, {"model": model.describe(), "seed": seed})
+    counts = map_path_blocks(model, grid, n, seed, block_counts, workers)
+    return EmpiricalField(grid, levels, field_values(counts, levels, w, n), n, w,
+                          {"model": model.describe(), "seed": seed})
+
+
+def replicated_fields(model: ProcessModel, grid: TimeGrid, levels: Sequence[float],
+                      w: WeightSpec, n: int, reps: int, seed: int, workers: int = 1) -> np.ndarray:
+    """Field values (reps x times x levels) of the replications ``map_replications`` streams."""
+    levels = np.asarray(levels, dtype=float)
+    kernel = level_kernel(model, levels)
+
+    def batch_fields(paths):
+        return field_values(kernel.count(paths), levels, w, n)
+
+    return map_replications(model, grid, n, reps, seed, batch_fields, workers)
 
 
 def sup_statistic(field: EmpiricalField) -> float:

@@ -353,23 +353,18 @@ class LevelKernel:
             out[band] = to_uniform(self.model, vals[band]) <= self.levels[i]
         return out
 
-    def count(self, vals: np.ndarray) -> np.ndarray:
-        """Per level i, the paths in row i of ``vals`` (... x levels x paths) with X_t <= y."""
-        return np.stack([np.count_nonzero(self.leq(vals[..., i, :], i), axis=-1)
-                         for i in range(self.levels.size)], axis=-1)
-
     @functools.cached_property
     def _edges(self) -> np.ndarray:
         # searching nextafter(hi) on the left finds the values <= hi
         return np.concatenate([self.lo, np.nextafter(self.hi, np.inf)])
 
-    def count_sorted(self, vals: np.ndarray) -> np.ndarray:
+    def count(self, vals: np.ndarray) -> np.ndarray:
         """(... x times x levels) counts of X_t <= y in time-major rows (... x times x paths).
 
-        The rows must be sorted; leading axes are a batch.  Each row is
-        searched for lo and hi; only the slice between them is decided by
-        ``leq``.
+        Leading axes are a batch.  Each row is sorted in place and searched
+        for lo and hi; only the slice between them is decided by ``leq``.
         """
+        vals.sort(axis=-1)
         k = self.levels.size
         flat = vals.reshape(-1, vals.shape[-1])
         pos = np.array([np.searchsorted(row, self._edges) for row in flat])

@@ -23,13 +23,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import parallel
-from .engine import accumulate_cell_moments, covariance_from_joint
+from .engine import accumulate_cell_moments, covariance_from_joint, replicated_fields
 from .errors import DomainError
 from .limits import (build_limit_model, check_distance_monotone, dg0_upper_bound_check,
                      sample_limit_field, weight_drift_check)
 from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics,
                      joint_cdf_matrix, level_kernel, map_brownian_blocks, map_path_blocks,
-                     map_replications, to_uniform)
+                     to_uniform)
 from .numerics import (ks_critical_one_sample, ks_critical_two_sample,
                        ks_statistic_one_sample, ks_statistic_two_sample,
                        std_normal_cdf, std_normal_pdf, std_normal_quantile)
@@ -834,6 +834,15 @@ def dg0_upper_check(model: ProcessModel, w: WeightSpec, theta: float, n: int = 1
 # Each returns its report and its CSV columns: an ordered mapping from column
 # name to the column's values, one per replication (per sample size for cov).
 
+def _distinct(values, what: str) -> list:
+    """``values`` sorted; a DomainError names a value that occurs twice."""
+    out = sorted(values)
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            raise DomainError(f"repeated {what}: {a!r}")
+    return out
+
+
 def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
                       n: int, reps: int, seed: int,
                       workers: int = 1) -> tuple[BoundReport, dict]:
@@ -847,15 +856,9 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
         raise DomainError("need at least 500 replications")
     if not 0.0 < y < 1.0:
         raise DomainError("probe level must lie strictly inside (0, 1)")
-    grid = TimeGrid(np.array([float(t)]))
-    wy = float(w(y))
-    sigma = wy * math.sqrt(y * (1.0 - y))
-    kernel = level_kernel(model, [y])
-
-    def batch_values(paths):
-        return wy * (kernel.count(paths)[:, 0] - n * y) / math.sqrt(n)
-
-    values = map_replications(model, grid, n, reps, seed, batch_values, workers)
+    sigma = float(w(y)) * math.sqrt(y * (1.0 - y))
+    values = replicated_fields(model, TimeGrid(np.array([float(t)])), [y], w, n, reps, seed,
+                               workers)[:, 0, 0]
     ks = ks_statistic_one_sample(values, lambda v: std_normal_cdf(v / sigma))
     mean = float(np.mean(values))
     mean_se = float(np.std(values, ddof=1) / math.sqrt(reps))
@@ -886,6 +889,7 @@ def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
     the columns are ``n,frobenius_distance``.
     """
     cells = [(float(t), float(y)) for t, y in cells]
+    _distinct(cells, "cell (t, y)")
     n_list = sorted(int(v) for v in n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError("n_list must hold at least one sample size, with no repeats")
@@ -926,22 +930,13 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
     """
     if reps < 1 or ks_critical_two_sample(reps, reps) >= 1.0:  # a KS statistic is at most 1
         raise DomainError(f"need at least 4 replications for a KS bound below 1, not {reps}")
-    grid = TimeGrid(np.asarray(sorted(times), dtype=float))
-    levels = np.asarray(sorted(levels), dtype=float)
+    grid = TimeGrid(np.array(_distinct(map(float, times), "time")))
+    levels = np.array(_distinct(map(float, levels), "level"))
     cells = [(float(t), float(y)) for t in grid.points for y in levels]
     limit = build_limit_model(model, cells, w)
-    kernel = level_kernel(model, levels)
-    wv = np.asarray(w(levels), dtype=float)
-
-    def batch_sups(paths):
-        # the counts and field of evaluate_field_streaming, per replication
-        paths.sort(axis=-1)
-        counts = kernel.count_sorted(paths)
-        return np.max(np.abs(wv * (counts - n * levels) / math.sqrt(n)), axis=(1, 2))
-
-    emp = map_replications(model, grid, n, reps, seed, batch_sups, workers)
-    lim_draws = sample_limit_field(limit, reps, seed, workers=workers)
-    lim = np.max(np.abs(lim_draws), axis=1)
+    emp = np.max(np.abs(replicated_fields(model, grid, levels, w, n, reps, seed, workers)),
+                 axis=(1, 2))
+    lim = np.max(np.abs(sample_limit_field(limit, reps, seed, workers=workers)), axis=1)
     ks, ks_critical = ks_statistic_two_sample(emp, lim), ks_critical_two_sample(reps, reps)
     rows = (ProbeResult({"stat": "two-sample-ks"}, ks, None, ks_critical, None, ks < ks_critical),)
     return (BoundReport("clt-sup", rows, n, seed),

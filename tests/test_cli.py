@@ -101,6 +101,13 @@ class TestExitCodes:
         ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", ","),
         ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", "100,100"),
         ("clt", "sup", "--model", "bm-copula", "--n", "10", "--reps", "-3"),
+        # a repeated probe time or level
+        ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", "100,200",
+         "--times", "1,1"),
+        ("clt", "cov", "--model", "bm-copula", "--reps", "4", "--n-list", "100,200",
+         "--levels", "0.3,0.3"),
+        ("clt", "sup", "--model", "bm-copula", "--n", "200", "--reps", "40",
+         "--levels", "0.3,0.3"),
         # a non-finite number in a list, a weight, a model spec or a flag
         ("verify", "integral", "--c-values", "nan"),
         ("verify", "integral", "--c-values", "1,inf"),
@@ -122,6 +129,15 @@ class TestExitCodes:
     def test_bad_input_is_two(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
         assert "weplab: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,named", [
+        (("clt", "sup", "--times", "1,1"), "repeated time: 1.0"),
+        (("clt", "sup", "--levels", "0.3,0.5,0.3"), "repeated level: 0.3"),
+        (("clt", "cov", "--times", "1,2,1", "--levels", "0.3"), "repeated cell (t, y): (1.0, 0.3)"),
+    ])
+    def test_repeated_probe_is_named(self, tmp_path, capsys, argv, named):
+        assert run_cli(*argv, "--model", "bm-copula", "--out", str(tmp_path / "out")) == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,named", [
         (("simulate", "--model", "bm-copula", "--n", "10", "--workers", "-3"), "--workers"),

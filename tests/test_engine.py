@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from weplab.engine import (accumulate_cell_moments, covariance_from_joint,
-                           evaluate_field_streaming, export_field_csv, sup_statistic)
+                           evaluate_field_streaming, export_field_csv, replicated_fields,
+                           sup_statistic)
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
 from weplab.weights import parse_weight
@@ -99,11 +100,7 @@ class TestEvaluateField:
         model = parse_model("bm-copula")
         grid = TimeGrid(np.array([1.5]))
         reps, n = 200, 2000
-        vals = np.empty(reps)
-        for r in range(reps):
-            f = evaluate_field_streaming(model, grid, [0.3], w_const, n, PINNED_SEED,
-                                         extra_key=(r,))
-            vals[r] = f.values[0, 0]
+        vals = replicated_fields(model, grid, [0.3], w_const, n, reps, PINNED_SEED)[:, 0, 0]
         se = np.std(vals, ddof=1) / math.sqrt(reps)
         assert abs(np.mean(vals)) <= 4 * se
         assert np.var(vals, ddof=1) == pytest.approx(0.21, abs=0.05)

@@ -72,10 +72,9 @@ class TestOracle:
         z = with_band_edges(scores, kernel)
         for i, y in enumerate(ys):
             assert np.array_equal(kernel.leq(z, i), uniform_leq(z, y))
-        # row i of a time-major block against level i
-        rows = np.repeat(z[None, :], len(ys), axis=0)
-        assert np.array_equal(kernel.count(rows),
-                              np.count_nonzero(uniform_leq(rows, np.array(ys)[:, None]), axis=1))
+        # one time row against every level
+        assert np.array_equal(kernel.count(z[None, :].copy())[0],
+                              [np.count_nonzero(uniform_leq(z, y)) for y in ys])
 
     @given(scores=score_arrays, data=st.data())
     @settings(max_examples=200)
@@ -84,17 +83,18 @@ class TestOracle:
         kernel = level_kernel(BM, ys)
         z = with_band_edges(scores, kernel)
         u = np.clip(special.ndtr(z), OPEN_LO, OPEN_HI)
-        # a time-major block: two sorted time rows
-        block = np.sort(np.stack([z, z[::-1]]), axis=1)
+        # a time-major block: two time rows, which count sorts in place
+        block = np.stack([z, z[::-1]])
         expected = np.array([[np.count_nonzero(uniform_leq(row, y)) for y in ys]
                              for row in block])
-        assert np.array_equal(kernel.count_sorted(block.copy()), expected)
-        # a batch of sorted blocks, as in clt sup, counts as its slices do
-        batch = np.stack([block, block[::-1], np.sort(-block, axis=1)])
-        counts = kernel.count_sorted(batch.copy())
-        assert np.array_equal(counts, np.stack([kernel.count_sorted(b) for b in batch]))
-        assert np.array_equal(kernel.count(np.repeat(z[None, :], len(ys), axis=0)),
-                              expected[0])
+        rows = block.copy()
+        assert np.array_equal(kernel.count(rows), expected)
+        assert np.array_equal(rows, np.sort(block, axis=1))
+        # a batch of blocks, as in the CLT harnesses, counts as its slices do
+        batch = np.stack([block, block[::-1], -block])
+        counts = kernel.count(batch.copy())
+        assert np.array_equal(counts, np.stack([kernel.count(b.copy()) for b in batch]))
+        assert np.array_equal(kernel.count(z[None, :].copy())[0], expected[0])
         # balls of three times (rows) over the paths (columns)
         rows = z[: (z.size // 3) * 3].reshape(-1, 3).T
         urows = u[: rows.size].reshape(-1, 3).T
@@ -305,6 +305,6 @@ def test_the_recorder_sees_in_band_scores(monkeypatch):
     recorder = RecordingSpecial()
     monkeypatch.setattr(models, "special", recorder)
     kernel = level_kernel(BM, [y])
-    assert kernel.count(scores)[0] == np.count_nonzero(uniform_leq(scores, y))
+    assert kernel.count(scores.copy())[0, 0] == np.count_nonzero(uniform_leq(scores, y))
     seen = np.concatenate(recorder.seen)
     assert scores[0, 7] in seen and in_some_band(seen, [y])

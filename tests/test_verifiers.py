@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from weplab import models, parallel
-from weplab.engine import evaluate_field_streaming, sup_statistic
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
 from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
@@ -372,6 +371,15 @@ class TestCltCovariance:
         assert distances[1] < distances[0]
 
 
+def replication_field(model, grid, ys, w, n, seed, r):
+    """The field of replication r, counted on the uniform scale."""
+    counts = map_path_blocks(
+        model, grid, n, seed,
+        lambda v: np.count_nonzero(to_uniform(model, v)[:, :, None] <= ys, axis=1),
+        stream=parallel.STREAM_REPLICATION, extra_key=(r,))
+    return w(ys) * (counts - n * ys) / math.sqrt(n)
+
+
 class TestCltSup:
     def test_single_cell_reduces_to_marginal(self):
         report, _columns = clt_sup_comparison(bm, w_const, (1.5,), (0.3,), n=2000, reps=800,
@@ -410,20 +418,18 @@ class TestCltSup:
         grid = TimeGrid(np.array(sorted(times)))
         if sampled_level:
             # a uniform that replication 0 sampled in its second block (0.58 at t = 2):
-            # count_sorted decides an in-band slice of a time-major row in that cell
+            # LevelKernel.count decides an in-band slice of a time-major row in that cell
             first = np.hstack(map_path_blocks(model, grid, n, 9,
                                               lambda v: [to_uniform(model, v)],
                                               stream=parallel.STREAM_REPLICATION,
                                               extra_key=(0,))).T
             levels = (0.8, 0.2, float(first[4158, 2]))
         ys = np.array(sorted(levels))
-        fields = [evaluate_field_streaming(model, grid, ys, w_quarter, n, 9, clip=0.2,
-                                           stream=parallel.STREAM_REPLICATION, extra_key=(r,))
-                  for r in range(reps)]
+        fields = [replication_field(model, grid, ys, w_quarter, n, 9, r) for r in range(reps)]
         if sampled_level:
             # and replication 0 takes its sup there, so a wrong decision moves that sup
-            assert np.argmax(np.abs(fields[0].values)) == 2 * len(ys) + 1
-        old = [sup_statistic(field) for field in fields]
+            assert np.argmax(np.abs(fields[0])) == 2 * len(ys) + 1
+        old = [np.max(np.abs(field)) for field in fields]
         _report, columns = clt_sup_comparison(model, w_quarter, times, levels, n, reps, 9,
                                               workers=workers)
         assert np.array_equal(columns["empirical_sup"], np.array(old))
