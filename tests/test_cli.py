@@ -133,7 +133,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,named", [
         (("clt", "sup", "--times", "1,1"), "repeated time: 1.0"),
         (("clt", "sup", "--levels", "0.3,0.5,0.3"), "repeated level: 0.3"),
-        (("clt", "cov", "--times", "1,2,1", "--levels", "0.3"), "repeated cell (t, y): (1.0, 0.3)"),
+        (("clt", "cov", "--times", "1,2,1", "--levels", "0.3"),
+         "repeated cell (t, y): (1.0, 0.3)"),
     ])
     def test_repeated_probe_is_named(self, tmp_path, capsys, argv, named):
         assert run_cli(*argv, "--model", "bm-copula", "--out", str(tmp_path / "out")) == 2
