@@ -18,12 +18,13 @@ import numpy as np
 from . import parallel
 from .errors import DomainError, IndefiniteCovarianceError
 from .engine import DEFAULT_CLIP, covariance_from_joint
-from .models import ProcessModel, has_joint_cdf, joint_cdf, joint_cdf_matrix, rho_metric
+from .models import ProcessModel, joint_cdf, joint_cdf_matrix, rho_metric
 from .weights import WeightSpec
 
-# Diagonal jitter ladder used when a covariance estimate is slightly
-# indefinite; the value actually applied is recorded on the model.
+# Diagonal jitter ladder used when a closed-form covariance fails to factor
+# by rounding; the value actually applied is recorded on the model.
 JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+_PIVOT_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,15 +81,15 @@ def weight_drift_check(w: WeightSpec, pairs: Sequence[tuple[float, float]]) -> O
     return None
 
 
-def _semidefinite_cholesky(cov: np.ndarray, rel_tol: float = 1e-10) -> Optional[np.ndarray]:
+def _semidefinite_cholesky(cov: np.ndarray) -> Optional[np.ndarray]:
     """Lower-triangular factor of a PSD matrix; zero pivots are skipped.
 
-    Returns None when a pivot is negative beyond the tolerance (the matrix
-    is then treated as indefinite by the caller).
+    Returns None when a pivot is below -_PIVOT_REL_TOL times the largest
+    variance (the matrix is then treated as indefinite by the caller).
     """
     k = cov.shape[0]
     scale = max(float(np.max(np.abs(np.diag(cov)))), 1e-300)
-    tol = rel_tol * scale
+    tol = _PIVOT_REL_TOL * scale
     L = np.zeros_like(cov)
     for j in range(k):
         d = cov[j, j] - np.dot(L[j, :j], L[j, :j])
@@ -111,7 +112,6 @@ class LimitModel:
     covariance: np.ndarray
     factor: np.ndarray
     jitter: float
-    provenance: dict
 
     def __post_init__(self):
         for name in ("covariance", "factor"):
@@ -135,36 +135,18 @@ def _factor_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
             return L, jit
     raise IndefiniteCovarianceError(
         "covariance failed to factor after jitter escalation; "
-        "suspect a covariance bug or a too-coarse Monte Carlo estimate")
+        "suspect a bug in the joint CDF or the covariance assembly")
 
 
 def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
-                      w: WeightSpec, calibration: Optional[np.ndarray] = None) -> LimitModel:
-    """Assemble and factor the limit covariance on the given cells.
-
-    Uses the closed-form joint CDF when the model has one; otherwise the
-    joint frequencies are ``calibration``, the matrix that
-    ``accumulate_cell_moments`` streams on the same cells from an
-    independent seed.
-    """
+                      w: WeightSpec) -> LimitModel:
+    """Assemble from the closed-form joint CDF and factor the limit covariance on the cells."""
     cells = tuple((float(t), float(y)) for t, y in cells)
     if not cells:
         raise DomainError("need at least one cell")
-    for t, y in cells:
-        if not (0.0 < y < 1.0):
-            raise DomainError("cell levels must lie strictly inside (0, 1)")
-    if has_joint_cdf(model):
-        joint = joint_cdf_matrix(model, cells)
-        provenance = {"joint": "closed-form", "model": model.describe()}
-    else:
-        if calibration is None:
-            raise DomainError(f"model {model.kind} needs calibration moments")
-        if calibration.shape != (len(cells), len(cells)):
-            raise DomainError("calibration moments must be accumulated on the cells")
-        joint, provenance = calibration, {"joint": "calibration", "model": model.describe()}
-    cov = covariance_from_joint(joint, cells, w)
+    cov = covariance_from_joint(joint_cdf_matrix(model, cells), cells, w)
     factor, jitter = _factor_with_jitter(cov)
-    return LimitModel(cells, cov, factor, jitter, provenance)
+    return LimitModel(cells, cov, factor, jitter)
 
 
 def sample_limit_field(limit: LimitModel, reps: int, seed: int, workers: int = 1) -> np.ndarray:

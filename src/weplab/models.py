@@ -34,7 +34,7 @@ import numpy as np
 from scipy import special
 
 from . import parallel
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError
 from .numerics import bvn_cdf, std_normal_quantile
 from .transforms import dist_transform, uniform_atom_mixture
 
@@ -408,7 +408,7 @@ def level_kernel(model: ProcessModel, levels: Sequence[float]) -> LevelKernel:
 
 
 def joint_cdf(model: ProcessModel, s: float, t: float, x: float, y: float) -> float:
-    """P(X_s <= x, X_t <= y) in closed form, when the model has one."""
+    """P(X_s <= x, X_t <= y) in closed form."""
     return float(joint_cdf_matrix(model, ((s, x), (t, y)))[0, 1])
 
 
@@ -435,9 +435,11 @@ def _upper_triangle_batches(k: int):
 def joint_cdf_matrix(model: ProcessModel, cells: Sequence[tuple[float, float]]) -> np.ndarray:
     """Symmetric matrix of P(X_s <= x, X_t <= y) over cells i = (s, x), j = (t, y).
 
-    Entry (i, j), i <= j, equals ``joint_cdf(model, s, t, x, y)`` bit for
-    bit: the bm-copula quantile is taken once per distinct level and the
-    correlation once per time pair, and ``bvn_cdf`` runs on batches of pairs.
+    It is min(x, y) at s = t, and at every pair of times for the dependent
+    and atomic kinds, whose paths hold one uniform draw.  Entry (i, j),
+    i <= j, equals ``joint_cdf(model, s, t, x, y)`` bit for bit: the
+    bm-copula quantile is taken once per distinct level and the correlation
+    once per time pair, and ``bvn_cdf`` runs on batches of pairs.
     """
     ts = np.array([t for t, _ in cells], dtype=float)
     ys = np.array([y for _, y in cells], dtype=float)
@@ -445,8 +447,6 @@ def joint_cdf_matrix(model: ProcessModel, cells: Sequence[tuple[float, float]]) 
         raise DomainError("levels must lie strictly inside (0, 1)")
     if not np.all(ts > 0.0):
         raise DomainError("times must be positive")
-    if not has_joint_cdf(model):
-        raise UnsupportedModelError(f"no closed-form joint CDF for {model.kind}")
     if model.kind == BM_COPULA:
         levels, level_idx = np.unique(ys, return_inverse=True)
         q = std_normal_quantile(levels)[level_idx]
@@ -465,10 +465,6 @@ def joint_cdf_matrix(model: ProcessModel, cells: Sequence[tuple[float, float]]) 
         out[i, j] = vals
         out[j, i] = vals
     return out
-
-
-def has_joint_cdf(model: ProcessModel) -> bool:
-    return model.kind in (DEPENDENT, IID_TIME, BM_COPULA)
 
 
 def rho_metric(s, t, theta: float):

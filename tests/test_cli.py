@@ -86,7 +86,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("verify", "envelope", "--model", "bm-copula", "--n", "0"),
         ("verify", "borell", "--n", "0"),
-        ("clt", "cov", "--model", "atomic:0.3@0.5", "--reps", "4", "--n-list", "100,200"),
         ("simulate", "--model", "bm-copula", "--n", "0"),
         ("simulate", "--model", "bm-copula", "--level-points", "0"),
         ("simulate", "--model", "bm-copula", "--n", "10", "--clip", "nan"),
@@ -470,8 +469,10 @@ class TestCltCommand:
         assert lines[1] == "rep,nu"
         assert len(lines) == 2 + 500
 
-    def test_cov_comonotone(self, tmp_path):
-        code = run_cli("clt", "cov", "--model", "dependent", "--weight", "const:1",
+    # an atomic path, like a dependent one, holds one uniform draw at every time
+    @pytest.mark.parametrize("spec", ["dependent", "atomic:0.5@0.5"])
+    def test_cov_comonotone(self, tmp_path, spec):
+        code = run_cli("clt", "cov", "--model", spec, "--weight", "const:1",
                        "--times", "1.5", "--levels", "0.2,0.4", "--n-list", "200,2000",
                        "--reps", "50", "--seed", str(PINNED_SEED),
                        "--out", str(tmp_path / "r.json"))

@@ -11,11 +11,8 @@ import json
 import pytest
 
 from weplab.cli import RunConfig, main
-from weplab.engine import accumulate_cell_moments
-from weplab.limits import build_limit_model, export_covariance_csv
-from weplab.models import TimeGrid, parse_model
+from weplab.models import parse_model
 from weplab.verifiers import _covariance_target
-from weplab.weights import parse_weight
 
 SIMULATE_DIGESTS = {
     "bm-copula": "7a7c688c5197f2b773a8c0ced9d93eed0de81256a767bbcbdea09e77ced76f79",
@@ -23,8 +20,6 @@ SIMULATE_DIGESTS = {
     "iid-time": "4dca8e4f5ac2c55211310d8785518ef6a38bb9aec69d7ef625a899330418ac07",
     "atomic:0.5@0.5": "d3c1bb9871fa69e6dcc9a6a45e5dd9e5b740b36bce218a9a23ae95541bdb22ea",
 }
-
-CALIBRATION_COV_DIGEST = "c3ba99a3097b92119327e4608fb0dde6d8368cb9da19b654e8fb48478e863135"
 
 
 def sha256_of(path) -> str:
@@ -40,17 +35,6 @@ def test_simulate_csv_digest(tmp_path, spec, workers):
                  "--seed", "7", "--time-points", "17", "--level-points", "9",
                  "--workers", workers, "--out", str(out)]) == 0
     assert sha256_of(out) == SIMULATE_DIGESTS[spec]
-
-
-def test_calibration_covariance_digest(tmp_path):
-    model = parse_model("atomic:0.5@0.5")
-    grid = TimeGrid.uniform(1, 2, 5)
-    cells = [(t, y) for t in (1.0, 1.5, 2.0) for y in (0.3, 0.6)]
-    calibration = accumulate_cell_moments(model, cells, grid, 50_000, 999)
-    lm = build_limit_model(model, cells, parse_weight("pow:0.25"), calibration=calibration)
-    out = tmp_path / "cov.csv"
-    export_covariance_csv(lm, str(out))
-    assert sha256_of(out) == CALIBRATION_COV_DIGEST
 
 
 # clt sup on the 5x3 lattice and the benchmark's 17x9 lattice (k = 153 cells)
@@ -151,6 +135,21 @@ def test_verify_report_digest(tmp_path, check):
     assert (code, report_digest(out)) == VERIFY_DIGESTS[check]
 
 
+# dg0-upper on the atomic model, whose joint CDF is min(x, y), with the
+# VERIFY_ARGS sizes: (exit code, report digest), the same at one and two workers
+ATOMIC_DG0_UPPER_DIGEST = (0, "ade1a827e750aaf9465e8398bda4e7eda5b4a9732a93ba712b59c3eff5b1355f")
+
+
+@pytest.mark.filterwarnings("ignore:.*skipped")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_atomic_dg0_upper_digest(tmp_path, workers):
+    out = tmp_path / "r.json"
+    code = main(["verify", "dg0-upper", "--model", "atomic:0.5@0.5", "--weight", "pow:0.25",
+                 "--n", "2000", "--seed", "5", "--time-points", "17", "--workers", workers,
+                 "--out", str(out)])
+    assert (code, report_digest(out)) == ATOMIC_DG0_UPPER_DIGEST
+
+
 # clt marginal and cov at small sizes: (exit code, report digest, CSV digest)
 CLT_CASES = {
     "marginal": ("--t", "1.5", "--y", "0.3", "--n", "200", "--reps", "500"),
@@ -174,10 +173,13 @@ def test_clt_report_digest(tmp_path, mode):
 
 
 # replications of n = 4500 paths span two seeding blocks each:
-# (exit code, report digest, CSV digest), the same at one and two workers
+# (exit code, report digest, CSV digest), the same at one and two workers;
+# the atomic model's limit has a closed form, min(x, y), as the dependent one's
 CLT_MULTIBLOCK_CASES = {
-    "sup": ("--n", "4500", "--reps", "40"),
-    "marginal": ("--t", "1.5", "--y", "0.3", "--n", "4500", "--reps", "500"),
+    "sup": ("sup", "--model", "bm-copula", "--n", "4500", "--reps", "40"),
+    "marginal": ("marginal", "--model", "bm-copula", "--t", "1.5", "--y", "0.3",
+                 "--n", "4500", "--reps", "500"),
+    "sup-atomic": ("sup", "--model", "atomic:0.5@0.5", "--n", "4500", "--reps", "40"),
 }
 
 CLT_MULTIBLOCK_DIGESTS = {
@@ -185,17 +187,18 @@ CLT_MULTIBLOCK_DIGESTS = {
             "335016e0b5cd21705cfdc3dd0450889d45fb39715f49f7320696044f80460314"),
     "marginal": (0, "63b962dbb01a1fe1514f13a214ad14a326a9ee3908b9e7b05f61581afd707768",
                  "57693e739dc7eedab9286477b3ea600c8e1a60b38463649f49a85a550b6ac526"),
+    "sup-atomic": (0, "6497cdff3c2c6f0b8e471b94af611a94d3bad0be56aad4b9f08a4039773b3076",
+                   "f9de7af6c53e3175bbd4a5cfdb350c497b4c0c0ad53a8ce6797ef3314e7c462b"),
 }
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("mode", sorted(CLT_MULTIBLOCK_CASES))
-def test_clt_multiblock_digest(tmp_path, mode, workers):
+@pytest.mark.parametrize("case", sorted(CLT_MULTIBLOCK_CASES))
+def test_clt_multiblock_digest(tmp_path, case, workers):
     report, csv = tmp_path / "r.json", tmp_path / "r.csv"
-    code = main(["clt", mode, "--model", "bm-copula", "--weight", "pow:0.25", "--seed", "5",
-                 "--workers", workers, *CLT_MULTIBLOCK_CASES[mode],
-                 "--out", str(report), "--csv", str(csv)])
-    assert (code, report_digest(report), sha256_of(csv)) == CLT_MULTIBLOCK_DIGESTS[mode]
+    code = main(["clt", *CLT_MULTIBLOCK_CASES[case], "--weight", "pow:0.25", "--seed", "5",
+                 "--workers", workers, "--out", str(report), "--csv", str(csv)])
+    assert (code, report_digest(report), sha256_of(csv)) == CLT_MULTIBLOCK_DIGESTS[case]
 
 
 # 4096 x 300 and, for verify wl, the refined grid's 4096 x 257 values exceed

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weplab.engine import accumulate_cell_moments
 from weplab.errors import DomainError, IndefiniteCovarianceError
 from weplab.limits import (LimitModel, MetricSpec, _factor_with_jitter, build_limit_model,
                            check_distance_monotone, combined_metric,
                            dg0_upper_bound_check, export_covariance_csv,
                            sample_limit_field, weight_drift_check,
                            weighted_wiener_distance)
-from weplab.models import TimeGrid, parse_model, rho_metric
+from weplab.models import parse_model, rho_metric
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -132,6 +131,12 @@ class TestLimitModel:
         draws = sample_limit_field(lm, 50, 1)
         assert np.max(np.abs(draws[:, 0] - draws[:, 1])) <= 1e-12
 
+    def test_domain(self):
+        # joint_cdf_matrix checks the levels and times of every cell
+        for cells in ([], [(1.0, 0.3), (1.5, 1.0)], [(1.0, float("nan"))], [(0.0, 0.3)]):
+            with pytest.raises(DomainError):
+                build_limit_model(parse_model("atomic:0.5@0.5"), cells, w_const)
+
     def test_zero_matrix_gives_zero_samples(self):
         factor, jitter = _factor_with_jitter(np.zeros((2, 2)))
         assert jitter == 0.0
@@ -142,34 +147,13 @@ class TestLimitModel:
         with pytest.raises(IndefiniteCovarianceError):
             _factor_with_jitter(bad)
 
-    def test_calibration_batch_route(self):
-        model = parse_model("atomic:0.5@0.5")
-        grid = TimeGrid.uniform(1, 2, 5)
-        cells = [(1.0, 0.3), (2.0, 0.6)]
-        calib = accumulate_cell_moments(model, cells, grid, 50_000, 999)
-        lm = build_limit_model(model, cells, w_const, calibration=calib)
-        assert lm.provenance["joint"] == "calibration"
-        # the atomic model is time-constant, so the joint law is comonotone
-        assert lm.covariance[0, 1] == pytest.approx(0.3 - 0.18, abs=0.02)
-
     def test_stored_arrays_are_frozen_float64(self):
         cov = np.eye(2, dtype=np.float32)
-        lm = LimitModel(((1.0, 0.3), (1.5, 0.3)), cov, cov, 0.0, {})
+        lm = LimitModel(((1.0, 0.3), (1.5, 0.3)), cov, cov, 0.0)
         for arr in (lm.covariance, lm.factor):
             assert arr.dtype == np.float64
             with pytest.raises(ValueError):
                 arr[0, 0] = 2.0
-
-    def test_calibration_required_when_no_closed_form(self):
-        with pytest.raises(DomainError):
-            build_limit_model(parse_model("atomic:0.5@0.5"), [(1.0, 0.3)], w_const)
-
-    def test_calibration_must_cover_the_cells(self):
-        model = parse_model("atomic:0.5@0.5")
-        grid = TimeGrid.uniform(1, 2, 5)
-        calib = accumulate_cell_moments(model, [(1.0, 0.3)], grid, 1000, 999)
-        with pytest.raises(DomainError):
-            build_limit_model(model, [(1.0, 0.3), (2.0, 0.6)], w_const, calibration=calib)
 
     def test_worker_invariance(self):
         lm = build_limit_model(parse_model("bm-copula"),

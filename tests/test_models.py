@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weplab import models, parallel
-from weplab.errors import DomainError, UnsupportedModelError
+from weplab.errors import DomainError
 from weplab.models import (TimeGrid, envelope_statistics, joint_cdf, joint_cdf_matrix,
                            map_brownian_blocks, map_path_blocks, map_replications,
                            parse_model, rho_metric, to_uniform)
@@ -321,16 +321,19 @@ class TestJointCdf:
             assert joint_cdf(m, s, t, x, y) == pytest.approx(
                 joint_cdf(m, t, s, y, x), abs=1e-14)
 
-    def test_atomic_unsupported(self):
-        with pytest.raises(UnsupportedModelError):
-            joint_cdf(parse_model("atomic:0.5@0.5"), 1.0, 1.5, 0.2, 0.4)
+    def test_atomic_is_comonotone(self):
+        # an atomic path holds one uniform draw at every time
+        m = parse_model("atomic:0.5@0.5")
+        assert joint_cdf(m, 1.0, 1.5, 0.2, 0.4) == 0.2
+        assert joint_cdf(m, 2.0, 1.0, 0.7, 0.5) == 0.5
 
-    def test_bm_agrees_with_monte_carlo(self):
-        m = parse_model("bm-copula")
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    def test_agrees_with_monte_carlo(self, spec):
+        m = parse_model(spec)
         times = (1.0, 1.4, 2.0)
         grid = TimeGrid(np.array(times))
         n = 100_000
-        values = sample("bm-copula", grid, n, PINNED_SEED)
+        values = sample(spec, grid, n, PINNED_SEED)
         levels = (0.2, 0.5, 0.8)
         for i, s in enumerate(times):
             for j, t in enumerate(times):
@@ -344,7 +347,7 @@ class TestJointCdf:
 
 def scalar_joint(kind, s, t, x, y):
     """The per-pair closed form, one scalar quantile and bvn_cdf call per pair."""
-    if kind == "dependent":
+    if kind in ("dependent", "atomic:0.5@0.5"):
         return min(x, y)
     if kind == "iid-time":
         return min(x, y) if s == t else x * y
@@ -368,7 +371,7 @@ def scalar_joint_matrix(kind, cells):
 # and at or above 0.925
 SWEEP_TIMES = (0.05, 0.5, 0.7, 1.0, 1.1, 2.0)
 SWEEP_LEVELS = (0.001, 0.1, 0.3, 0.5, 0.97, 0.999)
-CLOSED_FORM_KINDS = ("bm-copula", "dependent", "iid-time")
+CLOSED_FORM_KINDS = ("bm-copula", "dependent", "iid-time", "atomic:0.5@0.5")
 
 
 class TestJointCdfMatrix:
@@ -401,8 +404,9 @@ class TestJointCdfMatrix:
             joint_cdf_matrix(m, [(1.0, 0.5), (1.5, 1.0)])
         with pytest.raises(DomainError):
             joint_cdf_matrix(m, [(0.0, 0.5)])
-        with pytest.raises(UnsupportedModelError):
-            joint_cdf_matrix(parse_model("atomic:0.5@0.5"), [(1.0, 0.5)])
+        cells = [(1.0, 0.5), (1.5, 0.2), (2.0, 0.9)]
+        np.testing.assert_array_equal(joint_cdf_matrix(parse_model("atomic:0.5@0.5"), cells),
+                                      [[0.5, 0.2, 0.5], [0.2, 0.2, 0.2], [0.5, 0.2, 0.9]])
 
 
 class TestRhoMetric:
