@@ -180,7 +180,7 @@ def _sampling(cfg: RunConfig) -> dict:
 
 CHECKS = {
     "wl": lambda cfg: wl_estimate(cfg.model_spec(), cfg.weight_spec(), cfg.theta,
-                                  **_sampling(cfg)).to_bound_report(),
+                                  **_sampling(cfg)),
     "l-cond": lambda cfg: l_condition_estimate(cfg.model_spec(), cfg.theta,
                                                [(cfg.t, e) for e in (0.55, 0.7, 1.1)],
                                                **_sampling(cfg)),

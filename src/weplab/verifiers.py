@@ -115,66 +115,6 @@ DEFAULT_WL_X = (0.01, 0.05, 0.1, 0.25)
 DEFAULT_WL_EPS = (0.5, 0.6, 0.7)
 
 
-def default_wl_probes(t_values=DEFAULT_WL_T, x_values=DEFAULT_WL_X,
-                      eps_values=DEFAULT_WL_EPS) -> list[tuple[float, float, float]]:
-    return [(t, x, e) for t in t_values for x in x_values for e in eps_values]
-
-
-@dataclass(frozen=True)
-class WLProbe:
-    t: float
-    x: float
-    eps: float
-    freq_ts: float
-    freq_st: float
-    stderr: float
-    ball_points: int
-    l_contrib: float
-
-
-@dataclass(frozen=True)
-class WLReport:
-    """Crossing-event frequencies and the implied oscillation constant.
-
-    ``l_hat`` is the sup over probes of max(freq_ts, freq_st) w(x)^2 / eps^2
-    on the coarse grid; the fine entries repeat the sweep with the time grid
-    density doubled.
-    """
-
-    probes_coarse: tuple[WLProbe, ...]
-    probes_fine: tuple[WLProbe, ...]
-    l_hat: float
-    l_hat_fine: float
-    l_hat_ts: float
-    l_hat_st: float
-    skipped: tuple[tuple[float, float, float], ...]
-    n: int
-    seed: int
-
-    @property
-    def refinement_ratio(self) -> float:
-        if self.l_hat == 0.0 and self.l_hat_fine == 0.0:
-            return 1.0
-        if min(self.l_hat, self.l_hat_fine) == 0.0:
-            return math.inf
-        return max(self.l_hat, self.l_hat_fine) / min(self.l_hat, self.l_hat_fine)
-
-    def to_bound_report(self) -> BoundReport:
-        rows = []
-        for tag, probes in (("coarse", self.probes_coarse), ("fine", self.probes_fine)):
-            for p in probes:
-                rows.append(ProbeResult(
-                    {"t": p.t, "x": p.x, "eps": p.eps, "grid": tag, "ball_points": p.ball_points},
-                    max(p.freq_ts, p.freq_st), p.stderr, None, p.l_contrib, True))
-        for name, value in (("l_hat_coarse", self.l_hat), ("l_hat_fine", self.l_hat_fine),
-                            ("l_hat_ts", self.l_hat_ts), ("l_hat_st", self.l_hat_st),
-                            ("refinement_ratio", self.refinement_ratio)):
-            rows.append(ProbeResult({"stat": name}, value if math.isfinite(value) else None,
-                                    None, None, None, True))
-        _fail_if_none_evaluated(rows, len(self.probes_coarse))  # l_hat reads only these
-        return BoundReport("wl", tuple(rows), self.n, self.seed)
-
-
 def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, workers,
                      extra_key=()):
     """Counts of the two crossing events for every prepared probe.
@@ -209,63 +149,67 @@ def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, 
     return map_path_blocks(model, grid, n, seed, block_fn, workers, extra_key=extra_key)
 
 
-def _wl_sweep(model, w, theta, probes, grid, n, seed, workers, extra_key):
-    cells, kept, skipped = [], [], []
-    for (t, x, eps) in probes:
-        it = grid.index_of(t)
-        ball = grid.ball_indices(t, eps ** theta)
-        if ball.size <= 1:
-            skipped.append((t, x, eps))
-            continue
-        cells.append((it, ball, x))
-        kept.append((t, x, eps))
-    if skipped:
-        warnings.warn(f"{len(skipped)} WL probe(s) skipped: singleton time ball")
-    out = []
-    if cells:
-        counts = _crossing_counts(model, grid, cells, n, seed, workers, extra_key)
-        for (t, x, eps), (c_ts, c_st), (it, ball, _x) in zip(kept, counts, cells):
-            f_ts = c_ts / n
-            f_st = c_st / n
-            wx = float(w(x))
-            contrib = max(f_ts, f_st) * wx * wx / eps ** 2
-            out.append(WLProbe(t, x, eps, f_ts, f_st,
-                               _freq_stderr(max(f_ts, f_st), n), int(ball.size), contrib))
-    return out, skipped
+def _wl_sweep(model, w, theta, probes, grid, n, seed, workers, refined=False):
+    """The WL sweep: its rows, its (f_ts, f_st) frequencies, ``l_hat`` and the evaluated count.
 
-
-def _coarse_wl(model, w, theta, n, seed, grid, workers, probes=None):
-    """The WL sweep on ``grid`` itself: its probes, the skipped ones and ``l_hat``.
-
-    ``l_hat`` reads this sweep only, so a caller that needs no more than
-    ``l_hat`` skips ``wl_estimate``'s refined sweep.
+    The sweep runs on ``grid``, or on its density-doubled refinement.  A
+    probe's row estimates max(f_ts, f_st), with implied constant
+    max(f_ts, f_st) w(x)^2 / eps^2; ``l_hat`` is the sup of those constants.
     """
     if not theta > 4.0:
         raise DomainError("theta must exceed 4")
-    probes = default_wl_probes() if probes is None else probes
-    coarse, skipped = _wl_sweep(model, w, theta, probes, grid, n, seed, workers, (0,))
-    return coarse, skipped, max((p.l_contrib for p in coarse), default=0.0)
+    if probes is None:
+        probes = [(t, x, e) for t in DEFAULT_WL_T for x in DEFAULT_WL_X for e in DEFAULT_WL_EPS]
+    grid = grid.refined() if refined else grid
+    balls = [(grid.index_of(t), grid.ball_indices(t, eps ** theta)) for t, _x, eps in probes]
+    cells = [(it, ball, x) for (it, ball), (_t, x, _e) in zip(balls, probes) if ball.size > 1]
+    if len(cells) < len(probes):
+        warnings.warn(f"{len(probes) - len(cells)} WL probe(s) skipped: singleton time ball")
+    counts = iter(_crossing_counts(model, grid, cells, n, seed, workers, (int(refined),))
+                  if cells else ())
+    rows, freqs = [], []
+    for (t, x, eps), (_it, ball) in zip(probes, balls):
+        if ball.size <= 1:
+            continue
+        f_ts, f_st = next(counts) / n
+        f, wx = max(f_ts, f_st), float(w(x))
+        coords = {"t": t, "x": x, "eps": eps, "grid": "fine" if refined else "coarse",
+                  "ball_points": int(ball.size)}
+        rows.append(ProbeResult(coords, f, _freq_stderr(f, n), None, f * wx * wx / eps ** 2,
+                                True))
+        freqs.append((f_ts, f_st))
+    return rows, freqs, max((r.c_hat for r in rows), default=0.0), len(freqs)
 
 
 def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
                 probes: Optional[Sequence[tuple[float, float, float]]] = None,
                 n: int = 100_000, seed: int = 0, grid: Optional[TimeGrid] = None,
-                workers: int = 1) -> WLReport:
+                workers: int = 1) -> BoundReport:
     """Estimate the crossing-probability constant over a (t, x, eps) sweep.
 
     The time ball of a probe is {s on the grid : rho(s, t) <= eps} with
     rho = |s - t|^(1/theta); singleton balls are skipped with a warning.
-    The sweep is repeated on the density-doubled grid as a refinement study.
+    ``l_hat`` reads the sweep on ``grid``; the sweep is repeated on the
+    density-doubled grid as a refinement study, whose ratio of the two
+    constants is 1 when both are 0 and null (infinite) when one is.
+    ``l_hat_ts`` and ``l_hat_st`` split ``l_hat`` by crossing event.
     """
     grid = grid or TimeGrid.uniform()
-    probes = list(probes) if probes is not None else default_wl_probes()
-    coarse, skipped, l_hat = _coarse_wl(model, w, theta, n, seed, grid, workers, probes)
-    fine, skipped_f = _wl_sweep(model, w, theta, probes, grid.refined(), n, seed, workers, (1,))
-    l_fine = max((p.l_contrib for p in fine), default=0.0)
-    l_ts = max((p.freq_ts * float(w(p.x)) ** 2 / p.eps ** 2 for p in coarse), default=0.0)
-    l_st = max((p.freq_st * float(w(p.x)) ** 2 / p.eps ** 2 for p in coarse), default=0.0)
-    return WLReport(tuple(coarse), tuple(fine), l_hat, l_fine, l_ts, l_st,
-                    tuple(skipped) + tuple(skipped_f), n, seed)
+    probes = None if probes is None else list(probes)
+    rows, freqs, l_hat, evaluated = _wl_sweep(model, w, theta, probes, grid, n, seed, workers)
+    fine_rows, _, l_fine, _ = _wl_sweep(model, w, theta, probes, grid, n, seed, workers,
+                                        refined=True)
+    l_ts, l_st = (max((f[e] * float(w(r.coords["x"])) ** 2 / r.coords["eps"] ** 2
+                       for r, f in zip(rows, freqs)), default=0.0) for e in (0, 1))
+    lo, hi = sorted((l_hat, l_fine))
+    ratio = 1.0 if hi == 0.0 else (math.inf if lo == 0.0 else hi / lo)
+    rows += fine_rows
+    for name, value in (("l_hat_coarse", l_hat), ("l_hat_fine", l_fine), ("l_hat_ts", l_ts),
+                        ("l_hat_st", l_st), ("refinement_ratio", ratio)):
+        rows.append(ProbeResult({"stat": name}, value if math.isfinite(value) else None,
+                                None, None, None, True))
+    _fail_if_none_evaluated(rows, evaluated)  # l_hat reads only the sweep on ``grid``
+    return BoundReport("wl", tuple(rows), n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +720,9 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
                 for (it, ball), (_t, _e, a, b) in zip(balls, probes) if ball.size > 1]
     evaluated = len(prepared)
     if l_hat is None:
-        coarse, _, l_hat = _coarse_wl(model, w, theta, n, seed, grid, workers)
-        evaluated = min(evaluated, len(coarse))
+        _rows, _freqs, l_hat, wl_evaluated = _wl_sweep(model, w, theta, None, grid, n, seed,
+                                                       workers)
+        evaluated = min(evaluated, wl_evaluated)
 
     def block_fn(vals):
         vals = to_uniform(model, vals)
@@ -816,7 +761,7 @@ def dg0_upper_check(model: ProcessModel, w: WeightSpec, theta: float, n: int = 1
     report fails when that sweep evaluates no probe.
     """
     grid = grid or TimeGrid.uniform()
-    coarse, _, l_hat = _coarse_wl(model, w, theta, n, seed, grid, workers)
+    _rows, _freqs, l_hat, evaluated = _wl_sweep(model, w, theta, None, grid, n, seed, workers)
     ts = np.linspace(grid.a, grid.b, 5)
     xs = (0.2, 0.5, 0.8)
     probes = [(s, x, t, y) for s in ts for t in ts for x in xs for y in xs]
@@ -824,7 +769,7 @@ def dg0_upper_check(model: ProcessModel, w: WeightSpec, theta: float, n: int = 1
     rows = [ProbeResult({"stat": "l_hat"}, l_hat, None, None, None, True),
             ProbeResult({"probes": len(probes), "violation": violation},
                         None, None, None, None, violation is None)]
-    _fail_if_none_evaluated(rows, len(coarse))
+    _fail_if_none_evaluated(rows, evaluated)
     return BoundReport("dg0-upper", tuple(rows), n, seed)
 
 

@@ -14,7 +14,7 @@ from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_co
                               clt_marginal_test, clt_sup_comparison, envelope_check,
                               feller_sandwich, l_condition_estimate, lemma_l_check,
                               lemma_m_check, lemma_y_check, prop_d1_d2_check,
-                              slowly_varying_check, wl_estimate)
+                              slowly_varying_check, wl_estimate, _wl_sweep)
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -34,44 +34,53 @@ def rows_by(report, **coords):
     return out
 
 
+def stat(report, name):
+    return rows_by(report, stat=name)[0].estimate
+
+
 class TestWlEstimate:
     def test_dependent_zero(self):
         rep = wl_estimate(dependent, w_quarter, 5.0, n=5000, seed=PINNED_SEED)
-        assert rep.l_hat == 0.0
-        assert rep.l_hat_fine == 0.0
+        assert stat(rep, "l_hat_coarse") == 0.0
+        assert stat(rep, "l_hat_fine") == 0.0
 
     def test_iid_matches_exact_independence(self):
         # freq of {X_t <= x, some other ball point above x} is x (1 - x^K)
         grid = TimeGrid.uniform()
         probes = [(1.5, 0.5, 0.6)]
         n = 50_000
-        rep = wl_estimate(iid, w_const, 5.0, probes, n=n, seed=PINNED_SEED, grid=grid)
-        probe = rep.probes_coarse[0]
-        k = probe.ball_points - 1
+        rows, freqs, _l_hat, _evaluated = _wl_sweep(iid, w_const, 5.0, probes, grid, n,
+                                                     PINNED_SEED, 1)
+        k = rows[0].coords["ball_points"] - 1
         exact = 0.5 * (1.0 - 0.5 ** k)
         se = math.sqrt(exact * (1 - exact) / n)
-        assert abs(probe.freq_ts - exact) <= 4 * se
-        assert abs(probe.freq_st - exact) <= 4 * se
+        freq_ts, freq_st = freqs[0]
+        assert abs(freq_ts - exact) <= 4 * se
+        assert abs(freq_st - exact) <= 4 * se
+        rep = wl_estimate(iid, w_const, 5.0, probes, n=n, seed=PINNED_SEED, grid=grid)
+        assert rows_by(rep, grid="coarse")[0] == rows[0]
 
     def test_bm_finite_and_stable(self):
         rep = wl_estimate(bm, w_quarter, 5.0, n=20_000, seed=PINNED_SEED)
-        assert 0.0 < rep.l_hat < 10.0
-        assert rep.refinement_ratio < 1.5
+        assert 0.0 < stat(rep, "l_hat_coarse") < 10.0
+        assert stat(rep, "refinement_ratio") < 1.5
 
     def test_singleton_ball_skipped_with_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = wl_estimate(bm, w_quarter, 5.0, [(1.5, 0.1, 0.1)], n=1000, seed=1)
-        assert rep.l_hat == 0.0
-        assert len(rep.skipped) == 2  # coarse and fine sweeps
-        assert any("skipped" in str(w.message) for w in caught)
+        assert stat(rep, "l_hat_coarse") == 0.0
+        assert sum("skipped" in str(w.message) for w in caught) == 2  # coarse and fine sweeps
+        assert not rows_by(rep, t=1.5)
+        assert not rep.passed  # the sweep that l_hat reads evaluated nothing
 
     def test_theta_domain(self):
         with pytest.raises(DomainError):
             wl_estimate(bm, w_quarter, 4.0, n=100, seed=1)
 
     def test_bound_report_schema(self):
-        rep = wl_estimate(dependent, w_quarter, 5.0, n=2000, seed=1).to_bound_report()
+        rep = wl_estimate(dependent, w_quarter, 5.0, n=2000, seed=1)
+        assert rep.check == "wl"
         payload = rep.to_json()
         assert set(payload) == {"check", "probes", "n", "seed"}
         assert all(set(p) == {"coords", "estimate", "stderr", "bound", "c_hat", "pass"}
@@ -167,8 +176,7 @@ class TestMonteCarloScaling:
 class TestWlMirroredEvents:
     def test_bm_copula_event_symmetry_diagnostic(self):
         rep = wl_estimate(bm, w_quarter, 5.0, n=20_000, seed=PINNED_SEED)
-        hi = max(rep.l_hat_ts, rep.l_hat_st)
-        lo = min(rep.l_hat_ts, rep.l_hat_st)
+        lo, hi = sorted((stat(rep, "l_hat_ts"), stat(rep, "l_hat_st")))
         assert lo > 0.0 and hi / lo < 3.0
 
 
