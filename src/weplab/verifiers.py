@@ -155,6 +155,8 @@ def _wl_sweep(model, w, theta, probes, grid, n, seed, workers, refined=False):
     The sweep runs on ``grid``, or on its density-doubled refinement.  A
     probe's row estimates max(f_ts, f_st), with implied constant
     max(f_ts, f_st) w(x)^2 / eps^2; ``l_hat`` is the sup of those constants.
+    A probe whose time ball is a single grid point gets a skipped row and
+    frequencies None.
     """
     if not theta > 4.0:
         raise DomainError("theta must exceed 4")
@@ -163,22 +165,23 @@ def _wl_sweep(model, w, theta, probes, grid, n, seed, workers, refined=False):
     grid = grid.refined() if refined else grid
     balls = [(grid.index_of(t), grid.ball_indices(t, eps ** theta)) for t, _x, eps in probes]
     cells = [(it, ball, x) for (it, ball), (_t, x, _e) in zip(balls, probes) if ball.size > 1]
-    if len(cells) < len(probes):
-        warnings.warn(f"{len(probes) - len(cells)} WL probe(s) skipped: singleton time ball")
     counts = iter(_crossing_counts(model, grid, cells, n, seed, workers, (int(refined),))
                   if cells else ())
     rows, freqs = [], []
     for (t, x, eps), (_it, ball) in zip(probes, balls):
+        coords = {"t": t, "x": x, "eps": eps, "grid": "fine" if refined else "coarse",
+                  "ball_points": int(ball.size)}
         if ball.size <= 1:
+            rows.append(_skipped(coords, "singleton time ball"))
+            freqs.append(None)
             continue
         f_ts, f_st = next(counts) / n
         f, wx = max(f_ts, f_st), float(w(x))
-        coords = {"t": t, "x": x, "eps": eps, "grid": "fine" if refined else "coarse",
-                  "ball_points": int(ball.size)}
         rows.append(ProbeResult(coords, f, _freq_stderr(f, n), None, f * wx * wx / eps ** 2,
                                 True))
         freqs.append((f_ts, f_st))
-    return rows, freqs, max((r.c_hat for r in rows), default=0.0), len(freqs)
+    return (rows, freqs, max((r.c_hat for r in rows if r.c_hat is not None), default=0.0),
+            len(cells))
 
 
 def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
@@ -188,7 +191,8 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
     """Estimate the crossing-probability constant over a (t, x, eps) sweep.
 
     The time ball of a probe is {s on the grid : rho(s, t) <= eps} with
-    rho = |s - t|^(1/theta); singleton balls are skipped with a warning.
+    rho = |s - t|^(1/theta); a probe whose ball is a single grid point is
+    skipped, not evaluated.
     ``l_hat`` reads the sweep on ``grid``; the sweep is repeated on the
     density-doubled grid as a refinement study, whose ratio of the two
     constants is 1 when both are 0 and null (infinite) when one is.
@@ -200,7 +204,8 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
     fine_rows, _, l_fine, _ = _wl_sweep(model, w, theta, probes, grid, n, seed, workers,
                                         refined=True)
     l_ts, l_st = (max((f[e] * float(w(r.coords["x"])) ** 2 / r.coords["eps"] ** 2
-                       for r, f in zip(rows, freqs)), default=0.0) for e in (0, 1))
+                       for r, f in zip(rows, freqs) if f is not None), default=0.0)
+                  for e in (0, 1))
     lo, hi = sorted((l_hat, l_fine))
     ratio = 1.0 if hi == 0.0 else (math.inf if lo == 0.0 else hi / lo)
     rows += fine_rows

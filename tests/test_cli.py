@@ -348,9 +348,10 @@ class TestLibraryChecks:
                        "--out", str(out)) == 1
         probes = load_without_timing(out)["probes"]
         assert {"stat": "evaluated_probes"} in [p["coords"] for p in probes if not p["pass"]]
-        if check == "chaining-ab":
-            skipped = [p["coords"]["skipped"] for p in probes if "skipped" in p["coords"]]
-            assert skipped == ["singleton time ball"] * 2
+        # dg0-upper keeps no rows of its WL sweep; wl evaluates 12 of its 36 fine probes
+        skipped = [p["coords"]["skipped"] for p in probes if "skipped" in p["coords"]]
+        assert skipped == ["singleton time ball"] * {"chaining-ab": 2, "dg0-upper": 0,
+                                                     "wl": 36 + 24}[check]
 
 
 class TestManifests:

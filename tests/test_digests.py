@@ -107,7 +107,7 @@ VERIFY_CASES = {
 }
 
 VERIFY_DIGESTS = {
-    "wl": (0, "9ed9a4e52238d81139258d7f4afe1fa845c8794addcc031cafc3ca893e2ec7b2"),
+    "wl": (0, "913fc43f63386f1a889592db3ef5481908147a5b6c431ae54563e8cad0c84cd6"),
     "l-cond": (0, "85162fec92659fccde884f71cce648fe835f262d2ce3dc24abdf988df8fface3"),
     "integral": (0, "4663eac85da976c9611dbb7e2d630f8a8678a2f936ee95d4ae4dd8154cdace4d"),
     "dyadic": (0, "9a5d401eb24dbb0781cc65fcb2f60b0129696e6442dc86da027e000a466d1fb4"),

@@ -70,8 +70,12 @@ class TestWlEstimate:
             warnings.simplefilter("always")
             rep = wl_estimate(bm, w_quarter, 5.0, [(1.5, 0.1, 0.1)], n=1000, seed=1)
         assert stat(rep, "l_hat_coarse") == 0.0
-        assert sum("skipped" in str(w.message) for w in caught) == 2  # coarse and fine sweeps
-        assert not rows_by(rep, t=1.5)
+        assert sum("singleton time ball" in str(w.message) for w in caught) == 2
+        rows = rows_by(rep, t=1.5)
+        assert [r.coords for r in rows] == [  # coarse and fine sweeps
+            {"t": 1.5, "x": 0.1, "eps": 0.1, "grid": grid, "ball_points": 1,
+             "skipped": "singleton time ball"} for grid in ("coarse", "fine")]
+        assert all(r.estimate is None and r.c_hat is None and r.passed for r in rows)
         assert not rep.passed  # the sweep that l_hat reads evaluated nothing
 
     def test_theta_domain(self):
