@@ -5,13 +5,13 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DomainError, IndefiniteCovarianceError,
                      UnsupportedModelError, WeplabError)
-from .weights import (DyadicSum, IntegralVerdict, WeightSpec, dyadic_sum,
+from .weights import (DyadicSum, IntegralEntry, WeightSpec, dyadic_sum,
                       integral_condition, parse_weight, validate_monotonicity)
 from .transforms import (DistFn, check_order_properties, copula_indicator_identity,
                          dist_transform, normal_df, point_mass, uniform_atom_mixture,
                          uniform_df, uniformity_test)
-from .models import (ProcessModel, TimeGrid, envelope_statistics, joint_cdf,
-                     joint_cdf_matrix, level_kernel, map_path_blocks, map_replications,
+from .models import (ProcessModel, TimeGrid, envelope_statistics, joint_cdf_matrix,
+                     level_kernel, map_path_blocks, map_replications,
                      parse_model, rho_metric, to_uniform)
 from .limits import (LimitModel, MetricSpec, build_limit_model, check_distance_monotone,
                      combined_metric, dg0_upper_bound_check, export_covariance_csv,

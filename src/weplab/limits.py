@@ -18,7 +18,7 @@ import numpy as np
 from . import parallel
 from .errors import DomainError, IndefiniteCovarianceError
 from .engine import DEFAULT_CLIP, covariance_from_joint
-from .models import ProcessModel, joint_cdf, joint_cdf_matrix, rho_metric
+from .models import ProcessModel, joint_cdf_matrix, rho_metric
 from .weights import WeightSpec
 
 # Diagonal jitter ladder used when a closed-form covariance fails to factor
@@ -182,10 +182,13 @@ def dg0_upper_bound_check(model: ProcessModel, w: WeightSpec, l_hat: float,
     """
     if l_hat < 0.0:
         raise DomainError("the measured constant must be non-negative")
+    cells = sorted({cell for s, x, t, y in probes for cell in ((s, x), (t, y))})
+    at = {cell: i for i, cell in enumerate(cells)}
+    joint = joint_cdf_matrix(model, cells)
     for s, x, t, y in probes:
         wx, wy = float(w(x)), float(w(y))
-        joint = joint_cdf(model, s, t, x, y)
-        dg0_sq = wx * wx * x + wy * wy * y - 2.0 * wx * wy * joint
+        joint_st = joint[at[s, x], at[t, y]]
+        dg0_sq = wx * wx * x + wy * wy * y - 2.0 * wx * wy * joint_st
         d = weighted_wiener_distance(w, x, y)
         rho = rho_metric(s, t, theta)
         if dg0_sq > 2.0 * d * d + 4.0 * l_hat * rho * rho + tol:

@@ -407,11 +407,6 @@ def level_kernel(model: ProcessModel, levels: Sequence[float]) -> LevelKernel:
     return LevelKernel(model, ys, lo, hi)
 
 
-def joint_cdf(model: ProcessModel, s: float, t: float, x: float, y: float) -> float:
-    """P(X_s <= x, X_t <= y) in closed form."""
-    return float(joint_cdf_matrix(model, ((s, x), (t, y)))[0, 1])
-
-
 # Upper-triangle pairs per batch in joint_cdf_matrix (a batch holds whole
 # rows, so at least one).  It bounds the (pairs x 20 quadrature nodes)
 # temporaries of bvn_cdf, 160 KB at 1024 pairs, while spreading numpy's
@@ -436,10 +431,10 @@ def joint_cdf_matrix(model: ProcessModel, cells: Sequence[tuple[float, float]]) 
     """Symmetric matrix of P(X_s <= x, X_t <= y) over cells i = (s, x), j = (t, y).
 
     It is min(x, y) at s = t, and at every pair of times for the dependent
-    and atomic kinds, whose paths hold one uniform draw.  Entry (i, j),
-    i <= j, equals ``joint_cdf(model, s, t, x, y)`` bit for bit: the
-    bm-copula quantile is taken once per distinct level and the correlation
-    once per time pair, and ``bvn_cdf`` runs on batches of pairs.
+    and atomic kinds, whose paths hold one uniform draw.  An entry does not
+    depend on the other cells, bit for bit: the bm-copula quantile is taken
+    once per distinct level and the correlation once per time pair, and
+    ``bvn_cdf`` runs on batches of pairs.
     """
     ts = np.array([t for t, _ in cells], dtype=float)
     ys = np.array([y for _, y in cells], dtype=float)

@@ -396,7 +396,7 @@ def lemma_y_check(x_values: Sequence[float] = DEFAULT_LEMMA_Y_X,
 def integral_check(w: WeightSpec, c_values: Sequence[float], seed: int = 0) -> BoundReport:
     """The tail integral of the weight, one row per constant c: it must be finite."""
     rows = [ProbeResult({"c": e.c}, e.value, e.error, None, None, e.finite)
-            for e in integral_condition(w, c_values).entries]
+            for e in integral_condition(w, c_values)]
     return BoundReport("integral", tuple(rows), 0, seed)
 
 

@@ -177,15 +177,11 @@ class IntegralEntry:
     error: float
 
 
-@dataclass(frozen=True)
-class IntegralVerdict:
-    entries: tuple[IntegralEntry, ...]
+def integral_condition(w: WeightSpec, c_values: Sequence[float],
+                       tol: float = 1e-9) -> tuple[IntegralEntry, ...]:
+    """Classify int_0^gamma s^-1 exp(-c / (s w(s)^2)) ds per tested c > 0, one entry each.
 
-
-def integral_condition(w: WeightSpec, c_values: Sequence[float], tol: float = 1e-9) -> IntegralVerdict:
-    """Classify int_0^gamma s^-1 exp(-c / (s w(s)^2)) ds per tested c > 0.
-
-    A non-convergent quadrature becomes the verdict "divergent"; it never
+    A non-convergent quadrature gives an entry that is not finite; it never
     raises.
     """
     if len(c_values) == 0:
@@ -204,7 +200,7 @@ def integral_condition(w: WeightSpec, c_values: Sequence[float], tol: float = 1e
         res = singular_quadrature(integrand, w.gamma, tol)
         finite = bool(res.converged and res.error < tol)
         entries.append(IntegralEntry(c, finite, res.value, res.error))
-    return IntegralVerdict(tuple(entries))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from weplab.models import joint_cdf, parse_model
+from weplab.models import joint_cdf_matrix, parse_model
 from weplab.numerics import std_normal_cdf
 from weplab.transforms import normal_df, uniform_atom_mixture, uniformity_test
 from weplab.transforms import copula_indicator_identity
@@ -171,11 +171,11 @@ def test_criterion_2_dyadic_sum():
 
 def test_criterion_3_integral_condition():
     with criterion(3, "tail integral: finite value and divergent boundary"):
-        entry = integral_condition(parse_weight("const:1"), [1.0], tol=1e-9).entries[0]
+        entry = integral_condition(parse_weight("const:1"), [1.0], tol=1e-9)[0]
         assert entry.finite
         assert entry.value == pytest.approx(float(mp.e1(2)), abs=1e-6)
         boundary = WeightSpec(alpha=0.5, unchecked=True)
-        assert not integral_condition(boundary, [1.0]).entries[0].finite
+        assert not integral_condition(boundary, [1.0])[0].finite
 
 
 def test_criterion_4_transform_uniformity():
@@ -214,8 +214,8 @@ def test_criterion_7_covariance_convergence(covariance_result):
     with criterion(7, "covariance convergence to the closed-form target"):
         distances = covariance_result[1]["frobenius_distance"]
         # the oracle target includes the cross-time value 1/8
-        assert joint_cdf(parse_model("bm-copula"), 1.0, 2.0, 0.5, 0.5) - 0.25 \
-            == pytest.approx(0.125, abs=1e-8)
+        assert joint_cdf_matrix(parse_model("bm-copula"), ((1.0, 0.5), (2.0, 0.5)))[0, 1] \
+            - 0.25 == pytest.approx(0.125, abs=1e-8)
         assert distances[-1] < 0.01
         assert distances[-1] < distances[0]
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from weplab import models, parallel
 from weplab.errors import DomainError
-from weplab.models import (TimeGrid, envelope_statistics, joint_cdf, joint_cdf_matrix,
+from weplab.models import (TimeGrid, envelope_statistics, joint_cdf_matrix,
                            map_brownian_blocks, map_path_blocks, map_replications,
                            parse_model, rho_metric, to_uniform)
 from weplab.numerics import (bvn_cdf, ks_statistic_one_sample, std_normal_cdf,
@@ -305,27 +305,29 @@ class TestMapReplications:
 class TestJointCdf:
     def test_equal_times_comonotone(self):
         m = parse_model("bm-copula")
-        assert joint_cdf(m, 1.5, 1.5, 0.3, 0.7) == 0.3
+        assert joint_cdf_matrix(m, ((1.5, 0.3), (1.5, 0.7)))[0, 1] == 0.3
 
     def test_wide_grid_sheppard(self):
         m = parse_model("bm-copula")
-        assert joint_cdf(m, 1.0, 4.0, 0.5, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-9)
+        assert joint_cdf_matrix(m, ((1.0, 0.5), (4.0, 0.5)))[0, 1] == pytest.approx(
+            1.0 / 3.0, abs=1e-9)
 
     def test_dependent_and_iid(self):
-        assert joint_cdf(parse_model("dependent"), 1.0, 1.5, 0.2, 0.4) == 0.2
-        assert joint_cdf(parse_model("iid-time"), 1.0, 1.5, 0.2, 0.4) == pytest.approx(0.08)
+        cells = ((1.0, 0.2), (1.5, 0.4))
+        assert joint_cdf_matrix(parse_model("dependent"), cells)[0, 1] == 0.2
+        assert joint_cdf_matrix(parse_model("iid-time"), cells)[0, 1] == pytest.approx(0.08)
 
     def test_exchange_symmetry(self):
         m = parse_model("bm-copula")
         for (s, t, x, y) in [(1.0, 1.7, 0.2, 0.6), (1.2, 1.9, 0.8, 0.3)]:
-            assert joint_cdf(m, s, t, x, y) == pytest.approx(
-                joint_cdf(m, t, s, y, x), abs=1e-14)
+            assert joint_cdf_matrix(m, ((s, x), (t, y)))[0, 1] == pytest.approx(
+                joint_cdf_matrix(m, ((t, y), (s, x)))[0, 1], abs=1e-14)
 
     def test_atomic_is_comonotone(self):
         # an atomic path holds one uniform draw at every time
         m = parse_model("atomic:0.5@0.5")
-        assert joint_cdf(m, 1.0, 1.5, 0.2, 0.4) == 0.2
-        assert joint_cdf(m, 2.0, 1.0, 0.7, 0.5) == 0.5
+        assert joint_cdf_matrix(m, ((1.0, 0.2), (1.5, 0.4)))[0, 1] == 0.2
+        assert joint_cdf_matrix(m, ((2.0, 0.7), (1.0, 0.5)))[0, 1] == 0.5
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_agrees_with_monte_carlo(self, spec):
@@ -335,14 +337,14 @@ class TestJointCdf:
         n = 100_000
         values = sample(spec, grid, n, PINNED_SEED)
         levels = (0.2, 0.5, 0.8)
-        for i, s in enumerate(times):
-            for j, t in enumerate(times):
-                for x in levels:
-                    for y in levels:
-                        p_hat = float(np.mean((values[:, i] <= x) & (values[:, j] <= y)))
-                        p = joint_cdf(m, s, t, x, y)
-                        se = math.sqrt(max(p * (1 - p), 1e-12) / n)
-                        assert abs(p_hat - p) <= 4 * se, (s, t, x, y)
+        cells = [(i, x) for i in range(len(times)) for x in levels]
+        joint = joint_cdf_matrix(m, [(times[i], x) for i, x in cells])
+        for a, (i, x) in enumerate(cells):
+            for b, (j, y) in enumerate(cells):
+                p_hat = float(np.mean((values[:, i] <= x) & (values[:, j] <= y)))
+                p = joint[a, b]
+                se = math.sqrt(max(p * (1 - p), 1e-12) / n)
+                assert abs(p_hat - p) <= 4 * se, (times[i], times[j], x, y)
 
 
 def scalar_joint(kind, s, t, x, y):
@@ -384,8 +386,8 @@ class TestJointCdfMatrix:
         m = parse_model(kind)
         expected = scalar_joint_matrix(kind, cells)
         np.testing.assert_array_equal(joint_cdf_matrix(m, cells), expected)
-        (s, x), (t, y) = cells[0], cells[-1]
-        assert joint_cdf(m, s, t, x, y) == expected[0, -1]
+        # an entry does not depend on the other cells
+        assert joint_cdf_matrix(m, [cells[0], cells[-1]])[0, 1] == expected[0, -1]
 
     @pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
     def test_every_band_and_repeated_levels(self, kind):

@@ -106,8 +106,7 @@ class TestIntegralCondition:
     def test_constant_weight_value(self):
         # substitution u = 1/s turns the integral into E1(2); mpmath oracle
         target = float(mp.e1(2))
-        verdict = integral_condition(parse_weight("const:1"), [1.0], tol=1e-9)
-        entry = verdict.entries[0]
+        entry = integral_condition(parse_weight("const:1"), [1.0], tol=1e-9)[0]
         assert entry.finite
         assert entry.value == pytest.approx(target, abs=1e-6)
 
@@ -115,13 +114,13 @@ class TestIntegralCondition:
         # substitution u = s^(-1/2) gives 2 E1(c / sqrt(gamma))
         w = parse_weight("pow:0.25")
         target = 2.0 * float(mp.e1(1.0 / math.sqrt(w.gamma)))
-        entry = integral_condition(w, [1.0], tol=1e-9).entries[0]
+        entry = integral_condition(w, [1.0], tol=1e-9)[0]
         assert entry.finite
         assert entry.value == pytest.approx(target, abs=1e-7)
 
     def test_boundary_weight_diverges(self):
         w = WeightSpec(alpha=0.5, unchecked=True)
-        entry = integral_condition(w, [1.0]).entries[0]
+        entry = integral_condition(w, [1.0])[0]
         assert not entry.finite
 
     @pytest.mark.parametrize("spec", ["const:1", "pow:0.1", "pow:0.25",
@@ -129,18 +128,18 @@ class TestIntegralCondition:
                                       "pow:0.2:expsqrt:0.5"])
     def test_every_admissible_family_member_finite(self, spec):
         w = parse_weight(spec)
-        verdict = integral_condition(w, [0.25, 1.0, 4.0])
-        assert all(e.finite for e in verdict.entries), verdict
+        entries = integral_condition(w, [0.25, 1.0, 4.0])
+        assert all(e.finite for e in entries), entries
 
     def test_monotone_in_c(self):
         # the integrand decreases in c, so finiteness for a smaller c
         # implies finiteness for a larger one
         w = parse_weight("pow:0.25")
-        verdict = integral_condition(w, [0.25, 1.0, 4.0])
-        finite = [e.finite for e in verdict.entries]
+        entries = integral_condition(w, [0.25, 1.0, 4.0])
+        finite = [e.finite for e in entries]
         for smaller, larger in zip(finite, finite[1:]):
             assert not smaller or larger
-        values = [e.value for e in verdict.entries]
+        values = [e.value for e in entries]
         assert values[0] > values[1] > values[2]
 
     def test_needs_c_values(self):
