@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weplab.cli import RunConfig, main, write_csv
+from weplab.cli import CHECKS, RunConfig, main, write_csv
 from weplab.errors import ConfigError
 from weplab.models import TimeGrid, parse_model
-from weplab.verifiers import (clt_covariance_convergence, clt_marginal_test, clt_sup_comparison,
-                              dg0_upper_check, dyadic_check, feller_sandwich, integral_check,
-                              monotone_d_check, prop_d1_d2_check, weight_drift_sampled_check)
+from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
+                              clt_marginal_test, clt_sup_comparison, dg0_upper_check,
+                              dyadic_check, envelope_check, feller_sandwich, integral_check,
+                              l_condition_estimate, lemma_l_check, lemma_m_check, lemma_y_check,
+                              monotone_d_check, prop_d1_d2_check, slowly_varying_check,
+                              weight_drift_sampled_check, wl_estimate)
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -291,7 +294,22 @@ DIGEST_SAMPLING = {"n": 2000, "seed": 5, "grid": TimeGrid.uniform(1.0, 2.0, 17),
 BM, W_QUARTER = parse_model("bm-copula"), parse_weight("pow:0.25")
 MODEL_WEIGHT = ("--model", "bm-copula", "--weight", "pow:0.25")
 
+# every verify check: its CLI flags and the library call that gives the same report
 LIBRARY_CALLS = {
+    "wl": (MODEL_WEIGHT, lambda: wl_estimate(BM, W_QUARTER, 5.0, **DIGEST_SAMPLING)),
+    "l-cond": (("--model", "bm-copula"),
+               lambda: l_condition_estimate(BM, 5.0, [(1.5, e) for e in (0.55, 0.7, 1.1)],
+                                            **DIGEST_SAMPLING)),
+    "envelope": (MODEL_WEIGHT, lambda: envelope_check(BM, W_QUARTER, **DIGEST_SAMPLING)),
+    "feller": ((), feller_sandwich),
+    "borell": ((), lambda: borell_check(**DIGEST_SAMPLING)),
+    "slowly-varying": (("--weight", "pow:0.25:expsqrt:1"),
+                       lambda: slowly_varying_check(parse_weight("pow:0.25:expsqrt:1"))),
+    "lemma-y": ((), lemma_y_check),
+    "lemma-m": ((), lambda: lemma_m_check(**DIGEST_SAMPLING)),
+    "lemma-l": ((), lambda: lemma_l_check(**DIGEST_SAMPLING)),
+    "chaining-ab": (MODEL_WEIGHT,
+                    lambda: chaining_ab_check(BM, W_QUARTER, 5.0, **DIGEST_SAMPLING)),
     "integral": (("--weight", "pow:0.25"),
                  lambda: integral_check(W_QUARTER, [0.25, 1.0, 4.0], seed=5)),
     "dyadic": (("--weight", "pow:0.25"), lambda: dyadic_check(W_QUARTER, seed=5)),
@@ -320,6 +338,9 @@ CLT_CALLS = {
 
 
 class TestLibraryChecks:
+    def test_every_check_has_a_library_call(self):
+        assert set(LIBRARY_CALLS) == set(CHECKS)
+
     @pytest.mark.filterwarnings("ignore:.*skipped")
     @pytest.mark.parametrize("check", sorted(LIBRARY_CALLS) + sorted(CLT_CALLS))
     def test_library_call_equals_cli_report(self, tmp_path, check):
