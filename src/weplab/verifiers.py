@@ -5,12 +5,15 @@ reports the implied constant (estimate divided by the bound shape); the
 d1/d2 verifier also checks its stability across eps.  One-sided Monte Carlo
 tolerance is fixed at three standard errors throughout.
 
-Every checker returns a ``BoundReport`` named after its ``weplab verify``
-check; each CLT harness returns its report with its CSV columns.  Reports
-carry no clock and determinism comes from the block-seeded samplers, so
-``to_json()`` is byte-identical across reruns and worker counts at a pinned
-seed; timing is the caller's business.  A sweep that evaluates none of its
-probes adds a failing ``evaluated_probes`` row.
+Every checker, ``wl_estimate`` included, returns a ``BoundReport`` named
+after its ``weplab verify`` check; each CLT harness returns its report with
+its CSV columns.  Reports carry no clock and determinism comes from the
+block-seeded samplers, so ``to_json()`` is byte-identical across reruns and
+worker counts at a pinned seed; timing is the caller's business.  A probe
+that is not evaluated gets a row whose ``skipped`` coordinate names why, and
+a sweep that evaluates none of its probes adds a failing ``evaluated_probes``
+row.  One WL sweep gives ``wl``, ``chaining-ab`` and ``dg0-upper`` their
+crossing constant ``l_hat``.
 """
 
 from __future__ import annotations
@@ -192,20 +195,20 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
 
     The time ball of a probe is {s on the grid : rho(s, t) <= eps} with
     rho = |s - t|^(1/theta); a probe whose ball is a single grid point is
-    skipped, not evaluated.
-    ``l_hat`` reads the sweep on ``grid``; the sweep is repeated on the
-    density-doubled grid as a refinement study, whose ratio of the two
-    constants is 1 when both are 0 and null (infinite) when one is.
-    ``l_hat_ts`` and ``l_hat_st`` split ``l_hat`` by crossing event.
+    skipped, not evaluated.  ``l_hat`` reads the sweep on ``grid``; the
+    sweep is repeated on the density-doubled grid as a refinement study,
+    whose ratio of the two constants is 1 when both are 0 and null
+    (infinite) when one is.  ``l_hat_ts`` and ``l_hat_st`` split ``l_hat``
+    by crossing event.
     """
     grid = grid or TimeGrid.uniform()
     probes = None if probes is None else list(probes)
     rows, freqs, l_hat, evaluated = _wl_sweep(model, w, theta, probes, grid, n, seed, workers)
     fine_rows, _, l_fine, _ = _wl_sweep(model, w, theta, probes, grid, n, seed, workers,
                                         refined=True)
-    l_ts, l_st = (max((f[e] * float(w(r.coords["x"])) ** 2 / r.coords["eps"] ** 2
-                       for r, f in zip(rows, freqs) if f is not None), default=0.0)
-                  for e in (0, 1))
+    coarse = [(r.coords, f) for r, f in zip(rows, freqs) if f is not None]
+    l_ts = max((f[0] * float(w(c["x"])) ** 2 / c["eps"] ** 2 for c, f in coarse), default=0.0)
+    l_st = max((f[1] * float(w(c["x"])) ** 2 / c["eps"] ** 2 for c, f in coarse), default=0.0)
     lo, hi = sorted((l_hat, l_fine))
     ratio = 1.0 if hi == 0.0 else (math.inf if lo == 0.0 else hi / lo)
     rows += fine_rows
