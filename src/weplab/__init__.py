@@ -14,9 +14,9 @@ from .models import (ProcessModel, TimeGrid, envelope_statistics, joint_cdf_matr
                      level_kernel, map_path_blocks, map_replications,
                      parse_model, rho_metric, to_uniform)
 from .limits import (LimitModel, MetricSpec, build_limit_model, check_distance_monotone,
-                     combined_metric, dg0_upper_bound_check, export_covariance_csv,
-                     sample_limit_field, weight_drift_check, weighted_wiener_distance)
-from .engine import EmpiricalField, evaluate_field_streaming, export_field_csv, sup_statistic
+                     combined_metric, dg0_upper_bound_check, sample_limit_field,
+                     weight_drift_check, weighted_wiener_distance)
+from .engine import EmpiricalField, evaluate_field_streaming, export_field_csv
 from .numerics import (bvn_cdf, ks_statistic_one_sample, ks_statistic_two_sample,
                        singular_quadrature, std_normal_cdf, std_normal_pdf,
                        std_normal_quantile)

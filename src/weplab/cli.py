@@ -6,11 +6,12 @@ harness and writes a JSON report and a per-replication CSV.  This module
 only parses, dispatches and writes: every report is built in ``verifiers``.
 Checks and CLT modes are dispatched from one table each (``CHECKS``,
 ``CLT``) of direct library calls, and every command, typed or replayed,
-runs through ``run_command``.  Library reports carry no clock: the JSON
-written here adds ``wall_ms``, the wall time of the whole command.  Every
-run can emit a manifest echoing the fully resolved configuration; ``rerun``
-replays a manifest and reproduces the outputs byte-for-byte apart from
-``wall_ms``.
+runs through ``run_command``.  Each check reads the run's model, weight or
+sampling options; a fact that reads none is a numerics test, not a check.
+Library reports carry no clock: the JSON written here adds ``wall_ms``, the
+wall time of the whole command.  Every run can emit a manifest echoing the
+fully resolved configuration; ``rerun`` replays a manifest and reproduces
+the outputs byte-for-byte apart from ``wall_ms``.
 
 Configuration: flat key-value files with sections (INI style), overridden
 by flags; flags win.  Exit codes: 0 all checks passed, 1 a check failed,
@@ -37,10 +38,9 @@ from .errors import ConfigError, DomainError, UnsupportedModelError, WeplabError
 from .models import ProcessModel, TimeGrid, parse_model
 from .verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
                         clt_marginal_test, clt_sup_comparison, dg0_upper_check, dyadic_check,
-                        envelope_check, feller_sandwich, integral_check, l_condition_estimate,
-                        lemma_l_check, lemma_m_check, lemma_y_check, monotone_d_check,
-                        prop_d1_d2_check, slowly_varying_check, weight_drift_sampled_check,
-                        wl_estimate)
+                        envelope_check, integral_check, l_condition_estimate, lemma_l_check,
+                        lemma_m_check, monotone_d_check, prop_d1_d2_check, slowly_varying_check,
+                        weight_drift_sampled_check, wl_estimate)
 from .weights import WeightSpec, parse_weight
 
 
@@ -189,10 +189,8 @@ CHECKS = {
     "dyadic": lambda cfg: dyadic_check(cfg.weight_spec(), cfg.seed),
     "envelope": lambda cfg: envelope_check(cfg.model_spec(), cfg.weight_spec(),
                                            **_sampling(cfg)),
-    "feller": lambda cfg: feller_sandwich(),
     "borell": lambda cfg: borell_check(**_sampling(cfg)),
     "slowly-varying": lambda cfg: slowly_varying_check(cfg.weight_spec()),
-    "lemma-y": lambda cfg: lemma_y_check(),
     "lemma-m": lambda cfg: lemma_m_check(**_sampling(cfg)),
     "lemma-l": lambda cfg: lemma_l_check(**_sampling(cfg)),
     "d1": lambda cfg: prop_d1_d2_check(events=("d1",), **_sampling(cfg)),

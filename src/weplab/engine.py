@@ -89,13 +89,6 @@ def replicated_fields(model: ProcessModel, grid: TimeGrid, levels: Sequence[floa
     return map_replications(model, grid, n, reps, seed, batch_fields, workers)
 
 
-def sup_statistic(field: EmpiricalField) -> float:
-    """max over grid cells of |field value|."""
-    if field.values.size == 0:
-        raise DomainError("empty field")
-    return float(np.max(np.abs(field.values)))
-
-
 def accumulate_cell_moments(model: ProcessModel, cells: Sequence[tuple[float, float]],
                             grid: TimeGrid, n: int, seed: int, workers: int = 1,
                             extra_key: tuple[int, ...] = ()) -> np.ndarray:

@@ -194,15 +194,3 @@ def dg0_upper_bound_check(model: ProcessModel, w: WeightSpec, l_hat: float,
         if dg0_sq > 2.0 * d * d + 4.0 * l_hat * rho * rho + tol:
             return (float(s), float(x))
     return None
-
-
-def export_covariance_csv(limit: LimitModel, path: str) -> None:
-    """Row-major CSV of the covariance with a header naming the grid pairs."""
-    header = ",".join(f"({t:g};{y:g})" for t, y in limit.cells)
-    lines = ["# weplab covariance v1",
-             f"# centered=True jitter={limit.jitter:g}",
-             header]
-    for row in limit.covariance:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,5 +1,10 @@
 """Monte Carlo and closed-form certification of the testable bounds.
 
+Every check reads the process and weight (X, w), the weight alone, or the
+Brownian field the proofs use.  Facts of the normal law alone, such as its
+tail sandwich and the quantile bounds of the proofs, read no option: they are
+mpmath oracle tests of ``weplab.numerics``, not checks.
+
 Existential constants are never hard-coded: each probability verifier
 reports the implied constant (estimate divided by the bound shape); the
 d1/d2 verifier also checks its stability across eps.  One-sided Monte Carlo
@@ -332,64 +337,6 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
                                 est, se, bound, est / bound if bound > 0 else None,
                                 est <= bound + MC_SIGMA * se))
     return BoundReport("envelope", tuple(rows), n, seed)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form tail facts
-# ---------------------------------------------------------------------------
-
-DEFAULT_FELLER_Y = (1.5, 2.0, 3.0, 4.0, 5.0)
-
-
-def feller_sandwich(y_values: Sequence[float] = DEFAULT_FELLER_Y) -> BoundReport:
-    """Tail sandwich for the normal df: deterministic, no sampling."""
-    rows = []
-    for y in y_values:
-        y = float(y)
-        if y <= 1.0:
-            raise DomainError("the lower bound is positive only for y > 1")
-        tail = float(std_normal_cdf(-y))
-        pdf = std_normal_pdf(y)
-        upper = pdf / y
-        lower = upper * (1.0 - 1.0 / (y * y))
-        rows.append(ProbeResult({"y": y, "part": "lower"}, tail, None, lower, None,
-                                lower <= tail))
-        rows.append(ProbeResult({"y": y, "part": "upper"}, tail, None, upper, None,
-                                tail <= upper))
-        if y > math.sqrt(2.0):
-            rows.append(ProbeResult({"y": y, "part": "half-upper"}, tail, None, upper / 2.0,
-                                    None, upper / 2.0 <= tail))
-        if y > 1.2:
-            gap = (upper - lower) / tail
-            rows.append(ProbeResult({"y": y, "part": "relative-gap"}, gap, None,
-                                    4.0 / (y * y), None, gap < 4.0 / (y * y)))
-    return BoundReport("feller", tuple(rows), 0, 0)
-
-
-DEFAULT_LEMMA_Y_X = (0.01, 0.05, 0.1, 0.2, 0.2499)
-DEFAULT_LEMMA_Y_C = (0.0, 0.5, 1.0)
-
-
-def lemma_y_check(x_values: Sequence[float] = DEFAULT_LEMMA_Y_X,
-                  c_values: Sequence[float] = DEFAULT_LEMMA_Y_C) -> BoundReport:
-    """Quantile-versus-log bound and the shifted-density bound, pointwise."""
-    rows = []
-    for x in x_values:
-        x = float(x)
-        if not (0.0 < x < 0.25):
-            raise DomainError("x must lie in (0, 1/4)")
-        y = -std_normal_quantile(x)
-        cap = math.sqrt(2.0 * math.log(1.0 / x))
-        rows.append(ProbeResult({"x": x, "part": "quantile"}, y, None, cap, None, y <= cap))
-        for c in c_values:
-            c = float(c)
-            if c < 0.0:
-                raise DomainError("c values must be non-negative")
-            val = std_normal_pdf(y + c)
-            bound = 2.0 ** 1.5 * x * math.sqrt(math.log(1.0 / x))
-            rows.append(ProbeResult({"x": x, "c": c, "part": "shifted-density"},
-                                    val, None, bound, val / bound, val <= bound))
-    return BoundReport("lemma-y", tuple(rows), 0, 0)
 
 
 # ---------------------------------------------------------------------------

