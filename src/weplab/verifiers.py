@@ -18,7 +18,8 @@ worker counts at a pinned seed; timing is the caller's business.  A probe
 that is not evaluated gets a row whose ``skipped`` coordinate names why, and
 a sweep that evaluates none of its probes adds a failing ``evaluated_probes``
 row.  One WL sweep gives ``wl``, ``chaining-ab`` and ``dg0-upper`` their
-crossing constant ``l_hat``.
+crossing constant ``l_hat``; the ``l_hat`` row of the latter two counts the
+sweep's evaluated probes.
 """
 
 from __future__ import annotations
@@ -660,9 +661,11 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
 
     Probes are (t, eps, a, b) with b inside the weight's monotone window.
     The bound is (measured dyadic ratio) l_hat eps^2 / w(b)^2 + (b - a),
-    with the crossing constant measured by the WL sweep when not supplied.
-    A probe whose time ball is a single grid point is skipped; the report
-    fails when no probe, or no probe of that WL sweep, is evaluated.
+    with the crossing constant measured by the WL sweep when not supplied;
+    the ``l_hat`` row then names how many of the sweep's probes it read
+    (``wl_evaluated`` of ``wl_probes``).  A probe whose time ball is a single
+    grid point is skipped; the report fails when no probe, or no probe of
+    that WL sweep, is evaluated.
     """
     grid = grid or TimeGrid.uniform()
     if w.alpha <= 0.0:
@@ -673,11 +676,12 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
     balls = [(grid.index_of(t), grid.ball_indices(t, eps ** theta)) for t, eps, _a, _b in probes]
     prepared = [(it, ball, np.linspace(a, b, level_count + 1)[1:])  # grid levels in (a, b]
                 for (it, ball), (_t, _e, a, b) in zip(balls, probes) if ball.size > 1]
-    evaluated = len(prepared)
+    evaluated, l_hat_coords = len(prepared), {"stat": "l_hat"}
     if l_hat is None:
-        _rows, _freqs, l_hat, wl_evaluated = _wl_sweep(model, w, theta, None, grid, n, seed,
+        sweep, _freqs, l_hat, wl_evaluated = _wl_sweep(model, w, theta, None, grid, n, seed,
                                                        workers)
         evaluated = min(evaluated, wl_evaluated)
+        l_hat_coords.update(wl_evaluated=wl_evaluated, wl_probes=len(sweep))
 
     def block_fn(vals):
         vals = to_uniform(model, vals)
@@ -690,7 +694,7 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
         return counts
 
     counts = iter(map_path_blocks(model, grid, n, seed, block_fn, workers) if prepared else ())
-    rows = [ProbeResult({"stat": "l_hat"}, l_hat, None, None, None, True)]
+    rows = [ProbeResult(l_hat_coords, l_hat, None, None, None, True)]
     for (t, eps, a, b), (_it, ball) in zip(probes, balls):
         if ball.size <= 1:
             rows.append(_skipped({"t": t, "eps": eps, "a": a, "b": b,
@@ -712,16 +716,18 @@ def dg0_upper_check(model: ProcessModel, w: WeightSpec, theta: float, n: int = 1
                     workers: int = 1) -> BoundReport:
     """d_G0^2 <= 2 d^2(x, y) + 4 l_hat rho^2 at five times spanning the grid, three levels.
 
-    ``l_hat`` is the crossing constant of the WL sweep on ``grid``; the
-    report fails when that sweep evaluates no probe.
+    ``l_hat`` is the crossing constant of the WL sweep on ``grid``, and its
+    row names how many of the sweep's probes it read (``wl_evaluated`` of
+    ``wl_probes``); the report fails when that sweep evaluates no probe.
     """
     grid = grid or TimeGrid.uniform()
-    _rows, _freqs, l_hat, evaluated = _wl_sweep(model, w, theta, None, grid, n, seed, workers)
+    sweep, _freqs, l_hat, evaluated = _wl_sweep(model, w, theta, None, grid, n, seed, workers)
     ts = np.linspace(grid.a, grid.b, 5)
     xs = (0.2, 0.5, 0.8)
     probes = [(s, x, t, y) for s in ts for t in ts for x in xs for y in xs]
     violation = dg0_upper_bound_check(model, w, l_hat, probes, theta=theta)
-    rows = [ProbeResult({"stat": "l_hat"}, l_hat, None, None, None, True),
+    rows = [ProbeResult({"stat": "l_hat", "wl_evaluated": evaluated, "wl_probes": len(sweep)},
+                        l_hat, None, None, None, True),
             ProbeResult({"probes": len(probes), "violation": violation},
                         None, None, None, None, violation is None)]
     _fail_if_none_evaluated(rows, evaluated)

@@ -384,6 +384,9 @@ class TestLibraryChecks:
         skipped = [p["coords"]["skipped"] for p in probes if "skipped" in p["coords"]]
         assert skipped == ["singleton time ball"] * {"chaining-ab": 2, "dg0-upper": 0,
                                                      "wl": 36 + 24}[check]
+        # chaining-ab and dg0-upper name how many WL probes their l_hat read
+        if check != "wl":
+            assert probes[0]["coords"] == {"stat": "l_hat", "wl_evaluated": 0, "wl_probes": 36}
 
 
 class TestManifests:

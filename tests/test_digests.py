@@ -116,9 +116,10 @@ VERIFY_DIGESTS = {
     "lemma-l": (0, "fb00de79362c3444586ccc26a41b211416280dffd61aedf4bd6223cc384c75c4"),
     "d1": (1, "f32e1b2e0b68d9a41fdfda492e8dd1ba12b059733d8feb2f5b60ac6b837bfd0b"),
     "d2": (1, "56a0fc79add802a04ef949ec6c33e4a7c63b0c251086a70f86760c52ca5e0c3d"),
-    "chaining-ab": (0, "9452d923c17214f4b58ade9ac5e309395ea034f55595ea1881d9ed52f8f8ee44"),
+    # chaining-ab and dg0-upper: the l_hat row names the 24 of 36 WL probes it read
+    "chaining-ab": (0, "f3cf1f43e24893aa7909a3e75f246d688c419974eaa6e89bfb35ccdc9f4052c9"),
     "monotone-d": (0, "618592977c1e322bc8069245908e3e90b8257530dfe1fe669867a1837294713e"),
-    "dg0-upper": (0, "08b9b5bb0f6ad9721dbf5cbd201c965cfd2525853468395250b585fbb2a4e05f"),
+    "dg0-upper": (0, "5f39c7398ef4e13869d0a9c3c5c7649f3cbe01c19b5f6a5cbc09296e7df4156d"),
     "weight-drift": (0, "cce6303a11257c81d752f53855e42f7a53a0f85f0b8ca34e3f229e47bfc9d744"),
 }
 
@@ -132,8 +133,9 @@ def test_verify_report_digest(tmp_path, check):
 
 
 # dg0-upper on the atomic model, whose joint CDF is min(x, y), with the
-# VERIFY_ARGS sizes: (exit code, report digest), the same at one and two workers
-ATOMIC_DG0_UPPER_DIGEST = (0, "ade1a827e750aaf9465e8398bda4e7eda5b4a9732a93ba712b59c3eff5b1355f")
+# VERIFY_ARGS sizes: (exit code, report digest), the same at one and two workers;
+# its l_hat row names the 24 of 36 WL probes it read
+ATOMIC_DG0_UPPER_DIGEST = (0, "0708661998c927a8d4025b95b9dce66d059df6fbe1d487a4af4a8fcd67a04210")
 
 
 @pytest.mark.filterwarnings("ignore:.*skipped")

@@ -278,6 +278,12 @@ class TestChaining:
     def test_bound_holds(self):
         rep = chaining_ab_check(bm, w_quarter, 5.0, n=20_000, seed=PINNED_SEED)
         assert rep.passed
+        # on the default 129 points the WL sweep evaluates all of its probes
+        assert rep.probes[0].coords == {"stat": "l_hat", "wl_evaluated": 36, "wl_probes": 36}
+
+    def test_supplied_l_hat_names_no_sweep(self):
+        rep = chaining_ab_check(bm, w_quarter, 5.0, n=2000, seed=1, l_hat=0.5)
+        assert rep.probes[0].coords == {"stat": "l_hat"} and rep.probes[0].estimate == 0.5
 
     def test_requires_power_weight(self):
         with pytest.raises(DomainError):
