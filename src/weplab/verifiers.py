@@ -202,10 +202,10 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
     The time ball of a probe is {s on the grid : rho(s, t) <= eps} with
     rho = |s - t|^(1/theta); a probe whose ball is a single grid point is
     skipped, not evaluated.  ``l_hat`` reads the sweep on ``grid``; the
-    sweep is repeated on the density-doubled grid as a refinement study,
-    whose ratio of the two constants is 1 when both are 0 and null
-    (infinite) when one is.  ``l_hat_ts`` and ``l_hat_st`` split ``l_hat``
-    by crossing event.
+    sweep is repeated on the density-doubled grid as a refinement study.
+    Its ratio compares the two sweeps' constants over the probes both
+    evaluate: 1 when both are 0 and null (infinite) when one is.
+    ``l_hat_ts`` and ``l_hat_st`` split ``l_hat`` by crossing event.
     """
     grid = grid or TimeGrid.uniform()
     probes = None if probes is None else list(probes)
@@ -215,7 +215,9 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
     coarse = [(r.coords, f) for r, f in zip(rows, freqs) if f is not None]
     l_ts = max((f[0] * float(w(c["x"])) ** 2 / c["eps"] ** 2 for c, f in coarse), default=0.0)
     l_st = max((f[1] * float(w(c["x"])) ** 2 / c["eps"] ** 2 for c, f in coarse), default=0.0)
-    lo, hi = sorted((l_hat, l_fine))
+    both = [(r.c_hat, f.c_hat) for r, f in zip(rows, fine_rows)
+            if r.c_hat is not None and f.c_hat is not None]
+    lo, hi = sorted(map(max, zip(*both))) if both else (0.0, 0.0)
     ratio = 1.0 if hi == 0.0 else (math.inf if lo == 0.0 else hi / lo)
     rows += fine_rows
     for name, value in (("l_hat_coarse", l_hat), ("l_hat_fine", l_fine), ("l_hat_ts", l_ts),

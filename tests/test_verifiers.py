@@ -64,6 +64,16 @@ class TestWlEstimate:
         assert 0.0 < stat(rep, "l_hat_coarse") < 10.0
         assert stat(rep, "refinement_ratio") < 1.5
 
+    @pytest.mark.filterwarnings("ignore:.*skipped")
+    def test_refinement_ratio_reads_the_probes_both_sweeps_evaluate(self):
+        # on 17 points the eps = 0.5 ball is a single grid point, on the 33-point
+        # refinement it is not: only the eps = 0.6 probe enters the ratio
+        rep = wl_estimate(bm, w_quarter, 5.0, [(1.5, 0.01, 0.5), (1.5, 0.01, 0.6)], n=2000,
+                          seed=5, grid=TimeGrid.uniform(1.0, 2.0, 17), workers=1)
+        assert [r.c_hat is None for r in rows_by(rep, eps=0.5)] == [True, False]
+        assert stat(rep, "l_hat_fine") > stat(rep, "l_hat_coarse")
+        assert stat(rep, "refinement_ratio") == 1.0
+
     def test_singleton_ball_skipped_with_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
