@@ -50,17 +50,13 @@ class TestExitCodes:
         assert not payload["probes"][0]["pass"]
 
     def test_unknown_check_is_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("verify", "not-a-check")
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("check", ["feller", "lemma-y"])
-    def test_numerics_facts_are_no_checks(self, capsys, check):
-        # the normal-law facts these named are mpmath oracle tests of weplab.numerics
-        with pytest.raises(SystemExit) as exc:
-            run_cli("verify", check)
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        # feller and lemma-y are no checks: their normal-law facts are mpmath
+        # oracle tests of weplab.numerics
+        for check in ("not-a-check", "feller", "lemma-y"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("verify", check)
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_model_is_two(self, capsys):
         assert run_cli("simulate") == 2
