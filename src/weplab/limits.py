@@ -17,7 +17,7 @@ import numpy as np
 
 from . import parallel
 from .errors import DomainError, IndefiniteCovarianceError
-from .engine import DEFAULT_CLIP, covariance_from_joint
+from .engine import covariance_from_joint
 from .models import ProcessModel, joint_cdf_matrix, rho_metric
 from .weights import WeightSpec
 
@@ -25,21 +25,6 @@ from .weights import WeightSpec
 # by rounding; the value actually applied is recorded on the model.
 JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 _PIVOT_REL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """Weight, time exponent and level clip for the combined metric."""
-
-    weight: WeightSpec
-    theta: float = 5.0
-    clip: float = DEFAULT_CLIP
-
-    def __post_init__(self):
-        if not (0.0 < self.clip < 0.5):
-            raise DomainError("clip must lie in (0, 0.5)")
-        if not self.theta > 4.0:
-            raise DomainError("theta must exceed 4")
 
 
 def weighted_wiener_distance(w: WeightSpec, x, y):
@@ -53,12 +38,6 @@ def weighted_wiener_distance(w: WeightSpec, x, y):
     d2 = hi * hi * np.abs(y - x) + lo * (wx - wy) ** 2
     out = np.sqrt(d2)
     return float(out) if out.ndim == 0 else out
-
-
-def combined_metric(spec: MetricSpec, s, x, t, y):
-    """max of the level distance and the time pseudometric."""
-    return np.maximum(weighted_wiener_distance(spec.weight, x, y),
-                      rho_metric(s, t, spec.theta))
 
 
 def check_distance_monotone(w: WeightSpec,

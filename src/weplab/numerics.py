@@ -212,6 +212,7 @@ class QuadratureResult:
 # slowly varying factors) fail the deep probes and keep integrating.
 DIVERGENCE_WINDOW = 5
 DIVERGENCE_SLACK = 1e-3
+MAX_PANELS = 2000
 _PROBE_DEPTHS = (64, 256, 1024)
 
 _PANEL_ORDER = 20
@@ -255,34 +256,25 @@ def _adaptive_panel(f, lo: float, hi: float, tol: float, depth: int = 0) -> tupl
     return lv + rv, le + re
 
 
-def singular_quadrature(f: Callable[[np.ndarray], np.ndarray], b: float, tol: float,
-                        initial_splits: int = 1, max_panels: int = 2000) -> QuadratureResult:
+def singular_quadrature(f: Callable[[np.ndarray], np.ndarray], b: float,
+                        tol: float) -> QuadratureResult:
     """Integrate ``f`` over (0, b] with geometric refinement toward 0.
 
-    The domain is cut into dyadic panels (b/2, b], (b/4, b/2], ... which are
-    each integrated adaptively; the remaining tail is bounded geometrically
-    once contributions decay.  ``f`` must accept numpy arrays.  When the
-    innermost contributions fail to decay the result is flagged
-    non-convergent and carries the partial sum.
+    The domain is cut into at most ``MAX_PANELS`` dyadic panels (b/2, b],
+    (b/4, b/2], ... which are each integrated adaptively; the remaining tail
+    is bounded geometrically once contributions decay.  ``f`` must accept
+    numpy arrays.  When the innermost contributions fail to decay the result
+    is flagged non-convergent and carries the partial sum.
     """
     if not (b > 0.0) or not (tol > 0.0):
         raise DomainError("singular_quadrature requires b > 0 and tol > 0")
-    if initial_splits < 1:
-        raise DomainError("initial_splits must be at least 1")
     total = 0.0
     err = 0.0
     contribs: list[float] = []
     hi = float(b)
-    for j in range(max_panels):
+    for j in range(MAX_PANELS):
         lo = hi / 2.0
-        edges = np.linspace(lo, hi, initial_splits + 1)
-        panel_val = 0.0
-        panel_err = 0.0
-        budget = tol / (8.0 * (j + 1) * (j + 2) * initial_splits)
-        for s in range(initial_splits):
-            v, e = _adaptive_panel(f, float(edges[s]), float(edges[s + 1]), budget)
-            panel_val += v
-            panel_err += e
+        panel_val, panel_err = _adaptive_panel(f, lo, hi, tol / (8.0 * (j + 1) * (j + 2)))
         total += panel_val
         err += panel_err
         contribs.append(abs(panel_val))

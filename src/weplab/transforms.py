@@ -17,7 +17,7 @@ import numpy as np
 
 from . import parallel
 from .errors import DomainError, UnsupportedModelError
-from .numerics import ks_statistic_one_sample
+from .numerics import ks_statistic_one_sample, std_normal_cdf
 
 # Pass threshold coefficient for uniformity KS tests (roughly the 1% level).
 UNIFORMITY_KS_COEFF = 1.63
@@ -101,13 +101,10 @@ def uniform_df() -> DistFn:
     return DistFn(lambda x: np.clip(x, 0.0, 1.0), lambda n, rng: rng.random(n), name="uniform")
 
 
-def normal_df(scale: float = 1.0) -> DistFn:
-    """N(0, scale^2) distribution function, i.e. Phi(x / scale)."""
-    from .numerics import std_normal_cdf
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    return DistFn(lambda x: std_normal_cdf(np.asarray(x, dtype=float) / scale),
-                  lambda n, rng: scale * rng.standard_normal(n), name=f"normal({scale:g})")
+def normal_df() -> DistFn:
+    """N(0, 1) distribution function Phi."""
+    return DistFn(lambda x: std_normal_cdf(np.asarray(x, dtype=float)),
+                  lambda n, rng: rng.standard_normal(n), name="normal(1)")
 
 
 def point_mass(loc: float) -> DistFn:

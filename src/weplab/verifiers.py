@@ -288,18 +288,21 @@ def l_condition_estimate(model: ProcessModel, theta: float,
 # ---------------------------------------------------------------------------
 
 DEFAULT_ENVELOPE_LAMBDAS = (5.0, 10.0, 20.0)
+ENVELOPE_CROSS_CHECK_X0 = 1e-4
 
 
 def envelope_check(model: ProcessModel, w: WeightSpec,
                    lambdas: Sequence[float] = DEFAULT_ENVELOPE_LAMBDAS,
                    n: int = 200_000, seed: int = 0, grid: Optional[TimeGrid] = None,
-                   workers: int = 1, cross_check_x0: float = 1e-4) -> BoundReport:
+                   workers: int = 1) -> BoundReport:
     """Check that lambda^2 P(sup_t w(X_t) > lambda) trends down in lambda.
 
     The trend is required over the top three lambda values with a
     3-standard-error slack.  For the Brownian copula an analytic cross-check
-    bounds the low-tail part by the concentration envelope at x0.
+    bounds the low-tail part by the concentration envelope at
+    x0 = ``ENVELOPE_CROSS_CHECK_X0``.
     """
+    x0 = ENVELOPE_CROSS_CHECK_X0
     grid = grid or TimeGrid.uniform()
     lams = sorted(float(v) for v in lambdas)
     if len(lams) < 3:
@@ -311,7 +314,7 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
         wvals = w(vals)
         sup = wvals.max(axis=0)
         counts = np.array([np.count_nonzero(sup > lam) for lam in lams], dtype=np.int64)
-        lo = np.count_nonzero(vals.min(axis=0) <= cross_check_x0) if want_cross else 0
+        lo = np.count_nonzero(vals.min(axis=0) <= x0) if want_cross else 0
         return np.concatenate([counts, [lo]])
 
     counts = map_path_blocks(model, grid, n, seed, block_fn, workers)
@@ -330,12 +333,12 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
         stats = envelope_statistics(grid, min(n, 20_000), seed, workers=workers,
                                     stream=parallel.STREAM_CALIBRATION)
         p_lo = counts[-1] / n
-        lam0 = float(w(cross_check_x0))
-        arg = -std_normal_quantile(cross_check_x0) - stats.d_env
+        lam0 = float(w(x0))
+        arg = -std_normal_quantile(x0) - stats.d_env
         bound = lam0 * lam0 * math.sqrt(2.0 * math.pi) * std_normal_pdf(arg)
         est = lam0 * lam0 * p_lo
         se = lam0 * lam0 * _freq_stderr(p_lo, n)
-        rows.append(ProbeResult({"cross_check_x0": cross_check_x0, "lambda": lam0,
+        rows.append(ProbeResult({"cross_check_x0": x0, "lambda": lam0,
                                  "d_env": stats.d_env},
                                 est, se, bound, est / bound if bound > 0 else None,
                                 est <= bound + MC_SIGMA * se))
@@ -400,8 +403,8 @@ def weight_drift_sampled_check(w: WeightSpec, seed: int = 0) -> BoundReport:
                               parallel.STREAM_WEIGHT_DRIFT, 2, ordered=False)
 
 
-DEFAULT_SLOWLY_VARYING_LAMBDAS = (0.5, 2.0, 10.0)
-DEFAULT_SLOWLY_VARYING_X = (1e-8, 1e-16, 1e-30)
+SLOWLY_VARYING_LAMBDAS = (0.5, 2.0, 10.0)
+SLOWLY_VARYING_X = (1e-8, 1e-16, 1e-30)  # marching toward 0
 # |ratio - 1| caps at the final probe: the exp-sqrt-log family approaches 1
 # at rate c|ln lambda| / (2 sqrt(ln(1/x))), so wide lambdas get a wider cap.
 SLOWLY_VARYING_TIGHT_TOL = 0.05
@@ -410,22 +413,16 @@ SLOWLY_VARYING_TAIL_EXPONENT = 0.2
 SLOWLY_VARYING_TAIL_TOL = 1e-2
 
 
-def slowly_varying_check(w: WeightSpec,
-                         lambdas: Sequence[float] = DEFAULT_SLOWLY_VARYING_LAMBDAS,
-                         x_values: Sequence[float] = DEFAULT_SLOWLY_VARYING_X,
-                         gamma_exp: float = SLOWLY_VARYING_TAIL_EXPONENT) -> BoundReport:
+def slowly_varying_check(w: WeightSpec) -> BoundReport:
     """Finite-sample check that the slowly varying factor is slowly varying.
 
     Ratios L(lambda x)/L(x) must approach 1 monotonically along the probe
     sequence and land within a per-lambda cap; x^gamma L(x) must decrease to
     below the tail cap.  Caps are configuration, documented above.
     """
-    xs = sorted((float(v) for v in x_values), reverse=True)  # marching toward 0
+    xs, gamma_exp = SLOWLY_VARYING_X, SLOWLY_VARYING_TAIL_EXPONENT
     rows = []
-    for lam in lambdas:
-        lam = float(lam)
-        if lam <= 0.0:
-            raise DomainError("lambda values must be positive")
+    for lam in SLOWLY_VARYING_LAMBDAS:
         devs = []
         for x in xs:
             ratio = float(slowly_varying_eval(w, lam * x) / slowly_varying_eval(w, x))
@@ -652,13 +649,13 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
 # ---------------------------------------------------------------------------
 
 DEFAULT_CHAINING_PROBES = ((1.5, 0.6, 0.02, 0.2), (1.5, 0.7, 0.05, 0.24))
+CHAINING_LEVEL_COUNT = 64
 
 
 def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
                       probes: Sequence[tuple[float, float, float, float]] = DEFAULT_CHAINING_PROBES,
                       n: int = 100_000, seed: int = 0, grid: Optional[TimeGrid] = None,
-                      l_hat: Optional[float] = None, level_count: int = 64,
-                      workers: int = 1) -> BoundReport:
+                      l_hat: Optional[float] = None, workers: int = 1) -> BoundReport:
     """Level-interval crossing frequency against the dyadic chaining bound.
 
     Probes are (t, eps, a, b) with b inside the weight's monotone window.
@@ -676,7 +673,7 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
         if not (0.0 < a < b < w.gamma):
             raise DomainError("need 0 < a < b < gamma for every probe")
     balls = [(grid.index_of(t), grid.ball_indices(t, eps ** theta)) for t, eps, _a, _b in probes]
-    prepared = [(it, ball, np.linspace(a, b, level_count + 1)[1:])  # grid levels in (a, b]
+    prepared = [(it, ball, np.linspace(a, b, CHAINING_LEVEL_COUNT + 1)[1:])  # levels in (a, b]
                 for (it, ball), (_t, _e, a, b) in zip(balls, probes) if ball.size > 1]
     evaluated, l_hat_coords = len(prepared), {"stat": "l_hat"}
     if l_hat is None:

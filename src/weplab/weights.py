@@ -98,7 +98,7 @@ class WeightSpec:
         if not (0.0 < self.gamma <= 0.5):
             raise DomainError("gamma must lie in (0, 1/2]")
         if not self.unchecked:
-            report = validate_monotonicity(self, VALIDATION_POINTS)
+            report = validate_monotonicity(self)
             if not report.passed:
                 raise DomainError(
                     f"weight violates the monotonicity window at {report.violation}")
@@ -148,15 +148,13 @@ def slowly_varying_eval(w: WeightSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def validate_monotonicity(w: WeightSpec, grid_points: int = VALIDATION_POINTS) -> MonotonicityReport:
+def validate_monotonicity(w: WeightSpec) -> MonotonicityReport:
     """Check w non-increasing and x w(x)^2 non-decreasing on (0, gamma).
 
-    Uses a geometric grid on (gamma * 1e-8, gamma); returns the first
-    violating pair instead of raising.
+    Uses a geometric grid of ``VALIDATION_POINTS`` on (gamma * 1e-8, gamma);
+    returns the first violating pair instead of raising.
     """
-    if grid_points < 2:
-        raise DomainError("grid must have at least 2 points")
-    xs = np.geomspace(w.gamma * 1e-8, w.gamma, grid_points)
+    xs = np.geomspace(w.gamma * 1e-8, w.gamma, VALIDATION_POINTS)
     # fold manually: the grid lies below 1/2 already
     wv = w._base(xs)
     xw2 = xs * wv * wv

@@ -1,4 +1,4 @@
-"""Level metric, combined metric, and the Gaussian limit model."""
+"""Level metric and the Gaussian limit model."""
 
 import math
 
@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weplab.errors import DomainError, IndefiniteCovarianceError
-from weplab.limits import (LimitModel, MetricSpec, _factor_with_jitter, build_limit_model,
-                           check_distance_monotone, combined_metric,
-                           dg0_upper_bound_check, sample_limit_field,
+from weplab.limits import (LimitModel, _factor_with_jitter, build_limit_model,
+                           check_distance_monotone, dg0_upper_bound_check, sample_limit_field,
                            weight_drift_check, weighted_wiener_distance)
-from weplab.models import parse_model, rho_metric
+from weplab.models import parse_model
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -76,26 +75,6 @@ class TestWeightDrift:
         rng = np.random.default_rng(PINNED_SEED)
         pairs = rng.uniform(1e-5, w_quarter.gamma, (1000, 2))
         assert weight_drift_check(w_quarter, [tuple(p) for p in pairs]) is None
-
-
-class TestCombinedMetric:
-    def test_dominated_by_gaussian_distance(self):
-        spec = MetricSpec(w_quarter, theta=5.0)
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            s, t = rng.uniform(1, 2, 2)
-            x, y = rng.uniform(0.01, 0.99, 2)
-            e = float(combined_metric(spec, s, x, t, y))
-            d = weighted_wiener_distance(w_quarter, x, y)
-            r = rho_metric(s, t, 5.0)
-            assert e <= math.sqrt(d * d + r * r) + 1e-12
-            assert math.sqrt(d * d + r * r) <= d + r + 1e-12
-
-    def test_clip_domain(self):
-        with pytest.raises(DomainError):
-            MetricSpec(w_quarter, clip=0.6)
-        with pytest.raises(DomainError):
-            MetricSpec(w_quarter, theta=float("nan"))
 
 
 class TestLimitModel:

@@ -346,12 +346,6 @@ class TestSingularQuadrature:
         assert not res.converged
         assert res.value > 0.0
 
-    def test_split_invariance(self):
-        tol = 1e-9
-        a = singular_quadrature(lambda s: np.exp(-1.0 / s) / s, 0.5, tol)
-        b = singular_quadrature(lambda s: np.exp(-1.0 / s) / s, 0.5, tol, initial_splits=4)
-        assert abs(a.value - b.value) <= 10 * tol
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_integrand_returns_promptly(self, bad):
         # a non-finite panel error never meets the tolerance; it must not

@@ -97,10 +97,6 @@ class TestValidation:
         assert w.gamma < 0.25
         assert validate_monotonicity(w).passed
 
-    def test_grid_domain(self):
-        with pytest.raises(DomainError):
-            validate_monotonicity(parse_weight("const:1"), grid_points=1)
-
 
 class TestIntegralCondition:
     def test_constant_weight_value(self):
