@@ -44,30 +44,39 @@ from .verifiers import (borell_check, chaining_ab_check, clt_covariance_converge
 from .weights import WeightSpec, parse_weight
 
 
+def _option(default, help: str):
+    """A ``RunConfig`` field: its default and the help text of its flag."""
+    return dataclasses.field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters; serialized verbatim into manifests."""
+    """Fully resolved run parameters; serialized verbatim into manifests.
 
-    model: Optional[str] = None
-    weight: str = "const:1"
-    gamma: Optional[float] = None
-    unchecked: bool = False
-    a: float = 1.0
-    b: float = 2.0
-    time_points: int = 129
-    level_points: int = 33
-    clip: float = 1e-3
-    theta: float = 5.0
-    n: int = 10_000
-    reps: int = 2000
-    seed: int = 0
-    workers: int = 0          # 0 means: use WEPLAB_WORKERS or 1
-    t: float = 1.5
-    y: float = 0.3
-    n_list: str = "1000,100000"
-    times: str = "1,1.25,1.5,2"
-    levels: str = "0.2,0.4,0.5,0.8"
-    c_values: str = "0.25,1,4"
+    Each field is one shared flag (``--time-points`` for ``time_points``) and
+    one config-file key; ``_coerce`` parses it from every source.
+    """
+
+    model: Optional[str] = _option(None, "bm-copula | dependent | iid-time | atomic:<mass>@<loc>")
+    weight: str = _option("const:1", "const:<v> | pow:<a>[:logpow:<b>|:expsqrt:<c>]")
+    gamma: Optional[float] = _option(None, "monotonicity window override")
+    unchecked: bool = _option(False, "skip weight validation (negative tests)")
+    a: float = _option(1.0, "grid start (> 0)")
+    b: float = _option(2.0, "grid end")
+    time_points: int = _option(129, "equispaced grid times, a to b")
+    level_points: int = _option(33, "equispaced field levels, clip to 1 - clip (simulate)")
+    clip: float = _option(1e-3, "level clip delta")
+    theta: float = _option(5.0, "time metric exponent (> 4)")
+    n: int = _option(10_000, "paths per run")
+    reps: int = _option(2000, "replications")
+    seed: int = _option(0, "base seed of every stream")
+    workers: int = _option(0, "worker count (default $WEPLAB_WORKERS or 1)")
+    t: float = _option(1.5, "probe time")
+    y: float = _option(0.3, "probe level")
+    n_list: str = _option("1000,100000", "comma list of sample sizes (clt cov)")
+    times: str = _option("1,1.25,1.5,2", "comma list of probe times")
+    levels: str = _option("0.2,0.4,0.5,0.8", "comma list of probe levels")
+    c_values: str = _option("0.25,1,4", "comma list of integral constants")
 
     def __post_init__(self):
         for name, raw in dataclasses.asdict(self).items():
@@ -117,8 +126,12 @@ _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
-    """Read a flat key-value file with sections; unknown keys are rejected."""
-    parser = configparser.ConfigParser()
+    """Read a flat key-value file with sections; unknown keys are rejected.
+
+    Values are literal text (no ``%`` interpolation), and ``[DEFAULT]`` is a
+    section like any other: no header can name the empty default section.
+    """
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -258,28 +271,11 @@ def write_manifest(path: str, command: str, sub: Optional[str], cfg: RunConfig,
 # ---------------------------------------------------------------------------
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """``--config`` and one flag per ``RunConfig`` field, each read as text for ``_coerce``."""
     p.add_argument("--config", help="key-value config file; flags win")
-    p.add_argument("--model", help="bm-copula | dependent | iid-time | atomic:<mass>@<loc>")
-    p.add_argument("--weight", help="const:<v> | pow:<a>[:logpow:<b>|:expsqrt:<c>]")
-    p.add_argument("--gamma", type=float, help="monotonicity window override")
-    p.add_argument("--unchecked", action="store_const", const=True, default=None,
-                   help="skip weight validation (negative tests)")
-    p.add_argument("--a", type=float, help="grid start (> 0)")
-    p.add_argument("--b", type=float, help="grid end")
-    p.add_argument("--time-points", dest="time_points", type=int)
-    p.add_argument("--level-points", dest="level_points", type=int)
-    p.add_argument("--clip", type=float, help="level clip delta")
-    p.add_argument("--theta", type=float, help="time metric exponent (> 4)")
-    p.add_argument("--n", type=int, help="paths per run")
-    p.add_argument("--reps", type=int, help="replications")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, help="worker count (default $WEPLAB_WORKERS or 1)")
-    p.add_argument("--t", type=float, help="probe time")
-    p.add_argument("--y", type=float, help="probe level")
-    p.add_argument("--n-list", dest="n_list", help="comma list of sample sizes (clt cov)")
-    p.add_argument("--times", help="comma list of probe times")
-    p.add_argument("--levels", help="comma list of probe levels")
-    p.add_argument("--c-values", dest="c_values", help="comma list of integral constants")
+    for name, f in _CONFIG_FIELDS.items():
+        bare = {"action": "store_const", "const": True} if f.type == "bool" else {}
+        p.add_argument(f"--{name.replace('_', '-')}", help=f.metadata["help"], **bare)
 
 
 def build_parser() -> argparse.ArgumentParser:

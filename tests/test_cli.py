@@ -1,18 +1,22 @@
 """Command-line behavior: exit codes, determinism, manifests, config files."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weplab.cli import CHECKS, RunConfig, main, write_csv
+from weplab.cli import CHECKS, CLT, RunConfig, build_parser, main, resolve_config, write_csv
 from weplab.errors import ConfigError
 from weplab.models import TimeGrid, parse_model
 from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
@@ -67,6 +71,11 @@ class TestExitCodes:
         ("unchecked = banana", "bad value for --unchecked"),
         ("n = 3000.5", "bad value for --n"),
         ("seed = 1e3", "bad value for --seed"),
+        # values are literal: the weight is the text %(n)s, not n's value
+        ("weight = const:1%", "'const:1%'"),
+        ("n = 5\nweight = %(n)s", "'%(n)s'"),
+        # [DEFAULT] is a section like any other
+        ("n = 100\n[DEFAULT]\nn = 200", "duplicate config key 'n'"),
     ])
     def test_bad_config_file_is_two(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "bad.ini"
@@ -151,6 +160,8 @@ class TestExitCodes:
         (("clt", "cov", "--model", "bm-copula", "--reps", "0"), "--reps"),
         (("verify", "slowly-varying", "--theta", "nan"), "--theta"),
         (("verify", "slowly-varying", "--gamma", "inf"), "--gamma"),
+        # flags are parsed by RunConfig, as config files and manifests are
+        (("verify", "wl", "--n", "3000.5"), "weplab: error: bad value for --n"),
     ])
     def test_config_out_of_range_names_the_flag(self, tmp_path, capsys, argv, named):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
@@ -466,6 +477,62 @@ class TestConfigFile:
         header = out.read_text().split("\n")[1]
         assert "n=7" in header and "model=dependent" in header
 
+    @pytest.mark.parametrize("text,expected", [
+        ("[DEFAULT]\nn = 123\n", {"n": 123}),
+        ("[DEFAULT]\nseed = 3\n[sampling]\nn = 100\n[grid]\ntime-points = 9\n",
+         {"seed": 3, "n": 100, "time_points": 9}),
+    ])
+    def test_default_is_a_section_like_any_other(self, tmp_path, text, expected):
+        cfg, manifest = tmp_path / "cfg.ini", tmp_path / "m.json"
+        cfg.write_text(text)
+        assert run_cli("verify", "slowly-varying", "--config", str(cfg), "--out",
+                       str(tmp_path / "r.json"), "--manifest", str(manifest)) == 0
+        config = json.loads(manifest.read_text())["config"]
+        assert {k: config[k] for k in expected} == expected
+
+
+def _shared_flag_actions(command):
+    """The actions of one subcommand's parser, by destination."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+# one valid, non-default value per RunConfig field, as typed
+FIELD_TEXT = {"model": "iid-time", "weight": "pow:0.25", "gamma": "0.2", "unchecked": "true",
+              "a": "1.5", "b": "3", "time_points": "17", "level_points": "9", "clip": "0.01",
+              "theta": "6.5", "n": "500", "reps": "40", "seed": "7", "workers": "1",
+              "t": "1.25", "y": "0.4", "n_list": "100,200", "times": "1,2", "levels": "0.3",
+              "c_values": "1,2"}
+
+
+class TestGeneratedFlags:
+    @pytest.mark.parametrize("command", ["simulate", "verify", "clt"])
+    def test_every_field_has_one_flag_with_help(self, command):
+        actions = _shared_flag_actions(command)
+        for f in dataclasses.fields(RunConfig):
+            action = actions[f.name]
+            assert action.option_strings == [f"--{f.name.replace('_', '-')}"]
+            # RunConfig parses every value: argparse hands over text (or True)
+            assert action.type is None and action.help
+        written_by_hand = set(actions) - {f.name for f in dataclasses.fields(RunConfig)}
+        assert written_by_hand <= {"help", "config", "out", "csv", "manifest", "check", "mode"}
+
+    def test_flag_config_file_and_manifest_agree(self, tmp_path):
+        assert set(FIELD_TEXT) == {f.name for f in dataclasses.fields(RunConfig)}
+        flags = [arg for name, text in FIELD_TEXT.items() if name != "unchecked"
+                 for arg in (f"--{name.replace('_', '-')}", text)]
+        typed = resolve_config(build_parser().parse_args(["simulate", *flags, "--unchecked"]))
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in FIELD_TEXT.items()))
+        from_file = resolve_config(build_parser().parse_args(["simulate", "--config", str(cfg)]))
+        manifest = tmp_path / "m.json"
+        assert run_cli("verify", "slowly-varying", "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json"), "--manifest", str(manifest)) == 0
+        replayed = RunConfig(**json.loads(manifest.read_text())["config"])
+        assert typed == from_file == replayed
+        defaults = RunConfig()
+        assert all(getattr(typed, name) != getattr(defaults, name) for name in FIELD_TEXT)
+
 
 CONFIG_FIELDS = dataclasses.fields(RunConfig)
 DECLARED = {"int": int, "float": float, "bool": bool, "str": str}
@@ -487,6 +554,79 @@ class TestConfigSpace:
             optional = f.type.startswith("Optional[")
             declared = DECLARED[f.type.removeprefix("Optional[").removesuffix("]")]
             assert (optional and value is None) or type(value) is declared, (f.name, value)
+
+
+# in-range values of every RunConfig option, at tiny sizes (clt marginal draws its
+# own reps); "true" for unchecked is the bare flag
+IN_RANGE = {
+    "model": st.sampled_from(["bm-copula", "dependent", "iid-time", "atomic:0.5@0.5"]),
+    "weight": st.sampled_from(["const:1", "pow:0.25", "pow:0.3:logpow:1", "pow:0.2:expsqrt:0.5"]),
+    "gamma": st.sampled_from(["0.1", "0.2"]),
+    "unchecked": st.sampled_from(["true", "false"]),
+    "a": st.sampled_from(["1", "1.5"]),
+    "b": st.sampled_from(["2", "3"]),
+    "time_points": st.integers(2, 9).map(str),
+    "level_points": st.integers(1, 9).map(str),
+    "clip": st.sampled_from(["0.001", "0.1", "0.3"]),
+    "theta": st.sampled_from(["5", "6.5"]),
+    "n": st.integers(1, 200).map(str),
+    "reps": st.integers(4, 40).map(str),
+    "seed": st.integers(0, 2 ** 32).map(str),
+    # every worker is a thread: never more than two
+    "workers": st.sampled_from(["1", "2"]),
+    "t": st.sampled_from(["1", "1.5", "2"]),
+    "y": st.sampled_from(["0.1", "0.3", "0.5"]),
+    "n_list": st.sampled_from(["50,100", "100,200"]),
+    "times": st.sampled_from(["1,1.5", "1,1.25,1.5,2"]),
+    "levels": st.sampled_from(["0.3", "0.2,0.5"]),
+    "c_values": st.sampled_from(["1", "0.25,1,4"]),
+}
+OUT_OF_RANGE = st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "-inf", "abc", "1%", "%(n)s"])
+COMMANDS = ([("simulate",)] + [("clt", mode) for mode in sorted(CLT)]
+            + [("verify", check) for check in sorted(CHECKS)])
+
+
+@st.composite
+def whole_commands(draw):
+    """argv and config-file lines: every option in range but at most two, each
+    typed as a flag or read from the config file."""
+    command = draw(st.sampled_from(COMMANDS))
+    values = {name: draw(strategy) for name, strategy in IN_RANGE.items()}
+    if command == ("clt", "marginal"):
+        values["reps"] = str(draw(st.integers(500, 600)))
+    values.update(draw(st.dictionaries(st.sampled_from(sorted(IN_RANGE)), OUT_OF_RANGE,
+                                       max_size=2)))
+    in_file = draw(st.sets(st.sampled_from(sorted(values))))
+    argv, lines = list(command), []
+    for name, text in values.items():
+        if name in in_file or (name == "unchecked" and text != "true"):
+            lines.append(f"{name} = {text}")
+        elif name == "unchecked":
+            argv.append("--unchecked")
+        else:
+            argv += [f"--{name.replace('_', '-')}", text]
+    return argv, lines
+
+
+class TestExitContract:
+    @pytest.mark.filterwarnings("ignore:.*skipped")
+    @given(whole_commands())
+    @settings(max_examples=150, deadline=None)
+    def test_every_command_exits_zero_one_or_two(self, drawn):
+        argv, lines = drawn
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            cfg = Path(tmp, "cfg.ini")
+            cfg.write_text("[run]\n" + "".join(f"{line}\n" for line in lines))
+            try:
+                code = main([*argv, "--config", str(cfg), "--out", str(Path(tmp, "out")),
+                             *(["--csv", str(Path(tmp, "r.csv"))] if argv[0] == "clt" else [])])
+            except SystemExit as exc:  # argparse: "--n -inf" reads as a missing value
+                assert exc.code == 2
+                assert re.search(r"^weplab \w+: error: ", err.getvalue(), re.M)
+                return
+        assert code in (0, 1, 2)
+        assert code != 2 or err.getvalue().startswith("weplab: error: ")
 
 
 class TestCltCommand:
