@@ -41,7 +41,10 @@ from .verifiers import (borell_check, chaining_ab_check, clt_covariance_converge
                         envelope_check, integral_check, l_condition_estimate, lemma_l_check,
                         lemma_m_check, monotone_d_check, prop_d1_d2_check, slowly_varying_check,
                         weight_drift_sampled_check, wl_estimate)
-from .weights import WeightSpec, parse_weight
+from .weights import parse_weight
+
+
+MAX_TIME_POINTS = 1_000_000    # RunConfig builds the grid: 8 MB at most
 
 
 def _option(default, help: str):
@@ -54,7 +57,9 @@ class RunConfig:
     """Fully resolved run parameters; serialized verbatim into manifests.
 
     Each field is one shared flag (``--time-points`` for ``time_points``) and
-    one config-file key; ``_coerce`` parses it from every source.
+    one config-file key; ``_coerce`` parses it from every source.  It also
+    builds every library input (``parsed_weight``, ``parsed_model``, ``time_grid``,
+    the ``*_list`` comma lists and ``worker_count``) as attributes, not fields.
     """
 
     model: Optional[str] = _option(None, "bm-copula | dependent | iid-time | atomic:<mass>@<loc>")
@@ -84,42 +89,26 @@ class RunConfig:
             setattr(self, name, value)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{name.replace('_', '-')} must be finite")
-        if (self.n < 1 or self.time_points < 2 or self.level_points < 1 or self.reps < 1
-                or self.workers < 0 or self.seed < 0 or not 0.0 < self.clip < 0.5):
-            raise ConfigError("need --n >= 1, --time-points >= 2, --level-points >= 1, "
-                              "--reps >= 1, --workers >= 0, --seed >= 0 and --clip in (0, 0.5)")
-        if self.workers == 0:
-            parallel.default_workers()
-
-    def resolved_workers(self) -> int:
-        return self.workers if self.workers > 0 else parallel.default_workers()
-
-    def grid(self) -> TimeGrid:
-        return TimeGrid.uniform(self.a, self.b, self.time_points)
-
-    def weight_spec(self) -> WeightSpec:
-        return parse_weight(self.weight, gamma=self.gamma, unchecked=self.unchecked)
+        if (self.n < 1 or not 2 <= self.time_points <= MAX_TIME_POINTS or self.level_points < 1
+                or self.reps < 1 or self.workers < 0 or self.seed < 0 or not 0 < self.clip < 0.5):
+            raise ConfigError(f"need --n >= 1, --time-points in [2, {MAX_TIME_POINTS}], "
+                              "--level-points >= 1, --reps >= 1, --workers >= 0, --seed >= 0 "
+                              "and --clip in (0, 0.5)")
+        try:
+            self.parsed_weight = parse_weight(self.weight, self.gamma, self.unchecked)
+            self.parsed_model = None if self.model is None else parse_model(self.model)
+            self.time_grid = TimeGrid.uniform(self.a, self.b, self.time_points)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+        self.time_list, self.level_list, self.c_list = (
+            _number_list(name, getattr(self, name)) for name in ("times", "levels", "c_values"))
+        self.size_list = _number_list("n_list", self.n_list, int)
+        self.worker_count = self.workers or parallel.default_workers()
 
     def model_spec(self) -> ProcessModel:
-        if self.model is None:
+        if self.parsed_model is None:
             raise ConfigError("--model is required for this command")
-        return parse_model(self.model)
-
-    def float_list(self, name: str) -> list[float]:
-        raw = getattr(self, name)
-        try:
-            values = [float(v) for v in str(raw).split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric list for {name}: {raw!r}") from exc
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"non-finite value in {name}: {raw!r}")
-        return values
-
-    def int_list(self, name: str) -> list[int]:
-        values = self.float_list(name)
-        if not all(v.is_integer() for v in values):
-            raise ConfigError(f"bad integer list for {name}: {getattr(self, name)!r}")
-        return [int(v) for v in values]
+        return self.parsed_model
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -173,6 +162,18 @@ def _coerce(name: str, raw):
     return raw
 
 
+def _number_list(name: str, raw: str, kind=float) -> list:
+    """A comma list option as finite numbers of ``kind``."""
+    try:
+        values = [float(v) for v in raw.split(",") if v.strip()]
+        if all(math.isfinite(v) and kind(v) == v for v in values):
+            return [kind(v) for v in values]
+    except ValueError:
+        pass
+    raise ConfigError(f"--{name.replace('_', '-')} needs a comma list of finite "
+                      f"{'integers' if kind is int else 'numbers'}, not {raw!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """defaults < config file < explicit flags; ``RunConfig`` coerces them all."""
     values = load_config_file(args.config) if getattr(args, "config", None) else {}
@@ -187,46 +188,44 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _sampling(cfg: RunConfig) -> dict:
     """Keyword arguments shared by the Monte Carlo checks."""
-    return {"n": cfg.n, "seed": cfg.seed, "grid": cfg.grid(),
-            "workers": cfg.resolved_workers()}
+    return {"n": cfg.n, "seed": cfg.seed, "grid": cfg.time_grid, "workers": cfg.worker_count}
 
 
 CHECKS = {
-    "wl": lambda cfg: wl_estimate(cfg.model_spec(), cfg.weight_spec(), cfg.theta,
+    "wl": lambda cfg: wl_estimate(cfg.model_spec(), cfg.parsed_weight, cfg.theta,
                                   **_sampling(cfg)),
     "l-cond": lambda cfg: l_condition_estimate(cfg.model_spec(), cfg.theta,
                                                [(cfg.t, e) for e in (0.55, 0.7, 1.1)],
                                                **_sampling(cfg)),
-    "integral": lambda cfg: integral_check(cfg.weight_spec(), cfg.float_list("c_values"),
-                                           cfg.seed),
-    "dyadic": lambda cfg: dyadic_check(cfg.weight_spec(), cfg.seed),
-    "envelope": lambda cfg: envelope_check(cfg.model_spec(), cfg.weight_spec(),
+    "integral": lambda cfg: integral_check(cfg.parsed_weight, cfg.c_list, cfg.seed),
+    "dyadic": lambda cfg: dyadic_check(cfg.parsed_weight, cfg.seed),
+    "envelope": lambda cfg: envelope_check(cfg.model_spec(), cfg.parsed_weight,
                                            **_sampling(cfg)),
     "borell": lambda cfg: borell_check(**_sampling(cfg)),
-    "slowly-varying": lambda cfg: slowly_varying_check(cfg.weight_spec()),
+    "slowly-varying": lambda cfg: slowly_varying_check(cfg.parsed_weight),
     "lemma-m": lambda cfg: lemma_m_check(**_sampling(cfg)),
     "lemma-l": lambda cfg: lemma_l_check(**_sampling(cfg)),
     "d1": lambda cfg: prop_d1_d2_check(events=("d1",), **_sampling(cfg)),
     "d2": lambda cfg: prop_d1_d2_check(events=("d2",), **_sampling(cfg)),
-    "chaining-ab": lambda cfg: chaining_ab_check(cfg.model_spec(), cfg.weight_spec(),
+    "chaining-ab": lambda cfg: chaining_ab_check(cfg.model_spec(), cfg.parsed_weight,
                                                  cfg.theta, **_sampling(cfg)),
-    "monotone-d": lambda cfg: monotone_d_check(cfg.weight_spec(), cfg.seed),
-    "dg0-upper": lambda cfg: dg0_upper_check(cfg.model_spec(), cfg.weight_spec(), cfg.theta,
+    "monotone-d": lambda cfg: monotone_d_check(cfg.parsed_weight, cfg.seed),
+    "dg0-upper": lambda cfg: dg0_upper_check(cfg.model_spec(), cfg.parsed_weight, cfg.theta,
                                              **_sampling(cfg)),
-    "weight-drift": lambda cfg: weight_drift_sampled_check(cfg.weight_spec(), cfg.seed),
+    "weight-drift": lambda cfg: weight_drift_sampled_check(cfg.parsed_weight, cfg.seed),
 }
 
 
 CLT = {
-    "marginal": lambda cfg: clt_marginal_test(cfg.model_spec(), cfg.weight_spec(), cfg.t, cfg.y,
-                                              cfg.n, cfg.reps, cfg.seed, cfg.resolved_workers()),
+    "marginal": lambda cfg: clt_marginal_test(cfg.model_spec(), cfg.parsed_weight, cfg.t, cfg.y,
+                                              cfg.n, cfg.reps, cfg.seed, cfg.worker_count),
     "cov": lambda cfg: clt_covariance_convergence(
-        cfg.model_spec(), cfg.weight_spec(),
-        [(t, y) for t in cfg.float_list("times") for y in cfg.float_list("levels")],
-        cfg.int_list("n_list"), cfg.reps, cfg.seed, workers=cfg.resolved_workers()),
-    "sup": lambda cfg: clt_sup_comparison(cfg.model_spec(), cfg.weight_spec(),
-                                          cfg.float_list("times"), cfg.float_list("levels"),
-                                          cfg.n, cfg.reps, cfg.seed, cfg.resolved_workers()),
+        cfg.model_spec(), cfg.parsed_weight,
+        [(t, y) for t in cfg.time_list for y in cfg.level_list], cfg.size_list, cfg.reps,
+        cfg.seed, workers=cfg.worker_count),
+    "sup": lambda cfg: clt_sup_comparison(cfg.model_spec(), cfg.parsed_weight,
+                                          cfg.time_list, cfg.level_list,
+                                          cfg.n, cfg.reps, cfg.seed, cfg.worker_count),
 }
 
 
@@ -278,8 +277,15 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name.replace('_', '-')}", help=f.metadata["help"], **bare)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take ``main``'s one exit-2 path."""
+
+    def error(self, message):
+        raise ConfigError(f"{message} (see '{self.prog} --help')")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="weplab",
         description="simulate weighted empirical fields and verify their limit bounds")
     p.add_argument("--version", action="version", version=f"weplab {__version__}")
@@ -310,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _simulate(cfg: RunConfig, out: str) -> int:
     levels = np.linspace(cfg.clip, 1.0 - cfg.clip, cfg.level_points)
-    field = evaluate_field_streaming(cfg.model_spec(), cfg.grid(), levels, cfg.weight_spec(),
-                                     cfg.n, cfg.seed, clip=cfg.clip,
-                                     workers=cfg.resolved_workers())
+    field = evaluate_field_streaming(cfg.model_spec(), cfg.time_grid, levels, cfg.parsed_weight,
+                                     cfg.n, cfg.seed, clip=cfg.clip, workers=cfg.worker_count)
     export_field_csv(field, out)
     return 0
 
@@ -357,8 +362,8 @@ def _rerun(manifest_path: str) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "rerun":
             return _rerun(args.manifest)
         cfg = resolve_config(args)

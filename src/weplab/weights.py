@@ -27,9 +27,10 @@ SV_LOGPOW = "logpow"
 SV_EXPSQRT = "expsqrt"
 SV_KINDS = (SV_CONST, SV_LOGPOW, SV_EXPSQRT)
 
-# Validation grid: geometric, cheap, catches every violation the closed
-# family can produce.
+# Validation grid: geometric on (gamma * VALIDATION_SPAN, gamma), cheap,
+# catches every violation the closed family can produce.
 VALIDATION_POINTS = 512
+VALIDATION_SPAN = 1e-8
 
 
 def _auto_gamma(alpha: float, sv_kind: str, sv_param: float) -> float:
@@ -98,6 +99,8 @@ class WeightSpec:
         if not (0.0 < self.gamma <= 0.5):
             raise DomainError("gamma must lie in (0, 1/2]")
         if not self.unchecked:
+            if self.gamma * VALIDATION_SPAN < np.finfo(float).tiny:
+                raise DomainError(f"gamma {self.gamma!r} is too small for the validation grid")
             report = validate_monotonicity(self)
             if not report.passed:
                 raise DomainError(
@@ -151,10 +154,10 @@ def slowly_varying_eval(w: WeightSpec, x):
 def validate_monotonicity(w: WeightSpec) -> MonotonicityReport:
     """Check w non-increasing and x w(x)^2 non-decreasing on (0, gamma).
 
-    Uses a geometric grid of ``VALIDATION_POINTS`` on (gamma * 1e-8, gamma);
+    Uses a geometric grid of ``VALIDATION_POINTS`` on (gamma * VALIDATION_SPAN, gamma);
     returns the first violating pair instead of raising.
     """
-    xs = np.geomspace(w.gamma * 1e-8, w.gamma, VALIDATION_POINTS)
+    xs = np.geomspace(w.gamma * VALIDATION_SPAN, w.gamma, VALIDATION_POINTS)
     # fold manually: the grid lies below 1/2 already
     wv = w._base(xs)
     xw2 = xs * wv * wv

@@ -78,8 +78,8 @@ def test_clt_sup_digest(tmp_path, lattice):
 @pytest.mark.parametrize("spec", sorted(COVARIANCE_TARGET_DIGESTS))
 def test_clt_cov_target_digest(spec):
     cfg = RunConfig(weight="pow:0.25")
-    cells = [(t, y) for t in cfg.float_list("times") for y in cfg.float_list("levels")]
-    target = _covariance_target(parse_model(spec), cells, cfg.weight_spec())
+    cells = [(t, y) for t in cfg.time_list for y in cfg.level_list]
+    target = _covariance_target(parse_model(spec), cells, cfg.parsed_weight)
     assert hashlib.sha256(target.tobytes()).hexdigest() == COVARIANCE_TARGET_DIGESTS[spec]
 
 
