@@ -31,11 +31,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import parallel
 from .errors import DomainError
-from .numerics import bvn_cdf, std_normal_quantile
+from .numerics import bvn_cdf, ndtr, ndtri, std_normal_quantile
 from .transforms import dist_transform, uniform_atom_mixture
 
 BM_COPULA = "bm-copula"
@@ -140,9 +139,11 @@ def parse_model(text: str) -> ProcessModel:
         body = raw[len("atomic:"):]
         try:
             mass_s, loc_s = body.split("@")
-            return ProcessModel(ATOMIC, float(mass_s), float(loc_s))
+            mass, loc = float(mass_s), float(loc_s)
         except ValueError as exc:
             raise DomainError(f"bad atomic model spec {text!r}") from exc
+        # built outside the try, so its own DomainError (a ValueError) names the real problem
+        return ProcessModel(ATOMIC, mass, loc)
     raise DomainError(f"unrecognized model spec {text!r}")
 
 
@@ -226,8 +227,7 @@ def to_uniform(model: ProcessModel, block: np.ndarray) -> np.ndarray:
     """
     if model.kind != BM_COPULA:
         return block
-    special.ndtr(block, out=block)
-    return np.clip(block, _OPEN_LO, _OPEN_HI, out=block)
+    return np.clip(ndtr(block), _OPEN_LO, _OPEN_HI, out=block)
 
 
 def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
@@ -317,11 +317,12 @@ def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
     return parallel.tree_reduce(parallel.map_blocks(job, n, workers), operator.add)
 
 
-# Half-width of a bm-copula level's score band, relative in u.  scipy's ndtr
-# and ndtri are accurate to far better than this (within 4e-13 relative above
-# _BAND_FLOOR and 1.4e-16 absolute near 1, against mpmath), so a score outside
-# the band cannot compare differently after clip(ndtr(score)).  Below _BAND_FLOOR,
-# where subnormal spacing erodes relative accuracy, the band reaches -inf.
+# Half-width of a bm-copula level's score band, relative in u.  The Cephes
+# ndtr and ndtri of weplab.numerics are accurate to far better than this
+# (within 4e-13 relative above _BAND_FLOOR and 1.4e-16 absolute near 1,
+# against mpmath), so a score outside the band cannot compare differently
+# after clip(ndtr(score)).  Below _BAND_FLOOR, where subnormal spacing erodes
+# relative accuracy, the band reaches -inf.
 _BAND_REL = 1e-9
 _BAND_FLOOR = 1e-300
 
@@ -401,9 +402,9 @@ def level_kernel(model: ProcessModel, levels: Sequence[float]) -> LevelKernel:
         return LevelKernel(model, ys, ys, ys)
     u_lo = ys * (1.0 - _BAND_REL)
     u_hi = ys * (1.0 + _BAND_REL)
-    lo = np.where(u_lo > _BAND_FLOOR, special.ndtri(np.clip(u_lo, _BAND_FLOOR, _OPEN_HI)),
+    lo = np.where(u_lo > _BAND_FLOOR, ndtri(np.clip(u_lo, _BAND_FLOOR, _OPEN_HI)),
                   -np.inf)
-    hi = np.where(u_hi < 1.0, special.ndtri(np.clip(u_hi, _BAND_FLOOR, _OPEN_HI)), np.inf)
+    hi = np.where(u_hi < 1.0, ndtri(np.clip(u_hi, _BAND_FLOOR, _OPEN_HI)), np.inf)
     return LevelKernel(model, ys, lo, hi)
 
 

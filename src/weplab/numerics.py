@@ -1,6 +1,7 @@
 """Shared numerics.
 
-Standard normal density/CDF/quantile, an array-valued bivariate normal CDF
+Phi and its inverse as the Cephes library computes them, the standard
+normal density/CDF/quantile, an array-valued bivariate normal CDF
 built on the Drezner-Wesolowsky single-integral reduction with
 Gauss-Legendre nodes, an adaptive quadrature for integrands with an endpoint
 singularity at zero, and Kolmogorov-Smirnov statistics.
@@ -15,12 +16,138 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
 _TWO_PI = 2.0 * math.pi
 _INV_SQRT_2PI = 1.0 / math.sqrt(_TWO_PI)
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each element as a Python float.
+
+    ``math.exp``, ``math.asin`` and ``float ** 2`` call the C library, and
+    numpy's vector exp, arcsin and square differ from it in the last bit on
+    some arguments; going through Python floats keeps those bits.
+    """
+    return np.array(list(map(fn, values.tolist())), dtype=float)
+
+
+# Coefficients of the Cephes (Moshier 1989) rational approximations behind
+# ndtr and ndtri, highest degree first.  erf(x) is x T(x^2)/U(x^2) for
+# |x| <= 1; erfc(z) is exp(-z^2) P(z)/Q(z) for 1 <= z < 8 and exp(-z^2)
+# R(z)/S(z) beyond.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+# ndtri: P0/Q0 for |p - 1/2| <= 1/2 - exp(-2); in the tails, with
+# x = sqrt(-2 log p), P1/Q1 for x < 8 and P2/Q2 beyond
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x, coefs):
+    """Horner's rule; one rounding per multiply and per add, as in C without FMA."""
+    out = coefs[0]
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _erf(x):
+    """Cephes erf for |x| <= 1."""
+    return x * _polevl(x * x, _ERF_T) / _polevl(x * x, _ERF_U)
+
+
+def ndtr(a) -> np.ndarray:
+    """Phi(a) elementwise, bit for bit the Cephes ``ndtr`` that scipy.special uses.
+
+    With x = a / sqrt(2) and z = |x|: 1/2 + erf(x)/2 for z < 1/sqrt(2), else
+    erfc(z)/2 reflected for x > 0.  NaN stays NaN; -inf and inf give 0 and 1.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.ravel() * _SQRT1_2
+    z = np.abs(x)
+    out = np.where(np.isnan(x), x, 0.0)
+    central = z < _SQRT1_2
+    out[central] = 0.5 + 0.5 * _erf(x[central])
+    near = ~central & (z < 1.0)
+    out[near] = 0.5 * (1.0 - _erf(z[near]))
+    # erfc stays 0 where -z^2 < -MAXLOG, which holds from z = 27 on
+    far = (z >= 1.0) & (z < 27.0)
+    zf = z[far]
+    arg = -zf * zf
+    live = arg >= -_MAXLOG
+    far[far] = live
+    zf = zf[live]
+    top = np.where(zf < 8.0, _polevl(zf, _ERFC_P), _polevl(zf, _ERFC_R))
+    bottom = np.where(zf < 8.0, _polevl(zf, _ERFC_Q), _polevl(zf, _ERFC_S))
+    out[far] = 0.5 * (_libm(math.exp, arg[live]) * top / bottom)
+    upper = ~central & (x > 0.0)
+    out[upper] = 1.0 - out[upper]
+    return out.reshape(a.shape)
+
+
+def _ndtri(y: float) -> float:
+    """Cephes ndtri of one float, each step as its C code rounds it."""
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _polevl(z, p) / _polevl(z, q)
+    return x if upper else -x
+
+
+def ndtri(p) -> np.ndarray:
+    """Phi^-1(p) elementwise, bit for bit the Cephes ``ndtri`` that scipy.special uses.
+
+    0 and 1 give -inf and inf, anything outside [0, 1] NaN.  Evaluated per
+    element in Python floats: only level-sized vectors reach it.
+    """
+    p = np.asarray(p, dtype=float)
+    return _libm(_ndtri, p.ravel()).reshape(p.shape)
 
 
 def std_normal_pdf(y):
@@ -33,25 +160,25 @@ def std_normal_pdf(y):
 def std_normal_cdf(y):
     """Phi(y), accurate to a few ulps over the full double range."""
     y = np.asarray(y, dtype=float)
-    out = special.ndtr(y)
+    out = ndtr(y)
     return float(out) if out.ndim == 0 else out
 
 
 def std_normal_quantile(p):
     """Inverse of Phi.
 
-    ``scipy.special.ndtri`` polished by two Newton steps on the CDF, which
+    ``ndtri`` polished by two Newton steps on the CDF, which
     keeps |Phi(result) - p| at the 1e-12-relative level without tail
     cancellation.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    y = special.ndtri(arr)
+    y = ndtri(arr)
     for _ in range(2):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * y * y)
         safe = pdf > 0.0
-        step = np.where(safe, (special.ndtr(y) - arr) / np.where(safe, pdf, 1.0), 0.0)
+        step = np.where(safe, (ndtr(y) - arr) / np.where(safe, pdf, 1.0), 0.0)
         y = y - np.clip(step, -1.0, 1.0)
     return float(y) if y.ndim == 0 else y
 
@@ -65,16 +192,6 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     if order not in _GL_CACHE:
         _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
     return _GL_CACHE[order]
-
-
-def _libm(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` applied to each element as a Python float.
-
-    ``math.exp``, ``math.asin`` and ``float ** 2`` call the C library, and
-    numpy's vector exp, arcsin and square differ from it in the last bit on
-    some arguments; going through Python floats keeps those bits.
-    """
-    return np.array(list(map(fn, values.tolist())), dtype=float)
 
 
 def _square(v: float) -> float:
@@ -108,9 +225,9 @@ def bvn_cdf(h, k, rho):
         raise DomainError("correlation must lie in [-1, 1]")
     out = np.empty(h.shape)
     one = rho == 1.0
-    out[one] = special.ndtr(np.minimum(h[one], k[one]))
+    out[one] = ndtr(np.minimum(h[one], k[one]))
     minus = rho == -1.0
-    p = special.ndtr(h[minus]) + special.ndtr(k[minus]) - 1.0
+    p = ndtr(h[minus]) + ndtr(k[minus]) - 1.0
     out[minus] = np.where(p > 0.0, p, 0.0)
     rest = ~(one | minus)
     p = _bvn_upper(-h[rest], -k[rest], rho[rest])
@@ -124,7 +241,7 @@ def _bvn_upper(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     out = np.empty(h.shape)
     ar = np.abs(r)
     zero = r == 0.0
-    out[zero] = special.ndtr(-h[zero]) * special.ndtr(-k[zero])
+    out[zero] = ndtr(-h[zero]) * ndtr(-k[zero])
     for lo, hi, order in ((0.0, 0.3, 6), (0.3, 0.75, 12), (0.75, 0.925, 20)):
         sel = ~zero & (ar >= lo) & (ar < hi)
         if sel.any():
@@ -144,7 +261,7 @@ def _bvn_upper_moderate(h, k, r, order: int) -> np.ndarray:
     sn = np.sin(asr[:, None] * (1.0 + x) / 2.0)
     # a row sum adds each element's nodes in the same order as a 1-d np.sum
     bvn = np.sum(w * np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn)), axis=1)
-    return bvn * asr / (2.0 * _TWO_PI) + special.ndtr(-h) * special.ndtr(-k)
+    return bvn * asr / (2.0 * _TWO_PI) + ndtr(-h) * ndtr(-k)
 
 
 def _bvn_upper_near_diagonal(h, k, r) -> np.ndarray:
@@ -169,7 +286,7 @@ def _bvn_upper_near_diagonal(h, k, r) -> np.ndarray:
                       + c * d * a_sq * a_sq / 5.0), 0.0)
     live = -hk < 100.0
     b = np.sqrt(bs)
-    sp = math.sqrt(_TWO_PI) * special.ndtr(-b / a)
+    sp = math.sqrt(_TWO_PI) * ndtr(-b / a)
     bvn = np.where(live, bvn - _exp_where(live, -hk / 2.0) * sp * b
                    * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0), bvn)
     a = a / 2.0
@@ -185,8 +302,8 @@ def _bvn_upper_near_diagonal(h, k, r) -> np.ndarray:
         ep = _exp_where(live, -hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
         bvn = np.where(live, bvn + a * wi * _exp_where(live, asr) * (ep - sp), bvn)
     bvn = -bvn / _TWO_PI
-    below = np.where(k > h, -bvn + (special.ndtr(k) - special.ndtr(h)), -bvn)
-    return np.where(r > 0.0, bvn + special.ndtr(-np.maximum(h, k)), below)
+    below = np.where(k > h, -bvn + (ndtr(k) - ndtr(h)), -bvn)
+    return np.where(r > 0.0, bvn + ndtr(-np.maximum(h, k)), below)
 
 
 @dataclass(frozen=True)

@@ -682,8 +682,11 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
         evaluated = min(evaluated, wl_evaluated)
         l_hat_coords.update(wl_evaluated=wl_evaluated, wl_probes=len(sweep))
 
+    # the Phi transform runs on the rows the probes read alone: their times and balls
+    read = np.unique([i for it, ball, _levels in prepared for i in (it, *ball)]).astype(int)
+
     def block_fn(vals):
-        vals = to_uniform(model, vals)
+        vals[read] = to_uniform(model, vals[read])
         counts = np.zeros(len(prepared), dtype=np.int64)
         for j, (it, ball, levels) in enumerate(prepared):
             # largest probe level strictly below X_t, if any

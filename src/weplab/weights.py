@@ -51,7 +51,11 @@ def _auto_gamma(alpha: float, sv_kind: str, sv_param: float) -> float:
         return min(0.25, 0.75 * bound)
     if sv_kind == SV_EXPSQRT:
         # x w(x)^2 non-decreasing needs sqrt(ln(1/x)) >= c / (1 - 2 alpha)
-        bound = math.exp(-((sv_param / (1.0 - 2.0 * alpha)) ** 2))
+        try:
+            bound = math.exp(-((sv_param / (1.0 - 2.0 * alpha)) ** 2))
+        except OverflowError:
+            raise DomainError(f"exp-sqrt-log coefficient {sv_param!r} is too large: "
+                              "its square overflows") from None
         return min(0.25, 0.75 * bound)
     raise DomainError(f"unknown slowly varying kind {sv_kind!r}")
 

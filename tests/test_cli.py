@@ -146,6 +146,9 @@ class TestExitCodes:
                               ("--n-list", "10,x"), ("--c-values", "1,inf")]],
         ("verify", "integral", "--a", "3", "--b", "2"),
         ("verify", "dyadic", "--weight", "pow:0.25", "--times", "1,nan"),
+        # an expsqrt coefficient whose square overflows
+        ("verify", "borell", "--n", "10", "--time-points", "3",
+         "--weight", "pow:0.1:expsqrt:1e200"),
         ("clt", "marginal", "--model", "bm-copula", "--n", "10", "--reps", "500",
          "--levels", "abc"),
     ])
@@ -664,13 +667,32 @@ class TestCltCommand:
         assert code == 0
 
 
+def checkout_env():
+    """The environment with the checkout's package first on PYTHONPATH, installed or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # the checkout's package, whether or not it is installed
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "weplab.cli", "--version"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=checkout_env())
         assert proc.returncode == 0
         assert "weplab" in proc.stdout
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test oracle only: Phi and its inverse are weplab's own
+        script = (
+            "import sys\n"
+            "from weplab.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert main(['simulate', '--model', 'bm-copula', '--n', '300',"
+            " '--time-points', '5', '--out', out + '/sim']) == 0\n"
+            "assert main(['clt', 'sup', '--model', 'bm-copula', '--n', '200', '--reps', '8',"
+            " '--levels', '0.3,0.7', '--out', out + '/sup']) in (0, 1)\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=checkout_env())
+        assert proc.returncode == 0, proc.stderr

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
-from weplab import models, parallel
+from weplab import models, numerics, parallel
 from weplab.cli import main
 from weplab.engine import accumulate_cell_moments, evaluate_field_streaming
 from weplab.models import TimeGrid, level_kernel, map_path_blocks, parse_model, to_uniform
@@ -127,10 +127,10 @@ class TestOracle:
         with mp.workdps(40):
             for z in rng.uniform(-37.5, 8.3, 300):
                 exact = mp.ncdf(mp.mpf(float(z)))
-                err = abs(mp.mpf(float(special.ndtr(z))) - exact)
+                err = abs(mp.mpf(float(numerics.ndtr(z))) - exact)
                 assert err <= (1e-15 if exact > 0.5 else 1e-11 * exact)
             for p in ps:
-                err = abs(mp.ncdf(mp.mpf(float(special.ndtri(p)))) - mp.mpf(float(p)))
+                err = abs(mp.ncdf(mp.mpf(float(numerics.ndtri(p)))) - mp.mpf(float(p)))
                 assert err <= (1e-15 if p >= 0.5 else 1e-11 * p)
 
     def test_band_widens_to_infinity_at_the_clip_bounds(self):
@@ -252,18 +252,15 @@ class TestConsumersMatchTheUniformKernels:
 # -- ndtr runs only on in-band scores
 
 
-class RecordingSpecial:
-    """scipy.special with ``ndtr`` recording every score it transforms."""
+class RecordingNdtr:
+    """The ``ndtr`` that weplab.models calls, recording every score it transforms."""
 
     def __init__(self):
         self.seen = []
 
-    def ndtr(self, z, *args, **kwargs):
+    def __call__(self, z):
         self.seen.append(np.array(z, dtype=float).ravel())
-        return special.ndtr(z, *args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(special, name)
+        return numerics.ndtr(z)
 
 
 def in_some_band(z, levels):
@@ -290,8 +287,8 @@ CLI_PATHS = {
 @pytest.mark.parametrize("path", sorted(CLI_PATHS))
 def test_ndtr_runs_only_on_in_band_scores(tmp_path, monkeypatch, path):
     argv, levels = CLI_PATHS[path]
-    recorder = RecordingSpecial()
-    monkeypatch.setattr(models, "special", recorder)
+    recorder = RecordingNdtr()
+    monkeypatch.setattr(models, "ndtr", recorder)
     main([*argv, *BM_ARGS, "--out", str(tmp_path / "out")])
     seen = np.concatenate(recorder.seen) if recorder.seen else np.empty(0)
     assert in_some_band(seen, levels)
@@ -302,8 +299,8 @@ def test_the_recorder_sees_in_band_scores(monkeypatch):
     grid = TimeGrid(np.array([1.5]))
     scores = np.hstack(map_path_blocks(BM, grid, 100, 1, lambda v: [v]))
     y = float(np.clip(special.ndtr(scores[0, 7]), OPEN_LO, OPEN_HI))
-    recorder = RecordingSpecial()
-    monkeypatch.setattr(models, "special", recorder)
+    recorder = RecordingNdtr()
+    monkeypatch.setattr(models, "ndtr", recorder)
     kernel = level_kernel(BM, [y])
     assert kernel.count(scores.copy())[0, 0] == np.count_nonzero(uniform_leq(scores, y))
     seen = np.concatenate(recorder.seen)

@@ -1,6 +1,7 @@
 """Process models: marginals, joint CDFs, determinism, envelope statistics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ class TestModelParsing:
                     "atomic:nan@0.5"):
             with pytest.raises(DomainError):
                 parse_model(bad)
+
+    def test_out_of_range_atom_is_named(self):
+        # a well-formed spec with a bad value is not blamed on its syntax
+        for bad in ("atomic:1.5@0.5", "atomic:0.5@inf"):
+            with pytest.raises(DomainError, match=re.escape("atom mass must lie in (0, 1)")):
+                parse_model(bad)
+        with pytest.raises(DomainError, match="bad atomic model spec"):
+            parse_model("atomic:x@0.5")
 
 
 class TestSampling:

@@ -12,8 +12,8 @@ from scipy import integrate, special, stats
 
 from weplab.errors import DomainError
 from weplab.numerics import (bvn_cdf, ks_critical_one_sample, ks_statistic_one_sample,
-                             ks_statistic_two_sample, singular_quadrature, std_normal_cdf,
-                             std_normal_pdf, std_normal_quantile)
+                             ks_statistic_two_sample, ndtr, ndtri, singular_quadrature,
+                             std_normal_cdf, std_normal_pdf, std_normal_quantile)
 
 mp.mp.dps = 40
 
@@ -99,6 +99,75 @@ def _reference_bvn_upper(dh: float, dk: float, r: float) -> float:
 # each Gauss-Legendre order, both signs, both sides of 0.925 and the exact +-1
 BAND_RHOS = (-1.0, -0.9999, -0.95, -0.925, -0.8, -0.5, -0.3, -0.1, 0.0,
              0.1, 0.3, 0.5, 0.75, 0.8, 0.924, 0.925, 0.95, 0.9999, 1.0)
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit (so 0.0 is not -0.0), with NaN equal to NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), (got[~same][:5], want[~same][:5])
+
+
+def with_neighbours(edges, count=50):
+    """Each edge and its ``count`` nearest doubles on either side."""
+    out = []
+    for edge in edges:
+        up = down = float(edge)
+        for _ in range(count):
+            up, down = float(np.nextafter(up, np.inf)), float(np.nextafter(down, -np.inf))
+            out += [up, down]
+        out.append(float(edge))
+    return np.array(out)
+
+
+# ndtr: the central branch ends at |a| = 1, erfc's Taylor branch at sqrt(2),
+# its P/Q branch at 8 sqrt(2); exp(-a^2/2) underflows near |a| = 37.5-38.6
+NDTR_EDGES = [s * v for v in (0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.5, 37.7,
+                              38.0, 38.5, 38.6, 5e-324, 1e-300) for s in (1.0, -1.0)]
+# ndtri: the central branch ends at exp(-2) and 1 - exp(-2), the P1/Q1 tail at exp(-32)
+NDTRI_EDGES = [0.0, 1.0, 5e-324, 0.13533528323661269189, 1.0 - 0.13533528323661269189,
+               math.exp(-32.0), 0.5, 1e-300]
+
+
+class TestCephesPort:
+    """weplab's ndtr and ndtri against scipy.special, bit for bit."""
+
+    def test_ndtr_dense_sweep(self):
+        rng = np.random.default_rng(20260810)
+        a = np.concatenate([rng.standard_normal(600_000), rng.uniform(-40.0, 40.0, 400_000),
+                            rng.uniform(37.0, 39.0, 20_000), rng.uniform(-39.0, -37.0, 20_000)])
+        assert_same_bits(ndtr(a), special.ndtr(a))
+
+    def test_ndtr_branch_edges_and_specials(self):
+        a = np.concatenate([with_neighbours(NDTR_EDGES),
+                            [np.inf, -np.inf, np.nan, -0.0, 1e308, -1e308]])
+        assert_same_bits(ndtr(a), special.ndtr(a))
+        assert ndtr(np.inf) == 1.0 and ndtr(-np.inf) == 0.0 and np.isnan(ndtr(np.nan))
+
+    def test_ndtri_dense_sweep(self):
+        rng = np.random.default_rng(20260811)
+        p = np.concatenate([rng.random(700_000), 10.0 ** rng.uniform(-323.3, 0.0, 200_000),
+                            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 100_000)])
+        assert_same_bits(ndtri(p), special.ndtri(p))
+
+    def test_ndtri_branch_edges_and_specials(self):
+        p = np.concatenate([with_neighbours(NDTRI_EDGES), [np.nan, -0.0, -1.0, 2.0, np.inf]])
+        assert_same_bits(ndtri(p), special.ndtri(p))
+        assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1.0))
+    @settings(max_examples=1000)
+    def test_every_finite_double(self, v, p):
+        assert_same_bits(ndtr(v), special.ndtr(v))
+        assert_same_bits(ndtri(v), special.ndtri(v))
+        assert_same_bits(ndtri(p), special.ndtri(p))
+
+    def test_shapes(self):
+        block = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert ndtr(block).shape == ndtri(ndtr(block)).shape == (3, 4)
+        assert ndtr(0.5).shape == ndtri(0.5).shape == ()
+        assert ndtr(np.empty(0)).shape == ndtri(np.empty(0)).shape == (0,)
 
 
 class TestNormalKernel:
