@@ -3,13 +3,9 @@ empirical processes on a time grid."""
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DomainError, IndefiniteCovarianceError,
-                     UnsupportedModelError, WeplabError)
+from .errors import ConfigError, DomainError, IndefiniteCovarianceError, WeplabError
 from .weights import (DyadicSum, IntegralEntry, WeightSpec, dyadic_sum,
                       integral_condition, parse_weight, validate_monotonicity)
-from .transforms import (DistFn, check_order_properties, copula_indicator_identity,
-                         dist_transform, normal_df, point_mass, uniform_atom_mixture,
-                         uniform_df, uniformity_test)
 from .models import (ProcessModel, TimeGrid, envelope_statistics, joint_cdf_matrix,
                      level_kernel, map_path_blocks, map_replications,
                      parse_model, rho_metric, to_uniform)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, parallel
 from .engine import evaluate_field_streaming, export_field_csv
-from .errors import ConfigError, DomainError, UnsupportedModelError, WeplabError
+from .errors import ConfigError, DomainError, WeplabError
 from .models import ProcessModel, TimeGrid, parse_model
 from .verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
                         clt_marginal_test, clt_sup_comparison, dg0_upper_check, dyadic_check,
@@ -373,7 +373,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.manifest:
             write_manifest(args.manifest, args.command, sub, cfg, outputs)
         return code
-    except (ConfigError, DomainError, UnsupportedModelError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"weplab: error: {exc}", file=sys.stderr)
         return 2
     except WeplabError as exc:

@@ -9,10 +9,6 @@ class DomainError(WeplabError, ValueError):
     """An argument lies outside the contract of the operation."""
 
 
-class UnsupportedModelError(WeplabError):
-    """The requested quantity has no implementation for this process model."""
-
-
 class IndefiniteCovarianceError(WeplabError):
     """A covariance matrix failed to factor even after jitter escalation.
 

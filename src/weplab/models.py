@@ -3,8 +3,8 @@
 Implemented kinds: the Brownian-motion copula (X_t = Phi(B_t / sqrt(t))),
 the fully dependent process (one uniform draw shared across the grid), the
 time-iid process (independent uniform per grid point), and an atomic-copula
-(a time-constant draw from a df with one atom pushed through the randomized
-distributional transform, exercising the atom bookkeeping).
+(a time-constant draw from a uniform plus one atom, pushed through the
+randomized distributional transform of Rüschendorf 2009).
 
 Brownian paths use exact N(0, dt) increments at the grid times only; every
 implemented functional is grid-measurable, so no bridge infill is done.
@@ -34,8 +34,7 @@ import numpy as np
 
 from . import parallel
 from .errors import DomainError
-from .numerics import bvn_cdf, ndtr, ndtri, std_normal_quantile
-from .transforms import dist_transform, uniform_atom_mixture
+from .numerics import bvn_cdf, ndtr, ndtri, shortest_repr, std_normal_quantile
 
 BM_COPULA = "bm-copula"
 DEPENDENT = "dependent"
@@ -126,7 +125,7 @@ class ProcessModel:
 
     def describe(self) -> str:
         if self.kind == ATOMIC:
-            return f"atomic:{self.atom_mass:g}@{self.atom_loc:g}"
+            return f"atomic:{shortest_repr(self.atom_mass)}@{shortest_repr(self.atom_loc)}"
         return self.kind
 
 
@@ -181,8 +180,9 @@ def _filler(model: ProcessModel, count: int,
     scores, and the uniforms X_t for the other kinds.  Normals and time-iid
     uniforms are drawn path-major into a scratch (numpy draws only into a
     C-contiguous target) and copied over transposed; the per-path uniforms of
-    the other kinds are drawn once (``DistFn.sample`` interleaves draws).  So
-    slices filled in path order hold the whole-block values.
+    the other kinds are drawn once (the atomic kind draws every path's
+    selector before any of its uniforms).  So slices filled in path order
+    hold the whole-block values.
     """
     rng = parallel.rng_from_words(words[0])
     if model.kind in (BM_COPULA, IID_TIME):
@@ -198,10 +198,17 @@ def _filler(model: ProcessModel, count: int,
     if model.kind == DEPENDENT:
         u = rng.random(count)
     else:
-        # atomic: one transformed draw per path, constant in time
-        df = uniform_atom_mixture(model.atom_mass, model.atom_loc)
+        # atomic: X ~ (1 - mass) U(0, 1) + mass at loc, from the selectors and then the
+        # uniforms, through the randomized distributional transform F(X-) + (F(X) - F(X-)) V
+        mass, loc = model.atom_mass, model.atom_loc
+        sel = rng.random(count)
+        x = rng.random(count)
+        x[sel < mass] = loc
+        c = (1.0 - mass) * np.clip(x, 0.0, 1.0)
+        left = c + np.where(x > loc, mass, 0.0)
+        right = c + np.where(x >= loc, mass, 0.0)
         v = parallel.rng_from_words(words[1]).random(count)
-        u = np.clip(dist_transform(df, df.sample(count, rng), v), _OPEN_LO, _OPEN_HI)
+        u = np.clip(left + (right - left) * v, _OPEN_LO, _OPEN_HI)
 
     def fill(out, start):
         out[...] = u[start:start + out.shape[1]]
@@ -363,7 +370,8 @@ class LevelKernel:
         """(... x times x levels) counts of X_t <= y in time-major rows (... x times x paths).
 
         Leading axes are a batch.  Each row is sorted in place and searched
-        for lo and hi; only the slice between them is decided by ``leq``.
+        for lo and hi; only the slice between them is decided by ``leq``.  The
+        counts own their memory, so a kept count does not pin the search array.
         """
         vals.sort(axis=-1)
         k = self.levels.size
@@ -374,7 +382,7 @@ class LevelKernel:
         if unsure.any():
             for j, i in zip(*np.nonzero(unsure)):
                 below[j, i] += np.count_nonzero(self.leq(flat[j, below[j, i]:upto[j, i]], i))
-        return below.reshape(vals.shape[:-1] + (k,))
+        return below.reshape(vals.shape[:-1] + (k,)).copy()
 
     def any_leq(self, rows: np.ndarray, low: np.ndarray, i: int) -> np.ndarray:
         """Per path (column), whether some row has X_t <= levels[i], given the path minima."""

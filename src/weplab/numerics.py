@@ -4,7 +4,8 @@ Phi and its inverse as the Cephes library computes them, the standard
 normal density/CDF/quantile, an array-valued bivariate normal CDF
 built on the Drezner-Wesolowsky single-integral reduction with
 Gauss-Legendre nodes, an adaptive quadrature for integrands with an endpoint
-singularity at zero, and Kolmogorov-Smirnov statistics.
+singularity at zero, Kolmogorov-Smirnov statistics, and the round-trip
+text of a float that specs describe themselves with.
 
 All functions are pure and reentrant.
 """
@@ -449,3 +450,8 @@ def ks_critical_one_sample(n: int, alpha: float = 0.05) -> float:
 def ks_critical_two_sample(m: int, n: int, alpha: float = 0.05) -> float:
     """Asymptotic two-sample KS critical value at level alpha."""
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((m + n) / (m * n))
+
+
+def shortest_repr(x: float) -> str:
+    """The shortest text that parses back to x, without a trailing ``.0``: 1, 0.25, 1e-05."""
+    return repr(float(x)).removesuffix(".0")

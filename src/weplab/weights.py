@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import singular_quadrature
+from .numerics import shortest_repr, singular_quadrature
 
 SV_CONST = "const"
 SV_LOGPOW = "logpow"
@@ -137,13 +137,13 @@ class WeightSpec:
         return float(out) if out.ndim == 0 else out
 
     def describe(self) -> str:
+        alpha, param = shortest_repr(self.alpha), shortest_repr(self.sv_param)
         if self.sv_kind == SV_CONST and self.alpha == 0.0:
-            return f"const:{self.sv_param:g}"
+            return f"const:{param}"
         if self.sv_kind == SV_CONST:
-            core = f"pow:{self.alpha:g}"
-            return core if self.sv_param == 1.0 else f"{core}*{self.sv_param:g}"
+            return f"pow:{alpha}" if self.sv_param == 1.0 else f"pow:{alpha}*{param}"
         tag = "logpow" if self.sv_kind == SV_LOGPOW else "expsqrt"
-        return f"pow:{self.alpha:g}:{tag}:{self.sv_param:g}"
+        return f"pow:{alpha}:{tag}:{param}"
 
 
 def slowly_varying_eval(w: WeightSpec, x):

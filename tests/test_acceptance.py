@@ -18,13 +18,14 @@ import pytest
 
 from weplab.models import joint_cdf_matrix, parse_model
 from weplab.numerics import std_normal_cdf, std_normal_pdf
-from weplab.transforms import normal_df, uniform_atom_mixture, uniformity_test
-from weplab.transforms import copula_indicator_identity
 from weplab import parallel
 from weplab.verifiers import (borell_check, clt_covariance_convergence,
                               clt_marginal_test, clt_sup_comparison, lemma_m_check,
                               prop_d1_d2_check, wl_estimate)
 from weplab.weights import WeightSpec, dyadic_sum, integral_condition, parse_weight
+
+from transform_reference import (copula_indicator_identity, normal_df, uniform_atom_mixture,
+                                 uniformity_test)
 
 mp.mp.dps = 40
 

@@ -146,6 +146,16 @@ class TestOracle:
         for i, y in enumerate(ys):
             assert np.array_equal(kernel.leq(vals, i), vals <= y)
 
+    @pytest.mark.parametrize("shape", [(3, 50), (2, 3, 50)])
+    def test_counts_hold_only_their_own_bytes(self, shape):
+        # the counts a sampler keeps until its tree reduce must not pin the search array
+        counts = level_kernel(BM, [0.2, 0.5, 0.8]).count(
+            np.random.default_rng(1).standard_normal(shape))
+        root = counts
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == counts.nbytes
+
 
 # -- frozen copies of the uniform-space consumer kernels replaced by the level kernel
 

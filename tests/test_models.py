@@ -15,7 +15,8 @@ from weplab.models import (TimeGrid, envelope_statistics, joint_cdf_matrix,
                            parse_model, rho_metric, to_uniform)
 from weplab.numerics import (bvn_cdf, ks_statistic_one_sample, std_normal_cdf,
                              std_normal_quantile)
-from weplab.transforms import dist_transform, uniform_atom_mixture
+
+from transform_reference import dist_transform, uniform_atom_mixture
 
 PINNED_SEED = 20260810
 
@@ -68,6 +69,18 @@ class TestModelParsing:
                     "atomic:nan@0.5"):
             with pytest.raises(DomainError):
                 parse_model(bad)
+
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_describe_parses_back(self, mass, loc):
+        m = models.ProcessModel("atomic", mass, loc)
+        assert parse_model(m.describe()) == m
+
+    def test_describe_keeps_short_specs(self):
+        for spec in ("bm-copula", "dependent", "iid-time", "atomic:0.5@0.5"):
+            assert parse_model(spec).describe() == spec
+        assert parse_model("atomic:0.12345678@1234567").describe() == \
+            "atomic:0.12345678@1234567"
 
     def test_out_of_range_atom_is_named(self):
         # a well-formed spec with a bad value is not blamed on its syntax
@@ -252,6 +265,29 @@ class TestTimeMajorLayout:
         reference = path_major_reference(parse_model("bm-copula"), grid, self.N, 8,
                                          stream=parallel.STREAM_CALIBRATION, brownian=True)
         assert np.array_equal(np.hstack(got), reference.T)
+
+
+class TestAtomicSampler:
+    """The atomic model's inline transform draws the reference transform's bits."""
+
+    # the reference DistFn takes a mass within 1e-12 of 1 for a pure atom and refuses it
+    @given(st.integers(0, 2**40), st.floats(0.0, 1.0 - 1e-12, exclude_min=True),
+           st.one_of(st.sampled_from([0.0, 1.0, -3.0, 2.5, 1e-300]),
+                     st.floats(allow_nan=False, allow_infinity=False)),
+           st.integers(1, 2 * parallel.BLOCK_SIZE + 5))
+    @settings(max_examples=60)
+    def test_blocks_are_the_reference_transform(self, seed, mass, loc, n):
+        model, grid = models.ProcessModel("atomic", mass, loc), TimeGrid(np.array([1.0, 2.0]))
+        got = np.hstack(map_path_blocks(model, grid, n, seed, lambda v: [v]))
+        want = path_major_reference(model, grid, n, seed).T
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_mass_next_to_one_samples(self):
+        # beyond the reference's reach, yet a valid model: almost every draw is the atom
+        n = 4000
+        u = sample("atomic:0.9999999999999999@0.5", TimeGrid(np.array([1.0, 2.0])), n, 3)
+        assert np.all((u > 0.0) & (u < 1.0))
+        assert ks_statistic_one_sample(u[:, 0], uniform_cdf) < 1.63 / math.sqrt(n)
 
 
 class TestMergeOrder:

@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from weplab.errors import DomainError
@@ -217,3 +217,21 @@ class TestParsing:
             w = parse_weight(spec)
             again = parse_weight(w.describe(), gamma=w.gamma)
             assert again.alpha == w.alpha and again.sv_kind == w.sv_kind
+
+    @given(st.sampled_from(["const", "pow", "logpow", "expsqrt"]),
+           st.floats(0.0, 0.5, exclude_max=True),
+           st.floats(0.0, 1e6, exclude_min=True))
+    @settings(max_examples=60)
+    def test_describe_parses_back(self, form, alpha, param):
+        try:
+            w = (WeightSpec(0.0, "const", param) if form == "const" else
+                 WeightSpec(alpha) if form == "pow" else WeightSpec(alpha, form, param))
+        except DomainError:
+            reject()
+        assert parse_weight(w.describe()) == w
+
+    def test_describe_keeps_every_digit(self):
+        assert parse_weight("pow:0.123456789").describe() == "pow:0.123456789"
+        assert parse_weight("const:1").describe() == "const:1"
+        assert parse_weight("pow:0.25").describe() == "pow:0.25"
+        assert parse_weight("pow:0.1:expsqrt:0.5").describe() == "pow:0.1:expsqrt:0.5"

@@ -1,10 +1,16 @@
-"""Distribution functions with left limits and the randomized transform.
+"""Reference distribution functions with left limits and the randomized transform.
 
-The randomized distributional transform ``F(x-) + (F(x) - F(x-)) v`` maps a
-draw from any distribution function to a uniform variable once ``v`` is an
-independent U[0,1] randomizer.  Left limits are computed analytically from
-atom bookkeeping, never by numeric limits, so the indicator identities below
-hold exactly.
+The randomized distributional transform ``F(x-) + (F(x) - F(x-)) v``
+(Rüschendorf 2009) maps a draw from any distribution function to a uniform
+variable once ``v`` is an independent U[0,1] randomizer.  Left limits are
+computed analytically from atom bookkeeping, never by numeric limits, so the
+indicator identities below hold exactly.
+
+The package samples one law through it, the atomic model's uniform plus one
+atom, inline in ``weplab.models``; the tests check that sampler against
+``uniform_atom_mixture`` here bit for bit, and check the transform's order,
+uniformity and indicator facts on the general ``DistFn``.  Not a test module
+itself: the tests import it from their own directory.
 """
 
 from __future__ import annotations
@@ -15,9 +21,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import parallel
-from .errors import DomainError, UnsupportedModelError
-from .numerics import ks_statistic_one_sample, std_normal_cdf
+from weplab import parallel
+from weplab.errors import DomainError
+from weplab.numerics import ks_statistic_one_sample, std_normal_cdf
+
+
+class NoSamplerError(Exception):
+    """A df without a sampler for its continuous part was asked for draws."""
+
 
 # Pass threshold coefficient for uniformity KS tests (roughly the 1% level).
 UNIFORMITY_KS_COEFF = 1.63
@@ -83,7 +94,7 @@ class DistFn:
         if self.cdf_fn is None:
             out = np.empty(n)
         elif self.sampler is None:
-            raise UnsupportedModelError(f"df {self.name!r} has no sampler")
+            raise NoSamplerError(f"df {self.name!r} has no sampler")
         else:
             out = np.array(self.sampler(n, rng), dtype=float)
         if sel is None:
