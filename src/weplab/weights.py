@@ -159,12 +159,17 @@ def validate_monotonicity(w: WeightSpec) -> MonotonicityReport:
     """Check w non-increasing and x w(x)^2 non-decreasing on (0, gamma).
 
     Uses a geometric grid of ``VALIDATION_POINTS`` on (gamma * VALIDATION_SPAN, gamma);
-    returns the first violating pair instead of raising.
+    returns the first violating pair instead of raising.  A weight whose
+    x w(x)^2 overflows double precision on the grid fails there.
     """
     xs = np.geomspace(w.gamma * VALIDATION_SPAN, w.gamma, VALIDATION_POINTS)
     # fold manually: the grid lies below 1/2 already
-    wv = w._base(xs)
-    xw2 = xs * wv * wv
+    with np.errstate(over="ignore"):
+        wv = w._base(xs)
+        xw2 = xs * wv * wv
+    if not np.all(np.isfinite(xw2)):
+        i = min(int(np.argmin(np.isfinite(xw2))), len(xs) - 2)
+        return MonotonicityReport(False, (float(xs[i]), float(xs[i + 1]), "x*w^2 finite"))
     slack = 1e-12
     for i in range(len(xs) - 1):
         if wv[i + 1] > wv[i] * (1.0 + slack):

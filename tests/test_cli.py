@@ -149,6 +149,8 @@ class TestExitCodes:
         # an expsqrt coefficient whose square overflows
         ("verify", "borell", "--n", "10", "--time-points", "3",
          "--weight", "pow:0.1:expsqrt:1e200"),
+        # a weight whose x w(x)^2 overflows on its window
+        ("verify", "borell", "--n", "10", "--time-points", "3", "--weight", "const:1e200"),
         ("clt", "marginal", "--model", "bm-copula", "--n", "10", "--reps", "500",
          "--levels", "abc"),
     ])

@@ -9,7 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from weplab.errors import DomainError
-from weplab.weights import (WeightSpec, dyadic_sum, integral_condition, parse_weight,
+from weplab.weights import (WeightSpec, _auto_gamma, dyadic_sum, integral_condition, parse_weight,
                             validate_monotonicity)
 
 mp.mp.dps = 30
@@ -87,6 +87,16 @@ class TestValidation:
     def test_construction_rejects_non_finite_parameters(self, fields, unchecked):
         with pytest.raises(DomainError, match="finite"):
             WeightSpec(**fields, unchecked=unchecked)
+
+    @pytest.mark.parametrize("alpha,kind,param", [(0.375, "logpow", 75.0),
+                                                  (0.0, "logpow", 86.0)])
+    def test_weight_overflowing_on_its_window_is_refused(self, alpha, kind, param):
+        # x w(x)^2 exceeds the largest double inside the window: no check can vouch for it
+        report = validate_monotonicity(WeightSpec(alpha, kind, param, unchecked=True,
+                                                  gamma=_auto_gamma(alpha, kind, param)))
+        assert not report.passed and report.violation[2] == "x*w^2 finite"
+        with pytest.raises(DomainError, match="finite"):
+            WeightSpec(alpha, kind, param)
 
     def test_unchecked_escape_hatch(self):
         w = WeightSpec(alpha=0.5, unchecked=True)
