@@ -79,14 +79,15 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
 
 def replicated_fields(model: ProcessModel, grid: TimeGrid, levels: Sequence[float],
                       w: WeightSpec, n: int, reps: int, seed: int, workers: int = 1) -> np.ndarray:
-    """Field values (reps x times x levels) of the replications ``map_replications`` streams."""
+    """Field values (reps x times x levels) of the replications ``map_replications`` streams.
+
+    The sampler adds each replication's integer counts over its path slices;
+    ``field_values`` is elementwise, so it runs once on all of them.
+    """
     levels = np.asarray(levels, dtype=float)
-    kernel = level_kernel(model, levels)
-
-    def batch_fields(paths):
-        return field_values(kernel.count(paths), levels, w, n)
-
-    return map_replications(model, grid, n, reps, seed, batch_fields, workers)
+    counts = map_replications(model, grid, n, reps, seed, level_kernel(model, levels).count,
+                              workers)
+    return field_values(counts, levels, w, n)
 
 
 def accumulate_cell_moments(model: ProcessModel, cells: Sequence[tuple[float, float]],

@@ -136,19 +136,14 @@ def sample_limit_field(limit: LimitModel, reps: int, seed: int, workers: int = 1
     """
     if reps < 1:
         raise DomainError("need reps >= 1")
-    k = limit.size
-    out = np.empty((reps, k))
     Lt = limit.factor.T.copy()
     words = parallel.seed_words(
         seed, [(parallel.STREAM_LIMIT, j) for j in range(len(parallel.iter_blocks(reps)))])
 
     def job(idx, start, stop):
-        rng = parallel.rng_from_words(words[idx])
-        z = rng.standard_normal((stop - start, k))
-        out[start:stop] = z @ Lt
+        return parallel.rng_from_words(words[idx]).standard_normal((stop - start, limit.size)) @ Lt
 
-    parallel.map_blocks(job, reps, workers)
-    return out
+    return np.concatenate(list(parallel.map_blocks(job, reps, workers)))
 
 
 def dg0_upper_bound_check(model: ProcessModel, w: WeightSpec, l_hat: float,

@@ -16,15 +16,17 @@ contiguous row, and on each kind's native scale: the Brownian copula as
 scores B_t / sqrt(t), the other kinds as their uniforms.  ``to_uniform``
 applies the Phi transform; ``level_kernel`` decides X_t <= y on native rows
 without it.  The samplers share one block filler and hand back finished
-results: ``map_path_blocks`` streams the paths of one run
-(``map_brownian_blocks`` their raw B_t) and adds its consumer's per-batch
-results with ``+`` in fixed tree order; ``map_replications`` streams many
-replications and concatenates the per-batch results in replication order.
+results, folded as they stream, so memory does not grow with n:
+``map_path_blocks`` streams the paths of one run (``map_brownian_blocks``
+their raw B_t) and adds its consumer's per-batch results with ``+`` in fixed
+tree order; ``map_replications`` streams many replications, adds each one's
+results over its path slices and concatenates them in replication order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -163,11 +165,13 @@ def _block_seeds(model: ProcessModel, seed: int, stream: int, keys) -> np.ndarra
                      for s in streams], axis=1)
 
 
-# Values per fn call: about 2^18 (2 MiB) in a batch of whole seeding blocks or
-# replications, at most 2^20 (8 MiB) in a path slice of a wider block; _filler
-# draws through a scratch of at most 2^14.  Pure scheduling, like the workers.
-_BATCH_VALUES = 1 << 18
-_SLICE_VALUES = 1 << 20
+# Values per fn call, about 2 MiB: a batch of whole seeding blocks or
+# replications holds at most 2^17; a block wider than that reaches fn in the
+# power-of-two number of path slices that brings each nearest 2^18 (halves on
+# 129 times, quarters on 257).  _filler draws through a scratch of at most
+# 2^14.  Pure scheduling, like the workers.
+_BATCH_VALUES = 1 << 17
+_SLICE_VALUES = 1 << 18
 _SCRATCH_VALUES = 1 << 14
 
 
@@ -237,6 +241,52 @@ def to_uniform(model: ProcessModel, block: np.ndarray) -> np.ndarray:
     return np.clip(ndtr(block), _OPEN_LO, _OPEN_HI, out=block)
 
 
+def _stream(model: ProcessModel, grid: TimeGrid, n: int, seed: int, stream: int, keys,
+            fn: Callable, workers: int):
+    """fn's results on n paths per key, summed in tree order per key or per batch of keys.
+
+    Block j of the replication of key ``k`` draws from (seed, stream, *k, j).
+    ``fn`` gets native (replications x times x paths) arrays of about 2 MiB or less:
+    replications of at most ``_BATCH_VALUES`` values come whole, in batches
+    of whole replications; a wider one comes in batches of whole seeding
+    blocks, or in block-aligned path slices of a wider block, as many as the
+    power of two that brings each nearest ``_SLICE_VALUES``.  So ``fn``'s
+    results must add up over path slices.
+    """
+    m, size, blocks = len(grid), parallel.BLOCK_SIZE, parallel.iter_blocks(n)
+    words = _block_seeds(model, seed, stream, [(*k, j) for k in keys for j in range(len(blocks))])
+    words = words.reshape(len(keys), len(blocks), -1, 4)
+    if n * m <= _BATCH_VALUES:
+        jobs = [(r0, r1, [0, n]) for _i, r0, r1 in
+                parallel.iter_blocks(len(keys), _BATCH_VALUES // (n * m))]
+    else:
+        batch = size * max(1, _BATCH_VALUES // (size * m))
+        pieces = min(size, 1 << max(0, round(math.log2(m * size / _SLICE_VALUES))))
+        jobs = [(r, r + 1, [*range(first, stop, batch // pieces), stop])
+                for r in range(len(keys)) for _i, first, stop in parallel.iter_blocks(n, batch)]
+
+    def job(idx, _start, _stop):
+        r0, r1, cuts = jobs[idx]
+        fills = [[(start, end, _filler(model, end - start, words[r, j]))
+                  for j, start, end in blocks[cuts[0] // size:-(-cuts[-1] // size)]]
+                 for r in range(r0, r1)]
+
+        def paths(a, b):
+            out = np.empty((r1 - r0, m, b - a))
+            for rows, rep in zip(out, fills):
+                for start, end, fill in rep:
+                    lo, hi = max(a, start), min(b, end)
+                    if lo < hi:
+                        fill(rows[:, lo - a:hi - a], lo - start)
+            return _to_native(model, out, grid)
+
+        return (r0, r1), [fn(paths(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+    done = parallel.map_blocks(job, len(jobs), workers, block_size=1)
+    for _key, group in itertools.groupby(done, key=operator.itemgetter(0)):
+        yield parallel.tree_reduce((r for _, results in group for r in results), operator.add)
+
+
 def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
                     fn: Callable[[np.ndarray], object], workers: int = 1,
                     stream: int = parallel.STREAM_PATHS,
@@ -244,63 +294,33 @@ def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
     """Stream n sampled paths through ``fn``: the path sampler of one run.
 
     ``fn`` gets time-major (times x paths) native arrays, which it may modify
-    in place: batches of whole seeding blocks, or path slices of a block wider
-    than ``_SLICE_VALUES``.  Block j draws from (seed, stream, *extra_key, j),
+    in place: batches of whole seeding blocks, or path slices of a wider
+    block (``_stream``).  Block j draws from (seed, stream, *extra_key, j),
     so the values are the same for every worker count, and so is the sum of
     ``fn``'s results in fixed tree order, if they are exact under any path
     partition.
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")
-    m, size, blocks = len(grid), parallel.BLOCK_SIZE, parallel.iter_blocks(n)
-    words = _block_seeds(model, seed, stream, [(*extra_key, j) for j in range(len(blocks))])
-
-    def job(_idx, first, stop):
-        fills = [(start, end, _filler(model, end - start, words[j]))
-                 for j, start, end in blocks[first // size:-(-stop // size)]]
-
-        def paths(a, b):
-            out = np.empty((m, b - a))
-            for start, end, fill in fills:
-                lo, hi = max(a, start), min(b, end)
-                if lo < hi:
-                    fill(out[:, lo - a:hi - a], lo - start)
-            return _to_native(model, out, grid)
-
-        pieces = -(-(stop - first) // max(1, _SLICE_VALUES // m))
-        cuts = [first + (stop - first) * i // pieces for i in range(pieces + 1)]
-        return [fn(paths(a, b)) for a, b in zip(cuts, cuts[1:])]
-
-    batch = size * max(1, _BATCH_VALUES // (size * m))
-    parts = [r for part in parallel.map_blocks(job, n, workers, block_size=batch) for r in part]
-    return parallel.tree_reduce(parts, operator.add)
+    total, = _stream(model, grid, n, seed, stream, [extra_key], lambda v: fn(v[0]), workers)
+    return total
 
 
 def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, seed: int,
                      fn: Callable[[np.ndarray], np.ndarray], workers: int = 1) -> np.ndarray:
-    """Stream ``reps`` replications of n sampled paths through ``fn``, in batches.
+    """Stream ``reps`` replications of n sampled paths through ``fn``.
 
-    ``fn`` gets a native (batch x times x n) array, which it may modify in
-    place; its per-batch results come back concatenated in replication
-    order.  Replication r holds exactly what ``map_path_blocks`` streams with
+    ``fn`` gets native (batch x times x paths) arrays, which it may modify in
+    place: batches of whole replications, or one replication's path slices
+    (``_stream``).  Its results must add up over slices; they come back
+    summed per replication and concatenated in replication order.
+    Replication r holds exactly what ``map_path_blocks`` streams with
     ``stream=STREAM_REPLICATION, extra_key=(r,)``, whatever the batch.
     """
     if n < 1 or reps < 1:
         raise DomainError("need n >= 1 paths and reps >= 1")
-    blocks = parallel.iter_blocks(n)
-    words = _block_seeds(model, seed, parallel.STREAM_REPLICATION,
-                         np.indices((reps, len(blocks))).reshape(2, -1).T)
-
-    def job(_idx, first, stop):
-        buf = np.empty((stop - first, len(grid), n))
-        for r in range(first, stop):
-            for j, start, end in blocks:
-                fill = _filler(model, end - start, words[r * len(blocks) + j])
-                fill(buf[r - first, :, start:end], 0)
-        return fn(_to_native(model, buf, grid))
-
-    batch = max(1, _BATCH_VALUES // (n * len(grid)))
-    return np.concatenate(parallel.map_blocks(job, reps, workers, block_size=batch))
+    return np.concatenate(list(_stream(model, grid, n, seed, parallel.STREAM_REPLICATION,
+                                       [(r,) for r in range(reps)], fn, workers)))
 
 
 def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,

@@ -6,16 +6,16 @@ seeded as by ``SeedSequence((seed, stream, *key, j))``, with the words of all
 of a sampler's blocks derived in one vectorized pass (``seed_words``).  So the
 values of a block depend only on the run seed and the block index, never on
 which worker ran it or how many did.  Partial results are merged in fixed
-pairwise-tree order over the block index, which makes every reduction
-bit-for-bit reproducible across worker counts.
+pairwise-tree order over the block index, as they stream in, which makes
+every reduction bit-for-bit reproducible across worker counts.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -127,32 +127,47 @@ def iter_blocks(n: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int, in
 
 
 def map_blocks(fn: Callable[[int, int, int], object], n: int, workers: int = 1,
-               block_size: int = BLOCK_SIZE) -> list[object]:
-    """Apply ``fn(block_index, start, stop)`` to every block of range(n).
+               block_size: int = BLOCK_SIZE) -> Iterator:
+    """Yield ``fn(block_index, start, stop)`` for every block of range(n), in block order.
 
-    Results are returned ordered by block index regardless of scheduling, so
-    any downstream merge sees the same sequence for every worker count.
+    Results come in block order regardless of scheduling, so any downstream
+    merge sees the same sequence for every worker count.  With more than one
+    worker, at most 2 x workers blocks are in flight.
     """
     blocks = iter_blocks(n, block_size)
     if workers <= 1 or len(blocks) <= 1:
-        return [fn(*b) for b in blocks]
+        yield from (fn(*b) for b in blocks)
+        return
+    # imported here, so a single-worker run does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *b) for b in blocks]
-        return [f.result() for f in futures]
+        pending = collections.deque()
+        for block in blocks:
+            pending.append(pool.submit(fn, *block))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
-def tree_reduce(items: Sequence, op: Callable) -> object:
-    """Reduce items pairwise in fixed tree order over the index.
+def tree_reduce(items: Iterable, op: Callable) -> object:
+    """Reduce items pairwise in fixed tree order over the index, as they arrive.
 
-    ``op`` must be a binary merge.  The tree shape depends only on
-    ``len(items)``; rounding therefore cannot depend on worker scheduling.
+    ``op`` must be a binary merge.  The tree is the level-by-level pairwise
+    one, whose shape depends only on the number of items, so rounding cannot
+    depend on worker scheduling.  A stack merges two partial results of equal
+    rank as soon as both exist, so it holds O(log len) of them.
     """
-    if not items:
+    stack: list[tuple[int, object]] = []
+    for item in items:
+        rank = 0
+        while stack and stack[-1][0] == rank:
+            item, rank = op(stack.pop()[1], item), rank + 1
+        stack.append((rank, item))
+    if not stack:
         raise ValueError("cannot reduce an empty sequence")
-    level = list(items)
-    while len(level) > 1:
-        nxt = [op(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    result = stack.pop()[1]
+    while stack:
+        result = op(stack.pop()[1], result)
+    return result

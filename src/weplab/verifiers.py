@@ -145,9 +145,10 @@ def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, 
             low, high, at = vals[it].copy(), vals[it].copy(), {}
             done_a, done_b = it, it + 1
             for _size, a, b, j in sorted(balls):
-                for c in [*range(a, done_a), *range(done_b, b)]:
-                    np.minimum(low, vals[c], out=low)
-                    np.maximum(high, vals[c], out=high)
+                for rows in (vals[a:done_a], vals[done_b:b]):
+                    if len(rows):
+                        np.minimum(low, rows.min(axis=0), out=low)
+                        np.maximum(high, rows.max(axis=0), out=high)
                 done_a, done_b = a, b
                 if xs[j] not in at:
                     at[xs[j]] = kernel.leq(vals[it], j)

@@ -140,10 +140,9 @@ class WeightSpec:
         alpha, param = shortest_repr(self.alpha), shortest_repr(self.sv_param)
         if self.sv_kind == SV_CONST and self.alpha == 0.0:
             return f"const:{param}"
-        if self.sv_kind == SV_CONST:
-            return f"pow:{alpha}" if self.sv_param == 1.0 else f"pow:{alpha}*{param}"
-        tag = "logpow" if self.sv_kind == SV_LOGPOW else "expsqrt"
-        return f"pow:{alpha}:{tag}:{param}"
+        if self.sv_kind == SV_CONST and self.sv_param == 1.0:
+            return f"pow:{alpha}"
+        return f"pow:{alpha}:{self.sv_kind}:{param}"
 
 
 def slowly_varying_eval(w: WeightSpec, x):
@@ -248,7 +247,8 @@ def parse_weight(text: str, gamma: Optional[float] = None, unchecked: bool = Fal
     """Parse the CLI weight syntax, case-insensitively.
 
     Accepted forms: ``const:<v>``, ``pow:<alpha>``,
-    ``pow:<alpha>:logpow:<beta>``, ``pow:<alpha>:expsqrt:<c>``.
+    ``pow:<alpha>:const:<c>``, ``pow:<alpha>:logpow:<beta>``,
+    ``pow:<alpha>:expsqrt:<c>``.
     """
     parts = [p.strip() for p in text.strip().lower().split(":")]
     args = None
@@ -257,7 +257,7 @@ def parse_weight(text: str, gamma: Optional[float] = None, unchecked: bool = Fal
             args = (0.0, SV_CONST, float(parts[1]))
         elif parts[0] == "pow" and len(parts) == 2:
             args = (float(parts[1]), SV_CONST, 1.0)
-        elif parts[0] == "pow" and len(parts) == 4 and parts[2] in (SV_LOGPOW, SV_EXPSQRT):
+        elif parts[0] == "pow" and len(parts) == 4 and parts[2] in SV_KINDS:
             args = (float(parts[1]), parts[2], float(parts[3]))
     except ValueError as exc:
         raise DomainError(f"bad numeric field in weight spec {text!r}: {exc}") from exc

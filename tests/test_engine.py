@@ -1,10 +1,12 @@
 """Empirical field evaluation, joint-frequency accumulation, covariance assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from weplab import models
 from weplab.engine import (accumulate_cell_moments, covariance_from_joint,
                            evaluate_field_streaming, export_field_csv, replicated_fields)
 from weplab.errors import DomainError
@@ -94,6 +96,37 @@ class TestEvaluateField:
         one = evaluate_field_streaming(model, grid, levels, w_const, 10_000, 5, workers=1)
         eight = evaluate_field_streaming(model, grid, levels, w_const, 10_000, 5, workers=8)
         assert np.array_equal(one.values, eight.values)
+
+    def test_memory_does_not_grow_with_n(self):
+        # the sampler folds the 129 x 33 counts of each path slice into O(log blocks)
+        # partial sums as they stream; keeping every slice's counts would add about 3 MiB here
+        model, grid, levels = parse_model("bm-copula"), TimeGrid.uniform(), np.linspace(
+            0.02, 0.98, 33)
+        peaks = []
+        for n in (50_000, 400_000):
+            tracemalloc.start()
+            try:
+                evaluate_field_streaming(model, grid, levels, w_const, n, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1 << 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time", "atomic:0.5@0.5"])
+    def test_sliced_replications_give_the_unsliced_fields(self, monkeypatch, spec, workers):
+        # 4500 paths on 9 times arrive as whole replications, three to a batch; under
+        # one-value batches and 9 x 512-value slices each arrives in nine path slices
+        model, grid, levels = parse_model(spec), TimeGrid.uniform(1, 2, 9), [0.2, 0.5, 0.8]
+        w = parse_weight("pow:0.25")
+        whole = replicated_fields(model, grid, levels, w, 4500, 5, PINNED_SEED, workers)
+        monkeypatch.setattr(models, "_BATCH_VALUES", 1)
+        monkeypatch.setattr(models, "_SLICE_VALUES", 9 * 512)
+        shapes = models.map_replications(model, grid, 4500, 5, PINNED_SEED,
+                                         lambda paths: [paths.shape[-1]], workers)
+        assert list(shapes) == ([512] * 8 + [404]) * 5
+        sliced = replicated_fields(model, grid, levels, w, 4500, 5, PINNED_SEED, workers)
+        assert np.array_equal(sliced, whole)
 
     def test_replication_mean_and_variance(self):
         model = parse_model("bm-copula")

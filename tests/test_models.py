@@ -167,37 +167,44 @@ ALL_KINDS = ["bm-copula", "dependent", "iid-time", "atomic:0.5@0.5"]
 
 
 class TestPathSlices:
-    @pytest.mark.parametrize("slice_values", [1, 7, 12, 1 << 20])
+    @pytest.mark.parametrize("slice_values,width", [(1, 1), (5 * 512, 512), (5 * 2048, 2048),
+                                                    (5 * 2900, 4096), (1 << 20, 4096)])
     @pytest.mark.parametrize("spec", ALL_KINDS)
-    def test_slices_hold_the_block_values(self, monkeypatch, spec, slice_values):
-        # both blocks of 5000 paths on 5 times fit one batch; small caps slice it,
-        # across the block boundary too
+    def test_slices_hold_the_block_values(self, monkeypatch, spec, slice_values, width):
+        # both blocks of 5000 paths on 5 times fit one batch; a one-value batch cap streams
+        # them block by block, cut into the power-of-two slices nearest the slice cap
         model, grid = parse_model(spec), TimeGrid.uniform(1, 2, 5)
-        whole = np.hstack(map_path_blocks(model, grid, 5000, 4, lambda v: [v]))
+        whole = map_path_blocks(model, grid, 5000, 4, lambda v: [v])
+        assert [v.shape for v in whole] == [(5, 5000)]
+        monkeypatch.setattr(models, "_BATCH_VALUES", 1)
         monkeypatch.setattr(models, "_SLICE_VALUES", slice_values)
         for workers in (1, 2):
             sliced = map_path_blocks(model, grid, 5000, 4, lambda v: [v], workers)
-            assert np.array_equal(np.hstack(sliced), whole)
-            assert max(v.shape[1] for v in sliced) == min(5000, max(1, slice_values // 5))
+            assert np.array_equal(np.hstack(sliced), whole[0])
+            cuts = [*range(0, 4096, width), *range(4096, 5000, width), 5000]
+            assert [v.shape[1] for v in sliced] == [b - a for a, b in zip(cuts, cuts[1:])]
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
-    def test_wide_blocks_reach_fn_in_slices_under_the_cap(self, monkeypatch, spec):
-        # 513 x 4096 and a partial last block of 513 x 2100 both exceed 2^20 values
+    def test_wide_blocks_reach_fn_in_power_of_two_slices(self, monkeypatch, spec):
+        # 513 x 4096 is 8 x 2^18 values: eighths of a block, the partial last one of
+        # 2100 paths cut at the same path offsets
         model, grid = parse_model(spec), TimeGrid.uniform(1, 2, 513)
         col_sums = lambda v: [(v.shape, v.sum(axis=0))]
         got = map_path_blocks(model, grid, 6196, 9, col_sums)
-        assert [shape for shape, _ in got] == [(513, r) for r in (1365, 1365, 1366, 1050, 1050)]
-        assert max(r * c for (r, c), _ in got) <= models._SLICE_VALUES
+        assert [shape for shape, _ in got] == [(513, 512)] * 12 + [(513, 52)]
         monkeypatch.setattr(models, "_SLICE_VALUES", 1 << 30)
         whole = map_path_blocks(model, grid, 6196, 9, col_sums)
         assert [shape for shape, _ in whole] == [(513, 4096), (513, 2100)]
         assert np.array_equal(np.concatenate([s for _, s in got]),
                               np.concatenate([s for _, s in whole]))
 
-    def test_129_point_block_arrives_whole(self):
-        shapes = map_path_blocks(parse_model("bm-copula"), TimeGrid.uniform(), 5000, 1,
-                                 lambda v: [v.shape])
-        assert shapes == [(129, 4096), (129, 904)]
+    @pytest.mark.parametrize("times,width", [(65, 4096), (129, 2048), (257, 1024)])
+    def test_block_slices_stay_near_2_mib(self, times, width):
+        # 65 x 4096 values arrive whole, 129 in halves, 257 in quarters; the last
+        # block of 904 paths in one slice
+        shapes = map_path_blocks(parse_model("bm-copula"), TimeGrid.uniform(1, 2, times), 5000,
+                                 1, lambda v: [v.shape])
+        assert shapes == [(times, width)] * (4096 // width) + [(times, 904)]
 
     @pytest.mark.parametrize("blocks_per_batch", [None, 2])
     def test_narrow_grids_batch_whole_blocks(self, monkeypatch, blocks_per_batch):
@@ -206,7 +213,7 @@ class TestPathSlices:
             monkeypatch.setattr(models, "_BATCH_VALUES", blocks_per_batch * 4096 * 4)
         shapes = map_path_blocks(parse_model("bm-copula"), grid, 3 * 4096 + 17, 1,
                                  lambda v: [v.shape])
-        # 2^18 values hold 16 blocks of 4096 x 4
+        # 2^17 values hold 8 blocks of 4096 x 4
         assert shapes == ([(4, 3 * 4096 + 17)] if blocks_per_batch is None
                           else [(4, 2 * 4096), (4, 4096 + 17)])
 
@@ -249,8 +256,8 @@ class TestTimeMajorLayout:
     def test_path_blocks_are_the_block_draws_transposed(self, spec, grid, workers):
         model = parse_model(spec)
         got = map_path_blocks(model, grid, self.N, 8, lambda v: [v], workers)
-        # one batch of four blocks on 4 times; two path slices per full block on 257
-        assert len(got) == (1 if len(grid) == 4 else 7)
+        # one batch of four blocks on 4 times; four path slices per full block on 257
+        assert len(got) == (1 if len(grid) == 4 else 13)
         assert all(v.shape[0] == len(grid) and v.flags.c_contiguous for v in got)
         assert np.array_equal(np.hstack(got), path_major_reference(model, grid, self.N, 8).T)
 
@@ -311,6 +318,13 @@ def replications_by_block(model, grid, n, reps, seed):
                      for r in range(reps)])
 
 
+class Joined(np.ndarray):
+    """An array whose ``+`` joins paths: a consumer returning it gets back whole replications."""
+
+    def __add__(self, other):
+        return np.concatenate([self, other], axis=-1).view(Joined)
+
+
 class TestMapReplications:
     @pytest.mark.parametrize("batch_values", [None, 1, 3])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -323,12 +337,16 @@ class TestMapReplications:
         if batch_values is not None:
             monkeypatch.setattr(models, "_BATCH_VALUES", batch_values)
         model, grid = parse_model(spec), TimeGrid(np.array(times))
-        batch = max(1, models._BATCH_VALUES // (n * len(grid)))
+        wide = n * len(grid) > models._BATCH_VALUES
+        batch = 1 if wide else models._BATCH_VALUES // (n * len(grid))
         # two batches and a part, or one part of a batch when batches are huge
         reps = 2 * batch + 1 if batch <= 32 else 7
         sizes = map_replications(model, grid, n, reps, 17, lambda paths: [len(paths)], workers)
-        assert list(sizes) == [min(batch, reps - i) for i in range(0, reps, batch)]
-        got = map_replications(model, grid, n, reps, 17, lambda paths: paths, workers)
+        # a replication wider than the cap arrives one seeding block at a time
+        assert list(sizes) == ([1] * -(-n // 4096) * reps if wide else
+                               [min(batch, reps - i) for i in range(0, reps, batch)])
+        got = map_replications(model, grid, n, reps, 17, lambda paths: paths.copy().view(Joined),
+                               workers)
         # batches are time-major, as the path blocks are
         assert got.shape == (reps, len(grid), n)
         assert np.array_equal(got, replications_by_block(model, grid, n, reps, 17))
@@ -337,9 +355,19 @@ class TestMapReplications:
         grid = TimeGrid.uniform(1, 2, 4)
         sizes = map_replications(parse_model("bm-copula"), grid, 5000, 40, 3,
                                  lambda paths: [paths.size])
-        # 2^18 values hold 13 replications of 5000 x 4
-        assert list(sizes) == [13 * 5000 * 4] * 3 + [5000 * 4]
+        # 2^17 values hold 6 replications of 5000 x 4
+        assert list(sizes) == [6 * 5000 * 4] * 6 + [4 * 5000 * 4]
         assert max(sizes) <= models._BATCH_VALUES
+
+    def test_wide_replications_arrive_in_path_slices(self):
+        # 5000 x 129 values exceed the cap: each replication arrives in the path
+        # slices of map_path_blocks, and the results add up per replication
+        model, grid = parse_model("bm-copula"), TimeGrid.uniform()
+        shapes = map_replications(model, grid, 5000, 2, 3, lambda paths: [paths.shape])
+        assert [tuple(s) for s in shapes] == [(1, 129, 2048)] * 2 + [(1, 129, 904)] + \
+            [(1, 129, 2048)] * 2 + [(1, 129, 904)]
+        counts = map_replications(model, grid, 5000, 2, 3, lambda paths: np.array([1]))
+        assert list(counts) == [3, 3]
 
     def test_needs_paths_and_replications(self):
         model, grid = parse_model("bm-copula"), TimeGrid.uniform(1, 2, 4)

@@ -228,14 +228,16 @@ class TestParsing:
             again = parse_weight(w.describe(), gamma=w.gamma)
             assert again.alpha == w.alpha and again.sv_kind == w.sv_kind
 
-    @given(st.sampled_from(["const", "pow", "logpow", "expsqrt"]),
+    @given(st.sampled_from(["const", "pow", "pow-const", "logpow", "expsqrt"]),
            st.floats(0.0, 0.5, exclude_max=True),
            st.floats(0.0, 1e6, exclude_min=True))
     @settings(max_examples=60)
     def test_describe_parses_back(self, form, alpha, param):
         try:
             w = (WeightSpec(0.0, "const", param) if form == "const" else
-                 WeightSpec(alpha) if form == "pow" else WeightSpec(alpha, form, param))
+                 WeightSpec(alpha) if form == "pow" else
+                 WeightSpec(alpha, "const", param) if form == "pow-const" else
+                 WeightSpec(alpha, form, param))
         except DomainError:
             reject()
         assert parse_weight(w.describe()) == w
@@ -245,3 +247,4 @@ class TestParsing:
         assert parse_weight("const:1").describe() == "const:1"
         assert parse_weight("pow:0.25").describe() == "pow:0.25"
         assert parse_weight("pow:0.1:expsqrt:0.5").describe() == "pow:0.1:expsqrt:0.5"
+        assert WeightSpec(0.25, "const", 2.0).describe() == "pow:0.25:const:2"
