@@ -551,6 +551,8 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
     sqrt(eps) phi(-quantile(x) - m0)^(t/(t+eps)); the implied constants must
     stay within the stability threshold across eps at fixed x.  The report
     keeps the rows of ``events`` and is named after them ("d1", "d2", "d1-d2").
+    A probe whose time ball is a single grid point is skipped, not evaluated,
+    and the stability rows compare the evaluated eps alone.
     """
     if not events or any(e not in ("d1", "d2") for e in events):
         raise DomainError(f"events must be d1 and/or d2, not {events!r}")
@@ -566,13 +568,19 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
     if m0_hat is None:
         m0_hat = _m0_default(grid, seed, workers)
 
-    model = ProcessModel(BM_COPULA)
-    prepared = [(grid.index_of(t), grid.ball_indices(t, eps), x) for t, eps, x in probes]
-    counts = _crossing_counts(model, grid, prepared, n, seed, workers)
+    balls = [(grid.index_of(t), grid.ball_indices(t, eps)) for t, eps, _x in probes]
+    cells = [(it, ball, x) for (it, ball), (_t, _e, x) in zip(balls, probes) if ball.size > 1]
+    counts = iter(_crossing_counts(ProcessModel(BM_COPULA), grid, cells, n, seed, workers)
+                  if cells else ())
 
     rows = []
     c_hats: dict[tuple[str, float], dict[float, float]] = {}
-    for (t, eps, x), (c_d1, c_d2) in zip(probes, counts):
+    for (t, eps, x), (_it, ball) in zip(probes, balls):
+        if ball.size <= 1:
+            rows += [_skipped({"event": name, "t": t, "eps": eps, "x": x}, "singleton time ball")
+                     for name in events]
+            continue
+        c_d1, c_d2 = next(counts)
         shape = (math.sqrt(eps) * (x * math.log(1.0 / x))
                  + math.sqrt(eps) * std_normal_pdf(-std_normal_quantile(x) - m0_hat)
                  ** (t / (t + eps)))
@@ -593,6 +601,7 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
                                 ratio if math.isfinite(ratio) else None, None,
                                 stability_threshold, None, ratio < stability_threshold))
     rows.append(ProbeResult({"stat": "m0_hat"}, m0_hat, None, None, None, True))
+    _fail_if_none_evaluated(rows, len(cells))
     return BoundReport("-".join(events), tuple(rows), n, seed)
 
 

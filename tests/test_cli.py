@@ -236,6 +236,21 @@ class TestExitCodes:
         failed = [p for p in probes if not p["pass"]]
         assert [p["coords"] for p in failed] == [{"stat": "evaluated_probes"}]
 
+    @pytest.mark.filterwarnings("ignore:.*skipped")
+    @pytest.mark.parametrize("check", ["d1", "d2"])
+    def test_every_ball_a_singleton_is_one(self, tmp_path, check):
+        # on the grid {1, 1.5, 2} no d1/d2 ball around 1.5 (eps <= 0.4) holds a second time
+        out = tmp_path / "r.json"
+        assert run_cli("verify", check, "--time-points", "3", "--n", "1000",
+                       "--out", str(out)) == 1
+        probes = load_without_timing(out)["probes"]
+        events = [p for p in probes if "event" in p["coords"]]
+        assert len(events) == 9 and all(
+            p["coords"]["skipped"] == "singleton time ball" and p["estimate"] is None
+            for p in events)
+        failed = [p for p in probes if not p["pass"]]
+        assert [p["coords"] for p in failed] == [{"stat": "evaluated_probes"}]
+
 
 class TestSimulate:
     def test_csv_shape_and_closed_form(self, tmp_path):

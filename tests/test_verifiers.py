@@ -13,7 +13,8 @@ from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
 from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
                               clt_marginal_test, clt_sup_comparison, envelope_check,
                               l_condition_estimate, lemma_l_check, lemma_m_check,
-                              prop_d1_d2_check, slowly_varying_check, wl_estimate, _wl_sweep)
+                              DEFAULT_D1D2_EPS, DEFAULT_D1D2_X, prop_d1_d2_check,
+                              slowly_varying_check, wl_estimate, _wl_sweep)
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -227,10 +228,30 @@ class TestD1D2:
         # the mirrored event sees the whole ball at the tiny level; same order
         assert rows_by(rep, x=1e-4, event="d2")[0].estimate < 30.0 / 100_000
 
-    def test_zero_radius_ball_is_empty_event(self):
+    @pytest.mark.filterwarnings("ignore:.*skipped")
+    def test_zero_radius_ball_is_skipped(self):
+        # a one-point ball cannot hold a crossing: the probe is not evaluated
         rep = prop_d1_d2_check(probes=[(1.5, 0.0, 0.05)], n=2000, seed=PINNED_SEED)
-        for row in rows_by(rep, x=0.05):
-            assert row.estimate == 0.0
+        rows = rows_by(rep, x=0.05)
+        assert [r.coords["event"] for r in rows] == ["d1", "d2"]
+        for row in rows:
+            assert row.estimate is None and row.coords["skipped"] == "singleton time ball"
+        assert not rep.passed
+
+    @pytest.mark.filterwarnings("ignore:.*skipped")
+    def test_singleton_balls_are_skipped_in_probe_order(self):
+        # on 17 times the eps = 0.025 ball around 1.5 holds one time; the stability
+        # rows compare eps 0.1 and 0.4 alone
+        rep = prop_d1_d2_check(n=2000, seed=5, grid=TimeGrid.uniform(1, 2, 17),
+                               events=("d1",))
+        assert rep.passed
+        probe_rows = [p for p in rep.probes if "event" in p.coords and "stat" not in p.coords]
+        assert [(p.coords["eps"], p.coords["x"]) for p in probe_rows] == [
+            (e, x) for e in DEFAULT_D1D2_EPS for x in DEFAULT_D1D2_X]
+        for p in probe_rows:
+            assert ("skipped" in p.coords) == (p.coords["eps"] == 0.025)
+        stability = [p for p in rep.probes if p.coords.get("stat") == "eps-stability"]
+        assert len(stability) == 3 and all(1.0 <= p.estimate < 10.0 for p in stability)
 
     def test_domain(self):
         with pytest.raises(DomainError):
