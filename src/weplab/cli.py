@@ -316,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _simulate(cfg: RunConfig, out: str) -> int:
     levels = np.linspace(cfg.clip, 1.0 - cfg.clip, cfg.level_points)
-    field = evaluate_field_streaming(cfg.model_spec(), cfg.time_grid, levels, cfg.parsed_weight,
-                                     cfg.n, cfg.seed, clip=cfg.clip, workers=cfg.worker_count)
-    export_field_csv(field, out)
+    model, grid, w = cfg.model_spec(), cfg.time_grid, cfg.parsed_weight
+    values = evaluate_field_streaming(model, grid, levels, w, cfg.n, cfg.seed, cfg.worker_count)
+    export_field_csv(values, grid, levels, out, model, w, cfg.n, cfg.seed)
     return 0
 
 

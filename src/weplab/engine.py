@@ -11,7 +11,6 @@ written; implemented models produce continuous values almost surely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,30 +19,8 @@ from .errors import DomainError
 from .models import ProcessModel, TimeGrid, level_kernel, map_path_blocks, map_replications
 from .weights import WeightSpec
 
-DEFAULT_CLIP = 1e-3
-
 # Indicators per F @ F.T in accumulate_cell_moments: 1 MiB, sums exact in float32.
 _PAIR_VALUES = 1 << 18
-
-
-@dataclass(frozen=True)
-class EmpiricalField:
-    """Field values on the (grid times) x (levels) lattice."""
-
-    grid: TimeGrid
-    levels: np.ndarray
-    values: np.ndarray       # shape (len(grid), len(levels))
-    n: int
-    weight: WeightSpec
-    provenance: dict
-
-    def __post_init__(self):
-        for name in ("levels", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.values.shape != (len(self.grid), self.levels.size):
-            raise DomainError("field shape must be (grid size, level count)")
 
 
 def field_values(counts: np.ndarray, levels: np.ndarray, w: WeightSpec, n: int) -> np.ndarray:
@@ -52,20 +29,16 @@ def field_values(counts: np.ndarray, levels: np.ndarray, w: WeightSpec, n: int) 
 
 
 def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequence[float],
-                             w: WeightSpec, n: int, seed: int, clip: float = DEFAULT_CLIP,
-                             workers: int = 1) -> EmpiricalField:
-    """Evaluate the field on the (grid x levels) lattice from n streamed paths.
+                             w: WeightSpec, n: int, seed: int, workers: int = 1) -> np.ndarray:
+    """The field values (times x levels) on the (grid x levels) lattice from n streamed paths.
 
     Per batch, ``level_kernel`` counts X_t <= y for every cell as integers,
     which the sampler adds in batch order.
     """
     levels = np.asarray(levels, dtype=float)
-    if levels.size == 0:
-        raise DomainError("need at least one level")
-    if not (np.all(np.isfinite(levels)) and math.isfinite(clip)):
-        raise DomainError("levels and clip must be finite")
-    if np.any(levels < clip) or np.any(levels > 1.0 - clip):
-        raise DomainError(f"levels must lie inside the clip range [{clip}, {1 - clip}]")
+    # a NaN level would count every path under the sort-and-search kernel
+    if levels.size == 0 or not np.all((levels > 0.0) & (levels < 1.0)):
+        raise DomainError("need at least one level, each strictly inside (0, 1)")
 
     kernel = level_kernel(model, levels)
 
@@ -73,8 +46,7 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
         return kernel.count(vals)
 
     counts = map_path_blocks(model, grid, n, seed, block_counts, workers)
-    return EmpiricalField(grid, levels, field_values(counts, levels, w, n), n, w,
-                          {"model": model.describe(), "seed": seed})
+    return field_values(counts, levels, w, n)
 
 
 def replicated_fields(model: ProcessModel, grid: TimeGrid, levels: Sequence[float],
@@ -130,15 +102,14 @@ def covariance_from_joint(joint: np.ndarray, cells: Sequence[tuple[float, float]
     return 0.5 * (cov + cov.T)
 
 
-def export_field_csv(field: EmpiricalField, path: str) -> None:
-    """CSV rows t,y,nu with a header comment recording the provenance."""
-    prov = field.provenance
+def export_field_csv(values: np.ndarray, grid: TimeGrid, levels: Sequence[float], path: str,
+                     model: ProcessModel, w: WeightSpec, n: int, seed: int) -> None:
+    """CSV rows t,y,nu of field ``values`` with a header comment recording the run."""
     lines = ["# weplab field v1",
-             f"# n={field.n} seed={prov.get('seed')} model={prov.get('model')} "
-             f"weight={field.weight.describe()}",
+             f"# n={n} seed={seed} model={model.describe()} weight={w.describe()}",
              "t,y,nu"]
-    for i, t in enumerate(field.grid.points):
-        for j, y in enumerate(field.levels):
-            lines.append(f"{float(t)!r},{float(y)!r},{float(field.values[i, j])!r}")
+    for i, t in enumerate(grid.points):
+        for j, y in enumerate(levels):
+            lines.append(f"{float(t)!r},{float(y)!r},{float(values[i, j])!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

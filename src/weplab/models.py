@@ -514,8 +514,6 @@ class EnvelopeStatistics:
     m_table: dict[tuple[float, float], tuple[float, float, int]]
     d_env: float
     d_env_stderr: float
-    n: int
-    seed: int
 
     @property
     def m0_hat(self) -> float:
@@ -566,4 +564,4 @@ def envelope_statistics(grid: TimeGrid, n: int, seed: int,
         mean, se = mean_stderr(sums[j], sqs[j])
         table[(t, eps)] = (mean, se, int(sel.size))
     d_mean, d_se = mean_stderr(sums[-1], sqs[-1])
-    return EnvelopeStatistics(table, d_mean, d_se, n, seed)
+    return EnvelopeStatistics(table, d_mean, d_se)

@@ -12,6 +12,7 @@ All functions are pure and reentrant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -185,14 +186,11 @@ def std_normal_quantile(p):
 
 
 # Gauss-Legendre nodes on [-1, 1]; order chosen by |rho| as in the classic
-# Drezner-Wesolowsky/Genz scheme.
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+# Drezner-Wesolowsky/Genz scheme.  numpy.polynomial is reached on the first
+# call, not at import, so a run that needs no nodes never loads it.
+@functools.cache
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _square(v: float) -> float:
@@ -319,7 +317,6 @@ class QuadratureResult:
     value: float
     error: float
     converged: bool
-    panels: int
 
 
 # Divergence heuristic: the last DIVERGENCE_WINDOW inner dyadic panels each
@@ -402,19 +399,19 @@ def singular_quadrature(f: Callable[[np.ndarray], np.ndarray], b: float,
             prior = contribs[-DIVERGENCE_WINDOW - 1:-1]
             if all(p > 0.0 and c >= (1.0 - DIVERGENCE_SLACK) * p for c, p in zip(window, prior)) \
                     and _deep_probes_stay_flat(f, b, j, contribs[-1]):
-                return QuadratureResult(total, err + DIVERGENCE_WINDOW * max(window), False, j + 1)
+                return QuadratureResult(total, err + DIVERGENCE_WINDOW * max(window), False)
         if len(contribs) >= 2:
             c_prev, c_last = contribs[-2], contribs[-1]
             if c_last == 0.0 and c_prev == 0.0:
-                return QuadratureResult(total, err, True, j + 1)
+                return QuadratureResult(total, err, True)
             if c_prev > 0.0 and c_last < c_prev:
                 q = min(c_last / c_prev, 0.9)
                 tail = c_last * q / (1.0 - q)
                 if tail < tol / 2.0:
-                    return QuadratureResult(total, err + tail, True, j + 1)
+                    return QuadratureResult(total, err + tail, True)
         if hi < 1e-300:
             break
-    return QuadratureResult(total, err + (contribs[-1] if contribs else 0.0), False, len(contribs))
+    return QuadratureResult(total, err + (contribs[-1] if contribs else 0.0), False)
 
 
 def ks_statistic_one_sample(sample: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:

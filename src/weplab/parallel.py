@@ -109,15 +109,6 @@ def rng_from_words(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the substream identified by (seed, *key), seeded by numpy.
-
-    It is the stream of ``rng_from_words(seed_words(seed, [key])[0])``; for
-    one key numpy's ``SeedSequence`` is cheaper than the vectorized hash.
-    """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *key))))
-
-
 def iter_blocks(n: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int, int]]:
     """Partition range(n) into (block_index, start, stop) triples."""
     if n < 0:

@@ -36,9 +36,9 @@ from .engine import accumulate_cell_moments, covariance_from_joint, replicated_f
 from .errors import DomainError
 from .limits import (build_limit_model, check_distance_monotone, dg0_upper_bound_check,
                      sample_limit_field, weight_drift_check)
-from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics,
-                     joint_cdf_matrix, level_kernel, map_brownian_blocks, map_path_blocks,
-                     to_uniform)
+from .models import (BM_COPULA, DEFAULT_ENVELOPE_EPS, DEFAULT_ENVELOPE_T, ProcessModel,
+                     TimeGrid, envelope_statistics, joint_cdf_matrix, level_kernel,
+                     map_brownian_blocks, map_path_blocks, to_uniform)
 from .numerics import (ks_critical_one_sample, ks_critical_two_sample,
                        ks_statistic_one_sample, ks_statistic_two_sample,
                        std_normal_cdf, std_normal_pdf, std_normal_quantile)
@@ -363,27 +363,28 @@ def dyadic_check(w: WeightSpec, seed: int = 0) -> BoundReport:
     for theta in (1e-4, 1e-2, 0.2 * w.gamma):
         short = dyadic_sum(w, theta, 60)
         full = dyadic_sum(w, theta, 200)
-        settled = full.ratio - short.ratio <= 0.01 * full.ratio
-        rows.append(ProbeResult({"theta": theta, "terms": 200}, full.ratio, None,
-                                None, None, settled and full.ratio >= short.ratio))
+        settled = full - short <= 0.01 * full
+        rows.append(ProbeResult({"theta": theta, "terms": 200}, full, None,
+                                None, None, settled and full >= short))
         if w.sv_kind == "const" and w.sv_param == 1.0:
             # pure power: geometric series in closed form, partial and limit
             r = 4.0 ** (-w.alpha)
             partial = (1.0 - r ** 60) / (1.0 - r)
             limit = 1.0 / (1.0 - r)
             rows.append(ProbeResult({"theta": theta, "terms": 60, "part": "closed-form"},
-                                    short.ratio, None, partial, None,
-                                    abs(short.ratio - partial) <= 1e-10))
+                                    short, None, partial, None,
+                                    abs(short - partial) <= 1e-10))
             rows.append(ProbeResult({"theta": theta, "terms": 200, "part": "limit"},
-                                    full.ratio, None, limit, None,
-                                    abs(full.ratio - limit) <= 1e-10))
+                                    full, None, limit, None,
+                                    abs(full - limit) <= 1e-10))
     return BoundReport("dyadic", tuple(rows), 0, seed)
 
 
 def _sampled_violation(name: str, w: WeightSpec, seed: int, check, label: str,
                        stream: int, width: int, ordered: bool) -> BoundReport:
     """One row: ``check`` on 1000 draws of ``width`` points in the weight's window."""
-    draws = parallel.derive_rng(seed, stream).uniform(1e-6, w.gamma, size=(1000, width))
+    rng = parallel.rng_from_words(parallel.seed_words(seed, [(stream,)])[0])
+    draws = rng.uniform(1e-6, w.gamma, size=(1000, width))
     if ordered:
         draws = np.sort(draws, axis=1)
     violation = check(w, [tuple(d) for d in draws])
@@ -475,11 +476,11 @@ def borell_check(r_values: Sequence[float] = DEFAULT_BORELL_R, n: int = 100_000,
     if any(r <= 0.0 for r in rs):
         raise DomainError("r values must be positive")
 
-    def exceed_counts(b):
-        sup = np.max(-b / sqrt_pts, axis=0)
+    def exceed_counts(scores):
+        sup = np.max(-scores, axis=0)
         return np.array([np.count_nonzero(sup >= m_hat + r) for r in rs], dtype=np.int64)
 
-    counts = map_brownian_blocks(grid, n, seed, exceed_counts, workers)
+    counts = map_path_blocks(ProcessModel(BM_COPULA), grid, n, seed, exceed_counts, workers)
     rows = [ProbeResult({"stat": "sup_mean"}, m_hat, None, None, None, True)]
     for r, c in zip(rs, counts):
         p = c / n
@@ -490,13 +491,9 @@ def borell_check(r_values: Sequence[float] = DEFAULT_BORELL_R, n: int = 100_000,
     return BoundReport("borell", tuple(rows), n, seed)
 
 
-DEFAULT_LEMMA_M_T = (1.0, 1.5, 2.0)
-DEFAULT_LEMMA_M_EPS = (1e-3, 0.01, 0.1, 0.25)
-
-
 def lemma_m_check(n: int = 20_000, seed: int = 0, grid: Optional[TimeGrid] = None,
-                  t_values: Sequence[float] = DEFAULT_LEMMA_M_T,
-                  eps_values: Sequence[float] = DEFAULT_LEMMA_M_EPS,
+                  t_values: Sequence[float] = DEFAULT_ENVELOPE_T,
+                  eps_values: Sequence[float] = DEFAULT_ENVELOPE_EPS,
                   workers: int = 1) -> BoundReport:
     """Forward-increment sup means against 2 sqrt(2/pi) sqrt(eps).
 
@@ -534,9 +531,8 @@ D1D2_STABILITY_THRESHOLD = 10.0
 
 
 def _m0_default(grid, seed, workers) -> float:
-    stats = envelope_statistics(grid, 20_000, seed, workers=workers,
-                                stream=parallel.STREAM_CALIBRATION)
-    return stats.m0_hat
+    return envelope_statistics(grid, 20_000, seed, workers=workers,
+                               stream=parallel.STREAM_CALIBRATION).m0_hat
 
 
 def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = None,
@@ -580,11 +576,10 @@ def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = No
             rows += [_skipped({"event": name, "t": t, "eps": eps, "x": x}, "singleton time ball")
                      for name in events]
             continue
-        c_d1, c_d2 = next(counts)
         shape = (math.sqrt(eps) * (x * math.log(1.0 / x))
                  + math.sqrt(eps) * std_normal_pdf(-std_normal_quantile(x) - m0_hat)
                  ** (t / (t + eps)))
-        for name, c in (("d1", c_d1), ("d2", c_d2)):
+        for name, c in zip(("d1", "d2"), next(counts)):
             if name not in events:
                 continue
             p = c / n
@@ -624,11 +619,9 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
     for _t, _e, l in probes:
         if l <= m0_hat:
             raise DomainError(f"level {l} must exceed the measured mean {m0_hat:.4f}")
-    sqrt_pts = np.sqrt(grid.points)[:, None]
     prepared = [(grid.index_of(t), grid.forward_indices(t, eps), l) for t, eps, l in probes]
 
-    def block_fn(b):
-        scaled = b / sqrt_pts
+    def block_fn(scaled):
         counts = np.zeros(len(prepared), dtype=np.int64)
         for j, (it, window, l) in enumerate(prepared):
             if window.size == 0:
@@ -637,7 +630,7 @@ def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L
                                          & (np.max(scaled[window], axis=0) >= l))
         return counts
 
-    counts = map_brownian_blocks(grid, n, seed, block_fn, workers)
+    counts = map_path_blocks(ProcessModel(BM_COPULA), grid, n, seed, block_fn, workers)
     rows = [ProbeResult({"stat": "m0_hat"}, m0_hat, None, None, None, True)]
     evaluated = 0
     for (t, eps, l), (_it, window, _l), c in zip(probes, prepared, counts):
@@ -712,7 +705,7 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
             rows.append(_skipped({"t": t, "eps": eps, "a": a, "b": b,
                                   "ball_points": int(ball.size)}, "singleton time ball"))
             continue
-        ratio = dyadic_sum(w, b, 200).ratio
+        ratio = dyadic_sum(w, b, 200)
         p = next(counts) / n
         se = _freq_stderr(p, n)
         wb = float(w(b))

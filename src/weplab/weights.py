@@ -61,13 +61,6 @@ def _auto_gamma(alpha: float, sv_kind: str, sv_param: float) -> float:
 
 
 @dataclass(frozen=True)
-class MonotonicityReport:
-    passed: bool
-    # (x_left, x_right, condition) for the first violated pair, else None
-    violation: Optional[tuple[float, float, str]] = None
-
-
-@dataclass(frozen=True)
 class WeightSpec:
     """Immutable weight function specification.
 
@@ -105,10 +98,9 @@ class WeightSpec:
         if not self.unchecked:
             if self.gamma * VALIDATION_SPAN < np.finfo(float).tiny:
                 raise DomainError(f"gamma {self.gamma!r} is too small for the validation grid")
-            report = validate_monotonicity(self)
-            if not report.passed:
-                raise DomainError(
-                    f"weight violates the monotonicity window at {report.violation}")
+            violation = validate_monotonicity(self)
+            if violation is not None:
+                raise DomainError(f"weight violates the monotonicity window at {violation}")
 
     # -- evaluation ------------------------------------------------------
 
@@ -154,12 +146,13 @@ def slowly_varying_eval(w: WeightSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def validate_monotonicity(w: WeightSpec) -> MonotonicityReport:
+def validate_monotonicity(w: WeightSpec) -> Optional[tuple[float, float, str]]:
     """Check w non-increasing and x w(x)^2 non-decreasing on (0, gamma).
 
     Uses a geometric grid of ``VALIDATION_POINTS`` on (gamma * VALIDATION_SPAN, gamma);
-    returns the first violating pair instead of raising.  A weight whose
-    x w(x)^2 overflows double precision on the grid fails there.
+    returns the first violation (x_left, x_right, condition) instead of raising,
+    or None.  A weight whose x w(x)^2 overflows double precision on the grid
+    fails there.
     """
     xs = np.geomspace(w.gamma * VALIDATION_SPAN, w.gamma, VALIDATION_POINTS)
     # fold manually: the grid lies below 1/2 already
@@ -168,14 +161,14 @@ def validate_monotonicity(w: WeightSpec) -> MonotonicityReport:
         xw2 = xs * wv * wv
     if not np.all(np.isfinite(xw2)):
         i = min(int(np.argmin(np.isfinite(xw2))), len(xs) - 2)
-        return MonotonicityReport(False, (float(xs[i]), float(xs[i + 1]), "x*w^2 finite"))
+        return float(xs[i]), float(xs[i + 1]), "x*w^2 finite"
     slack = 1e-12
     for i in range(len(xs) - 1):
         if wv[i + 1] > wv[i] * (1.0 + slack):
-            return MonotonicityReport(False, (float(xs[i]), float(xs[i + 1]), "w non-increasing"))
+            return float(xs[i]), float(xs[i + 1]), "w non-increasing"
         if xw2[i + 1] < xw2[i] * (1.0 - slack):
-            return MonotonicityReport(False, (float(xs[i]), float(xs[i + 1]), "x*w^2 non-decreasing"))
-    return MonotonicityReport(True, None)
+            return float(xs[i]), float(xs[i + 1]), "x*w^2 non-decreasing"
+    return None
 
 
 @dataclass(frozen=True)
@@ -212,15 +205,8 @@ def integral_condition(w: WeightSpec, c_values: Sequence[float],
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class DyadicSum:
-    partial_sum: float
-    ratio: float
-    terms: int
-
-
-def dyadic_sum(w: WeightSpec, theta: float, terms: int) -> DyadicSum:
-    """Partial sum of 1/w(2^-k theta)^2 and its ratio to 1/w(theta)^2.
+def dyadic_sum(w: WeightSpec, theta: float, terms: int) -> float:
+    """The partial sum of 1/w(2^-k theta)^2, k < terms, as a ratio to 1/w(theta)^2.
 
     Requires a nonzero exponent: for alpha = 0 the series diverges and the
     dyadic bound does not apply.
@@ -240,7 +226,7 @@ def dyadic_sum(w: WeightSpec, theta: float, terms: int) -> DyadicSum:
     wv = w._base(args)
     partial = float(np.sum(1.0 / (wv * wv)))
     w_theta = float(w._base(np.asarray(theta)))
-    return DyadicSum(partial, partial * w_theta * w_theta, terms)
+    return partial * w_theta * w_theta
 
 
 def parse_weight(text: str, gamma: Optional[float] = None, unchecked: bool = False) -> WeightSpec:

@@ -33,8 +33,8 @@ def uniform_paths(model, grid, n, seed):
     return np.hstack(map_path_blocks(model, grid, n, seed, lambda v: [to_uniform(model, v)])).T
 
 
-def single_path_field(levels, **kwargs):
-    return evaluate_field_streaming(SINGLE_MODEL, SINGLE_GRID, levels, w_const, 1, 7, **kwargs)
+def single_path_field(levels):
+    return evaluate_field_streaming(SINGLE_MODEL, SINGLE_GRID, levels, w_const, 1, 7)
 
 
 class TestEvaluateField:
@@ -42,26 +42,21 @@ class TestEvaluateField:
         u = single_path_value()
         below, above = u / 2.0, (1.0 + u) / 2.0
         field = single_path_field([below, above])
-        assert np.all(np.abs(field.values[:, 0] + below) <= 1e-15)
-        assert np.all(np.abs(field.values[:, 1] - (1.0 - above)) <= 1e-15)
+        assert np.all(np.abs(field[:, 0] + below) <= 1e-15)
+        assert np.all(np.abs(field[:, 1] - (1.0 - above)) <= 1e-15)
 
     def test_weight_linearity_exact(self):
         model, grid = parse_model("bm-copula"), TimeGrid.uniform(1, 2, 9)
         levels = [0.2, 0.5, 0.8]
         base = evaluate_field_streaming(model, grid, levels, w_const, 500, 3)
         doubled = evaluate_field_streaming(model, grid, levels, w_two, 500, 3)
-        assert np.array_equal(doubled.values, 2.0 * base.values)
+        assert np.array_equal(doubled, 2.0 * base)
 
-    def test_clip_enforced(self):
-        with pytest.raises(DomainError):
-            single_path_field([1e-5], clip=1e-3)
-
-    @pytest.mark.parametrize("levels, clip", [([float("nan")], 1e-3), ([0.5], float("nan")),
-                                              ([0.5, float("inf")], 1e-3)])
-    def test_rejects_non_finite_levels_and_clip(self, levels, clip):
+    @pytest.mark.parametrize("levels", [[float("nan")], [0.5, float("inf")], [0.0], [0.5, 1.0]])
+    def test_rejects_levels_outside_the_open_interval(self, levels):
         # a NaN level would count every path under a sort-and-search kernel
-        with pytest.raises(DomainError):
-            single_path_field(levels, clip=clip)
+        with pytest.raises(DomainError, match=r"strictly inside \(0, 1\)"):
+            single_path_field(levels)
 
     @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time"])
     def test_counts_match_broadcast_reference(self, spec):
@@ -75,7 +70,7 @@ class TestEvaluateField:
         counts = (paths[:, :, None] <= levels[None, None, :]).sum(axis=0, dtype=np.int64)
         expected = w_const(levels)[None, :] * (counts - n * levels[None, :]) / math.sqrt(n)
         field = evaluate_field_streaming(model, grid, levels, w_const, n, seed)
-        np.testing.assert_array_equal(field.values, expected)
+        np.testing.assert_array_equal(field, expected)
 
     def test_needs_levels(self):
         with pytest.raises(DomainError):
@@ -84,10 +79,10 @@ class TestEvaluateField:
     def test_boundary_magnitude_bound(self):
         clip, n = 1e-3, 2000
         field = evaluate_field_streaming(parse_model("iid-time"), TimeGrid.uniform(1, 2, 5),
-                                         [clip, 1.0 - clip], w_const, n, 5, clip=clip)
+                                         [clip, 1.0 - clip], w_const, n, 5)
         for j, y in enumerate([clip, 1.0 - clip]):
             cap = math.sqrt(n) * max(y, 1.0 - y)
-            assert np.all(np.abs(field.values[:, j]) <= cap + 1e-12)
+            assert np.all(np.abs(field[:, j]) <= cap + 1e-12)
 
     def test_partition_invariance_bit_for_bit(self):
         model = parse_model("bm-copula")
@@ -95,7 +90,7 @@ class TestEvaluateField:
         levels = [0.3, 0.6]
         one = evaluate_field_streaming(model, grid, levels, w_const, 10_000, 5, workers=1)
         eight = evaluate_field_streaming(model, grid, levels, w_const, 10_000, 5, workers=8)
-        assert np.array_equal(one.values, eight.values)
+        assert np.array_equal(one, eight)
 
     def test_memory_does_not_grow_with_n(self):
         # the sampler folds the 129 x 33 counts of each path slice into O(log blocks)
@@ -173,14 +168,14 @@ class TestCellMoments:
 
 class TestFieldCsv:
     def test_header_and_rows(self, tmp_path):
-        field = evaluate_field_streaming(parse_model("dependent"), TimeGrid.uniform(1, 2, 3),
-                                         [0.3, 0.5], w_const, 10, 7)
+        model, grid, levels = parse_model("dependent"), TimeGrid.uniform(1, 2, 3), [0.3, 0.5]
+        field = evaluate_field_streaming(model, grid, levels, w_const, 10, 7)
         path = tmp_path / "field.csv"
-        export_field_csv(field, str(path))
+        export_field_csv(field, grid, levels, str(path), model, w_const, 10, 7)
         text = path.read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "# weplab field v1"
-        assert "model=dependent" in lines[1]
+        assert lines[1] == "# n=10 seed=7 model=dependent weight=const:1"
         assert lines[2] == "t,y,nu"
         assert len(lines) == 3 + 3 * 2
         assert "\r" not in text

@@ -216,9 +216,8 @@ class TestConsumersMatchTheUniformKernels:
                                                                   [10, 4500, 8990])))
         counts = old_on_uniforms(model, GRID, N, 3, old_field_counts(levels), workers)
         expected = W(levels)[None, :] * (counts - N * levels[None, :]) / math.sqrt(N)
-        field = evaluate_field_streaming(model, GRID, levels, W, N, 3, clip=1e-4,
-                                         workers=workers)
-        assert np.array_equal(field.values, expected)
+        field = evaluate_field_streaming(model, GRID, levels, W, N, 3, workers=workers)
+        assert np.array_equal(field, expected)
 
     def test_cell_moments(self, spec, workers):
         model = parse_model(spec)

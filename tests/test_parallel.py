@@ -19,6 +19,7 @@ from weplab import parallel
 from weplab.limits import build_limit_model, sample_limit_field
 from weplab.models import (TimeGrid, map_brownian_blocks, map_path_blocks, map_replications,
                            parse_model)
+from weplab.verifiers import monotone_d_check, weight_drift_sampled_check
 from weplab.weights import parse_weight
 
 seeds = st.integers(0, 2 ** 70)
@@ -42,12 +43,6 @@ def test_seed_words_are_numpys(seed, data):
     ours, theirs = parallel.rng_from_words(words[-1]), numpy_rng(seed, keys[-1])
     assert np.array_equal(ours.standard_normal(7), theirs.standard_normal(7))
     assert np.array_equal(ours.random(5), theirs.random(5))
-
-
-def test_derive_rng_is_numpys():
-    for seed, key in ((0, ()), (7, (4, 1999, 1)), (2 ** 64, (0,)), (2 ** 32 - 1, (2 ** 32 - 1,) * 6)):
-        assert np.array_equal(parallel.derive_rng(seed, *key).random(4),
-                              numpy_rng(seed, key).random(4))
 
 
 @pytest.mark.parametrize("seed,keys", [
@@ -76,6 +71,8 @@ def test_samplers_build_no_seed_sequence(monkeypatch):
     limit = build_limit_model(parse_model("bm-copula"), [(1.0, 0.3), (2.0, 0.6)],
                               parse_weight("const:1"))
     assert sample_limit_field(limit, 5000, 3).shape == (5000, 2)
+    w = parse_weight("pow:0.25")
+    assert monotone_d_check(w, 3).passed and weight_drift_sampled_check(w, 3).passed
 
 
 def level_by_level(items):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weplab import parallel
 from weplab.errors import DomainError
 
 from transform_reference import (DistFn, NoSamplerError, check_order_properties,
                                  copula_indicator_identity, dist_transform, normal_df,
-                                 point_mass, uniform_atom_mixture, uniform_df,
+                                 point_mass, seeded_rng, uniform_atom_mixture, uniform_df,
                                  uniformity_test)
 
 PINNED_SEED = 20260810
@@ -115,8 +114,8 @@ class TestUniformity:
 
 class TestIndicatorIdentity:
     def test_normal_draws_zero_violations(self):
-        rng_x = parallel.derive_rng(PINNED_SEED, 0)
-        rng_v = parallel.derive_rng(PINNED_SEED, 1)
+        rng_x = seeded_rng(PINNED_SEED, 0)
+        rng_v = seeded_rng(PINNED_SEED, 1)
         xs = rng_x.standard_normal(10_000)
         vs = rng_v.random(10_000)
         y_probes = np.linspace(-2.5, 2.5, 21)
@@ -157,7 +156,7 @@ class TestDfValidation:
 
     def test_pure_atom_df_samples_only_its_atoms(self):
         F = DistFn(atom_locations=(-1.0, 0.5, 2.0), atom_masses=(0.2, 0.3, 0.5))
-        x = F.sample(10_000, parallel.derive_rng(PINNED_SEED, 0))
+        x = F.sample(10_000, seeded_rng(PINNED_SEED, 0))
         assert set(np.unique(x)) == {-1.0, 0.5, 2.0}
         assert np.mean(x == 2.0) == pytest.approx(0.5, abs=0.03)
 
@@ -165,7 +164,7 @@ class TestDfValidation:
         F = DistFn(cdf_fn=lambda x: np.clip(x, 0, 1), atom_locations=(0.5,),
                    atom_masses=(0.5,))
         with pytest.raises(NoSamplerError):
-            F.sample(10, parallel.derive_rng(PINNED_SEED, 0))
+            F.sample(10, seeded_rng(PINNED_SEED, 0))
 
     @pytest.mark.parametrize("F,has_atoms", [
         (uniform_df(), False), (normal_df(), False), (point_mass(1.0), True),

@@ -305,6 +305,48 @@ class TestLemmaL:
             lemma_l_check(probes=((1.5, 0.25, 0.01),), n=2000, seed=1)
 
 
+class TestScoreChecksOnPathSlices:
+    """borell and lemma-l count on the path sampler's scores B_t/sqrt(t), in path slices.
+
+    Their counts must equal those of the raw Brownian blocks divided by sqrt(t)
+    whole.  7,000 paths are a full and a partial seeding block; on 129 times each
+    arrives in 2,048-path slices, on 257 times in 1,024-path slices, so the
+    partial block of 2,904 paths is cut too.
+    """
+
+    N, SEED = 7000, 11
+
+    @staticmethod
+    def reference_scores(grid, n, seed, workers):
+        sqrt_pts = np.sqrt(grid.points)[:, None]
+        return np.hstack(models.map_brownian_blocks(grid, n, seed, lambda b: [b / sqrt_pts],
+                                                    workers))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("points", [129, 257])
+    def test_borell_counts_are_the_brownian_ones(self, points, workers):
+        grid = TimeGrid.uniform(1, 2, points)
+        rep = borell_check(n=self.N, seed=self.SEED, grid=grid, workers=workers)
+        sup = np.max(-self.reference_scores(grid, self.N, self.SEED, workers), axis=0)
+        m_hat = stat(rep, "sup_mean")
+        for r in (1.0, 2.0, 3.0):
+            assert rows_by(rep, r=r)[0].estimate == np.count_nonzero(sup >= m_hat + r) / self.N
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("points", [129, 257])
+    def test_lemma_l_counts_are_the_brownian_ones(self, points, workers):
+        grid = TimeGrid.uniform(1, 2, points)
+        probes = ((1.0, 0.25, 0.6), (1.5, 0.1, 0.8), (1.0, 0.01, 0.7), (1.5, 0.25, 1.5))
+        rep = lemma_l_check(probes, n=self.N, seed=self.SEED, grid=grid, m0_hat=0.5,
+                            workers=workers)
+        scaled = self.reference_scores(grid, self.N, self.SEED, workers)
+        for t, eps, l in probes:
+            it, window = grid.index_of(t), grid.forward_indices(t, eps)
+            count = np.count_nonzero((scaled[it] < l) & (np.max(scaled[window], axis=0) >= l))
+            assert count > 0
+            assert rows_by(rep, t=t, eps=eps, l=l)[0].estimate == count / self.N
+
+
 class TestChaining:
     def test_bound_holds(self):
         rep = chaining_ab_check(bm, w_quarter, 5.0, n=20_000, seed=PINNED_SEED)

@@ -26,6 +26,11 @@ from weplab.errors import DomainError
 from weplab.numerics import ks_statistic_one_sample, std_normal_cdf
 
 
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """numpy's PCG64 generator of ``SeedSequence((seed, *key))``: the substream of a key."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *key))))
+
+
 class NoSamplerError(Exception):
     """A df without a sampler for its continuous part was asked for draws."""
 
@@ -191,8 +196,8 @@ def uniformity_test(F: DistFn, n: int, seed: int, v_constant: Optional[float] = 
     """
     if n < 100:
         raise DomainError("uniformity test needs n >= 100")
-    rng_x = parallel.derive_rng(seed, parallel.STREAM_PATHS)
-    rng_v = parallel.derive_rng(seed, parallel.STREAM_RANDOMIZER)
+    rng_x = seeded_rng(seed, parallel.STREAM_PATHS)
+    rng_v = seeded_rng(seed, parallel.STREAM_RANDOMIZER)
     x = F.sample(n, rng_x)
     if v_constant is None:
         v = rng_v.random(n)
