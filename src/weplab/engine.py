@@ -11,7 +11,7 @@ written; implemented models produce continuous values almost surely.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,16 +50,19 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
 
 
 def replicated_fields(model: ProcessModel, grid: TimeGrid, levels: Sequence[float],
-                      w: WeightSpec, n: int, reps: int, seed: int, workers: int = 1) -> np.ndarray:
-    """Field values (reps x times x levels) of the replications ``map_replications`` streams.
+                      w: WeightSpec, n: int, reps: int, seed: int,
+                      workers: int = 1) -> Iterator[np.ndarray]:
+    """Field values (batch x times x levels) of the replications ``map_replications`` streams.
 
-    The sampler adds each replication's integer counts over its path slices;
-    ``field_values`` is elementwise, so it runs once on all of them.
+    The sampler adds each replication's integer counts over its path slices
+    and yields them a batch at a time, in replication order; ``field_values``
+    is elementwise, so each batch's fields have the bits of fields formed
+    all at once.
     """
     levels = np.asarray(levels, dtype=float)
-    counts = map_replications(model, grid, n, reps, seed, level_kernel(model, levels).count,
-                              workers)
-    return field_values(counts, levels, w, n)
+    return (field_values(counts, levels, w, n) for counts in
+            map_replications(model, grid, n, reps, seed, level_kernel(model, levels).count,
+                             workers))
 
 
 def accumulate_cell_moments(model: ProcessModel, cells: Sequence[tuple[float, float]],

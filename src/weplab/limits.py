@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -128,11 +128,13 @@ def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
     return LimitModel(cells, cov, factor, jitter)
 
 
-def sample_limit_field(limit: LimitModel, reps: int, seed: int, workers: int = 1) -> np.ndarray:
-    """reps mean-zero Gaussian vectors with the model covariance.
+def sample_limit_field(limit: LimitModel, reps: int, seed: int,
+                       workers: int = 1) -> Iterator[np.ndarray]:
+    """reps mean-zero Gaussian vectors with the model covariance, a block at a time.
 
-    Deterministic per (seed, rep index): replication blocks are seeded the
-    same way path blocks are.
+    Yields (block x cells) arrays in replication order.  Deterministic per
+    (seed, rep index): replication blocks are seeded the same way path
+    blocks are.
     """
     if reps < 1:
         raise DomainError("need reps >= 1")
@@ -143,7 +145,7 @@ def sample_limit_field(limit: LimitModel, reps: int, seed: int, workers: int = 1
     def job(idx, start, stop):
         return parallel.rng_from_words(words[idx]).standard_normal((stop - start, limit.size)) @ Lt
 
-    return np.concatenate(list(parallel.map_blocks(job, reps, workers)))
+    return parallel.map_blocks(job, reps, workers)
 
 
 def dg0_upper_bound_check(model: ProcessModel, w: WeightSpec, l_hat: float,

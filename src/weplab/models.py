@@ -20,7 +20,8 @@ results, folded as they stream, so memory does not grow with n:
 ``map_path_blocks`` streams the paths of one run (``map_brownian_blocks``
 their raw B_t) and adds its consumer's per-batch results with ``+`` in fixed
 tree order; ``map_replications`` streams many replications, adds each one's
-results over its path slices and concatenates them in replication order.
+results over its path slices and yields them a batch at a time, in
+replication order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,6 +88,16 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return int(self.points.size)
+
+    # Per-grid constants of the Brownian sampler, as (times x 1) columns: computed
+    # on first use, not once per batch
+    @functools.cached_property
+    def _sqrt_steps(self) -> np.ndarray:
+        return np.sqrt(np.diff(self.points, prepend=0.0))[:, None]
+
+    @functools.cached_property
+    def _sqrt_points(self) -> np.ndarray:
+        return np.sqrt(self.points)[:, None]
 
     def refined(self) -> "TimeGrid":
         """Grid with midpoints inserted (doubled density, same endpoints)."""
@@ -151,15 +162,16 @@ def parse_model(text: str) -> ProcessModel:
 def _brownian_paths(z: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Brownian paths at the grid times from standard normals z (... x times x paths), in place,
     by adding each time row into the next: the additions of ``np.cumsum`` along time."""
-    z *= np.sqrt(np.diff(grid.points, prepend=0.0))[:, None]
+    z *= grid._sqrt_steps
     for j in range(1, len(grid)):
         z[..., j, :] += z[..., j - 1, :]
     return z
 
 
-def _block_seeds(model: ProcessModel, seed: int, stream: int, keys) -> np.ndarray:
+def _block_seeds(model: ProcessModel, seed: int, stream: int, keys: np.ndarray) -> np.ndarray:
     """Seed words (keys x substreams x 4) of (seed, stream, *key), and for the atomic
-    model of its randomizer substream (seed, STREAM_RANDOMIZER, *key), per key row."""
+    model of its randomizer substream (seed, STREAM_RANDOMIZER, *key), per row of the
+    integer array ``keys``."""
     streams = (stream, parallel.STREAM_RANDOMIZER) if model.kind == ATOMIC else (stream,)
     return np.stack([parallel.seed_words(seed, np.column_stack([np.full(len(keys), s), keys]))
                      for s in streams], axis=1)
@@ -224,7 +236,7 @@ def _to_native(model: ProcessModel, draws: np.ndarray, grid: TimeGrid) -> np.nda
     """Draws (... x times x paths) on the native scale, in place: the bm-copula's B_t / sqrt(t)."""
     if model.kind == BM_COPULA:
         _brownian_paths(draws, grid)
-        draws /= np.sqrt(grid.points)[:, None]
+        draws /= grid._sqrt_points
     return draws
 
 
@@ -241,11 +253,12 @@ def to_uniform(model: ProcessModel, block: np.ndarray) -> np.ndarray:
     return np.clip(ndtr(block), _OPEN_LO, _OPEN_HI, out=block)
 
 
-def _stream(model: ProcessModel, grid: TimeGrid, n: int, seed: int, stream: int, keys,
-            fn: Callable, workers: int):
+def _stream(model: ProcessModel, grid: TimeGrid, n: int, seed: int, stream: int,
+            keys: np.ndarray, fn: Callable, workers: int):
     """fn's results on n paths per key, summed in tree order per key or per batch of keys.
 
-    Block j of the replication of key ``k`` draws from (seed, stream, *k, j).
+    Block j of the replication of key row ``k`` of the integer array ``keys``
+    draws from (seed, stream, *k, j).
     ``fn`` gets native (replications x times x paths) arrays of about 2 MiB or less:
     replications of at most ``_BATCH_VALUES`` values come whole, in batches
     of whole replications; a wider one comes in batches of whole seeding
@@ -254,7 +267,9 @@ def _stream(model: ProcessModel, grid: TimeGrid, n: int, seed: int, stream: int,
     results must add up over path slices.
     """
     m, size, blocks = len(grid), parallel.BLOCK_SIZE, parallel.iter_blocks(n)
-    words = _block_seeds(model, seed, stream, [(*k, j) for k in keys for j in range(len(blocks))])
+    words = _block_seeds(model, seed, stream,
+                         np.column_stack([np.repeat(keys, len(blocks), axis=0),
+                                          np.tile(np.arange(len(blocks)), len(keys))]))
     words = words.reshape(len(keys), len(blocks), -1, 4)
     if n * m <= _BATCH_VALUES:
         jobs = [(r0, r1, [0, n]) for _i, r0, r1 in
@@ -302,25 +317,29 @@ def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")
-    total, = _stream(model, grid, n, seed, stream, [extra_key], lambda v: fn(v[0]), workers)
+    total, = _stream(model, grid, n, seed, stream, np.array([extra_key], dtype=np.int64),
+                     lambda v: fn(v[0]), workers)
     return total
 
 
 def map_replications(model: ProcessModel, grid: TimeGrid, n: int, reps: int, seed: int,
-                     fn: Callable[[np.ndarray], np.ndarray], workers: int = 1) -> np.ndarray:
+                     fn: Callable[[np.ndarray], np.ndarray],
+                     workers: int = 1) -> Iterator[np.ndarray]:
     """Stream ``reps`` replications of n sampled paths through ``fn``.
 
     ``fn`` gets native (batch x times x paths) arrays, which it may modify in
     place: batches of whole replications, or one replication's path slices
-    (``_stream``).  Its results must add up over slices; they come back
-    summed per replication and concatenated in replication order.
-    Replication r holds exactly what ``map_path_blocks`` streams with
-    ``stream=STREAM_REPLICATION, extra_key=(r,)``, whatever the batch.
+    (``_stream``).  Its results must add up over slices.  They are yielded
+    as they finish, summed per replication: (batch x ...) results in
+    replication order, a batch at a time, so the caller holds no more
+    replications than it keeps.  Replication r holds exactly what
+    ``map_path_blocks`` streams with ``stream=STREAM_REPLICATION,
+    extra_key=(r,)``, whatever the batch.
     """
     if n < 1 or reps < 1:
         raise DomainError("need n >= 1 paths and reps >= 1")
-    return np.concatenate(list(_stream(model, grid, n, seed, parallel.STREAM_REPLICATION,
-                                       [(r,) for r in range(reps)], fn, workers)))
+    return _stream(model, grid, n, seed, parallel.STREAM_REPLICATION, np.arange(reps)[:, None],
+                   fn, workers)
 
 
 def map_brownian_blocks(grid: TimeGrid, n: int, seed: int,
@@ -533,7 +552,7 @@ def envelope_statistics(grid: TimeGrid, n: int, seed: int,
     """Estimate forward-increment suprema means and the scaled-path sup mean."""
     if n < 1000:
         raise DomainError("envelope statistics need n >= 1000")
-    sqrt_pts = np.sqrt(grid.points)[:, None]
+    sqrt_pts = grid._sqrt_points
     windows = []
     for t in t_values:
         it = grid.index_of(t)

@@ -12,7 +12,6 @@ All functions are pure and reentrant.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -185,12 +184,36 @@ def std_normal_quantile(p):
     return float(y) if y.ndim == 0 else y
 
 
-# Gauss-Legendre nodes on [-1, 1]; order chosen by |rho| as in the classic
-# Drezner-Wesolowsky/Genz scheme.  numpy.polynomial is reached on the first
-# call, not at import, so a run that needs no nodes never loads it.
-@functools.cache
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+# Gauss-Legendre nodes on [-1, 1] and their weights, per order; the order is
+# chosen by |rho| as in the classic Drezner-Wesolowsky/Genz scheme.  Each
+# table holds the positive nodes, ascending, with their weights: the bits
+# numpy 2.4.6's ``leggauss`` returns, which makes both halves exact mirror
+# images.  A table spares every run numpy.polynomial's eigensolve and its RSS.
+_LEGGAUSS_HALF = {
+    6: ((0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+        (0.46791393457269104, 0.3607615730481387, 0.17132449237917027)),
+    12: ((0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
+          0.9041172563704748, 0.9815606342467192),
+         (0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
+          0.10693932599531907, 0.04717533638651141)),
+    20: ((0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+          0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+          0.9639719272779138, 0.993128599185095),
+         (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+          0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+          0.040601429800386446, 0.017614007139150893)),
+}
+
+
+def _mirrored(nodes, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The whole rule, ascending, from its positive half; read-only, as every call shares it."""
+    x, w = np.array(nodes), np.array(weights)
+    x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+_LEGGAUSS = {order: _mirrored(*half) for order, half in _LEGGAUSS_HALF.items()}
 
 
 def _square(v: float) -> float:
@@ -253,7 +276,7 @@ def _bvn_upper(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _bvn_upper_moderate(h, k, r, order: int) -> np.ndarray:
     """0 < |r| < 0.925: Gauss-Legendre on the arcsine-substituted integral."""
-    x, w = _leggauss(order)
+    x, w = _LEGGAUSS[order]
     hk = h * k
     hs = (h * h + k * k) / 2.0
     asr = _libm(math.asin, r)
@@ -291,7 +314,7 @@ def _bvn_upper_near_diagonal(h, k, r) -> np.ndarray:
     a = a / 2.0
     # a node's xs and rs depend on r alone: square once per distinct r
     _, first, same_r = np.unique(r, return_index=True, return_inverse=True)
-    x, w = _leggauss(20)
+    x, w = _LEGGAUSS[20]
     for xi, wi in zip(x, w):
         xs = _libm(_square, a[first] * (xi + 1.0))[same_r]
         rs = np.sqrt(1.0 - xs)
@@ -334,7 +357,7 @@ _PANEL_ORDER = 20
 
 
 def _gl_panel(f, lo: float, hi: float) -> float:
-    x, w = _leggauss(_PANEL_ORDER)
+    x, w = _LEGGAUSS[_PANEL_ORDER]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     vals = np.asarray(f(mid + half * x), dtype=float)

@@ -768,8 +768,8 @@ def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
     if not 0.0 < y < 1.0:
         raise DomainError("probe level must lie strictly inside (0, 1)")
     sigma = float(w(y)) * math.sqrt(y * (1.0 - y))
-    values = replicated_fields(model, TimeGrid(np.array([float(t)])), [y], w, n, reps, seed,
-                               workers)[:, 0, 0]
+    values = np.concatenate([f[:, 0, 0] for f in replicated_fields(
+        model, TimeGrid(np.array([float(t)])), [y], w, n, reps, seed, workers)])
     ks = ks_statistic_one_sample(values, lambda v: std_normal_cdf(v / sigma))
     mean = float(np.mean(values))
     mean_se = float(np.std(values, ddof=1) / math.sqrt(reps))
@@ -832,6 +832,17 @@ def _covariance_target(model: ProcessModel, cells, w: WeightSpec) -> np.ndarray:
     return np.outer(wv, wv) * (joint_cdf_matrix(model, cells) - np.outer(ys, ys))
 
 
+def _sup_norms(batches) -> np.ndarray:
+    """max |value| of each replication in a stream of (batch x ...) arrays, in stream order.
+
+    Each batch folds into its sups as it arrives, and ``map`` keeps no
+    reference to it while the next one is drawn, so one batch is held at a
+    time, never a (reps x cells) array.
+    """
+    return np.concatenate(list(map(
+        lambda b: np.max(np.abs(b, out=b).reshape(len(b), -1), axis=1), batches)))
+
+
 def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float],
                        levels: Sequence[float], n: int, reps: int, seed: int,
                        workers: int = 1) -> tuple[BoundReport, dict]:
@@ -845,9 +856,8 @@ def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float
     levels = np.array(_distinct(map(float, levels), "level"))
     cells = [(float(t), float(y)) for t in grid.points for y in levels]
     limit = build_limit_model(model, cells, w)
-    emp = np.max(np.abs(replicated_fields(model, grid, levels, w, n, reps, seed, workers)),
-                 axis=(1, 2))
-    lim = np.max(np.abs(sample_limit_field(limit, reps, seed, workers=workers)), axis=1)
+    emp = _sup_norms(replicated_fields(model, grid, levels, w, n, reps, seed, workers))
+    lim = _sup_norms(sample_limit_field(limit, reps, seed, workers=workers))
     ks, ks_critical = ks_statistic_two_sample(emp, lim), ks_critical_two_sample(reps, reps)
     rows = (ProbeResult({"stat": "two-sample-ks"}, ks, None, ks_critical, None, ks < ks_critical),)
     return (BoundReport("clt-sup", rows, n, seed),

@@ -709,6 +709,8 @@ class TestEntryPoint:
             "assert main(['clt', 'sup', '--model', 'bm-copula', '--n', '200', '--reps', '8',"
             " '--levels', '0.3,0.7', '--out', out + '/sup']) in (0, 1)\n"
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+            # the Gauss-Legendre nodes come from a table, not from numpy.polynomial's eigensolve
+            "assert 'numpy.polynomial' not in sys.modules\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=checkout_env())

@@ -114,20 +114,24 @@ class TestEvaluateField:
         # one-value batches and 9 x 512-value slices each arrives in nine path slices
         model, grid, levels = parse_model(spec), TimeGrid.uniform(1, 2, 9), [0.2, 0.5, 0.8]
         w = parse_weight("pow:0.25")
-        whole = replicated_fields(model, grid, levels, w, 4500, 5, PINNED_SEED, workers)
+        whole = np.concatenate(list(replicated_fields(model, grid, levels, w, 4500, 5,
+                                                      PINNED_SEED, workers)))
         monkeypatch.setattr(models, "_BATCH_VALUES", 1)
         monkeypatch.setattr(models, "_SLICE_VALUES", 9 * 512)
-        shapes = models.map_replications(model, grid, 4500, 5, PINNED_SEED,
-                                         lambda paths: [paths.shape[-1]], workers)
+        shapes = np.concatenate(list(models.map_replications(model, grid, 4500, 5, PINNED_SEED,
+                                                             lambda paths: [paths.shape[-1]],
+                                                             workers)))
         assert list(shapes) == ([512] * 8 + [404]) * 5
-        sliced = replicated_fields(model, grid, levels, w, 4500, 5, PINNED_SEED, workers)
+        sliced = np.concatenate(list(replicated_fields(model, grid, levels, w, 4500, 5,
+                                                       PINNED_SEED, workers)))
         assert np.array_equal(sliced, whole)
 
     def test_replication_mean_and_variance(self):
         model = parse_model("bm-copula")
         grid = TimeGrid(np.array([1.5]))
         reps, n = 200, 2000
-        vals = replicated_fields(model, grid, [0.3], w_const, n, reps, PINNED_SEED)[:, 0, 0]
+        vals = np.concatenate(list(replicated_fields(model, grid, [0.3], w_const, n, reps,
+                                                     PINNED_SEED)))[:, 0, 0]
         se = np.std(vals, ddof=1) / math.sqrt(reps)
         assert abs(np.mean(vals)) <= 4 * se
         assert np.var(vals, ddof=1) == pytest.approx(0.21, abs=0.05)

@@ -99,14 +99,14 @@ class TestLimitModel:
 
     def test_sampling_covariance(self):
         lm = build_limit_model(parse_model("bm-copula"), [(1.5, 0.3)], w_const)
-        draws = sample_limit_field(lm, 100_000, PINNED_SEED)
+        draws = np.concatenate(list(sample_limit_field(lm, 100_000, PINNED_SEED)))
         var = float(np.var(draws, ddof=1))
         se = math.sqrt(2.0 / (draws.shape[0] - 1)) * 0.21
         assert abs(var - 0.21) <= 4 * se
 
     def test_perfectly_correlated_cells(self):
         lm = build_limit_model(parse_model("dependent"), [(1.0, 0.3), (2.0, 0.3)], w_const)
-        draws = sample_limit_field(lm, 50, 1)
+        draws = np.concatenate(list(sample_limit_field(lm, 50, 1)))
         assert np.max(np.abs(draws[:, 0] - draws[:, 1])) <= 1e-12
 
     def test_domain(self):
@@ -136,8 +136,8 @@ class TestLimitModel:
     def test_worker_invariance(self):
         lm = build_limit_model(parse_model("bm-copula"),
                                [(1.0, 0.2), (1.5, 0.5), (2.0, 0.8)], w_const)
-        a = sample_limit_field(lm, 10_000, 3, workers=1)
-        b = sample_limit_field(lm, 10_000, 3, workers=8)
+        a = np.concatenate(list(sample_limit_field(lm, 10_000, 3, workers=1)))
+        b = np.concatenate(list(sample_limit_field(lm, 10_000, 3, workers=8)))
         assert np.array_equal(a, b)
 
 

@@ -341,20 +341,22 @@ class TestMapReplications:
         batch = 1 if wide else models._BATCH_VALUES // (n * len(grid))
         # two batches and a part, or one part of a batch when batches are huge
         reps = 2 * batch + 1 if batch <= 32 else 7
-        sizes = map_replications(model, grid, n, reps, 17, lambda paths: [len(paths)], workers)
+        sizes = np.concatenate(list(map_replications(model, grid, n, reps, 17,
+                                                     lambda paths: [len(paths)], workers)))
         # a replication wider than the cap arrives one seeding block at a time
         assert list(sizes) == ([1] * -(-n // 4096) * reps if wide else
                                [min(batch, reps - i) for i in range(0, reps, batch)])
-        got = map_replications(model, grid, n, reps, 17, lambda paths: paths.copy().view(Joined),
-                               workers)
+        got = np.concatenate(list(map_replications(model, grid, n, reps, 17,
+                                                   lambda paths: paths.copy().view(Joined),
+                                                   workers)))
         # batches are time-major, as the path blocks are
         assert got.shape == (reps, len(grid), n)
         assert np.array_equal(got, replications_by_block(model, grid, n, reps, 17))
 
     def test_batch_holds_at_most_the_cap(self):
         grid = TimeGrid.uniform(1, 2, 4)
-        sizes = map_replications(parse_model("bm-copula"), grid, 5000, 40, 3,
-                                 lambda paths: [paths.size])
+        sizes = np.concatenate(list(map_replications(parse_model("bm-copula"), grid, 5000, 40, 3,
+                                                     lambda paths: [paths.size])))
         # 2^17 values hold 6 replications of 5000 x 4
         assert list(sizes) == [6 * 5000 * 4] * 6 + [4 * 5000 * 4]
         assert max(sizes) <= models._BATCH_VALUES
@@ -363,17 +365,20 @@ class TestMapReplications:
         # 5000 x 129 values exceed the cap: each replication arrives in the path
         # slices of map_path_blocks, and the results add up per replication
         model, grid = parse_model("bm-copula"), TimeGrid.uniform()
-        shapes = map_replications(model, grid, 5000, 2, 3, lambda paths: [paths.shape])
+        shapes = np.concatenate(list(map_replications(model, grid, 5000, 2, 3,
+                                                      lambda paths: [paths.shape])))
         assert [tuple(s) for s in shapes] == [(1, 129, 2048)] * 2 + [(1, 129, 904)] + \
             [(1, 129, 2048)] * 2 + [(1, 129, 904)]
-        counts = map_replications(model, grid, 5000, 2, 3, lambda paths: np.array([1]))
+        counts = np.concatenate(list(map_replications(model, grid, 5000, 2, 3,
+                                                      lambda paths: np.array([1]))))
         assert list(counts) == [3, 3]
 
     def test_needs_paths_and_replications(self):
         model, grid = parse_model("bm-copula"), TimeGrid.uniform(1, 2, 4)
         for n, reps in ((0, 5), (5, 0), (5, -3)):
             with pytest.raises(DomainError):
-                map_replications(model, grid, n, reps, 1, lambda paths: paths)
+                np.concatenate(list(map_replications(model, grid, n, reps, 1,
+                                                     lambda paths: paths)))
 
 
 class TestJointCdf:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from weplab import numerics
 from weplab.errors import DomainError
 from weplab.numerics import (bvn_cdf, ks_critical_one_sample, ks_statistic_one_sample,
                              ks_statistic_two_sample, ndtr, ndtri, singular_quadrature,
@@ -305,6 +306,26 @@ class TestQuantileBounds:
             c = -y
             assert math.copysign(1.0, c) == sign
             assert std_normal_pdf(y + c) > shifted_density_bound(x)
+
+
+class TestGaussLegendreTable:
+    @pytest.mark.parametrize("order", [6, 12, 20])
+    def test_is_numpys_leggauss_bit_for_bit(self, order):
+        x, w = numerics._LEGGAUSS[order]
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(x.view(np.uint64), ref_x.view(np.uint64))
+        assert np.array_equal(w.view(np.uint64), ref_w.view(np.uint64))
+
+    @pytest.mark.parametrize("order", [6, 12, 20])
+    def test_matches_mpmath(self, order):
+        # node: a root of P_order; weight: 2 / ((1 - x^2) P_order'(x)^2).  The table
+        # keeps numpy's bits, whose 20-point outermost weight is 1.23e-15 from exact
+        legendre = lambda t: mp.legendre(order, t)
+        for xi, wi in zip(*numerics._LEGGAUSS[order]):
+            root = mp.findroot(legendre, mp.mpf(float(xi)))
+            weight = 2 / ((1 - root ** 2) * mp.diff(legendre, root) ** 2)
+            assert abs(xi - root) <= 1e-15
+            assert abs(wi - weight) <= 2e-15
 
 
 class TestBvn:

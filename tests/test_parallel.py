@@ -66,11 +66,12 @@ def test_samplers_build_no_seed_sequence(monkeypatch):
     for kind in ("bm-copula", "atomic:0.5@0.5"):
         model = parse_model(kind)
         assert map_path_blocks(model, grid, 5000, 3, lambda b: b.sum(axis=1)).shape == (3,)
-        assert map_replications(model, grid, 5000, 3, 3, lambda b: b.sum(axis=(1, 2))).shape == (3,)
+        assert np.concatenate(list(map_replications(
+            model, grid, 5000, 3, 3, lambda b: b.sum(axis=(1, 2))))).shape == (3,)
     assert map_brownian_blocks(grid, 5000, 3, lambda b: b.sum(axis=1)).shape == (3,)
     limit = build_limit_model(parse_model("bm-copula"), [(1.0, 0.3), (2.0, 0.6)],
                               parse_weight("const:1"))
-    assert sample_limit_field(limit, 5000, 3).shape == (5000, 2)
+    assert np.concatenate(list(sample_limit_field(limit, 5000, 3))).shape == (5000, 2)
     w = parse_weight("pow:0.25")
     assert monotone_d_check(w, 3).passed and weight_drift_sampled_check(w, 3).passed
 
