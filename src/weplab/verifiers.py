@@ -11,86 +11,36 @@ d1/d2 verifier also checks its stability across eps.  One-sided Monte Carlo
 tolerance is fixed at three standard errors throughout.
 
 Every checker, ``wl_estimate`` included, returns a ``BoundReport`` named
-after its ``weplab verify`` check; each CLT harness returns its report with
-its CSV columns.  Reports carry no clock and determinism comes from the
-block-seeded samplers, so ``to_json()`` is byte-identical across reruns and
-worker counts at a pinned seed; timing is the caller's business.  A probe
-that is not evaluated gets a row whose ``skipped`` coordinate names why, and
-a sweep that evaluates none of its probes adds a failing ``evaluated_probes``
-row.  One WL sweep gives ``wl``, ``chaining-ab`` and ``dg0-upper`` their
-crossing constant ``l_hat``; the ``l_hat`` row of the latter two counts the
-sweep's evaluated probes.
+after its ``weplab verify`` check.  The CLT harnesses live in ``weplab.clt``,
+so ``clt`` and ``simulate`` never load this module.  Reports carry no clock
+and determinism comes from the block-seeded samplers, so ``to_json()`` is
+byte-identical across reruns and worker counts at a pinned seed; timing is
+the caller's business.  A probe that is not evaluated gets a row whose
+``skipped`` coordinate names why, and a sweep that evaluates none of its
+probes adds a failing ``evaluated_probes`` row.  One WL sweep gives ``wl``,
+``chaining-ab`` and ``dg0-upper`` their crossing constant ``l_hat``; the
+``l_hat`` row of the latter two counts the sweep's evaluated probes.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import parallel
-from .engine import accumulate_cell_moments, covariance_from_joint, replicated_fields
 from .errors import DomainError
-from .limits import (build_limit_model, check_distance_monotone, dg0_upper_bound_check,
-                     sample_limit_field, weight_drift_check)
+from .limits import check_distance_monotone, dg0_upper_bound_check, weight_drift_check
 from .models import (BM_COPULA, DEFAULT_ENVELOPE_EPS, DEFAULT_ENVELOPE_T, ProcessModel,
-                     TimeGrid, envelope_statistics, joint_cdf_matrix, level_kernel,
-                     map_brownian_blocks, map_path_blocks, to_uniform)
-from .numerics import (ks_critical_one_sample, ks_critical_two_sample,
-                       ks_statistic_one_sample, ks_statistic_two_sample,
-                       std_normal_cdf, std_normal_pdf, std_normal_quantile)
+                     TimeGrid, envelope_statistics, level_kernel, map_brownian_blocks,
+                     map_path_blocks, to_uniform)
+from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .reports import BoundReport, ProbeResult
 from .weights import WeightSpec, dyadic_sum, integral_condition, slowly_varying_eval
 
 MC_SIGMA = 3.0  # one-sided Monte Carlo allowance, in standard errors
-
-
-def _jsonable(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    coords: dict
-    estimate: Optional[float]
-    stderr: Optional[float]
-    bound: Optional[float]
-    c_hat: Optional[float]
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {"coords": _jsonable(self.coords), "estimate": _jsonable(self.estimate),
-                "stderr": _jsonable(self.stderr), "bound": _jsonable(self.bound),
-                "c_hat": _jsonable(self.c_hat), "pass": bool(self.passed)}
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    check: str
-    probes: tuple[ProbeResult, ...]
-    n: int
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return all(p.passed for p in self.probes)
-
-    def to_json(self) -> dict:
-        return {"check": self.check, "probes": [p.to_json() for p in self.probes],
-                "n": self.n, "seed": self.seed}
 
 
 def _freq_stderr(p: float, n: int) -> float:
@@ -380,11 +330,21 @@ def dyadic_check(w: WeightSpec, seed: int = 0) -> BoundReport:
     return BoundReport("dyadic", tuple(rows), 0, seed)
 
 
+SAMPLING_FLOOR = 1e-6  # the sampled window is [SAMPLING_FLOOR, gamma)
+
+
 def _sampled_violation(name: str, w: WeightSpec, seed: int, check, label: str,
                        stream: int, width: int, ordered: bool) -> BoundReport:
-    """One row: ``check`` on 1000 draws of ``width`` points in the weight's window."""
+    """One row: ``check`` on 1000 draws of ``width`` points in the weight's window.
+
+    A window (0, gamma] at or below the sampling floor holds nothing to draw:
+    that is a DomainError naming both.
+    """
+    if not w.gamma > SAMPLING_FLOOR:
+        raise DomainError(f"{name} samples the weight's window from {SAMPLING_FLOOR:g}, "
+                          f"but its gamma {w.gamma:.6g} is not above that floor")
     rng = parallel.rng_from_words(parallel.seed_words(seed, [(stream,)])[0])
-    draws = rng.uniform(1e-6, w.gamma, size=(1000, width))
+    draws = rng.uniform(SAMPLING_FLOOR, w.gamma, size=(1000, width))
     if ordered:
         draws = np.sort(draws, axis=1)
     violation = check(w, [tuple(d) for d in draws])
@@ -738,127 +698,3 @@ def dg0_upper_check(model: ProcessModel, w: WeightSpec, theta: float, n: int = 1
     _fail_if_none_evaluated(rows, evaluated)
     return BoundReport("dg0-upper", tuple(rows), n, seed)
 
-
-# ---------------------------------------------------------------------------
-# CLT harnesses
-# ---------------------------------------------------------------------------
-# Each returns its report and its CSV columns: an ordered mapping from column
-# name to the column's values, one per replication (per sample size for cov).
-
-def _distinct(values, what: str) -> list:
-    """``values`` sorted; a DomainError names a value that occurs twice."""
-    out = sorted(values)
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise DomainError(f"repeated {what}: {a!r}")
-    return out
-
-
-def clt_marginal_test(model: ProcessModel, w: WeightSpec, t: float, y: float,
-                      n: int, reps: int, seed: int,
-                      workers: int = 1) -> tuple[BoundReport, dict]:
-    """KS of replicated one-cell field values against the limiting normal.
-
-    The rows check the KS statistic, the variance against sigma^2 and the
-    mean against 0, the last two within four standard errors; the columns
-    are ``rep,nu``.
-    """
-    if reps < 500:
-        raise DomainError("need at least 500 replications")
-    if not 0.0 < y < 1.0:
-        raise DomainError("probe level must lie strictly inside (0, 1)")
-    sigma = float(w(y)) * math.sqrt(y * (1.0 - y))
-    values = np.concatenate([f[:, 0, 0] for f in replicated_fields(
-        model, TimeGrid(np.array([float(t)])), [y], w, n, reps, seed, workers)])
-    ks = ks_statistic_one_sample(values, lambda v: std_normal_cdf(v / sigma))
-    mean = float(np.mean(values))
-    mean_se = float(np.std(values, ddof=1) / math.sqrt(reps))
-    var = float(np.var(values, ddof=1))
-    # delete-one jackknife for the variance stderr
-    loo = (np.sum((values - mean) ** 2) - (values - mean) ** 2 * reps / (reps - 1.0)) / (reps - 2.0)
-    var_se = float(math.sqrt((reps - 1.0) / reps * np.sum((loo - np.mean(loo)) ** 2)))
-    ks_critical, target = ks_critical_one_sample(reps), sigma * sigma
-    rows = (ProbeResult({"stat": "ks"}, ks, None, ks_critical, None, ks < ks_critical),
-            ProbeResult({"stat": "variance"}, var, var_se, target, None,
-                        abs(var - target) <= 4.0 * var_se),
-            ProbeResult({"stat": "mean"}, mean, mean_se, 0.0, None,
-                        abs(mean) <= 4.0 * mean_se))
-    return BoundReport("clt-marginal", rows, n, seed), {"rep": range(reps), "nu": values}
-
-
-def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
-                               cells: Sequence[tuple[float, float]],
-                               n_list: Sequence[int], reps: int, seed: int,
-                               threshold: float = 0.01,
-                               workers: int = 1) -> tuple[BoundReport, dict]:
-    """Frobenius distance of the pooled covariance estimate to its target.
-
-    Per sample size the estimate pools the per-path joint indicator
-    frequencies over all replications (reps times n paths), so the distance
-    shrinks like (n reps)^(-1/2).  The ``final-distance`` row passes when
-    the distance decreases along ``n_list`` and ends below ``threshold``;
-    the columns are ``n,frobenius_distance``.
-    """
-    cells = [(float(t), float(y)) for t, y in cells]
-    _distinct(cells, "cell (t, y)")
-    n_list = sorted(int(v) for v in n_list)
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError("n_list must hold at least one sample size, with no repeats")
-    times = sorted({t for t, _ in cells})
-    grid = TimeGrid(np.array(times))
-    target = _covariance_target(model, cells, w)
-    dists = []
-    for i, n in enumerate(n_list):
-        joint = accumulate_cell_moments(model, cells, grid, n * reps, seed,
-                                        workers=workers, extra_key=(i,))
-        est = covariance_from_joint(joint, cells, w)
-        dists.append(float(np.linalg.norm(est - target)))
-    shrinks = all(b < a for a, b in zip(dists, dists[1:]))
-    rows = [ProbeResult({"n": n}, d, None, threshold, None, True) for n, d in zip(n_list, dists)]
-    rows.append(ProbeResult({"stat": "final-distance"}, dists[-1], None, threshold, None,
-                            shrinks and dists[-1] < threshold))
-    return (BoundReport("clt-cov", tuple(rows), n_list[-1], seed),
-            {"n": n_list, "frobenius_distance": dists})
-
-
-def _covariance_target(model: ProcessModel, cells, w: WeightSpec) -> np.ndarray:
-    """wx * wy * (J - x * y) on the cells, with scalar weights.
-
-    It rounds differently from ``covariance_from_joint``, which symmetrizes
-    and subtracts products of weighted levels.
-    """
-    ys = np.array([y for _, y in cells])
-    wv = np.array([float(w(y)) for _, y in cells])
-    return np.outer(wv, wv) * (joint_cdf_matrix(model, cells) - np.outer(ys, ys))
-
-
-def _sup_norms(batches) -> np.ndarray:
-    """max |value| of each replication in a stream of (batch x ...) arrays, in stream order.
-
-    Each batch folds into its sups as it arrives, and ``map`` keeps no
-    reference to it while the next one is drawn, so one batch is held at a
-    time, never a (reps x cells) array.
-    """
-    return np.concatenate(list(map(
-        lambda b: np.max(np.abs(b, out=b).reshape(len(b), -1), axis=1), batches)))
-
-
-def clt_sup_comparison(model: ProcessModel, w: WeightSpec, times: Sequence[float],
-                       levels: Sequence[float], n: int, reps: int, seed: int,
-                       workers: int = 1) -> tuple[BoundReport, dict]:
-    """Two-sample KS between replicated field sups and limit-field sups.
-
-    The columns are ``rep,empirical_sup,limit_sup``.
-    """
-    if reps < 1 or ks_critical_two_sample(reps, reps) >= 1.0:  # a KS statistic is at most 1
-        raise DomainError(f"need at least 4 replications for a KS bound below 1, not {reps}")
-    grid = TimeGrid(np.array(_distinct(map(float, times), "time")))
-    levels = np.array(_distinct(map(float, levels), "level"))
-    cells = [(float(t), float(y)) for t in grid.points for y in levels]
-    limit = build_limit_model(model, cells, w)
-    emp = _sup_norms(replicated_fields(model, grid, levels, w, n, reps, seed, workers))
-    lim = _sup_norms(sample_limit_field(limit, reps, seed, workers=workers))
-    ks, ks_critical = ks_statistic_two_sample(emp, lim), ks_critical_two_sample(reps, reps)
-    rows = (ProbeResult({"stat": "two-sample-ks"}, ks, None, ks_critical, None, ks < ks_critical),)
-    return (BoundReport("clt-sup", rows, n, seed),
-            {"rep": range(reps), "empirical_sup": emp, "limit_sup": lim})

@@ -16,11 +16,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from weplab.models import joint_cdf_matrix, parse_model
 from weplab.numerics import std_normal_cdf, std_normal_pdf
-from weplab.verifiers import (borell_check, clt_covariance_convergence,
-                              clt_marginal_test, clt_sup_comparison, lemma_m_check,
-                              prop_d1_d2_check, wl_estimate)
+from weplab.verifiers import borell_check, lemma_m_check, prop_d1_d2_check, wl_estimate
 from weplab.weights import WeightSpec, dyadic_sum, integral_condition, parse_weight
 
 from transform_reference import (copula_indicator_identity, normal_df, seeded_rng,

@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weplab.cli import CHECKS, CLT, RunConfig, build_parser, main, resolve_config, write_csv
+from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from weplab.errors import ConfigError
 from weplab.models import TimeGrid, parse_model
-from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
-                              clt_marginal_test, clt_sup_comparison, dg0_upper_check,
-                              dyadic_check, envelope_check, integral_check, l_condition_estimate,
+from weplab.verifiers import (borell_check, chaining_ab_check, dg0_upper_check, dyadic_check,
+                              envelope_check, integral_check, l_condition_estimate,
                               lemma_l_check, lemma_m_check, monotone_d_check, prop_d1_d2_check,
                               slowly_varying_check, weight_drift_sampled_check, wl_estimate)
 from weplab.weights import parse_weight
@@ -193,6 +193,15 @@ class TestExitCodes:
         assert named in err
         # only a field that is not a number is blamed on the spec's numbers
         assert ("bad numeric field" in err) == ("abc" in argv[1])
+
+    @pytest.mark.parametrize("check", ["monotone-d", "weight-drift"])
+    def test_window_below_the_sampling_floor_is_two(self, tmp_path, capsys, check):
+        # the automatic gamma of pow:0.25:expsqrt:3 is 1.7e-16, below the 1e-6 sampling floor
+        assert run_cli("verify", check, "--weight", "pow:0.25:expsqrt:3",
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("weplab: error: ") and "gamma 1.73964e-16" in err
+        assert "floor" in err and "1e-06" in err
 
     @pytest.mark.parametrize("key,value,named", [
         ("y", float("nan"), "--y must be finite"),
@@ -711,6 +720,11 @@ class TestEntryPoint:
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
             # the Gauss-Legendre nodes come from a table, not from numpy.polynomial's eigensolve
             "assert 'numpy.polynomial' not in sys.modules\n"
+            # the verify checks load for verify alone
+            "assert 'weplab.verifiers' not in sys.modules\n"
+            "assert main(['verify', 'integral', '--weight', 'pow:0.25',"
+            " '--out', out + '/integral']) == 0\n"
+            "assert 'weplab.verifiers' in sys.modules\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=checkout_env())

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from weplab.cli import RunConfig, main
+from weplab.clt import _covariance_target
 from weplab.models import parse_model
-from weplab.verifiers import _covariance_target
 
 SIMULATE_DIGESTS = {
     "bm-copula": "7a7c688c5197f2b773a8c0ced9d93eed0de81256a767bbcbdea09e77ced76f79",

@@ -17,10 +17,10 @@ from scipy import special
 
 from weplab import models, numerics, parallel
 from weplab.cli import main
+from weplab.clt import clt_marginal_test
 from weplab.engine import accumulate_cell_moments, evaluate_field_streaming
 from weplab.models import TimeGrid, level_kernel, map_path_blocks, parse_model, to_uniform
-from weplab.verifiers import (DEFAULT_D1D2_X, DEFAULT_WL_X, _crossing_counts,
-                              clt_marginal_test)
+from weplab.verifiers import DEFAULT_D1D2_X, DEFAULT_WL_X, _crossing_counts
 from weplab.weights import parse_weight
 
 BM = parse_model("bm-copula")

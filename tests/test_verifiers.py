@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from weplab import models, parallel
+from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
-from weplab.verifiers import (borell_check, chaining_ab_check, clt_covariance_convergence,
-                              clt_marginal_test, clt_sup_comparison, envelope_check,
+from weplab.verifiers import (borell_check, chaining_ab_check, envelope_check,
                               l_condition_estimate, lemma_l_check, lemma_m_check,
                               DEFAULT_D1D2_EPS, DEFAULT_D1D2_X, prop_d1_d2_check,
                               slowly_varying_check, wl_estimate, _wl_sweep)
