@@ -8,7 +8,7 @@ and every harness in ``weplab.clt``.  Checks and CLT modes are dispatched
 from one table each (``CHECKS``, ``CLT``) of direct library calls, and every
 command, typed or replayed, runs through ``run_command``, which loads
 ``verifiers`` for a ``verify`` check alone.  Each check reads the run's
-model, weight or sampling options; a fact that reads none is a numerics
+model or weight, so some input can fail it; a fact that reads neither is a
 test, not a check.
 Library reports carry no clock: the JSON written here adds ``wall_ms``, the
 wall time of the whole command.  Every run can emit a manifest echoing the
@@ -200,18 +200,11 @@ CHECKS = {
     "dyadic": lambda v, cfg: v.dyadic_check(cfg.parsed_weight, cfg.seed),
     "envelope": lambda v, cfg: v.envelope_check(cfg.model_spec(), cfg.parsed_weight,
                                                 **_sampling(cfg)),
-    "borell": lambda v, cfg: v.borell_check(**_sampling(cfg)),
     "slowly-varying": lambda v, cfg: v.slowly_varying_check(cfg.parsed_weight),
-    "lemma-m": lambda v, cfg: v.lemma_m_check(**_sampling(cfg)),
-    "lemma-l": lambda v, cfg: v.lemma_l_check(**_sampling(cfg)),
-    "d1": lambda v, cfg: v.prop_d1_d2_check(events=("d1",), **_sampling(cfg)),
-    "d2": lambda v, cfg: v.prop_d1_d2_check(events=("d2",), **_sampling(cfg)),
     "chaining-ab": lambda v, cfg: v.chaining_ab_check(cfg.model_spec(), cfg.parsed_weight,
                                                       cfg.theta, **_sampling(cfg)),
-    "monotone-d": lambda v, cfg: v.monotone_d_check(cfg.parsed_weight, cfg.seed),
     "dg0-upper": lambda v, cfg: v.dg0_upper_check(cfg.model_spec(), cfg.parsed_weight,
                                                   cfg.theta, **_sampling(cfg)),
-    "weight-drift": lambda v, cfg: v.weight_drift_sampled_check(cfg.parsed_weight, cfg.seed),
 }
 
 

@@ -40,26 +40,6 @@ def weighted_wiener_distance(w: WeightSpec, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def check_distance_monotone(w: WeightSpec,
-                            triples: Sequence[tuple[float, float, float]]) -> Optional[tuple]:
-    """The first ordered triple inside the window with d(x, y) > d(x, z), or None."""
-    for x, y, z in triples:
-        if not (0.0 < x <= y <= z <= w.gamma):
-            raise DomainError(f"triple {(x, y, z)} is not ordered inside (0, gamma]")
-        if weighted_wiener_distance(w, x, y) > weighted_wiener_distance(w, x, z) + 1e-12:
-            return (x, y, z)
-    return None
-
-
-def weight_drift_check(w: WeightSpec, pairs: Sequence[tuple[float, float]]) -> Optional[tuple]:
-    """The first pair with |x w(x) - y w(y)| > sqrt(2) d(x, y), or None."""
-    for x, y in pairs:
-        lhs = abs(x * float(w(x)) - y * float(w(y)))
-        if lhs > math.sqrt(2.0) * weighted_wiener_distance(w, x, y) + 1e-12:
-            return (x, y)
-    return None
-
-
 def _semidefinite_cholesky(cov: np.ndarray) -> Optional[np.ndarray]:
     """Lower-triangular factor of a PSD matrix; zero pivots are skipped.
 

@@ -521,67 +521,17 @@ def rho_metric(s, t, theta: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class EnvelopeStatistics:
-    """Monte Carlo forward-increment means and the scaled-path sup mean.
-
-    ``m_table`` maps (t, eps) to (estimate, stderr, window_points) where the
-    estimate averages, over paths, the grid maximum of (B_s - B_t)/sqrt(s)
-    for s in (t, t + eps].  Empty grid windows yield 0 with 0 points.
-    ``d_env`` is the mean over paths of max_grid B_t/sqrt(t).
-    """
-
-    m_table: dict[tuple[float, float], tuple[float, float, int]]
-    d_env: float
-    d_env_stderr: float
-
-    @property
-    def m0_hat(self) -> float:
-        """Largest forward-increment mean over the table's non-empty windows."""
-        return max((v[0] for v in self.m_table.values() if v[2] > 0), default=0.0)
-
-
-DEFAULT_ENVELOPE_T = (1.0, 1.5, 2.0)
-DEFAULT_ENVELOPE_EPS = (1e-3, 0.01, 0.1, 0.25)
-
-
-def envelope_statistics(grid: TimeGrid, n: int, seed: int,
-                        t_values: Sequence[float] = DEFAULT_ENVELOPE_T,
-                        eps_values: Sequence[float] = DEFAULT_ENVELOPE_EPS,
-                        workers: int = 1,
-                        stream: int = parallel.STREAM_PATHS) -> EnvelopeStatistics:
-    """Estimate forward-increment suprema means and the scaled-path sup mean."""
+def envelope_statistics(grid: TimeGrid, n: int, seed: int, workers: int = 1,
+                        stream: int = parallel.STREAM_PATHS) -> tuple[float, float]:
+    """The mean over n paths of the grid maximum of B_t / sqrt(t), and its standard error."""
     if n < 1000:
         raise DomainError("envelope statistics need n >= 1000")
     sqrt_pts = grid._sqrt_points
-    windows = []
-    for t in t_values:
-        it = grid.index_of(t)
-        for eps in eps_values:
-            windows.append((float(t), float(eps), it, grid.forward_indices(t, eps)))
 
     def block_stats(b: np.ndarray):
-        # row 0 sums, row 1 sums of squares; the last column is the scaled-path sup
-        stats = np.zeros((2, len(windows) + 1))
-        for j, (_t, _e, it, sel) in enumerate(windows):
-            if sel.size == 0:
-                continue
-            d = np.max((b[sel] - b[it]) / sqrt_pts[sel], axis=0)
-            stats[:, j] = np.sum(d), np.sum(d * d)
         sup = np.max(b / sqrt_pts, axis=0)
-        stats[:, -1] = np.sum(sup), np.sum(sup * sup)
-        return stats
+        return np.array([np.sum(sup), np.sum(sup * sup)])
 
-    sums, sqs = map_brownian_blocks(grid, n, seed, block_stats, workers, stream=stream)
-
-    def mean_stderr(s, sq):
-        mean = s / n
-        var = max(0.0, (sq - s * s / n) / (n - 1))
-        return float(mean), float(math.sqrt(var / n))
-
-    table = {}
-    for j, (t, eps, _it, sel) in enumerate(windows):
-        mean, se = mean_stderr(sums[j], sqs[j])
-        table[(t, eps)] = (mean, se, int(sel.size))
-    d_mean, d_se = mean_stderr(sums[-1], sqs[-1])
-    return EnvelopeStatistics(table, d_mean, d_se)
+    s, sq = map_brownian_blocks(grid, n, seed, block_stats, workers, stream=stream)
+    var = max(0.0, (sq - s * s / n) / (n - 1))
+    return float(s / n), float(math.sqrt(var / n))

@@ -30,8 +30,6 @@ STREAM_RANDOMIZER = 1
 STREAM_LIMIT = 2
 STREAM_CALIBRATION = 3
 STREAM_REPLICATION = 4
-STREAM_MONOTONE_D = 97
-STREAM_WEIGHT_DRIFT = 98
 
 _ENV_WORKERS = "WEPLAB_WORKERS"
 

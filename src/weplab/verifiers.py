@@ -1,14 +1,15 @@
-"""Monte Carlo and closed-form certification of the testable bounds.
+"""Monte Carlo and closed-form certification of the theorem's conditions on (X, w).
 
-Every check reads the process and weight (X, w), the weight alone, or the
-Brownian field the proofs use.  Facts of the normal law alone, such as its
-tail sandwich and the quantile bounds of the proofs, read no option: they are
-mpmath oracle tests of ``weplab.numerics``, not checks.
+Every check reads the process and weight (X, w), or the weight alone, so some
+input can make it fail.  Facts that read neither are tests, not checks: the
+normal-law bounds of the proofs are mpmath oracle tests of ``weplab.numerics``,
+and the Brownian lemmas of the proofs (Borell's concentration, the increment
+envelope, the one- and two-sided crossing bounds) are Monte Carlo tests of the
+Brownian sampler in ``tests/test_proof_lemmas.py``.
 
 Existential constants are never hard-coded: each probability verifier
-reports the implied constant (estimate divided by the bound shape); the
-d1/d2 verifier also checks its stability across eps.  One-sided Monte Carlo
-tolerance is fixed at three standard errors throughout.
+reports the implied constant (estimate divided by the bound shape).
+One-sided Monte Carlo tolerance is fixed at three standard errors throughout.
 
 Every checker, ``wl_estimate`` included, returns a ``BoundReport`` named
 after its ``weplab verify`` check.  The CLT harnesses live in ``weplab.clt``,
@@ -32,10 +33,9 @@ import numpy as np
 
 from . import parallel
 from .errors import DomainError
-from .limits import check_distance_monotone, dg0_upper_bound_check, weight_drift_check
-from .models import (BM_COPULA, DEFAULT_ENVELOPE_EPS, DEFAULT_ENVELOPE_T, ProcessModel,
-                     TimeGrid, envelope_statistics, level_kernel, map_brownian_blocks,
-                     map_path_blocks, to_uniform)
+from .limits import dg0_upper_bound_check
+from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics, level_kernel,
+                     map_brownian_blocks, map_path_blocks, to_uniform)
 from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
 from .reports import BoundReport, ProbeResult
 from .weights import WeightSpec, dyadic_sum, integral_condition, slowly_varying_eval
@@ -45,11 +45,6 @@ MC_SIGMA = 3.0  # one-sided Monte Carlo allowance, in standard errors
 
 def _freq_stderr(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
-def _implied_constant(p: float, shape: float) -> float:
-    """Frequency over bound shape; a zero shape implies 0 for p = 0, else inf."""
-    return p / shape if shape > 0.0 else (0.0 if p == 0.0 else math.inf)
 
 
 def _skipped(coords: dict, reason: str) -> ProbeResult:
@@ -281,23 +276,23 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
         rows.append(ProbeResult({"trend": f"{l1:g}->{l2:g}"}, v2 - v1,
                                 s1 + s2, 0.0, None, ok))
     if want_cross:
-        stats = envelope_statistics(grid, min(n, 20_000), seed, workers=workers,
-                                    stream=parallel.STREAM_CALIBRATION)
+        d_env, _se = envelope_statistics(grid, min(n, 20_000), seed, workers=workers,
+                                         stream=parallel.STREAM_CALIBRATION)
         p_lo = counts[-1] / n
         lam0 = float(w(x0))
-        arg = -std_normal_quantile(x0) - stats.d_env
+        arg = -std_normal_quantile(x0) - d_env
         bound = lam0 * lam0 * math.sqrt(2.0 * math.pi) * std_normal_pdf(arg)
         est = lam0 * lam0 * p_lo
         se = lam0 * lam0 * _freq_stderr(p_lo, n)
         rows.append(ProbeResult({"cross_check_x0": x0, "lambda": lam0,
-                                 "d_env": stats.d_env},
+                                 "d_env": d_env},
                                 est, se, bound, est / bound if bound > 0 else None,
                                 est <= bound + MC_SIGMA * se))
     return BoundReport("envelope", tuple(rows), n, seed)
 
 
 # ---------------------------------------------------------------------------
-# Weight and metric conditions
+# Weight conditions
 # ---------------------------------------------------------------------------
 
 def integral_check(w: WeightSpec, c_values: Sequence[float], seed: int = 0) -> BoundReport:
@@ -328,41 +323,6 @@ def dyadic_check(w: WeightSpec, seed: int = 0) -> BoundReport:
                                     full, None, limit, None,
                                     abs(full - limit) <= 1e-10))
     return BoundReport("dyadic", tuple(rows), 0, seed)
-
-
-SAMPLING_FLOOR = 1e-6  # the sampled window is [SAMPLING_FLOOR, gamma)
-
-
-def _sampled_violation(name: str, w: WeightSpec, seed: int, check, label: str,
-                       stream: int, width: int, ordered: bool) -> BoundReport:
-    """One row: ``check`` on 1000 draws of ``width`` points in the weight's window.
-
-    A window (0, gamma] at or below the sampling floor holds nothing to draw:
-    that is a DomainError naming both.
-    """
-    if not w.gamma > SAMPLING_FLOOR:
-        raise DomainError(f"{name} samples the weight's window from {SAMPLING_FLOOR:g}, "
-                          f"but its gamma {w.gamma:.6g} is not above that floor")
-    rng = parallel.rng_from_words(parallel.seed_words(seed, [(stream,)])[0])
-    draws = rng.uniform(SAMPLING_FLOOR, w.gamma, size=(1000, width))
-    if ordered:
-        draws = np.sort(draws, axis=1)
-    violation = check(w, [tuple(d) for d in draws])
-    row = ProbeResult({label: 1000, "violation": violation}, None, None, None, None,
-                      violation is None)
-    return BoundReport(name, (row,), 0, seed)
-
-
-def monotone_d_check(w: WeightSpec, seed: int = 0) -> BoundReport:
-    """d(x, y) <= d(x, z) on 1000 sampled ordered triples in the weight's window."""
-    return _sampled_violation("monotone-d", w, seed, check_distance_monotone, "triples",
-                              parallel.STREAM_MONOTONE_D, 3, ordered=True)
-
-
-def weight_drift_sampled_check(w: WeightSpec, seed: int = 0) -> BoundReport:
-    """|x w(x) - y w(y)| <= sqrt(2) d(x, y) on 1000 sampled pairs in the weight's window."""
-    return _sampled_violation("weight-drift", w, seed, weight_drift_check, "pairs",
-                              parallel.STREAM_WEIGHT_DRIFT, 2, ordered=False)
 
 
 SLOWLY_VARYING_LAMBDAS = (0.5, 2.0, 10.0)
@@ -404,207 +364,6 @@ def slowly_varying_check(w: WeightSpec) -> BoundReport:
                             SLOWLY_VARYING_TAIL_TOL, None,
                             monotone and tail[-1] <= SLOWLY_VARYING_TAIL_TOL))
     return BoundReport("slowly-varying", tuple(rows), 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian concentration on the scaled Brownian field
-# ---------------------------------------------------------------------------
-
-DEFAULT_BORELL_R = (1.0, 2.0, 3.0)
-
-
-def borell_check(r_values: Sequence[float] = DEFAULT_BORELL_R, n: int = 100_000,
-                 seed: int = 0, grid: Optional[TimeGrid] = None,
-                 workers: int = 1) -> BoundReport:
-    """Concentration of the grid sup of -B_t/sqrt(t) about its mean.
-
-    The mean is estimated from an independent calibration stream; the sup
-    variance constant is 1 on any grid inside [1, 2].
-    """
-    grid = grid or TimeGrid.uniform()
-    sqrt_pts = np.sqrt(grid.points)[:, None]
-
-    def sup_sums(b):
-        sup = np.max(-b / sqrt_pts, axis=0)
-        return np.array([np.sum(sup), float(len(sup))])
-
-    cal = map_brownian_blocks(grid, n, seed, sup_sums, workers,
-                              stream=parallel.STREAM_CALIBRATION)
-    m_hat = float(cal[0] / cal[1])
-
-    rs = [float(r) for r in r_values]
-    if any(r <= 0.0 for r in rs):
-        raise DomainError("r values must be positive")
-
-    def exceed_counts(scores):
-        sup = np.max(-scores, axis=0)
-        return np.array([np.count_nonzero(sup >= m_hat + r) for r in rs], dtype=np.int64)
-
-    counts = map_path_blocks(ProcessModel(BM_COPULA), grid, n, seed, exceed_counts, workers)
-    rows = [ProbeResult({"stat": "sup_mean"}, m_hat, None, None, None, True)]
-    for r, c in zip(rs, counts):
-        p = c / n
-        se = _freq_stderr(p, n)
-        bound = math.exp(-r * r / 2.0)
-        rows.append(ProbeResult({"r": r}, p, se, bound, p / bound,
-                                p <= bound + MC_SIGMA * se))
-    return BoundReport("borell", tuple(rows), n, seed)
-
-
-def lemma_m_check(n: int = 20_000, seed: int = 0, grid: Optional[TimeGrid] = None,
-                  t_values: Sequence[float] = DEFAULT_ENVELOPE_T,
-                  eps_values: Sequence[float] = DEFAULT_ENVELOPE_EPS,
-                  workers: int = 1) -> BoundReport:
-    """Forward-increment sup means against 2 sqrt(2/pi) sqrt(eps).
-
-    A window that holds no grid time is skipped, not evaluated.
-    """
-    grid = grid or TimeGrid.uniform()
-    stats = envelope_statistics(grid, n, seed, t_values, eps_values, workers)
-    rows = []
-    evaluated = 0
-    for (t, eps), (m_hat, se, pts) in sorted(stats.m_table.items()):
-        coords = {"t": t, "eps": eps, "window_points": pts}
-        if pts == 0:
-            rows.append(_skipped(coords, "empty forward window"))
-            continue
-        evaluated += 1
-        bound = 2.0 * math.sqrt(2.0 / math.pi) * math.sqrt(eps)
-        rows.append(ProbeResult(coords, m_hat, se, bound,
-                                m_hat / bound if bound > 0 else None,
-                                m_hat <= bound + MC_SIGMA * se))
-    rows.append(ProbeResult({"stat": "m0_hat"}, stats.m0_hat, None, None, None, True))
-    rows.append(ProbeResult({"stat": "d_env"}, stats.d_env, stats.d_env_stderr, None, None,
-                            stats.d_env > MC_SIGMA * stats.d_env_stderr))
-    _fail_if_none_evaluated(rows, evaluated)
-    return BoundReport("lemma-m", tuple(rows), n, seed)
-
-
-# ---------------------------------------------------------------------------
-# Crossing bounds for the Brownian copula
-# ---------------------------------------------------------------------------
-
-DEFAULT_D1D2_T = (1.5,)
-DEFAULT_D1D2_EPS = (0.025, 0.1, 0.4)
-DEFAULT_D1D2_X = (0.01, 0.05, 0.2)
-D1D2_STABILITY_THRESHOLD = 10.0
-
-
-def _m0_default(grid, seed, workers) -> float:
-    return envelope_statistics(grid, 20_000, seed, workers=workers,
-                               stream=parallel.STREAM_CALIBRATION).m0_hat
-
-
-def prop_d1_d2_check(probes: Optional[Sequence[tuple[float, float, float]]] = None,
-                     n: int = 100_000, seed: int = 0, grid: Optional[TimeGrid] = None,
-                     m0_hat: Optional[float] = None, workers: int = 1,
-                     stability_threshold: float = D1D2_STABILITY_THRESHOLD,
-                     events: tuple[str, ...] = ("d1", "d2")) -> BoundReport:
-    """Two-sided level-crossing frequencies against their bound shapes.
-
-    Probes are (t, eps, x) with eps the time radius of the ball.  Each event
-    frequency is divided by the shape sqrt(eps) (x ln(1/x)) +
-    sqrt(eps) phi(-quantile(x) - m0)^(t/(t+eps)); the implied constants must
-    stay within the stability threshold across eps at fixed x.  The report
-    keeps the rows of ``events`` and is named after them ("d1", "d2", "d1-d2").
-    A probe whose time ball is a single grid point is skipped, not evaluated,
-    and the stability rows compare the evaluated eps alone.
-    """
-    if not events or any(e not in ("d1", "d2") for e in events):
-        raise DomainError(f"events must be d1 and/or d2, not {events!r}")
-    grid = grid or TimeGrid.uniform()
-    if probes is None:
-        probes = [(t, e, x) for t in DEFAULT_D1D2_T for e in DEFAULT_D1D2_EPS
-                  for x in DEFAULT_D1D2_X]
-    for t, eps, x in probes:
-        if not (0.0 < x < 0.25):
-            raise DomainError("x must lie in (0, 1/4)")
-        if not (0.0 <= eps <= 0.5):
-            raise DomainError("eps must lie in [0, 1/2]")
-    if m0_hat is None:
-        m0_hat = _m0_default(grid, seed, workers)
-
-    balls = [(grid.index_of(t), grid.ball_indices(t, eps)) for t, eps, _x in probes]
-    cells = [(it, ball, x) for (it, ball), (_t, _e, x) in zip(balls, probes) if ball.size > 1]
-    counts = iter(_crossing_counts(ProcessModel(BM_COPULA), grid, cells, n, seed, workers)
-                  if cells else ())
-
-    rows = []
-    c_hats: dict[tuple[str, float], dict[float, float]] = {}
-    for (t, eps, x), (_it, ball) in zip(probes, balls):
-        if ball.size <= 1:
-            rows += [_skipped({"event": name, "t": t, "eps": eps, "x": x}, "singleton time ball")
-                     for name in events]
-            continue
-        shape = (math.sqrt(eps) * (x * math.log(1.0 / x))
-                 + math.sqrt(eps) * std_normal_pdf(-std_normal_quantile(x) - m0_hat)
-                 ** (t / (t + eps)))
-        for name, c in zip(("d1", "d2"), next(counts)):
-            if name not in events:
-                continue
-            p = c / n
-            c_hat = _implied_constant(p, shape)
-            rows.append(ProbeResult({"event": name, "t": t, "eps": eps, "x": x},
-                                    p, _freq_stderr(p, n), shape, c_hat, math.isfinite(c_hat)))
-            c_hats.setdefault((name, x), {})[eps] = c_hat
-    for (name, x), per_eps in sorted(c_hats.items()):
-        vals = [v for v in per_eps.values() if v > 0.0]
-        if len(per_eps) < 2:
-            continue
-        ratio = max(vals) / min(vals) if len(vals) == len(per_eps) else math.inf
-        rows.append(ProbeResult({"event": name, "x": x, "stat": "eps-stability"},
-                                ratio if math.isfinite(ratio) else None, None,
-                                stability_threshold, None, ratio < stability_threshold))
-    rows.append(ProbeResult({"stat": "m0_hat"}, m0_hat, None, None, None, True))
-    _fail_if_none_evaluated(rows, len(cells))
-    return BoundReport("-".join(events), tuple(rows), n, seed)
-
-
-DEFAULT_LEMMA_L_PROBES = ((1.0, 0.25, 1.5), (1.5, 0.25, 1.5), (1.0, 0.1, 1.2),
-                          (1.5, 0.001, 1.5), (1.0, 0.25, 6.0))
-
-
-def lemma_l_check(probes: Sequence[tuple[float, float, float]] = DEFAULT_LEMMA_L_PROBES,
-                  n: int = 100_000, seed: int = 0, grid: Optional[TimeGrid] = None,
-                  m0_hat: Optional[float] = None, workers: int = 1) -> BoundReport:
-    """One-sided scaled-path crossing frequency against its bound shape.
-
-    Probes are (t, eps, l) with l above the measured increment mean; the
-    shape is sqrt(eps) phi(l - m0)^((t+eps)/(t+2 eps)).  A probe whose
-    forward window (t, t + eps] holds no grid time is skipped, not evaluated.
-    """
-    grid = grid or TimeGrid.uniform()
-    if m0_hat is None:
-        m0_hat = _m0_default(grid, seed, workers)
-    for _t, _e, l in probes:
-        if l <= m0_hat:
-            raise DomainError(f"level {l} must exceed the measured mean {m0_hat:.4f}")
-    prepared = [(grid.index_of(t), grid.forward_indices(t, eps), l) for t, eps, l in probes]
-
-    def block_fn(scaled):
-        counts = np.zeros(len(prepared), dtype=np.int64)
-        for j, (it, window, l) in enumerate(prepared):
-            if window.size == 0:
-                continue
-            counts[j] = np.count_nonzero((scaled[it] < l)
-                                         & (np.max(scaled[window], axis=0) >= l))
-        return counts
-
-    counts = map_path_blocks(ProcessModel(BM_COPULA), grid, n, seed, block_fn, workers)
-    rows = [ProbeResult({"stat": "m0_hat"}, m0_hat, None, None, None, True)]
-    evaluated = 0
-    for (t, eps, l), (_it, window, _l), c in zip(probes, prepared, counts):
-        if window.size == 0:
-            rows.append(_skipped({"t": t, "eps": eps, "l": l}, "empty forward window"))
-            continue
-        evaluated += 1
-        p = c / n
-        shape = math.sqrt(eps) * std_normal_pdf(l - m0_hat) ** ((t + eps) / (t + 2.0 * eps))
-        c_hat = _implied_constant(p, shape)
-        rows.append(ProbeResult({"t": t, "eps": eps, "l": l}, p, _freq_stderr(p, n),
-                                shape, c_hat, math.isfinite(c_hat)))
-    _fail_if_none_evaluated(rows, evaluated)
-    return BoundReport("lemma-l", tuple(rows), n, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,18 @@ with exponent ``alpha`` in [0, 1/2) and a slowly varying factor ``L`` from a
 closed family: a positive constant, the log-power ``(1 + ln(1/x))^beta``, or
 ``exp(c * sqrt(ln(1/x)))``.  Closed enumeration keeps the monotonicity
 window and the exponent analyzable; an unchecked escape hatch exists for
-negative tests and is clearly flagged.
+negative tests and is clearly flagged.  Checked or not, a constant factor
+must be positive, so w > 0.
 
 Construction validates, on a geometric grid inside the window (0, gamma),
-that ``w`` is non-increasing and ``x w(x)^2`` is non-decreasing.
+that ``w`` is non-increasing and ``x w(x)^2`` is non-decreasing; an unchecked
+weight gets the first violation as a warning instead of an error.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -81,11 +84,11 @@ class WeightSpec:
             raise DomainError(f"unknown slowly varying kind {self.sv_kind!r}")
         if not (math.isfinite(self.alpha) and math.isfinite(self.sv_param)):
             raise DomainError("weight parameters must be finite")
+        if self.sv_kind == SV_CONST and self.sv_param <= 0.0:  # w > 0, checked or not
+            raise DomainError("constant factor must be positive")
         if not self.unchecked:
             if not (0.0 <= self.alpha < 0.5):
                 raise DomainError("exponent must lie in [0, 1/2)")
-            if self.sv_kind == SV_CONST and self.sv_param <= 0.0:
-                raise DomainError("constant factor must be positive")
             if self.sv_kind == SV_LOGPOW and self.sv_param < 0.0:
                 raise DomainError("log-power exponent must be non-negative")
             if self.sv_kind == SV_EXPSQRT and self.sv_param <= 0.0:
@@ -95,12 +98,15 @@ class WeightSpec:
                                _auto_gamma(self.alpha, self.sv_kind, self.sv_param))
         if not (0.0 < self.gamma <= 0.5):
             raise DomainError("gamma must lie in (0, 1/2]")
-        if not self.unchecked:
-            if self.gamma * VALIDATION_SPAN < np.finfo(float).tiny:
+        # an unchecked weight only warns, and not at all where the grid would underflow
+        if self.gamma * VALIDATION_SPAN < np.finfo(float).tiny:
+            if not self.unchecked:
                 raise DomainError(f"gamma {self.gamma!r} is too small for the validation grid")
-            violation = validate_monotonicity(self)
-            if violation is not None:
-                raise DomainError(f"weight violates the monotonicity window at {violation}")
+        elif (violation := validate_monotonicity(self)) is not None:
+            message = f"weight violates the monotonicity window at {violation}"
+            if not self.unchecked:
+                raise DomainError(message)
+            warnings.warn(f"unchecked {message}")
 
     # -- evaluation ------------------------------------------------------
 
@@ -156,7 +162,7 @@ def validate_monotonicity(w: WeightSpec) -> Optional[tuple[float, float, str]]:
     """
     xs = np.geomspace(w.gamma * VALIDATION_SPAN, w.gamma, VALIDATION_POINTS)
     # fold manually: the grid lies below 1/2 already
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         wv = w._base(xs)
         xw2 = xs * wv * wv
     if not np.all(np.isfinite(xw2)):

@@ -4,7 +4,8 @@ Each criterion prints one pass/fail line (run with ``pytest -s`` to see them
 live).  Monte Carlo criteria are deterministic at the pinned seeds in
 ``acceptance_manifest.json``; the determinism criterion re-runs them at a
 different worker count and compares the reports' ``to_json()`` payloads,
-which carry no clock.
+which carry no clock.  Criteria 9-11, the Brownian lemmas of the proofs, are
+tests of the sampler in ``test_proof_lemmas.py``, at the same manifest.
 """
 
 import json
@@ -19,7 +20,7 @@ import pytest
 from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from weplab.models import joint_cdf_matrix, parse_model
 from weplab.numerics import std_normal_cdf, std_normal_pdf
-from weplab.verifiers import borell_check, lemma_m_check, prop_d1_d2_check, wl_estimate
+from weplab.verifiers import wl_estimate
 from weplab.weights import WeightSpec, dyadic_sum, integral_condition, parse_weight
 
 from transform_reference import (copula_indicator_identity, normal_df, seeded_rng,
@@ -74,24 +75,6 @@ def run_sup(workers=1):
                               workers=workers)
 
 
-def run_borell(workers=1):
-    p = MANIFEST["borell"]
-    return borell_check(p["r_values"], n=p["n"], seed=SEED, workers=workers)
-
-
-def run_lemma_m(workers=1):
-    p = MANIFEST["lemma_m"]
-    return lemma_m_check(n=p["n"], seed=SEED, t_values=p["t_values"],
-                         eps_values=p["eps_values"], workers=workers)
-
-
-def run_d1d2(workers=1):
-    p = MANIFEST["d1d2"]
-    probes = [(p["t"], e, x) for e in p["eps_values"] for x in p["x_values"]]
-    return prop_d1_d2_check(probes, n=p["n"], seed=SEED, workers=workers,
-                            stability_threshold=p["ratio_threshold"])
-
-
 def run_wl(model_spec, n, workers=1):
     p = MANIFEST["wl"]
     return wl_estimate(parse_model(model_spec), parse_weight(p["weight"]), p["theta"],
@@ -111,21 +94,6 @@ def covariance_result():
 @pytest.fixture(scope="module")
 def sup_result():
     return run_sup()
-
-
-@pytest.fixture(scope="module")
-def borell_result():
-    return run_borell()
-
-
-@pytest.fixture(scope="module")
-def lemma_m_result():
-    return run_lemma_m()
-
-
-@pytest.fixture(scope="module")
-def d1d2_result():
-    return run_d1d2()
 
 
 @pytest.fixture(scope="module")
@@ -232,44 +200,6 @@ def test_criterion_8_sup_functional(sup_result):
         assert ks.estimate < ks.bound
 
 
-def test_criterion_9_borell(borell_result):
-    with criterion(9, "Gaussian concentration of the scaled-path sup"):
-        rows = {p.coords.get("r"): p for p in borell_result.probes if "r" in p.coords}
-        assert rows[2.0].bound == pytest.approx(0.13534, abs=1e-5)
-        assert rows[3.0].bound == pytest.approx(0.011109, abs=1e-5)
-        for r, row in rows.items():
-            assert row.estimate <= row.bound + 3.0 * row.stderr
-
-
-@pytest.mark.filterwarnings("ignore:.*skipped")
-def test_criterion_10_increment_envelope(lemma_m_result):
-    with criterion(10, "forward-increment sup means under 2 sqrt(2/pi) sqrt(eps)"):
-        rows = [p for p in lemma_m_result.probes if "eps" in p.coords]
-        assert len(rows) == 12
-        # a window that holds no grid time is skipped, not evaluated
-        skipped = [p for p in rows if p.coords["window_points"] == 0]
-        assert all(p.estimate is None and "skipped" in p.coords for p in skipped)
-        rows = [p for p in rows if p not in skipped]
-        assert len(rows) == 6
-        for row in rows:
-            assert row.estimate <= row.bound + 3.0 * row.stderr
-        cap = next(p.bound for p in rows if p.coords["eps"] == 0.25)
-        assert cap == pytest.approx(0.79788, abs=1e-5)
-
-
-def test_criterion_11_crossing_shape_stability(d1d2_result):
-    with criterion(11, "two-sided crossing bounds: implied constants stable"):
-        ratios = [p for p in d1d2_result.probes
-                  if p.coords.get("stat") == "eps-stability"]
-        assert len(ratios) == 6
-        for row in ratios:
-            assert row.estimate is not None and math.isfinite(row.estimate)
-            assert row.estimate < MANIFEST["d1d2"]["ratio_threshold"]
-        for p in d1d2_result.probes:
-            if "event" in p.coords and "stat" not in p.coords:
-                assert p.c_hat is not None and math.isfinite(p.c_hat)
-
-
 def test_criterion_12_wl_condition(wl_results):
     with criterion(12, "crossing-probability condition: finite, stable, controls"):
         band = MANIFEST["wl"]["refinement_band"]
@@ -301,9 +231,7 @@ def test_clip_refinement_study(sup_result):
     assert verdicts[0] and len(set(verdicts)) == 1
 
 
-@pytest.mark.filterwarnings("ignore:.*skipped")
 def test_criterion_13_determinism(marginal_result, covariance_result, sup_result,
-                                  borell_result, lemma_m_result, d1d2_result,
                                   wl_results):
     with criterion(13, "byte-identical reports across reruns and worker counts"):
         df = uniform_atom_mixture(0.5, 0.5)
@@ -320,10 +248,6 @@ def test_criterion_13_determinism(marginal_result, covariance_result, sup_result
         _report, redo_sup = run_sup(workers=8)
         assert np.array_equal(redo_sup["empirical_sup"], sup_result[1]["empirical_sup"])
         assert np.array_equal(redo_sup["limit_sup"], sup_result[1]["limit_sup"])
-
-        assert run_borell(workers=8).to_json() == borell_result.to_json()
-        assert run_lemma_m(workers=8).to_json() == lemma_m_result.to_json()
-        assert run_d1d2(workers=8).to_json() == d1d2_result.to_json()
 
         redo_wl = run_wl("bm-copula", MANIFEST["wl"]["n_bm"], workers=8)
         assert redo_wl.to_json() == wl_results["bm-copula"].to_json()

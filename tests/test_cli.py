@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +22,19 @@ from weplab.cli import CHECKS, CLT, RunConfig, build_parser, main, resolve_confi
 from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from weplab.errors import ConfigError
 from weplab.models import TimeGrid, parse_model
-from weplab.verifiers import (borell_check, chaining_ab_check, dg0_upper_check, dyadic_check,
-                              envelope_check, integral_check, l_condition_estimate,
-                              lemma_l_check, lemma_m_check, monotone_d_check, prop_d1_d2_check,
-                              slowly_varying_check, weight_drift_sampled_check, wl_estimate)
+from weplab.verifiers import (chaining_ab_check, dg0_upper_check, dyadic_check, envelope_check,
+                              integral_check, l_condition_estimate, slowly_varying_check,
+                              wl_estimate)
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
+
+# checks that read no process and no weight, so no input could fail them: the
+# normal-law facts are mpmath oracle tests of weplab.numerics, the Brownian lemmas
+# tests of the sampler (test_proof_lemmas.py), and the two weight-metric facts
+# hypothesis tests of weplab.limits
+REMOVED_CHECKS = ("feller", "lemma-y", "borell", "lemma-m", "lemma-l", "d1", "d2",
+                  "monotone-d", "weight-drift")
 
 
 def run_cli(*argv):
@@ -55,11 +62,12 @@ class TestExitCodes:
         assert not payload["probes"][0]["pass"]
 
     def test_unknown_check_is_two(self, capsys):
-        # feller and lemma-y are no checks: their normal-law facts are mpmath
-        # oracle tests of weplab.numerics
-        for check in ("not-a-check", "feller", "lemma-y"):
+        for check in ("not-a-check", *REMOVED_CHECKS):
             assert run_cli("verify", check) == 2
             assert "invalid choice" in capsys.readouterr().err
+        # whatever the weight: this one's window, gamma 1.7e-16, holds nothing to sample
+        assert run_cli("verify", "monotone-d", "--weight", "pow:0.25:expsqrt:3") == 2
+        assert capsys.readouterr().err.startswith("weplab: error: ")
 
     def test_missing_model_is_two(self, capsys):
         assert run_cli("simulate") == 2
@@ -100,7 +108,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("verify", "envelope", "--model", "bm-copula", "--n", "0"),
-        ("verify", "borell", "--n", "0"),
+        ("verify", "l-cond", "--model", "bm-copula", "--n", "0"),
         ("simulate", "--model", "bm-copula", "--n", "0"),
         ("simulate", "--model", "bm-copula", "--level-points", "0"),
         ("simulate", "--model", "bm-copula", "--n", "10", "--clip", "nan"),
@@ -134,23 +142,32 @@ class TestExitCodes:
         ("clt", "sup", "--model", "bm-copula", "--n", "10", "--reps", "40", "--times", "1,nan"),
         ("verify", "wl", "--model", "bm-copula", "--n", "10", "--b", "inf"),
         # sizes are checked once, also where a command clamps or ignores them
-        ("verify", "lemma-m", "--n", "-1", "--time-points", "17"),
-        ("verify", "lemma-m", "--n", "500", "--time-points", "17", "--workers", "1"),
+        ("verify", "dyadic", "--weight", "pow:0.25", "--n", "-1", "--time-points", "17"),
+        # envelope's cross-check needs 1000 paths for its scaled-path sup mean
+        ("verify", "envelope", "--model", "bm-copula", "--weight", "pow:0.25", "--n", "500",
+         "--time-points", "17", "--workers", "1"),
         ("verify", "slowly-varying", "--n", "0"),
         ("verify", "slowly-varying", "--time-points", "1"),
         ("simulate", "--model", "bm-copula", "--n", "10", "--seed", "-1"),
         # every option is parsed with the configuration, also where the command ignores it
-        *[("verify", "borell", "--n", "100", "--time-points", "5", flag, value)
+        *[("verify", "l-cond", "--model", "bm-copula", "--n", "100", "--time-points", "5",
+           flag, value)
           for flag, value in [("--weight", "const:nan"), ("--weight", "garbage"),
                               ("--model", "atomic:0.5@nan"), ("--times", "1,nan"),
                               ("--n-list", "10,x"), ("--c-values", "1,inf")]],
         ("verify", "integral", "--a", "3", "--b", "2"),
         ("verify", "dyadic", "--weight", "pow:0.25", "--times", "1,nan"),
         # an expsqrt coefficient whose square overflows
-        ("verify", "borell", "--n", "10", "--time-points", "3",
+        ("verify", "l-cond", "--model", "bm-copula", "--n", "10", "--time-points", "3",
          "--weight", "pow:0.1:expsqrt:1e200"),
         # a weight whose x w(x)^2 overflows on its window
-        ("verify", "borell", "--n", "10", "--time-points", "3", "--weight", "const:1e200"),
+        ("verify", "l-cond", "--model", "bm-copula", "--n", "10", "--time-points", "3",
+         "--weight", "const:1e200"),
+        # w > 0 also when unchecked: a constant factor of 0 or below
+        ("verify", "integral", "--weight", "const:0", "--unchecked"),
+        ("verify", "integral", "--weight", "const:-1", "--unchecked"),
+        ("clt", "sup", "--model", "bm-copula", "--weight", "const:0", "--unchecked",
+         "--n", "10", "--reps", "40"),
         ("clt", "marginal", "--model", "bm-copula", "--n", "10", "--reps", "500",
          "--levels", "abc"),
     ])
@@ -194,14 +211,24 @@ class TestExitCodes:
         # only a field that is not a number is blamed on the spec's numbers
         assert ("bad numeric field" in err) == ("abc" in argv[1])
 
-    @pytest.mark.parametrize("check", ["monotone-d", "weight-drift"])
-    def test_window_below_the_sampling_floor_is_two(self, tmp_path, capsys, check):
-        # the automatic gamma of pow:0.25:expsqrt:3 is 1.7e-16, below the 1e-6 sampling floor
-        assert run_cli("verify", check, "--weight", "pow:0.25:expsqrt:3",
-                       "--out", str(tmp_path / "out")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("weplab: error: ") and "gamma 1.73964e-16" in err
-        assert "floor" in err and "1e-06" in err
+    @pytest.mark.parametrize("argv,warned", [
+        (("--weight", "pow:0.6"), "x*w^2 non-decreasing"),
+        (("--weight", "pow:0.5"), None),
+        # a window whose validation grid would start below the normal floats
+        (("--weight", "pow:0.6", "--gamma", "1e-310"), None),
+    ])
+    def test_unchecked_weight_warns_of_its_first_violation(self, tmp_path, argv, warned):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("verify", "slowly-varying", *argv, "--unchecked",
+                           "--out", str(tmp_path / "out")) in (0, 1)
+        messages = [str(w.message) for w in caught]
+        if warned is None:
+            assert messages == []
+        else:
+            assert len(messages) == 1 and messages[0].startswith(
+                "unchecked weight violates the monotonicity window")
+            assert warned in messages[0]
 
     @pytest.mark.parametrize("key,value,named", [
         ("y", float("nan"), "--y must be finite"),
@@ -230,34 +257,6 @@ class TestExitCodes:
         assert run_cli("verify", *argv, "--model", "bm-copula", "--n", "200",
                        "--out", str(out)) == 1
         failed = [p for p in load_without_timing(out)["probes"] if not p["pass"]]
-        assert [p["coords"] for p in failed] == [{"stat": "evaluated_probes"}]
-
-    @pytest.mark.filterwarnings("ignore:.*skipped")
-    @pytest.mark.parametrize("check", ["lemma-l", "lemma-m"])
-    def test_every_window_empty_is_one(self, tmp_path, check):
-        # on the grid {1, 1.5, 2} no forward window (t, t + eps], eps <= 0.25, holds a time
-        out = tmp_path / "r.json"
-        assert run_cli("verify", check, "--time-points", "3", "--n", "1000",
-                       "--out", str(out)) == 1
-        probes = load_without_timing(out)["probes"]
-        skipped = [p for p in probes if "skipped" in p["coords"]]
-        assert skipped and all(p["estimate"] is None for p in skipped)
-        failed = [p for p in probes if not p["pass"]]
-        assert [p["coords"] for p in failed] == [{"stat": "evaluated_probes"}]
-
-    @pytest.mark.filterwarnings("ignore:.*skipped")
-    @pytest.mark.parametrize("check", ["d1", "d2"])
-    def test_every_ball_a_singleton_is_one(self, tmp_path, check):
-        # on the grid {1, 1.5, 2} no d1/d2 ball around 1.5 (eps <= 0.4) holds a second time
-        out = tmp_path / "r.json"
-        assert run_cli("verify", check, "--time-points", "3", "--n", "1000",
-                       "--out", str(out)) == 1
-        probes = load_without_timing(out)["probes"]
-        events = [p for p in probes if "event" in p["coords"]]
-        assert len(events) == 9 and all(
-            p["coords"]["skipped"] == "singleton time ball" and p["estimate"] is None
-            for p in events)
-        failed = [p for p in probes if not p["pass"]]
         assert [p["coords"] for p in failed] == [{"stat": "evaluated_probes"}]
 
 
@@ -290,7 +289,7 @@ class TestSimulate:
 class TestVerifyReports:
     def test_report_schema(self, tmp_path):
         out = tmp_path / "r.json"
-        assert run_cli("verify", "borell", "--n", "2000", "--seed", "1",
+        assert run_cli("verify", "l-cond", "--model", "bm-copula", "--n", "2000", "--seed", "1",
                        "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         assert set(payload) == {"check", "probes", "n", "seed", "wall_ms"}
@@ -306,13 +305,6 @@ class TestVerifyReports:
         # the command runs a full WL sweep, so its wall time is not 0 ms
         assert isinstance(wall_ms, int) and wall_ms >= 1
 
-    def test_d1_report_carries_no_d2_rows(self, tmp_path):
-        out = tmp_path / "r.json"
-        run_cli("verify", "d1", "--n", "2000", "--seed", "1", "--out", str(out))
-        events = [p["coords"].get("event") for p in json.loads(out.read_text())["probes"]]
-        assert "d1" in events
-        assert "d2" not in events
-
     def test_wl_dependent_zero(self, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli("verify", "wl", "--model", "dependent", "--weight", "pow:0.25",
@@ -324,8 +316,6 @@ class TestVerifyReports:
     @pytest.mark.parametrize("check,extra", [
         ("dyadic", ("--weight", "pow:0.25")),
         ("slowly-varying", ("--weight", "pow:0.25:expsqrt:1")),
-        ("monotone-d", ("--weight", "pow:0.25")),
-        ("weight-drift", ("--weight", "pow:0.25")),
     ])
     def test_cheap_checks_pass(self, tmp_path, check, extra):
         out = tmp_path / "r.json"
@@ -335,8 +325,8 @@ class TestVerifyReports:
         outs = []
         for workers in ("1", "8", "1"):
             out = tmp_path / f"r{len(outs)}.json"
-            assert run_cli("verify", "borell", "--n", "20000", "--seed", "5",
-                           "--workers", workers, "--out", str(out)) == 0
+            assert run_cli("verify", "l-cond", "--model", "bm-copula", "--n", "20000",
+                           "--seed", "5", "--workers", workers, "--out", str(out)) == 0
             outs.append(load_without_timing(out))
         assert outs[0] == outs[1] == outs[2]
 
@@ -354,22 +344,14 @@ LIBRARY_CALLS = {
                lambda: l_condition_estimate(BM, 5.0, [(1.5, e) for e in (0.55, 0.7, 1.1)],
                                             **DIGEST_SAMPLING)),
     "envelope": (MODEL_WEIGHT, lambda: envelope_check(BM, W_QUARTER, **DIGEST_SAMPLING)),
-    "borell": ((), lambda: borell_check(**DIGEST_SAMPLING)),
     "slowly-varying": (("--weight", "pow:0.25:expsqrt:1"),
                        lambda: slowly_varying_check(parse_weight("pow:0.25:expsqrt:1"))),
-    "lemma-m": ((), lambda: lemma_m_check(**DIGEST_SAMPLING)),
-    "lemma-l": ((), lambda: lemma_l_check(**DIGEST_SAMPLING)),
     "chaining-ab": (MODEL_WEIGHT,
                     lambda: chaining_ab_check(BM, W_QUARTER, 5.0, **DIGEST_SAMPLING)),
     "integral": (("--weight", "pow:0.25"),
                  lambda: integral_check(W_QUARTER, [0.25, 1.0, 4.0], seed=5)),
     "dyadic": (("--weight", "pow:0.25"), lambda: dyadic_check(W_QUARTER, seed=5)),
-    "monotone-d": (("--weight", "pow:0.25"), lambda: monotone_d_check(W_QUARTER, seed=5)),
-    "weight-drift": (("--weight", "pow:0.25"),
-                     lambda: weight_drift_sampled_check(W_QUARTER, seed=5)),
     "dg0-upper": (MODEL_WEIGHT, lambda: dg0_upper_check(BM, W_QUARTER, 5.0, **DIGEST_SAMPLING)),
-    "d1": ((), lambda: prop_d1_d2_check(events=("d1",), **DIGEST_SAMPLING)),
-    "d2": ((), lambda: prop_d1_d2_check(events=("d2",), **DIGEST_SAMPLING)),
 }
 
 # the clt arguments of tests/test_digests.py; each harness returns (report, columns)
@@ -395,7 +377,7 @@ class TestLibraryChecks:
     def test_readme_lists_every_check(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         names = re.findall(r"`([^`]+)`", readme.split("\nChecks: ", 1)[1].split(". Each", 1)[0])
-        assert len(names) == len(set(names)) == len(CHECKS) == 15
+        assert len(names) == len(set(names)) == len(CHECKS) == 8
         assert set(names) == set(CHECKS)
 
     @pytest.mark.filterwarnings("ignore:.*skipped")
@@ -415,6 +397,20 @@ class TestLibraryChecks:
             report = call()
         assert report.to_json() == load_without_timing(out)
         assert code == (0 if report.passed else 1)
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_every_check_reads_the_model_or_the_weight(self, tmp_path, capsys, check):
+        # a check that reads neither could not be failed by any (X, w)
+        reports = []
+        for weight in ("pow:0.25", "pow:0.25:logpow:1"):
+            out = tmp_path / f"{weight}.json"
+            code = run_cli("verify", check, "--weight", weight, "--n", "1000",
+                           "--time-points", "17", "--workers", "1", "--out", str(out))
+            if code == 2:
+                assert "--model is required" in capsys.readouterr().err
+                return
+            reports.append(load_without_timing(out))
+        assert reports[0] != reports[1]
 
     @pytest.mark.filterwarnings("ignore:.*skipped")
     @pytest.mark.parametrize("check", ["chaining-ab", "dg0-upper", "wl"])
@@ -439,7 +435,7 @@ class TestManifests:
     def test_round_trip_reproduces_report(self, tmp_path):
         out = tmp_path / "report.json"
         manifest = tmp_path / "manifest.json"
-        assert run_cli("verify", "borell", "--n", "5000", "--seed", "3",
+        assert run_cli("verify", "l-cond", "--model", "bm-copula", "--n", "5000", "--seed", "3",
                        "--out", str(out), "--manifest", str(manifest)) == 0
         first = load_without_timing(out)
         assert run_cli("rerun", "--manifest", str(manifest)) == 0
@@ -455,16 +451,17 @@ class TestManifests:
         assert payload["subcommand"] == "slowly-varying"
         assert payload["config"]["seed"] == 9
 
-    @pytest.mark.parametrize("key", ["command", "subcommand"])
-    def test_unknown_name_in_manifest_is_two(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key,name", [("command", "not-a-name"), ("subcommand", "not-a-name"),
+                                          *[("subcommand", c) for c in REMOVED_CHECKS]])
+    def test_unknown_name_in_manifest_is_two(self, tmp_path, capsys, key, name):
         manifest = tmp_path / "m.json"
         assert run_cli("verify", "slowly-varying", "--out", str(tmp_path / "r.json"),
                        "--manifest", str(manifest)) == 0
         payload = json.loads(manifest.read_text())
-        payload[key] = "not-a-name"
+        payload[key] = name
         manifest.write_text(json.dumps(payload))
         assert run_cli("rerun", "--manifest", str(manifest)) == 2
-        assert "not-a-name" in capsys.readouterr().err
+        assert repr(name) in capsys.readouterr().err
 
     def test_simulate_manifest_round_trip(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -657,6 +654,7 @@ def whole_commands(draw):
 
 class TestExitContract:
     @pytest.mark.filterwarnings("ignore:.*skipped")
+    @pytest.mark.filterwarnings("ignore:unchecked weight violates")
     @given(whole_commands())
     @settings(max_examples=150, deadline=None)
     def test_every_command_exits_zero_one_or_two(self, drawn):

@@ -92,16 +92,9 @@ VERIFY_CASES = {
     "integral": ("--weight", "pow:0.25"),
     "dyadic": ("--weight", "pow:0.25"),
     "envelope": ("--model", "bm-copula", "--weight", "pow:0.25"),
-    "borell": (),
     "slowly-varying": ("--weight", "pow:0.25:expsqrt:1"),
-    "lemma-m": (),
-    "lemma-l": (),
-    "d1": (),
-    "d2": (),
     "chaining-ab": ("--model", "bm-copula", "--weight", "pow:0.25"),
-    "monotone-d": ("--weight", "pow:0.25"),
     "dg0-upper": ("--model", "bm-copula", "--weight", "pow:0.25"),
-    "weight-drift": ("--weight", "pow:0.25"),
 }
 
 VERIFY_DIGESTS = {
@@ -110,18 +103,10 @@ VERIFY_DIGESTS = {
     "integral": (0, "4663eac85da976c9611dbb7e2d630f8a8678a2f936ee95d4ae4dd8154cdace4d"),
     "dyadic": (0, "9a5d401eb24dbb0781cc65fcb2f60b0129696e6442dc86da027e000a466d1fb4"),
     "envelope": (0, "4b309fc2a15834c75ecb81e1c19aabefd491495872819ac75ac0984478dbb32b"),
-    "borell": (0, "07cc51ea2e7172e83dcfd0eb912399b1dcf388f238ad1f180db3818fe2c15f93"),
     "slowly-varying": (0, "bea1258015e6fe5a05608df19203fce62440c7c1e6c388cd94b4f006e4810de0"),
-    "lemma-m": (0, "0d1b9d57fe7b2a220998df79bafea9a48bf19246f95d3021a851e132ad62c3ba"),
-    "lemma-l": (0, "fb00de79362c3444586ccc26a41b211416280dffd61aedf4bd6223cc384c75c4"),
-    # d1 and d2: the eps = 0.025 balls hold one grid time, so those probes are skipped
-    "d1": (0, "c3bd0c9e86d1db8f46c0d8ba653ecbff03525ef44f4907e817ee64e235e5400c"),
-    "d2": (0, "e82e5444bde2e35867e4d644179973e2882cddb1beb9d93a4f7ef064f7b21da3"),
     # chaining-ab and dg0-upper: the l_hat row names the 24 of 36 WL probes it read
     "chaining-ab": (0, "f3cf1f43e24893aa7909a3e75f246d688c419974eaa6e89bfb35ccdc9f4052c9"),
-    "monotone-d": (0, "618592977c1e322bc8069245908e3e90b8257530dfe1fe669867a1837294713e"),
     "dg0-upper": (0, "5f39c7398ef4e13869d0a9c3c5c7649f3cbe01c19b5f6a5cbc09296e7df4156d"),
-    "weight-drift": (0, "cce6303a11257c81d752f53855e42f7a53a0f85f0b8ca34e3f229e47bfc9d744"),
 }
 
 

@@ -20,7 +20,7 @@ from weplab.cli import main
 from weplab.clt import clt_marginal_test
 from weplab.engine import accumulate_cell_moments, evaluate_field_streaming
 from weplab.models import TimeGrid, level_kernel, map_path_blocks, parse_model, to_uniform
-from weplab.verifiers import DEFAULT_D1D2_X, DEFAULT_WL_X, _crossing_counts
+from weplab.verifiers import DEFAULT_WL_X, _crossing_counts
 from weplab.weights import parse_weight
 
 BM = parse_model("bm-copula")
@@ -282,8 +282,6 @@ CLI_PATHS = {
     "simulate": (["simulate", "--n", "5000", "--time-points", "9", "--level-points", "5"],
                  np.linspace(1e-3, 1 - 1e-3, 5)),
     "wl": (["verify", "wl", "--n", "5000", "--time-points", "17"], DEFAULT_WL_X),
-    "d1": (["verify", "d1", "--n", "5000", "--time-points", "17"], DEFAULT_D1D2_X),
-    "d2": (["verify", "d2", "--n", "5000", "--time-points", "17"], DEFAULT_D1D2_X),
     "clt-sup": (["clt", "sup", "--n", "300", "--reps", "60"], [0.2, 0.4, 0.5, 0.8]),
     "clt-marginal": (["clt", "marginal", "--y", "0.3", "--n", "5000", "--reps", "500"],
                      [0.3]),

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from weplab.errors import DomainError, IndefiniteCovarianceError
 from weplab.limits import (LimitModel, _factor_with_jitter, build_limit_model,
-                           check_distance_monotone, dg0_upper_bound_check, sample_limit_field,
-                           weight_drift_check, weighted_wiener_distance)
+                           dg0_upper_bound_check, sample_limit_field, weighted_wiener_distance)
 from weplab.models import parse_model
 from weplab.weights import parse_weight
 
@@ -48,33 +47,53 @@ class TestDistance:
         assert d(x, z) <= d(x, y) + d(y, z) + 1e-9
 
 
-class TestDistanceMonotone:
-    def test_constant_weight(self):
-        triples = [(0.01, 0.05, 0.2), (0.1, 0.1, 0.3), (0.02, 0.02, 0.02)]
-        assert check_distance_monotone(w_const, triples) is None
-
-    def test_power_weight_random_triples(self):
-        rng = np.random.default_rng(PINNED_SEED)
-        triples = np.sort(rng.uniform(1e-5, w_quarter.gamma, (1000, 3)), axis=1)
-        assert check_distance_monotone(w_quarter, [tuple(t) for t in triples]) is None
-
-    def test_rejects_unordered(self):
-        with pytest.raises(DomainError):
-            check_distance_monotone(w_quarter, [(0.2, 0.1, 0.05)])
+# the weight families: a constant, pure powers, and both slowly varying factors
+FAMILIES = ["const:1", "const:3", "pow:0.1", "pow:0.25", "pow:0.45", "pow:0:logpow:2",
+            "pow:0.3:logpow:1", "pow:0.25:expsqrt:1", "pow:0.2:expsqrt:0.5"]
 
 
-class TestWeightDrift:
-    def test_degenerate(self):
-        assert weight_drift_check(w_const, [(0.2, 0.2)]) is None
+class TestDistanceFacts:
+    """Two facts about d for which a sampled check could never fail.
 
-    def test_constant_weight_direct(self):
-        # |0.2 - 0.3| <= sqrt(2) sqrt(0.1)
-        assert weight_drift_check(w_const, [(0.2, 0.3)]) is None
+    For x <= y, x w(x) - y w(y) = x (w(x) - w(y)) - (y - x) w(y), so by
+    (p + q)^2 <= 2 p^2 + 2 q^2 its square is at most 2 d(x, y)^2 for every
+    positive w.  For x <= y <= z, d(x, z)^2 - d(x, y)^2 = [z w(z)^2 - y w(y)^2]
+    + 2 x w(x) [w(y) - w(z)], so d(x, .) is non-decreasing exactly where
+    x w(x)^2 is non-decreasing and w non-increasing: the two conditions that
+    construction validates.
+    """
 
-    def test_power_weight_random_pairs(self):
-        rng = np.random.default_rng(PINNED_SEED)
-        pairs = rng.uniform(1e-5, w_quarter.gamma, (1000, 2))
-        assert weight_drift_check(w_quarter, [tuple(p) for p in pairs]) is None
+    unit = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
+
+    @given(unit, unit, st.floats(min_value=1e-6, max_value=1e6),
+           st.floats(min_value=1e-6, max_value=1e6))
+    @settings(max_examples=500)
+    def test_drift_bound_for_any_positive_weight(self, x, y, wx, wy):
+        wy = wx if x == y else wy
+        w = lambda v: wx if float(v) == x else wy
+        drift = abs(x * wx - y * wy)
+        assert drift <= math.sqrt(2.0) * weighted_wiener_distance(w, x, y) * (1.0 + 1e-12)
+
+    @given(st.sampled_from(FAMILIES), st.lists(st.floats(min_value=1e-12, max_value=1.0),
+                                               min_size=3, max_size=3))
+    @settings(max_examples=500)
+    def test_monotone_d_identity(self, spec, fractions):
+        w = parse_weight(spec)
+        x, y, z = sorted(f * w.gamma for f in fractions)
+        wx, wy, wz = (float(w(v)) for v in (x, y, z))
+        d = lambda a, b: weighted_wiener_distance(w, a, b)
+        terms = (z * wz * wz, -y * wy * wy, 2.0 * x * wx * wy, -2.0 * x * wx * wz)
+        assert abs(d(x, z) ** 2 - d(x, y) ** 2 - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_checked_weight_is_monotone_on_dense_triples(self, spec):
+        w = parse_weight(spec)
+        xs = np.geomspace(1e-9 * w.gamma, w.gamma, 60)
+        x, y, z = np.meshgrid(xs, xs, xs, indexing="ij")
+        ordered = (x <= y) & (y <= z)
+        x, y, z = x[ordered], y[ordered], z[ordered]
+        assert np.all(weighted_wiener_distance(w, x, y)
+                      <= weighted_wiener_distance(w, x, z) * (1.0 + 1e-12))
 
 
 class TestLimitModel:

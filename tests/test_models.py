@@ -1,4 +1,4 @@
-"""Process models: marginals, joint CDFs, determinism, envelope statistics."""
+"""Process models: marginals, joint CDFs, determinism, the scaled-path sup mean."""
 
 import math
 import re
@@ -139,11 +139,15 @@ class TestSampling:
                     np.nextafter(1.0, 0.0))
         assert np.array_equal(values, x)
 
-    def test_bm_copula_native_block_is_the_score(self):
-        grid = TimeGrid.uniform(1, 2, 9)
-        scores = np.hstack(map_path_blocks(parse_model("bm-copula"), grid, 5000, 13,
-                                           lambda v: [v]))
-        b = np.hstack(map_brownian_blocks(grid, 5000, 13, lambda b: [b]))
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("points", [9, 129, 257])
+    def test_bm_copula_native_block_is_the_score(self, points, workers):
+        # 7,000 paths are a full and a partial seeding block: on 9 times both come in one
+        # batch, on 129 times in 2,048-path slices, on 257 in 1,024-path slices
+        grid = TimeGrid.uniform(1, 2, points)
+        scores = np.hstack(map_path_blocks(parse_model("bm-copula"), grid, 7000, 13,
+                                           lambda v: [v], workers))
+        b = np.hstack(map_brownian_blocks(grid, 7000, 13, lambda b: [b], workers))
         assert np.array_equal(scores, b / np.sqrt(grid.points)[:, None])
 
     @pytest.mark.parametrize("spec", ["dependent", "iid-time", "atomic:0.5@0.5"])
@@ -503,27 +507,9 @@ class TestRhoMetric:
 
 
 class TestEnvelopeStatistics:
-    def test_increment_mean_bound(self):
-        grid = TimeGrid.uniform()
-        stats = envelope_statistics(grid, 20_000, PINNED_SEED)
-        for (t, eps), (m_hat, se, pts) in stats.m_table.items():
-            bound = 2.0 * math.sqrt(2.0 / math.pi) * math.sqrt(eps)
-            assert m_hat <= bound + 3.0 * se, (t, eps)
-
-    def test_small_window_vanishes(self):
-        grid = TimeGrid.uniform()
-        stats = envelope_statistics(grid, 2000, 1, eps_values=(1e-4,))
-        for (t, eps), (m_hat, _se, pts) in stats.m_table.items():
-            assert pts == 0 and m_hat == 0.0
-            assert m_hat < 0.05
-
     def test_sup_mean_positive(self):
-        stats = envelope_statistics(TimeGrid.uniform(), 5000, 2)
-        assert stats.d_env > 3.0 * stats.d_env_stderr
-
-    def test_m0_is_table_max(self):
-        stats = envelope_statistics(TimeGrid.uniform(), 2000, 3)
-        assert stats.m0_hat == max(v[0] for v in stats.m_table.values())
+        d_env, d_env_stderr = envelope_statistics(TimeGrid.uniform(), 5000, 2)
+        assert d_env > 3.0 * d_env_stderr
 
     def test_needs_sample_size(self):
         with pytest.raises(DomainError):

@@ -19,7 +19,6 @@ from weplab import parallel
 from weplab.limits import build_limit_model, sample_limit_field
 from weplab.models import (TimeGrid, map_brownian_blocks, map_path_blocks, map_replications,
                            parse_model)
-from weplab.verifiers import monotone_d_check, weight_drift_sampled_check
 from weplab.weights import parse_weight
 
 seeds = st.integers(0, 2 ** 70)
@@ -72,8 +71,6 @@ def test_samplers_build_no_seed_sequence(monkeypatch):
     limit = build_limit_model(parse_model("bm-copula"), [(1.0, 0.3), (2.0, 0.6)],
                               parse_weight("const:1"))
     assert np.concatenate(list(sample_limit_field(limit, 5000, 3))).shape == (5000, 2)
-    w = parse_weight("pow:0.25")
-    assert monotone_d_check(w, 3).passed and weight_drift_sampled_check(w, 3).passed
 
 
 def level_by_level(items):

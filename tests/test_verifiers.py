@@ -12,10 +12,8 @@ from weplab import models, parallel
 from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
-from weplab.verifiers import (borell_check, chaining_ab_check, envelope_check,
-                              l_condition_estimate, lemma_l_check, lemma_m_check,
-                              DEFAULT_D1D2_EPS, DEFAULT_D1D2_X, prop_d1_d2_check,
-                              slowly_varying_check, wl_estimate, _wl_sweep)
+from weplab.verifiers import (chaining_ab_check, envelope_check, integral_check,
+                              l_condition_estimate, slowly_varying_check, wl_estimate, _wl_sweep)
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -153,8 +151,8 @@ class TestEnvelope:
 class TestMonteCarloScaling:
     def test_doubling_n_halves_stderr(self):
         # sqrt(n) sanity: stderr at 2n is stderr at n over sqrt(2), within 20%
-        reps = {n: borell_check((1.0,), n=n, seed=PINNED_SEED) for n in (20_000, 40_000)}
-        ses = {n: rows_by(r, r=1.0)[0].stderr for n, r in reps.items()}
+        reps = {n: envelope_check(bm, w_quarter, n=n, seed=PINNED_SEED) for n in (20_000, 40_000)}
+        ses = {n: rows_by(r, **{"lambda": 5.0})[0].stderr for n, r in reps.items()}
         ratio = ses[20_000] / ses[40_000]
         assert abs(ratio - math.sqrt(2.0)) <= 0.2 * math.sqrt(2.0)
 
@@ -164,22 +162,6 @@ class TestWlMirroredEvents:
         rep = wl_estimate(bm, w_quarter, 5.0, n=20_000, seed=PINNED_SEED)
         lo, hi = sorted((stat(rep, "l_hat_ts"), stat(rep, "l_hat_st")))
         assert lo > 0.0 and hi / lo < 3.0
-
-
-class TestBorell:
-    def test_bounds_hold(self):
-        rep = borell_check(n=20_000, seed=PINNED_SEED)
-        assert rep.passed
-        r1 = rows_by(rep, r=1.0)[0]
-        assert r1.bound == pytest.approx(math.exp(-0.5))
-        r2 = rows_by(rep, r=2.0)[0]
-        assert r2.bound == pytest.approx(0.13534, abs=1e-5)
-        r3 = rows_by(rep, r=3.0)[0]
-        assert r3.bound == pytest.approx(0.011109, abs=1e-5)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            borell_check(r_values=(0.0,), n=2000, seed=1)
 
 
 class TestSlowlyVarying:
@@ -203,149 +185,6 @@ class TestSlowlyVarying:
         rep = slowly_varying_check(parse_weight("pow:0.25:expsqrt:1"))
         tail_limit = rows_by(rep, part="tail-limit")[0]
         assert tail_limit.passed and tail_limit.estimate < 1e-2
-
-
-class TestLemmaM:
-    @pytest.mark.filterwarnings("ignore:.*skipped")
-    def test_bounds_hold(self):
-        rep = lemma_m_check(n=5000, seed=PINNED_SEED)
-        assert rep.passed
-        row = rows_by(rep, t=1.0, eps=0.25)[0]
-        assert row.bound == pytest.approx(2 * math.sqrt(2 / math.pi) * 0.5, abs=1e-12)
-        assert row.bound == pytest.approx(0.79788, abs=1e-5)
-
-
-class TestD1D2:
-    def test_shape_stability(self):
-        rep = prop_d1_d2_check(n=50_000, seed=PINNED_SEED)
-        assert rep.passed
-        ratios = [p for p in rep.probes if p.coords.get("stat") == "eps-stability"]
-        assert len(ratios) == 6
-        assert all(p.estimate < 10.0 for p in ratios)
-
-    def test_tiny_level_is_rare(self):
-        rep = prop_d1_d2_check(probes=[(1.5, 0.1, 1e-4)], n=100_000, seed=PINNED_SEED)
-        assert rows_by(rep, x=1e-4, event="d1")[0].estimate < 10.0 / 100_000
-        # the mirrored event sees the whole ball at the tiny level; same order
-        assert rows_by(rep, x=1e-4, event="d2")[0].estimate < 30.0 / 100_000
-
-    @pytest.mark.filterwarnings("ignore:.*skipped")
-    def test_zero_radius_ball_is_skipped(self):
-        # a one-point ball cannot hold a crossing: the probe is not evaluated
-        rep = prop_d1_d2_check(probes=[(1.5, 0.0, 0.05)], n=2000, seed=PINNED_SEED)
-        rows = rows_by(rep, x=0.05)
-        assert [r.coords["event"] for r in rows] == ["d1", "d2"]
-        for row in rows:
-            assert row.estimate is None and row.coords["skipped"] == "singleton time ball"
-        assert not rep.passed
-
-    @pytest.mark.filterwarnings("ignore:.*skipped")
-    def test_singleton_balls_are_skipped_in_probe_order(self):
-        # on 17 times the eps = 0.025 ball around 1.5 holds one time; the stability
-        # rows compare eps 0.1 and 0.4 alone
-        rep = prop_d1_d2_check(n=2000, seed=5, grid=TimeGrid.uniform(1, 2, 17),
-                               events=("d1",))
-        assert rep.passed
-        probe_rows = [p for p in rep.probes if "event" in p.coords and "stat" not in p.coords]
-        assert [(p.coords["eps"], p.coords["x"]) for p in probe_rows] == [
-            (e, x) for e in DEFAULT_D1D2_EPS for x in DEFAULT_D1D2_X]
-        for p in probe_rows:
-            assert ("skipped" in p.coords) == (p.coords["eps"] == 0.025)
-        stability = [p for p in rep.probes if p.coords.get("stat") == "eps-stability"]
-        assert len(stability) == 3 and all(1.0 <= p.estimate < 10.0 for p in stability)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            prop_d1_d2_check(probes=[(1.5, 0.1, 0.3)], n=100, seed=1)
-        with pytest.raises(DomainError):
-            prop_d1_d2_check(probes=[(1.5, 0.6, 0.1)], n=100, seed=1)
-
-    def test_unknown_event_rejected(self):
-        with pytest.raises(DomainError):
-            prop_d1_d2_check(n=100, seed=1, events=("d3",))
-
-
-class TestLemmaL:
-    @pytest.mark.filterwarnings("ignore:.*skipped")
-    def test_implied_constants_finite(self):
-        rep = lemma_l_check(n=50_000, seed=PINNED_SEED)
-        assert rep.passed
-        for p in rep.probes:
-            if "l" in p.coords and "skipped" not in p.coords:
-                assert p.c_hat is not None and math.isfinite(p.c_hat)
-
-    def test_vacuous_at_large_level(self):
-        rep = lemma_l_check(probes=((1.0, 0.25, 6.0),), n=20_000, seed=PINNED_SEED)
-        assert rows_by(rep, l=6.0)[0].estimate == 0.0
-
-    def test_small_window_rare(self):
-        # the window (1.5, 1.501] holds the one grid time 1.5005
-        grid = TimeGrid(np.array([1.0, 1.25, 1.5, 1.5005, 1.75, 2.0]))
-        rep = lemma_l_check(probes=((1.5, 0.001, 1.5),), n=50_000, seed=PINNED_SEED, grid=grid)
-        row = rows_by(rep, l=1.5)[0]
-        assert 0.0 < row.estimate <= 0.01
-        assert row.estimate <= row.bound
-
-    @pytest.mark.filterwarnings("ignore:.*skipped")
-    @pytest.mark.parametrize("check", [
-        lambda grid: lemma_l_check(probes=((1.5, 0.001, 1.5),), n=2000, seed=1, grid=grid),
-        lambda grid: lemma_m_check(n=1000, seed=1, grid=grid, t_values=(1.5,),
-                                   eps_values=(0.001,)),
-    ])
-    def test_empty_window_is_skipped_not_passed(self, check):
-        # on the default grid (spacing 1/128) the window (1.5, 1.501] holds no time
-        rep = check(TimeGrid.uniform())
-        skipped = [p for p in rep.probes if "skipped" in p.coords]
-        assert [p.coords["skipped"] for p in skipped] == ["empty forward window"]
-        assert skipped[0].estimate is None and skipped[0].bound is None
-        assert not rep.passed
-        assert [p.coords for p in rep.probes if not p.passed] == [{"stat": "evaluated_probes"}]
-
-    def test_level_below_mean_rejected(self):
-        with pytest.raises(DomainError):
-            lemma_l_check(probes=((1.5, 0.25, 0.01),), n=2000, seed=1)
-
-
-class TestScoreChecksOnPathSlices:
-    """borell and lemma-l count on the path sampler's scores B_t/sqrt(t), in path slices.
-
-    Their counts must equal those of the raw Brownian blocks divided by sqrt(t)
-    whole.  7,000 paths are a full and a partial seeding block; on 129 times each
-    arrives in 2,048-path slices, on 257 times in 1,024-path slices, so the
-    partial block of 2,904 paths is cut too.
-    """
-
-    N, SEED = 7000, 11
-
-    @staticmethod
-    def reference_scores(grid, n, seed, workers):
-        sqrt_pts = np.sqrt(grid.points)[:, None]
-        return np.hstack(models.map_brownian_blocks(grid, n, seed, lambda b: [b / sqrt_pts],
-                                                    workers))
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("points", [129, 257])
-    def test_borell_counts_are_the_brownian_ones(self, points, workers):
-        grid = TimeGrid.uniform(1, 2, points)
-        rep = borell_check(n=self.N, seed=self.SEED, grid=grid, workers=workers)
-        sup = np.max(-self.reference_scores(grid, self.N, self.SEED, workers), axis=0)
-        m_hat = stat(rep, "sup_mean")
-        for r in (1.0, 2.0, 3.0):
-            assert rows_by(rep, r=r)[0].estimate == np.count_nonzero(sup >= m_hat + r) / self.N
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("points", [129, 257])
-    def test_lemma_l_counts_are_the_brownian_ones(self, points, workers):
-        grid = TimeGrid.uniform(1, 2, points)
-        probes = ((1.0, 0.25, 0.6), (1.5, 0.1, 0.8), (1.0, 0.01, 0.7), (1.5, 0.25, 1.5))
-        rep = lemma_l_check(probes, n=self.N, seed=self.SEED, grid=grid, m0_hat=0.5,
-                            workers=workers)
-        scaled = self.reference_scores(grid, self.N, self.SEED, workers)
-        for t, eps, l in probes:
-            it, window = grid.index_of(t), grid.forward_indices(t, eps)
-            count = np.count_nonzero((scaled[it] < l) & (np.max(scaled[window], axis=0) >= l))
-            assert count > 0
-            assert rows_by(rep, t=t, eps=eps, l=l)[0].estimate == count / self.N
 
 
 class TestChaining:
@@ -492,11 +331,10 @@ class TestCltSup:
 
 
 class TestReportJson:
-    @pytest.mark.filterwarnings("ignore:.*skipped")
     def test_all_reports_serializable(self):
         reports = [slowly_varying_check(w_quarter),
-                   borell_check(n=2000, seed=1),
-                   lemma_m_check(n=1000, seed=1)]
+                   integral_check(w_quarter, [1.0]),
+                   l_condition_estimate(bm, 5.0, [(1.5, 0.7)], n=2000, seed=1)]
         for rep in reports:
             payload = rep.to_json()
             text = json.dumps(payload, sort_keys=True)

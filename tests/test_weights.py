@@ -67,7 +67,9 @@ class TestValidation:
         assert validate_monotonicity(parse_weight("pow:0:logpow:1")) is None
 
     def test_increasing_weight_fails_with_location(self):
-        broken = WeightSpec(alpha=-0.25, unchecked=True)
+        # an unchecked weight is built, with its first violation as a warning
+        with pytest.warns(UserWarning, match="w non-increasing"):
+            broken = WeightSpec(alpha=-0.25, unchecked=True)
         violation = validate_monotonicity(broken)
         assert violation is not None
         assert violation[2] == "w non-increasing"
@@ -91,8 +93,10 @@ class TestValidation:
                                                   (0.0, "logpow", 86.0)])
     def test_weight_overflowing_on_its_window_is_refused(self, alpha, kind, param):
         # x w(x)^2 exceeds the largest double inside the window: no check can vouch for it
-        violation = validate_monotonicity(WeightSpec(alpha, kind, param, unchecked=True,
-                                                     gamma=_auto_gamma(alpha, kind, param)))
+        with pytest.warns(UserWarning, match="x\\*w\\^2 finite"):
+            unchecked = WeightSpec(alpha, kind, param, unchecked=True,
+                                   gamma=_auto_gamma(alpha, kind, param))
+        violation = validate_monotonicity(unchecked)
         assert violation is not None and violation[2] == "x*w^2 finite"
         with pytest.raises(DomainError, match="finite"):
             WeightSpec(alpha, kind, param)
