@@ -67,7 +67,7 @@ class TestDistanceFacts:
 
     @given(unit, unit, st.floats(min_value=1e-6, max_value=1e6),
            st.floats(min_value=1e-6, max_value=1e6))
-    @settings(max_examples=500)
+    @settings(max_examples=200)
     def test_drift_bound_for_any_positive_weight(self, x, y, wx, wy):
         wy = wx if x == y else wy
         w = lambda v: wx if float(v) == x else wy
@@ -76,7 +76,7 @@ class TestDistanceFacts:
 
     @given(st.sampled_from(FAMILIES), st.lists(st.floats(min_value=1e-12, max_value=1.0),
                                                min_size=3, max_size=3))
-    @settings(max_examples=500)
+    @settings(max_examples=200)
     def test_monotone_d_identity(self, spec, fractions):
         w = parse_weight(spec)
         x, y, z = sorted(f * w.gamma for f in fractions)

@@ -151,7 +151,7 @@ class TestEnvelope:
 class TestMonteCarloScaling:
     def test_doubling_n_halves_stderr(self):
         # sqrt(n) sanity: stderr at 2n is stderr at n over sqrt(2), within 20%
-        reps = {n: envelope_check(bm, w_quarter, n=n, seed=PINNED_SEED) for n in (20_000, 40_000)}
+        reps = {n: envelope_check(iid, w_quarter, n=n, seed=PINNED_SEED) for n in (20_000, 40_000)}
         ses = {n: rows_by(r, **{"lambda": 5.0})[0].stderr for n, r in reps.items()}
         ratio = ses[20_000] / ses[40_000]
         assert abs(ratio - math.sqrt(2.0)) <= 0.2 * math.sqrt(2.0)
