@@ -19,9 +19,6 @@ from .errors import DomainError
 from .models import ProcessModel, TimeGrid, level_kernel, map_path_blocks, map_replications
 from .weights import WeightSpec
 
-# Indicators per F @ F.T in accumulate_cell_moments: 1 MiB, sums exact in float32.
-_PAIR_VALUES = 1 << 18
-
 
 def field_values(counts: np.ndarray, levels: np.ndarray, w: WeightSpec, n: int) -> np.ndarray:
     """w(y) (count - n y) / sqrt(n): the field of n paths from their counts, levels last."""
@@ -71,21 +68,22 @@ def accumulate_cell_moments(model: ProcessModel, cells: Sequence[tuple[float, fl
     """Joint frequencies P(X_s <= x, X_t <= y) over pairs of probe cells, from n paths.
 
     Per batch the joint indicator counts are integers, which the sampler
-    adds in batch order; the total is divided by n once.  Each path chunk
-    fills a (cells x paths) float32 indicator matrix F by rows and adds F @ F.T.
+    adds in batch order; the total is divided by n once.  Each cell's
+    indicators are packed 64 paths to a word, zero-padded, and a pair's count
+    is the popcount of the AND of their words.
     """
     idx = [grid.index_of(t) for t, _ in cells]
     kernel = level_kernel(model, [y for _, y in cells])
-    step = max(1, _PAIR_VALUES // max(1, len(idx)))
 
     def pair_counts(vals):
-        total = np.zeros((len(idx), len(idx)), dtype=np.int64)
-        f = np.empty((len(idx), min(step, vals.shape[-1])), dtype=np.float32)
-        for a in range(0, vals.shape[-1], step):
-            chunk = f[:, :vals.shape[-1] - a]
-            for i, it in enumerate(idx):
-                chunk[i] = kernel.leq(vals[it, a:a + step], i)
-            total += np.rint(chunk @ chunk.T).astype(np.int64)
+        paths = vals.shape[-1]
+        words = np.zeros((len(idx), -(-paths // 64)), dtype=np.uint64)
+        packed = words.view(np.uint8)[:, :-(-paths // 8)]
+        for i, it in enumerate(idx):
+            packed[i] = np.packbits(kernel.leq(vals[it], i))
+        total = np.empty((len(idx), len(idx)), dtype=np.int64)
+        for i in range(len(idx)):
+            total[i, i:] = total[i:, i] = np.bitwise_count(words[i] & words[i:]).sum(axis=-1)
         return total
 
     return map_path_blocks(model, grid, n, seed, pair_counts, workers, extra_key=extra_key) / n

@@ -84,13 +84,17 @@ class LimitModel:
 
 
 def _factor_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    # taken before any factor exists, and the residual in place: beside the
+    # covariance and its factor, the check holds one k x k temporary
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(cov))))
     for jit in JITTER_LADDER:
         attempt = cov if jit == 0.0 else cov + jit * np.eye(cov.shape[0])
         L = _semidefinite_cholesky(attempt)
         if L is None:
             continue
-        resid = float(np.max(np.abs(L @ L.T - attempt)))
-        if resid <= 1e-8 * (1.0 + float(np.max(np.abs(cov)))):
+        r = L @ L.T
+        r -= attempt
+        if float(np.max(np.abs(r, out=r))) <= tol:
             return L, jit
     raise IndefiniteCovarianceError(
         "covariance failed to factor after jitter escalation; "

@@ -203,7 +203,9 @@ def integral_condition(w: WeightSpec, c_values: Sequence[float],
         def integrand(s, _c=c):
             s = np.asarray(s, dtype=float)
             wv = w._base(s)
-            return np.exp(-_c / (s * wv * wv)) / s
+            # near a subnormal s the integrand is inf, the right value when alpha > 1/2
+            with np.errstate(over="ignore"):
+                return np.exp(-_c / (s * wv * wv)) / s
 
         res = singular_quadrature(integrand, w.gamma, tol)
         finite = bool(res.converged and res.error < tol)

@@ -149,7 +149,7 @@ class TestCellMoments:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time", "atomic:0.5@0.5"])
     def test_pair_counts_are_the_brute_force_counts(self, spec, workers):
-        # two batches of whole blocks on 3 times, each taken in several F chunks
+        # three batches of whole blocks on 3 times; the last, 18,080 paths, ends inside a word
         model, grid, n, seed = parse_model(spec), TimeGrid(np.array([1.0, 1.5, 2.0])), 100_000, 4
         u = uniform_paths(model, grid, n, seed)
         # a sampled uniform as a level puts that path's score inside its band
@@ -158,6 +158,39 @@ class TestCellMoments:
         cells = [(2.0, 0.7), (1.0, 0.3), (2.0, y_in_band), (1.5, 0.5), (2.0, 0.2), (1.0, 0.9)]
         f = np.column_stack([u[:, grid.index_of(t)] <= y for t, y in cells]).astype(np.int64)
         got = accumulate_cell_moments(model, cells, grid, n, seed, workers=workers)
+        assert np.array_equal(got, (f.T @ f) / n)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [63, 65, 100_000])
+    def test_pair_counts_when_paths_end_inside_a_word(self, n, workers):
+        # 100,000 paths end in a 1,696-path block, and their last batch, 34,464 paths,
+        # ends inside a word
+        model, grid = parse_model("bm-copula"), TimeGrid(np.array([1.0, 2.0]))
+        u = uniform_paths(model, grid, n, 11)
+        cells = [(1.0, 0.3), (2.0, 0.6), (1.0, 0.8)]
+        f = np.column_stack([u[:, grid.index_of(t)] <= y for t, y in cells]).astype(np.int64)
+        got = accumulate_cell_moments(model, cells, grid, n, 11, workers=workers)
+        assert np.array_equal(got, (f.T @ f) / n)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [65, 100_000])
+    def test_padding_bits_never_count(self, n, workers):
+        # X_t <= 1 holds on every path and X_t <= 0 on none: if a word's padding
+        # bits counted, the first diagonal would exceed n
+        model, grid = parse_model("bm-copula"), TimeGrid(np.array([1.0, 2.0]))
+        cells = [(1.0, 1.0), (2.0, 0.0), (2.0, 0.5)]
+        got = accumulate_cell_moments(model, cells, grid, n, 3, workers=workers)
+        assert got[0, 0] == 1.0 and got[0, 2] == got[2, 0] == got[2, 2]
+        assert not got[1].any() and not got[:, 1].any()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pair_counts_over_more_than_64_cells(self, workers):
+        model, grid, n = parse_model("bm-copula"), TimeGrid(np.array([1.0, 1.5, 2.0])), 5000
+        u = uniform_paths(model, grid, n, 6)
+        cells = [(t, y) for t in (2.0, 1.0, 1.5) for y in np.linspace(0.02, 0.98, 23)]
+        f = np.column_stack([u[:, grid.index_of(t)] <= y for t, y in cells]).astype(np.int64)
+        got = accumulate_cell_moments(model, cells, grid, n, 6, workers=workers)
+        assert len(cells) == 69
         assert np.array_equal(got, (f.T @ f) / n)
 
     def test_covariance_from_joint_target(self):

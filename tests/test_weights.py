@@ -132,6 +132,13 @@ class TestIntegralCondition:
         entry = integral_condition(w, [1.0])[0]
         assert not entry.finite
 
+    def test_subnormal_window_diverges_without_warning(self):
+        # near s = 1e-310 the integrand overflows to inf, its right value for alpha > 1/2;
+        # pytest turns a RuntimeWarning into a failure
+        w = WeightSpec(alpha=0.6, gamma=1e-310, unchecked=True)
+        entries = integral_condition(w, [0.25, 1.0, 4.0])
+        assert all(not e.finite and e.value == math.inf for e in entries), entries
+
     @pytest.mark.parametrize("spec", ["const:1", "pow:0.1", "pow:0.25",
                                       "pow:0:logpow:1", "pow:0.25:logpow:2",
                                       "pow:0.2:expsqrt:0.5"])
