@@ -109,8 +109,9 @@ def _covariance_target(model: ProcessModel, cells, w: WeightSpec) -> np.ndarray:
     and subtracts products of weighted levels.
     """
     ys = np.array([y for _, y in cells])
+    centered = joint_cdf_matrix(model, cells) - np.outer(ys, ys)  # names a bad level before w
     wv = np.array([float(w(y)) for _, y in cells])
-    return np.outer(wv, wv) * (joint_cdf_matrix(model, cells) - np.outer(ys, ys))
+    return np.outer(wv, wv) * centered
 
 
 def _sup_norms(batches) -> np.ndarray:

@@ -3,8 +3,8 @@
 The distance d(x, y) is the L2 distance of the weighted Wiener process
 w(x) W(x); combined with a time pseudometric rho it gives the max-metric on
 time-level pairs.  The limit model assembles the covariance
-w(x) w(y) [P(X_s <= x, X_t <= y) - xy] on a finite set of cells, factors
-it, and samples mean-zero Gaussian vectors deterministically.
+w(x) w(y) [P(X_s <= x, X_t <= y) - xy] on a finite set of cells, keeps
+only its factor, and samples mean-zero Gaussian vectors deterministically.
 """
 
 from __future__ import annotations
@@ -65,18 +65,16 @@ def _semidefinite_cholesky(cov: np.ndarray) -> Optional[np.ndarray]:
 
 @dataclass(frozen=True)
 class LimitModel:
-    """Gaussian limit covariance on (time, level) cells plus its factor."""
+    """The factor of the Gaussian limit covariance on (time, level) cells, not the covariance."""
 
     cells: tuple[tuple[float, float], ...]
-    covariance: np.ndarray
     factor: np.ndarray
     jitter: float
 
     def __post_init__(self):
-        for name in ("covariance", "factor"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        factor = np.asarray(self.factor, dtype=float)
+        factor.flags.writeable = False
+        object.__setattr__(self, "factor", factor)
 
     @property
     def size(self) -> int:
@@ -107,9 +105,9 @@ def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
     cells = tuple((float(t), float(y)) for t, y in cells)
     if not cells:
         raise DomainError("need at least one cell")
-    cov = covariance_from_joint(joint_cdf_matrix(model, cells), cells, w)
-    factor, jitter = _factor_with_jitter(cov)
-    return LimitModel(cells, cov, factor, jitter)
+    factor, jitter = _factor_with_jitter(
+        covariance_from_joint(joint_cdf_matrix(model, cells), cells, w))
+    return LimitModel(cells, factor, jitter)
 
 
 def sample_limit_field(limit: LimitModel, reps: int, seed: int,

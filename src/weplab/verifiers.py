@@ -13,14 +13,16 @@ One-sided Monte Carlo tolerance is fixed at three standard errors throughout.
 
 Every checker, ``wl_estimate`` included, returns a ``BoundReport`` named
 after its ``weplab verify`` check.  The CLT harnesses live in ``weplab.clt``,
-so ``clt`` and ``simulate`` never load this module.  Reports carry no clock
-and determinism comes from the block-seeded samplers, so ``to_json()`` is
-byte-identical across reruns and worker counts at a pinned seed; timing is
-the caller's business.  A probe that is not evaluated gets a row whose
-``skipped`` coordinate names why, and a sweep that evaluates none of its
-probes adds a failing ``evaluated_probes`` row.  One WL sweep gives ``wl``,
-``chaining-ab`` and ``dg0-upper`` their crossing constant ``l_hat``; the
-``l_hat`` row of the latter two counts the sweep's evaluated probes.
+so ``clt`` and ``simulate`` never load this module.  Every Monte Carlo check
+streams its paths through ``models.map_path_blocks``, the bm-copula's as
+scores B_t / sqrt(t).  Reports carry no clock and determinism comes from the
+block seeding, so ``to_json()`` is byte-identical across reruns and worker
+counts at a pinned seed; timing is the caller's business.  A probe that is
+not evaluated gets a row whose ``skipped`` coordinate names why, and a sweep
+that evaluates none of its probes adds a failing ``evaluated_probes`` row.
+One WL sweep gives ``wl``, ``chaining-ab`` and ``dg0-upper`` their crossing
+constant ``l_hat``; the ``l_hat`` row of the latter two counts the sweep's
+evaluated probes.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from . import parallel
 from .errors import DomainError
 from .limits import dg0_upper_bound_check
 from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics, level_kernel,
-                     map_brownian_blocks, map_path_blocks, to_uniform)
+                     map_path_blocks, to_uniform)
 from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
 from .reports import BoundReport, ProbeResult
 from .weights import WeightSpec, dyadic_sum, integral_condition, slowly_varying_eval
@@ -200,28 +202,26 @@ def l_condition_estimate(model: ProcessModel, theta: float,
             rows.append(_skipped({"t": t, "eps": eps, "ball_points": int(ball.size)},
                                  "singleton time ball"))
             continue
-        prepared.append((t, eps, it, ball))
+        # the bm-copula probe's transformed value Phi(B_s / sqrt(t)) is
+        # Phi(score_s * sqrt(s / t)): the column of sqrt(s / t) over the ball,
+        # exactly 1 at s = t.  For the other kinds it is the path value
+        prepared.append((t, eps, it, ball, np.sqrt(grid.points[ball] / t)[:, None]))
 
     if prepared:
-        # the bm-copula probe transforms B_s with the probe time's scale,
-        # Phi(B_s / sqrt(t)), which cannot be recovered bit-for-bit from the
-        # path values Phi(B_s / sqrt(s)); so raw Brownian blocks are streamed.
-        # For the other kinds the transformed value is the path value.
         brownian = model.kind == BM_COPULA
 
         def block_fn(vals):
             counts = np.zeros(len(prepared), dtype=np.int64)
-            for j, (t, eps, it, ball) in enumerate(prepared):
+            for j, (_t, eps, it, ball, scale) in enumerate(prepared):
                 u, ut = vals[ball], vals[it]
                 if brownian:
-                    u, ut = std_normal_cdf(u / math.sqrt(t)), std_normal_cdf(ut / math.sqrt(t))
+                    u, ut = std_normal_cdf(u * scale), std_normal_cdf(ut)
                 osc = np.max(np.abs(u - ut), axis=0)
                 counts[j] = np.count_nonzero(osc > eps ** 2)
             return counts
 
-        counts = (map_brownian_blocks(grid, n, seed, block_fn, workers) if brownian
-                  else map_path_blocks(model, grid, n, seed, block_fn, workers))
-        for (t, eps, it, ball), c in zip(prepared, counts):
+        counts = map_path_blocks(model, grid, n, seed, block_fn, workers)
+        for (t, eps, _it, ball, _scale), c in zip(prepared, counts):
             p = c / n
             rows.append(ProbeResult({"t": t, "eps": eps, "ball_points": int(ball.size)},
                                     p, _freq_stderr(p, n), None, p / eps ** 2, True))

@@ -185,6 +185,14 @@ class TestExitCodes:
         assert run_cli(*argv, "--model", "bm-copula", "--out", str(tmp_path / "out")) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("cov", "--n-list", "10", "--reps", "1"),
+                                      ("sup", "--n", "10", "--reps", "40")])
+    def test_bad_level_is_named(self, tmp_path, capsys, argv):
+        # the weight of a level outside (0, 1) fails too, but must not be blamed
+        assert run_cli("clt", *argv, "--model", "bm-copula", "--times", "1.5", "--levels", "1.5",
+                       "--out", str(tmp_path / "out")) == 2
+        assert "levels must lie strictly inside (0, 1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,named", [
         (("simulate", "--model", "bm-copula", "--n", "10", "--workers", "-3"), "--workers"),
         (("clt", "cov", "--model", "bm-copula", "--reps", "0"), "--reps"),

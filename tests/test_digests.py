@@ -118,6 +118,20 @@ def test_verify_report_digest(tmp_path, check):
     assert (code, report_digest(out)) == VERIFY_DIGESTS[check]
 
 
+# l-cond on the default 129-point grid at theta 4.01, whose probes at eps 0.55 and
+# 0.7 count 13 and 9 of the 20,000 paths: (exit code, report digest), the same at one
+# and two workers
+L_COND_EVENTS_DIGEST = (0, "7ed04d0536dd874f3ba8e31b15a5ce6eb3bf586d9964f23b058571bc4665f168")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_l_cond_events_digest(tmp_path, workers):
+    out = tmp_path / "r.json"
+    code = main(["verify", "l-cond", "--model", "bm-copula", "--theta", "4.01", "--n", "20000",
+                 "--seed", "5", "--workers", workers, "--out", str(out)])
+    assert (code, report_digest(out)) == L_COND_EVENTS_DIGEST
+
+
 # dg0-upper on the atomic model, whose joint CDF is min(x, y), with the
 # VERIFY_ARGS sizes: (exit code, report digest), the same at one and two workers;
 # its l_hat row names the 24 of 36 WL probes it read

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weplab.engine import covariance_from_joint
 from weplab.errors import DomainError, IndefiniteCovarianceError
 from weplab.limits import (LimitModel, _factor_with_jitter, build_limit_model,
                            dg0_upper_bound_check, sample_limit_field, weighted_wiener_distance)
-from weplab.models import parse_model
+from weplab.models import joint_cdf_matrix, parse_model
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -96,25 +97,30 @@ class TestDistanceFacts:
                       <= weighted_wiener_distance(w, x, z) * (1.0 + 1e-12))
 
 
+def limit_covariance(spec, cells, w):
+    """The covariance ``build_limit_model`` factors, assembled as it assembles it."""
+    return covariance_from_joint(joint_cdf_matrix(parse_model(spec), cells), cells, w)
+
+
 class TestLimitModel:
     def test_single_cell_variance(self):
-        lm = build_limit_model(parse_model("bm-copula"), [(1.5, 0.3)], w_const)
-        assert lm.covariance[0, 0] == pytest.approx(0.21, abs=1e-12)
+        cov = limit_covariance("bm-copula", [(1.5, 0.3)], w_const)
+        assert cov[0, 0] == pytest.approx(0.21, abs=1e-12)
 
     def test_comonotone_two_levels(self):
-        lm = build_limit_model(parse_model("dependent"), [(1.5, 0.2), (1.5, 0.4)], w_const)
-        assert lm.covariance[0, 1] == pytest.approx(0.12, abs=1e-12)
+        cov = limit_covariance("dependent", [(1.5, 0.2), (1.5, 0.4)], w_const)
+        assert cov[0, 1] == pytest.approx(0.12, abs=1e-12)
 
     def test_cross_time_sheppard_value(self):
-        lm = build_limit_model(parse_model("bm-copula"), [(1.0, 0.5), (2.0, 0.5)], w_const)
-        assert lm.covariance[0, 1] == pytest.approx(0.125, abs=1e-8)
+        cov = limit_covariance("bm-copula", [(1.0, 0.5), (2.0, 0.5)], w_const)
+        assert cov[0, 1] == pytest.approx(0.125, abs=1e-8)
 
     def test_factor_residual(self):
         cells = [(t, y) for t in (1.0, 1.5, 2.0) for y in (0.2, 0.5, 0.8)]
         lm = build_limit_model(parse_model("bm-copula"), cells, w_quarter)
-        resid = np.max(np.abs(lm.factor @ lm.factor.T
-                              - (lm.covariance + lm.jitter * np.eye(lm.size))))
-        assert resid <= 1e-8 * (1.0 + np.max(np.abs(lm.covariance)))
+        cov = limit_covariance("bm-copula", cells, w_quarter)
+        resid = np.max(np.abs(lm.factor @ lm.factor.T - (cov + lm.jitter * np.eye(lm.size))))
+        assert resid <= 1e-8 * (1.0 + np.max(np.abs(cov)))
 
     def test_sampling_covariance(self):
         lm = build_limit_model(parse_model("bm-copula"), [(1.5, 0.3)], w_const)
@@ -144,13 +150,11 @@ class TestLimitModel:
         with pytest.raises(IndefiniteCovarianceError):
             _factor_with_jitter(bad)
 
-    def test_stored_arrays_are_frozen_float64(self):
-        cov = np.eye(2, dtype=np.float32)
-        lm = LimitModel(((1.0, 0.3), (1.5, 0.3)), cov, cov, 0.0)
-        for arr in (lm.covariance, lm.factor):
-            assert arr.dtype == np.float64
-            with pytest.raises(ValueError):
-                arr[0, 0] = 2.0
+    def test_stored_factor_is_frozen_float64(self):
+        lm = LimitModel(((1.0, 0.3), (1.5, 0.3)), np.eye(2, dtype=np.float32), 0.0)
+        assert lm.factor.dtype == np.float64
+        with pytest.raises(ValueError):
+            lm.factor[0, 0] = 2.0
 
     def test_worker_invariance(self):
         lm = build_limit_model(parse_model("bm-copula"),

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from weplab import models, parallel
 from weplab.errors import DomainError
-from weplab.models import (TimeGrid, envelope_statistics, joint_cdf_matrix,
-                           map_brownian_blocks, map_path_blocks, map_replications,
-                           parse_model, rho_metric, to_uniform)
+from weplab.models import (TimeGrid, envelope_statistics, joint_cdf_matrix, map_path_blocks,
+                           map_replications, parse_model, rho_metric, to_uniform)
 from weplab.numerics import (bvn_cdf, ks_statistic_one_sample, std_normal_cdf,
                              std_normal_quantile)
 
@@ -127,14 +126,12 @@ class TestSampling:
     def test_needs_paths(self):
         with pytest.raises(DomainError):
             map_path_blocks(parse_model("dependent"), TimeGrid.uniform(), 0, 1, lambda v: v)
-        with pytest.raises(DomainError):
-            map_brownian_blocks(TimeGrid.uniform(), 0, 1, lambda b: b)
 
     def test_bm_copula_is_transformed_brownian(self):
         # path values are exactly the normal cdf of the scaled Brownian path
         grid = TimeGrid.uniform(1, 2, 9)
         values = sample("bm-copula", grid, 3000, 13)
-        b = np.hstack(map_brownian_blocks(grid, 3000, 13, lambda b: [b])).T
+        b = path_major_reference(parse_model("bm-copula"), grid, 3000, 13, brownian=True)
         x = np.clip(std_normal_cdf(b / np.sqrt(grid.points)), 5e-324,
                     np.nextafter(1.0, 0.0))
         assert np.array_equal(values, x)
@@ -145,10 +142,9 @@ class TestSampling:
         # 7,000 paths are a full and a partial seeding block: on 9 times both come in one
         # batch, on 129 times in 2,048-path slices, on 257 in 1,024-path slices
         grid = TimeGrid.uniform(1, 2, points)
-        scores = np.hstack(map_path_blocks(parse_model("bm-copula"), grid, 7000, 13,
-                                           lambda v: [v], workers))
-        b = np.hstack(map_brownian_blocks(grid, 7000, 13, lambda b: [b], workers))
-        assert np.array_equal(scores, b / np.sqrt(grid.points)[:, None])
+        model = parse_model("bm-copula")
+        scores = np.hstack(map_path_blocks(model, grid, 7000, 13, lambda v: [v], workers))
+        assert np.array_equal(scores, path_major_reference(model, grid, 7000, 13).T)
 
     @pytest.mark.parametrize("spec", ["dependent", "iid-time", "atomic:0.5@0.5"])
     def test_to_uniform_is_the_identity_off_the_bm_copula(self, spec):
@@ -265,18 +261,6 @@ class TestTimeMajorLayout:
         assert all(v.shape[0] == len(grid) and v.flags.c_contiguous for v in got)
         assert np.array_equal(np.hstack(got), path_major_reference(model, grid, self.N, 8).T)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("grid", [TimeGrid.uniform(1, 2, 4), TimeGrid.uniform().refined()],
-                             ids=["4-times", "257-times"])
-    def test_brownian_blocks_are_the_block_draws_transposed(self, grid, workers):
-        got = map_brownian_blocks(grid, self.N, 8, lambda b: [b], workers,
-                                  stream=parallel.STREAM_CALIBRATION)
-        # exactly one whole seeding block per call
-        assert [b.shape for b in got] == [(len(grid), 4096)] * 3 + [(len(grid), 17)]
-        reference = path_major_reference(parse_model("bm-copula"), grid, self.N, 8,
-                                         stream=parallel.STREAM_CALIBRATION, brownian=True)
-        assert np.array_equal(np.hstack(got), reference.T)
-
 
 class TestAtomicSampler:
     """The atomic model's inline transform draws the reference transform's bits."""
@@ -306,10 +290,12 @@ class TestMergeOrder:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_results_are_added_in_tree_order(self, workers):
         # five blocks make an unbalanced tree, which a left fold adds in another order,
-        # rounding these float column sums differently; digests pin them on 17 points only
-        grid, n = TimeGrid.uniform(1, 2, 9), 4 * parallel.BLOCK_SIZE + 17
-        got = map_brownian_blocks(grid, n, 5, lambda b: b.sum(axis=1), workers)
-        parts = map_brownian_blocks(grid, n, 5, lambda b: [b.sum(axis=1)], workers)
+        # rounding these float column sums differently; digests pin them on 17 points only.
+        # On 33 times each call is one whole block
+        model, grid = parse_model("bm-copula"), TimeGrid.uniform(1, 2, 33)
+        n = 4 * parallel.BLOCK_SIZE + 17
+        got = map_path_blocks(model, grid, n, 5, lambda v: v.sum(axis=1), workers)
+        parts = map_path_blocks(model, grid, n, 5, lambda v: [v.sum(axis=1)], workers)
         assert len(parts) == 5
         assert np.array_equal(got, parallel.tree_reduce(parts, np.add))
 
@@ -514,3 +500,11 @@ class TestEnvelopeStatistics:
     def test_needs_sample_size(self):
         with pytest.raises(DomainError):
             envelope_statistics(TimeGrid.uniform(), 100, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_on_path_slices(self, workers):
+        # on 129 times the five seeding blocks of 20,000 paths reach the sampler's consumer
+        # in 2,048-path slices, the last block cut at 2,048 of its 3,616; the float sums
+        # still run over whole blocks
+        assert envelope_statistics(TimeGrid.uniform(), 20_000, 5, workers) == (
+            0.606301931853156, 0.006685399170970042)

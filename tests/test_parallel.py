@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from weplab import parallel
 from weplab.limits import build_limit_model, sample_limit_field
-from weplab.models import (TimeGrid, map_brownian_blocks, map_path_blocks, map_replications,
-                           parse_model)
+from weplab.models import TimeGrid, map_path_blocks, map_replications, parse_model
 from weplab.weights import parse_weight
 
 seeds = st.integers(0, 2 ** 70)
@@ -67,7 +66,6 @@ def test_samplers_build_no_seed_sequence(monkeypatch):
         assert map_path_blocks(model, grid, 5000, 3, lambda b: b.sum(axis=1)).shape == (3,)
         assert np.concatenate(list(map_replications(
             model, grid, 5000, 3, 3, lambda b: b.sum(axis=(1, 2))))).shape == (3,)
-    assert map_brownian_blocks(grid, 5000, 3, lambda b: b.sum(axis=1)).shape == (3,)
     limit = build_limit_model(parse_model("bm-copula"), [(1.0, 0.3), (2.0, 0.6)],
                               parse_weight("const:1"))
     assert np.concatenate(list(sample_limit_field(limit, 5000, 3))).shape == (5000, 2)

@@ -1,5 +1,8 @@
 """The Brownian lemmas of the paper's proofs, on weplab's own Brownian sampler.
 
+The sampler streams the bm-copula's scores B_t/sqrt(t); where a lemma needs
+the raw path it is read back as B_t = score * sqrt(t).
+
 Borell's concentration of the scaled-path sup, the forward-increment envelope
 (lemma M), the one-sided crossing bound (lemma L) and the two-sided crossing
 bounds (d1, d2) read no process and no weight, so no input to ``weplab
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from weplab import parallel
-from weplab.models import TimeGrid, map_brownian_blocks, map_path_blocks, parse_model
+from weplab.models import TimeGrid, map_path_blocks, parse_model
 from weplab.numerics import std_normal_pdf, std_normal_quantile
 from weplab.verifiers import _crossing_counts
 
@@ -41,13 +44,19 @@ def freq_stderr(p, n):
     return math.sqrt(p * (1.0 - p) / n)
 
 
+def forward_indices(grid, t, eps):
+    """Grid indices with t < s <= t + eps, with a relative slack guard."""
+    pts = grid.points
+    return np.flatnonzero((pts > t) & (pts <= t + eps * (1.0 + 1e-9)))
+
+
 @functools.cache
 def borell(workers):
     """The sup mean m of -B_t/sqrt(t) on the calibration stream, and per manifest r the
     number of paths whose sup reaches m + r."""
     n = MANIFEST["borell"]["n"]
-    total = map_brownian_blocks(GRID, n, SEED, lambda b: np.sum(np.max(-b / SQRT_T, axis=0)),
-                                workers, stream=parallel.STREAM_CALIBRATION)
+    total = map_path_blocks(BM, GRID, n, SEED, lambda scores: np.sum(np.max(-scores, axis=0)),
+                            workers, stream=parallel.STREAM_CALIBRATION)
     m_hat = total / n
 
     def exceed(scores):
@@ -63,18 +72,19 @@ def increments(workers, stream=parallel.STREAM_PATHS):
     """(mean, stderr) over paths of max over s in (t, t + eps] of (B_s - B_t)/sqrt(s), per
     manifest (t, eps) whose window holds a grid time, and of max_t B_t/sqrt(t) (d_env)."""
     p = MANIFEST["lemma_m"]
-    windows = [(t, eps, GRID.index_of(t), GRID.forward_indices(t, eps))
+    windows = [(t, eps, GRID.index_of(t), forward_indices(GRID, t, eps))
                for t in p["t_values"] for eps in p["eps_values"]]
     windows = [w for w in windows if w[3].size]
 
-    def sums(b):
+    def sums(scores):
+        b = scores * SQRT_T
         sups = [np.max((b[sel] - b[it]) / SQRT_T[sel], axis=0) for _t, _e, it, sel in windows]
-        sups.append(np.max(b / SQRT_T, axis=0))
+        sups.append(np.max(scores, axis=0))
         return np.array([[np.sum(v), np.sum(v * v)] for v in sups])
 
     n = p["n"]
     stats = [(s / n, math.sqrt(max(0.0, (sq - s * s / n) / (n - 1)) / n))
-             for s, sq in map_brownian_blocks(GRID, n, SEED, sums, workers, stream=stream)]
+             for s, sq in map_path_blocks(BM, GRID, n, SEED, sums, workers, stream=stream)]
     return {(t, eps): m for (t, eps, _it, _sel), m in zip(windows, stats)}, stats[-1]
 
 
@@ -88,7 +98,7 @@ def m0_hat(workers):
 @functools.cache
 def one_sided_crossings(workers):
     """Per lemma L probe, the paths with B_t/sqrt(t) < l <= max over the window of B_s/sqrt(s)."""
-    probes = [(GRID.index_of(t), GRID.forward_indices(t, eps), l) for t, eps, l in LEMMA_L_PROBES]
+    probes = [(GRID.index_of(t), forward_indices(GRID, t, eps), l) for t, eps, l in LEMMA_L_PROBES]
 
     def counts(scores):
         return np.array([np.count_nonzero((scores[it] < l) & (np.max(scores[sel], axis=0) >= l))
@@ -136,7 +146,7 @@ def test_one_sided_crossing_constant_is_finite(probe):
     (t, eps, l), c = LEMMA_L_PROBES[probe], one_sided_crossings(1)[probe]
     m0 = m0_hat(1)
     assert l > m0
-    if GRID.forward_indices(t, eps).size == 0:
+    if forward_indices(GRID, t, eps).size == 0:
         assert eps == 0.001 and c == 0  # (t, t + 0.001] holds no grid time
     elif l >= 6.0:
         assert c == 0  # vacuous at a level far above the mean
@@ -149,7 +159,7 @@ def test_one_sided_crossing_in_a_small_window_is_rare():
     # the window (1.5, 1.501] holds the one grid time 1.5005
     grid = TimeGrid(np.array([1.0, 1.25, 1.5, 1.5005, 1.75, 2.0]))
     (t, eps, l), n = (1.5, 0.001, 1.5), 50_000
-    it, sel = grid.index_of(t), grid.forward_indices(t, eps)
+    it, sel = grid.index_of(t), forward_indices(grid, t, eps)
     (c,) = map_path_blocks(BM, grid, n, SEED, lambda s: np.array(
         [np.count_nonzero((s[it] < l) & (np.max(s[sel], axis=0) >= l))]))
     shape = math.sqrt(eps) * std_normal_pdf(l - m0_hat(1)) ** ((t + eps) / (t + 2.0 * eps))
