@@ -10,7 +10,7 @@ from .models import (ProcessModel, TimeGrid, envelope_statistics, joint_cdf_matr
                      level_kernel, map_path_blocks, map_replications,
                      parse_model, rho_metric, to_uniform)
 from .limits import (LimitModel, build_limit_model, dg0_upper_bound_check,
-                     sample_limit_field, weighted_wiener_distance)
+                     limit_covariance, sample_limit_field, weighted_wiener_distance)
 from .engine import evaluate_field_streaming, export_field_csv
 from .numerics import (bvn_cdf, ks_statistic_one_sample, ks_statistic_two_sample,
                        singular_quadrature, std_normal_cdf, std_normal_pdf,

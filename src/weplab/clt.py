@@ -18,8 +18,8 @@ import numpy as np
 
 from .engine import accumulate_cell_moments, covariance_from_joint, replicated_fields
 from .errors import DomainError
-from .limits import build_limit_model, sample_limit_field
-from .models import ProcessModel, TimeGrid, joint_cdf_matrix
+from .limits import build_limit_model, limit_covariance, sample_limit_field
+from .models import ProcessModel, TimeGrid
 from .numerics import (ks_critical_one_sample, ks_critical_two_sample, ks_statistic_one_sample,
                        ks_statistic_two_sample, std_normal_cdf)
 from .reports import BoundReport, ProbeResult
@@ -87,7 +87,7 @@ def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
         raise DomainError("n_list must hold at least one sample size, with no repeats")
     times = sorted({t for t, _ in cells})
     grid = TimeGrid(np.array(times))
-    target = _covariance_target(model, cells, w)
+    target = limit_covariance(model, cells, w)
     dists = []
     for i, n in enumerate(n_list):
         joint = accumulate_cell_moments(model, cells, grid, n * reps, seed,
@@ -100,18 +100,6 @@ def clt_covariance_convergence(model: ProcessModel, w: WeightSpec,
                             shrinks and dists[-1] < threshold))
     return (BoundReport("clt-cov", tuple(rows), n_list[-1], seed),
             {"n": n_list, "frobenius_distance": dists})
-
-
-def _covariance_target(model: ProcessModel, cells, w: WeightSpec) -> np.ndarray:
-    """wx * wy * (J - x * y) on the cells, with scalar weights.
-
-    It rounds differently from ``covariance_from_joint``, which symmetrizes
-    and subtracts products of weighted levels.
-    """
-    ys = np.array([y for _, y in cells])
-    centered = joint_cdf_matrix(model, cells) - np.outer(ys, ys)  # names a bad level before w
-    wv = np.array([float(w(y)) for _, y in cells])
-    return np.outer(wv, wv) * centered
 
 
 def _sup_norms(batches) -> np.ndarray:

@@ -91,16 +91,15 @@ def accumulate_cell_moments(model: ProcessModel, cells: Sequence[tuple[float, fl
 
 def covariance_from_joint(joint: np.ndarray, cells: Sequence[tuple[float, float]],
                           w: WeightSpec) -> np.ndarray:
-    """Symmetrized w(x) w(y) [J - xy] on the cells.
+    """w(x) w(y) [J - xy] on the cells.
 
     ``joint[i, j]`` is P(X_s <= x, X_t <= y) for cells i = (s, x) and
-    j = (t, y).  Both the empirical estimate and the limit model assemble
-    their covariance here.
+    j = (t, y).  The empirical estimate and the limit covariance are both
+    assembled here; both joints are exactly symmetric, and so is the result.
     """
     ys = np.array([y for _, y in cells])
     wv = np.array([float(w(y)) for _, y in cells])
-    cov = np.outer(wv, wv) * joint - np.outer(wv * ys, wv * ys)
-    return 0.5 * (cov + cov.T)
+    return np.outer(wv, wv) * joint - np.outer(wv * ys, wv * ys)
 
 
 def export_field_csv(values: np.ndarray, grid: TimeGrid, levels: Sequence[float], path: str,

@@ -99,14 +99,19 @@ def _factor_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
         "suspect a bug in the joint CDF or the covariance assembly")
 
 
+def limit_covariance(model: ProcessModel, cells: Sequence[tuple[float, float]],
+                     w: WeightSpec) -> np.ndarray:
+    """w(x) w(y) [P(X_s <= x, X_t <= y) - xy] on the cells, from the closed-form joint."""
+    return covariance_from_joint(joint_cdf_matrix(model, cells), cells, w)
+
+
 def build_limit_model(model: ProcessModel, cells: Sequence[tuple[float, float]],
                       w: WeightSpec) -> LimitModel:
-    """Assemble from the closed-form joint CDF and factor the limit covariance on the cells."""
+    """Factor the limit covariance on the cells."""
     cells = tuple((float(t), float(y)) for t, y in cells)
     if not cells:
         raise DomainError("need at least one cell")
-    factor, jitter = _factor_with_jitter(
-        covariance_from_joint(joint_cdf_matrix(model, cells), cells, w))
+    factor, jitter = _factor_with_jitter(limit_covariance(model, cells, w))
     return LimitModel(cells, factor, jitter)
 
 

@@ -56,6 +56,14 @@ def _skipped(coords: dict, reason: str) -> ProbeResult:
     return ProbeResult({**coords, "skipped": reason}, None, None, None, None, True)
 
 
+def _time_ball(grid: TimeGrid, t: float, eps: float, theta: float) -> np.ndarray:
+    """Grid indices s with rho(s, t) <= eps: |s - t| <= eps^theta, all of them if that overflows."""
+    try:
+        return grid.ball_indices(t, float(eps) ** theta)
+    except OverflowError:
+        return grid.ball_indices(t, math.inf)
+
+
 def _fail_if_none_evaluated(rows: list, evaluated: int) -> None:
     """A report that evaluates no probe does not pass: add one failing row."""
     if evaluated == 0:
@@ -120,7 +128,7 @@ def _wl_sweep(model, w, theta, probes, grid, n, seed, workers, refined=False):
     if probes is None:
         probes = [(t, x, e) for t in DEFAULT_WL_T for x in DEFAULT_WL_X for e in DEFAULT_WL_EPS]
     grid = grid.refined() if refined else grid
-    balls = [(grid.index_of(t), grid.ball_indices(t, eps ** theta)) for t, _x, eps in probes]
+    balls = [(grid.index_of(t), _time_ball(grid, t, eps, theta)) for t, _x, eps in probes]
     cells = [(it, ball, x) for (it, ball), (_t, x, _e) in zip(balls, probes) if ball.size > 1]
     counts = iter(_crossing_counts(model, grid, cells, n, seed, workers, (int(refined),))
                   if cells else ())
@@ -197,7 +205,7 @@ def l_condition_estimate(model: ProcessModel, theta: float,
     rows = []
     for t, eps in probes:
         it = grid.index_of(t)
-        ball = grid.ball_indices(t, eps ** theta)
+        ball = _time_ball(grid, t, eps, theta)
         if ball.size <= 1:
             rows.append(_skipped({"t": t, "eps": eps, "ball_points": int(ball.size)},
                                  "singleton time ball"))
@@ -276,8 +284,8 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
         rows.append(ProbeResult({"trend": f"{l1:g}->{l2:g}"}, v2 - v1,
                                 s1 + s2, 0.0, None, ok))
     if want_cross:
-        d_env, _se = envelope_statistics(grid, min(n, 20_000), seed, workers=workers,
-                                         stream=parallel.STREAM_CALIBRATION)
+        d_env = envelope_statistics(grid, min(n, 20_000), seed, workers=workers,
+                                    stream=parallel.STREAM_CALIBRATION)
         p_lo = counts[-1] / n
         lam0 = float(w(x0))
         arg = -std_normal_quantile(x0) - d_env
@@ -304,6 +312,10 @@ def integral_check(w: WeightSpec, c_values: Sequence[float], seed: int = 0) -> B
 
 def dyadic_check(w: WeightSpec, seed: int = 0) -> BoundReport:
     """Dyadic sums of 1/w^2 must settle; a pure power must match its geometric series."""
+    pure_power, r = w.sv_kind == "const" and w.sv_param == 1.0, 4.0 ** (-w.alpha)
+    if pure_power and w.alpha > 0.0 and r == 1.0:  # dyadic_sum rejects alpha = 0 itself
+        raise DomainError(f"exponent {w.alpha!r} is too small for the dyadic check: "
+                          "the ratio 4^-alpha of its geometric series rounds to 1")
     rows = []
     for theta in (1e-4, 1e-2, 0.2 * w.gamma):
         short = dyadic_sum(w, theta, 60)
@@ -311,9 +323,7 @@ def dyadic_check(w: WeightSpec, seed: int = 0) -> BoundReport:
         settled = full - short <= 0.01 * full
         rows.append(ProbeResult({"theta": theta, "terms": 200}, full, None,
                                 None, None, settled and full >= short))
-        if w.sv_kind == "const" and w.sv_param == 1.0:
-            # pure power: geometric series in closed form, partial and limit
-            r = 4.0 ** (-w.alpha)
+        if pure_power:  # geometric series in closed form, partial and limit
             partial = (1.0 - r ** 60) / (1.0 - r)
             limit = 1.0 / (1.0 - r)
             rows.append(ProbeResult({"theta": theta, "terms": 60, "part": "closed-form"},
@@ -394,7 +404,7 @@ def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
     for _t, _e, a, b in probes:
         if not (0.0 < a < b < w.gamma):
             raise DomainError("need 0 < a < b < gamma for every probe")
-    balls = [(grid.index_of(t), grid.ball_indices(t, eps ** theta)) for t, eps, _a, _b in probes]
+    balls = [(grid.index_of(t), _time_ball(grid, t, eps, theta)) for t, eps, _a, _b in probes]
     prepared = [(it, ball, np.linspace(a, b, CHAINING_LEVEL_COUNT + 1)[1:])  # levels in (a, b]
                 for (it, ball), (_t, _e, a, b) in zip(balls, probes) if ball.size > 1]
     evaluated, l_hat_coords = len(prepared), {"stat": "l_hat"}

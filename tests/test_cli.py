@@ -713,6 +713,25 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "weplab" in proc.stdout
 
+    def test_overflowing_ball_radius_ends_without_traceback(self, tmp_path):
+        # 1.1^10000 overflows a float: the eps = 1.1 ball is the whole 5-point grid
+        out = tmp_path / "r.json"
+        proc = subprocess.run([sys.executable, "-m", "weplab.cli", "verify", "l-cond",
+                               "--model", "bm-copula", "--n", "1000", "--time-points", "5",
+                               "--theta", "1e4", "--out", str(out)],
+                              capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
+        rows = [p for p in load_without_timing(out)["probes"] if p["coords"]["eps"] == 1.1]
+        assert [p["coords"]["ball_points"] for p in rows] == [5]
+
+    def test_vanishing_dyadic_ratio_is_named(self):
+        # 4^-1e-17 rounds to 1, so the pure power's geometric series has no closed form
+        proc = subprocess.run([sys.executable, "-m", "weplab.cli", "verify", "dyadic",
+                               "--weight", "pow:1e-17"],
+                              capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith("weplab: error: exponent 1e-17 ")
+
     def test_runs_without_scipy(self, tmp_path):
         # scipy is a test oracle only: Phi and its inverse are weplab's own
         script = (

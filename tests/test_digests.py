@@ -11,7 +11,7 @@ import json
 import pytest
 
 from weplab.cli import RunConfig, main
-from weplab.clt import _covariance_target
+from weplab.limits import limit_covariance
 from weplab.models import parse_model
 
 SIMULATE_DIGESTS = {
@@ -52,9 +52,9 @@ CLT_SUP_DIGESTS = {
 }
 
 COVARIANCE_TARGET_DIGESTS = {
-    "bm-copula": "f2a53a3bee4d2766b86c5388f3b94c88fb115301aea2a70468c5fb921f44b34f",
-    "dependent": "8517133bccdbd443857ea8f9c12340e415993a57075afc91033c709c2b29a676",
-    "iid-time": "c3ab6c3fc047076be416729d45abba8377db7107375fa9169451909a8b6bc1e1",
+    "bm-copula": "f56d17bd170cf6e88f2b4c3ce327fe5aa48140184d84bd62aac41ccf93143bbf",
+    "dependent": "afea6d31c78ad0ef498f9947df61a297fcaa7099a02ebe3a09bfe56563a54f16",
+    "iid-time": "5ec549749584315edd434a76c9cf54756d80ddd2d426890e630632e673cc9d26",
 }
 
 
@@ -79,7 +79,7 @@ def test_clt_sup_digest(tmp_path, lattice):
 def test_clt_cov_target_digest(spec):
     cfg = RunConfig(weight="pow:0.25")
     cells = [(t, y) for t in cfg.time_list for y in cfg.level_list]
-    target = _covariance_target(parse_model(spec), cells, cfg.parsed_weight)
+    target = limit_covariance(parse_model(spec), cells, cfg.parsed_weight)
     assert hashlib.sha256(target.tobytes()).hexdigest() == COVARIANCE_TARGET_DIGESTS[spec]
 
 
@@ -157,8 +157,8 @@ CLT_CASES = {
 CLT_DIGESTS = {
     "marginal": (1, "5f6cd86ce92e5c088dec8b63458d855fab5f82ccffa0c6da4b5d35004caacd7d",
                  "46228f720ddf1698d2c2210dbee4702a9bdf53bc997ad93556ab53ed76728de9"),
-    "cov": (1, "6f216bc2436433b64fa928ccc64dc306ea8e5c32d21e55618423b04d29715a0e",
-            "d14ff03da7d75917c783a174afc0c67532ce1edaf958c4ad6056c282cacab210"),
+    "cov": (1, "6d4320c12270b40fbdd963d3d7cc9f85ac6297fdccd5b929f2ef6f502d65679b",
+            "40101235132f04fc1e88928e26389c51e2afce3c7959fc3e22f233e78bdcb53e"),
 }
 
 
@@ -199,10 +199,11 @@ def test_clt_multiblock_digest(tmp_path, case, workers):
     assert (code, report_digest(report), sha256_of(csv)) == CLT_MULTIBLOCK_DIGESTS[case]
 
 
-# 4096 x 300 and, for verify wl, the refined grid's 4096 x 257 values exceed
-# the 2^20-value cap on what one path-block call hands its consumer, so these
-# runs reach their consumers in row slices: (exit code and) digest, the same
-# at one and two workers
+# a 4,096-path block on 300 times, or on the 129 and 257 times of verify wl's
+# two sweeps, exceeds the 2^17-value batch (models._BATCH_VALUES), so these runs
+# reach their consumers in block-aligned path slices of about 2^18 values
+# (models._SLICE_VALUES): quarters on 300 and 257 times, halves on 129.
+# (exit code and) digest, the same at one and two workers
 WIDE_SIMULATE_DIGESTS = {
     "bm-copula": "0d7e2f790b67c9b20fc91a8ffe59847e07d5273aa397c9240ccab591205c4c96",
     "dependent": "d75655d59f32ce5095f1042f45c85ad115aa43404e27c155134cee5054b897e0",

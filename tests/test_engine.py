@@ -199,6 +199,7 @@ class TestCellMoments:
         cells = [(1.0, 0.5), (2.0, 0.5)]
         joint = accumulate_cell_moments(model, cells, grid, 200_000, PINNED_SEED)
         cov = covariance_from_joint(joint, cells, w_const)
+        assert np.array_equal(cov, cov.T)  # the pair counts are mirrored
         assert cov[0, 1] == pytest.approx(0.125, abs=0.005)
         assert cov[0, 0] == pytest.approx(0.25, abs=0.005)
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weplab.engine import covariance_from_joint
 from weplab.errors import DomainError, IndefiniteCovarianceError
 from weplab.limits import (LimitModel, _factor_with_jitter, build_limit_model,
-                           dg0_upper_bound_check, sample_limit_field, weighted_wiener_distance)
-from weplab.models import joint_cdf_matrix, parse_model
+                           dg0_upper_bound_check, limit_covariance, sample_limit_field,
+                           weighted_wiener_distance)
+from weplab.models import parse_model
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -97,28 +97,30 @@ class TestDistanceFacts:
                       <= weighted_wiener_distance(w, x, z) * (1.0 + 1e-12))
 
 
-def limit_covariance(spec, cells, w):
-    """The covariance ``build_limit_model`` factors, assembled as it assembles it."""
-    return covariance_from_joint(joint_cdf_matrix(parse_model(spec), cells), cells, w)
-
-
 class TestLimitModel:
     def test_single_cell_variance(self):
-        cov = limit_covariance("bm-copula", [(1.5, 0.3)], w_const)
+        cov = limit_covariance(parse_model("bm-copula"), [(1.5, 0.3)], w_const)
         assert cov[0, 0] == pytest.approx(0.21, abs=1e-12)
 
     def test_comonotone_two_levels(self):
-        cov = limit_covariance("dependent", [(1.5, 0.2), (1.5, 0.4)], w_const)
+        cov = limit_covariance(parse_model("dependent"), [(1.5, 0.2), (1.5, 0.4)], w_const)
         assert cov[0, 1] == pytest.approx(0.12, abs=1e-12)
 
     def test_cross_time_sheppard_value(self):
-        cov = limit_covariance("bm-copula", [(1.0, 0.5), (2.0, 0.5)], w_const)
+        cov = limit_covariance(parse_model("bm-copula"), [(1.0, 0.5), (2.0, 0.5)], w_const)
         assert cov[0, 1] == pytest.approx(0.125, abs=1e-8)
+
+    @pytest.mark.parametrize("spec", ["bm-copula", "dependent", "iid-time", "atomic:0.5@0.5"])
+    def test_exactly_symmetric(self, spec):
+        # the joint is written from one value per pair and every product commutes
+        cells = [(t, y) for t in (1.0, 1.5, 2.0) for y in (0.1, 0.3, 0.5, 0.8)]
+        cov = limit_covariance(parse_model(spec), cells, w_quarter)
+        assert np.array_equal(cov, cov.T)
 
     def test_factor_residual(self):
         cells = [(t, y) for t in (1.0, 1.5, 2.0) for y in (0.2, 0.5, 0.8)]
         lm = build_limit_model(parse_model("bm-copula"), cells, w_quarter)
-        cov = limit_covariance("bm-copula", cells, w_quarter)
+        cov = limit_covariance(parse_model("bm-copula"), cells, w_quarter)
         resid = np.max(np.abs(lm.factor @ lm.factor.T - (cov + lm.jitter * np.eye(lm.size))))
         assert resid <= 1e-8 * (1.0 + np.max(np.abs(cov)))
 

@@ -493,10 +493,6 @@ class TestRhoMetric:
 
 
 class TestEnvelopeStatistics:
-    def test_sup_mean_positive(self):
-        d_env, d_env_stderr = envelope_statistics(TimeGrid.uniform(), 5000, 2)
-        assert d_env > 3.0 * d_env_stderr
-
     def test_needs_sample_size(self):
         with pytest.raises(DomainError):
             envelope_statistics(TimeGrid.uniform(), 100, 1)
@@ -506,5 +502,4 @@ class TestEnvelopeStatistics:
         # on 129 times the five seeding blocks of 20,000 paths reach the sampler's consumer
         # in 2,048-path slices, the last block cut at 2,048 of its 3,616; the float sums
         # still run over whole blocks
-        assert envelope_statistics(TimeGrid.uniform(), 20_000, 5, workers) == (
-            0.606301931853156, 0.006685399170970042)
+        assert envelope_statistics(TimeGrid.uniform(), 20_000, 5, workers) == 0.606301931853156

@@ -91,6 +91,12 @@ class TestWlEstimate:
         with pytest.raises(DomainError):
             wl_estimate(bm, w_quarter, 4.0, n=100, seed=1)
 
+    def test_overflowing_ball_radius_is_the_whole_grid(self):
+        # 1.1^10000 overflows a float: rho(s, t) <= 1.1 holds on the whole grid
+        rep = wl_estimate(bm, w_quarter, 1e4, [(1.5, 0.1, 1.1)], n=200, seed=1,
+                          grid=TimeGrid.uniform(1, 2, 5))
+        assert [r.coords["ball_points"] for r in rows_by(rep, t=1.5)] == [5, 9]
+
     def test_bound_report_schema(self):
         rep = wl_estimate(dependent, w_quarter, 5.0, n=2000, seed=1)
         assert rep.check == "wl"
@@ -201,6 +207,12 @@ class TestChaining:
     def test_requires_power_weight(self):
         with pytest.raises(DomainError):
             chaining_ab_check(bm, w_const, 5.0, n=100, seed=1)
+
+    def test_overflowing_ball_radius_is_the_whole_grid(self):
+        # 1.1^10000 overflows a float; on two grid times only a ball holding both is evaluated
+        rep = chaining_ab_check(bm, w_quarter, 1e4, probes=((1.5, 1.1, 0.02, 0.2),), n=200,
+                                seed=1, grid=TimeGrid.uniform(1.5, 2, 2), l_hat=0.5)
+        assert "skipped" not in rep.probes[1].coords and rep.probes[1].estimate is not None
 
     def test_probe_domain(self):
         with pytest.raises(DomainError):
