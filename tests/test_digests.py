@@ -132,20 +132,20 @@ def test_l_cond_events_digest(tmp_path, workers):
     assert (code, report_digest(out)) == L_COND_EVENTS_DIGEST
 
 
-# dg0-upper on the atomic model, whose joint CDF is min(x, y), with the
-# VERIFY_ARGS sizes: (exit code, report digest), the same at one and two workers;
-# its l_hat row names the 24 of 36 WL probes it read
-ATOMIC_DG0_UPPER_DIGEST = (0, "0708661998c927a8d4025b95b9dce66d059df6fbe1d487a4af4a8fcd67a04210")
+# wl on the atomic model, one uniform draw a path, so every crossing frequency is 0,
+# with the VERIFY_ARGS sizes: (exit code, report digest), the same at one and two
+# workers; the coarse sweep evaluates 24 of its 36 probes, the fine sweep all 36
+ATOMIC_WL_DIGEST = (0, "e7cd97ea8d55601944ad0b1637209f4f7749ca9c210cbec7e59ce2d1f0099285")
 
 
 @pytest.mark.filterwarnings("ignore:.*skipped")
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_atomic_dg0_upper_digest(tmp_path, workers):
+def test_atomic_wl_digest(tmp_path, workers):
     out = tmp_path / "r.json"
-    code = main(["verify", "dg0-upper", "--model", "atomic:0.5@0.5", "--weight", "pow:0.25",
+    code = main(["verify", "wl", "--model", "atomic:0.5@0.5", "--weight", "pow:0.25",
                  "--n", "2000", "--seed", "5", "--time-points", "17", "--workers", workers,
                  "--out", str(out)])
-    assert (code, report_digest(out)) == ATOMIC_DG0_UPPER_DIGEST
+    assert (code, report_digest(out)) == ATOMIC_WL_DIGEST
 
 
 # clt marginal and cov at small sizes: (exit code, report digest, CSV digest)
