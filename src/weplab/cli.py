@@ -7,9 +7,9 @@ only parses, dispatches and writes: every check is built in ``verifiers``
 and every harness in ``weplab.clt``.  Checks and CLT modes are dispatched
 from one table each (``CHECKS``, ``CLT``) of direct library calls, and every
 command, typed or replayed, runs through ``run_command``, which loads
-``verifiers`` for a ``verify`` check alone.  Each check reads the run's
-model or weight, so some input can fail it; a fact that reads neither is a
-test, not a check.
+``verifiers`` for a ``verify`` check alone.  Each check tests a hypothesis
+of the theorem on the run's model or weight; a fact that holds for every
+model and weight, such as an inequality of the proofs, is a test, not a check.
 Library reports carry no clock: the JSON written here adds ``wall_ms``, the
 wall time of the whole command.  Every run can emit a manifest echoing the
 fully resolved configuration; ``rerun`` replays a manifest and reproduces
@@ -197,14 +197,8 @@ CHECKS = {
                                                     [(cfg.t, e) for e in (0.55, 0.7, 1.1)],
                                                     **_sampling(cfg)),
     "integral": lambda v, cfg: v.integral_check(cfg.parsed_weight, cfg.c_list, cfg.seed),
-    "dyadic": lambda v, cfg: v.dyadic_check(cfg.parsed_weight, cfg.seed),
     "envelope": lambda v, cfg: v.envelope_check(cfg.model_spec(), cfg.parsed_weight,
                                                 **_sampling(cfg)),
-    "slowly-varying": lambda v, cfg: v.slowly_varying_check(cfg.parsed_weight),
-    "chaining-ab": lambda v, cfg: v.chaining_ab_check(cfg.model_spec(), cfg.parsed_weight,
-                                                      cfg.theta, **_sampling(cfg)),
-    "dg0-upper": lambda v, cfg: v.dg0_upper_check(cfg.model_spec(), cfg.parsed_weight,
-                                                  cfg.theta, **_sampling(cfg)),
 }
 
 

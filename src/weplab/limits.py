@@ -1,10 +1,8 @@
-"""Weighted Wiener pseudometric and the Gaussian limit on finite grids.
+"""The Gaussian limit on finite grids.
 
-The distance d(x, y) is the L2 distance of the weighted Wiener process
-w(x) W(x); combined with a time pseudometric rho it gives the max-metric on
-time-level pairs.  The limit model assembles the covariance
-w(x) w(y) [P(X_s <= x, X_t <= y) - xy] on a finite set of cells, keeps
-only its factor, and samples mean-zero Gaussian vectors deterministically.
+The limit model assembles the covariance w(x) w(y) [P(X_s <= x, X_t <= y) - xy]
+on a finite set of cells, keeps only its factor, and samples mean-zero
+Gaussian vectors deterministically.
 """
 
 from __future__ import annotations
@@ -18,26 +16,13 @@ import numpy as np
 from . import parallel
 from .errors import DomainError, IndefiniteCovarianceError
 from .engine import covariance_from_joint
-from .models import ProcessModel, joint_cdf_matrix, rho_metric
+from .models import ProcessModel, joint_cdf_matrix
 from .weights import WeightSpec
 
 # Diagonal jitter ladder used when a closed-form covariance fails to factor
 # by rounding; the value actually applied is recorded on the model.
 JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 _PIVOT_REL_TOL = 1e-10
-
-
-def weighted_wiener_distance(w: WeightSpec, x, y):
-    """d(x, y) = sqrt(w(max)^2 |y - x| + min * (w(x) - w(y))^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    wx = np.asarray(w(x), dtype=float)
-    wy = np.asarray(w(y), dtype=float)
-    hi = np.where(x >= y, wx, wy)
-    lo = np.minimum(x, y)
-    d2 = hi * hi * np.abs(y - x) + lo * (wx - wy) ** 2
-    out = np.sqrt(d2)
-    return float(out) if out.ndim == 0 else out
 
 
 def _semidefinite_cholesky(cov: np.ndarray) -> Optional[np.ndarray]:
@@ -133,27 +118,3 @@ def sample_limit_field(limit: LimitModel, reps: int, seed: int,
         return parallel.rng_from_words(words[idx]).standard_normal((stop - start, limit.size)) @ Lt
 
     return parallel.map_blocks(job, reps, workers)
-
-
-def dg0_upper_bound_check(model: ProcessModel, w: WeightSpec, l_hat: float,
-                          probes: Sequence[tuple[float, float, float, float]],
-                          theta: float = 5.0, tol: float = 1e-6) -> Optional[tuple]:
-    """(s, x) of the first probe (s, x, t, y) with d_{G0}^2 > 2 d^2(x, y) + 4 L rho^2, or None.
-
-    d_{G0}^2 is computed from the closed-form joint CDF; the inequality is
-    conditional on the supplied measured constant.
-    """
-    if l_hat < 0.0:
-        raise DomainError("the measured constant must be non-negative")
-    cells = sorted({cell for s, x, t, y in probes for cell in ((s, x), (t, y))})
-    at = {cell: i for i, cell in enumerate(cells)}
-    joint = joint_cdf_matrix(model, cells)
-    for s, x, t, y in probes:
-        wx, wy = float(w(x)), float(w(y))
-        joint_st = joint[at[s, x], at[t, y]]
-        dg0_sq = wx * wx * x + wy * wy * y - 2.0 * wx * wy * joint_st
-        d = weighted_wiener_distance(w, x, y)
-        rho = rho_metric(s, t, theta)
-        if dg0_sq > 2.0 * d * d + 4.0 * l_hat * rho * rho + tol:
-            return (float(s), float(x))
-    return None

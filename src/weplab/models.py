@@ -485,16 +485,6 @@ def joint_cdf_matrix(model: ProcessModel, cells: Sequence[tuple[float, float]]) 
     return out
 
 
-def rho_metric(s, t, theta: float):
-    """|s - t|^(1/theta); requires theta > 4."""
-    if not theta > 4.0:
-        raise DomainError("theta must exceed 4")
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    out = np.abs(s - t) ** (1.0 / theta)
-    return float(out) if out.ndim == 0 else out
-
-
 def envelope_statistics(grid: TimeGrid, n: int, seed: int, workers: int = 1,
                         stream: int = parallel.STREAM_PATHS) -> float:
     """The mean over n paths of the grid maximum of B_t / sqrt(t).

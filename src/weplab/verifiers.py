@@ -1,11 +1,17 @@
 """Monte Carlo and closed-form certification of the theorem's conditions on (X, w).
 
-Every check reads the process and weight (X, w), or the weight alone, so some
-input can make it fail.  Facts that read neither are tests, not checks: the
-normal-law bounds of the proofs are mpmath oracle tests of ``weplab.numerics``,
-and the Brownian lemmas of the proofs (Borell's concentration, the increment
-envelope, the one- and two-sided crossing bounds) are Monte Carlo tests of the
-Brownian sampler in ``tests/test_proof_lemmas.py``.
+The checks are the hypotheses of the theorem: the crossing condition (``wl``),
+the oscillation of the transformed marginals (``l-cond``), the envelope and
+the weight's tail integral.  Each reads the process and weight (X, w), or the
+weight alone.  ``integral`` and ``envelope`` gate on a bound; the rows of
+``wl`` and ``l-cond`` are informational, so those two fail only when they
+evaluate no probe.  Facts that hold for every input are tests, not checks: the
+normal-law bounds of the proofs are mpmath oracle tests of
+``weplab.numerics``; the weight family's slow variation and dyadic sums are
+tests in ``tests/test_weights.py``; and the Brownian lemmas and the
+inequalities of the proofs (Borell's concentration, the increment envelope,
+the crossing bounds, the chaining bound and the d_G0 bound) are tests in
+``tests/test_proof_lemmas.py``.
 
 Existential constants are never hard-coded: each probability verifier
 reports the implied constant (estimate divided by the bound shape).
@@ -20,9 +26,6 @@ block seeding, so ``to_json()`` is byte-identical across reruns and worker
 counts at a pinned seed; timing is the caller's business.  A probe that is
 not evaluated gets a row whose ``skipped`` coordinate names why, and a sweep
 that evaluates none of its probes adds a failing ``evaluated_probes`` row.
-One WL sweep gives ``wl``, ``chaining-ab`` and ``dg0-upper`` their crossing
-constant ``l_hat``; the ``l_hat`` row of the latter two counts the sweep's
-evaluated probes.
 """
 
 from __future__ import annotations
@@ -35,12 +38,11 @@ import numpy as np
 
 from . import parallel
 from .errors import DomainError
-from .limits import dg0_upper_bound_check
 from .models import (BM_COPULA, ProcessModel, TimeGrid, envelope_statistics, level_kernel,
                      map_path_blocks, to_uniform)
 from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
 from .reports import BoundReport, ProbeResult
-from .weights import WeightSpec, dyadic_sum, integral_condition, slowly_varying_eval
+from .weights import WeightSpec, integral_condition
 
 MC_SIGMA = 3.0  # one-sided Monte Carlo allowance, in standard errors
 
@@ -115,13 +117,12 @@ def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, 
 
 
 def _wl_sweep(model, w, theta, probes, grid, n, seed, workers, refined=False):
-    """The WL sweep: its rows, its (f_ts, f_st) frequencies, ``l_hat`` and the evaluated count.
+    """The WL sweep: its rows and its (f_ts, f_st) frequencies.
 
     The sweep runs on ``grid``, or on its density-doubled refinement.  A
     probe's row estimates max(f_ts, f_st), with implied constant
-    max(f_ts, f_st) w(x)^2 / eps^2; ``l_hat`` is the sup of those constants.
-    A probe whose time ball is a single grid point gets a skipped row and
-    frequencies None.
+    max(f_ts, f_st) w(x)^2 / eps^2.  A probe whose time ball is a single grid
+    point gets a skipped row and frequencies None.
     """
     if not theta > 4.0:
         raise DomainError("theta must exceed 4")
@@ -145,8 +146,7 @@ def _wl_sweep(model, w, theta, probes, grid, n, seed, workers, refined=False):
         rows.append(ProbeResult(coords, f, _freq_stderr(f, n), None, f * wx * wx / eps ** 2,
                                 True))
         freqs.append((f_ts, f_st))
-    return (rows, freqs, max((r.c_hat for r in rows if r.c_hat is not None), default=0.0),
-            len(cells))
+    return rows, freqs
 
 
 def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
@@ -165,9 +165,10 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
     """
     grid = grid or TimeGrid.uniform()
     probes = None if probes is None else list(probes)
-    rows, freqs, l_hat, evaluated = _wl_sweep(model, w, theta, probes, grid, n, seed, workers)
-    fine_rows, _, l_fine, _ = _wl_sweep(model, w, theta, probes, grid, n, seed, workers,
-                                        refined=True)
+    rows, freqs = _wl_sweep(model, w, theta, probes, grid, n, seed, workers)
+    fine_rows, _ = _wl_sweep(model, w, theta, probes, grid, n, seed, workers, refined=True)
+    l_hat, l_fine = (max((r.c_hat for r in sweep if r.c_hat is not None), default=0.0)
+                     for sweep in (rows, fine_rows))
     coarse = [(r.coords, f) for r, f in zip(rows, freqs) if f is not None]
     l_ts = max((f[0] * float(w(c["x"])) ** 2 / c["eps"] ** 2 for c, f in coarse), default=0.0)
     l_st = max((f[1] * float(w(c["x"])) ** 2 / c["eps"] ** 2 for c, f in coarse), default=0.0)
@@ -180,7 +181,7 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
                         ("l_hat_st", l_st), ("refinement_ratio", ratio)):
         rows.append(ProbeResult({"stat": name}, value if math.isfinite(value) else None,
                                 None, None, None, True))
-    _fail_if_none_evaluated(rows, evaluated)  # l_hat reads only the sweep on ``grid``
+    _fail_if_none_evaluated(rows, len(coarse))  # l_hat reads only the sweep on ``grid``
     return BoundReport("wl", tuple(rows), n, seed)
 
 
@@ -300,7 +301,7 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
 
 
 # ---------------------------------------------------------------------------
-# Weight conditions
+# Weight condition
 # ---------------------------------------------------------------------------
 
 def integral_check(w: WeightSpec, c_values: Sequence[float], seed: int = 0) -> BoundReport:
@@ -308,162 +309,3 @@ def integral_check(w: WeightSpec, c_values: Sequence[float], seed: int = 0) -> B
     rows = [ProbeResult({"c": e.c}, e.value, e.error, None, None, e.finite)
             for e in integral_condition(w, c_values)]
     return BoundReport("integral", tuple(rows), 0, seed)
-
-
-def dyadic_check(w: WeightSpec, seed: int = 0) -> BoundReport:
-    """Dyadic sums of 1/w^2 must settle; a pure power must match its geometric series."""
-    pure_power, r = w.sv_kind == "const" and w.sv_param == 1.0, 4.0 ** (-w.alpha)
-    if pure_power and w.alpha > 0.0 and r == 1.0:  # dyadic_sum rejects alpha = 0 itself
-        raise DomainError(f"exponent {w.alpha!r} is too small for the dyadic check: "
-                          "the ratio 4^-alpha of its geometric series rounds to 1")
-    rows = []
-    for theta in (1e-4, 1e-2, 0.2 * w.gamma):
-        short = dyadic_sum(w, theta, 60)
-        full = dyadic_sum(w, theta, 200)
-        settled = full - short <= 0.01 * full
-        rows.append(ProbeResult({"theta": theta, "terms": 200}, full, None,
-                                None, None, settled and full >= short))
-        if pure_power:  # geometric series in closed form, partial and limit
-            partial = (1.0 - r ** 60) / (1.0 - r)
-            limit = 1.0 / (1.0 - r)
-            rows.append(ProbeResult({"theta": theta, "terms": 60, "part": "closed-form"},
-                                    short, None, partial, None,
-                                    abs(short - partial) <= 1e-10))
-            rows.append(ProbeResult({"theta": theta, "terms": 200, "part": "limit"},
-                                    full, None, limit, None,
-                                    abs(full - limit) <= 1e-10))
-    return BoundReport("dyadic", tuple(rows), 0, seed)
-
-
-SLOWLY_VARYING_LAMBDAS = (0.5, 2.0, 10.0)
-SLOWLY_VARYING_X = (1e-8, 1e-16, 1e-30)  # marching toward 0
-# |ratio - 1| caps at the final probe: the exp-sqrt-log family approaches 1
-# at rate c|ln lambda| / (2 sqrt(ln(1/x))), so wide lambdas get a wider cap.
-SLOWLY_VARYING_TIGHT_TOL = 0.05
-SLOWLY_VARYING_WIDE_TOL = 0.15
-SLOWLY_VARYING_TAIL_EXPONENT = 0.2
-SLOWLY_VARYING_TAIL_TOL = 1e-2
-
-
-def slowly_varying_check(w: WeightSpec) -> BoundReport:
-    """Finite-sample check that the slowly varying factor is slowly varying.
-
-    Ratios L(lambda x)/L(x) must approach 1 monotonically along the probe
-    sequence and land within a per-lambda cap; x^gamma L(x) must decrease to
-    below the tail cap.  Caps are configuration, documented above.
-    """
-    xs, gamma_exp = SLOWLY_VARYING_X, SLOWLY_VARYING_TAIL_EXPONENT
-    rows = []
-    for lam in SLOWLY_VARYING_LAMBDAS:
-        devs = []
-        for x in xs:
-            ratio = float(slowly_varying_eval(w, lam * x) / slowly_varying_eval(w, x))
-            devs.append(abs(ratio - 1.0))
-            rows.append(ProbeResult({"lambda": lam, "x": x, "part": "ratio"},
-                                    ratio, None, None, None, True))
-        tol = SLOWLY_VARYING_TIGHT_TOL if 0.5 <= lam <= 2.0 else SLOWLY_VARYING_WIDE_TOL
-        monotone = all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
-        rows.append(ProbeResult({"lambda": lam, "part": "ratio-limit"},
-                                devs[-1], None, tol, None, monotone and devs[-1] <= tol))
-    tail = [float(x ** gamma_exp * slowly_varying_eval(w, x)) for x in xs]
-    for x, v in zip(xs, tail):
-        rows.append(ProbeResult({"x": x, "gamma": gamma_exp, "part": "tail"},
-                                v, None, None, None, True))
-    monotone = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
-    rows.append(ProbeResult({"gamma": gamma_exp, "part": "tail-limit"}, tail[-1], None,
-                            SLOWLY_VARYING_TAIL_TOL, None,
-                            monotone and tail[-1] <= SLOWLY_VARYING_TAIL_TOL))
-    return BoundReport("slowly-varying", tuple(rows), 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# Chaining cross-check
-# ---------------------------------------------------------------------------
-
-DEFAULT_CHAINING_PROBES = ((1.5, 0.6, 0.02, 0.2), (1.5, 0.7, 0.05, 0.24))
-CHAINING_LEVEL_COUNT = 64
-
-
-def chaining_ab_check(model: ProcessModel, w: WeightSpec, theta: float,
-                      probes: Sequence[tuple[float, float, float, float]] = DEFAULT_CHAINING_PROBES,
-                      n: int = 100_000, seed: int = 0, grid: Optional[TimeGrid] = None,
-                      l_hat: Optional[float] = None, workers: int = 1) -> BoundReport:
-    """Level-interval crossing frequency against the dyadic chaining bound.
-
-    Probes are (t, eps, a, b) with b inside the weight's monotone window.
-    The bound is (measured dyadic ratio) l_hat eps^2 / w(b)^2 + (b - a),
-    with the crossing constant measured by the WL sweep when not supplied;
-    the ``l_hat`` row then names how many of the sweep's probes it read
-    (``wl_evaluated`` of ``wl_probes``).  A probe whose time ball is a single
-    grid point is skipped; the report fails when no probe, or no probe of
-    that WL sweep, is evaluated.
-    """
-    grid = grid or TimeGrid.uniform()
-    if w.alpha <= 0.0:
-        raise DomainError("the chaining bound needs a nonzero blow-up exponent")
-    for _t, _e, a, b in probes:
-        if not (0.0 < a < b < w.gamma):
-            raise DomainError("need 0 < a < b < gamma for every probe")
-    balls = [(grid.index_of(t), _time_ball(grid, t, eps, theta)) for t, eps, _a, _b in probes]
-    prepared = [(it, ball, np.linspace(a, b, CHAINING_LEVEL_COUNT + 1)[1:])  # levels in (a, b]
-                for (it, ball), (_t, _e, a, b) in zip(balls, probes) if ball.size > 1]
-    evaluated, l_hat_coords = len(prepared), {"stat": "l_hat"}
-    if l_hat is None:
-        sweep, _freqs, l_hat, wl_evaluated = _wl_sweep(model, w, theta, None, grid, n, seed,
-                                                       workers)
-        evaluated = min(evaluated, wl_evaluated)
-        l_hat_coords.update(wl_evaluated=wl_evaluated, wl_probes=len(sweep))
-
-    # the Phi transform runs on the rows the probes read alone: their times and balls
-    read = np.unique([i for it, ball, _levels in prepared for i in (it, *ball)]).astype(int)
-
-    def block_fn(vals):
-        vals[read] = to_uniform(model, vals[read])
-        counts = np.zeros(len(prepared), dtype=np.int64)
-        for j, (it, ball, levels) in enumerate(prepared):
-            # largest probe level strictly below X_t, if any
-            pos = np.searchsorted(levels, vals[it], side="left") - 1
-            below = levels[np.maximum(pos, 0)]
-            counts[j] = np.count_nonzero((pos >= 0) & (vals[ball].min(axis=0) <= below))
-        return counts
-
-    counts = iter(map_path_blocks(model, grid, n, seed, block_fn, workers) if prepared else ())
-    rows = [ProbeResult(l_hat_coords, l_hat, None, None, None, True)]
-    for (t, eps, a, b), (_it, ball) in zip(probes, balls):
-        if ball.size <= 1:
-            rows.append(_skipped({"t": t, "eps": eps, "a": a, "b": b,
-                                  "ball_points": int(ball.size)}, "singleton time ball"))
-            continue
-        ratio = dyadic_sum(w, b, 200)
-        p = next(counts) / n
-        se = _freq_stderr(p, n)
-        wb = float(w(b))
-        bound = ratio * l_hat * eps ** 2 / (wb * wb) + (b - a)
-        rows.append(ProbeResult({"t": t, "eps": eps, "a": a, "b": b, "dyadic_ratio": ratio},
-                                p, se, bound, None, p <= bound + MC_SIGMA * se))
-    _fail_if_none_evaluated(rows, evaluated)
-    return BoundReport("chaining-ab", tuple(rows), n, seed)
-
-
-def dg0_upper_check(model: ProcessModel, w: WeightSpec, theta: float, n: int = 100_000,
-                    seed: int = 0, grid: Optional[TimeGrid] = None,
-                    workers: int = 1) -> BoundReport:
-    """d_G0^2 <= 2 d^2(x, y) + 4 l_hat rho^2 at five times spanning the grid, three levels.
-
-    ``l_hat`` is the crossing constant of the WL sweep on ``grid``, and its
-    row names how many of the sweep's probes it read (``wl_evaluated`` of
-    ``wl_probes``); the report fails when that sweep evaluates no probe.
-    """
-    grid = grid or TimeGrid.uniform()
-    sweep, _freqs, l_hat, evaluated = _wl_sweep(model, w, theta, None, grid, n, seed, workers)
-    ts = np.linspace(grid.a, grid.b, 5)
-    xs = (0.2, 0.5, 0.8)
-    probes = [(s, x, t, y) for s in ts for t in ts for x in xs for y in xs]
-    violation = dg0_upper_bound_check(model, w, l_hat, probes, theta=theta)
-    rows = [ProbeResult({"stat": "l_hat", "wl_evaluated": evaluated, "wl_probes": len(sweep)},
-                        l_hat, None, None, None, True),
-            ProbeResult({"probes": len(probes), "violation": violation},
-                        None, None, None, None, violation is None)]
-    _fail_if_none_evaluated(rows, evaluated)
-    return BoundReport("dg0-upper", tuple(rows), n, seed)
-

@@ -143,15 +143,6 @@ class WeightSpec:
         return f"pow:{alpha}:{self.sv_kind}:{param}"
 
 
-def slowly_varying_eval(w: WeightSpec, x):
-    """The slowly varying factor L(x) alone, on (0, 1)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise DomainError("argument must lie strictly inside (0, 1)")
-    out = w._slowly_varying(x)
-    return float(out) if out.ndim == 0 else out
-
-
 def validate_monotonicity(w: WeightSpec) -> Optional[tuple[float, float, str]]:
     """Check w non-increasing and x w(x)^2 non-decreasing on (0, gamma).
 
@@ -211,30 +202,6 @@ def integral_condition(w: WeightSpec, c_values: Sequence[float],
         finite = bool(res.converged and res.error < tol)
         entries.append(IntegralEntry(c, finite, res.value, res.error))
     return tuple(entries)
-
-
-def dyadic_sum(w: WeightSpec, theta: float, terms: int) -> float:
-    """The partial sum of 1/w(2^-k theta)^2, k < terms, as a ratio to 1/w(theta)^2.
-
-    Requires a nonzero exponent: for alpha = 0 the series diverges and the
-    dyadic bound does not apply.
-    """
-    if w.alpha <= 0.0:
-        raise DomainError("dyadic sum requires a nonzero blow-up exponent")
-    if not (0.0 < theta < w.gamma):
-        raise DomainError("theta must lie in (0, gamma)")
-    if terms < 1:
-        raise DomainError("need at least one term")
-    if terms > 1024:
-        raise DomainError("terms capped at 1024 (arguments underflow beyond)")
-    k = np.arange(terms, dtype=float)
-    args = theta * np.exp2(-k)
-    if args[-1] <= 0.0:
-        raise DomainError("theta * 2^-k underflowed; reduce terms")
-    wv = w._base(args)
-    partial = float(np.sum(1.0 / (wv * wv)))
-    w_theta = float(w._base(np.asarray(theta)))
-    return partial * w_theta * w_theta
 
 
 def parse_weight(text: str, gamma: Optional[float] = None, unchecked: bool = False) -> WeightSpec:

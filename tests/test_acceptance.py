@@ -21,8 +21,9 @@ from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_co
 from weplab.models import joint_cdf_matrix, parse_model
 from weplab.numerics import std_normal_cdf, std_normal_pdf
 from weplab.verifiers import wl_estimate
-from weplab.weights import WeightSpec, dyadic_sum, integral_condition, parse_weight
+from weplab.weights import WeightSpec, integral_condition, parse_weight
 
+from lemma_reference import dyadic_sum
 from transform_reference import (copula_indicator_identity, normal_df, seeded_rng,
                                  uniform_atom_mixture, uniformity_test)
 

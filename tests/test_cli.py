@@ -22,19 +22,21 @@ from weplab.cli import CHECKS, CLT, RunConfig, build_parser, main, resolve_confi
 from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from weplab.errors import ConfigError
 from weplab.models import TimeGrid, parse_model
-from weplab.verifiers import (chaining_ab_check, dg0_upper_check, dyadic_check, envelope_check,
-                              integral_check, l_condition_estimate, slowly_varying_check,
-                              wl_estimate)
+from weplab.verifiers import envelope_check, integral_check, l_condition_estimate, wl_estimate
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
 
-# checks that read no process and no weight, so no input could fail them: the
-# normal-law facts are mpmath oracle tests of weplab.numerics, the Brownian lemmas
-# tests of the sampler (test_proof_lemmas.py), and the two weight-metric facts
-# hypothesis tests of weplab.limits
+# checks that no (X, w) could fail, now tests: those that read no process and no
+# weight (the normal-law facts are mpmath oracle tests of weplab.numerics, the
+# Brownian lemmas tests of the sampler in test_proof_lemmas.py, the two weight-metric
+# facts hypothesis tests in test_limits.py), the weight family's dyadic sums and slow
+# variation, which every weight that parses has (test_weights.py), and the chaining
+# and d_G0 bounds, which read their constant from the same sample
+# (test_proof_lemmas.py)
 REMOVED_CHECKS = ("feller", "lemma-y", "borell", "lemma-m", "lemma-l", "d1", "d2",
-                  "monotone-d", "weight-drift")
+                  "monotone-d", "weight-drift", "dyadic", "slowly-varying", "chaining-ab",
+                  "dg0-upper")
 
 
 def run_cli(*argv):
@@ -51,7 +53,7 @@ def load_without_timing(path):
 class TestExitCodes:
     def test_all_pass_is_zero(self, tmp_path):
         out = tmp_path / "r.json"
-        assert run_cli("verify", "slowly-varying", "--out", str(out)) == 0
+        assert run_cli("verify", "integral", "--out", str(out)) == 0
 
     def test_check_failure_is_one(self, tmp_path):
         out = tmp_path / "r.json"
@@ -87,7 +89,7 @@ class TestExitCodes:
     def test_bad_config_file_is_two(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[run]\n{line}\n")
-        assert run_cli("verify", "slowly-varying", "--config", str(cfg),
+        assert run_cli("verify", "integral", "--config", str(cfg),
                        "--out", str(tmp_path / "r.json")) == 2
         assert named in capsys.readouterr().err
 
@@ -135,19 +137,19 @@ class TestExitCodes:
         ("verify", "integral", "--c-values", "1,inf"),
         ("verify", "integral", "--weight", "const:nan"),
         ("simulate", "--model", "bm-copula", "--n", "10", "--weight", "const:nan"),
-        ("verify", "slowly-varying", "--weight", "pow:0.25:logpow:nan"),
+        ("verify", "integral", "--weight", "pow:0.25:logpow:nan"),
         ("verify", "integral", "--weight", "pow:inf", "--unchecked"),
         ("simulate", "--model", "atomic:0.5@nan", "--n", "10"),
         ("simulate", "--model", "atomic:0.5@inf", "--n", "10"),
         ("clt", "sup", "--model", "bm-copula", "--n", "10", "--reps", "40", "--times", "1,nan"),
         ("verify", "wl", "--model", "bm-copula", "--n", "10", "--b", "inf"),
         # sizes are checked once, also where a command clamps or ignores them
-        ("verify", "dyadic", "--weight", "pow:0.25", "--n", "-1", "--time-points", "17"),
+        ("verify", "integral", "--weight", "pow:0.25", "--n", "-1", "--time-points", "17"),
         # envelope's cross-check needs 1000 paths for its scaled-path sup mean
         ("verify", "envelope", "--model", "bm-copula", "--weight", "pow:0.25", "--n", "500",
          "--time-points", "17", "--workers", "1"),
-        ("verify", "slowly-varying", "--n", "0"),
-        ("verify", "slowly-varying", "--time-points", "1"),
+        ("verify", "integral", "--n", "0"),
+        ("verify", "integral", "--time-points", "1"),
         ("simulate", "--model", "bm-copula", "--n", "10", "--seed", "-1"),
         # every option is parsed with the configuration, also where the command ignores it
         *[("verify", "l-cond", "--model", "bm-copula", "--n", "100", "--time-points", "5",
@@ -156,7 +158,7 @@ class TestExitCodes:
                               ("--model", "atomic:0.5@nan"), ("--times", "1,nan"),
                               ("--n-list", "10,x"), ("--c-values", "1,inf")]],
         ("verify", "integral", "--a", "3", "--b", "2"),
-        ("verify", "dyadic", "--weight", "pow:0.25", "--times", "1,nan"),
+        ("verify", "integral", "--weight", "pow:0.25", "--times", "1,nan"),
         # an expsqrt coefficient whose square overflows
         ("verify", "l-cond", "--model", "bm-copula", "--n", "10", "--time-points", "3",
          "--weight", "pow:0.1:expsqrt:1e200"),
@@ -196,8 +198,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,named", [
         (("simulate", "--model", "bm-copula", "--n", "10", "--workers", "-3"), "--workers"),
         (("clt", "cov", "--model", "bm-copula", "--reps", "0"), "--reps"),
-        (("verify", "slowly-varying", "--theta", "nan"), "--theta"),
-        (("verify", "slowly-varying", "--gamma", "inf"), "--gamma"),
+        (("verify", "integral", "--theta", "nan"), "--theta"),
+        (("verify", "integral", "--gamma", "inf"), "--gamma"),
         # flags are parsed by RunConfig, as config files and manifests are
         (("verify", "wl", "--n", "3000.5"), "weplab: error: bad value for --n"),
     ])
@@ -228,7 +230,7 @@ class TestExitCodes:
     def test_unchecked_weight_warns_of_its_first_violation(self, tmp_path, argv, warned):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli("verify", "slowly-varying", *argv, "--unchecked",
+            assert run_cli("verify", "integral", *argv, "--unchecked",
                            "--out", str(tmp_path / "out")) in (0, 1)
         messages = [str(w.message) for w in caught]
         if warned is None:
@@ -245,13 +247,32 @@ class TestExitCodes:
     ])
     def test_rerun_rejects_a_non_finite_manifest(self, tmp_path, capsys, key, value, named):
         manifest = tmp_path / "m.json"
-        assert run_cli("verify", "slowly-varying", "--out", str(tmp_path / "r.json"),
+        assert run_cli("verify", "integral", "--out", str(tmp_path / "r.json"),
                        "--manifest", str(manifest)) == 0
         payload = json.loads(manifest.read_text(encoding="utf-8"))
         payload["config"][key] = value
         manifest.write_text(json.dumps(payload), encoding="utf-8")
         assert run_cli("rerun", "--manifest", str(manifest)) == 2
         assert named in capsys.readouterr().err
+
+    # some input fails each gate: the integral diverges for a weight at the theorem's
+    # exponent 1/2, and lambda^2 P(sup_t w(X_t) > lambda) grows in lambda for a weight
+    # beyond it, or on 129 independent times, whose sup w(X_t) exceeds 5 with
+    # probability 0.999 under pow:0.45; const:1 (w = 1, the case of Kuelbs, Kurtz and
+    # Zinn) and pow:0.25 pass the same check on the same process
+    @pytest.mark.filterwarnings("ignore:unchecked weight violates")
+    @pytest.mark.parametrize("check,model,weight,code", [
+        *[("integral", None, weight, 0) for weight in ("const:1", "pow:0.25")],
+        ("integral", None, "pow:0.5 --unchecked", 1),
+        *[("envelope", model, weight, 0)
+          for model in ("bm-copula", "iid-time") for weight in ("const:1", "pow:0.25")],
+        ("envelope", "bm-copula", "pow:0.7 --unchecked", 1),
+        ("envelope", "iid-time", "pow:0.45", 1),
+    ])
+    def test_negative_and_positive_controls(self, tmp_path, check, model, weight, code):
+        sampled = () if model is None else ("--model", model, "--n", "2000")
+        assert run_cli("verify", check, *sampled, "--weight", *weight.split(), "--seed", "0",
+                       "--workers", "1", "--out", str(tmp_path / "r.json")) == code
 
     @pytest.mark.filterwarnings("ignore:.*skipped")
     @pytest.mark.parametrize("argv", [
@@ -305,9 +326,9 @@ class TestVerifyReports:
             assert set(probe) == {"coords", "estimate", "stderr", "bound", "c_hat", "pass"}
 
     def test_only_the_cli_stamps_wall_ms(self, tmp_path):
-        assert "wall_ms" not in slowly_varying_check(parse_weight("const:1")).to_json()
+        assert "wall_ms" not in wl_estimate(BM, W_QUARTER, 5.0, n=2000, seed=1).to_json()
         out = tmp_path / "r.json"
-        assert run_cli("verify", "dg0-upper", "--model", "bm-copula", "--weight", "pow:0.25",
+        assert run_cli("verify", "wl", "--model", "bm-copula", "--weight", "pow:0.25",
                        "--n", "2000", "--seed", "1", "--out", str(out)) == 0
         wall_ms = json.loads(out.read_text())["wall_ms"]
         # the command runs a full WL sweep, so its wall time is not 0 ms
@@ -320,14 +341,6 @@ class TestVerifyReports:
         payload = json.loads(out.read_text())
         stat = [p for p in payload["probes"] if p["coords"].get("stat") == "l_hat_coarse"]
         assert stat[0]["estimate"] == 0.0
-
-    @pytest.mark.parametrize("check,extra", [
-        ("dyadic", ("--weight", "pow:0.25")),
-        ("slowly-varying", ("--weight", "pow:0.25:expsqrt:1")),
-    ])
-    def test_cheap_checks_pass(self, tmp_path, check, extra):
-        out = tmp_path / "r.json"
-        assert run_cli("verify", check, *extra, "--seed", "1", "--out", str(out)) == 0
 
     def test_report_bytes_deterministic_across_workers(self, tmp_path):
         outs = []
@@ -352,14 +365,8 @@ LIBRARY_CALLS = {
                lambda: l_condition_estimate(BM, 5.0, [(1.5, e) for e in (0.55, 0.7, 1.1)],
                                             **DIGEST_SAMPLING)),
     "envelope": (MODEL_WEIGHT, lambda: envelope_check(BM, W_QUARTER, **DIGEST_SAMPLING)),
-    "slowly-varying": (("--weight", "pow:0.25:expsqrt:1"),
-                       lambda: slowly_varying_check(parse_weight("pow:0.25:expsqrt:1"))),
-    "chaining-ab": (MODEL_WEIGHT,
-                    lambda: chaining_ab_check(BM, W_QUARTER, 5.0, **DIGEST_SAMPLING)),
     "integral": (("--weight", "pow:0.25"),
                  lambda: integral_check(W_QUARTER, [0.25, 1.0, 4.0], seed=5)),
-    "dyadic": (("--weight", "pow:0.25"), lambda: dyadic_check(W_QUARTER, seed=5)),
-    "dg0-upper": (MODEL_WEIGHT, lambda: dg0_upper_check(BM, W_QUARTER, 5.0, **DIGEST_SAMPLING)),
 }
 
 # the clt arguments of tests/test_digests.py; each harness returns (report, columns)
@@ -385,7 +392,7 @@ class TestLibraryChecks:
     def test_readme_lists_every_check(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         names = re.findall(r"`([^`]+)`", readme.split("\nChecks: ", 1)[1].split(". Each", 1)[0])
-        assert len(names) == len(set(names)) == len(CHECKS) == 8
+        assert len(names) == len(set(names)) == len(CHECKS) == 4
         assert set(names) == set(CHECKS)
 
     @pytest.mark.filterwarnings("ignore:.*skipped")
@@ -421,22 +428,17 @@ class TestLibraryChecks:
         assert reports[0] != reports[1]
 
     @pytest.mark.filterwarnings("ignore:.*skipped")
-    @pytest.mark.parametrize("check", ["chaining-ab", "dg0-upper", "wl"])
-    def test_wl_sweep_that_evaluates_nothing_fails(self, tmp_path, check):
-        # on 5 points (spacing 1/4) every WL and chaining time ball is one grid point;
-        # wl's refined 9-point sweep evaluates probes, but l_hat reads only the coarse one
+    def test_wl_sweep_that_evaluates_nothing_fails(self, tmp_path):
+        # on 5 points (spacing 1/4) every WL time ball is one grid point; wl's
+        # refined 9-point sweep evaluates probes, but l_hat reads only the coarse one
         out = tmp_path / "r.json"
-        assert run_cli("verify", check, *MODEL_WEIGHT, "--n", "1000", "--time-points", "5",
+        assert run_cli("verify", "wl", *MODEL_WEIGHT, "--n", "1000", "--time-points", "5",
                        "--out", str(out)) == 1
         probes = load_without_timing(out)["probes"]
         assert {"stat": "evaluated_probes"} in [p["coords"] for p in probes if not p["pass"]]
-        # dg0-upper keeps no rows of its WL sweep; wl evaluates 12 of its 36 fine probes
+        # wl evaluates 12 of its 36 fine probes
         skipped = [p["coords"]["skipped"] for p in probes if "skipped" in p["coords"]]
-        assert skipped == ["singleton time ball"] * {"chaining-ab": 2, "dg0-upper": 0,
-                                                     "wl": 36 + 24}[check]
-        # chaining-ab and dg0-upper name how many WL probes their l_hat read
-        if check != "wl":
-            assert probes[0]["coords"] == {"stat": "l_hat", "wl_evaluated": 0, "wl_probes": 36}
+        assert skipped == ["singleton time ball"] * (36 + 24)
 
 
 class TestManifests:
@@ -451,19 +453,19 @@ class TestManifests:
 
     def test_manifest_echoes_config(self, tmp_path):
         manifest = tmp_path / "m.json"
-        assert run_cli("verify", "slowly-varying", "--seed", "9",
+        assert run_cli("verify", "integral", "--seed", "9",
                        "--out", str(tmp_path / "r.json"), "--manifest", str(manifest)) == 0
         payload = json.loads(manifest.read_text())
         assert payload["artifact"] == "weplab"
         assert payload["command"] == "verify"
-        assert payload["subcommand"] == "slowly-varying"
+        assert payload["subcommand"] == "integral"
         assert payload["config"]["seed"] == 9
 
     @pytest.mark.parametrize("key,name", [("command", "not-a-name"), ("subcommand", "not-a-name"),
                                           *[("subcommand", c) for c in REMOVED_CHECKS]])
     def test_unknown_name_in_manifest_is_two(self, tmp_path, capsys, key, name):
         manifest = tmp_path / "m.json"
-        assert run_cli("verify", "slowly-varying", "--out", str(tmp_path / "r.json"),
+        assert run_cli("verify", "integral", "--out", str(tmp_path / "r.json"),
                        "--manifest", str(manifest)) == 0
         payload = json.loads(manifest.read_text())
         payload[key] = name
@@ -499,14 +501,14 @@ class TestWorkerEnvVar:
                                           ("2", 0)])
     def test_environment_worker_count_is_checked(self, tmp_path, monkeypatch, capsys, raw,
                                                  code):
-        # slowly-varying never resolves its workers: the configuration checks the variable
+        # integral never reads its workers: the configuration checks the variable
         monkeypatch.setenv("WEPLAB_WORKERS", raw)
-        assert run_cli("verify", "slowly-varying", "--out", str(tmp_path / "r.json")) == code
+        assert run_cli("verify", "integral", "--out", str(tmp_path / "r.json")) == code
         assert ("WEPLAB_WORKERS" in capsys.readouterr().err) == (code == 2)
 
     def test_worker_flag_wins_over_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WEPLAB_WORKERS", "abc")
-        assert run_cli("verify", "slowly-varying", "--workers", "1",
+        assert run_cli("verify", "integral", "--workers", "1",
                        "--out", str(tmp_path / "r.json")) == 0
 
 
@@ -529,7 +531,7 @@ class TestConfigFile:
     def test_default_is_a_section_like_any_other(self, tmp_path, text, expected):
         cfg, manifest = tmp_path / "cfg.ini", tmp_path / "m.json"
         cfg.write_text(text)
-        assert run_cli("verify", "slowly-varying", "--config", str(cfg), "--out",
+        assert run_cli("verify", "integral", "--config", str(cfg), "--out",
                        str(tmp_path / "r.json"), "--manifest", str(manifest)) == 0
         config = json.loads(manifest.read_text())["config"]
         assert {k: config[k] for k in expected} == expected
@@ -570,7 +572,7 @@ class TestGeneratedFlags:
         cfg.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in FIELD_TEXT.items()))
         from_file = resolve_config(build_parser().parse_args(["simulate", "--config", str(cfg)]))
         manifest = tmp_path / "m.json"
-        assert run_cli("verify", "slowly-varying", "--config", str(cfg),
+        assert run_cli("verify", "integral", "--config", str(cfg),
                        "--out", str(tmp_path / "r.json"), "--manifest", str(manifest)) == 0
         replayed = RunConfig(**json.loads(manifest.read_text())["config"])
         assert typed == from_file == replayed
@@ -723,14 +725,6 @@ class TestEntryPoint:
         assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
         rows = [p for p in load_without_timing(out)["probes"] if p["coords"]["eps"] == 1.1]
         assert [p["coords"]["ball_points"] for p in rows] == [5]
-
-    def test_vanishing_dyadic_ratio_is_named(self):
-        # 4^-1e-17 rounds to 1, so the pure power's geometric series has no closed form
-        proc = subprocess.run([sys.executable, "-m", "weplab.cli", "verify", "dyadic",
-                               "--weight", "pow:1e-17"],
-                              capture_output=True, text=True, env=checkout_env())
-        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
-        assert proc.stderr.startswith("weplab: error: exponent 1e-17 ")
 
     def test_runs_without_scipy(self, tmp_path):
         # scipy is a test oracle only: Phi and its inverse are weplab's own

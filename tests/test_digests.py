@@ -90,23 +90,14 @@ VERIFY_CASES = {
     "wl": ("--model", "bm-copula", "--weight", "pow:0.25"),
     "l-cond": ("--model", "bm-copula"),
     "integral": ("--weight", "pow:0.25"),
-    "dyadic": ("--weight", "pow:0.25"),
     "envelope": ("--model", "bm-copula", "--weight", "pow:0.25"),
-    "slowly-varying": ("--weight", "pow:0.25:expsqrt:1"),
-    "chaining-ab": ("--model", "bm-copula", "--weight", "pow:0.25"),
-    "dg0-upper": ("--model", "bm-copula", "--weight", "pow:0.25"),
 }
 
 VERIFY_DIGESTS = {
     "wl": (0, "913fc43f63386f1a889592db3ef5481908147a5b6c431ae54563e8cad0c84cd6"),
     "l-cond": (0, "85162fec92659fccde884f71cce648fe835f262d2ce3dc24abdf988df8fface3"),
     "integral": (0, "4663eac85da976c9611dbb7e2d630f8a8678a2f936ee95d4ae4dd8154cdace4d"),
-    "dyadic": (0, "9a5d401eb24dbb0781cc65fcb2f60b0129696e6442dc86da027e000a466d1fb4"),
     "envelope": (0, "4b309fc2a15834c75ecb81e1c19aabefd491495872819ac75ac0984478dbb32b"),
-    "slowly-varying": (0, "bea1258015e6fe5a05608df19203fce62440c7c1e6c388cd94b4f006e4810de0"),
-    # chaining-ab and dg0-upper: the l_hat row names the 24 of 36 WL probes it read
-    "chaining-ab": (0, "f3cf1f43e24893aa7909a3e75f246d688c419974eaa6e89bfb35ccdc9f4052c9"),
-    "dg0-upper": (0, "5f39c7398ef4e13869d0a9c3c5c7649f3cbe01c19b5f6a5cbc09296e7df4156d"),
 }
 
 

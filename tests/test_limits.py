@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weplab.errors import DomainError, IndefiniteCovarianceError
-from weplab.limits import (LimitModel, _factor_with_jitter, build_limit_model,
-                           dg0_upper_bound_check, limit_covariance, sample_limit_field,
-                           weighted_wiener_distance)
+from weplab.limits import (LimitModel, _factor_with_jitter, build_limit_model, limit_covariance,
+                           sample_limit_field)
 from weplab.models import parse_model
 from weplab.weights import parse_weight
+
+from lemma_reference import dg0_upper_bound_check, weighted_wiener_distance
 
 PINNED_SEED = 20260810
 

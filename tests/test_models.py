@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from weplab import models, parallel
 from weplab.errors import DomainError
 from weplab.models import (TimeGrid, envelope_statistics, joint_cdf_matrix, map_path_blocks,
-                           map_replications, parse_model, rho_metric, to_uniform)
+                           map_replications, parse_model, to_uniform)
 from weplab.numerics import (bvn_cdf, ks_statistic_one_sample, std_normal_cdf,
                              std_normal_quantile)
 
+from lemma_reference import rho_metric
 from transform_reference import dist_transform, uniform_atom_mixture
 
 PINNED_SEED = 20260810

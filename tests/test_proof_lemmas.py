@@ -1,4 +1,4 @@
-"""The Brownian lemmas of the paper's proofs, on weplab's own Brownian sampler.
+"""The lemmas of the paper's proofs, on weplab's own Brownian sampler.
 
 The sampler streams the bm-copula's scores B_t/sqrt(t); where a lemma needs
 the raw path it is read back as B_t = score * sqrt(t).
@@ -6,8 +6,13 @@ the raw path it is read back as B_t = score * sqrt(t).
 Borell's concentration of the scaled-path sup, the forward-increment envelope
 (lemma M), the one-sided crossing bound (lemma L) and the two-sided crossing
 bounds (d1, d2) read no process and no weight, so no input to ``weplab
-verify`` could fail them: they test the sampler.  Each bound is asserted at
-the acceptance manifest's seed and sizes, on the default 129-point grid, with
+verify`` could fail them: they test the sampler.  The chaining bound on
+level-interval crossings and the inequality d_G0^2 <= 2 d^2 + 4 L rho^2 read
+both, but take their constant L from the crossing sweep of the same sample,
+so a process that crosses often raises its own bound: they are tests on the
+bm-copula with the manifest's WL weight, with L the ``l_hat_coarse`` row of
+``wl_estimate``, and with L = 0 each fails.  Each bound is asserted at the
+acceptance manifest's seed and sizes, on the default 129-point grid, with
 the three-standard-error Monte Carlo allowance of the verify checks, one
 test per probe, and every sampled result is the same at one and two workers.
 Crossings in a window of one grid time and at a tiny level are rare.
@@ -22,9 +27,12 @@ import numpy as np
 import pytest
 
 from weplab import parallel
-from weplab.models import TimeGrid, map_path_blocks, parse_model
+from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
 from weplab.numerics import std_normal_pdf, std_normal_quantile
-from weplab.verifiers import _crossing_counts
+from weplab.verifiers import _crossing_counts, wl_estimate
+from weplab.weights import parse_weight
+
+from lemma_reference import dg0_upper_bound_check
 
 MANIFEST = json.loads((Path(__file__).parent / "acceptance_manifest.json").read_text())
 SEED = MANIFEST["seed"]
@@ -38,6 +46,17 @@ MC_SIGMA = 3.0
 LEMMA_L_PROBES = [tuple(p) for p in MANIFEST["lemma_l"]["probes"]]
 D1D2 = MANIFEST["d1d2"]
 D1D2_PROBES = [(D1D2["t"], eps, x) for eps in D1D2["eps_values"] for x in D1D2["x_values"]]
+
+# chaining probes (t, eps, a, b), b inside the weight's window, and the d_G0 probes
+# (s, x, t, y) over five times spanning the grid and three levels
+WL, CHAINING = MANIFEST["wl"], MANIFEST["chaining"]
+THETA, W = WL["theta"], parse_weight(WL["weight"])
+CHAINING_PROBES = [tuple(p) for p in CHAINING["probes"]]
+DG0_TIMES = np.linspace(GRID.a, GRID.b, 5)
+DG0_PROBES = [(s, x, t, y) for s in DG0_TIMES for t in DG0_TIMES
+              for x in (0.2, 0.5, 0.8) for y in (0.2, 0.5, 0.8)]
+# the dyadic ratio sum_k w(2^-k b)^-2 / w(b)^-2 of a pure power, 1 / (1 - 4^-alpha)
+DYADIC_RATIO = -1.0 / math.expm1(-W.alpha * math.log(4.0))
 
 
 def freq_stderr(p, n):
@@ -116,6 +135,41 @@ def two_sided_crossings(workers):
     return _crossing_counts(BM, GRID, cells, D1D2["n"], SEED, workers)
 
 
+@functools.cache
+def crossing_constant(workers):
+    """L: the crossing constant of the WL sweep on the grid, at the chaining sample size."""
+    report = wl_estimate(BM, W, THETA, n=CHAINING["n"], seed=SEED, workers=workers)
+    (row,) = [r for r in report.probes if r.coords.get("stat") == "l_hat_coarse"]
+    return row.estimate
+
+
+@functools.cache
+def level_crossings(workers):
+    """Per chaining probe (t, eps, a, b), the paths on which X_t lies above a level of the
+    grid of (a, b] and some X_s with rho(s, t) <= eps lies at or below the next level
+    under X_t."""
+    cells = [(GRID.index_of(t), GRID.ball_indices(t, eps ** THETA),
+              np.linspace(a, b, CHAINING["levels"] + 1)[1:]) for t, eps, a, b in CHAINING_PROBES]
+
+    def counts(scores):
+        out = []
+        for it, ball, levels in cells:
+            # to_uniform transforms in place: hand it copies
+            below = np.searchsorted(levels, to_uniform(BM, scores[[it]])[0]) - 1
+            low = to_uniform(BM, scores[ball]).min(axis=0)
+            out.append(np.count_nonzero((below >= 0) & (low <= levels[np.maximum(below, 0)])))
+        return np.array(out)
+
+    return map_path_blocks(BM, GRID, CHAINING["n"], SEED, counts, workers)
+
+
+def chaining_bound(probe, l_const):
+    """The chaining bound on a probe's crossing frequency: (dyadic ratio) L eps^2 / w(b)^2
+    plus the width b - a of the level interval."""
+    _t, eps, a, b = CHAINING_PROBES[probe]
+    return DYADIC_RATIO * l_const * eps ** 2 / W(b) ** 2 + (b - a)
+
+
 @pytest.mark.parametrize("r", MANIFEST["borell"]["r_values"])
 def test_borell_concentration(r):
     n = MANIFEST["borell"]["n"]
@@ -190,7 +244,32 @@ def test_two_sided_crossings_at_a_tiny_level_are_rare():
     assert d1 < 10 and d2 < 30
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("probe", range(len(CHAINING_PROBES)))
+def test_chaining_bound(probe, workers):
+    n = CHAINING["n"]
+    p = level_crossings(workers)[probe] / n
+    assert p <= chaining_bound(probe, crossing_constant(workers)) + MC_SIGMA * freq_stderr(p, n)
+
+
+@pytest.mark.parametrize("probe", range(len(CHAINING_PROBES)))
+def test_chaining_bound_fails_with_no_crossing_constant(probe):
+    # with L = 0 the bound is the level interval's width b - a, below the crossing frequency
+    n = CHAINING["n"]
+    p = level_crossings(1)[probe] / n
+    assert p > chaining_bound(probe, 0.0) + MC_SIGMA * freq_stderr(p, n)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dg0_bound(workers):
+    # with L = 0 it fails on the same probes: test_limits.py's
+    # TestDg0Upper::test_returns_first_violating_probe
+    assert crossing_constant(workers) > 0.0
+    assert dg0_upper_bound_check(BM, W, crossing_constant(workers), DG0_PROBES, THETA) is None
+
+
 @pytest.mark.parametrize("lemma", [borell, increments, m0_hat, one_sided_crossings,
-                                   two_sided_crossings], ids=lambda lemma: lemma.__name__)
+                                   two_sided_crossings, crossing_constant, level_crossings],
+                         ids=lambda lemma: lemma.__name__)
 def test_same_at_one_and_two_workers(lemma):
     np.testing.assert_equal(lemma(2), lemma(1))

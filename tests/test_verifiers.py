@@ -12,8 +12,8 @@ from weplab import models, parallel
 from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
-from weplab.verifiers import (chaining_ab_check, envelope_check, integral_check,
-                              l_condition_estimate, slowly_varying_check, wl_estimate, _wl_sweep)
+from weplab.verifiers import (envelope_check, integral_check, l_condition_estimate, wl_estimate,
+                              _wl_sweep)
 from weplab.weights import parse_weight
 
 PINNED_SEED = 20260810
@@ -48,8 +48,7 @@ class TestWlEstimate:
         grid = TimeGrid.uniform()
         probes = [(1.5, 0.5, 0.6)]
         n = 50_000
-        rows, freqs, _l_hat, _evaluated = _wl_sweep(iid, w_const, 5.0, probes, grid, n,
-                                                     PINNED_SEED, 1)
+        rows, freqs = _wl_sweep(iid, w_const, 5.0, probes, grid, n, PINNED_SEED, 1)
         k = rows[0].coords["ball_points"] - 1
         exact = 0.5 * (1.0 - 0.5 ** k)
         se = math.sqrt(exact * (1 - exact) / n)
@@ -168,56 +167,6 @@ class TestWlMirroredEvents:
         rep = wl_estimate(bm, w_quarter, 5.0, n=20_000, seed=PINNED_SEED)
         lo, hi = sorted((stat(rep, "l_hat_ts"), stat(rep, "l_hat_st")))
         assert lo > 0.0 and hi / lo < 3.0
-
-
-class TestSlowlyVarying:
-    def test_constant_exact(self):
-        rep = slowly_varying_check(w_const)
-        for p in rows_by(rep, part="ratio"):
-            assert p.estimate == 1.0
-        assert rep.passed
-
-    def test_exp_sqrt_log_family(self):
-        rep = slowly_varying_check(parse_weight("pow:0.25:expsqrt:1"))
-        assert rep.passed
-        lim = rows_by(rep, **{"lambda": 2.0, "part": "ratio-limit"})[0]
-        # slow convergence is real: the deviation is a few percent, not zero
-        assert 0.01 < lim.estimate <= 0.05
-
-    def test_log_power_family(self):
-        assert slowly_varying_check(parse_weight("pow:0:logpow:1")).passed
-
-    def test_tail_goes_down(self):
-        rep = slowly_varying_check(parse_weight("pow:0.25:expsqrt:1"))
-        tail_limit = rows_by(rep, part="tail-limit")[0]
-        assert tail_limit.passed and tail_limit.estimate < 1e-2
-
-
-class TestChaining:
-    def test_bound_holds(self):
-        rep = chaining_ab_check(bm, w_quarter, 5.0, n=20_000, seed=PINNED_SEED)
-        assert rep.passed
-        # on the default 129 points the WL sweep evaluates all of its probes
-        assert rep.probes[0].coords == {"stat": "l_hat", "wl_evaluated": 36, "wl_probes": 36}
-
-    def test_supplied_l_hat_names_no_sweep(self):
-        rep = chaining_ab_check(bm, w_quarter, 5.0, n=2000, seed=1, l_hat=0.5)
-        assert rep.probes[0].coords == {"stat": "l_hat"} and rep.probes[0].estimate == 0.5
-
-    def test_requires_power_weight(self):
-        with pytest.raises(DomainError):
-            chaining_ab_check(bm, w_const, 5.0, n=100, seed=1)
-
-    def test_overflowing_ball_radius_is_the_whole_grid(self):
-        # 1.1^10000 overflows a float; on two grid times only a ball holding both is evaluated
-        rep = chaining_ab_check(bm, w_quarter, 1e4, probes=((1.5, 1.1, 0.02, 0.2),), n=200,
-                                seed=1, grid=TimeGrid.uniform(1.5, 2, 2), l_hat=0.5)
-        assert "skipped" not in rep.probes[1].coords and rep.probes[1].estimate is not None
-
-    def test_probe_domain(self):
-        with pytest.raises(DomainError):
-            chaining_ab_check(bm, w_quarter, 5.0, probes=((1.5, 0.6, 0.1, 0.5),),
-                              n=100, seed=1)
 
 
 class TestCltMarginal:
@@ -344,8 +293,7 @@ class TestCltSup:
 
 class TestReportJson:
     def test_all_reports_serializable(self):
-        reports = [slowly_varying_check(w_quarter),
-                   integral_check(w_quarter, [1.0]),
+        reports = [integral_check(w_quarter, [1.0]),
                    l_condition_estimate(bm, 5.0, [(1.5, 0.7)], n=2000, seed=1)]
         for rep in reports:
             payload = rep.to_json()

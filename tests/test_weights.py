@@ -1,24 +1,33 @@
-"""Weight families: evaluation, windows, tail integral, dyadic sums."""
+"""Weight families: evaluation, windows, tail integral, slow variation, dyadic sums."""
 
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from weplab.errors import DomainError
-from weplab.weights import (WeightSpec, _auto_gamma, dyadic_sum, integral_condition, parse_weight,
+from weplab.weights import (WeightSpec, _auto_gamma, integral_condition, parse_weight,
                             validate_monotonicity)
+
+from lemma_reference import dyadic_sum
 
 mp.mp.dps = 30
 
 
 def geometric_ratio(alpha, terms):
-    """Closed-form oracle for the dyadic ratio of a pure power weight."""
-    r = 4.0 ** (-alpha)
-    return (1.0 - r ** terms) / (1.0 - r)
+    """Closed-form oracle for the dyadic ratio of a pure power weight: the sum of r^k
+    over k < terms, r = 4^-alpha, as expm1(terms ln r) / expm1(ln r), which stays
+    accurate as alpha -> 0, where 1 - r loses every digit."""
+    log_r = -alpha * math.log(4.0)
+    return math.expm1(terms * log_r) / math.expm1(log_r)
+
+
+def geometric_limit(alpha):
+    """The same series summed to infinity, 1 / (1 - 4^-alpha)."""
+    return -1.0 / math.expm1(-alpha * math.log(4.0))
 
 
 class TestEvaluation:
@@ -213,14 +222,49 @@ class TestDyadicSum:
         with pytest.raises(DomainError):
             dyadic_sum(w, 0.1, 0)
 
-    @given(st.floats(min_value=0.05, max_value=0.45),
-           st.floats(min_value=1e-4, max_value=0.02))
-    @settings(max_examples=30)
-    def test_pure_power_ratio_weight_independent(self, alpha, theta):
+    # up to 1,000 terms: w(2^-1023 theta)^2 overflows for alpha near 1/2
+    @given(st.floats(min_value=1e-300, max_value=0.5, exclude_max=True),
+           st.floats(min_value=1e-4, max_value=0.2), st.integers(1, 1000))
+    @example(1e-17, 0.01, 60)  # 4^-alpha rounds to 1: sixty terms of nearly 1
+    @settings(max_examples=100)
+    def test_pure_power_ratio_weight_independent(self, alpha, theta, terms):
         # the ratio of a pure power weight depends only on alpha and terms
-        w = parse_weight(f"pow:{alpha}")
-        assert dyadic_sum(w, theta, 64) == pytest.approx(
-            geometric_ratio(alpha, 64), rel=1e-10)
+        assert dyadic_sum(WeightSpec(alpha), theta, terms) == pytest.approx(
+            geometric_ratio(alpha, terms), rel=1e-12)
+
+    @given(st.floats(min_value=0.1, max_value=0.5, exclude_max=True),
+           st.floats(min_value=1e-4, max_value=0.2))
+    @settings(max_examples=50)
+    def test_pure_power_ratio_reaches_its_limit(self, alpha, theta):
+        # the 1,000-term tail, 4^(-1000 alpha) / (1 - 4^-alpha), lies far below rounding
+        assert dyadic_sum(WeightSpec(alpha), theta, 1000) == pytest.approx(
+            geometric_limit(alpha), rel=1e-12)
+
+
+class TestSlowVariation:
+    """L(lambda x) / L(x) -> 1 as x -> 0 for the two slowly varying factors.
+
+    With s = ln(1/x) and l = ln(lambda), the log of the ratio is
+    beta ln(1 - l / (1 + s)) for the log-power factor (1 + s)^beta, and
+    -c l / (sqrt(s - l) + sqrt(s)) for exp(c sqrt(s)).  Its size falls as s
+    grows, and is at most beta |l| / (1 + s - |l|), or c |l| / (sqrt(s - |l|) +
+    sqrt(s)), which is about c |ln lambda| / (2 sqrt(ln(1/x))).  So for every
+    parameter the weight takes, |L(lambda x) / L(x) - 1| falls toward 0 and
+    stays below expm1 of that rate.
+    """
+
+    @given(st.sampled_from(["logpow", "expsqrt"]), st.floats(min_value=0.01, max_value=10.0),
+           st.floats(min_value=0.1, max_value=10.0))
+    @settings(max_examples=100)
+    def test_ratio_tends_to_one_at_the_family_rate(self, kind, param, lam):
+        # x = 10^-k, k = 2..300, keeps lambda x inside (0, 1/2], where w is L itself
+        w, xs = WeightSpec(0.0, kind, param), 10.0 ** -np.arange(2, 301)
+        deviation = np.abs(w(lam * xs) / w(xs) - 1.0)
+        s, l = np.log(1.0 / xs), abs(math.log(lam))
+        rate = (param * l / (1.0 + s - l) if kind == "logpow"
+                else param * l / (np.sqrt(s - l) + np.sqrt(s)))
+        assert np.all(np.diff(deviation) <= 1e-12)
+        assert np.all(deviation <= np.expm1(rate) + 1e-12)
 
 
 class TestParsing:
