@@ -240,6 +240,23 @@ class TestDyadicSum:
         assert dyadic_sum(WeightSpec(alpha), theta, 1000) == pytest.approx(
             geometric_limit(alpha), rel=1e-12)
 
+    # parameters up to 2 keep the window above 1e-174, so no term overflows
+    @pytest.mark.parametrize("kind", ["logpow", "expsqrt"])
+    @given(st.floats(min_value=0.01, max_value=0.45), st.floats(min_value=0.01, max_value=2.0),
+           st.floats(min_value=1e-3, max_value=0.99), st.integers(1, 200))
+    @settings(max_examples=100)
+    def test_potter_bound_brackets_the_dyadic_sum(self, kind, alpha, param, fraction, terms):
+        # Potter's bound with A = 1: with s = ln(1/theta), L(theta) / L(2^-k theta) lies
+        # in [2^(-k delta), 1], delta = beta / (1 + s) for (1 + s)^beta and c / (2 sqrt(s))
+        # for exp(c sqrt(s)); so term k lies in [4^(-k (alpha + delta)), 4^(-k alpha)]
+        w = WeightSpec(alpha, kind, param)
+        theta = fraction * w.gamma
+        s = math.log(1.0 / theta)
+        delta = param / (1.0 + s) if kind == "logpow" else param / (2.0 * math.sqrt(s))
+        ratio = dyadic_sum(w, theta, terms)
+        assert ratio <= geometric_ratio(alpha, terms) * (1.0 + 1e-12)
+        assert ratio >= geometric_ratio(alpha + delta, terms) * (1.0 - 1e-12)
+
 
 class TestSlowVariation:
     """L(lambda x) / L(x) -> 1 as x -> 0 for the two slowly varying factors.
