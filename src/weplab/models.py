@@ -158,8 +158,9 @@ def _brownian_paths(z: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Brownian paths at the grid times from standard normals z (... x times x paths), in place,
     by adding each time row into the next: the additions of ``np.cumsum`` along time."""
     z *= grid._sqrt_steps
-    for j in range(1, len(grid)):
-        z[..., j, :] += z[..., j - 1, :]
+    rows = np.moveaxis(z, -2, 0)
+    for prev, row in zip(rows, rows[1:]):
+        row += prev
     return z
 
 
@@ -172,13 +173,14 @@ def _block_seeds(model: ProcessModel, seed: int, stream: int, keys: np.ndarray) 
                      for s in streams], axis=1)
 
 
-# Values per fn call, about 2 MiB: a batch of whole seeding blocks or
+# Values per fn call, about 1 MiB: a batch of whole seeding blocks or
 # replications holds at most 2^17; a block wider than that reaches fn in the
-# power-of-two number of path slices that brings each nearest 2^18 (halves on
-# 129 times, quarters on 257).  _filler draws through a scratch of at most
-# 2^14.  Pure scheduling, like the workers.
+# power-of-two number of path slices that brings each nearest 2^17 on a log
+# scale, so at most sqrt(2) * 2^17 (quarters on 129 times, eighths on 257).
+# _filler draws through a scratch of at most 2^14.  Pure scheduling, like the
+# workers.
 _BATCH_VALUES = 1 << 17
-_SLICE_VALUES = 1 << 18
+_SLICE_VALUES = 1 << 17
 _SCRATCH_VALUES = 1 << 14
 
 
@@ -254,12 +256,12 @@ def _stream(model: ProcessModel, grid: TimeGrid, n: int, seed: int, stream: int,
 
     Block j of the replication of key row ``k`` of the integer array ``keys``
     draws from (seed, stream, *k, j).
-    ``fn`` gets native (replications x times x paths) arrays of about 2 MiB or less:
+    ``fn`` gets native (replications x times x paths) arrays of about 1 MiB or less:
     replications of at most ``_BATCH_VALUES`` values come whole, in batches
     of whole replications; a wider one comes in batches of whole seeding
     blocks, or in block-aligned path slices of a wider block, as many as the
-    power of two that brings each nearest ``_SLICE_VALUES``.  So ``fn``'s
-    results must add up over path slices.
+    power of two that brings each nearest ``_SLICE_VALUES``, and so at most
+    sqrt(2) times it.  So ``fn``'s results must add up over path slices.
     """
     m, size, blocks = len(grid), parallel.BLOCK_SIZE, parallel.iter_blocks(n)
     words = _block_seeds(model, seed, stream,
@@ -398,23 +400,28 @@ class LevelKernel:
                 below[j, i] += np.count_nonzero(self.leq(flat[j, below[j, i]:upto[j, i]], i))
         return below.reshape(vals.shape[:-1] + (k,)).copy()
 
-    def any_leq(self, rows: np.ndarray, low: np.ndarray, i: int) -> np.ndarray:
-        """Per path (column), whether some row has X_t <= levels[i], given the path minima."""
-        out = low < self.lo[i]
-        unsure = low <= self.hi[i]
-        unsure ^= out
-        if unsure.any():
-            out[unsure] = self.leq(rows[:, unsure], i).any(axis=0)
-        return out
+    def any_gt_leq(self, balls: Sequence[np.ndarray], low: np.ndarray,
+                   high: np.ndarray) -> np.ndarray:
+        """(2 x levels x balls x paths): per ball and path (column), whether some row of
+        the ball has X_t > y, and whether some row has X_t <= y, for every level y.
 
-    def any_gt(self, rows: np.ndarray, high: np.ndarray, i: int) -> np.ndarray:
-        """Per path (column), whether some row has X_t > levels[i], given the path maxima."""
-        out = high > self.hi[i]
-        unsure = high >= self.lo[i]
-        unsure ^= out
+        ``balls`` holds each ball's time-major rows, and ``low`` and ``high`` its path
+        minima and maxima (balls x paths).  One comparison per extreme decides every
+        level on every ball; only a path whose minimum or maximum lies in a level's
+        band goes through ``leq``.
+        """
+        lo, hi = self.lo[:, None, None], self.hi[:, None, None]
+        some = np.empty((2, self.levels.size, *low.shape), dtype=bool)
+        np.greater(high, hi, out=some[0])
+        np.less(low, lo, out=some[1])
+        unsure = ((high >= lo) ^ some[0]) | ((low <= hi) ^ some[1])
         if unsure.any():
-            out[unsure] = ~self.leq(rows[:, unsure], i).all(axis=0)
-        return out
+            for i, r in zip(*np.nonzero(unsure.any(axis=-1))):
+                cols = unsure[i, r]
+                below = self.leq(balls[r][:, cols], i)
+                some[0, i, r, cols] = ~below.all(axis=0)
+                some[1, i, r, cols] = below.any(axis=0)
+        return some
 
 
 def level_kernel(model: ProcessModel, levels: Sequence[float]) -> LevelKernel:

@@ -86,31 +86,41 @@ def _crossing_counts(model: ProcessModel, grid: TimeGrid, probe_cells, n, seed, 
     """Counts of the two crossing events for every prepared probe.
 
     The events are X_t <= x < max over the ball of X_s, and
-    min over the ball of X_s <= x < X_t, decided on the native scale.
-    X_t <= x is decided once per (time, level) and shared by its balls.
+    min over the ball of X_s <= x < X_t, decided on the native scale.  A ball
+    holds t, so X_t > x implies that its maximum is > x, and X_t <= x that its
+    minimum is <= x: each crossing count is the count of some X_s > x (or
+    <= x) over the ball less that of X_t > x (or <= x), the count over {t}.
+    Per time, one kernel call decides every level on {t} and on every ball.
     """
-    xs = [x for _it, _ball, x in probe_cells]
-    kernel = level_kernel(model, xs)
-    # balls around one time are nested index ranges: their path extrema grow outward
-    around = {}
+    levels, level_of = np.unique([x for _it, _ball, x in probe_cells], return_inverse=True)
+    kernel = level_kernel(model, levels)
+    spans = {}
     for j, (it, ball, _x) in enumerate(probe_cells):
-        around.setdefault(it, []).append((ball.size, int(ball[0]), int(ball[-1]) + 1, j))
+        spans.setdefault(it, {(it, it + 1): []}).setdefault(
+            (int(ball[0]), int(ball[-1]) + 1), []).append(j)
+    # per time, its probes (js) with their levels and their rows in the time's spans
+    plan = []
+    for it, balls in spans.items():
+        order = sorted(balls, key=lambda span: span[1] - span[0])
+        js, rows = np.array([(j, r) for r, span in enumerate(order) for j in balls[span]]).T
+        plan.append((it, order, js, level_of[js], rows))
 
     def block_fn(vals):
-        counts = np.zeros((len(probe_cells), 2), dtype=np.int64)
-        for it, balls in around.items():
-            low, high, at = vals[it].copy(), vals[it].copy(), {}
-            done_a, done_b = it, it + 1
-            for _size, a, b, j in sorted(balls):
-                for rows in (vals[a:done_a], vals[done_b:b]):
-                    if len(rows):
-                        np.minimum(low, rows.min(axis=0), out=low)
-                        np.maximum(high, rows.max(axis=0), out=high)
-                done_a, done_b = a, b
-                if xs[j] not in at:
-                    at[xs[j]] = kernel.leq(vals[it], j)
-                counts[j, 0] = np.count_nonzero(at[xs[j]] & kernel.any_gt(vals[a:b], high, j))
-                counts[j, 1] = np.count_nonzero(kernel.any_leq(vals[a:b], low, j) & ~at[xs[j]])
+        counts = np.empty((len(probe_cells), 2), dtype=np.int64)
+        for it, order, js, idx, rows in plan:
+            # the spans around one time are nested index ranges, {t} first: each one's
+            # path extrema grow from the one before over the rows it adds on either side
+            low = np.empty((len(order), vals.shape[1]))
+            high = np.empty_like(low)
+            low[0] = high[0] = vals[it]
+            for r, ((done_a, done_b), (a, b)) in enumerate(zip(order, order[1:]), 1):
+                low[r], high[r] = low[r - 1], high[r - 1]
+                for added in (vals[a:done_a], vals[done_b:b]):
+                    if len(added):
+                        np.minimum(low[r], added.min(axis=0), out=low[r])
+                        np.maximum(high[r], added.max(axis=0), out=high[r])
+            tally = kernel.any_gt_leq([vals[a:b] for a, b in order], low, high).sum(axis=-1)
+            counts[js] = (tally[:, idx, rows] - tally[:, idx, 0]).T
         return counts
 
     return map_path_blocks(model, grid, n, seed, block_fn, workers, extra_key=extra_key)

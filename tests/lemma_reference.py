@@ -63,8 +63,13 @@ def dyadic_sum(w: WeightSpec, theta: float, terms: int) -> float:
     args = theta * np.exp2(-k)
     if args[-1] <= 0.0:
         raise DomainError("theta * 2^-k underflowed; reduce terms")
+    # a term whose w^2 overflows (for alpha near 1/2, w(2^-k theta)^2 passes the
+    # largest double before 1,024 terms) is below 1 / DBL_MAX: it counts as 0
     wv = w._base(args)
-    partial = float(np.sum(1.0 / (wv * wv)))
+    inv_sq = np.zeros(terms)
+    fits = wv < np.sqrt(np.finfo(float).max)
+    inv_sq[fits] = 1.0 / (wv[fits] * wv[fits])
+    partial = float(np.sum(inv_sq))
     w_theta = float(w._base(np.asarray(theta)))
     return partial * w_theta * w_theta
 

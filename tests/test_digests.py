@@ -192,8 +192,8 @@ def test_clt_multiblock_digest(tmp_path, case, workers):
 
 # a 4,096-path block on 300 times, or on the 129 and 257 times of verify wl's
 # two sweeps, exceeds the 2^17-value batch (models._BATCH_VALUES), so these runs
-# reach their consumers in block-aligned path slices of about 2^18 values
-# (models._SLICE_VALUES): quarters on 300 and 257 times, halves on 129.
+# reach their consumers in block-aligned path slices of about 2^17 values
+# (models._SLICE_VALUES): eighths on 300 and 257 times, quarters on 129.
 # (exit code and) digest, the same at one and two workers
 WIDE_SIMULATE_DIGESTS = {
     "bm-copula": "0d7e2f790b67c9b20fc91a8ffe59847e07d5273aa397c9240ccab591205c4c96",

@@ -95,14 +95,15 @@ class TestOracle:
         counts = kernel.count(batch.copy())
         assert np.array_equal(counts, np.stack([kernel.count(b.copy()) for b in batch]))
         assert np.array_equal(kernel.count(z[None, :].copy())[0], expected[0])
-        # balls of three times (rows) over the paths (columns)
+        # a ball of three times (rows) over the paths (columns), and a ball of one
         rows = z[: (z.size // 3) * 3].reshape(-1, 3).T
         urows = u[: rows.size].reshape(-1, 3).T
-        for i, y in enumerate(ys):
-            assert np.array_equal(kernel.any_leq(rows, rows.min(axis=0), i),
-                                  urows.min(axis=0) <= y)
-            assert np.array_equal(kernel.any_gt(rows, rows.max(axis=0), i),
-                                  urows.max(axis=0) > y)
+        balls, uballs = [rows, rows[1:2]], [urows, urows[1:2]]
+        some = kernel.any_gt_leq(balls, np.stack([b.min(axis=0) for b in balls]),
+                                 np.stack([b.max(axis=0) for b in balls]))
+        levels = np.array(ys)[:, None, None]
+        assert np.array_equal(some[0], np.stack([b.max(axis=0) for b in uballs]) > levels)
+        assert np.array_equal(some[1], np.stack([b.min(axis=0) for b in uballs]) <= levels)
 
     def test_scores_at_the_band_edges(self):
         ys = [OPEN_LO, 1e-300, 1e-12, 0.3, 0.5, 1.0 - 1e-12, OPEN_HI]
@@ -235,6 +236,21 @@ class TestConsumersMatchTheUniformKernels:
         probe_cells = [(4, GRID.ball_indices(1.5, r), x) for r in (0.13, 0.26) for x in xs]
         old = old_on_uniforms(model, GRID, N, 5, old_crossing_counts(probe_cells), workers)
         new = _crossing_counts(model, GRID, probe_cells, N, 5, workers)
+        assert np.array_equal(old, new)
+
+    @pytest.mark.parametrize("refined", [False, True], ids=["grid", "refined"])
+    def test_crossing_counts_of_nested_balls(self, monkeypatch, spec, workers, refined):
+        # the default sweep's shape: three probe times, each with three nested balls, and
+        # four levels shared by every ball, two of them sampled by the run itself
+        model, grid = parse_model(spec), GRID.refined() if refined else GRID
+        xs = sampled_levels(model, grid, N, 7, grid.index_of(1.5), [50, 3000]) + [0.05, 0.25]
+        probe_cells = [(grid.index_of(t), grid.ball_indices(t, r), x)
+                       for t in (1.125, 1.5, 1.875) for x in xs for r in (0.13, 0.26, 0.4)]
+        old = old_on_uniforms(model, grid, N, 7, old_crossing_counts(probe_cells), workers)
+        # a one-value batch and a tiny slice target: slices of 16 paths on 9 times, 8 on 17
+        monkeypatch.setattr(models, "_BATCH_VALUES", 1)
+        monkeypatch.setattr(models, "_SLICE_VALUES", 144)
+        new = _crossing_counts(model, grid, probe_cells, N, 7, workers)
         assert np.array_equal(old, new)
 
     @pytest.mark.parametrize("batch_values", [None, 1])

@@ -141,7 +141,7 @@ class TestSampling:
     @pytest.mark.parametrize("points", [9, 129, 257])
     def test_bm_copula_native_block_is_the_score(self, points, workers):
         # 7,000 paths are a full and a partial seeding block: on 9 times both come in one
-        # batch, on 129 times in 2,048-path slices, on 257 in 1,024-path slices
+        # batch, on 129 times in 1,024-path slices, on 257 in 512-path slices
         grid = TimeGrid.uniform(1, 2, points)
         model = parse_model("bm-copula")
         scores = np.hstack(map_path_blocks(model, grid, 7000, 13, lambda v: [v], workers))
@@ -187,25 +187,51 @@ class TestPathSlices:
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_wide_blocks_reach_fn_in_power_of_two_slices(self, monkeypatch, spec):
-        # 513 x 4096 is 8 x 2^18 values: eighths of a block, the partial last one of
+        # 513 x 4096 is 16 x 2^17 values: sixteenths of a block, the partial last one of
         # 2100 paths cut at the same path offsets
         model, grid = parse_model(spec), TimeGrid.uniform(1, 2, 513)
         col_sums = lambda v: [(v.shape, v.sum(axis=0))]
         got = map_path_blocks(model, grid, 6196, 9, col_sums)
-        assert [shape for shape, _ in got] == [(513, 512)] * 12 + [(513, 52)]
+        assert [shape for shape, _ in got] == [(513, 256)] * 24 + [(513, 52)]
         monkeypatch.setattr(models, "_SLICE_VALUES", 1 << 30)
         whole = map_path_blocks(model, grid, 6196, 9, col_sums)
         assert [shape for shape, _ in whole] == [(513, 4096), (513, 2100)]
         assert np.array_equal(np.concatenate([s for _, s in got]),
                               np.concatenate([s for _, s in whole]))
 
-    @pytest.mark.parametrize("times,width", [(65, 4096), (129, 2048), (257, 1024)])
-    def test_block_slices_stay_near_2_mib(self, times, width):
-        # 65 x 4096 values arrive whole, 129 in halves, 257 in quarters; the last
-        # block of 904 paths in one slice
+    @pytest.mark.parametrize("times,width", [(65, 2048), (129, 1024), (257, 512)])
+    def test_block_slices_stay_near_1_mib(self, times, width):
+        # 65 x 4096 values arrive in halves, 129 in quarters, 257 in eighths; the last
+        # block of 904 paths is cut at the same path offsets
         shapes = map_path_blocks(parse_model("bm-copula"), TimeGrid.uniform(1, 2, times), 5000,
                                  1, lambda v: [v.shape])
-        assert shapes == [(times, width)] * (4096 // width) + [(times, 904)]
+        last = [*range(0, 904, width), 904]
+        assert shapes == [(times, width)] * (4096 // width) + \
+            [(times, b - a) for a, b in zip(last, last[1:])]
+
+    def test_every_array_holds_at_most_sqrt_2_times_the_cap(self, monkeypatch):
+        # the rule alone, so the filler draws nothing: whole runs or batches of whole
+        # seeding blocks, or path slices of one block cut at multiples of one
+        # power-of-two width, each of at most sqrt(2) * 2^17 values
+        monkeypatch.setattr(models, "_filler", lambda model, count, words: lambda out, _: out)
+        block, model = parallel.BLOCK_SIZE, parse_model("dependent")
+        cap = math.sqrt(2) * (1 << 17)
+        for times in range(1, 601):
+            grid = TimeGrid(np.linspace(1.0, 2.0, times))
+            for n in (1, 4095, 4097, 9000):
+                sizes = np.concatenate(list(map_replications(model, grid, n, 3, 0,
+                                                             lambda v: [v.size])))
+                assert sizes.max() <= cap
+                widths = map_path_blocks(model, grid, n, 0, lambda v: [v.shape[1]])
+                cuts = np.cumsum([0, *widths])
+                assert cuts[-1] == n
+                for a, b in zip(cuts, cuts[1:]):
+                    assert (b - a) * times <= cap
+                    if a % block == 0 and (b % block == 0 or b == n):
+                        continue
+                    assert a // block == (b - 1) // block
+                    assert block % widths[0] == 0 and a % widths[0] == 0
+                    assert b - a == widths[0] or b == n
 
     @pytest.mark.parametrize("blocks_per_batch", [None, 2])
     def test_narrow_grids_batch_whole_blocks(self, monkeypatch, blocks_per_batch):
@@ -257,8 +283,8 @@ class TestTimeMajorLayout:
     def test_path_blocks_are_the_block_draws_transposed(self, spec, grid, workers):
         model = parse_model(spec)
         got = map_path_blocks(model, grid, self.N, 8, lambda v: [v], workers)
-        # one batch of four blocks on 4 times; four path slices per full block on 257
-        assert len(got) == (1 if len(grid) == 4 else 13)
+        # one batch of four blocks on 4 times; eight path slices per full block on 257
+        assert len(got) == (1 if len(grid) == 4 else 25)
         assert all(v.shape[0] == len(grid) and v.flags.c_contiguous for v in got)
         assert np.array_equal(np.hstack(got), path_major_reference(model, grid, self.N, 8).T)
 
@@ -358,11 +384,11 @@ class TestMapReplications:
         model, grid = parse_model("bm-copula"), TimeGrid.uniform()
         shapes = np.concatenate(list(map_replications(model, grid, 5000, 2, 3,
                                                       lambda paths: [paths.shape])))
-        assert [tuple(s) for s in shapes] == [(1, 129, 2048)] * 2 + [(1, 129, 904)] + \
-            [(1, 129, 2048)] * 2 + [(1, 129, 904)]
+        assert [tuple(s) for s in shapes] == [(1, 129, 1024)] * 4 + [(1, 129, 904)] + \
+            [(1, 129, 1024)] * 4 + [(1, 129, 904)]
         counts = np.concatenate(list(map_replications(model, grid, 5000, 2, 3,
                                                       lambda paths: np.array([1]))))
-        assert list(counts) == [3, 3]
+        assert list(counts) == [5, 5]
 
     def test_needs_paths_and_replications(self):
         model, grid = parse_model("bm-copula"), TimeGrid.uniform(1, 2, 4)
@@ -501,6 +527,6 @@ class TestEnvelopeStatistics:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pinned_on_path_slices(self, workers):
         # on 129 times the five seeding blocks of 20,000 paths reach the sampler's consumer
-        # in 2,048-path slices, the last block cut at 2,048 of its 3,616; the float sums
-        # still run over whole blocks
+        # in 1,024-path slices, the last block's 3,616 cut at 1,024, 2,048 and 3,072; the
+        # float sums still run over whole blocks
         assert envelope_statistics(TimeGrid.uniform(), 20_000, 5, workers) == 0.606301931853156

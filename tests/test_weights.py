@@ -1,6 +1,7 @@
 """Weight families: evaluation, windows, tail integral, slow variation, dyadic sums."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -222,15 +223,26 @@ class TestDyadicSum:
         with pytest.raises(DomainError):
             dyadic_sum(w, 0.1, 0)
 
-    # up to 1,000 terms: w(2^-1023 theta)^2 overflows for alpha near 1/2
     @given(st.floats(min_value=1e-300, max_value=0.5, exclude_max=True),
-           st.floats(min_value=1e-4, max_value=0.2), st.integers(1, 1000))
+           st.floats(min_value=1e-4, max_value=0.2), st.integers(1, 1024))
     @example(1e-17, 0.01, 60)  # 4^-alpha rounds to 1: sixty terms of nearly 1
     @settings(max_examples=100)
     def test_pure_power_ratio_weight_independent(self, alpha, theta, terms):
         # the ratio of a pure power weight depends only on alpha and terms
         assert dyadic_sum(WeightSpec(alpha), theta, terms) == pytest.approx(
             geometric_ratio(alpha, terms), rel=1e-12)
+
+    def test_terms_whose_weight_square_overflows_count_as_zero(self):
+        # w(2^-1023 theta)^2, the last of 1,024 terms, passes the largest double here; the
+        # term is below 1 / DBL_MAX and the sum needs none of it
+        w, theta = WeightSpec(0.498046875), 0.015625
+        last = w._base(np.array([theta * 2.0 ** -1023]))
+        with np.errstate(over="ignore"):
+            assert np.isinf(last * last)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = dyadic_sum(w, theta, 1024)
+        assert ratio == pytest.approx(geometric_ratio(w.alpha, 1024), rel=1e-12)
 
     @given(st.floats(min_value=0.1, max_value=0.5, exclude_max=True),
            st.floats(min_value=1e-4, max_value=0.2))
