@@ -20,9 +20,12 @@ from .models import ProcessModel, TimeGrid, level_kernel, map_path_blocks, map_r
 from .weights import WeightSpec
 
 
-def field_values(counts: np.ndarray, levels: np.ndarray, w: WeightSpec, n: int) -> np.ndarray:
-    """w(y) (count - n y) / sqrt(n): the field of n paths from their counts, levels last."""
-    return np.asarray(w(levels), dtype=float) * (counts - n * levels) / math.sqrt(n)
+def field_values(counts: np.ndarray, levels: np.ndarray, wv: np.ndarray, n: int) -> np.ndarray:
+    """w(y) (count - n y) / sqrt(n): the field of n paths from their counts, levels last.
+
+    ``wv`` holds the weights w(y) of the levels.
+    """
+    return wv * (counts - n * levels) / math.sqrt(n)
 
 
 def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequence[float],
@@ -33,7 +36,7 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
     which the sampler adds in batch order.
     """
     levels = np.asarray(levels, dtype=float)
-    # a NaN level would count every path under the sort-and-search kernel
+    # a NaN level would count every path or none, by the model and by count's path
     if levels.size == 0 or not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError("need at least one level, each strictly inside (0, 1)")
 
@@ -43,7 +46,7 @@ def evaluate_field_streaming(model: ProcessModel, grid: TimeGrid, levels: Sequen
         return kernel.count(vals)
 
     counts = map_path_blocks(model, grid, n, seed, block_counts, workers)
-    return field_values(counts, levels, w, n)
+    return field_values(counts, levels, w(levels), n)
 
 
 def replicated_fields(model: ProcessModel, grid: TimeGrid, levels: Sequence[float],
@@ -54,10 +57,11 @@ def replicated_fields(model: ProcessModel, grid: TimeGrid, levels: Sequence[floa
     The sampler adds each replication's integer counts over its path slices
     and yields them a batch at a time, in replication order; ``field_values``
     is elementwise, so each batch's fields have the bits of fields formed
-    all at once.
+    all at once.  The weights are evaluated once, and every batch applies them.
     """
     levels = np.asarray(levels, dtype=float)
-    return (field_values(counts, levels, w, n) for counts in
+    wv = w(levels)
+    return (field_values(counts, levels, wv, n) for counts in
             map_replications(model, grid, n, reps, seed, level_kernel(model, levels).count,
                              workers))
 

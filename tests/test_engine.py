@@ -126,6 +126,18 @@ class TestEvaluateField:
                                                        PINNED_SEED, workers)))
         assert np.array_equal(sliced, whole)
 
+    def test_weight_is_evaluated_once_per_run(self):
+        # 5 replications of 4500 paths on 9 times arrive in two batches, which share
+        # one array of weights
+        w, calls = parse_weight("pow:0.25"), []
+
+        def counting(x):
+            calls.append(x)
+            return w(x)
+        fields = list(replicated_fields(parse_model("bm-copula"), TimeGrid.uniform(1, 2, 9),
+                                        [0.2, 0.5], counting, 4500, 5, PINNED_SEED))
+        assert len(fields) == 2 and len(calls) == 1
+
     def test_replication_mean_and_variance(self):
         model = parse_model("bm-copula")
         grid = TimeGrid(np.array([1.5]))

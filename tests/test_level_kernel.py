@@ -63,33 +63,41 @@ def levels_for(draw, scores):
     return draw(st.sampled_from(neighbours(u)))
 
 
+# level counts on both sides of the count's popcount/sort choice
+level_counts = st.integers(1, 12)
+
+
 class TestOracle:
     @given(scores=score_arrays, data=st.data())
     @settings(max_examples=400)
     def test_leq_is_the_uniform_comparison(self, scores, data):
-        ys = [data.draw(levels_for(scores)) for _ in range(data.draw(st.integers(1, 3)))]
+        ys = [data.draw(levels_for(scores)) for _ in range(data.draw(level_counts))]
         kernel = level_kernel(BM, ys)
         z = with_band_edges(scores, kernel)
         for i, y in enumerate(ys):
             assert np.array_equal(kernel.leq(z, i), uniform_leq(z, y))
-        # one time row against every level
+        # one time row against every level, and every score as a row of width 1
         assert np.array_equal(kernel.count(z[None, :].copy())[0],
                               [np.count_nonzero(uniform_leq(z, y)) for y in ys])
+        assert np.array_equal(kernel.count(z[:, None].copy()),
+                              uniform_leq(z[:, None], np.array(ys)))
 
     @given(scores=score_arrays, data=st.data())
     @settings(max_examples=200)
     def test_counts_and_row_tests_are_the_uniform_ones(self, scores, data):
-        ys = [data.draw(levels_for(scores)) for _ in range(data.draw(st.integers(1, 3)))]
+        ys = [data.draw(levels_for(scores)) for _ in range(data.draw(level_counts))]
         kernel = level_kernel(BM, ys)
         z = with_band_edges(scores, kernel)
         u = np.clip(special.ndtr(z), OPEN_LO, OPEN_HI)
-        # a time-major block: two time rows, which count sorts in place
+        # a time-major block: two time rows
         block = np.stack([z, z[::-1]])
         expected = np.array([[np.count_nonzero(uniform_leq(row, y)) for y in ys]
                              for row in block])
         rows = block.copy()
         assert np.array_equal(kernel.count(rows), expected)
-        assert np.array_equal(rows, np.sort(block, axis=1))
+        if len(ys) > models._POPCOUNT_LEVELS:
+            # the sort path sorts the rows in place; the popcount path leaves them
+            assert np.array_equal(rows, np.sort(block, axis=1))
         # a batch of blocks, as in the CLT harnesses, counts as its slices do
         batch = np.stack([block, block[::-1], -block])
         counts = kernel.count(batch.copy())
@@ -138,6 +146,19 @@ class TestOracle:
         kernel = level_kernel(BM, [OPEN_LO, OPEN_HI])
         assert kernel.lo[0] == -np.inf and kernel.hi[1] == np.inf
 
+    @given(spec=st.sampled_from(KINDS[1:]), data=st.data())
+    @settings(max_examples=200)
+    def test_uniform_kinds_count_plainly(self, spec, data):
+        # batches of uniform rows of any width, with levels among the values themselves
+        shape = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40)))
+        vals = data.draw(arrays(np.float64, shape,
+                                elements=st.floats(OPEN_LO, OPEN_HI, allow_nan=False)))
+        ys = [data.draw(st.one_of(st.sampled_from(list(vals.ravel())), st.floats(0.0, 1.0)))
+              for _ in range(data.draw(level_counts))]
+        counts = level_kernel(parse_model(spec), ys).count(vals.copy())
+        expected = np.count_nonzero(vals[..., None] <= np.array(ys), axis=-2)
+        assert np.array_equal(counts, expected)
+
     @pytest.mark.parametrize("spec", KINDS[1:])
     def test_uniform_kinds_compare_plainly(self, spec):
         ys = np.array([0.2, 0.5])
@@ -147,10 +168,12 @@ class TestOracle:
         for i, y in enumerate(ys):
             assert np.array_equal(kernel.leq(vals, i), vals <= y)
 
+    @pytest.mark.parametrize("k", [models._POPCOUNT_LEVELS, models._POPCOUNT_LEVELS + 1],
+                             ids=["popcount", "sort"])
     @pytest.mark.parametrize("shape", [(3, 50), (2, 3, 50)])
-    def test_counts_hold_only_their_own_bytes(self, shape):
+    def test_counts_hold_only_their_own_bytes(self, shape, k):
         # the counts a sampler keeps until its tree reduce must not pin the search array
-        counts = level_kernel(BM, [0.2, 0.5, 0.8]).count(
+        counts = level_kernel(BM, np.linspace(0.2, 0.8, k)).count(
             np.random.default_rng(1).standard_normal(shape))
         root = counts
         while root.base is not None:
@@ -211,10 +234,13 @@ W = parse_weight("pow:0.25")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("spec", KINDS)
 class TestConsumersMatchTheUniformKernels:
-    def test_field(self, spec, workers):
+    # 6 levels count by popcount and 9 by sorting
+    @pytest.mark.parametrize("plain", [[0.1, 0.5, 0.9], [0.1, 0.2, 0.4, 0.6, 0.8, 0.9]],
+                             ids=["6-levels", "9-levels"])
+    def test_field(self, spec, workers, plain):
         model = parse_model(spec)
-        levels = np.array(sorted([0.1, 0.5, 0.9] + sampled_levels(model, GRID, N, 3, 4,
-                                                                  [10, 4500, 8990])))
+        levels = np.array(sorted(plain + sampled_levels(model, GRID, N, 3, 4,
+                                                        [10, 4500, 8990])))
         counts = old_on_uniforms(model, GRID, N, 3, old_field_counts(levels), workers)
         expected = W(levels)[None, :] * (counts - N * levels[None, :]) / math.sqrt(N)
         field = evaluate_field_streaming(model, GRID, levels, W, N, 3, workers=workers)
