@@ -229,12 +229,12 @@ def write_json(obj: dict, path: Optional[str]) -> None:
 
 
 def write_csv(columns: dict, path: str) -> None:
-    """One row per entry of the columns, under a header of their names."""
-    lines = [f"# weplab clt v{__version__}", ",".join(columns)]
-    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-              for row in zip(*columns.values())]
+    """One row per entry of the columns, under a header of their names, written a row at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# weplab clt v{__version__}\n{','.join(columns)}\n")
+        fh.writelines(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                               for v in row) + "\n"
+                      for row in zip(*columns.values()))
 
 
 def write_manifest(path: str, command: str, sub: Optional[str], cfg: RunConfig,

@@ -100,20 +100,29 @@ def covariance_from_joint(joint: np.ndarray, cells: Sequence[tuple[float, float]
     ``joint[i, j]`` is P(X_s <= x, X_t <= y) for cells i = (s, x) and
     j = (t, y).  The empirical estimate and the limit covariance are both
     assembled here; both joints are exactly symmetric, and so is the result.
+    It is filled a row at a time: each entry takes the two roundings of
+    ``np.outer(wv, wv) * joint - np.outer(wy, wy)``, and beside the joint and
+    the result nothing of size k x k is held.
     """
     ys = np.array([y for _, y in cells])
     wv = np.array([float(w(y)) for _, y in cells])
-    return np.outer(wv, wv) * joint - np.outer(wv * ys, wv * ys)
+    wy = wv * ys
+    cov = np.empty((len(cells), len(cells)))
+    for i, row in enumerate(cov):
+        np.multiply(wv[i] * wv, joint[i], out=row)
+        row -= wy[i] * wy
+    return cov
 
 
 def export_field_csv(values: np.ndarray, grid: TimeGrid, levels: Sequence[float], path: str,
                      model: ProcessModel, w: WeightSpec, n: int, seed: int) -> None:
-    """CSV rows t,y,nu of field ``values`` with a header comment recording the run."""
-    lines = ["# weplab field v1",
-             f"# n={n} seed={seed} model={model.describe()} weight={w.describe()}",
-             "t,y,nu"]
-    for i, t in enumerate(grid.points):
-        for j, y in enumerate(levels):
-            lines.append(f"{float(t)!r},{float(y)!r},{float(values[i, j])!r}")
+    """CSV rows t,y,nu of field ``values`` with a header comment recording the run.
+
+    Rows are written one at a time, so the text of the whole file is never held.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# weplab field v1\n"
+                 f"# n={n} seed={seed} model={model.describe()} weight={w.describe()}\n"
+                 "t,y,nu\n")
+        fh.writelines(f"{float(t)!r},{float(y)!r},{float(values[i, j])!r}\n"
+                      for i, t in enumerate(grid.points) for j, y in enumerate(levels))

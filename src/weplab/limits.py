@@ -23,6 +23,7 @@ from .weights import WeightSpec
 # by rounding; the value actually applied is recorded on the model.
 JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 _PIVOT_REL_TOL = 1e-10
+_RESIDUAL_ROWS = 256  # rows of L L^T per block of the residual check
 
 
 def _semidefinite_cholesky(cov: np.ndarray) -> Optional[np.ndarray]:
@@ -57,7 +58,10 @@ class LimitModel:
     jitter: float
 
     def __post_init__(self):
-        factor = np.asarray(self.factor, dtype=float)
+        # column-major, so that factor.T is C-contiguous: a product with it takes
+        # the bits of a product with a contiguous copy of factor.T.  A factor from
+        # _factor_with_jitter is column-major already and is not copied
+        factor = np.asfortranarray(self.factor, dtype=float)
         factor.flags.writeable = False
         object.__setattr__(self, "factor", factor)
 
@@ -66,19 +70,44 @@ class LimitModel:
         return len(self.cells)
 
 
+def _residual(L: np.ndarray, cov: np.ndarray) -> float:
+    """max |L L^T - cov|, over _RESIDUAL_ROWS rows of L L^T at a time.
+
+    Only its comparison with a tolerance is read, so a block's product may
+    round apart from the whole one; beside the covariance and its factor the
+    check holds one (_RESIDUAL_ROWS x k) block, never a k x k temporary.
+    """
+    k, worst = L.shape[0], 0.0
+    buffer = np.empty((min(k, _RESIDUAL_ROWS), k))
+    for start in range(0, k, _RESIDUAL_ROWS):
+        rows = slice(start, start + _RESIDUAL_ROWS)
+        r = np.matmul(L[rows], L.T, out=buffer[:len(L[rows])])
+        r -= cov[rows]
+        worst = max(worst, float(np.max(np.abs(r, out=r))))
+    return worst
+
+
+def _column_major(L: np.ndarray) -> np.ndarray:
+    """The values of the square C-ordered ``L``, rearranged in place into column-major order.
+
+    Row and column swaps move every entry with its bits, and no k x k copy is
+    made: the memory comes to hold L^T row by row, and the result is its
+    transposed view.
+    """
+    for i in range(len(L)):
+        row = L[i, i + 1:].copy()
+        L[i, i + 1:] = L[i + 1:, i]
+        L[i + 1:, i] = row
+    return L.T
+
+
 def _factor_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    # taken before any factor exists, and the residual in place: beside the
-    # covariance and its factor, the check holds one k x k temporary
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(cov))))
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(cov))))  # taken before any factor exists
     for jit in JITTER_LADDER:
         attempt = cov if jit == 0.0 else cov + jit * np.eye(cov.shape[0])
         L = _semidefinite_cholesky(attempt)
-        if L is None:
-            continue
-        r = L @ L.T
-        r -= attempt
-        if float(np.max(np.abs(r, out=r))) <= tol:
-            return L, jit
+        if L is not None and _residual(L, attempt) <= tol:
+            return _column_major(L), jit
     raise IndefiniteCovarianceError(
         "covariance failed to factor after jitter escalation; "
         "suspect a bug in the joint CDF or the covariance assembly")
@@ -106,11 +135,13 @@ def sample_limit_field(limit: LimitModel, reps: int, seed: int,
 
     Yields (block x cells) arrays in replication order.  Deterministic per
     (seed, rep index): replication blocks are seeded the same way path
-    blocks are.
+    blocks are.  Each block of draws multiplies the view ``factor.T``, which
+    is C-contiguous, so the product has the bits of one with a contiguous
+    copy and no k x k copy of the factor is held.
     """
     if reps < 1:
         raise DomainError("need reps >= 1")
-    Lt = limit.factor.T.copy()
+    Lt = limit.factor.T
     words = parallel.seed_words(
         seed, [(parallel.STREAM_LIMIT, j) for j in range(len(parallel.iter_blocks(reps)))])
 

@@ -106,9 +106,9 @@ class TimeGrid:
         return TimeGrid(np.sort(np.concatenate([pts, mids])))
 
     def index_of(self, t: float) -> int:
-        """Index of a grid time, matched within 1e-9."""
+        """Index of a grid time, matched within 1e-9; a NaN time matches none."""
         idx = int(np.argmin(np.abs(self.points - t)))
-        if abs(float(self.points[idx]) - t) > 1e-9:
+        if not abs(float(self.points[idx]) - t) <= 1e-9:
             raise DomainError(f"time {t} is not on the grid")
         return idx
 

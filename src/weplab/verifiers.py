@@ -66,6 +66,15 @@ def _time_ball(grid: TimeGrid, t: float, eps: float, theta: float) -> np.ndarray
         return grid.ball_indices(t, math.inf)
 
 
+def _check_probe(grid: TimeGrid, t: float, eps: float, x: Optional[float] = None) -> None:
+    """A DomainError unless t is on the grid, eps finite and > 0, and x (if any) inside (0, 1)."""
+    grid.index_of(t)
+    if x is not None and not 0.0 < x < 1.0:
+        raise DomainError(f"probe level x={x} must lie strictly inside (0, 1)")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"probe eps={eps} must be finite and > 0")
+
+
 def _fail_if_none_evaluated(rows: list, evaluated: int) -> None:
     """A report that evaluates no probe does not pass: add one failing row."""
     if evaluated == 0:
@@ -171,10 +180,15 @@ def wl_estimate(model: ProcessModel, w: WeightSpec, theta: float,
     sweep is repeated on the density-doubled grid as a refinement study.
     Its ratio compares the two sweeps' constants over the probes both
     evaluate: 1 when both are 0 and null (infinite) when one is.
-    ``l_hat_ts`` and ``l_hat_st`` split ``l_hat`` by crossing event.
+    ``l_hat_ts`` and ``l_hat_st`` split ``l_hat`` by crossing event.  A probe
+    whose t is off the grid (or NaN), whose x is outside (0, 1) or whose eps
+    is not finite and > 0 raises DomainError before any path is drawn.
     """
     grid = grid or TimeGrid.uniform()
-    probes = None if probes is None else list(probes)
+    if probes is not None:
+        probes = list(probes)
+        for t, x, eps in probes:
+            _check_probe(grid, t, eps, x)
     rows, freqs = _wl_sweep(model, w, theta, probes, grid, n, seed, workers)
     fine_rows, _ = _wl_sweep(model, w, theta, probes, grid, n, seed, workers, refined=True)
     l_hat, l_fine = (max((r.c_hat for r in sweep if r.c_hat is not None), default=0.0)
@@ -207,11 +221,16 @@ def l_condition_estimate(model: ProcessModel, theta: float,
 
     The event of a probe (t, eps) is that some grid s with rho(s, t) <= eps
     moves the time-t transformed value by more than eps^2; the implied
-    constant is frequency / eps^2.
+    constant is frequency / eps^2.  A probe whose t is off the grid (or NaN)
+    or whose eps is not finite and > 0 raises DomainError before any path is
+    drawn.
     """
     if not theta > 4.0:
         raise DomainError("theta must exceed 4")
     grid = grid or TimeGrid.uniform()
+    probes = list(probes)
+    for t, eps in probes:
+        _check_probe(grid, t, eps)
     prepared = []
     rows = []
     for t, eps in probes:

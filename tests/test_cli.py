@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -690,6 +691,23 @@ class TestCltCommand:
         lines = csv.read_text().strip().split("\n")
         assert lines[1] == "rep,nu"
         assert len(lines) == 2 + 500
+
+    def test_csv_rows_are_written_one_at_a_time(self, tmp_path):
+        # clt sup's three columns at 16,000 replications; joining the rows first held about 3 MB
+        rng = np.random.default_rng(PINNED_SEED)
+        columns = {"rep": range(16_000), "empirical_sup": rng.standard_normal(16_000),
+                   "limit_sup": rng.standard_normal(16_000)}
+        tracemalloc.start()
+        try:
+            write_csv(columns, str(tmp_path / "reps.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 10  # the file object's buffers and a row
+        lines = (tmp_path / "reps.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "rep,empirical_sup,limit_sup" and len(lines) == 2 + 16_000
+        assert lines[-1] == (f"15999,{float(columns['empirical_sup'][-1])!r},"
+                             f"{float(columns['limit_sup'][-1])!r}")
 
     # an atomic path, like a dependent one, holds one uniform draw at every time
     @pytest.mark.parametrize("spec", ["dependent", "atomic:0.5@0.5"])

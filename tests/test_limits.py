@@ -1,12 +1,14 @@
 """Level metric and the Gaussian limit model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weplab import limits, parallel
 from weplab.errors import DomainError, IndefiniteCovarianceError
 from weplab.limits import (LimitModel, _factor_with_jitter, build_limit_model, limit_covariance,
                            sample_limit_field)
@@ -165,6 +167,76 @@ class TestLimitModel:
         a = np.concatenate(list(sample_limit_field(lm, 10_000, 3, workers=1)))
         b = np.concatenate(list(sample_limit_field(lm, 10_000, 3, workers=8)))
         assert np.array_equal(a, b)
+
+
+# the benchmark's clt sup lattice (17 x 9 cells, full rank), and a dependent one of rank 3
+FULL_RANK = ("bm-copula", [1.0 + i / 16.0 for i in range(17)], [i / 10 for i in range(1, 10)])
+RANK_THREE = ("dependent", [1.0, 1.25, 1.5, 1.75, 2.0], [0.2, 0.5, 0.8])
+
+
+class TestLimitBits:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("lattice", [FULL_RANK, RANK_THREE], ids=["bm-copula", "dependent"])
+    def test_samples_are_the_draws_times_a_contiguous_copy(self, lattice, workers):
+        # the product with the view factor.T has the bits of the one with its copy,
+        # over replications that span two seeding blocks
+        spec, times, levels = lattice
+        lm = build_limit_model(parse_model(spec), [(t, y) for t in times for y in levels],
+                               w_quarter)
+        assert np.linalg.matrix_rank(lm.factor) == (lm.size if spec == "bm-copula"
+                                                    else len(levels))
+        reps = parallel.BLOCK_SIZE + 5
+        blocks = parallel.iter_blocks(reps)
+        words = parallel.seed_words(PINNED_SEED, [(parallel.STREAM_LIMIT, j) for j, _, _ in blocks])
+        Lt = lm.factor.T.copy()
+        expected = np.concatenate([
+            parallel.rng_from_words(words[j]).standard_normal((stop - start, lm.size)) @ Lt
+            for j, start, stop in blocks])
+        got = np.concatenate(list(sample_limit_field(lm, reps, PINNED_SEED, workers)))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_factor_turns_column_major_in_place(self):
+        # sampling multiplies by factor.T, which is then C-contiguous like the copy above
+        a = np.random.default_rng(PINNED_SEED).standard_normal((7, 7))
+        b = a.copy()
+        f = limits._column_major(b)
+        assert f.flags.f_contiguous and np.shares_memory(f, b)
+        assert np.array_equal(f.view(np.uint64), a.view(np.uint64))
+        lm = build_limit_model(parse_model("bm-copula"), [(1.0, 0.2), (2.0, 0.5)], w_const)
+        assert lm.factor.T.flags.c_contiguous
+
+
+class TestLimitMemory:
+    """The limit path's working set, by tracemalloc, on 50 x 10 = 500 dependent cells."""
+
+    cells = [(t, y) for t in np.linspace(1, 2, 50) for y in np.linspace(0.05, 0.95, 10)]
+
+    def test_build_holds_two_k_by_k_arrays(self):
+        # the joint and the covariance, then the covariance and its factor with the
+        # residual check's block of 256 rows and O(k) vectors: three k x k arrays at
+        # once read about 3.1 k^2 x 8
+        k = len(self.cells)
+        tracemalloc.start()
+        try:
+            build_limit_model(parse_model("dependent"), self.cells, w_quarter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * k * k * 8 + (256 + 64) * k * 8
+
+    def test_sampling_holds_no_k_by_k_array(self):
+        # 50 replications hold the draws and their product, 2 x 50 x k x 8 bytes;
+        # a copy of factor.T would add k x k x 8
+        lm = build_limit_model(parse_model("dependent"), self.cells, w_quarter)
+        k = lm.size
+        tracemalloc.start()
+        try:
+            for _block in sample_limit_field(lm, 50, PINNED_SEED):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * k * 8 // 2
 
 
 class TestDg0Upper:

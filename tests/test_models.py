@@ -56,6 +56,12 @@ class TestTimeGrid:
         with pytest.raises(DomainError):
             g.index_of(1.5001)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_not_on_the_grid(self, t):
+        # every distance to a NaN is NaN, so argmin picks index 0 and no tolerance holds
+        with pytest.raises(DomainError, match="not on the grid"):
+            TimeGrid.uniform(1, 2, 129).index_of(t)
+
 
 class TestModelParsing:
     def test_kinds(self):

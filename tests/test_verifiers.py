@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -90,6 +91,17 @@ class TestWlEstimate:
         with pytest.raises(DomainError):
             wl_estimate(bm, w_quarter, 4.0, n=100, seed=1)
 
+    @pytest.mark.parametrize("probe, named", [
+        ((1.5, math.nan, 0.7), "x=nan"), ((1.5, 0.0, 0.7), "x=0.0"), ((1.5, 1.0, 0.7), "x=1.0"),
+        ((math.nan, 0.1, 0.7), "time nan"), ((math.inf, 0.1, 0.7), "time inf"),
+        ((1.5001, 0.1, 0.7), "time 1.5001"), ((1.5, 0.1, math.nan), "eps=nan"),
+        ((1.5, 0.1, -0.7), "eps=-0.7"), ((1.5, 0.1, 0.0), "eps=0.0"),
+        ((1.5, 0.1, math.inf), "eps=inf")])
+    def test_invalid_probe_is_a_domain_error(self, probe, named):
+        # unchecked, a NaN level counts no crossing and passes with frequency 0 and x null
+        with pytest.raises(DomainError, match=re.escape(named)):
+            wl_estimate(bm, w_quarter, 5.0, [(1.5, 0.1, 0.7), probe], n=2000, seed=1)
+
     def test_overflowing_ball_radius_is_the_whole_grid(self):
         # 1.1^10000 overflows a float: rho(s, t) <= 1.1 holds on the whole grid
         rep = wl_estimate(bm, w_quarter, 1e4, [(1.5, 0.1, 1.1)], n=200, seed=1,
@@ -120,6 +132,16 @@ class TestLCondition:
         rep = l_condition_estimate(bm, 5.0, [(1.5, 0.7)], n=50_000, seed=PINNED_SEED)
         row = rows_by(rep, t=1.5, eps=0.7)[0]
         assert row.c_hat is not None and math.isfinite(row.c_hat)
+
+    @pytest.mark.parametrize("probe, named", [
+        ((math.nan, 0.7), "time nan"), ((-math.inf, 0.7), "time -inf"),
+        ((1.5001, 0.7), "time 1.5001"), ((1.5, math.nan), "eps=nan"),
+        ((1.5, -0.7), "eps=-0.7"), ((1.5, 0.0), "eps=0.0"), ((1.5, math.inf), "eps=inf")])
+    def test_invalid_probe_is_a_domain_error(self, probe, named):
+        # unchecked, a NaN time or a negative eps gives an empty ball, reported as a
+        # "singleton time ball" with ball_points 0
+        with pytest.raises(DomainError, match=re.escape(named)):
+            l_condition_estimate(bm, 5.0, [(1.5, 0.7), probe], n=2000, seed=1)
 
     def test_singleton_ball_row_names_its_reason(self):
         # on 17 grid times the ball of radius 0.55^5 around 1.5 holds 1.5 only
