@@ -11,5 +11,4 @@ from .models import (ProcessModel, TimeGrid, envelope_statistics, joint_cdf_matr
 from .limits import LimitModel, build_limit_model, limit_covariance, sample_limit_field
 from .engine import evaluate_field_streaming, export_field_csv
 from .numerics import (bvn_cdf, ks_statistic_one_sample, ks_statistic_two_sample,
-                       singular_quadrature, std_normal_cdf, std_normal_pdf,
-                       std_normal_quantile)
+                       std_normal_cdf, std_normal_pdf, std_normal_quantile)

@@ -3,9 +3,9 @@
 Phi and its inverse as the Cephes library computes them, the standard
 normal density/CDF/quantile, an array-valued bivariate normal CDF
 built on the Drezner-Wesolowsky single-integral reduction with
-Gauss-Legendre nodes, an adaptive quadrature for integrands with an endpoint
-singularity at zero, Kolmogorov-Smirnov statistics, and the round-trip
-text of a float that specs describe themselves with.
+Gauss-Legendre nodes, adaptive Gauss-Legendre panels, Kolmogorov-Smirnov
+statistics, and the round-trip text of a float that specs describe
+themselves with.
 
 All functions are pure and reentrant.
 """
@@ -13,7 +13,6 @@ All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -328,113 +327,30 @@ def _bvn_upper_near_diagonal(h, k, r) -> np.ndarray:
     return np.where(r > 0.0, bvn + ndtr(-np.maximum(h, k)), below)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Outcome of ``singular_quadrature``.
-
-    ``converged`` False is a classification result, not a failure: ``value``
-    then carries the partial sum accumulated before the inner-panel
-    contributions stopped decaying.
-    """
-
-    value: float
-    error: float
-    converged: bool
-
-
-# Divergence heuristic: the last DIVERGENCE_WINDOW inner dyadic panels each
-# contribute at least (1 - DIVERGENCE_SLACK) of the one before, AND probe
-# panels far deeper still carry at least half the current contribution.
-# Documented as a heuristic; exact logarithmic divergence triggers it
-# immediately, while integrands that merely decay slowly (weights with heavy
-# slowly varying factors) fail the deep probes and keep integrating.
-DIVERGENCE_WINDOW = 5
-DIVERGENCE_SLACK = 1e-3
-MAX_PANELS = 2000
-_PROBE_DEPTHS = (64, 256, 1024)
-
 _PANEL_ORDER = 20
 
 
-def _gl_panel(f, lo: float, hi: float) -> float:
+def gl_panel(f, lo: float, hi: float) -> float:
+    """The 20-point Gauss-Legendre sum of ``f`` over [lo, hi]; ``f`` takes an array."""
     x, w = _LEGGAUSS[_PANEL_ORDER]
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    vals = np.asarray(f(mid + half * x), dtype=float)
+    vals = np.asarray(f(lo + half + half * x), dtype=float)
     return float(half * np.sum(w * vals))
 
 
-def _deep_probes_stay_flat(f, b: float, j: int, current: float) -> bool:
-    """True when far-inside probe panels still match the current contribution."""
-    # keep probe panels comfortably above the subnormal range
-    max_depth = int(math.floor(math.log2(b / 1e-290))) if b > 1e-290 else j
-    confirmed = False
-    for extra in _PROBE_DEPTHS:
-        depth = min(j + extra, max_depth)
-        if depth <= j:
-            continue
-        hi = b * 2.0 ** (-depth)
-        probe = abs(_gl_panel(f, hi / 2.0, hi))
-        if probe < 0.5 * current:
-            return False
-        confirmed = True
-    return confirmed
-
-
-def _adaptive_panel(f, lo: float, hi: float, tol: float, depth: int = 0) -> tuple[float, float]:
-    whole = _gl_panel(f, lo, hi)
-    mid = 0.5 * (lo + hi)
-    left = _gl_panel(f, lo, mid)
-    right = _gl_panel(f, mid, hi)
+def adaptive_panel(f, lo: float, hi: float, tol: float, depth: int = 0) -> tuple[float, float]:
+    """The integral of ``f`` over [lo, hi] and its error estimate: a panel is bisected until its
+    20-point sum matches that of its halves to absolute ``tol``, or 24 levels deep."""
+    whole = gl_panel(f, lo, hi)
+    mid = lo + 0.5 * (hi - lo)
+    left = gl_panel(f, lo, mid)
+    right = gl_panel(f, mid, hi)
     err = abs(whole - (left + right))
     if err <= tol or depth >= 24 or not math.isfinite(err):  # NaN never meets tol
         return left + right, err
-    lv, le = _adaptive_panel(f, lo, mid, tol / 2.0, depth + 1)
-    rv, re = _adaptive_panel(f, mid, hi, tol / 2.0, depth + 1)
+    lv, le = adaptive_panel(f, lo, mid, tol / 2.0, depth + 1)
+    rv, re = adaptive_panel(f, mid, hi, tol / 2.0, depth + 1)
     return lv + rv, le + re
-
-
-def singular_quadrature(f: Callable[[np.ndarray], np.ndarray], b: float,
-                        tol: float) -> QuadratureResult:
-    """Integrate ``f`` over (0, b] with geometric refinement toward 0.
-
-    The domain is cut into at most ``MAX_PANELS`` dyadic panels (b/2, b],
-    (b/4, b/2], ... which are each integrated adaptively; the remaining tail
-    is bounded geometrically once contributions decay.  ``f`` must accept
-    numpy arrays.  When the innermost contributions fail to decay the result
-    is flagged non-convergent and carries the partial sum.
-    """
-    if not (b > 0.0) or not (tol > 0.0):
-        raise DomainError("singular_quadrature requires b > 0 and tol > 0")
-    total = 0.0
-    err = 0.0
-    contribs: list[float] = []
-    hi = float(b)
-    for j in range(MAX_PANELS):
-        lo = hi / 2.0
-        panel_val, panel_err = _adaptive_panel(f, lo, hi, tol / (8.0 * (j + 1) * (j + 2)))
-        total += panel_val
-        err += panel_err
-        contribs.append(abs(panel_val))
-        hi = lo
-        if len(contribs) > DIVERGENCE_WINDOW:
-            window = contribs[-DIVERGENCE_WINDOW:]
-            prior = contribs[-DIVERGENCE_WINDOW - 1:-1]
-            if all(p > 0.0 and c >= (1.0 - DIVERGENCE_SLACK) * p for c, p in zip(window, prior)) \
-                    and _deep_probes_stay_flat(f, b, j, contribs[-1]):
-                return QuadratureResult(total, err + DIVERGENCE_WINDOW * max(window), False)
-        if len(contribs) >= 2:
-            c_prev, c_last = contribs[-2], contribs[-1]
-            if c_last == 0.0 and c_prev == 0.0:
-                return QuadratureResult(total, err, True)
-            if c_prev > 0.0 and c_last < c_prev:
-                q = min(c_last / c_prev, 0.9)
-                tail = c_last * q / (1.0 - q)
-                if tail < tol / 2.0:
-                    return QuadratureResult(total, err + tail, True)
-        if hi < 1e-300:
-            break
-    return QuadratureResult(total, err + (contribs[-1] if contribs else 0.0), False)
 
 
 def ks_statistic_one_sample(sample: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -291,6 +291,8 @@ def envelope_check(model: ProcessModel, w: WeightSpec,
     lams = sorted(float(v) for v in lambdas)
     if len(lams) < 3:
         raise DomainError("need at least three lambda values")
+    if not all(0.0 < lam < math.inf for lam in lams) or len(set(lams)) < len(lams):
+        raise DomainError("lambda values must be distinct, positive and finite")
     want_cross = model.kind == BM_COPULA and w.alpha > 0.0
 
     def block_fn(vals):

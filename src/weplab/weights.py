@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import shortest_repr, singular_quadrature
+from .numerics import adaptive_panel, gl_panel, shortest_repr
 
 SV_CONST = "const"
 SV_LOGPOW = "logpow"
@@ -42,25 +42,25 @@ def _auto_gamma(alpha: float, sv_kind: str, sv_param: float) -> float:
     Derived per family from the sign of d/dx log(x w(x)^2); shrunk by a
     safety factor so the numeric validation passes away from the boundary.
     """
-    if sv_kind == SV_CONST:
+    if sv_kind == SV_CONST or (sv_kind == SV_LOGPOW and sv_param == 0.0):
         # both conditions hold on all of (0, 1/2); a constant weight keeps
         # the full half-interval so tail integrals run over (0, 1/2]
         return 0.5 if alpha == 0.0 else 0.25
     if sv_kind == SV_LOGPOW:
-        if sv_param == 0.0:
-            return 0.5 if alpha == 0.0 else 0.25
         # x w(x)^2 non-decreasing needs 1 + ln(1/x) >= 2 beta / (1 - 2 alpha)
-        bound = math.exp(1.0 - 2.0 * sv_param / (1.0 - 2.0 * alpha))
-        return min(0.25, 0.75 * bound)
-    if sv_kind == SV_EXPSQRT:
+        log_bound = 1.0 - 2.0 * sv_param / (1.0 - 2.0 * alpha)
+    else:
         # x w(x)^2 non-decreasing needs sqrt(ln(1/x)) >= c / (1 - 2 alpha)
         try:
-            bound = math.exp(-((sv_param / (1.0 - 2.0 * alpha)) ** 2))
+            log_bound = -((sv_param / (1.0 - 2.0 * alpha)) ** 2)
         except OverflowError:
             raise DomainError(f"exp-sqrt-log coefficient {sv_param!r} is too large: "
                               "its square overflows") from None
-        return min(0.25, 0.75 * bound)
-    raise DomainError(f"unknown slowly varying kind {sv_kind!r}")
+    gamma = min(0.25, 0.75 * math.exp(log_bound))
+    if gamma == 0.0:
+        raise DomainError(f"the weight's monotonicity window underflows: x w(x)^2 is "
+                          f"non-decreasing only below x = exp({log_bound:.6g})")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,17 @@ class WeightSpec:
         out = self._base(u)
         return float(out) if out.ndim == 0 else out
 
+    def log_sw2(self, v):
+        """l(v) = ln(s w(s)^2) at s = e^-v, from logarithms alone: s underflows past v = 745."""
+        v = np.asarray(v, dtype=float)
+        if self.sv_kind == SV_CONST:
+            log_sv = math.log(self.sv_param)
+        elif self.sv_kind == SV_LOGPOW:
+            log_sv = self.sv_param * np.log1p(v)
+        else:
+            log_sv = self.sv_param * np.sqrt(v)
+        return 2.0 * log_sv - (1.0 - 2.0 * self.alpha) * v
+
     def describe(self) -> str:
         alpha, param = shortest_repr(self.alpha), shortest_repr(self.sv_param)
         if self.sv_kind == SV_CONST and self.alpha == 0.0:
@@ -172,36 +183,66 @@ def validate_monotonicity(w: WeightSpec) -> Optional[tuple[float, float, str]]:
 class IntegralEntry:
     c: float
     finite: bool
-    value: float      # the integral when finite, else the partial sum
+    value: float      # inf when the integral diverges or exceeds the doubles
     error: float
 
 
 def integral_condition(w: WeightSpec, c_values: Sequence[float],
                        tol: float = 1e-9) -> tuple[IntegralEntry, ...]:
-    """Classify int_0^gamma s^-1 exp(-c / (s w(s)^2)) ds per tested c > 0, one entry each.
+    """Decide int_0^gamma s^-1 exp(-c / (s w(s)^2)) ds < inf per tested c > 0, one entry each.
 
-    A non-convergent quadrature gives an entry that is not finite; it never
-    raises.
+    With v = ln(1/s) the integrand is exp(-c e^-l(v)), l = ``w.log_sw2`` =
+    2 ln L - (1 - 2 alpha) v, so for every c the integral is finite exactly
+    when l tends to -inf: when alpha < 1/2, or alpha = 1/2 and L tends to 0
+    (a negative log-power or exp-sqrt-log parameter).  A divergent entry's
+    value is inf.
     """
+    if not tol > 0.0:
+        raise DomainError("tolerance must be positive")
     if len(c_values) == 0:
         raise DomainError("need at least one c value")
+    finite = w.alpha < 0.5 or (w.alpha == 0.5 and w.sv_kind != SV_CONST and w.sv_param < 0.0)
     entries = []
     for c in c_values:
         c = float(c)
         if not (0.0 < c < math.inf):
             raise DomainError("c values must be positive and finite")
-
-        def integrand(s, _c=c):
-            s = np.asarray(s, dtype=float)
-            wv = w._base(s)
-            # near a subnormal s the integrand is inf, the right value when alpha > 1/2
-            with np.errstate(over="ignore"):
-                return np.exp(-_c / (s * wv * wv)) / s
-
-        res = singular_quadrature(integrand, w.gamma, tol)
-        finite = bool(res.converged and res.error < tol)
-        entries.append(IntegralEntry(c, finite, res.value, res.error))
+        value, error = _tail_integral(w, c, tol) if finite else (math.inf, math.inf)
+        entries.append(IntegralEntry(c, finite, value, error))
     return tuple(entries)
+
+
+def _tail_integral(w: WeightSpec, c: float, tol: float) -> tuple[float, float]:
+    """The finite integral as int f over v > ln(1/gamma), f = exp(-u), u = c e^-l; its error.
+
+    Panels [a, b] of length 1, 2, 4, ... are each integrated to ``tol``
+    relative to the sum so far plus the panel's own 20-point sum.  The sum
+    stops at the first b where f(b) underflows, so K = u(b) > 745, and
+    K (l(a) - l(b)) >= 1.  As u - K >= K (l(b) - l(v)) (e^x - 1 >= x), the rest
+    is below e^-K D, D = int_b^inf exp(-K (l(b) - l(v))) dv.  For L constant,
+    (1 + v)^beta or exp(kappa sqrt(v)):
+    - with beta, kappa >= 0, l is concave: l(b) - l(v) >= (v - b)(l(a) - l(b)) /
+      (b - a), so D <= (b - a) / (K (l(a) - l(b))) <= b - a;
+    - with beta, kappa < 0, ln L falls: l(b) - l(v) >= (1 - 2 alpha)(v - b), so
+      D <= 1 / (K (1 - 2 alpha)) for alpha < 1/2.  At alpha = 1/2, D is
+      (1 + b) / (2 |beta| K - 1), where 2 |beta| K > K (l(a) - l(b)) / ln 2 > 1,
+      or 2 sqrt(b) / q + 2 / q^2, q = 2 |kappa| K.
+    So the rest is below e^-745 D.  A panel end past the doubles gives inf.
+    """
+    def f(v):
+        return np.exp(-c * np.exp(-w.log_sw2(v)))
+
+    lo, width, total, error = math.log(1.0 / w.gamma), 1.0, 0.0, 0.0
+    with np.errstate(over="ignore"):  # u overflows where f is 0
+        while math.isfinite(hi := lo + width):
+            scale = max(total + gl_panel(f, lo, hi), np.finfo(float).tiny)
+            value, err = adaptive_panel(f, lo, hi, tol * scale)
+            total, error = total + value, error + err
+            k = c * np.exp(-w.log_sw2(hi))
+            if np.exp(-k) == 0.0 and (w.log_sw2(lo) - w.log_sw2(hi)) * k >= 1.0:
+                return total, error
+            lo, width = hi, 2.0 * width
+    return math.inf, math.inf
 
 
 def parse_weight(text: str, gamma: Optional[float] = None, unchecked: bool = False) -> WeightSpec:

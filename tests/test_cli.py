@@ -214,6 +214,9 @@ class TestExitCodes:
         (("--weight", "pow:abc"), "bad numeric field in weight spec 'pow:abc'"),
         # a window whose validation grid would start below the normal floats
         (("--weight", "pow:0.25", "--gamma", "1e-310"), "gamma 1e-310 is too small"),
+        # automatic windows below the smallest double, exp(-999) and exp(-22500)
+        (("--weight", "pow:0.49:logpow:10"), "monotonicity window underflows"),
+        (("--weight", "pow:0.4:expsqrt:30"), "monotonicity window underflows"),
     ])
     def test_weight_error_names_the_real_problem(self, tmp_path, capsys, argv, named):
         assert run_cli("verify", "integral", *argv, "--out", str(tmp_path / "out")) == 2
@@ -263,7 +266,7 @@ class TestExitCodes:
     # Zinn) and pow:0.25 pass the same check on the same process
     @pytest.mark.filterwarnings("ignore:unchecked weight violates")
     @pytest.mark.parametrize("check,model,weight,code", [
-        *[("integral", None, weight, 0) for weight in ("const:1", "pow:0.25")],
+        *[("integral", None, weight, 0) for weight in ("const:1", "pow:0.25", "pow:0.499")],
         ("integral", None, "pow:0.5 --unchecked", 1),
         *[("envelope", model, weight, 0)
           for model in ("bm-copula", "iid-time") for weight in ("const:1", "pow:0.25")],

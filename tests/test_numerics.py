@@ -12,8 +12,8 @@ from scipy import integrate, special, stats
 
 from weplab import numerics
 from weplab.errors import DomainError
-from weplab.numerics import (bvn_cdf, ks_critical_one_sample, ks_statistic_one_sample,
-                             ks_statistic_two_sample, ndtr, ndtri, singular_quadrature,
+from weplab.numerics import (adaptive_panel, bvn_cdf, ks_critical_one_sample,
+                             ks_statistic_one_sample, ks_statistic_two_sample, ndtr, ndtri,
                              std_normal_cdf, std_normal_pdf, std_normal_quantile)
 
 mp.mp.dps = 40
@@ -417,39 +417,15 @@ class TestBvn:
             assert isinstance(bvn_cdf(*t), float)
 
 
-class TestSingularQuadrature:
-    def test_polynomial(self):
-        res = singular_quadrature(lambda s: s, 1.0, 1e-9)
-        assert res.converged
-        assert res.value == pytest.approx(0.5, abs=1e-9)
-
-    def test_exponential_integral(self):
-        # oracle: substitute u = 1/s, giving E1(2), via mpmath
-        target = float(mp.e1(2))
-        res = singular_quadrature(lambda s: np.exp(-1.0 / s) / s, 0.5, 1e-9)
-        assert res.converged
-        assert res.value == pytest.approx(target, abs=1e-9)
-        assert res.error < 1e-8
-
-    def test_logarithmic_divergence(self):
-        res = singular_quadrature(lambda s: math.exp(-1.0) / s, 0.5, 1e-9)
-        assert not res.converged
-        assert res.value > 0.0
-
+class TestAdaptivePanel:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_integrand_returns_promptly(self, bad):
         # a non-finite panel error never meets the tolerance; it must not
         # refine 24 levels deep (about 2^24 panels)
         start = time.perf_counter()
-        res = singular_quadrature(lambda s: np.where(s < 0.1, bad, 1.0), 0.5, 1e-9)
+        value, err = adaptive_panel(lambda s: np.where(s < 0.1, bad, 1.0), 0.0, 0.5, 1e-9)
         assert time.perf_counter() - start < 1.0
-        assert not res.converged
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            singular_quadrature(lambda s: s, 0.0, 1e-9)
-        with pytest.raises(DomainError):
-            singular_quadrature(lambda s: s, 1.0, -1.0)
+        assert not math.isfinite(value) and not math.isfinite(err)
 
 
 class TestKolmogorovSmirnov:

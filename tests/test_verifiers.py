@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from weplab import models, parallel
+from weplab import models, parallel, verifiers
 from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
@@ -167,6 +167,17 @@ class TestEnvelope:
         assert rep.passed
         trends = [p for p in rep.probes if "trend" in p.coords]
         assert len(trends) == 2 and all(p.passed for p in trends)
+
+    @pytest.mark.parametrize("lambdas", [(5.0, 10.0, math.nan), (5.0, 10.0, math.inf),
+                                         (5.0, 10.0, -1.0), (0.0, 5.0, 10.0),
+                                         (5.0, 10.0, 10.0)])
+    def test_rejects_lambdas_before_drawing_a_path(self, monkeypatch, lambdas):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(verifiers, "map_path_blocks", no_paths)
+        with pytest.raises(DomainError, match="distinct, positive and finite"):
+            envelope_check(bm, w_quarter, lambdas=lambdas, n=2000, seed=PINNED_SEED)
 
     def test_analytic_cross_check_present_for_bm(self):
         rep = envelope_check(bm, w_quarter, n=50_000, seed=PINNED_SEED)

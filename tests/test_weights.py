@@ -1,6 +1,7 @@
 """Weight families: evaluation, windows, tail integral, slow variation, dyadic sums."""
 
 import math
+import time
 import warnings
 
 import mpmath as mp
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from weplab.errors import DomainError
 from weplab.weights import (WeightSpec, _auto_gamma, integral_condition, parse_weight,
@@ -121,13 +123,30 @@ class TestValidation:
         assert validate_monotonicity(w) is None
 
 
+def quad_in_v(w, c):
+    """scipy's quad of the tail integral in v = ln(1/s), segment by segment over [v0, v0 + 1],
+    [v0 + 1, v0 + 3], ... from v0 = ln(1/gamma), until the integrand has fallen to 0."""
+    log_sv = {"logpow": lambda v: w.sv_param * math.log1p(v),
+              "expsqrt": lambda v: w.sv_param * math.sqrt(v)}[w.sv_kind]
+
+    def f(v):
+        log_u = math.log(c) + (1.0 - 2.0 * w.alpha) * v - 2.0 * log_sv(v)
+        return math.exp(-math.exp(min(log_u, 700.0)))
+
+    total, lo, width = 0.0, math.log(1.0 / w.gamma), 1.0
+    while not (f(lo) > 0.0 and f(lo + width) == 0.0):
+        total += quad(f, lo, lo + width, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        lo, width = lo + width, 2.0 * width
+    return total + quad(f, lo, lo + width, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
 class TestIntegralCondition:
     def test_constant_weight_value(self):
         # substitution u = 1/s turns the integral into E1(2); mpmath oracle
         target = float(mp.e1(2))
         entry = integral_condition(parse_weight("const:1"), [1.0], tol=1e-9)[0]
         assert entry.finite
-        assert entry.value == pytest.approx(target, abs=1e-6)
+        assert entry.value == pytest.approx(target, rel=1e-12)
 
     def test_power_weight_value(self):
         # substitution u = s^(-1/2) gives 2 E1(c / sqrt(gamma))
@@ -135,15 +154,74 @@ class TestIntegralCondition:
         target = 2.0 * float(mp.e1(1.0 / math.sqrt(w.gamma)))
         entry = integral_condition(w, [1.0], tol=1e-9)[0]
         assert entry.finite
-        assert entry.value == pytest.approx(target, abs=1e-7)
+        assert entry.value == pytest.approx(target, rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(alpha=st.floats(0.0, 0.4999), c=st.floats(0.01, 100.0))
+    @example(alpha=0.499, c=0.25).via("the value the old dyadic panels stopped short of")
+    @example(alpha=0.0, c=100.0).via("a value of 1e-89")
+    def test_pure_power_matches_the_exponential_integral(self, alpha, c):
+        # u = c s^(2 alpha - 1) turns the integral into E1(c gamma^(2 alpha - 1)) / (1 - 2 alpha)
+        w = WeightSpec(alpha)
+        a = mp.mpf(alpha)
+        target = mp.e1(c * mp.mpf(w.gamma) ** (2 * a - 1)) / (1 - 2 * a)
+        entry = integral_condition(w, [c])[0]
+        assert entry.finite
+        assert entry.value == pytest.approx(float(target), rel=1e-12)
+
+    @pytest.mark.parametrize("spec", ["pow:0:logpow:1", "pow:0.25:logpow:2", "pow:0.49:logpow:1",
+                                      "pow:0.2:expsqrt:0.5", "pow:0.4:expsqrt:2"])
+    def test_slowly_varying_factor_matches_scipy(self, spec):
+        w = parse_weight(spec)
+        for entry in integral_condition(w, [0.25, 1.0, 4.0]):
+            assert entry.finite
+            assert entry.value == pytest.approx(quad_in_v(w, entry.c), rel=1e-12)
 
     def test_boundary_weight_diverges(self):
+        # at alpha = 1/2 with L = 1 the integrand in v = ln(1/s) tends to exp(-c)
         w = WeightSpec(alpha=0.5, unchecked=True)
         entry = integral_condition(w, [1.0])[0]
         assert not entry.finite
+        assert entry.value == entry.error == math.inf
+
+    @pytest.mark.filterwarnings("ignore:unchecked weight violates")
+    @pytest.mark.parametrize("fields,finite", [
+        ((-1.0,), True),
+        ((0.5, "logpow", -1.0), True),
+        ((0.5, "expsqrt", -1.0), True),
+        ((0.5,), False),
+        ((0.5, "logpow", 0.0), False),
+        ((0.5, "logpow", 1.0), False),
+        ((0.7,), False),
+    ])
+    def test_unchecked_weights_are_classified_by_exponent_and_factor(self, fields, finite):
+        entries = integral_condition(WeightSpec(*fields, unchecked=True), [0.25, 1.0, 4.0])
+        assert [e.finite for e in entries] == [finite] * 3
+        for e in entries:
+            assert 0.0 < e.value < math.inf if finite else e.value == math.inf
+
+    def test_vanishing_log_power_is_fast_and_exact(self):
+        # at alpha = 1/2 with L = (1 + ln 1/s)^-0.1 the integrand is exp(-c (1 + v)^p) in
+        # v = ln(1/s), p = 0.2, so the integral is (1/p) c^(-1/p) Gamma(1/p, c (1 + v0)^p),
+        # v0 = ln 4; at c = 0.25 it is about 1.2e5, and its panels reach v = 2e17
+        w = WeightSpec(0.5, "logpow", -0.1, unchecked=True)
+        start = time.perf_counter()
+        entries = integral_condition(w, [0.25, 1.0, 4.0])
+        assert time.perf_counter() - start < 1.0
+        p, v0 = mp.mpf("0.2"), mp.log(4)
+        for e in entries:
+            c = mp.mpf(e.c)
+            target = mp.gammainc(1 / p, c * (1 + v0) ** p) * c ** (-1 / p) / p
+            assert e.finite
+            assert e.value == pytest.approx(float(target), rel=1e-12)
+
+    def test_value_past_the_doubles_is_inf(self):
+        # with L = (1 + ln 1/s)^-0.001 the integrand in v is exp(-0.25 (1 + v)^0.002), still
+        # about 0.36 at v = 1e308: a finite integral that no double holds
+        entry = integral_condition(WeightSpec(0.5, "logpow", -1e-3, unchecked=True), [0.25])[0]
+        assert entry.finite and entry.value == entry.error == math.inf
 
     def test_subnormal_window_diverges_without_warning(self):
-        # near s = 1e-310 the integrand overflows to inf, its right value for alpha > 1/2;
         # pytest turns a RuntimeWarning into a failure
         w = WeightSpec(alpha=0.6, gamma=1e-310, unchecked=True)
         entries = integral_condition(w, [0.25, 1.0, 4.0])
@@ -176,6 +254,11 @@ class TestIntegralCondition:
     def test_rejects_c_values_out_of_range(self, c):
         with pytest.raises(DomainError, match="positive and finite"):
             integral_condition(parse_weight("const:1"), [1.0, c])
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_rejects_a_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            integral_condition(parse_weight("const:1"), [1.0], tol=tol)
 
 
 class TestDyadicSum:
