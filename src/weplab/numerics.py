@@ -333,7 +333,7 @@ _PANEL_ORDER = 20
 def gl_panel(f, lo: float, hi: float) -> float:
     """The 20-point Gauss-Legendre sum of ``f`` over [lo, hi]; ``f`` takes an array."""
     x, w = _LEGGAUSS[_PANEL_ORDER]
-    half = 0.5 * (hi - lo)
+    half = 0.5 * (hi - lo)  # not (hi + lo) / 2: a panel end may lie near the largest double
     vals = np.asarray(f(lo + half + half * x), dtype=float)
     return float(half * np.sum(w * vals))
 

@@ -259,15 +259,16 @@ class TestExitCodes:
         assert run_cli("rerun", "--manifest", str(manifest)) == 2
         assert named in capsys.readouterr().err
 
-    # some input fails each gate: the integral diverges for a weight at the theorem's
-    # exponent 1/2, and lambda^2 P(sup_t w(X_t) > lambda) grows in lambda for a weight
+    # some input fails each gate: the integral diverges for a weight at or beyond the
+    # theorem's exponent 1/2, and lambda^2 P(sup_t w(X_t) > lambda) grows in lambda for a weight
     # beyond it, or on 129 independent times, whose sup w(X_t) exceeds 5 with
     # probability 0.999 under pow:0.45; const:1 (w = 1, the case of Kuelbs, Kurtz and
     # Zinn) and pow:0.25 pass the same check on the same process
     @pytest.mark.filterwarnings("ignore:unchecked weight violates")
     @pytest.mark.parametrize("check,model,weight,code", [
-        *[("integral", None, weight, 0) for weight in ("const:1", "pow:0.25", "pow:0.499")],
-        ("integral", None, "pow:0.5 --unchecked", 1),
+        *[("integral", None, weight, 0)
+          for weight in ("const:1", "pow:0.25", "pow:0.499", "pow:0.49:logpow:1")],
+        *[("integral", None, f"{weight} --unchecked", 1) for weight in ("pow:0.5", "pow:0.7")],
         *[("envelope", model, weight, 0)
           for model in ("bm-copula", "iid-time") for weight in ("const:1", "pow:0.25")],
         ("envelope", "bm-copula", "pow:0.7 --unchecked", 1),
