@@ -515,20 +515,3 @@ def joint_cdf_matrix(model: ProcessModel, cells: Sequence[tuple[float, float]]) 
         out[i, j] = vals
         out[j, i] = vals
     return out
-
-
-def envelope_statistics(grid: TimeGrid, n: int, seed: int, workers: int = 1,
-                        stream: int = parallel.STREAM_PATHS) -> float:
-    """The mean over n paths of the grid maximum of B_t / sqrt(t).
-
-    It keeps the bm-copula's path maxima of the score, 8 bytes a path (160 KB
-    at the 20,000 paths of ``envelope``), and sums them per seeding block in
-    fixed tree order, so the float sums do not depend on the path slices
-    ``map_path_blocks`` hands over.
-    """
-    if n < 1000:
-        raise DomainError("envelope statistics need n >= 1000")
-    sup = np.concatenate(map_path_blocks(ProcessModel(BM_COPULA), grid, n, seed,
-                                         lambda scores: [scores.max(axis=0)], workers, stream))
-    blocks = np.split(sup, range(parallel.BLOCK_SIZE, n, parallel.BLOCK_SIZE))
-    return float(parallel.tree_reduce((np.sum(b) for b in blocks), operator.add) / n)

@@ -25,6 +25,9 @@ from .errors import ConfigError
 BLOCK_SIZE = 4096
 
 # Stream tags keep independent purposes on disjoint substreams of one seed.
+# Only the proof-lemma tests draw from STREAM_CALIBRATION, for their sup and
+# increment means.  Its value stays reserved: no other purpose may take it,
+# and renumbering the tags would move the bytes of the streams they tag.
 STREAM_PATHS = 0
 STREAM_RANDOMIZER = 1
 STREAM_LIMIT = 2

@@ -146,9 +146,6 @@ class TestExitCodes:
         ("verify", "wl", "--model", "bm-copula", "--n", "10", "--b", "inf"),
         # sizes are checked once, also where a command clamps or ignores them
         ("verify", "integral", "--weight", "pow:0.25", "--n", "-1", "--time-points", "17"),
-        # envelope's cross-check needs 1000 paths for its scaled-path sup mean
-        ("verify", "envelope", "--model", "bm-copula", "--weight", "pow:0.25", "--n", "500",
-         "--time-points", "17", "--workers", "1"),
         ("verify", "integral", "--n", "0"),
         ("verify", "integral", "--time-points", "1"),
         ("simulate", "--model", "bm-copula", "--n", "10", "--seed", "-1"),

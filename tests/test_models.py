@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from weplab import models, parallel
 from weplab.errors import DomainError
-from weplab.models import (TimeGrid, envelope_statistics, joint_cdf_matrix, map_path_blocks,
-                           map_replications, parse_model, to_uniform)
+from weplab.models import (TimeGrid, joint_cdf_matrix, map_path_blocks, map_replications,
+                           parse_model, to_uniform)
 from weplab.numerics import (bvn_cdf, ks_statistic_one_sample, std_normal_cdf,
                              std_normal_quantile)
 
@@ -523,16 +523,3 @@ class TestRhoMetric:
         for theta in (4.0, float("nan")):
             with pytest.raises(DomainError):
                 rho_metric(1.0, 1.5, theta)
-
-
-class TestEnvelopeStatistics:
-    def test_needs_sample_size(self):
-        with pytest.raises(DomainError):
-            envelope_statistics(TimeGrid.uniform(), 100, 1)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pinned_on_path_slices(self, workers):
-        # on 129 times the five seeding blocks of 20,000 paths reach the sampler's consumer
-        # in 1,024-path slices, the last block's 3,616 cut at 1,024, 2,048 and 3,072; the
-        # float sums still run over whole blocks
-        assert envelope_statistics(TimeGrid.uniform(), 20_000, 5, workers) == 0.606301931853156

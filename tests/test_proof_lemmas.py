@@ -6,7 +6,9 @@ the raw path it is read back as B_t = score * sqrt(t).
 Borell's concentration of the scaled-path sup, the forward-increment envelope
 (lemma M), the one-sided crossing bound (lemma L) and the two-sided crossing
 bounds (d1, d2) read no process and no weight, so no input to ``weplab
-verify`` could fail them: they test the sampler.  The chaining bound on
+verify`` could fail them: they test the sampler.  Borell's bound is also
+asserted at the radius of the low tail min_t X_t <= 1e-4, where taking the
+sup mean the wrong way fails it.  The chaining bound on
 level-interval crossings and the inequality d_G0^2 <= 2 d^2 + 4 L rho^2 read
 both, but take their constant L from the crossing sweep of the same sample,
 so a process that crosses often raises its own bound: they are tests on the
@@ -41,6 +43,11 @@ GRID = TimeGrid.uniform()
 SQRT_T = np.sqrt(GRID.points)[:, None]
 MC_SIGMA = 3.0
 
+# the bm-copula's low tail min_t X_t <= x0 is the event sup_t -B_t/sqrt(t) >= -Phi^-1(x0):
+# Borell's event at radius r0 = -Phi^-1(x0) - m, after the manifest's radii
+LOW_TAIL_X0 = 1e-4
+BORELL_RADII = [*MANIFEST["borell"]["r_values"], "r0"]
+
 # lemma L probes (t, eps, l) and d1/d2 probes (t, eps, x); eps is lemma L's forward
 # window (t, t + eps] and the d1/d2 ball's time radius
 LEMMA_L_PROBES = [tuple(p) for p in MANIFEST["lemma_l"]["probes"]]
@@ -71,19 +78,25 @@ def forward_indices(grid, t, eps):
 
 @functools.cache
 def borell(workers):
-    """The sup mean m of -B_t/sqrt(t) on the calibration stream, and per manifest r the
-    number of paths whose sup reaches m + r."""
+    """The sup mean m of -B_t/sqrt(t) on the calibration stream, and the number of paths
+    whose sup reaches m + r, per manifest r, then -Phi^-1(LOW_TAIL_X0) (radius r0)."""
     n = MANIFEST["borell"]["n"]
     total = map_path_blocks(BM, GRID, n, SEED, lambda scores: np.sum(np.max(-scores, axis=0)),
                             workers, stream=parallel.STREAM_CALIBRATION)
     m_hat = total / n
+    levels = [m_hat + r for r in MANIFEST["borell"]["r_values"]]
+    levels.append(-std_normal_quantile(LOW_TAIL_X0))
 
     def exceed(scores):
         sup = np.max(-scores, axis=0)
-        return np.array([np.count_nonzero(sup >= m_hat + r)
-                         for r in MANIFEST["borell"]["r_values"]])
+        return np.array([np.count_nonzero(sup >= level) for level in levels])
 
     return m_hat, map_path_blocks(BM, GRID, n, SEED, exceed, workers)
+
+
+def borell_radius(r, m_hat):
+    """A manifest radius r as it is, and "r0" as -Phi^-1(LOW_TAIL_X0) - m."""
+    return -std_normal_quantile(LOW_TAIL_X0) - m_hat if r == "r0" else r
 
 
 @functools.cache
@@ -170,12 +183,22 @@ def chaining_bound(probe, l_const):
     return DYADIC_RATIO * l_const * eps ** 2 / W(b) ** 2 + (b - a)
 
 
-@pytest.mark.parametrize("r", MANIFEST["borell"]["r_values"])
+@pytest.mark.parametrize("r", BORELL_RADII)
 def test_borell_concentration(r):
     n = MANIFEST["borell"]["n"]
-    _m_hat, counts = borell(1)
-    p = counts[MANIFEST["borell"]["r_values"].index(r)] / n
+    m_hat, counts = borell(1)
+    p = counts[BORELL_RADII.index(r)] / n
+    r = borell_radius(r, m_hat)
     assert p <= math.exp(-r * r / 2.0) + MC_SIGMA * freq_stderr(p, n)
+
+
+def test_borell_concentration_fails_with_the_mean_shift_reversed():
+    # at r0 the sup reaches -Phi^-1(x0) = m + r0; the radius r0 + 2m measures it from -m
+    n = MANIFEST["borell"]["n"]
+    m_hat, counts = borell(1)
+    p = counts[BORELL_RADII.index("r0")] / n
+    r = borell_radius("r0", m_hat) + 2.0 * m_hat
+    assert p > math.exp(-r * r / 2.0) + MC_SIGMA * freq_stderr(p, n)
 
 
 def test_only_windows_holding_a_grid_time_are_evaluated():

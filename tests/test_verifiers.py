@@ -179,12 +179,6 @@ class TestEnvelope:
         with pytest.raises(DomainError, match="distinct, positive and finite"):
             envelope_check(bm, w_quarter, lambdas=lambdas, n=2000, seed=PINNED_SEED)
 
-    def test_analytic_cross_check_present_for_bm(self):
-        rep = envelope_check(bm, w_quarter, n=50_000, seed=PINNED_SEED)
-        cross = [p for p in rep.probes if "cross_check_x0" in p.coords]
-        assert len(cross) == 1 and cross[0].passed
-        assert cross[0].bound > 0
-
 
 class TestMonteCarloScaling:
     def test_doubling_n_halves_stderr(self):
