@@ -97,7 +97,7 @@ VERIFY_DIGESTS = {
     "wl": (0, "913fc43f63386f1a889592db3ef5481908147a5b6c431ae54563e8cad0c84cd6"),
     "l-cond": (0, "85162fec92659fccde884f71cce648fe835f262d2ce3dc24abdf988df8fface3"),
     "integral": (0, "8af3de116d820a77bc5709cd65970f582b9e36d892dcce5362ced6e8770930f0"),
-    "envelope": (0, "4b309fc2a15834c75ecb81e1c19aabefd491495872819ac75ac0984478dbb32b"),
+    "envelope": (0, "77f947b62db60dc2d3f5d005ceb2d8252e0137cd338ded59d605b851be977322"),
 }
 
 
