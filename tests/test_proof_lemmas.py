@@ -43,9 +43,9 @@ GRID = TimeGrid.uniform()
 SQRT_T = np.sqrt(GRID.points)[:, None]
 MC_SIGMA = 3.0
 
-# the bm-copula's low tail min_t X_t <= x0 is the event sup_t -B_t/sqrt(t) >= -Phi^-1(x0):
-# Borell's event at radius r0 = -Phi^-1(x0) - m, after the manifest's radii
-LOW_TAIL_X0 = 1e-4
+# the bm-copula's low tail min_t X_t <= 1e-4 is the event sup_t -B_t/sqrt(t) >= LOW_TAIL_SUP:
+# Borell's event at radius r0 = LOW_TAIL_SUP - m, an input after the manifest's radii
+LOW_TAIL_SUP = -std_normal_quantile(1e-4)
 BORELL_RADII = [*MANIFEST["borell"]["r_values"], "r0"]
 
 # lemma L probes (t, eps, l) and d1/d2 probes (t, eps, x); eps is lemma L's forward
@@ -79,24 +79,18 @@ def forward_indices(grid, t, eps):
 @functools.cache
 def borell(workers):
     """The sup mean m of -B_t/sqrt(t) on the calibration stream, and the number of paths
-    whose sup reaches m + r, per manifest r, then -Phi^-1(LOW_TAIL_X0) (radius r0)."""
+    whose sup reaches m + r, per manifest r, then LOW_TAIL_SUP (radius r0)."""
     n = MANIFEST["borell"]["n"]
     total = map_path_blocks(BM, GRID, n, SEED, lambda scores: np.sum(np.max(-scores, axis=0)),
                             workers, stream=parallel.STREAM_CALIBRATION)
     m_hat = total / n
-    levels = [m_hat + r for r in MANIFEST["borell"]["r_values"]]
-    levels.append(-std_normal_quantile(LOW_TAIL_X0))
+    levels = [m_hat + r for r in MANIFEST["borell"]["r_values"]] + [LOW_TAIL_SUP]
 
     def exceed(scores):
         sup = np.max(-scores, axis=0)
         return np.array([np.count_nonzero(sup >= level) for level in levels])
 
     return m_hat, map_path_blocks(BM, GRID, n, SEED, exceed, workers)
-
-
-def borell_radius(r, m_hat):
-    """A manifest radius r as it is, and "r0" as -Phi^-1(LOW_TAIL_X0) - m."""
-    return -std_normal_quantile(LOW_TAIL_X0) - m_hat if r == "r0" else r
 
 
 @functools.cache
@@ -188,16 +182,17 @@ def test_borell_concentration(r):
     n = MANIFEST["borell"]["n"]
     m_hat, counts = borell(1)
     p = counts[BORELL_RADII.index(r)] / n
-    r = borell_radius(r, m_hat)
+    if r == "r0":
+        r = LOW_TAIL_SUP - m_hat
     assert p <= math.exp(-r * r / 2.0) + MC_SIGMA * freq_stderr(p, n)
 
 
 def test_borell_concentration_fails_with_the_mean_shift_reversed():
-    # at r0 the sup reaches -Phi^-1(x0) = m + r0; the radius r0 + 2m measures it from -m
+    # the sup reaches LOW_TAIL_SUP = m + r0; the radius r0 + 2m measures it from -m
     n = MANIFEST["borell"]["n"]
     m_hat, counts = borell(1)
     p = counts[BORELL_RADII.index("r0")] / n
-    r = borell_radius("r0", m_hat) + 2.0 * m_hat
+    r = LOW_TAIL_SUP + m_hat
     assert p > math.exp(-r * r / 2.0) + MC_SIGMA * freq_stderr(p, n)
 
 
