@@ -175,6 +175,12 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
         assert "weplab: error:" in capsys.readouterr().err
 
+    def test_envelope_runs_below_a_thousand_paths(self, tmp_path):
+        # no row of the envelope report needs a minimum sample size
+        assert run_cli("verify", "envelope", "--model", "bm-copula", "--weight", "pow:0.25",
+                       "--n", "500", "--time-points", "17", "--workers", "1",
+                       "--out", str(tmp_path / "r.json")) == 0
+
     @pytest.mark.parametrize("argv,named", [
         (("clt", "sup", "--times", "1,1"), "repeated time: 1.0"),
         (("clt", "sup", "--levels", "0.3,0.5,0.3"), "repeated level: 0.3"),

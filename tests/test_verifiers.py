@@ -168,6 +168,20 @@ class TestEnvelope:
         trends = [p for p in rep.probes if "trend" in p.coords]
         assert len(trends) == 2 and all(p.passed for p in trends)
 
+    @pytest.mark.parametrize("model", [bm, iid], ids=["bm-copula", "iid-time"])
+    def test_rows_are_the_lambdas_and_their_trends(self, model):
+        # every row reads the weight: the bm-copula gets no row of its own
+        rep = envelope_check(model, w_quarter, n=5000, seed=PINNED_SEED)
+        assert [p.coords for p in rep.probes] == [
+            {"lambda": 5.0}, {"lambda": 10.0}, {"lambda": 20.0},
+            {"trend": "5->10"}, {"trend": "10->20"}]
+
+    def test_same_rows_at_one_and_two_workers(self):
+        # 20,000 paths on 129 times span five seeding blocks, handed over in path slices
+        reps = [envelope_check(bm, w_quarter, n=20_000, seed=PINNED_SEED, workers=workers)
+                for workers in (1, 2)]
+        assert reps[0].probes == reps[1].probes
+
     @pytest.mark.parametrize("lambdas", [(5.0, 10.0, math.nan), (5.0, 10.0, math.inf),
                                          (5.0, 10.0, -1.0), (0.0, 5.0, 10.0),
                                          (5.0, 10.0, 10.0)])
