@@ -92,6 +92,8 @@ class RunConfig:
             raise ConfigError(f"need --n >= 1, --time-points in [2, {MAX_TIME_POINTS}], "
                               "--level-points >= 1, --reps >= 1, --workers >= 0, --seed >= 0 "
                               "and --clip in (0, 0.5)")
+        if not 1.0 - self.clip < 1.0:  # from 2^-54 down
+            raise ConfigError(f"--clip {self.clip!r} is too small: 1 - clip rounds to 1")
         try:
             self.parsed_weight = parse_weight(self.weight, self.gamma, self.unchecked)
             self.parsed_model = None if self.model is None else parse_model(self.model)
@@ -189,13 +191,23 @@ def _sampling(cfg: RunConfig) -> dict:
     return {"n": cfg.n, "seed": cfg.seed, "grid": cfg.time_grid, "workers": cfg.worker_count}
 
 
+def _probing(cfg: RunConfig, times, source: str) -> dict:
+    """``_sampling(cfg)``, or a ConfigError naming ``source`` if a probe time is off the grid."""
+    try:
+        for t in times:
+            cfg.time_grid.index_of(t)
+    except DomainError as exc:
+        raise ConfigError(f"{source}: {exc} (--time-points, --a, --b)") from None
+    return _sampling(cfg)
+
+
 # each check takes the ``verifiers`` module, which run_command loads for ``verify`` alone
 CHECKS = {
     "wl": lambda v, cfg: v.wl_estimate(cfg.model_spec(), cfg.parsed_weight, cfg.theta,
-                                       **_sampling(cfg)),
+                                       **_probing(cfg, v.DEFAULT_WL_T, "wl's built-in probes")),
     "l-cond": lambda v, cfg: v.l_condition_estimate(cfg.model_spec(), cfg.theta,
                                                     [(cfg.t, e) for e in (0.55, 0.7, 1.1)],
-                                                    **_sampling(cfg)),
+                                                    **_probing(cfg, [cfg.t], "--t")),
     "integral": lambda v, cfg: v.integral_check(cfg.parsed_weight, cfg.c_list, cfg.seed),
     "envelope": lambda v, cfg: v.envelope_check(cfg.model_spec(), cfg.parsed_weight,
                                                 **_sampling(cfg)),

@@ -2,7 +2,7 @@
 
 Per cell, the field is w(y) (count(X_i(t) <= y) - n y) / sqrt(n), formed by
 ``field_values`` alone, for one run and for each CLT replication.  Indicator
-counts are integers per block, added by the sampler in fixed order, so every
+counts are integers per block, added by the sampler in stream order, so every
 field value is exact in the counts and bit-for-bit reproducible across worker
 counts and path partitions.  Indicator ties are resolved by <= exactly as
 written; implemented models produce continuous values almost surely.

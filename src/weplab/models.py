@@ -18,7 +18,7 @@ applies the Phi transform; ``level_kernel`` decides X_t <= y on native rows
 without it.  The two samplers share one block filler and hand back finished
 results, folded as they stream, so memory does not grow with n:
 ``map_path_blocks`` streams the paths of one run and adds its consumer's
-per-batch results with ``+`` in fixed tree order; ``map_replications``
+per-batch results with ``+`` in stream order; ``map_replications``
 streams many replications, adds each one's results over its path slices and
 yields them a batch at a time, in replication order.  A consumer that needs
 the raw Brownian path reads it as B_t = score * sqrt(t).
@@ -109,7 +109,8 @@ class TimeGrid:
         """Index of a grid time, matched within 1e-9; a NaN time matches none."""
         idx = int(np.argmin(np.abs(self.points - t)))
         if not abs(float(self.points[idx]) - t) <= 1e-9:
-            raise DomainError(f"time {t} is not on the grid")
+            raise DomainError(f"time {t} is not on the grid of {len(self)} times from "
+                              f"{self.a} to {self.b}")
         return idx
 
     def ball_indices(self, t: float, radius: float) -> np.ndarray:
@@ -252,7 +253,7 @@ def to_uniform(model: ProcessModel, block: np.ndarray) -> np.ndarray:
 
 def _stream(model: ProcessModel, grid: TimeGrid, n: int, seed: int, stream: int,
             keys: np.ndarray, fn: Callable, workers: int):
-    """fn's results on n paths per key, summed in tree order per key or per batch of keys.
+    """fn's results on n paths per key, summed in stream order per key or per batch of keys.
 
     Block j of the replication of key row ``k`` of the integer array ``keys``
     draws from (seed, stream, *k, j).
@@ -261,7 +262,8 @@ def _stream(model: ProcessModel, grid: TimeGrid, n: int, seed: int, stream: int,
     of whole replications; a wider one comes in batches of whole seeding
     blocks, or in block-aligned path slices of a wider block, as many as the
     power of two that brings each nearest ``_SLICE_VALUES``, and so at most
-    sqrt(2) times it.  So ``fn``'s results must add up over path slices.
+    sqrt(2) times it.  So ``fn``'s results must add up over path slices,
+    exactly (integer counts); they are added in stream order, never in place.
     """
     m, size, blocks = len(grid), parallel.BLOCK_SIZE, parallel.iter_blocks(n)
     words = _block_seeds(model, seed, stream,
@@ -296,7 +298,7 @@ def _stream(model: ProcessModel, grid: TimeGrid, n: int, seed: int, stream: int,
 
     done = parallel.map_blocks(job, len(jobs), workers, block_size=1)
     for _key, group in itertools.groupby(done, key=operator.itemgetter(0)):
-        yield parallel.tree_reduce((r for _, results in group for r in results), operator.add)
+        yield functools.reduce(operator.add, (r for _, results in group for r in results))
 
 
 def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
@@ -308,9 +310,9 @@ def map_path_blocks(model: ProcessModel, grid: TimeGrid, n: int, seed: int,
     ``fn`` gets time-major (times x paths) native arrays, which it may modify
     in place: batches of whole seeding blocks, or path slices of a wider
     block (``_stream``).  Block j draws from (seed, stream, *extra_key, j),
-    so the values are the same for every worker count, and so is the sum of
-    ``fn``'s results in fixed tree order, if they are exact under any path
-    partition.
+    so the values are the same for every worker count.  ``fn``'s results
+    must be exact under any path partition (integer counts); they are added
+    in stream order, so their sum is the same for every worker count too.
     """
     if n < 1:
         raise DomainError("need n >= 1 paths")

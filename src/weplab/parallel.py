@@ -5,9 +5,9 @@ replications).  Block ``j`` of a run draws from its own PCG64 generator
 seeded as by ``SeedSequence((seed, stream, *key, j))``, with the words of all
 of a sampler's blocks derived in one vectorized pass (``seed_words``).  So the
 values of a block depend only on the run seed and the block index, never on
-which worker ran it or how many did.  Partial results are merged in fixed
-pairwise-tree order over the block index, as they stream in, which makes
-every reduction bit-for-bit reproducible across worker counts.
+which worker ran it or how many did.  The samplers add their consumers'
+results, integer counts exact under any path partition, in the block order in
+which ``map_blocks`` yields them at every worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import collections
 import functools
 import os
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -141,25 +141,3 @@ def map_blocks(fn: Callable[[int, int, int], object], n: int, workers: int = 1,
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
-
-
-def tree_reduce(items: Iterable, op: Callable) -> object:
-    """Reduce items pairwise in fixed tree order over the index, as they arrive.
-
-    ``op`` must be a binary merge.  The tree is the level-by-level pairwise
-    one, whose shape depends only on the number of items, so rounding cannot
-    depend on worker scheduling.  A stack merges two partial results of equal
-    rank as soon as both exist, so it holds O(log len) of them.
-    """
-    stack: list[tuple[int, object]] = []
-    for item in items:
-        rank = 0
-        while stack and stack[-1][0] == rank:
-            item, rank = op(stack.pop()[1], item), rank + 1
-        stack.append((rank, item))
-    if not stack:
-        raise ValueError("cannot reduce an empty sequence")
-    result = stack.pop()[1]
-    while stack:
-        result = op(stack.pop()[1], result)
-    return result

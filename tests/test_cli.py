@@ -206,6 +206,13 @@ class TestExitCodes:
         (("verify", "integral", "--gamma", "inf"), "--gamma"),
         # flags are parsed by RunConfig, as config files and manifests are
         (("verify", "wl", "--n", "3000.5"), "weplab: error: bad value for --n"),
+        # from 2^-54 down, the top level 1 - clip rounds to 1
+        (("simulate", "--model", "bm-copula", "--n", "10", "--clip", "1e-17"),
+         "weplab: error: --clip 1e-17 is too small: 1 - clip rounds to 1"),
+        # 4 times from 1 to 2 leave out the probe time 1.5, which the user did not give
+        *[(("verify", check, "--model", "bm-copula", "--time-points", "4"),
+           f"weplab: error: {source}: time 1.5 is not on the grid of 4 times from 1.0 to 2.0")
+          for check, source in [("wl", "wl's built-in probes"), ("l-cond", "--t")]],
     ])
     def test_config_out_of_range_names_the_flag(self, tmp_path, capsys, argv, named):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2

@@ -172,7 +172,7 @@ class TestOracle:
                              ids=["popcount", "sort"])
     @pytest.mark.parametrize("shape", [(3, 50), (2, 3, 50)])
     def test_counts_hold_only_their_own_bytes(self, shape, k):
-        # the counts a sampler keeps until its tree reduce must not pin the search array
+        # the counts a sampler keeps as its partial total must not pin the search array
         counts = level_kernel(BM, np.linspace(0.2, 0.8, k)).count(
             np.random.default_rng(1).standard_normal(shape))
         root = counts

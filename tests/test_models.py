@@ -1,5 +1,6 @@
 """Process models: marginals, joint CDFs, determinism, the scaled-path sup mean."""
 
+import functools
 import math
 import re
 
@@ -321,16 +322,25 @@ class TestAtomicSampler:
 
 class TestMergeOrder:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_block_results_are_added_in_tree_order(self, workers):
-        # five blocks make an unbalanced tree, which a left fold adds in another order,
-        # rounding these float column sums differently; digests pin them on 17 points only.
+    def test_block_results_are_added_in_stream_order(self, workers):
+        # float column sums round by the order of their additions, so the sampler's
+        # total is the left fold of its results in block order at every worker count.
         # On 33 times each call is one whole block
         model, grid = parse_model("bm-copula"), TimeGrid.uniform(1, 2, 33)
         n = 4 * parallel.BLOCK_SIZE + 17
-        got = map_path_blocks(model, grid, n, 5, lambda v: v.sum(axis=1), workers)
+        returned = []
+
+        def column_sums(v):
+            sums = v.sum(axis=1)
+            returned.append(sums)
+            return sums
+
+        got = map_path_blocks(model, grid, n, 5, column_sums, workers)
         parts = map_path_blocks(model, grid, n, 5, lambda v: [v.sum(axis=1)], workers)
         assert len(parts) == 5
-        assert np.array_equal(got, parallel.tree_reduce(parts, np.add))
+        assert np.array_equal(got, functools.reduce(np.add, parts))
+        # never added in place: every array the consumer returned still holds its own sum
+        assert sorted(a.tobytes() for a in returned) == sorted(p.tobytes() for p in parts)
 
 
 def replications_by_block(model, grid, n, reps, seed):

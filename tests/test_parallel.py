@@ -71,41 +71,6 @@ def test_samplers_build_no_seed_sequence(monkeypatch):
     assert np.concatenate(list(sample_limit_field(limit, 5000, 3))).shape == (5000, 2)
 
 
-def level_by_level(items):
-    """The pairwise tree of ``items``, built one level at a time, as a parenthesized string."""
-    level = list(items)
-    while len(level) > 1:
-        paired = [f"({a} {b})" for a, b in zip(level[::2], level[1::2])]
-        level = paired + level[len(paired) * 2:]
-    return level[0]
-
-
-def test_streaming_tree_reduce_builds_the_level_by_level_tree():
-    for n in range(1, 601):
-        items = (str(i) for i in range(n))
-        assert parallel.tree_reduce(items, lambda a, b: f"({a} {b})") == level_by_level(
-            map(str, range(n)))
-    with pytest.raises(ValueError):
-        parallel.tree_reduce(iter(()), lambda a, b: a)
-
-
-def test_tree_reduce_holds_logarithmically_many_partials():
-    merges, held = [0], []
-
-    def items():
-        for i in range(1000):
-            held.append(i - merges[0])  # partial results held as item i arrives
-            yield i
-
-    def merge(a, b):
-        merges[0] += 1
-        return a + b
-
-    assert parallel.tree_reduce(items(), merge) == sum(range(1000))
-    # a binary counter: one partial per set bit of i, so at most 9 below 1000
-    assert held == [bin(i).count("1") for i in range(1000)]
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_map_blocks_yields_in_block_order_with_bounded_flight(workers):
     lock, started, consumed, most = threading.Lock(), [0], [0], [0]
