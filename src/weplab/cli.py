@@ -3,8 +3,9 @@
 Three commands: ``simulate`` writes an empirical-field CSV, ``verify``
 runs one named checker and writes a JSON report, ``clt`` runs a convergence
 harness and writes a JSON report and a per-replication CSV.  This module
-only parses, dispatches and writes: every check is built in ``verifiers``
-and every harness in ``weplab.clt``.  Checks and CLT modes are dispatched
+only parses, dispatches and writes: every check is built in ``verifiers``,
+every harness in ``weplab.clt`` and every field in ``weplab.engine``, and
+``write_csv`` writes every CSV.  Checks and CLT modes are dispatched
 from one table each (``CHECKS``, ``CLT``) of direct library calls, and every
 command, typed or replayed, runs through ``run_command``, which loads
 ``verifiers`` for a ``verify`` check alone.  Each check tests a hypothesis
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import __version__, parallel
 from .clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
-from .engine import evaluate_field_streaming, export_field_csv
+from .engine import evaluate_field_streaming
 from .errors import ConfigError, DomainError, WeplabError
 from .models import ProcessModel, TimeGrid, parse_model
 from .weights import parse_weight
@@ -240,10 +241,10 @@ def write_json(obj: dict, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def write_csv(columns: dict, path: str) -> None:
-    """One row per entry of the columns, under a header of their names, written a row at a time."""
+def write_csv(columns: dict, path: str, comments=(f"weplab clt v{__version__}",)) -> None:
+    """One row per entry of the columns, a row at a time, under ``# `` comments and their names."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# weplab clt v{__version__}\n{','.join(columns)}\n")
+        fh.writelines([*(f"# {line}\n" for line in comments), ",".join(columns) + "\n"])
         fh.writelines(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                                for v in row) + "\n"
                       for row in zip(*columns.values()))
@@ -312,23 +313,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _simulate(cfg: RunConfig, out: str) -> int:
-    levels = np.linspace(cfg.clip, 1.0 - cfg.clip, cfg.level_points)
-    model, grid, w = cfg.model_spec(), cfg.time_grid, cfg.parsed_weight
-    values = evaluate_field_streaming(model, grid, levels, w, cfg.n, cfg.seed, cfg.worker_count)
-    export_field_csv(values, grid, levels, out, model, w, cfg.n, cfg.seed)
-    return 0
-
-
 def run_command(command: str, sub: Optional[str], cfg: RunConfig, outputs: dict) -> int:
     """Run one command and write its outputs; returns the exit code.
 
     ``verify`` and ``clt`` write the report JSON, stamped with the command's
-    wall time in ``wall_ms``; ``clt`` also writes the per-replication CSV.
+    wall time in ``wall_ms``; ``simulate`` writes the field CSV and ``clt`` the
+    per-replication CSV, both through ``write_csv``.
     """
     t0 = time.monotonic()
     if command == "simulate":
-        return _simulate(cfg, outputs.get("out", "field.csv"))
+        model, grid, w = cfg.model_spec(), cfg.time_grid, cfg.parsed_weight
+        levels = np.linspace(cfg.clip, 1.0 - cfg.clip, cfg.level_points)
+        nu = evaluate_field_streaming(model, grid, levels, w, cfg.n, cfg.seed, cfg.worker_count)
+        write_csv({"t": (t for t in grid.points for _ in levels),
+                   "y": (y for _ in grid.points for y in levels), "nu": nu.flat},
+                  outputs.get("out", "field.csv"),
+                  ("weplab field v1", f"n={cfg.n} seed={cfg.seed} model={model.describe()} "
+                                      f"weight={w.describe()}"))
+        return 0
     if command == "verify" and sub in CHECKS:
         from . import verifiers  # the largest module: simulate and clt never load it
         report, columns = CHECKS[sub](verifiers, cfg), None

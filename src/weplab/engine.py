@@ -5,7 +5,8 @@ Per cell, the field is w(y) (count(X_i(t) <= y) - n y) / sqrt(n), formed by
 counts are integers per block, added by the sampler in stream order, so every
 field value is exact in the counts and bit-for-bit reproducible across worker
 counts and path partitions.  Indicator ties are resolved by <= exactly as
-written; implemented models produce continuous values almost surely.
+written; implemented models produce continuous values almost surely.  The
+module returns arrays and opens no file: ``weplab.cli`` writes every CSV.
 """
 
 from __future__ import annotations
@@ -112,17 +113,3 @@ def covariance_from_joint(joint: np.ndarray, cells: Sequence[tuple[float, float]
         np.multiply(wv[i] * wv, joint[i], out=row)
         row -= wy[i] * wy
     return cov
-
-
-def export_field_csv(values: np.ndarray, grid: TimeGrid, levels: Sequence[float], path: str,
-                     model: ProcessModel, w: WeightSpec, n: int, seed: int) -> None:
-    """CSV rows t,y,nu of field ``values`` with a header comment recording the run.
-
-    Rows are written one at a time, so the text of the whole file is never held.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# weplab field v1\n"
-                 f"# n={n} seed={seed} model={model.describe()} weight={w.describe()}\n"
-                 "t,y,nu\n")
-        fh.writelines(f"{float(t)!r},{float(y)!r},{float(values[i, j])!r}\n"
-                      for i, t in enumerate(grid.points) for j, y in enumerate(levels))

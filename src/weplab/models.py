@@ -106,16 +106,16 @@ class TimeGrid:
         return TimeGrid(np.sort(np.concatenate([pts, mids])))
 
     def index_of(self, t: float) -> int:
-        """Index of a grid time, matched within 1e-9; a NaN time matches none."""
+        """Index of a grid time, matched within 1e-9 b (b the last time); NaN matches none."""
         idx = int(np.argmin(np.abs(self.points - t)))
-        if not abs(float(self.points[idx]) - t) <= 1e-9:
+        if not abs(float(self.points[idx]) - t) <= 1e-9 * self.b:
             raise DomainError(f"time {t} is not on the grid of {len(self)} times from "
                               f"{self.a} to {self.b}")
         return idx
 
     def ball_indices(self, t: float, radius: float) -> np.ndarray:
-        """Grid indices with |s - t| <= radius, with a relative slack guard."""
-        r = radius * (1.0 + 1e-9) + 1e-15
+        """Grid indices with |s - t| <= radius (1 + 1e-9) + 1e-15 b, b the last time."""
+        r = radius * (1.0 + 1e-9) + 1e-15 * self.b
         return np.flatnonzero(np.abs(self.points - t) <= r)
 
 
@@ -469,6 +469,8 @@ def level_kernel(model: ProcessModel, levels: Sequence[float]) -> LevelKernel:
 # temporaries of bvn_cdf, 160 KB at 1024 pairs, while spreading numpy's
 # per-call overhead over enough pairs.
 _PAIR_BATCH = 1024
+# Cells of the largest joint matrix: one k x k float64 matrix then takes 2 GiB
+MAX_CELLS = 1 << 14
 
 
 def _upper_triangle_batches(k: int):
@@ -491,8 +493,12 @@ def joint_cdf_matrix(model: ProcessModel, cells: Sequence[tuple[float, float]]) 
     and atomic kinds, whose paths hold one uniform draw.  An entry does not
     depend on the other cells, bit for bit: the bm-copula quantile is taken
     once per distinct level and the correlation once per time pair, and
-    ``bvn_cdf`` runs on batches of pairs.
+    ``bvn_cdf`` runs on batches of pairs.  More than ``MAX_CELLS`` cells are
+    refused before anything of size k x k is allocated.
     """
+    if len(cells) > MAX_CELLS:
+        raise DomainError(f"{len(cells):,} cells need a {8 * len(cells) ** 2 / 2 ** 30:,.2f} GiB "
+                          f"joint matrix; at most {MAX_CELLS:,} cells (2 GiB) are allowed")
     ts = np.array([t for t, _ in cells], dtype=float)
     ys = np.array([y for _, y in cells], dtype=float)
     if not np.all((ys > 0.0) & (ys < 1.0)):

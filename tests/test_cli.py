@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weplab.cli import CHECKS, CLT, RunConfig, build_parser, main, resolve_config, write_csv
+from weplab.cli import (CHECKS, CLT, RunConfig, build_parser, main, resolve_config, run_command,
+                        write_csv)
 from weplab.clt import clt_covariance_convergence, clt_marginal_test, clt_sup_comparison
 from weplab.errors import ConfigError
 from weplab.models import TimeGrid, parse_model
@@ -213,6 +214,10 @@ class TestExitCodes:
         *[(("verify", check, "--model", "bm-copula", "--time-points", "4"),
            f"weplab: error: {source}: time 1.5 is not on the grid of 4 times from 1.0 to 2.0")
           for check, source in [("wl", "wl's built-in probes"), ("l-cond", "--t")]],
+        # the match tolerance scales with the grid: 5e-10 is far off a grid of tiny times
+        (("verify", "l-cond", "--model", "bm-copula", "--a", "1e-12", "--b", "2e-12",
+          "--time-points", "129", "--t", "5e-10", "--n", "200"),
+         "weplab: error: --t: time 5e-10 is not on the grid of 129 times from 1e-12 to 2e-12"),
     ])
     def test_config_out_of_range_names_the_flag(self, tmp_path, capsys, argv, named):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
@@ -328,6 +333,36 @@ class TestSimulate:
         assert run_cli(*args, "--workers", "1", "--out", str(b)) == 0
         assert run_cli(*args, "--workers", "8", "--out", str(c)) == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    def test_header_and_rows(self, tmp_path):
+        out = tmp_path / "field.csv"
+        assert run_cli("simulate", "--model", "dependent", "--weight", "const:1", "--n", "10",
+                       "--seed", "7", "--time-points", "3", "--level-points", "2",
+                       "--clip", "0.3", "--out", str(out)) == 0
+        text = out.read_text(encoding="utf-8")
+        lines = text.strip().split("\n")
+        assert lines[:3] == ["# weplab field v1", "# n=10 seed=7 model=dependent weight=const:1",
+                             "t,y,nu"]
+        assert [line.rsplit(",", 1)[0] for line in lines[3:]] == [
+            f"{t!r},{float(y)!r}" for t in (1.0, 1.5, 2.0) for y in np.linspace(0.3, 1.0 - 0.3, 2)]
+        assert "\r" not in text
+
+    def test_rows_are_written_one_at_a_time(self, tmp_path, monkeypatch):
+        # the 129 x 33 field's 4,257 rows; joining them first held about 0.7 MB
+        cfg = RunConfig(model="bm-copula", n=2000, seed=0, workers=1)
+        values = np.random.default_rng(PINNED_SEED).standard_normal((129, 33))
+        monkeypatch.setattr("weplab.cli.evaluate_field_streaming", lambda *args: values)
+        out = tmp_path / "field.csv"
+        tracemalloc.start()
+        try:
+            assert run_command("simulate", None, cfg, {"out": str(out)}) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 10  # the file object's buffers and a row
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3 + 4257
+        assert lines[-1] == f"2.0,{1.0 - 0.001!r},{float(values[-1, -1])!r}"
 
 
 class TestVerifyReports:
@@ -757,6 +792,20 @@ class TestEntryPoint:
         assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
         rows = [p for p in load_without_timing(out)["probes"] if p["coords"]["eps"] == 1.1]
         assert [p["coords"]["ball_points"] for p in rows] == [5]
+
+    @pytest.mark.parametrize("mode,flags", [("sup", ("--n", "10", "--reps", "8")),
+                                            ("cov", ("--n-list", "10", "--reps", "1"))])
+    def test_oversized_limit_lattice_is_two_at_once(self, tmp_path, mode, flags):
+        # 129 x 128 = 16,512 cells, just over models.MAX_CELLS: their k x k joint would
+        # take 2.03 GiB, and is refused before it is allocated or any path is sampled
+        times = ",".join(repr(1.0 + i / 128) for i in range(129))
+        levels = ",".join(repr((i + 1) / 129) for i in range(128))
+        proc = subprocess.run([sys.executable, "-m", "weplab.cli", "clt", mode, "--model",
+                               "bm-copula", "--times", times, "--levels", levels, *flags,
+                               "--out", str(tmp_path / "r.json")],
+                              capture_output=True, text=True, env=checkout_env(), timeout=60)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith("weplab: error: 16,512 cells need a 2.03 GiB joint matrix")
 
     def test_runs_without_scipy(self, tmp_path):
         # scipy is a test oracle only: Phi and its inverse are weplab's own

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from weplab import models
 from weplab.engine import (accumulate_cell_moments, covariance_from_joint,
-                           evaluate_field_streaming, export_field_csv, replicated_fields)
+                           evaluate_field_streaming, replicated_fields)
 from weplab.errors import DomainError
 from weplab.models import TimeGrid, map_path_blocks, parse_model, to_uniform
 from weplab.weights import parse_weight
@@ -232,33 +232,3 @@ class TestCovarianceBits:
         expected = np.outer(wv, wv) * joint - np.outer(wv * y, wv * y)
         got = covariance_from_joint(joint, [(1.0, v) for v in ys], w)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-
-
-class TestFieldCsv:
-    def test_header_and_rows(self, tmp_path):
-        model, grid, levels = parse_model("dependent"), TimeGrid.uniform(1, 2, 3), [0.3, 0.5]
-        field = evaluate_field_streaming(model, grid, levels, w_const, 10, 7)
-        path = tmp_path / "field.csv"
-        export_field_csv(field, grid, levels, str(path), model, w_const, 10, 7)
-        text = path.read_text(encoding="utf-8")
-        lines = text.strip().split("\n")
-        assert lines[0] == "# weplab field v1"
-        assert lines[1] == "# n=10 seed=7 model=dependent weight=const:1"
-        assert lines[2] == "t,y,nu"
-        assert len(lines) == 3 + 3 * 2
-        assert "\r" not in text
-
-    def test_rows_are_written_one_at_a_time(self, tmp_path):
-        # the 129 x 33 field's 4,257 rows; joining them first held about 0.7 MB
-        model, grid, levels = parse_model("bm-copula"), TimeGrid.uniform(), np.linspace(
-            0.001, 0.999, 33)
-        values = np.random.default_rng(PINNED_SEED).standard_normal((len(grid), levels.size))
-        tracemalloc.start()
-        try:
-            export_field_csv(values, grid, levels, str(tmp_path / "field.csv"), model,
-                             w_const, 2000, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 << 10  # the file object's buffers and a row
-        assert len((tmp_path / "field.csv").read_text(encoding="utf-8").splitlines()) == 3 + 4257

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weplab import limits, parallel
+from weplab import limits, models, parallel
 from weplab.errors import DomainError, IndefiniteCovarianceError
 from weplab.limits import (LimitModel, _factor_with_jitter, build_limit_model, limit_covariance,
                            sample_limit_field)
@@ -237,6 +237,14 @@ class TestLimitMemory:
         finally:
             tracemalloc.stop()
         assert peak < k * k * 8 // 2
+
+    def test_oversized_lattice_is_refused_before_allocation(self):
+        # the bound is one k x k float64 matrix of 2 GiB, and admits the full 129 x 33 lattice
+        k = models.MAX_CELLS
+        assert 8 * k * k == 2 << 30 and 129 * 33 <= k
+        cells = [(1.0 + i, 0.5) for i in range(k + 1)]
+        with pytest.raises(DomainError, match="16,385 cells need a 2.00 GiB joint matrix"):
+            limit_covariance(parse_model("bm-copula"), cells, w_const)
 
 
 class TestDg0Upper:

@@ -56,6 +56,19 @@ class TestTimeGrid:
         assert list(ball) == [62, 63, 64, 65, 66]
         with pytest.raises(DomainError):
             g.index_of(1.5001)
+        # every time within 1e-9 of a grid time, as the absolute tolerance had it
+        for d in (-0.999e-9, 0.999e-9):
+            assert [g.index_of(float(s) + d) for s in g.points] == list(range(129))
+
+    def test_tolerances_scale_with_a_grid_of_tiny_times(self):
+        g = TimeGrid.uniform(1e-12, 2e-12, 129)
+        assert [g.index_of(float(s)) for s in g.points] == list(range(129))
+        for t in (-5e-10, 1.5e-10):
+            with pytest.raises(DomainError, match="not on the grid"):
+                g.index_of(t)
+        # times 7.8e-17 apart: a ball of radius 0 holds its centre alone
+        fine = TimeGrid.uniform(1e-14, 2e-14, 129)
+        assert list(fine.ball_indices(float(fine.points[64]), 0.0)) == [64]
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_is_not_on_the_grid(self, t):
